@@ -235,11 +235,6 @@ def take(x: Tensor, idx: np.ndarray) -> Tensor:
     return Tensor._op(x.data[idx], (x,), vjp)
 
 
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    return Tensor._op(np.where(mask, x.data, 0.0).astype(x.data.dtype), (x,), lambda g: (g * mask,))
-
-
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     """Hard clamp; gradient flows only strictly inside (lo, hi)."""
     inside = (x.data > lo) & (x.data < hi)

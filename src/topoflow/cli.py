@@ -18,6 +18,7 @@ import os
 import sys
 from pathlib import Path
 
+from .config import decode, value
 from .errors import ConfigError, TopoflowError, UsageError
 
 DEFAULTS: dict[str, str] = {
@@ -51,7 +52,6 @@ DEFAULTS: dict[str, str] = {
     "model.wind_reorder": "true",
     "model.elev_bias": "true",
     "model.wind_mean": "weighted",
-    "model.bias_combine": "identity",
     "train.lr_base": "0.0001",
     "train.lr_embed": "0.0002",
     "train.lr_head": "5e-05",
@@ -66,8 +66,6 @@ DEFAULTS: dict[str, str] = {
     "train.patience": "10",
     "train.val_interval": "25",
     "train.val_fraction": "0.1",
-    "train.loss_average": "literal",
-    "train.alpha_reset_step": "none",
     "ablate.seeds": "0,1,2,3,4",
     "ablate.variants": "baseline,wind,wind_elev",
     "ablate.tiles": "global,2x2,4x4,8x8",
@@ -129,34 +127,6 @@ def resolve_config(args) -> dict[str, str]:
     return cfg
 
 
-def _int(cfg, key) -> int:
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}") from None
-
-
-def _float(cfg, key) -> float:
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from None
-
-
-def _bool(cfg, key) -> bool:
-    value = cfg[key].lower()
-    if value not in ("true", "false"):
-        raise ConfigError(f"{key} must be true or false, got {cfg[key]!r}")
-    return value == "true"
-
-
-def _ints(cfg, key) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in cfg[key].split(",") if x)
-    except ValueError:
-        raise ConfigError(f"{key} must be a comma list of integers") from None
-
-
 def echo_config(cfg: dict[str, str], out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [f"{key} = {cfg[key]}\n" for key in sorted(cfg)]
@@ -166,72 +136,27 @@ def echo_config(cfg: dict[str, str], out_dir: Path) -> None:
 def build_grid(cfg):
     from .fields import GridSpec
 
-    return GridSpec(
-        _int(cfg, "grid.height"),
-        _int(cfg, "grid.width"),
-        _int(cfg, "grid.patch"),
-        _int(cfg, "grid.sector_cols"),
-        _int(cfg, "grid.sector_rows"),
-    )
+    return decode(GridSpec, cfg, "grid")
 
 
 def build_physics(cfg):
     from .synthdata import PhysicsConfig
 
-    return PhysicsConfig(
-        kappa=_float(cfg, "physics.kappa"),
-        dt=_float(cfg, "physics.dt"),
-        dx=_float(cfg, "physics.dx"),
-        boundary=cfg["physics.boundary"],
-        sink=_float(cfg, "physics.sink"),
-        max_wind=_float(cfg, "physics.max_wind"),
-        hours_per_step=_float(cfg, "physics.hours_per_step"),
-        substeps=_int(cfg, "physics.substeps"),
-    )
+    return decode(PhysicsConfig, cfg, "physics")
 
 
 def build_model_config(cfg, spec=None, n_horizons=None):
     from .model import ModelConfig
 
-    return ModelConfig(
-        spec=spec if spec is not None else build_grid(cfg),
-        d=_int(cfg, "model.d"),
-        layers=_int(cfg, "model.layers"),
-        heads=_int(cfg, "model.heads"),
-        mlp_hidden=_int(cfg, "model.mlp_hidden"),
-        head_hidden=_int(cfg, "model.head_hidden"),
-        dropout=_float(cfg, "model.dropout"),
-        n_horizons=n_horizons if n_horizons is not None else len(_ints(cfg, "data.horizons")),
-        wind_reorder=_bool(cfg, "model.wind_reorder"),
-        elev_bias=_bool(cfg, "model.elev_bias"),
-        wind_mean=cfg["model.wind_mean"],
-        bias_combine=cfg["model.bias_combine"],
-    )
+    if n_horizons is None:
+        n_horizons = len(value(cfg, "data.horizons", tuple[int, ...]))
+    return decode(ModelConfig, cfg, "model", spec=spec or build_grid(cfg), n_horizons=n_horizons)
 
 
 def build_train_config(cfg):
     from .train import TrainConfig
 
-    reset = cfg["train.alpha_reset_step"]
-    return TrainConfig(
-        lr_base=_float(cfg, "train.lr_base"),
-        lr_embed=_float(cfg, "train.lr_embed"),
-        lr_head=_float(cfg, "train.lr_head"),
-        lr_backbone=_float(cfg, "train.lr_backbone"),
-        weight_decay=_float(cfg, "train.weight_decay"),
-        warmup=_int(cfg, "train.warmup"),
-        total_steps=_int(cfg, "train.total_steps"),
-        eta_min=_float(cfg, "train.eta_min"),
-        clip_norm=_float(cfg, "train.clip_norm"),
-        batch_size=_int(cfg, "train.batch_size"),
-        epochs=_int(cfg, "train.epochs"),
-        patience=_int(cfg, "train.patience"),
-        val_interval=_int(cfg, "train.val_interval"),
-        val_fraction=_float(cfg, "train.val_fraction"),
-        seed=_int(cfg, "seed"),
-        loss_average=cfg["train.loss_average"],
-        alpha_reset_step=None if reset.lower() in ("none", "") else int(reset),
-    )
+    return decode(TrainConfig, cfg, "train", seed=value(cfg, "seed", int))
 
 
 def _need_dir(cfg, key, what) -> Path:
@@ -252,20 +177,20 @@ def cmd_gen(cfg: dict[str, str]) -> int:
     out = _need_dir(cfg, "paths.out", "output directory")
     spec = build_grid(cfg)
     physics = build_physics(cfg)
-    seed = _int(cfg, "seed")
+    seed = value(cfg, "seed", int)
     tw = synthdata.gen_terrain(
         spec,
         seed,
         archetype=cfg["data.archetype"],
-        base_speed=_float(cfg, "data.base_speed"),
+        base_speed=value(cfg, "data.base_speed", float),
         max_speed=physics.max_wind,
     )
     samples = synthdata.make_dataset(
         spec,
         tw,
         physics,
-        _ints(cfg, "data.horizons"),
-        _int(cfg, "data.count"),
+        value(cfg, "data.horizons", tuple[int, ...]),
+        value(cfg, "data.count", int),
         seed,
         wind_mode=cfg["data.wind_mode"],
         source_mode=cfg["data.source_mode"],
@@ -274,7 +199,7 @@ def cmd_gen(cfg: dict[str, str]) -> int:
     if not samples:
         raise ConfigError("data.count must be >= 1 to write a dataset")
     # stats come from the training split only
-    n_val = max(1, int(round(len(samples) * _float(cfg, "train.val_fraction"))))
+    n_val = max(1, int(round(len(samples) * value(cfg, "train.val_fraction", float))))
     train_inputs = [s.input for s in samples[: len(samples) - n_val]] or [samples[0].input]
     stats = NormStats.fit(train_inputs, synthdata.norm_kinds())
     mask = synthdata.study_mask(spec)
@@ -338,7 +263,7 @@ def cmd_ablate(cfg: dict[str, str], mode: str) -> int:
     tconfig = build_train_config(cfg)
     out.mkdir(parents=True, exist_ok=True)
     if mode == "components":
-        seeds = _ints(cfg, "ablate.seeds")
+        seeds = value(cfg, "ablate.seeds", tuple[int, ...])
         wanted = [x for x in cfg["ablate.variants"].split(",") if x]
         unknown = set(wanted) - set(train.ABLATION_VARIANTS)
         if unknown:
@@ -413,7 +338,7 @@ def cmd_dump(cfg: dict[str, str], what: str) -> int:
             store, _mcfg, _m, _e = model.load_checkpoint(Path(ckpt))
             alpha = float(store["alpha"].data)
         elev = topo_bias.patch_elevations(bundle.terrain.elevation, spec)
-        bias = topo_bias.build_bias(elev, alpha=alpha, combine=cfg["model.bias_combine"])
+        bias = topo_bias.build_bias(elev, alpha=alpha)
         n = spec.n_patches
         container = Field(
             GridSpec(n, n, 1, 1, 1), ("bias_elev",), bias.matrix[None].astype(np.float32), ("",)

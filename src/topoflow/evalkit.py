@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, FitError, MaskError, ShapeError
-from .fields import Field, LandMask
+from .errors import DataError, FitError, ShapeError
+from .fields import Field, mask_array
 from .model import ModelConfig, ParamStore, forward
 from .synthdata import DatasetBundle
 from .topo_bias import patch_elevations
@@ -33,16 +33,9 @@ def _grid(x) -> np.ndarray:
     return arr.astype(np.float64)
 
 
-def _mask_array(mask) -> np.ndarray:
-    m = mask.mask if isinstance(mask, LandMask) else np.asarray(mask)
-    if m.sum() == 0:
-        raise MaskError("mask selects no cells")
-    return m.astype(bool)
-
-
 def rmse(pred, target, mask) -> float:
     """Root mean squared error over masked cells, physical units."""
-    p, t, m = _grid(pred), _grid(target), _mask_array(mask)
+    p, t, m = _grid(pred), _grid(target), mask_array(mask)
     if p.shape != t.shape or p.shape[-2:] != m.shape:
         raise ShapeError(f"shapes {p.shape} / {t.shape} / mask {m.shape}")
     se = (p - t)[..., m] ** 2
@@ -50,14 +43,14 @@ def rmse(pred, target, mask) -> float:
 
 
 def mae(pred, target, mask) -> float:
-    p, t, m = _grid(pred), _grid(target), _mask_array(mask)
+    p, t, m = _grid(pred), _grid(target), mask_array(mask)
     err = np.abs(p - t)[..., m]
     return float(err.mean())
 
 
 def correlation(pred, target, mask) -> float:
     """Masked sample Pearson correlation."""
-    p, t, m = _grid(pred), _grid(target), _mask_array(mask)
+    p, t, m = _grid(pred), _grid(target), mask_array(mask)
     x = p[..., m].ravel()
     y = t[..., m].ravel()
     if x.size < 2:
@@ -229,11 +222,7 @@ def report(
     for hi, horizon in enumerate(horizons):
         for ci, channel in enumerate(channels):
             st = bundle.stats.for_channel(channel)
-            plane = preds_norm[:, hi * len(channels) + ci]
-            if st.kind == "zscore":
-                plane = plane * st.b + st.a
-            elif st.kind == "minmax":
-                plane = plane * (st.b - st.a) + st.a
+            plane = st.apply(preds_norm[:, hi * len(channels) + ci], forward=False)
             truth = np.stack(
                 [s.targets[hi].channel(channel).astype(np.float64) for s in bundle.samples]
             )

@@ -167,6 +167,14 @@ class LandMask:
         return int(self.mask.sum())
 
 
+def mask_array(mask, dtype=bool) -> np.ndarray:
+    """(H, W) cell selection of a LandMask or plain array, cast to `dtype`."""
+    m = mask.mask if isinstance(mask, LandMask) else np.asarray(mask)
+    if m.sum() == 0:
+        raise MaskError("mask selects no cells")
+    return m.astype(dtype)
+
+
 @dataclass(frozen=True)
 class ChannelStats:
     """Normalization rule for one channel.
@@ -186,6 +194,15 @@ class ChannelStats:
             raise StatsError(f"zscore sigma must be > 0, got {self.b}")
         if self.kind == "minmax" and not self.b > self.a:
             raise StatsError(f"minmax needs hi > lo, got lo={self.a}, hi={self.b}")
+
+    def apply(self, x: np.ndarray, forward: bool = True) -> np.ndarray:
+        """Map raw values into model space, or back with forward=False."""
+        if self.kind == "zscore":
+            return (x - self.a) / self.b if forward else x * self.b + self.a
+        if self.kind == "minmax":
+            span = self.b - self.a
+            return (x - self.a) / span if forward else x * span + self.a
+        return x
 
 
 @dataclass(frozen=True)
@@ -251,15 +268,7 @@ class NormStats:
 def _apply_stats(field: Field, stats: NormStats, forward: bool) -> Field:
     out = np.empty_like(field.data, dtype=np.float32)
     for i, name in enumerate(field.channels):
-        st = stats.for_channel(name)
-        x = field.data[i]
-        if st.kind == "zscore":
-            out[i] = (x - st.a) / st.b if forward else x * st.b + st.a
-        elif st.kind == "minmax":
-            span = st.b - st.a
-            out[i] = (x - st.a) / span if forward else x * span + st.a
-        else:
-            out[i] = x
+        out[i] = stats.for_channel(name).apply(field.data[i], forward)
     return field.with_data(out)
 
 

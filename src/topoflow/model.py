@@ -30,6 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from . import reorder, topo_bias
 from .attention import AttentionParams, attend, _attend_parts
+from .config import decode, encode
 from .errors import ConfigError, NumericError, ShapeError
 from .fields import GridSpec
 from .synthdata import INPUT_CHANNELS
@@ -60,7 +61,6 @@ class ModelConfig:
     elev_bias: bool = True
     wind_channels: tuple[str, str] = ("u", "v")
     wind_mean: str = "weighted"
-    bias_combine: str = "identity"
 
     def __post_init__(self):
         if self.d % self.heads:
@@ -82,50 +82,6 @@ class ModelConfig:
     @property
     def out_dim(self) -> int:
         return self.n_horizons * self.v_out * self.spec.patch**2
-
-
-def config_to_kv(config: ModelConfig) -> dict[str, str]:
-    """Flat key=value form of a model config (checkpoint sidecars, echoes)."""
-    s = config.spec
-    kv = {
-        "model.grid": f"{s.height},{s.width},{s.patch},{s.sector_cols},{s.sector_rows}",
-        "model.d": str(config.d),
-        "model.layers": str(config.layers),
-        "model.heads": str(config.heads),
-        "model.mlp_hidden": str(config.mlp_hidden),
-        "model.head_hidden": str(config.head_hidden),
-        "model.dropout": repr(config.dropout),
-        "model.channels": ",".join(config.channels),
-        "model.v_out": str(config.v_out),
-        "model.n_horizons": str(config.n_horizons),
-        "model.wind_reorder": str(config.wind_reorder).lower(),
-        "model.elev_bias": str(config.elev_bias).lower(),
-        "model.wind_channels": ",".join(config.wind_channels),
-        "model.wind_mean": config.wind_mean,
-        "model.bias_combine": config.bias_combine,
-    }
-    return kv
-
-
-def config_from_kv(kv: dict[str, str]) -> ModelConfig:
-    grid = tuple(int(x) for x in kv["model.grid"].split(","))
-    return ModelConfig(
-        spec=GridSpec(*grid),
-        d=int(kv["model.d"]),
-        layers=int(kv["model.layers"]),
-        heads=int(kv["model.heads"]),
-        mlp_hidden=int(kv["model.mlp_hidden"]),
-        head_hidden=int(kv["model.head_hidden"]),
-        dropout=float(kv["model.dropout"]),
-        channels=tuple(kv["model.channels"].split(",")),
-        v_out=int(kv["model.v_out"]),
-        n_horizons=int(kv["model.n_horizons"]),
-        wind_reorder=kv["model.wind_reorder"] == "true",
-        elev_bias=kv["model.elev_bias"] == "true",
-        wind_channels=tuple(kv["model.wind_channels"].split(",")),
-        wind_mean=kv["model.wind_mean"],
-        bias_combine=kv["model.bias_combine"],
-    )
 
 
 @dataclass
@@ -377,7 +333,7 @@ def forward(
         stacked = np.stack(
             [uphill[np.ix_(p.forward, p.forward)] for p in perms]
         ).astype(dtype)
-        elev = topo_bias.bias_tensor(stacked, params["alpha"], combine=config.bias_combine)
+        elev = topo_bias.bias_tensor(stacked, params["alpha"])
         bias = bias + elev.reshape(arr.shape[0], 1, n, n)  # broadcast over heads
 
     def drop(t):
@@ -457,7 +413,7 @@ def save_checkpoint(
     for k in names:
         shape = ",".join(str(s) for s in store[k].data.shape) or "scalar"
         lines.append(f"tensor {k} {shape} {store.group_of(k)}\n")
-    for key, value in sorted(config_to_kv(config).items()):
+    for key, value in sorted(encode(config, "model").items()):
         lines.append(f"{key} = {value}\n")
     for key, value in sorted((extras or {}).items()):
         lines.append(f"state.{key} = {value}\n")
@@ -486,7 +442,7 @@ def load_checkpoint(path, dtype=np.float32):
                     extras[key[len("state."):]] = value
                 else:
                     kv[key] = value
-    config = config_from_kv(kv)
+    config = decode(ModelConfig, kv, "model")
     params: dict[str, ad.Tensor] = {}
     groups: dict[str, str] = {}
     m1: dict[str, np.ndarray] = {}

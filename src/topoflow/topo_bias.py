@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DataError, ShapeError
+from .errors import DataError, ShapeError
 from .fields import Field, GridSpec
 
 H0_METERS = 1000.0    # reference climb normalizer
@@ -60,10 +60,7 @@ def uphill_matrix(patch_elev: np.ndarray, h0: float = H0_METERS) -> np.ndarray:
 
 
 def build_bias(
-    patch_elev: np.ndarray,
-    alpha: float = ALPHA_INIT,
-    h0: float = H0_METERS,
-    combine: str = "identity",
+    patch_elev: np.ndarray, alpha: float = ALPHA_INIT, h0: float = H0_METERS
 ) -> ElevationBias:
     """Assemble the clamped penalty matrix for a fixed alpha value."""
     if not np.isfinite(alpha):
@@ -71,50 +68,23 @@ def build_bias(
     uphill = uphill_matrix(patch_elev, h0)
     raw = -float(alpha) * uphill
     matrix = np.clip(raw, BIAS_LO, 0.0)
-    if combine == "row_correlation":
-        matrix = _row_correlation(matrix)
-    elif combine != "identity":
-        raise ConfigError(f"unknown bias combine rule {combine!r}")
     return ElevationBias(np.asarray(patch_elev, dtype=np.float64), float(alpha), h0, matrix)
 
 
-def bias_tensor(
-    uphill_perm: np.ndarray, alpha: ad.Tensor, combine: str = "identity"
-) -> ad.Tensor:
+def bias_tensor(uphill_perm: np.ndarray, alpha: ad.Tensor) -> ad.Tensor:
     """Differentiable bias from a precomputed (possibly permuted) uphill matrix.
 
     The permutation of rows/columns does not involve alpha, so callers
     permute the constant uphill matrix first and this stays a plain
     elementwise chain: clip(-alpha * uphill, BIAS_LO, 0).
     """
-    if combine == "identity":
-        return ad.clip((-alpha) * ad.as_tensor(uphill_perm), BIAS_LO, 0.0)
-    if combine == "row_correlation":
-        # Row normalization cancels alpha, so this variant is a constant
-        # w.r.t. the tape and alpha receives no gradient under it.
-        raw = np.clip(-float(alpha.data) * np.asarray(uphill_perm), BIAS_LO, 0.0)
-        return ad.as_tensor(_row_correlation(raw))
-    raise ConfigError(f"unknown bias combine rule {combine!r}")
-
-
-def _row_correlation(matrix: np.ndarray) -> np.ndarray:
-    """Cosine similarity of penalty rows, linearly rescaled onto [BIAS_LO, 0].
-
-    Experimental alternative reading of "self-correlation": patches with
-    similar uphill-penalty profiles (cosine near 1) keep bias near 0,
-    dissimilar profiles approach the clamp floor.
-    """
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    unit = matrix / safe
-    cos = unit @ unit.T
-    return BIAS_LO * (1.0 - np.clip(cos, 0.0, 1.0))
+    return ad.clip((-alpha) * ad.as_tensor(uphill_perm), BIAS_LO, 0.0)
 
 
 def bias_gradient_alpha(
     patch_elev: np.ndarray, alpha: float, h0: float = H0_METERS
 ) -> np.ndarray:
-    """Analytic d(bias)/d(alpha) per entry under the identity combine rule.
+    """Analytic d(bias)/d(alpha) per entry.
 
     -ReLU((h_j - h_i) / h0) wherever the clamp is inactive, 0 where the
     entry sits at or beyond a clamp boundary (subgradient 0 at the edge).

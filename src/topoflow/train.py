@@ -1,8 +1,7 @@
 """Training: masked objective, AdamW with per-group rates, schedules, fit loop.
 
 The loss is the masked mean squared error summed over every output channel
-and horizon, normalized by the number of selected cells alone (a config
-flag switches to per-channel averaging for experiments). Optimization is
+and horizon, normalized by the number of selected cells alone. Optimization is
 decoupled-weight-decay Adam with a global-norm gradient clip, per-group
 learning rates from one warmup+cosine schedule, validation every fixed
 number of steps, and early stopping on the validation loss.
@@ -31,11 +30,11 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
-from .errors import ConfigError, MaskError, NumericError, ShapeError
-from .fields import Field, LandMask, NormStats, normalize
+from .errors import ConfigError, NumericError, ShapeError
+from .fields import mask_array, normalize
 from .model import ForwardResult, ModelConfig, ParamStore, forward, init_params, patchify
 from .synthdata import DatasetBundle
-from .topo_bias import ALPHA_INIT, patch_elevations
+from .topo_bias import patch_elevations
 
 BATCH_STREAM = 4   # SeedSequence lane for batch order + dropout
 
@@ -62,8 +61,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    loss_average: str = "literal"      # literal | per_channel
-    alpha_reset_step: int | None = None
 
     def __post_init__(self):
         if self.warmup > self.total_steps or self.warmup < 0:
@@ -75,8 +72,6 @@ class TrainConfig:
             raise ConfigError("batch_size, val_interval and epochs must be >= 1")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError("val_fraction must be in (0, 1)")
-        if self.loss_average not in ("literal", "per_channel"):
-            raise ConfigError(f"unknown loss_average {self.loss_average!r}")
 
 
 GROUP_RATE_FIELDS = {
@@ -112,44 +107,31 @@ def lr_at(step: int, config: TrainConfig, group: str) -> float:
 # loss
 # ---------------------------------------------------------------------------
 
-def _mask_array(mask) -> np.ndarray:
-    m = mask.mask if isinstance(mask, LandMask) else np.asarray(mask)
-    if m.sum() == 0:
-        raise MaskError("mask selects no cells")
-    return m
-
-
-def masked_mse(pred, target, mask, average: str = "literal"):
+def masked_mse(pred, target, mask):
     """Masked MSE over (..., C, H, W); Tensor in, Tensor out.
 
     Sums squared error over all channels (and horizons, which ride as
     channels) inside the mask and divides by the selected-cell count and
-    any leading batch dims; "per_channel" additionally divides by C.
+    any leading batch dims.
     """
     is_tensor = isinstance(pred, ad.Tensor)
     p = pred if is_tensor else ad.as_tensor(np.asarray(pred))
     t = np.asarray(target.data if isinstance(target, ad.Tensor) else target)
     if p.shape != t.shape:
         raise ShapeError(f"pred shape {p.shape} vs target shape {t.shape}")
-    m = _mask_array(mask).astype(t.dtype)
+    m = mask_array(mask, t.dtype)
     if m.shape != p.shape[-2:]:
         raise ShapeError(f"mask shape {m.shape} does not match grid {p.shape[-2:]}")
     denom = float(m.sum()) * float(np.prod(p.shape[:-3], dtype=np.int64))
-    if average == "per_channel":
-        denom *= p.shape[-3]
-    elif average != "literal":
-        raise ConfigError(f"unknown loss average {average!r}")
     diff = p - ad.Tensor(t)
     loss = (diff * diff * ad.Tensor(m)).sum() * (1.0 / denom)
     return loss if is_tensor else float(loss.data)
 
 
 def _masked_mse_tokens(pred: ad.Tensor, target: np.ndarray, mask_tok: np.ndarray,
-                       cell_count: float, n_channels: int, average: str) -> ad.Tensor:
+                       cell_count: float) -> ad.Tensor:
     """Token-space equivalent of :func:`masked_mse` (lossless rearrangement)."""
     denom = cell_count * pred.shape[0]
-    if average == "per_channel":
-        denom *= n_channels
     diff = pred - ad.Tensor(target)
     return (diff * diff * ad.Tensor(mask_tok)).sum() * (1.0 / denom)
 
@@ -219,13 +201,6 @@ def clip_gradients(store: ParamStore, max_norm: float) -> float:
     return norm
 
 
-def apply_alpha_reset(store: ParamStore, state: TrainState) -> None:
-    """Reinitialize the elevation-bias scale and its moments mid-run."""
-    store["alpha"].data = np.array(ALPHA_INIT, dtype=store["alpha"].dtype)
-    state.m["alpha"][...] = 0.0
-    state.v["alpha"][...] = 0.0
-
-
 def optimize_step(store: ParamStore, state: TrainState, config: TrainConfig) -> None:
     """One clipped AdamW update with per-group learning rates."""
     for name in store.names():
@@ -270,7 +245,6 @@ class TrainingArrays:
     cell_count: float
     elev_patch: np.ndarray       # (N,) meters
     perms: list                  # per-sample SectorPermutation
-    n_channels: int              # out channels incl. horizons
 
 
 def prepare_arrays(bundle: DatasetBundle, config: ModelConfig) -> TrainingArrays:
@@ -316,14 +290,12 @@ def prepare_arrays(bundle: DatasetBundle, config: ModelConfig) -> TrainingArrays
         float(bundle.mask.count),
         elev_patch,
         perms,
-        n_out,
     )
 
 
 def _batch_loss(
     store: ParamStore,
     config: ModelConfig,
-    tconfig: TrainConfig,
     arrays: TrainingArrays,
     idx: np.ndarray,
     train: bool,
@@ -343,15 +315,12 @@ def _batch_loss(
         arrays.target_tokens[idx],
         arrays.mask_tokens[idx],
         arrays.cell_count,
-        arrays.n_channels,
-        tconfig.loss_average,
     )
 
 
 def evaluate_loss(
     store: ParamStore,
     config: ModelConfig,
-    tconfig: TrainConfig,
     arrays: TrainingArrays,
     indices: np.ndarray,
     batch: int,
@@ -360,7 +329,7 @@ def evaluate_loss(
     total = 0.0
     for start in range(0, len(indices), batch):
         idx = indices[start : start + batch]
-        loss = _batch_loss(store, config, tconfig, arrays, idx, train=False, rng=None)
+        loss = _batch_loss(store, config, arrays, idx, train=False, rng=None)
         total += float(loss.data) * len(idx)
     return total / len(indices)
 
@@ -440,7 +409,7 @@ def fit(
                 )
 
     def validate(step, train_loss) -> float:
-        val = evaluate_loss(store, config, tconfig, arrays, val_idx, tconfig.batch_size)
+        val = evaluate_loss(store, config, arrays, val_idx, tconfig.batch_size)
         if val < state.best_val:
             state.best_val = val
             state.bad_count = 0
@@ -458,12 +427,10 @@ def fit(
 
     final_val = state.best_val
     while state.step < max_steps and not state.stopped:
-        if tconfig.alpha_reset_step is not None and state.step == tconfig.alpha_reset_step:
-            apply_alpha_reset(store, state)
         idx = state.rng.choice(len(train_idx), size=min(tconfig.batch_size, len(train_idx)),
                                replace=False)
         ad.zero_grads(store.tensors())
-        loss = _batch_loss(store, config, tconfig, arrays, train_idx[idx], train=True,
+        loss = _batch_loss(store, config, arrays, train_idx[idx], train=True,
                            rng=state.rng)
         loss.backward()
         optimize_step(store, state, tconfig)

@@ -88,7 +88,6 @@ def test_sum_axis_keepdims():
 
 def test_relu_and_clip_kinks():
     x = np.array([-2.0, -0.5, 0.5, 2.0, 11.0, -11.0])
-    check_unary(ad.relu, x)
     check_unary(lambda t: ad.clip(t, -10.0, 10.0), x)
     # gradient is zero outside and at the clamp
     t = ad.parameter(np.array([-10.0, 10.0, 0.0]))

@@ -224,13 +224,20 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_config_errors_exit_two(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("no.such.key = 1\n", encoding="utf-8")
-    assert run("gen", "--config", str(bad), "--out", str(tmp_path / "x")) == 2
-    malformed = tmp_path / "malformed.cfg"
-    malformed.write_text("just words\n", encoding="utf-8")
-    assert run("gen", "--config", str(malformed), "--out", str(tmp_path / "y")) == 2
+def test_config_errors_exit_two(tmp_path, dataset, capsys):
+    for i, text in enumerate(
+        ("no.such.key = 1", "just words", "model.bias_combine = identity")
+    ):
+        bad = tmp_path / f"bad{i}.cfg"
+        bad.write_text(text + "\n", encoding="utf-8")
+        assert run("gen", "--config", str(bad), "--out", str(tmp_path / f"x{i}")) == 2
+    for key, value in (("model.d", "abc"), ("model.elev_bias", "maybe")):
+        cfg = write_config(tmp_path / f"{key}.cfg", **{key: value})
+        capsys.readouterr()
+        assert run(
+            "train", "--config", str(cfg), "--data", str(dataset), "--out", str(tmp_path / key)
+        ) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_corrupted_magic_exits_three(tmp_path, config_path, dataset):

@@ -1,0 +1,43 @@
+"""The flat config codec against the desk defaults and the config dataclasses."""
+
+import dataclasses
+
+import pytest
+
+from topoflow import cli
+from topoflow.config import decode, value
+from topoflow.errors import ConfigError
+from topoflow.fields import GridSpec
+from topoflow.model import ModelConfig
+from topoflow.synthdata import PhysicsConfig
+from topoflow.train import TrainConfig
+
+SECTIONS = {"grid": GridSpec, "physics": PhysicsConfig, "model": ModelConfig, "train": TrainConfig}
+
+
+def test_defaults_keys_name_dataclass_fields():
+    for key in cli.DEFAULTS:
+        section, _, name = key.partition(".")
+        if section in SECTIONS:
+            assert name in {f.name for f in dataclasses.fields(SECTIONS[section])}, key
+    assert cli.build_grid(cli.DEFAULTS) == GridSpec(32, 64, 2, 8, 8)
+    assert cli.build_physics(cli.DEFAULTS) == PhysicsConfig()
+    assert cli.build_model_config(cli.DEFAULTS).n_horizons == 4
+    assert cli.build_train_config(cli.DEFAULTS).total_steps == 600
+
+
+def test_codec_errors_are_config_errors():
+    with pytest.raises(ConfigError, match="grid.height"):
+        decode(GridSpec, {}, "grid")
+    with pytest.raises(ConfigError, match="model.spec.patch"):
+        decode(ModelConfig, {"model.spec.height": "4", "model.spec.width": "8"}, "model")
+    bad = {
+        "seed": ("x1", int),
+        "train.lr_base": ("fast", float),
+        "model.wind_reorder": ("yes", bool),
+        "data.horizons": ("12,a", tuple[int, ...]),
+        "model.wind_channels": ("u", tuple[str, str]),
+    }
+    for key, (text, tp) in bad.items():
+        with pytest.raises(ConfigError, match=key):
+            value({key: text}, key, tp)

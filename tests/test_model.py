@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from topoflow import model, reorder, synthdata, topo_bias
+from topoflow.config import decode, encode
 from topoflow.errors import ConfigError, ShapeError
 from topoflow.fields import GridSpec
 from topoflow.model import ModelConfig, forward, init_params, patchify, unpatchify
+from topoflow.train import TrainConfig
 
 
 def tiny_config(**over):
@@ -278,5 +280,13 @@ def test_checkpoint_without_moments(tmp_path):
 
 
 def test_config_kv_round_trip():
-    config = tiny_config(wind_reorder=False, bias_combine="row_correlation")
-    assert model.config_from_kv(model.config_to_kv(config)) == config
+    configs = {
+        "grid": GridSpec(4, 8, 2, 2, 1),
+        "physics": synthdata.PhysicsConfig(kappa=12.5, boundary="clamped", substeps=3),
+        "model": tiny_config(wind_reorder=False, dropout=0.25, wind_mean="plain"),
+        "train": TrainConfig(lr_head=3e-05, warmup=7, total_steps=70, seed=11),
+    }
+    for section, obj in configs.items():
+        kv = encode(obj, section)
+        assert all(key.startswith(section + ".") for key in kv)
+        assert decode(type(obj), kv, section) == obj

@@ -3,7 +3,7 @@ import pytest
 
 from topoflow import autodiff as ad
 from topoflow import topo_bias
-from topoflow.errors import ConfigError, DataError
+from topoflow.errors import DataError
 from topoflow.fields import GridSpec
 
 
@@ -138,16 +138,3 @@ def test_bias_tensor_matches_build_bias():
     want = topo_bias.build_bias(h, alpha=1.7).matrix
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
-
-# -- combine rules ------------------------------------------------------------------
-
-def test_row_correlation_range_and_config_errors():
-    rng = np.random.default_rng(6)
-    h = rng.uniform(0, 4000, size=8)
-    m = topo_bias.build_bias(h, alpha=2.0, combine="row_correlation").matrix
-    assert m.min() >= -10.0 and m.max() <= 0.0
-    with pytest.raises(ConfigError):
-        topo_bias.build_bias(h, alpha=2.0, combine="other")
-    alpha = ad.parameter(np.array(2.0))
-    t = topo_bias.bias_tensor(topo_bias.uphill_matrix(h), alpha, combine="row_correlation")
-    assert not t.requires_grad  # alpha cancels under row normalization

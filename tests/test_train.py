@@ -77,7 +77,6 @@ def test_masked_mse_batch_and_per_channel():
     pred = np.ones((2, 3, 2, 2))
     target = np.zeros((2, 3, 2, 2))
     assert masked_mse(pred, target, mask) == pytest.approx(3.0)  # summed channels
-    assert masked_mse(pred, target, mask, average="per_channel") == pytest.approx(1.0)
 
 
 def test_masked_mse_empty_mask():
@@ -194,16 +193,6 @@ def test_nonfinite_gradient_aborts_without_mutation():
         train.optimize_step(store, state, cfg)
     assert float(store["alpha"].data) == 1.0
     assert state.step == 0
-
-
-def test_alpha_reset_helper():
-    store = scalar_store(0.37)
-    state = TrainState.fresh(store, TrainConfig())
-    state.m["alpha"][...] = 5.0
-    state.v["alpha"][...] = 5.0
-    train.apply_alpha_reset(store, state)
-    assert float(store["alpha"].data) == 2.0
-    assert state.m["alpha"] == 0.0 and state.v["alpha"] == 0.0
 
 
 # -- fit ---------------------------------------------------------------------------
