@@ -11,6 +11,12 @@ equivariant: reordering tokens, attending, and undoing the reorder is
 exactly attention on the original order, which is what licenses the
 wind-guided shuffle in the first place. `equivariance_check` measures the
 deviation directly.
+
+The whole chain from the Q/K/V projections to the output projection is a
+single tape node with an analytic backward. Its forward visits one
+sample's (heads, N, N) logit block at a time, the blocking idea of
+FlashAttention (Dao et al. 2022, arXiv:2205.14135) rather than its kernel,
+so the only N x N arrays it keeps for backward are the softmax weights.
 """
 
 from __future__ import annotations
@@ -49,41 +55,116 @@ class AttentionParams:
         return self.wq.shape[0]
 
 
-def _split_heads(t: ad.Tensor, heads: int) -> ad.Tensor:
-    """(..., N, d) -> (..., heads, N, d/heads) for 2-D or 3-D inputs."""
-    if t.data.ndim == 2:
-        n, d = t.shape
-        return t.reshape(n, heads, d // heads).transpose(1, 0, 2)
-    b, n, d = t.shape
-    return t.reshape(b, n, heads, d // heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(t: ad.Tensor) -> ad.Tensor:
-    if t.data.ndim == 3:
-        h, n, dh = t.shape
-        return t.transpose(1, 0, 2).reshape(n, h * dh)
-    b, h, n, dh = t.shape
-    return t.transpose(0, 2, 1, 3).reshape(b, n, h * dh)
-
-
 def _attend_parts(tokens, params: AttentionParams, bias=None, pos=None):
+    """Biased multi-head attention as one tape node; returns (out, weights).
+
+    The forward projects Q, K and V, then works one sample at a time on its
+    (heads, N, N) logit block: bias add, finiteness check and an in-place
+    row softmax. Only the post-softmax weights and the (N, d)-sized
+    projections stay alive for the analytic backward, which returns the
+    gradients of the tokens, the four projections and the bias (summed
+    over heads and any other axis the bias broadcasts along). `weights` is
+    a constant Tensor of shape (..., heads, N, N).
+    """
     x = ad.as_tensor(tokens)
     if x.data.ndim not in (2, 3) or x.shape[-1] != params.d:
         raise ShapeError(f"tokens shape {x.shape} incompatible with width {params.d}")
     if pos is not None:
         x = x + ad.as_tensor(pos)
+    batched = x.data.ndim == 3
+    xs = x.data if batched else x.data[None]
+    b, n, d = xs.shape
+    h = params.n_heads
+    logits_shape = (b, h, n, n) if batched else (h, n, n)
+    bias_t = None if bias is None else ad.as_tensor(bias)
+    bias4 = None
+    if bias_t is not None:
+        try:
+            fits = np.broadcast_shapes(bias_t.shape, logits_shape) == logits_shape
+        except ValueError:
+            fits = False
+        if not fits:
+            raise ShapeError(f"bias shape {bias_t.shape} does not broadcast to {logits_shape}")
+        bias4 = bias_t.data.reshape((1,) * (4 - bias_t.data.ndim) + bias_t.shape)
+
+    def heads(a: np.ndarray) -> np.ndarray:
+        """(B, N, d) -> (B, heads, N, d/heads) view."""
+        return a.reshape(b, n, h, d // h).transpose(0, 2, 1, 3)
+
+    def sample(a: np.ndarray, i: int) -> np.ndarray:
+        """Sample i's slice of a (B or 1, ...) array that broadcasts over the batch."""
+        return a[i if a.shape[0] > 1 else 0]
+
     # the 1/sqrt(d) temperature is folded into q (cheaper than scaling logits)
-    q = _split_heads((x @ params.wq) * (1.0 / math.sqrt(params.d)), params.n_heads)
-    k = _split_heads(x @ params.wk, params.n_heads)
-    v = _split_heads(x @ params.wv, params.n_heads)
-    logits = q @ k.transpose(*range(k.data.ndim - 2), k.data.ndim - 1, k.data.ndim - 2)
-    if bias is not None:
-        logits = logits + ad.as_tensor(bias)
-    if not np.isfinite(logits.data).all():
-        raise NumericError("non-finite attention logits")
-    weights = ad.softmax(logits)
-    out = _merge_heads(weights @ v) @ params.wo
-    return out, weights
+    scale = 1.0 / math.sqrt(d)
+    q = (xs @ params.wq.data) * scale
+    k = xs @ params.wk.data
+    v = xs @ params.wv.data
+    qh, kh, vh = heads(q), heads(k), heads(v)
+    dtype = np.result_type(q, k) if bias4 is None else np.result_type(q, k, bias4)
+    weights = np.empty((b, h, n, n), dtype=dtype)
+    ctx = np.empty((b, n, d), dtype=dtype)
+    ctx_h = heads(ctx)
+    for i in range(b):
+        block = np.matmul(qh[i], kh[i].swapaxes(-1, -2), out=weights[i])
+        if bias4 is not None:
+            block += sample(bias4, i)
+        if not np.isfinite(block).all():
+            raise NumericError("non-finite attention logits")
+        ad.softmax(block)
+        ctx_h[i] = block @ vh[i]
+    out = ctx @ params.wo.data
+
+    parents = (x, params.wq, params.wk, params.wv, params.wo)
+    if bias_t is not None:
+        parents += (bias_t,)
+
+    def vjp(g):
+        gs = g if batched else g[None]
+        gctx_h = heads(gs @ params.wo.data.T)
+        gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+        gq_h, gk_h, gv_h = heads(gq), heads(gk), heads(gv)
+        gbias = None
+        if bias_t is not None and bias_t.requires_grad:
+            gbias = np.zeros(bias4.shape, dtype=bias4.dtype)
+            # axes of a sample's (heads, N, N) block that the bias broadcasts along
+            spread = tuple(
+                j for j in range(3) if bias4.shape[1 + j] == 1 and weights.shape[1 + j] != 1
+            )
+        for i in range(b):
+            p = weights[i]
+            gv_h[i] = p.swapaxes(-1, -2) @ gctx_h[i]
+            glog = gctx_h[i] @ vh[i].swapaxes(-1, -2)
+            # softmax backward, in place: p * (dp - rowsum(dp * p))
+            glog -= np.einsum("hij,hij->hi", glog, p)[..., None]
+            glog *= p
+            if gbias is not None:
+                gbias_i = sample(gbias, i)
+                gbias_i += glog.sum(axis=spread, keepdims=True) if spread else glog
+            gq_h[i] = glog @ kh[i]
+            gk_h[i] = glog.swapaxes(-1, -2) @ qh[i]
+        gq *= scale
+
+        def weight_grad(w, left, right):
+            return left.reshape(-1, d).T @ right.reshape(-1, d) if w.requires_grad else None
+
+        gx = None
+        if x.requires_grad:
+            gx = gq @ params.wq.data.T + gk @ params.wk.data.T + gv @ params.wv.data.T
+            gx = gx if batched else gx[0]
+        grads = (
+            gx,
+            weight_grad(params.wq, xs, gq),
+            weight_grad(params.wk, xs, gk),
+            weight_grad(params.wv, xs, gv),
+            weight_grad(params.wo, ctx, gs),
+        )
+        if bias_t is not None:
+            grads += (None if gbias is None else gbias.reshape(bias_t.shape),)
+        return grads
+
+    out_t = ad.Tensor._op(out if batched else out[0], parents, vjp)
+    return out_t, ad.Tensor(weights if batched else weights[0])
 
 
 def attend(tokens, params: AttentionParams, bias=None, pos=None) -> ad.Tensor:

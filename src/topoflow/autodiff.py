@@ -13,12 +13,33 @@ float64 for gradient checks); no implicit casting happens on the tape.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 Array = np.ndarray
+
+# False inside `no_grad()`: operations then record no parents and no backward
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run forwards without building a tape (inference and validation).
+
+    Every Tensor made inside the block has requires_grad False and no
+    parents, so nothing a backward pass would need is kept alive. The
+    previous mode is restored on exit, also when the block raises.
+    """
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -48,7 +69,7 @@ class Tensor:
 
     @classmethod
     def _op(cls, data: Array, parents: Sequence["Tensor"], vjp) -> "Tensor":
-        out = cls(data, requires_grad=any(p.requires_grad for p in parents))
+        out = cls(data, requires_grad=_grad_enabled and any(p.requires_grad for p in parents))
         if out.requires_grad:
             out._parents = tuple(parents)
             out._vjp = vjp
@@ -118,7 +139,10 @@ class Tensor:
         return Tensor._op(
             a.data + b.data,
             (a, b),
-            lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
+            lambda g: (
+                _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+            ),
         )
 
     __radd__ = __add__
@@ -138,8 +162,8 @@ class Tensor:
             a.data * b.data,
             (a, b),
             lambda g: (
-                _unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape),
+                _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
             ),
         )
 
@@ -151,8 +175,9 @@ class Tensor:
             a.data / b.data,
             (a, b),
             lambda g: (
-                _unbroadcast(g / b.data, a.data.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
+                _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+                if b.requires_grad else None,
             ),
         )
 
@@ -176,8 +201,10 @@ class Tensor:
             a.data @ b.data,
             (a, b),
             lambda g: (
-                _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape),
-                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape),
+                _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+                if a.requires_grad else None,
+                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+                if b.requires_grad else None,
             ),
         )
 
@@ -224,13 +251,17 @@ def parameter(data) -> Tensor:
 
 
 def take(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Fancy-index the leading axis; backward scatter-adds into the source."""
+    """Fancy-index the leading axis with non-negative indices; backward
+    scatter-adds into the source."""
     idx = np.asarray(idx)
 
     def vjp(g):
-        out = np.zeros_like(x.data)
-        np.add.at(out, idx, g)
-        return (out,)
+        # one bincount over flat source positions; row r of a (rows, width)
+        # source owns positions r*width .. r*width + width-1
+        width = math.prod(x.data.shape[1:])
+        flat = idx if width == 1 else idx[..., None] * width + np.arange(width)
+        sums = np.bincount(flat.reshape(-1), weights=g.reshape(-1), minlength=x.data.size)
+        return (sums.astype(x.data.dtype).reshape(x.data.shape),)
 
     return Tensor._op(x.data[idx], (x,), vjp)
 
@@ -257,16 +288,29 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._op(0.5 * x.data * (1.0 + t), (x,), vjp)
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Row softmax over the last axis, computed with max subtraction."""
-    y = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+def softmax(x: Tensor | Array) -> Tensor | Array:
+    """Row softmax over the last axis, computed with max subtraction.
+
+    A Tensor gets a new tape node. A plain array is a raw logit block: it
+    is normalized in place and returned, with nothing recorded (the fused
+    attention node calls this once per sample).
+    """
+    if isinstance(x, np.ndarray):
+        return _softmax_rows(x)
+    y = _softmax_rows(x.data.copy())
 
     def vjp(g):
         return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
 
     return Tensor._op(y, (x,), vjp)
+
+
+def _softmax_rows(y: Array) -> Array:
+    """Overwrite each last-axis row of y with exp(y - max) / sum, return y."""
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    return y
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

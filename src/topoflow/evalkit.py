@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import DataError, FitError, ShapeError
 from .fields import Field, mask_array
 from .model import ModelConfig, ParamStore, forward
@@ -182,7 +183,7 @@ def predict_grids(
 
     Returns (preds, attention) with preds shaped (S, n_horizons*v_out, H, W)
     and attention a list of head-averaged matrices from the final layer in
-    raster (unshuffled) token order.
+    raster (unshuffled) token order. The forwards build no autodiff tape.
     """
     arrays = prepare_arrays(bundle, config)
     elev = patch_elevations(bundle.terrain.elevation, config.spec)
@@ -190,14 +191,15 @@ def predict_grids(
     attn: list[np.ndarray] = []
     for start in range(0, len(bundle.samples), batch):
         idx = np.arange(start, min(start + batch, len(bundle.samples)))
-        res = forward(
-            store,
-            config,
-            arrays.inputs[idx],
-            elev_patch_m=elev,
-            perms=[arrays.perms[i] for i in idx],
-            collect_attention=collect_attention,
-        )
+        with ad.no_grad():
+            res = forward(
+                store,
+                config,
+                arrays.inputs[idx],
+                elev_patch_m=elev,
+                perms=[arrays.perms[i] for i in idx],
+                collect_attention=collect_attention,
+            )
         preds.append(res.to_grid())
         if collect_attention and res.attention:
             last = res.attention[-1]

@@ -329,10 +329,10 @@ def forward(
     if config.elev_bias:
         if elev_patch_m is None:
             raise ConfigError("elev_bias enabled but no patch elevations supplied")
-        uphill = topo_bias.uphill_matrix(elev_patch_m)
-        stacked = np.stack(
-            [uphill[np.ix_(p.forward, p.forward)] for p in perms]
-        ).astype(dtype)
+        elev_m = np.asarray(elev_patch_m)
+        stacked = np.empty((arr.shape[0], n, n), dtype=dtype)
+        for b, p in enumerate(perms):
+            stacked[b] = topo_bias.uphill_matrix(elev_m[p.forward])
         elev = topo_bias.bias_tensor(stacked, params["alpha"])
         bias = bias + elev.reshape(arr.shape[0], 1, n, n)  # broadcast over heads
 

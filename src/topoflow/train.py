@@ -325,12 +325,13 @@ def evaluate_loss(
     indices: np.ndarray,
     batch: int,
 ) -> float:
-    """Mean loss over a sample set, dropout off, batched."""
+    """Mean loss over a sample set, dropout off, batched, with no tape."""
     total = 0.0
-    for start in range(0, len(indices), batch):
-        idx = indices[start : start + batch]
-        loss = _batch_loss(store, config, arrays, idx, train=False, rng=None)
-        total += float(loss.data) * len(idx)
+    with ad.no_grad():
+        for start in range(0, len(indices), batch):
+            idx = indices[start : start + batch]
+            loss = _batch_loss(store, config, arrays, idx, train=False, rng=None)
+            total += float(loss.data) * len(idx)
     return total / len(indices)
 
 

@@ -210,3 +210,102 @@ def test_attend_gradients_match_finite_differences():
     for t in (tokens, pos, params.wq, params.wk, params.wv, params.wo, alpha):
         fd = numeric_grad(forward_scalar, t.data)
         assert rel_err(t.grad, fd) < 1e-4
+
+
+# -- the fused attention node ---------------------------------------------------------
+
+def chain_attention(tokens, params, bias=None):
+    """Reference: attention built from the primitive tape ops one by one."""
+    x = ad.as_tensor(tokens)
+    h = params.n_heads
+
+    def split(t):
+        if t.data.ndim == 2:
+            n, d = t.shape
+            return t.reshape(n, h, d // h).transpose(1, 0, 2)
+        b, n, d = t.shape
+        return t.reshape(b, n, h, d // h).transpose(0, 2, 1, 3)
+
+    def merge(t):
+        if t.data.ndim == 3:
+            _, n, dh = t.shape
+            return t.transpose(1, 0, 2).reshape(n, h * dh)
+        b, _, n, dh = t.shape
+        return t.transpose(0, 2, 1, 3).reshape(b, n, h * dh)
+
+    q = split((x @ params.wq) * (1.0 / math.sqrt(params.d)))
+    k = split(x @ params.wk)
+    v = split(x @ params.wv)
+    nd = k.data.ndim
+    logits = q @ k.transpose(*range(nd - 2), nd - 1, nd - 2)
+    if bias is not None:
+        logits = logits + ad.as_tensor(bias)
+    weights = ad.softmax(logits)
+    return merge(weights @ v) @ params.wo, weights
+
+
+FUSED_CASES = [
+    ((2, 5, 8), (5, 5)),
+    ((2, 5, 8), (2, 1, 5, 5)),
+    ((2, 5, 8), (1, 2, 5, 5)),
+    ((5, 8), (5, 5)),
+]
+
+
+@pytest.mark.parametrize("token_shape,bias_shape", FUSED_CASES)
+def test_fused_attention_gradients_match_finite_differences(token_shape, bias_shape):
+    rng = np.random.default_rng(14)
+    params = make_params(8, 2, rng)
+    tokens = ad.parameter(rng.normal(size=token_shape))
+    bias = ad.parameter(rng.normal(size=bias_shape))
+    coeff = rng.normal(size=token_shape)
+
+    def forward_scalar():
+        return float((attention.attend(tokens, params, bias=bias).data * coeff).sum())
+
+    (attention.attend(tokens, params, bias=bias) * ad.Tensor(coeff)).sum().backward()
+    for t in (tokens, params.wq, params.wk, params.wv, params.wo, bias):
+        assert t.grad.shape == t.shape
+        fd = numeric_grad(forward_scalar, t.data)
+        assert rel_err(t.grad, fd) < 1e-4
+
+
+@pytest.mark.parametrize("token_shape,bias_shape", FUSED_CASES + [((2, 5, 8), None)])
+def test_fused_attention_matches_primitive_chain(token_shape, bias_shape):
+    rng = np.random.default_rng(15)
+    params = make_params(8, 2, rng)
+    x = rng.normal(size=token_shape)
+    b = None if bias_shape is None else rng.normal(size=bias_shape)
+    coeff = rng.normal(size=token_shape)
+    results = []
+    for fn in (attention._attend_parts, chain_attention):
+        tokens = ad.parameter(x.copy())
+        bias = None if b is None else ad.parameter(b.copy())
+        ad.zero_grads([params.wq, params.wk, params.wv, params.wo])
+        out, weights = fn(tokens, params, bias=bias)
+        (out * ad.Tensor(coeff)).sum().backward()
+        grads = [t.grad for t in (tokens, params.wq, params.wk, params.wv, params.wo)]
+        results.append([out.data, weights.data] + grads + ([] if bias is None else [bias.grad]))
+    for fused, chain in zip(*results):
+        assert fused.shape == chain.shape
+        np.testing.assert_allclose(fused, chain, rtol=0, atol=1e-12)
+
+
+def test_fused_attention_rejects_unbroadcastable_bias():
+    rng = np.random.default_rng(16)
+    params = make_params(8, 2, rng)
+    with pytest.raises(ShapeError):
+        attention.attend(rng.normal(size=(2, 5, 8)), params, bias=np.zeros((3, 1, 5, 5)))
+
+
+def test_no_grad_attention_records_no_node():
+    rng = np.random.default_rng(17)
+    params = make_params(8, 2, rng)
+    tokens = ad.parameter(rng.normal(size=(2, 5, 8)))
+    bias = ad.parameter(rng.normal(size=(5, 5)))
+    taped = attention.attend(tokens, params, bias=bias)
+    with ad.no_grad():
+        plain = attention.attend(tokens, params, bias=bias)
+    assert taped.requires_grad and taped._parents
+    assert not plain.requires_grad and plain._parents == () and plain._vjp is None
+    np.testing.assert_array_equal(plain.data, taped.data)

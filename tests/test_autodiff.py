@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from topoflow import autodiff as ad
+from topoflow import model
+from topoflow.fields import GridSpec
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -139,6 +141,35 @@ def test_take_gathers_and_scatter_adds():
     np.testing.assert_array_equal(x.grad, [1.0, 5.0, 0.0, 0.0, 4.0])
 
 
+def test_take_rows_scatter_adds_like_add_at():
+    rng = np.random.default_rng(9)
+    x = ad.parameter(rng.normal(size=(6, 3)).astype(np.float32))
+    idx = rng.integers(0, 6, size=(4, 5))
+    g = rng.normal(size=(4, 5, 3)).astype(np.float32)
+    (ad.take(x, idx) * ad.Tensor(g)).sum().backward()
+    want = np.zeros((6, 3))
+    np.add.at(want, idx, g.astype(np.float64))
+    assert x.grad.dtype == np.float32
+    np.testing.assert_allclose(x.grad, want, rtol=1e-6, atol=1e-6)
+
+
+def test_constant_operands_get_no_gradient():
+    rng = np.random.default_rng(10)
+    a = ad.parameter(rng.normal(size=(3, 4)))
+    row = rng.uniform(0.5, 2.0, size=(4,))
+    mat = rng.uniform(0.5, 2.0, size=(4, 4))
+    g = rng.normal(size=(3, 4))
+    for y, grad_a in (
+        (a + ad.Tensor(row), g),
+        (a * ad.Tensor(row), g * row),
+        (a / ad.Tensor(row), g / row),
+        (a @ ad.Tensor(mat), g @ mat.T),
+    ):
+        ga, gc = y._vjp(g)
+        assert gc is None
+        np.testing.assert_array_equal(ga, grad_a)
+
+
 def test_grad_accumulates_over_shared_nodes():
     x = ad.parameter(np.array([3.0]))
     y = x * x + x * 2.0
@@ -169,3 +200,33 @@ def test_dtype_is_preserved():
     assert y.data.dtype == np.float32
     y.sum().backward()
     assert x.grad.dtype == np.float32
+
+
+def test_no_grad_records_nothing_and_restores_mode():
+    x = ad.parameter(np.ones((2, 2)))
+    with ad.no_grad():
+        y = ad.gelu(x * 2.0 + x)
+    assert not y.requires_grad and y._parents == () and y._vjp is None
+    assert (x * 2.0).requires_grad
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("inside")
+    z = x * 2.0
+    assert z.requires_grad and z._parents
+
+
+def test_no_grad_model_forward_is_bitwise_equal():
+    spec = GridSpec(4, 8, 2, 2, 2)
+    config = model.ModelConfig(spec=spec, d=8, layers=2, heads=2, mlp_hidden=16,
+                               head_hidden=16, n_horizons=2)
+    store = model.init_params(config, seed=3)
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(3, config.v_in, 4, 8)).astype(np.float32)
+    elev = rng.uniform(0, 2500, spec.n_patches)
+    taped = model.forward(store, config, x, elev)
+    with ad.no_grad():
+        plain = model.forward(store, config, x, elev)
+    assert taped.tokens.requires_grad and taped.tokens._parents
+    assert not plain.tokens.requires_grad and plain.tokens._parents == ()
+    np.testing.assert_array_equal(plain.to_grid(), taped.to_grid())
+    assert all(t.requires_grad for t in store.tensors())
