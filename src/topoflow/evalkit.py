@@ -23,7 +23,6 @@ from .errors import DataError, FitError, ShapeError
 from .fields import Field, mask_array
 from .model import ModelConfig, ParamStore, forward
 from .synthdata import DatasetBundle
-from .topo_bias import patch_elevations
 from .train import prepare_arrays
 
 ATTN_BINS = 50  # fixed histogram binning over [0, 1]
@@ -186,7 +185,6 @@ def predict_grids(
     raster (unshuffled) token order. The forwards build no autodiff tape.
     """
     arrays = prepare_arrays(bundle, config)
-    elev = patch_elevations(bundle.terrain.elevation, config.spec)
     preds = []
     attn: list[np.ndarray] = []
     for start in range(0, len(bundle.samples), batch):
@@ -196,7 +194,7 @@ def predict_grids(
                 store,
                 config,
                 arrays.inputs[idx],
-                elev_patch_m=elev,
+                elev_patch_m=arrays.elev_patch,
                 perms=[arrays.perms[i] for i in idx],
                 collect_attention=collect_attention,
             )

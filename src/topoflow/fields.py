@@ -30,6 +30,7 @@ rejected at load time.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -330,7 +331,7 @@ class Sample:
 # ---------------------------------------------------------------------------
 
 def write_grid(obj: Field | LandMask, path) -> None:
-    """Serialize a Field or LandMask to the .gfd container."""
+    """Serialize a Field or LandMask to the .gfd container, atomically."""
     if isinstance(obj, LandMask):
         field = Field(obj.spec, (MASK_CHANNEL,), obj.mask[None].astype(np.float32), ("",))
     else:
@@ -353,8 +354,16 @@ def write_grid(obj: Field | LandMask, path) -> None:
         nb, ub = name.encode("utf-8"), unit.encode("utf-8")
         parts.append(struct.pack("<H", len(nb)) + nb + struct.pack("<H", len(ub)) + ub)
     parts.append(field.data.astype("<f4").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    write_atomic(path, b"".join(parts))
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write `<path>.tmp`, then rename it over `path`: a killed writer
+    leaves the old file whole. Not fsynced, so not proof against power loss."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
 
 
 def read_grid(path) -> Field | LandMask:

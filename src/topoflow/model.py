@@ -23,16 +23,17 @@ from __future__ import annotations
 
 import functools
 import math
+import zlib
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from . import autodiff as ad
 from . import reorder, topo_bias
-from .attention import AttentionParams, attend, _attend_parts
+from .attention import AttentionParams, _attend_parts
 from .config import decode, encode
-from .errors import ConfigError, NumericError, ShapeError
-from .fields import GridSpec
+from .errors import ConfigError, FormatError, NumericError, ShapeError
+from .fields import Field, GridSpec, read_grid, write_atomic, write_grid
 from .synthdata import INPUT_CHANNELS
 
 # variance of a unit normal truncated to +-2 sigma is 0.773729...; scale
@@ -350,15 +351,12 @@ def forward(
     attn_maps: list[np.ndarray] = []
     for i in range(config.layers):
         normed = ad.layer_norm(x, params[f"layer{i}.ln1.g"], params[f"layer{i}.ln1.b"])
+        attended, weights = _attend_parts(
+            normed, _layer_attention_params(params, i, config.heads), bias=bias
+        )
         if collect_attention:
-            attended, w = _attend_parts(
-                normed, _layer_attention_params(params, i, config.heads), bias=bias
-            )
-            attn_maps.append(w.data.mean(axis=-3))
-        else:
-            attended = attend(
-                normed, _layer_attention_params(params, i, config.heads), bias=bias
-            )
+            attn_maps.append(weights.data.mean(axis=-3))
+        del weights  # without a tape, nothing else holds this (B, heads, N, N) array
         x = x + drop(attended)
         normed = ad.layer_norm(x, params[f"layer{i}.ln2.g"], params[f"layer{i}.ln2.b"])
         hidden = drop(ad.gelu(normed @ params[f"layer{i}.mlp.w1"] + params[f"layer{i}.mlp.b1"]))
@@ -378,6 +376,10 @@ def forward(
 # checkpoints
 # ---------------------------------------------------------------------------
 
+def _payload_crc(data: np.ndarray) -> str:
+    return f"{zlib.crc32(np.ascontiguousarray(data, dtype='<f4')):08x}"
+
+
 def save_checkpoint(
     path,
     store: ParamStore,
@@ -385,83 +387,59 @@ def save_checkpoint(
     moments: tuple[dict, dict] | None = None,
     extras: dict[str, str] | None = None,
 ) -> None:
-    """One .gfd container (one channel per tensor, unit tag = group) plus a
-    text sidecar carrying shapes, the model config echo, and run state."""
-    from .fields import Field, write_grid  # local to avoid import cycle at module load
+    """A .gfd payload at `path` plus the text sidecar `<path>.txt`.
 
+    The payload has one (1, P) channel per state (`param`, then `adam_m`
+    and `adam_v` when moments are given): every tensor flattened and
+    concatenated in `store.names()` order. The sidecar holds the `model.*`
+    config keys, which fix every name, shape and group, the `state.*` run
+    state from `extras`, and `payload.crc32`. Both are written atomically,
+    the payload first.
+    """
     names = store.names()
-    tensors: list[tuple[str, str, np.ndarray]] = [
-        (f"param/{k}", store.group_of(k), store[k].data) for k in names
-    ]
+    states = {"param": {k: store[k].data for k in names}}
     if moments is not None:
-        m1, m2 = moments
-        tensors += [(f"adam_m/{k}", store.group_of(k), m1[k]) for k in names]
-        tensors += [(f"adam_v/{k}", store.group_of(k), m2[k]) for k in names]
-    width = max(int(np.prod(t.shape)) if t.ndim else 1 for _, _, t in tensors)
-    data = np.zeros((len(tensors), 1, width), dtype=np.float32)
-    for i, (_, _, t) in enumerate(tensors):
-        flat = np.asarray(t, dtype=np.float32).reshape(-1)
-        data[i, 0, : flat.size] = flat
+        states["adam_m"], states["adam_v"] = moments
+    data = np.stack([np.concatenate([np.ravel(s[k]) for k in names]) for s in states.values()])
     container = Field(
-        GridSpec(1, width, 1, 1, 1),
-        tuple(name for name, _, _ in tensors),
-        data,
-        tuple(group for _, group, _ in tensors),
+        GridSpec(1, data.shape[-1], 1, 1, 1), tuple(states), data[:, None], ("",) * len(states)
     )
     write_grid(container, path)
-    lines = ["format topoflow-checkpoint v1\n"]
-    for k in names:
-        shape = ",".join(str(s) for s in store[k].data.shape) or "scalar"
-        lines.append(f"tensor {k} {shape} {store.group_of(k)}\n")
-    for key, value in sorted(encode(config, "model").items()):
-        lines.append(f"{key} = {value}\n")
-    for key, value in sorted((extras or {}).items()):
-        lines.append(f"state.{key} = {value}\n")
-    with open(str(path) + ".txt", "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+    kv = encode(config, "model")
+    kv.update((f"state.{k}", v) for k, v in (extras or {}).items())
+    kv["payload.crc32"] = _payload_crc(container.data)
+    text = "".join(f"{key} = {value}\n" for key, value in sorted(kv.items()))
+    write_atomic(f"{path}.txt", text.encode("utf-8"))
 
 
 def load_checkpoint(path, dtype=np.float32):
-    """Returns (ParamStore, ModelConfig, moments | None, extras dict)."""
-    from .fields import read_grid
+    """Returns (ParamStore, ModelConfig, moments | None, extras dict).
 
-    container = read_grid(path)
-    shapes: dict[str, tuple[int, ...]] = {}
-    kv: dict[str, str] = {}
-    extras: dict[str, str] = {}
-    with open(str(path) + ".txt", "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("tensor "):
-                _, name, shape_s, _group = line.split()
-                shapes[name] = () if shape_s == "scalar" else tuple(
-                    int(x) for x in shape_s.split(",")
-                )
-            elif " = " in line:
-                key, value = line.rstrip("\n").split(" = ", 1)
-                if key.startswith("state."):
-                    extras[key[len("state."):]] = value
-                else:
-                    kv[key] = value
+    Names, shapes and groups come from `init_params` on the sidecar's
+    config. A payload whose length does not fit that config, or whose
+    CRC-32 is not the sidecar's (a torn payload/sidecar pair), raises
+    FormatError.
+    """
+    with open(f"{path}.txt", "r", encoding="utf-8") as fh:
+        kv = dict(line.rstrip("\n").partition(" = ")[::2] for line in fh)
+    extras = {k[len("state."):]: v for k, v in kv.items() if k.startswith("state.")}
     config = decode(ModelConfig, kv, "model")
-    params: dict[str, ad.Tensor] = {}
-    groups: dict[str, str] = {}
-    m1: dict[str, np.ndarray] = {}
-    m2: dict[str, np.ndarray] = {}
-
-    def unflatten(row: np.ndarray, shape) -> np.ndarray:
-        size = int(np.prod(shape)) if shape else 1
-        return row[:size].reshape(shape).astype(dtype)
-
-    for i, name in enumerate(container.channels):
-        kind, bare = name.split("/", 1)
-        row = container.data[i, 0]
-        if kind == "param":
-            params[bare] = ad.parameter(unflatten(row, shapes[bare]))
-            groups[bare] = container.units[i]
-        elif kind == "adam_m":
-            m1[bare] = unflatten(row, shapes[bare])
-        elif kind == "adam_v":
-            m2[bare] = unflatten(row, shapes[bare])
-    store = ParamStore(params, groups)
-    moments = (m1, m2) if m1 else None
+    layout = init_params(config, 0, dtype)
+    names = layout.names()
+    sizes = [layout[k].data.size for k in names]
+    container = read_grid(path)
+    if (not isinstance(container, Field)
+            or container.channels not in (("param",), ("param", "adam_m", "adam_v"))
+            or container.data.shape[1:] != (1, layout.n_parameters())):
+        raise FormatError(f"{path}: payload does not fit its sidecar's model config")
+    if kv.get("payload.crc32") != _payload_crc(container.data):
+        raise FormatError(f"{path}: payload CRC-32 differs from its sidecar's (torn pair)")
+    states = {}
+    for state, row in zip(container.channels, container.data[:, 0]):
+        chunks = np.split(row, np.cumsum(sizes)[:-1])
+        states[state] = {
+            k: chunk.reshape(layout[k].shape).astype(dtype) for k, chunk in zip(names, chunks)
+        }
+    store = ParamStore({k: ad.parameter(v) for k, v in states["param"].items()}, layout.groups)
+    moments = (states["adam_m"], states["adam_v"]) if "adam_m" in states else None
     return store, config, moments, extras

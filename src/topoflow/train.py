@@ -30,13 +30,15 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
+from .config import encode
 from .errors import ConfigError, NumericError, ShapeError
-from .fields import mask_array, normalize
+from .fields import mask_array, normalize, write_atomic
 from .model import ForwardResult, ModelConfig, ParamStore, forward, init_params, patchify
 from .synthdata import DatasetBundle
 from .topo_bias import patch_elevations
 
 BATCH_STREAM = 4   # SeedSequence lane for batch order + dropout
+LOG_HEADER = "# step,train_loss,val_loss,lr_base,alpha\n"
 
 
 @dataclass(frozen=True)
@@ -169,7 +171,7 @@ class TrainState:
         }
 
     @classmethod
-    def from_extras(cls, store: ParamStore, moments, extras: dict[str, str]) -> "TrainState":
+    def from_extras(cls, moments, extras: dict[str, str]) -> "TrainState":
         rng = np.random.default_rng()
         rng.bit_generator.state = json.loads(extras["rng"])
         m1, m2 = moments
@@ -360,10 +362,10 @@ def fit(
 ) -> FitResult:
     """Train to the step budget or early stop; persist best + last checkpoints.
 
-    With `resume=True` and an existing last checkpoint under out_dir, the
-    run continues exactly where it stopped (bitwise identical to an
-    uninterrupted run). Loss-curve lines are appended and flushed at every
-    validation: `step,train_loss,val_loss,lr_base,alpha`.
+    Every validation appends a loss-curve line (`step,train_loss,val_loss,
+    lr_base,alpha`), then saves `last` with the run state and TrainConfig.
+    `resume=True` continues from out_dir's `last`, bitwise identical to an
+    uninterrupted run even after a kill; a changed config raises ConfigError.
     """
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
@@ -380,6 +382,7 @@ def fit(
     last_path = out / "last.gfd" if out else None
     best_path = out / "best.gfd" if out else None
     log_path = out / "loss_log.txt" if out else None
+    train_kv = encode(tconfig, "train")
 
     if resume:
         if last_path is None or not last_path.exists():
@@ -387,7 +390,10 @@ def fit(
         store, ckpt_config, moments, extras = model_mod.load_checkpoint(last_path)
         if ckpt_config != config:
             raise ConfigError("checkpoint model config does not match the requested one")
-        state = TrainState.from_extras(store, moments, extras)
+        changed = [k for k, v in train_kv.items() if extras.get(k) != v]
+        if changed:
+            raise ConfigError(f"checkpoint train config differs in {', '.join(changed)}")
+        state = TrainState.from_extras(moments, extras)
     else:
         store = init_params(config, tconfig.seed)
         state = TrainState.fresh(store, tconfig)
@@ -396,8 +402,11 @@ def fit(
     max_steps = min(tconfig.total_steps, tconfig.epochs * steps_per_epoch)
 
     history: list[tuple] = []
-    if log_path is not None and not resume:
-        log_path.write_text("# step,train_loss,val_loss,lr_base,alpha\n", encoding="utf-8")
+    if log_path is not None:
+        # rows past the checkpoint come from a run killed before its `last` save
+        rows = log_path.read_text(encoding="utf-8").splitlines(True)[1:] if resume else []
+        rows = [r for r in rows if r.endswith("\n") and int(r.split(",", 1)[0]) <= state.step]
+        write_atomic(log_path, (LOG_HEADER + "".join(rows)).encode("utf-8"))
 
     def log(step, train_loss, val_loss):
         lr = lr_at(step, tconfig, "pos_embed")
@@ -408,6 +417,11 @@ def fit(
                 fh.write(
                     f"{step},{_fmt(train_loss)},{_fmt(val_loss)},{_fmt(lr)},{_fmt(alpha)}\n"
                 )
+
+    def save_last():
+        if last_path is not None:
+            model_mod.save_checkpoint(last_path, store, config, moments=(state.m, state.v),
+                                      extras={**state.extras(), **train_kv})
 
     def validate(step, train_loss) -> float:
         val = evaluate_loss(store, config, arrays, val_idx, tconfig.batch_size)
@@ -421,6 +435,7 @@ def fit(
             if state.bad_count > tconfig.patience:
                 state.stopped = True
         log(step, train_loss, val)
+        save_last()
         return val
 
     if not resume and state.step == 0:
@@ -439,12 +454,10 @@ def fit(
         # logs identical to uninterrupted ones
         if state.step % tconfig.val_interval == 0:
             final_val = validate(state.step, float(loss.data))
-    if last_path is not None:
-        model_mod.save_checkpoint(
-            last_path, store, config, moments=(state.m, state.v), extras=state.extras()
-        )
-        if not best_path.exists():
-            model_mod.save_checkpoint(best_path, store, config, extras={"step": str(state.step)})
+    if state.step % tconfig.val_interval:
+        save_last()
+    if best_path is not None and not best_path.exists():
+        model_mod.save_checkpoint(best_path, store, config, extras={"step": str(state.step)})
     return FitResult(
         state=state,
         store=store,

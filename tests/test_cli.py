@@ -126,21 +126,30 @@ def test_train_toggle_flags(tmp_path, config_path, dataset):
     assert "model.elev_bias = false" in echoed
 
 
-def test_train_resume_flag(tmp_path, config_path, dataset):
+def test_train_resume_flag(tmp_path, config_path, dataset, monkeypatch):
+    """`train --resume` after a kill in step 4 of 6 matches an uninterrupted
+    run byte for byte; a resume with another step budget exits 2."""
+    from topoflow import train
+
     full = tmp_path / "full"
-    half = tmp_path / "half"
-    assert run(
-        "train", "--config", str(config_path), "--data", str(dataset), "--out", str(full),
-    ) == 0
-    assert run(
-        "train", "--config", str(config_path), "--data", str(dataset), "--out", str(half),
-        "--steps", "2",
-    ) == 0
-    assert run(
-        "train", "--config", str(config_path), "--data", str(dataset), "--out", str(half),
-        "--resume",
-    ) == 0
-    assert (full / "last.gfd").read_bytes() == (half / "last.gfd").read_bytes()
+    killed = tmp_path / "killed"
+    args = ("train", "--config", str(config_path), "--data", str(dataset), "--steps")
+    assert run(*args, "6", "--out", str(full)) == 0
+    real_step = train.optimize_step
+
+    def killed_step(store, state, config):
+        if state.step == 3:
+            raise KeyboardInterrupt
+        real_step(store, state, config)
+
+    with monkeypatch.context() as m:
+        m.setattr(train, "optimize_step", killed_step)
+        with pytest.raises(KeyboardInterrupt):
+            run(*args, "6", "--out", str(killed))
+    assert run(*args, "6", "--out", str(killed), "--resume") == 0
+    for name in ("last.gfd", "last.gfd.txt", "best.gfd", "loss_log.txt"):
+        assert (full / name).read_bytes() == (killed / name).read_bytes(), name
+    assert run(*args, "8", "--out", str(killed), "--resume") == 2
 
 
 def test_ablate_two_variants_two_rows(tmp_path, config_path, dataset):
@@ -250,6 +259,22 @@ def test_corrupted_magic_exits_three(tmp_path, config_path, dataset):
         "train", "--config", str(config_path), "--data", str(dataset), "--out", str(run_dir)
     )
     assert code == 3
+
+
+def test_eval_torn_checkpoint_exits_three(tmp_path, config_path, dataset):
+    from topoflow import model
+
+    run_dir = tmp_path / "run"
+    assert run("train", "--config", str(config_path), "--data", str(dataset),
+               "--out", str(run_dir), "--steps", "2") == 0
+    store, mconfig, _moments, extras = model.load_checkpoint(run_dir / "best.gfd")
+    store["alpha"].data = store["alpha"].data + 1.0
+    model.save_checkpoint(tmp_path / "other.gfd", store, mconfig, extras=extras)
+    torn = tmp_path / "torn.gfd"
+    torn.write_bytes((run_dir / "best.gfd").read_bytes())
+    (tmp_path / "torn.gfd.txt").write_bytes((tmp_path / "other.gfd.txt").read_bytes())
+    assert run("eval", "--config", str(config_path), "--data", str(dataset),
+               "--checkpoint", str(torn), "--out", str(tmp_path / "report")) == 3
 
 
 def test_resolved_config_echo_is_sorted(dataset):

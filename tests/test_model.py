@@ -3,7 +3,7 @@ import pytest
 
 from topoflow import model, reorder, synthdata, topo_bias
 from topoflow.config import decode, encode
-from topoflow.errors import ConfigError, ShapeError
+from topoflow.errors import ConfigError, FormatError, ShapeError
 from topoflow.fields import GridSpec
 from topoflow.model import ModelConfig, forward, init_params, patchify, unpatchify
 from topoflow.train import TrainConfig
@@ -277,6 +277,40 @@ def test_checkpoint_without_moments(tmp_path):
     assert moments2 is None and extras2 == {}
     assert config2.spec == config.spec
     assert store2["alpha"].data == store["alpha"].data
+
+
+def test_checkpoint_payload_is_flat_and_unpadded(tmp_path):
+    config = tiny_config()
+    store = init_params(config, seed=0)
+    zeros = {k: np.zeros_like(store[k].data) for k in store.names()}
+    path = tmp_path / "last.gfd"
+    model.save_checkpoint(path, store, config, moments=(zeros, zeros))
+    header = 32
+    records = sum(2 + len(name) + 2 for name in ("param", "adam_m", "adam_v"))
+    assert path.stat().st_size == header + records + 4 * 3 * store.n_parameters()
+    # the atomic writes leave no temp file behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["last.gfd", "last.gfd.txt"]
+
+
+def test_checkpoint_torn_pair_raises(tmp_path):
+    config = tiny_config()
+    model.save_checkpoint(tmp_path / "a.gfd", init_params(config, seed=0), config)
+    model.save_checkpoint(tmp_path / "b.gfd", init_params(config, seed=1), config)
+    (tmp_path / "a.gfd.txt").write_bytes((tmp_path / "b.gfd.txt").read_bytes())
+    with pytest.raises(FormatError, match="CRC"):
+        model.load_checkpoint(tmp_path / "a.gfd")
+
+
+def test_checkpoint_payload_length_must_fit_config(tmp_path):
+    config = tiny_config()
+    path = tmp_path / "ckpt.gfd"
+    model.save_checkpoint(path, init_params(config, seed=0), config)
+    sidecar = tmp_path / "ckpt.gfd.txt"
+    text = sidecar.read_text()
+    assert "model.d = 8\n" in text
+    sidecar.write_text(text.replace("model.d = 8\n", "model.d = 16\n"))
+    with pytest.raises(FormatError, match="does not fit"):
+        model.load_checkpoint(path)
 
 
 def test_config_kv_round_trip():

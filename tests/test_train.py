@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,20 +221,78 @@ def test_fit_deterministic_bitwise(tmp_path, bundle):
     assert a.history != c.history
 
 
-def test_resume_equivalence_bitwise(tmp_path, bundle):
-    mcfg = tiny_model()
-    full = train.fit(bundle, mcfg, quick_train(total_steps=6), out_dir=tmp_path / "full")
-    train.fit(bundle, mcfg, quick_train(total_steps=3), out_dir=tmp_path / "half")
-    resumed = train.fit(
-        bundle, mcfg, quick_train(total_steps=6), out_dir=tmp_path / "half", resume=True
-    )
+RUN_FILES = ("last.gfd", "last.gfd.txt", "best.gfd", "loss_log.txt")
+
+
+def assert_same_run(a, b):
+    for name in RUN_FILES:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    assert not list(b.glob("*.tmp"))
+
+
+def test_resume_equivalence_bitwise(tmp_path, bundle, monkeypatch):
+    """A run killed during step 4 of 6 resumes to the uninterrupted bytes."""
+    mcfg, tcfg = tiny_model(), quick_train(total_steps=6)
+    full = train.fit(bundle, mcfg, tcfg, out_dir=tmp_path / "full")
+    real_step = train.optimize_step
+
+    def killed_step(store, state, config):
+        real_step(store, state, config)
+        if state.step == 4:
+            raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(train, "optimize_step", killed_step)
+        with pytest.raises(KeyboardInterrupt):
+            train.fit(bundle, mcfg, tcfg, out_dir=tmp_path / "killed")
+    assert "state.step = 2\n" in (tmp_path / "killed" / "last.gfd.txt").read_text()
+    resumed = train.fit(bundle, mcfg, tcfg, out_dir=tmp_path / "killed", resume=True)
     assert resumed.state.step == full.state.step == 6
-    assert (tmp_path / "half" / "last.gfd").read_bytes() == (
-        tmp_path / "full" / "last.gfd"
-    ).read_bytes()
-    assert (tmp_path / "half" / "loss_log.txt").read_bytes() == (
-        tmp_path / "full" / "loss_log.txt"
-    ).read_bytes()
+    assert_same_run(tmp_path / "full", tmp_path / "killed")
+
+
+def test_resume_after_kill_inside_last_save(tmp_path, bundle, monkeypatch):
+    """Killed inside the step-4 `last` save, after step 4's log line and
+    before the new payload replaces the old: the step-2 pair stays whole,
+    and the resume cuts the log back to step 2."""
+    mcfg, tcfg = tiny_model(), quick_train(total_steps=6)
+    train.fit(bundle, mcfg, tcfg, out_dir=tmp_path / "full")
+    run = tmp_path / "killed"
+    real_replace = os.replace
+    last_replaces = []
+
+    def killed_replace(src, dst):
+        if Path(dst) == run / "last.gfd":
+            last_replaces.append(dst)
+            if len(last_replaces) == 3:  # saves at steps 0, 2, 4
+                raise KeyboardInterrupt
+        real_replace(src, dst)
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", killed_replace)
+        with pytest.raises(KeyboardInterrupt):
+            train.fit(bundle, mcfg, tcfg, out_dir=run)
+    assert (run / "loss_log.txt").read_text().splitlines()[-1].startswith("4,")
+    assert (run / "last.gfd.tmp").exists()
+    assert "state.step = 2\n" in (run / "last.gfd.txt").read_text()
+    train.fit(bundle, mcfg, tcfg, out_dir=run, resume=True)
+    assert_same_run(tmp_path / "full", run)
+
+
+def test_resume_refuses_changed_config(tmp_path, bundle):
+    train.fit(bundle, tiny_model(), quick_train(total_steps=6), out_dir=tmp_path / "run")
+    with pytest.raises(ConfigError, match="total_steps"):
+        train.fit(bundle, tiny_model(), quick_train(total_steps=8),
+                  out_dir=tmp_path / "run", resume=True)
+    with pytest.raises(ConfigError, match="model config"):
+        train.fit(bundle, tiny_model(dropout=0.0), quick_train(total_steps=6),
+                  out_dir=tmp_path / "run", resume=True)
+
+
+def test_last_saved_at_a_final_step_off_the_interval(tmp_path, bundle):
+    train.fit(bundle, tiny_model(), quick_train(total_steps=5), out_dir=tmp_path)
+    _store, _config, _moments, extras = model.load_checkpoint(tmp_path / "last.gfd")
+    assert extras["step"] == "5"
 
 
 def test_resume_needs_checkpoint(tmp_path, bundle):
