@@ -277,15 +277,37 @@ _GELU_C = 0.044715
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Smooth (tanh-form) GELU activation."""
-    sq = x.data * x.data
-    t = np.tanh(_GELU_K * (x.data + _GELU_C * sq * x.data))
+    """Smooth (tanh-form) GELU activation.
+
+    The forward is built in place and only the tanh is kept for backward;
+    the vjp recomputes x*x from the input. Both keep the operation order
+    of the textbook formula, so results do not change with the buffering.
+    """
+    xd = x.data
+    t = xd * xd
+    t *= _GELU_C
+    t *= xd
+    t += xd
+    t *= _GELU_K
+    np.tanh(t, out=t)       # tanh(K * (x + C * x^2 * x))
+    out = xd * 0.5
+    out *= t + 1.0          # 0.5 * x * (1 + t)
 
     def vjp(g):
-        du = _GELU_K * (1.0 + 3.0 * _GELU_C * sq)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du),)
+        du = xd * xd
+        du *= 3.0 * _GELU_C
+        du += 1.0
+        du *= _GELU_K       # K * (1 + 3C * x^2)
+        d = t * t
+        np.subtract(1.0, d, out=d)
+        d *= xd * 0.5
+        d *= du             # 0.5 * x * (1 - t^2) * du
+        s = t + 1.0
+        s *= 0.5
+        s += d
+        return (np.multiply(g, s, out=s if g.dtype == s.dtype else None),)
 
-    return Tensor._op(0.5 * x.data * (1.0 + t), (x,), vjp)
+    return Tensor._op(out, (x,), vjp)
 
 
 def softmax(x: Tensor | Array) -> Tensor | Array:

@@ -147,21 +147,21 @@ def _relative_slot_index(spec: GridSpec) -> np.ndarray:
     return idx
 
 
-def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ParamStore:
-    """Fresh parameters: truncated-normal weights at variance 1/fan_in,
-    zero biases, unit norm gains, positional grid at slot coordinates,
-    bias scale alpha at its documented starting value."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 3]))
-    params: dict[str, ad.Tensor] = {}
-    groups: dict[str, str] = {}
+def _param_layout(config: ModelConfig) -> list[tuple[str, str, tuple, np.ndarray | None]]:
+    """(name, group, shape, start) of every parameter, in creation order.
+
+    `start` is the starting value, or None for a truncated-normal weight,
+    whose fan-in is its first dimension. Makes no random draws, so a
+    checkpoint load can take names, shapes and groups from here.
+    """
+    layout = []
 
     def add(name, group, value):
-        params[name] = ad.parameter(np.asarray(value, dtype=dtype))
-        groups[name] = group
+        value = np.asarray(value)
+        layout.append((name, group, value.shape, value))
 
     def weight(name, group, fan_in, fan_out):
-        std = _TRUNC_CORRECTION / math.sqrt(fan_in)
-        add(name, group, _trunc_normal(rng, (fan_in, fan_out), std))
+        layout.append((name, group, (fan_in, fan_out), None))
 
     weight("patch_embed.w", "patch_embed", config.token_dim, config.d)
     add("patch_embed.b", "patch_embed", np.zeros(config.d))
@@ -189,6 +189,21 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ParamStore:
     weight("head.w2", "head", config.head_hidden, config.out_dim)
     add("head.b2", "head", np.zeros(config.out_dim))
     add("alpha", "alpha", np.array(topo_bias.ALPHA_INIT))
+    return layout
+
+
+def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ParamStore:
+    """Fresh parameters: truncated-normal weights at variance 1/fan_in,
+    zero biases, unit norm gains, positional grid at slot coordinates,
+    bias scale alpha at its documented starting value."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 3]))
+    params: dict[str, ad.Tensor] = {}
+    groups: dict[str, str] = {}
+    for name, group, shape, start in _param_layout(config):
+        if start is None:
+            start = _trunc_normal(rng, shape, _TRUNC_CORRECTION / math.sqrt(shape[0]))
+        params[name] = ad.parameter(np.asarray(start, dtype=dtype))
+        groups[name] = group
     return ParamStore(params, groups)
 
 
@@ -415,22 +430,24 @@ def save_checkpoint(
 def load_checkpoint(path, dtype=np.float32):
     """Returns (ParamStore, ModelConfig, moments | None, extras dict).
 
-    Names, shapes and groups come from `init_params` on the sidecar's
-    config. A payload whose length does not fit that config, or whose
-    CRC-32 is not the sidecar's (a torn payload/sidecar pair), raises
-    FormatError.
+    Names, shapes and groups come from `_param_layout` on the sidecar's
+    config, with no random draws. A payload whose length does not fit
+    that config, or whose CRC-32 is not the sidecar's (a torn
+    payload/sidecar pair), raises FormatError.
     """
     with open(f"{path}.txt", "r", encoding="utf-8") as fh:
         kv = dict(line.rstrip("\n").partition(" = ")[::2] for line in fh)
     extras = {k[len("state."):]: v for k, v in kv.items() if k.startswith("state.")}
     config = decode(ModelConfig, kv, "model")
-    layout = init_params(config, 0, dtype)
-    names = layout.names()
-    sizes = [layout[k].data.size for k in names]
+    layout = _param_layout(config)
+    shapes = {name: shape for name, _, shape, _ in layout}
+    groups = {name: group for name, group, _, _ in layout}
+    names = sorted(shapes)
+    sizes = [math.prod(shapes[k]) for k in names]
     container = read_grid(path)
     if (not isinstance(container, Field)
             or container.channels not in (("param",), ("param", "adam_m", "adam_v"))
-            or container.data.shape[1:] != (1, layout.n_parameters())):
+            or container.data.shape[1:] != (1, sum(sizes))):
         raise FormatError(f"{path}: payload does not fit its sidecar's model config")
     if kv.get("payload.crc32") != _payload_crc(container.data):
         raise FormatError(f"{path}: payload CRC-32 differs from its sidecar's (torn pair)")
@@ -438,8 +455,8 @@ def load_checkpoint(path, dtype=np.float32):
     for state, row in zip(container.channels, container.data[:, 0]):
         chunks = np.split(row, np.cumsum(sizes)[:-1])
         states[state] = {
-            k: chunk.reshape(layout[k].shape).astype(dtype) for k, chunk in zip(names, chunks)
+            k: chunk.reshape(shapes[k]).astype(dtype) for k, chunk in zip(names, chunks)
         }
-    store = ParamStore({k: ad.parameter(v) for k, v in states["param"].items()}, layout.groups)
+    store = ParamStore({k: ad.parameter(v) for k, v in states["param"].items()}, groups)
     moments = (states["adam_m"], states["adam_v"]) if "adam_m" in states else None
     return store, config, moments, extras

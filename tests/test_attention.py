@@ -75,7 +75,7 @@ def test_non_finite_logits_raise_numeric_error():
     rng = np.random.default_rng(12)
     params = make_params(8, 2, rng, dtype=np.float32)
     huge = np.full((4, 8), 3e38, dtype=np.float32)
-    with np.errstate(over="ignore"), pytest.raises(NumericError):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
         attention.attend(huge, params)
 
 

@@ -102,6 +102,26 @@ def test_gelu_matches_finite_differences():
     check_unary(ad.gelu, rng.normal(size=(7,)), tol=1e-6)
 
 
+def test_gelu_bitwise_equal_to_textbook_formula():
+    k, c = ad._GELU_K, ad._GELU_C
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(7)
+        xd = rng.normal(0.0, 3.0, (4, 16, 32))
+        xd[0, 0, :6] = (0.0, -0.0, 1e-20, -1e-20, 40.0, -40.0)
+        x = ad.parameter(xd.astype(dtype))
+        g = rng.normal(size=(4, 16, 32)).astype(dtype)
+        xd = x.data
+        sq = xd * xd
+        t = np.tanh(k * (xd + c * sq * xd))
+        du = k * (1.0 + 3.0 * c * sq)
+        want_grad = g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du)
+        y = ad.gelu(x)
+        assert y.data.dtype == dtype
+        assert y.data.tobytes() == (0.5 * xd * (1.0 + t)).tobytes()
+        (grad,) = y._vjp(g)
+        assert grad.dtype == dtype and grad.tobytes() == want_grad.tobytes()
+
+
 def test_softmax_matches_finite_differences():
     rng = np.random.default_rng(6)
     check_unary(ad.softmax, rng.normal(size=(3, 5)), tol=1e-6)

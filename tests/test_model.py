@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,19 @@ def test_weight_variance_matches_fan_in():
     assert np.abs(w).max() <= 2.0 * model._TRUNC_CORRECTION / np.sqrt(128) + 1e-12
     # group map covers the documented learning-rate groups
     assert set(store.groups.values()) == set(model.PARAM_GROUPS)
+
+
+def test_init_params_pinned_crc32():
+    """Names, groups, shapes and values of a fresh init, pinned bitwise."""
+    for dtype, pinned in ((np.float32, "4fd1dff0"), (np.float64, "09417c1c")):
+        store = init_params(tiny_config(), seed=5, dtype=dtype)
+        crc = 0
+        for name in store.names():
+            crc = zlib.crc32(name.encode(), crc)
+            crc = zlib.crc32(store.group_of(name).encode(), crc)
+            crc = zlib.crc32(store[name].data.tobytes(), crc)
+            crc = zlib.crc32(str(store[name].data.shape).encode(), crc)
+        assert f"{crc:08x}" == pinned, dtype
 
 
 def test_every_parameter_has_exactly_one_group():
@@ -266,6 +281,22 @@ def test_checkpoint_round_trip(tmp_path):
         assert store2.group_of(name) == store.group_of(name)
         np.testing.assert_array_equal(moments2[0][name], m1[name])
         np.testing.assert_array_equal(moments2[1][name], m2[name])
+
+
+def test_checkpoint_load_makes_no_random_draws(tmp_path, monkeypatch):
+    config = tiny_config()
+    store = init_params(config, seed=2)
+    path = tmp_path / "ckpt.gfd"
+    model.save_checkpoint(path, store, config)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random weights")
+
+    monkeypatch.setattr(model, "_trunc_normal", no_draws)
+    store2, *_ = model.load_checkpoint(path)
+    assert store2.names() == store.names() and store2.groups == store.groups
+    for name in store.names():
+        assert store2[name].data.tobytes() == store[name].data.tobytes()
 
 
 def test_checkpoint_without_moments(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -168,6 +169,110 @@ def test_sink_is_multiplicative_decay():
     c = np.full((32, 64), 10.0)
     out = synthdata._step_array(c, tw.u, tw.v, cfg)
     np.testing.assert_allclose(out, 10.0 * math.exp(-1e-4 * cfg.dt), rtol=1e-12)
+
+
+def reference_step(c, u, v, cfg):
+    """The one-step integrator as first written (np.roll / np.pad per step),
+    kept here as the reference for the multi-step one."""
+    lam = cfg.dt / cfg.dx
+    if cfg.boundary == "periodic":
+        uf = 0.5 * (u + np.roll(u, -1, axis=1))
+        vf = 0.5 * (v + np.roll(v, -1, axis=0))
+        fx = np.where(uf > 0, c, np.roll(c, -1, axis=1)) * uf
+        fy = np.where(vf > 0, c, np.roll(c, -1, axis=0)) * vf
+        adv = -lam * (fx - np.roll(fx, 1, axis=1)) - lam * (fy - np.roll(fy, 1, axis=0))
+        lap = (
+            np.roll(c, 1, 0) + np.roll(c, -1, 0) + np.roll(c, 1, 1) + np.roll(c, -1, 1) - 4.0 * c
+        )
+    else:
+        h, w = c.shape
+        ufx = np.empty((h, w + 1))
+        ufx[:, 1:-1] = 0.5 * (u[:, :-1] + u[:, 1:])
+        ufx[:, 0] = u[:, 0]
+        ufx[:, -1] = u[:, -1]
+        left = np.concatenate([np.zeros((h, 1)), c], axis=1)
+        right = np.concatenate([c, np.zeros((h, 1))], axis=1)
+        fx = np.where(ufx > 0, left, right) * ufx
+        vfy = np.empty((h + 1, w))
+        vfy[1:-1, :] = 0.5 * (v[:-1, :] + v[1:, :])
+        vfy[0, :] = v[0, :]
+        vfy[-1, :] = v[-1, :]
+        top = np.concatenate([np.zeros((1, w)), c], axis=0)
+        bottom = np.concatenate([c, np.zeros((1, w))], axis=0)
+        fy = np.where(vfy > 0, top, bottom) * vfy
+        adv = -lam * (fx[:, 1:] - fx[:, :-1]) - lam * (fy[1:, :] - fy[:-1, :])
+        cp = np.pad(c, 1, mode="edge")
+        lap = cp[:-2, 1:-1] + cp[2:, 1:-1] + cp[1:-1, :-2] + cp[1:-1, 2:] - 4.0 * c
+    out = c + adv + (cfg.kappa * cfg.dt / cfg.dx**2) * lap
+    for (row, col), rate in cfg.sources:
+        out[row, col] += rate * cfg.dt
+    if cfg.sink > 0:
+        out *= math.exp(-cfg.sink * cfg.dt)
+    return out
+
+
+def awkward_winds(seed):
+    """Winds with sign flips, exact-zero faces and both signs on every edge."""
+    rng = np.random.default_rng(seed)
+    u = rng.normal(0.0, 1.5, (32, 64))
+    v = rng.normal(0.0, 1.5, (32, 64))
+    u[:, 20] = -u[:, 21]            # x faces between columns 20 and 21 are 0
+    u[:, 40:43] = 0.0               # a calm band: zero faces inside it
+    v[10] = -v[11]                  # y faces between rows 10 and 11 are 0
+    v[0, :32], v[-1, 32:] = 1.0, -1.0   # edges flow both ways
+    u[:16, 0], u[16:, -1] = -1.0, 1.0
+    u[:, 50:] *= -1.0               # a sign flip across a column
+    return np.clip(u, -5.0, 5.0), np.clip(v, -5.0, 5.0)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "clamped"])
+def test_multi_step_call_equals_per_step_reference_bitwise(boundary):
+    u, v = awkward_winds(3)
+    cfg = PhysicsConfig(
+        kappa=40.0, dt=150.0, dx=2000.0, boundary=boundary, sink=6.7e-5, max_wind=6.0,
+        sources=(((5, 7), 3e-3), ((0, 63), 1e-3), ((-1, 0), 2e-3), ((5, 7), 1e-3)),
+    )
+    rng = np.random.default_rng(4)
+    c0 = gaussian_blob(SPEC, 16, 3) + rng.uniform(0.0, 5.0, (32, 64))
+    for k in (1, 2, 13, 48):
+        ref = c0
+        for _ in range(k):
+            ref = reference_step(ref, u, v, cfg)
+        out = synthdata._step_array(c0, u, v, cfg, steps=k)
+        assert out.dtype == np.float64 and out.shape == c0.shape
+        assert out.tobytes() == ref.tobytes(), (boundary, k)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "clamped"])
+def test_integrator_leaves_input_alone_and_zero_steps_is_identity(boundary):
+    u, v = awkward_winds(5)
+    cfg = PhysicsConfig(boundary=boundary, sources=(((3, 3), 2e-3),))
+    c = np.random.default_rng(6).uniform(0.0, 30.0, (32, 64))
+    before = c.copy()
+    same = synthdata._step_array(c, u, v, cfg, steps=0)
+    assert same.tobytes() == c.tobytes() and not np.shares_memory(same, c)
+    out = synthdata._step_array(c, u, v, cfg, steps=5)
+    assert c.tobytes() == before.tobytes()
+    assert out.flags.c_contiguous
+    out[...] = 0.0                  # the result owns its memory
+    assert c.tobytes() == before.tobytes()
+
+
+def test_tiny_dataset_pinned_crc32():
+    """Datasets stay bitwise what the one-step-per-call integrator made.
+
+    The values hold for one numpy build: exp and the FFT feed the
+    initial fields and winds, so a numpy whose kernels round differently
+    moves them without any change here.
+    """
+    tw = synthdata.gen_terrain(SPEC, seed=5, archetype="basin_ridge")
+    for boundary, pinned in (("periodic", "1228dc9c"), ("clamped", "0c0d7abb")):
+        cfg = PhysicsConfig(boundary=boundary)
+        crc = 0
+        for s in synthdata.make_dataset(SPEC, tw, cfg, (12, 24), 3, seed=9):
+            for f in (s.input,) + s.targets:
+                crc = zlib.crc32(f.data.tobytes(), crc)
+        assert f"{crc:08x}" == pinned, boundary
 
 
 # -- datasets -----------------------------------------------------------------------
