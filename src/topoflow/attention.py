@@ -3,14 +3,12 @@
 The core operation follows the standard scaled dot-product form with the
 softmax temperature sqrt(d) taken over the full model width. An optional
 additive bias lands on the logits of every head (the terrain penalty is
-shared across heads), and an optional positional table is added to the
-tokens before the Q/K/V projections.
+shared across heads).
 
-Without bias and positional terms the operation is permutation
-equivariant: reordering tokens, attending, and undoing the reorder is
-exactly attention on the original order, which is what licenses the
-wind-guided shuffle in the first place. `equivariance_check` measures the
-deviation directly.
+Without a bias the operation is permutation equivariant: reordering
+tokens, attending, and undoing the reorder is exactly attention on the
+original order, which is what licenses the wind-guided shuffle in the
+first place. `equivariance_check` measures the deviation directly.
 
 The whole chain from the Q/K/V projections to the output projection is a
 single tape node with an analytic backward. Its forward visits one
@@ -55,7 +53,7 @@ class AttentionParams:
         return self.wq.shape[0]
 
 
-def _attend_parts(tokens, params: AttentionParams, bias=None, pos=None):
+def _attend_parts(tokens, params: AttentionParams, bias=None):
     """Biased multi-head attention as one tape node; returns (out, weights).
 
     The forward projects Q, K and V, then works one sample at a time on its
@@ -69,8 +67,6 @@ def _attend_parts(tokens, params: AttentionParams, bias=None, pos=None):
     x = ad.as_tensor(tokens)
     if x.data.ndim not in (2, 3) or x.shape[-1] != params.d:
         raise ShapeError(f"tokens shape {x.shape} incompatible with width {params.d}")
-    if pos is not None:
-        x = x + ad.as_tensor(pos)
     batched = x.data.ndim == 3
     xs = x.data if batched else x.data[None]
     b, n, d = xs.shape
@@ -167,27 +163,10 @@ def _attend_parts(tokens, params: AttentionParams, bias=None, pos=None):
     return out_t, ad.Tensor(weights if batched else weights[0])
 
 
-def attend(tokens, params: AttentionParams, bias=None, pos=None) -> ad.Tensor:
-    """Biased multi-head self-attention over (N, d) or (B, N, d) tokens.
-
-    `bias` must broadcast against the per-head logits (..., heads, N, N);
-    a plain (N, N) matrix is shared by every head. `pos` is added to the
-    tokens ahead of the projections.
-    """
-    out, _ = _attend_parts(tokens, params, bias=bias, pos=pos)
-    return out
-
-
-def attention_weights(tokens, params: AttentionParams, bias=None, pos=None) -> np.ndarray:
-    """Post-softmax attention weights averaged over heads, as plain arrays."""
-    _, weights = _attend_parts(tokens, params, bias=bias, pos=pos)
-    return weights.data.mean(axis=-3)
-
-
 def equivariance_check(
     tokens: np.ndarray, params: AttentionParams, perm: reorder.SectorPermutation
 ) -> float:
-    """Max |unapply(Attn(apply(X))) - Attn(X)| with bias and pos disabled."""
-    straight = attend(tokens, params).data
-    shuffled = attend(reorder.apply(perm, np.asarray(tokens)), params).data
-    return float(np.abs(reorder.unapply(perm, shuffled) - straight).max())
+    """Max |unapply(Attn(apply(X))) - Attn(X)| without a bias."""
+    straight, _ = _attend_parts(tokens, params)
+    shuffled, _ = _attend_parts(reorder.apply(perm, np.asarray(tokens)), params)
+    return float(np.abs(reorder.unapply(perm, shuffled.data) - straight.data).max())

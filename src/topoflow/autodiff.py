@@ -266,12 +266,6 @@ def take(x: Tensor, idx: np.ndarray) -> Tensor:
     return Tensor._op(x.data[idx], (x,), vjp)
 
 
-def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Hard clamp; gradient flows only strictly inside (lo, hi)."""
-    inside = (x.data > lo) & (x.data < hi)
-    return Tensor._op(np.clip(x.data, lo, hi), (x,), lambda g: (g * inside,))
-
-
 _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
 

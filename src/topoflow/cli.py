@@ -338,14 +338,14 @@ def cmd_dump(cfg: dict[str, str], what: str) -> int:
             store, _mcfg, _m, _e = model.load_checkpoint(Path(ckpt))
             alpha = float(store["alpha"].data)
         elev = topo_bias.patch_elevations(bundle.terrain.elevation, spec)
-        bias = topo_bias.build_bias(elev, alpha=alpha)
+        bias = topo_bias.bias_tensor(elev, alpha).data
         n = spec.n_patches
         container = Field(
-            GridSpec(n, n, 1, 1, 1), ("bias_elev",), bias.matrix[None].astype(np.float32), ("",)
+            GridSpec(n, n, 1, 1, 1), ("bias_elev",), bias[None].astype(np.float32), ("",)
         )
         write_grid(container, out / "bias.gfd")
         (out / "bias.txt").write_text(
-            f"alpha {alpha!r}\nmin {bias.matrix.min()!r}\nmax {bias.matrix.max()!r}\n",
+            f"alpha {alpha!r}\nmin {bias.min()!r}\nmax {bias.max()!r}\n",
             encoding="utf-8",
         )
         print(f"wrote {out / 'bias.gfd'} (alpha={alpha})")
@@ -406,7 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a forecaster")
     common(p_train)
-    p_train.add_argument("--steps", type=int, help="total optimization steps override")
+    steps_help = (
+        "total optimization steps override; a budget below train.warmup "
+        "(60 at the desk defaults) needs train.warmup lowered too, in a --config file"
+    )
+    p_train.add_argument("--steps", type=int, help=steps_help)
     p_train.add_argument("--resume", action="store_true", help="continue from last checkpoint")
     p_train.add_argument(
         "--wind-reorder", action=argparse.BooleanOptionalAction, dest="wind_reorder"
@@ -421,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ablate.add_argument("--mode", choices=("components", "tiles"), default="components")
     p_ablate.add_argument("--seeds", help="comma list of seeds")
     p_ablate.add_argument("--variants", help="comma list of component variants")
-    p_ablate.add_argument("--steps", type=int, help="total optimization steps override")
+    p_ablate.add_argument("--steps", type=int, help=steps_help)
 
     p_dump = sub.add_parser("dump", help="debug artifacts")
     p_dump.add_argument("what", choices=("attn", "bias", "perm"))

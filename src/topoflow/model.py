@@ -324,33 +324,27 @@ def forward(
     if train and config.dropout > 0.0 and rng is None:
         raise ConfigError("training forward with dropout needs an rng")
     dtype = params["patch_embed.w"].dtype
-    n = spec.n_patches
 
     if config.wind_reorder:
         if perms is None:
             perms = perms_from_inputs(config, arr)
     else:
         perms = [reorder.SectorPermutation.identity(spec)] * arr.shape[0]
+    orders = np.stack([p.forward for p in perms])  # (B, N) slot -> patch
 
     tokens_np = patchify(arr, spec).astype(dtype)
     if config.wind_reorder:
-        tokens_np = np.stack(
-            [tokens_np[b][perms[b].forward] for b in range(arr.shape[0])]
-        )
+        tokens_np = np.take_along_axis(tokens_np, orders[..., None], axis=1)
 
     # relative positional logits live in slot space and are shared by every
     # layer; the terrain penalty (when enabled) rides on the same additive
-    # bias input, permuted so entry (i, j) keeps naming the same patch pair
+    # bias input, built per sample in its slot order so entry (i, j) keeps
+    # naming the same patch pair, as (B, 1, N, N) to broadcast over heads
     bias = ad.take(params["pos.rel"], _relative_slot_index(spec))
     if config.elev_bias:
         if elev_patch_m is None:
             raise ConfigError("elev_bias enabled but no patch elevations supplied")
-        elev_m = np.asarray(elev_patch_m)
-        stacked = np.empty((arr.shape[0], n, n), dtype=dtype)
-        for b, p in enumerate(perms):
-            stacked[b] = topo_bias.uphill_matrix(elev_m[p.forward])
-        elev = topo_bias.bias_tensor(stacked, params["alpha"])
-        bias = bias + elev.reshape(arr.shape[0], 1, n, n)  # broadcast over heads
+        bias = bias + topo_bias.bias_tensor(elev_patch_m, params["alpha"], orders)
 
     def drop(t):
         return ad.dropout(t, config.dropout, rng) if train else t
@@ -360,7 +354,7 @@ def forward(
     # shuffle; sequence structure is carried by the relative slot table
     pos = params["pos.grid"] @ params["pos.proj"]
     if config.wind_reorder:
-        pos = ad.take(pos, np.stack([p.forward for p in perms]))
+        pos = ad.take(pos, orders)
     x = drop(x + pos)
 
     attn_maps: list[np.ndarray] = []

@@ -6,14 +6,16 @@ proportion to the climb, downhill and level attention are free. Entries
 are clamped to [BIAS_LO, 0]; the clamp is hard, so saturated pairs stop
 contributing gradient to the learnable scale alpha.
 
+`bias_tensor` is the one place the penalty is computed: for one patch
+order (the `dump bias` matrix) or for a batch of wind-sorted orders (the
+model's logit bias), as a single tape node whose only parent is alpha.
+
 Elevations enter in meters (pre-normalization) because the reference
 height h0 = 1000 m is dimensional; the [0, 1]-scaled elevation channel the
 model consumes as input plays no role here.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,16 +26,6 @@ from .fields import Field, GridSpec
 H0_METERS = 1000.0    # reference climb normalizer
 BIAS_LO = -10.0       # clamp floor; ceiling is 0
 ALPHA_INIT = 2.0
-
-
-@dataclass(frozen=True)
-class ElevationBias:
-    """The N x N additive logit penalty and the pieces it was built from."""
-
-    patch_elev: np.ndarray   # (N,) meters
-    alpha: float
-    h0: float
-    matrix: np.ndarray       # (N, N), entries in [BIAS_LO, 0]
 
 
 def patch_elevations(elevation, spec: GridSpec) -> np.ndarray:
@@ -59,37 +51,38 @@ def uphill_matrix(patch_elev: np.ndarray, h0: float = H0_METERS) -> np.ndarray:
     return np.maximum(0.0, (h[None, :] - h[:, None]) / h0)
 
 
-def build_bias(
-    patch_elev: np.ndarray, alpha: float = ALPHA_INIT, h0: float = H0_METERS
-) -> ElevationBias:
-    """Assemble the clamped penalty matrix for a fixed alpha value."""
-    if not np.isfinite(alpha):
-        raise DataError(f"alpha must be finite, got {alpha}")
-    uphill = uphill_matrix(patch_elev, h0)
-    raw = -float(alpha) * uphill
-    matrix = np.clip(raw, BIAS_LO, 0.0)
-    return ElevationBias(np.asarray(patch_elev, dtype=np.float64), float(alpha), h0, matrix)
+def bias_tensor(patch_elev: np.ndarray, alpha, orders: np.ndarray | None = None) -> ad.Tensor:
+    """The clamped penalty clip(-alpha * uphill, BIAS_LO, 0) as one tape node.
 
+    `alpha` is a scalar Tensor, whose dtype the result takes, or a plain
+    number, taken as float64. Without `orders` the result is the (N, N)
+    penalty between the patches in raster order. `orders` is a (B, N)
+    array of slot -> patch indices; sample b then gets the penalty of its
+    patches in that order, and the result is (B, 1, N, N), which
+    broadcasts over attention heads.
 
-def bias_tensor(uphill_perm: np.ndarray, alpha: ad.Tensor) -> ad.Tensor:
-    """Differentiable bias from a precomputed (possibly permuted) uphill matrix.
-
-    The permutation of rows/columns does not involve alpha, so callers
-    permute the constant uphill matrix first and this stays a plain
-    elementwise chain: clip(-alpha * uphill, BIAS_LO, 0).
+    The backward gives alpha -sum(g * uphill) over the entries strictly
+    inside the clamp. Those are exactly the entries the forward left
+    strictly between BIAS_LO and 0, so the mask is recomputed from the
+    output instead of being stored.
     """
-    return ad.clip((-alpha) * ad.as_tensor(uphill_perm), BIAS_LO, 0.0)
+    alpha = ad.as_tensor(alpha, dtype=np.float64)
+    if not np.isfinite(alpha.data).all():
+        raise DataError(f"alpha must be finite, got {alpha.data}")
+    h = np.asarray(patch_elev)
+    if orders is None:
+        up = uphill_matrix(h).astype(alpha.dtype, copy=False)
+    else:
+        orders = np.asarray(orders)
+        b, n = orders.shape
+        up = np.empty((b, 1, n, n), dtype=alpha.dtype)
+        for i, order in enumerate(orders):
+            up[i, 0] = uphill_matrix(h[order])
+    out = (-alpha.data) * up
+    np.clip(out, BIAS_LO, 0.0, out=out)
 
+    def vjp(g):
+        inside = (out > BIAS_LO) & (out < 0.0)
+        return (-((g * inside) * up).sum(),)
 
-def bias_gradient_alpha(
-    patch_elev: np.ndarray, alpha: float, h0: float = H0_METERS
-) -> np.ndarray:
-    """Analytic d(bias)/d(alpha) per entry.
-
-    -ReLU((h_j - h_i) / h0) wherever the clamp is inactive, 0 where the
-    entry sits at or beyond a clamp boundary (subgradient 0 at the edge).
-    """
-    uphill = uphill_matrix(patch_elev, h0)
-    raw = -float(alpha) * uphill
-    interior = (raw > BIAS_LO) & (raw < 0.0)
-    return np.where(interior, -uphill, 0.0)
+    return ad.Tensor._op(out, (alpha,), vjp)

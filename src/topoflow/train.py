@@ -65,8 +65,12 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.warmup > self.total_steps or self.warmup < 0:
-            raise ConfigError("need 0 <= warmup <= total_steps")
+        if self.warmup < 0:
+            raise ConfigError(f"train.warmup = {self.warmup} < 0")
+        if self.warmup > self.total_steps:
+            raise ConfigError(
+                f"train.warmup = {self.warmup} > train.total_steps = {self.total_steps}"
+            )
         for name in ("lr_base", "lr_embed", "lr_head", "lr_backbone"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")

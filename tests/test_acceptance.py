@@ -100,18 +100,27 @@ def test_criterion_3_elevation_bias_contract():
     for _ in range(100):
         h = rng.uniform(-2000, 9000, size=24)
         alpha = rng.uniform(-20, 20)
-        m = topo_bias.build_bias(h, alpha=alpha).matrix
+        m = topo_bias.bias_tensor(h, alpha).data
         assert m.min() >= -10.0 and m.max() <= 0.0
         downhill = h[None, :] <= h[:, None]
         assert np.all(m[downhill] == 0.0) or alpha <= 0
     h = np.array([0.0, 500.0])
-    assert topo_bias.build_bias(h, alpha=2.0).matrix[0, 1] == -1.0
-    # analytic d(bias)/d(alpha) against central differences on unclamped pairs
+    assert topo_bias.bias_tensor(h, 2.0).data[0, 1] == -1.0
+    # the tape's d(bias)/d(alpha), one backward per entry, against central
+    # differences on unclamped pairs
     h = np.random.default_rng(32).uniform(0, 3500, size=16)
     alpha, eps = 2.0, 1e-6
-    analytic = topo_bias.bias_gradient_alpha(h, alpha)
-    hi = topo_bias.build_bias(h, alpha + eps).matrix
-    lo = topo_bias.build_bias(h, alpha - eps).matrix
+    a = ad.parameter(np.array(alpha))
+    bias = topo_bias.bias_tensor(h, a)
+    analytic = np.zeros(bias.shape)
+    for idx in np.ndindex(bias.shape):
+        seed = np.zeros(bias.shape)
+        seed[idx] = 1.0
+        a.grad = None
+        bias.backward(seed)
+        analytic[idx] = a.grad
+    hi = topo_bias.bias_tensor(h, alpha + eps).data
+    lo = topo_bias.bias_tensor(h, alpha - eps).data
     fd = (hi - lo) / (2 * eps)
     raw = -alpha * topo_bias.uphill_matrix(h)
     interior = (raw > topo_bias.BIAS_LO) & (raw < 0.0)

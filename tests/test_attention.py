@@ -8,6 +8,20 @@ from topoflow.errors import ShapeError
 from topoflow.fields import GridSpec
 
 
+def attend(tokens, params, bias=None, pos=None):
+    """Attention output, with `pos` added to the tokens ahead of the projections."""
+    if pos is not None:
+        tokens = ad.as_tensor(tokens) + ad.as_tensor(pos)
+    out, _ = attention._attend_parts(tokens, params, bias=bias)
+    return out
+
+
+def attention_weights(tokens, params, bias=None):
+    """Post-softmax attention weights averaged over heads, as plain arrays."""
+    _, weights = attention._attend_parts(tokens, params, bias=bias)
+    return weights.data.mean(axis=-3)
+
+
 def make_params(d, heads, rng, dtype=np.float64, scale=None):
     scale = scale if scale is not None else 1.0 / math.sqrt(d)
     def w():
@@ -19,16 +33,16 @@ def test_identical_tokens_attend_uniformly():
     rng = np.random.default_rng(0)
     params = make_params(8, 2, rng)
     tokens = np.tile(rng.normal(size=(1, 8)), (5, 1))
-    w = attention.attention_weights(tokens, params)
+    w = attention_weights(tokens, params)
     np.testing.assert_allclose(w, 1.0 / 5.0, atol=1e-12)
 
 
 def test_rows_sum_to_one_and_single_token():
     rng = np.random.default_rng(1)
     params = make_params(8, 4, rng)
-    w = attention.attention_weights(rng.normal(size=(6, 8)), params)
+    w = attention_weights(rng.normal(size=(6, 8)), params)
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
-    w1 = attention.attention_weights(rng.normal(size=(1, 8)), params)
+    w1 = attention_weights(rng.normal(size=(1, 8)), params)
     assert w1.shape == (1, 1) and w1[0, 0] == pytest.approx(1.0)
 
 
@@ -39,7 +53,7 @@ def test_hand_softmax_case_quarter_three_quarters():
     params = make_params(4, 1, rng)
     tokens = np.tile(rng.normal(size=(1, 4)), (2, 1))
     bias = np.array([[0.0, math.log(3.0)], [0.0, math.log(3.0)]])
-    w = attention.attention_weights(tokens, params, bias=bias)
+    w = attention_weights(tokens, params, bias=bias)
     np.testing.assert_allclose(w, [[0.25, 0.75], [0.25, 0.75]], atol=1e-12)
 
 
@@ -48,7 +62,7 @@ def test_bias_floor_suppresses_by_exp_minus_ten():
     params = make_params(4, 1, rng)
     tokens = np.tile(rng.normal(size=(1, 4)), (2, 1))
     bias = np.array([[0.0, -10.0], [0.0, -10.0]])
-    w = attention.attention_weights(tokens, params, bias=bias)
+    w = attention_weights(tokens, params, bias=bias)
     assert w[0, 1] / w[0, 0] == pytest.approx(math.exp(-10.0), rel=1e-9)
 
 
@@ -56,7 +70,7 @@ def test_zero_value_projection_gives_zero_output():
     rng = np.random.default_rng(4)
     params = make_params(8, 2, rng)
     params.wv.data[:] = 0.0
-    out = attention.attend(rng.normal(size=(5, 8)), params)
+    out = attend(rng.normal(size=(5, 8)), params)
     np.testing.assert_array_equal(out.data, 0.0)
 
 
@@ -64,7 +78,7 @@ def test_shape_errors():
     rng = np.random.default_rng(5)
     params = make_params(8, 2, rng)
     with pytest.raises(ShapeError):
-        attention.attend(rng.normal(size=(5, 7)), params)
+        attend(rng.normal(size=(5, 7)), params)
     with pytest.raises(ShapeError):
         attention.AttentionParams(params.wq, params.wk, params.wv, params.wo, 3)
 
@@ -76,7 +90,7 @@ def test_non_finite_logits_raise_numeric_error():
     params = make_params(8, 2, rng, dtype=np.float32)
     huge = np.full((4, 8), 3e38, dtype=np.float32)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
-        attention.attend(huge, params)
+        attend(huge, params)
 
 
 def test_per_head_rows_are_stochastic():
@@ -137,8 +151,8 @@ def test_fixed_bias_breaks_equivariance():
     bias = np.array([[0.0, -3.0], [0.0, 0.0]])
     u = np.full((2, 4), -1.0)
     perm = reorder.build_permutation(spec, u, np.zeros((2, 4)))  # swaps the two
-    straight = attention.attend(tokens, params, bias=bias).data
-    shuffled = attention.attend(reorder.apply(perm, tokens), params, bias=bias).data
+    straight = attend(tokens, params, bias=bias).data
+    shuffled = attend(reorder.apply(perm, tokens), params, bias=bias).data
     dev = np.abs(reorder.unapply(perm, shuffled) - straight).max()
     assert dev > 1e-3
 
@@ -149,16 +163,16 @@ def test_copermuted_bias_and_pos_restore_equivariance():
     spec = GridSpec(8, 16, 2, 4, 2)
     n = spec.n_patches
     elev = rng.uniform(0, 3000, size=n)
-    bias = topo_bias.build_bias(elev, alpha=2.0).matrix
+    bias = topo_bias.bias_tensor(elev, 2.0).data
     pos = rng.normal(size=(n, 16))
     for _ in range(10):
         u = rng.normal(size=(8, 16))
         v = rng.normal(size=(8, 16))
         perm = reorder.build_permutation(spec, u, v)
         tokens = rng.normal(size=(n, 16))
-        straight = attention.attend(tokens, params, bias=bias, pos=pos).data
+        straight = attend(tokens, params, bias=bias, pos=pos).data
         f = perm.forward
-        shuffled = attention.attend(
+        shuffled = attend(
             tokens[f], params, bias=bias[np.ix_(f, f)], pos=pos[f]
         ).data
         dev = np.abs(reorder.unapply(perm, shuffled) - straight).max()
@@ -194,17 +208,16 @@ def test_attend_gradients_match_finite_differences():
     tokens = ad.parameter(rng.normal(size=(n, d)))
     pos = ad.parameter(rng.normal(size=(n, d)) * 0.1)
     elev = rng.uniform(0, 3000, size=n)
-    uphill = topo_bias.uphill_matrix(elev)
     alpha = ad.parameter(np.array(2.0))
     coeff = rng.normal(size=(n, d))
 
     def forward_scalar():
-        bias = topo_bias.bias_tensor(uphill, alpha)
-        out = attention.attend(tokens, params, bias=bias, pos=pos)
+        bias = topo_bias.bias_tensor(elev, alpha)
+        out = attend(tokens, params, bias=bias, pos=pos)
         return float((out.data * coeff).sum())
 
-    bias = topo_bias.bias_tensor(uphill, alpha)
-    out = attention.attend(tokens, params, bias=bias, pos=pos)
+    bias = topo_bias.bias_tensor(elev, alpha)
+    out = attend(tokens, params, bias=bias, pos=pos)
     (out * ad.Tensor(coeff)).sum().backward()
 
     for t in (tokens, pos, params.wq, params.wk, params.wv, params.wo, alpha):
@@ -261,9 +274,9 @@ def test_fused_attention_gradients_match_finite_differences(token_shape, bias_sh
     coeff = rng.normal(size=token_shape)
 
     def forward_scalar():
-        return float((attention.attend(tokens, params, bias=bias).data * coeff).sum())
+        return float((attend(tokens, params, bias=bias).data * coeff).sum())
 
-    (attention.attend(tokens, params, bias=bias) * ad.Tensor(coeff)).sum().backward()
+    (attend(tokens, params, bias=bias) * ad.Tensor(coeff)).sum().backward()
     for t in (tokens, params.wq, params.wk, params.wv, params.wo, bias):
         assert t.grad.shape == t.shape
         fd = numeric_grad(forward_scalar, t.data)
@@ -295,7 +308,7 @@ def test_fused_attention_rejects_unbroadcastable_bias():
     rng = np.random.default_rng(16)
     params = make_params(8, 2, rng)
     with pytest.raises(ShapeError):
-        attention.attend(rng.normal(size=(2, 5, 8)), params, bias=np.zeros((3, 1, 5, 5)))
+        attend(rng.normal(size=(2, 5, 8)), params, bias=np.zeros((3, 1, 5, 5)))
 
 
 def test_no_grad_attention_records_no_node():
@@ -303,9 +316,9 @@ def test_no_grad_attention_records_no_node():
     params = make_params(8, 2, rng)
     tokens = ad.parameter(rng.normal(size=(2, 5, 8)))
     bias = ad.parameter(rng.normal(size=(5, 5)))
-    taped = attention.attend(tokens, params, bias=bias)
+    taped = attend(tokens, params, bias=bias)
     with ad.no_grad():
-        plain = attention.attend(tokens, params, bias=bias)
+        plain = attend(tokens, params, bias=bias)
     assert taped.requires_grad and taped._parents
     assert not plain.requires_grad and plain._parents == () and plain._vjp is None
     np.testing.assert_array_equal(plain.data, taped.data)

@@ -249,6 +249,17 @@ def test_config_errors_exit_two(tmp_path, dataset, capsys):
         assert key in capsys.readouterr().err
 
 
+def test_train_steps_below_warmup_exits_two(tmp_path, dataset, capsys):
+    cfg = write_config(tmp_path / "warm.cfg", **{"train.warmup": "60"})
+    capsys.readouterr()
+    code = run(
+        "train", "--config", str(cfg), "--data", str(dataset), "--out", str(tmp_path / "run"),
+        "--steps", "10",
+    )
+    assert code == 2
+    assert "train.warmup = 60 > train.total_steps = 10" in capsys.readouterr().err
+
+
 def test_corrupted_magic_exits_three(tmp_path, config_path, dataset):
     victim = dataset / "samples" / "000000.in.gfd"
     raw = bytearray(victim.read_bytes())

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,24 @@ def test_fit_deterministic_bitwise(tmp_path, bundle):
     assert (tmp_path / "a" / "last.gfd").read_bytes() == (tmp_path / "b" / "last.gfd").read_bytes()
     c = train.fit(bundle, tiny_model(), quick_train(seed=1), out_dir=tmp_path / "c")
     assert a.history != c.history
+
+
+# CRC-32 of `last.gfd` after `quick_train()` on `tiny_model()`: both
+# mechanisms and dropout on, 6 steps. A refactor that must leave training
+# bitwise unchanged keeps this value; one that moves any bit of any
+# parameter or Adam moment changes it. The terrain relief is scaled x8 so
+# that climbs beyond 5 km put part of the penalty on its clamp floor (the
+# generated terrain climbs at most ~1.1 km, which alpha ~2 never clamps).
+LAST_GFD_CRC32 = "385171e2"
+
+
+def test_fit_checkpoint_bytes_pinned(tmp_path, bundle):
+    terrain = dataclasses.replace(bundle.terrain, elevation=8.0 * bundle.terrain.elevation)
+    steep = dataclasses.replace(bundle, terrain=terrain)
+    mcfg = tiny_model()
+    assert mcfg.wind_reorder and mcfg.elev_bias and mcfg.dropout > 0.0
+    train.fit(steep, mcfg, quick_train(), out_dir=tmp_path)
+    assert f"{zlib.crc32((tmp_path / 'last.gfd').read_bytes()):08x}" == LAST_GFD_CRC32
 
 
 RUN_FILES = ("last.gfd", "last.gfd.txt", "best.gfd", "loss_log.txt")
