@@ -11,10 +11,12 @@ original order, which is what licenses the wind-guided shuffle in the
 first place. `equivariance_check` measures the deviation directly.
 
 The whole chain from the Q/K/V projections to the output projection is a
-single tape node with an analytic backward. Its forward visits one
-sample's (heads, N, N) logit block at a time, the blocking idea of
-FlashAttention (Dao et al. 2022, arXiv:2205.14135) rather than its kernel,
-so the only N x N arrays it keeps for backward are the softmax weights.
+single tape node with an analytic backward. Forward and backward visit
+one (sample, head) pair's (N, N) logit block at a time, the blocking idea
+of FlashAttention (Dao et al. 2022, arXiv:2205.14135) rather than its
+kernel: a block is 1 MB at the desk size (N = 512, float32), so it stays
+in a core's L2 cache while it is biased, normalized and multiplied, and
+the only N x N arrays kept for backward are the softmax weights.
 """
 
 from __future__ import annotations
@@ -56,13 +58,15 @@ class AttentionParams:
 def _attend_parts(tokens, params: AttentionParams, bias=None):
     """Biased multi-head attention as one tape node; returns (out, weights).
 
-    The forward projects Q, K and V, then works one sample at a time on its
-    (heads, N, N) logit block: bias add, finiteness check and an in-place
-    row softmax. Only the post-softmax weights and the (N, d)-sized
-    projections stay alive for the analytic backward, which returns the
-    gradients of the tokens, the four projections and the bias (summed
-    over heads and any other axis the bias broadcasts along). `weights` is
-    a constant Tensor of shape (..., heads, N, N).
+    The forward projects Q, K and V, then works on one head's (N, N) logit
+    block of one sample at a time: bias add, finiteness check and an
+    in-place row softmax. Only the post-softmax weights and the
+    (N, d)-sized projections stay alive for the analytic backward, which
+    visits the blocks in the same order with one reused (N, N) buffer and
+    returns the gradients of the tokens, the four projections and the bias
+    (summed over heads and any other axis the bias broadcasts along; a
+    bias shared by the heads gets each sample's head sum added at once).
+    `weights` is a constant Tensor of shape (..., heads, N, N).
     """
     x = ad.as_tensor(tokens)
     if x.data.ndim not in (2, 3) or x.shape[-1] != params.d:
@@ -87,8 +91,8 @@ def _attend_parts(tokens, params: AttentionParams, bias=None):
         """(B, N, d) -> (B, heads, N, d/heads) view."""
         return a.reshape(b, n, h, d // h).transpose(0, 2, 1, 3)
 
-    def sample(a: np.ndarray, i: int) -> np.ndarray:
-        """Sample i's slice of a (B or 1, ...) array that broadcasts over the batch."""
+    def part(a: np.ndarray, i: int) -> np.ndarray:
+        """a[i], or a[0] when `a` broadcasts along its leading axis."""
         return a[i if a.shape[0] > 1 else 0]
 
     # the 1/sqrt(d) temperature is folded into q (cheaper than scaling logits)
@@ -102,13 +106,14 @@ def _attend_parts(tokens, params: AttentionParams, bias=None):
     ctx = np.empty((b, n, d), dtype=dtype)
     ctx_h = heads(ctx)
     for i in range(b):
-        block = np.matmul(qh[i], kh[i].swapaxes(-1, -2), out=weights[i])
-        if bias4 is not None:
-            block += sample(bias4, i)
-        if not np.isfinite(block).all():
-            raise NumericError("non-finite attention logits")
-        ad.softmax(block)
-        ctx_h[i] = block @ vh[i]
+        for j in range(h):
+            block = np.matmul(qh[i, j], kh[i, j].T, out=weights[i, j])
+            if bias4 is not None:
+                block += part(part(bias4, i), j)
+            if not np.isfinite(block).all():
+                raise NumericError("non-finite attention logits")
+            ad.softmax(block)
+            ctx_h[i, j] = block @ vh[i, j]
     out = ctx @ params.wo.data
 
     parents = (x, params.wq, params.wk, params.wv, params.wo)
@@ -120,25 +125,36 @@ def _attend_parts(tokens, params: AttentionParams, bias=None):
         gctx_h = heads(gs @ params.wo.data.T)
         gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
         gq_h, gk_h, gv_h = heads(gq), heads(gk), heads(gv)
-        gbias = None
+        glog = np.empty((n, n), dtype=np.result_type(gctx_h, vh))
+        gbias = head_sum = None
         if bias_t is not None and bias_t.requires_grad:
             gbias = np.zeros(bias4.shape, dtype=bias4.dtype)
-            # axes of a sample's (heads, N, N) block that the bias broadcasts along
-            spread = tuple(
-                j for j in range(3) if bias4.shape[1 + j] == 1 and weights.shape[1 + j] != 1
-            )
+            # row and column axes of a block that the bias broadcasts along
+            spread = tuple(a for a in (0, 1) if bias4.shape[2 + a] == 1 and n != 1)
+            if bias4.shape[1] != h:
+                # shared by the heads: add a sample's heads up in one buffer,
+                # in head order, as a sum over the head axis would
+                head_sum = np.empty(bias4.shape[2:], dtype=glog.dtype)
         for i in range(b):
-            p = weights[i]
-            gv_h[i] = p.swapaxes(-1, -2) @ gctx_h[i]
-            glog = gctx_h[i] @ vh[i].swapaxes(-1, -2)
-            # softmax backward, in place: p * (dp - rowsum(dp * p))
-            glog -= np.einsum("hij,hij->hi", glog, p)[..., None]
-            glog *= p
-            if gbias is not None:
-                gbias_i = sample(gbias, i)
-                gbias_i += glog.sum(axis=spread, keepdims=True) if spread else glog
-            gq_h[i] = glog @ kh[i]
-            gk_h[i] = glog.swapaxes(-1, -2) @ qh[i]
+            for j in range(h):
+                p = weights[i, j]
+                gv_h[i, j] = p.T @ gctx_h[i, j]
+                np.matmul(gctx_h[i, j], vh[i, j].T, out=glog)
+                # softmax backward, in place: p * (dp - rowsum(dp * p))
+                glog -= np.einsum("ij,ij->i", glog, p)[:, None]
+                glog *= p
+                if gbias is not None:
+                    gb = glog.sum(axis=spread, keepdims=True) if spread else glog
+                    if head_sum is None:
+                        part(gbias, i)[j] += gb
+                    elif j == 0:
+                        head_sum[...] = gb
+                    else:
+                        head_sum += gb
+                gq_h[i, j] = glog @ kh[i, j]
+                gk_h[i, j] = glog.T @ qh[i, j]
+            if head_sum is not None:
+                part(gbias, i)[0] += head_sum
         gq *= scale
 
         def weight_grad(w, left, right):

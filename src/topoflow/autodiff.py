@@ -42,6 +42,11 @@ def no_grad():
         _grad_enabled = previous
 
 
+def grad_enabled() -> bool:
+    """True unless inside `no_grad()`: whether new operations are recorded."""
+    return _grad_enabled
+
+
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     """Reduce a broadcast gradient back to the shape of its source."""
     if g.shape == shape:
@@ -309,7 +314,7 @@ def softmax(x: Tensor | Array) -> Tensor | Array:
 
     A Tensor gets a new tape node. A plain array is a raw logit block: it
     is normalized in place and returned, with nothing recorded (the fused
-    attention node calls this once per sample).
+    attention node calls this once per (sample, head) block).
     """
     if isinstance(x, np.ndarray):
         return _softmax_rows(x)

@@ -182,7 +182,9 @@ def predict_grids(
 
     Returns (preds, attention) with preds shaped (S, n_horizons*v_out, H, W)
     and attention a list of head-averaged matrices from the final layer in
-    raster (unshuffled) token order. The forwards build no autodiff tape.
+    raster (unshuffled) token order. The forwards build no autodiff tape,
+    so `model.forward` runs each batch sample by sample and memory does
+    not grow with `batch`; each batch is still one `forward` call.
     """
     arrays = prepare_arrays(bundle, config)
     preds = []

@@ -312,6 +312,12 @@ def forward(
     the elevation bias is enabled). Callers that normalize their inputs
     should pass `perms` built from the physical winds; without them the
     permutations are derived from the wind channels as given here.
+
+    A forward that records no tape (`train` off under `autodiff.no_grad`)
+    runs the network one sample at a time, so its memory does not grow
+    with the batch; the outputs and attention maps are bitwise those of
+    the whole-batch pass, which taped forwards keep so that gradient sums
+    keep their order.
     """
     arr = np.asarray(inputs)
     if arr.ndim == 3:
@@ -323,7 +329,8 @@ def forward(
         )
     if train and config.dropout > 0.0 and rng is None:
         raise ConfigError("training forward with dropout needs an rng")
-    dtype = params["patch_embed.w"].dtype
+    if config.elev_bias and elev_patch_m is None:
+        raise ConfigError("elev_bias enabled but no patch elevations supplied")
 
     if config.wind_reorder:
         if perms is None:
@@ -332,7 +339,42 @@ def forward(
         perms = [reorder.SectorPermutation.identity(spec)] * arr.shape[0]
     orders = np.stack([p.forward for p in perms])  # (B, N) slot -> patch
 
-    tokens_np = patchify(arr, spec).astype(dtype)
+    # shared by every sample: the relative slot-offset logits and the
+    # per-patch positional vectors
+    rel = ad.take(params["pos.rel"], _relative_slot_index(spec))
+    pos = params["pos.grid"] @ params["pos.proj"]
+
+    def run(rows: slice):
+        return _forward_samples(
+            params, config, arr[rows], orders[rows], elev_patch_m, rel, pos,
+            train, rng, collect_attention,
+        )
+
+    if train or ad.grad_enabled():
+        out, attn_maps = run(slice(None))
+    else:
+        parts = [run(slice(i, i + 1)) for i in range(arr.shape[0])]
+        out = ad.Tensor(np.concatenate([o.data for o, _ in parts]))
+        attn_maps = [np.concatenate(maps) for maps in zip(*(m for _, m in parts))]
+    return ForwardResult(out, list(perms), config, attn_maps)
+
+
+def _forward_samples(
+    params: ParamStore,
+    config: ModelConfig,
+    arr: np.ndarray,
+    orders: np.ndarray,
+    elev_patch_m: np.ndarray | None,
+    rel: ad.Tensor,
+    pos: ad.Tensor,
+    train: bool,
+    rng: np.random.Generator | None,
+    collect_attention: bool,
+) -> tuple[ad.Tensor, list[np.ndarray]]:
+    """Slot-order output tokens and per-layer attention maps of `forward`
+    for the samples `arr`, whose slot -> patch orders are `orders`."""
+    spec = config.spec
+    tokens_np = patchify(arr, spec).astype(params["patch_embed.w"].dtype)
     if config.wind_reorder:
         tokens_np = np.take_along_axis(tokens_np, orders[..., None], axis=1)
 
@@ -340,10 +382,8 @@ def forward(
     # layer; the terrain penalty (when enabled) rides on the same additive
     # bias input, built per sample in its slot order so entry (i, j) keeps
     # naming the same patch pair, as (B, 1, N, N) to broadcast over heads
-    bias = ad.take(params["pos.rel"], _relative_slot_index(spec))
+    bias = rel
     if config.elev_bias:
-        if elev_patch_m is None:
-            raise ConfigError("elev_bias enabled but no patch elevations supplied")
         bias = bias + topo_bias.bias_tensor(elev_patch_m, params["alpha"], orders)
 
     def drop(t):
@@ -352,7 +392,6 @@ def forward(
     x = ad.as_tensor(tokens_np) @ params["patch_embed.w"] + params["patch_embed.b"]
     # positional vectors are per patch and travel with it through the
     # shuffle; sequence structure is carried by the relative slot table
-    pos = params["pos.grid"] @ params["pos.proj"]
     if config.wind_reorder:
         pos = ad.take(pos, orders)
     x = drop(x + pos)
@@ -378,7 +417,7 @@ def forward(
     out = hidden @ params["head.w2"] + params["head.b2"]
     if not np.isfinite(out.data).all():
         raise NumericError("non-finite activations in the prediction head")
-    return ForwardResult(out, list(perms), config, attn_maps)
+    return out, attn_maps
 
 
 # ---------------------------------------------------------------------------

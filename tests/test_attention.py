@@ -322,3 +322,107 @@ def test_no_grad_attention_records_no_node():
     assert taped.requires_grad and taped._parents
     assert not plain.requires_grad and plain._parents == () and plain._vjp is None
     np.testing.assert_array_equal(plain.data, taped.data)
+
+
+# -- the blocked attention node against the per-sample reference ---------------------
+
+def reference_attend(tokens, params, bias=None):
+    """Attention as one tape node that works on a sample's (heads, N, N) block.
+
+    This is the earlier form of `attention._attend_parts`, kept as the
+    reference its per-(sample, head) blocking must match bit for bit.
+    """
+    x = ad.as_tensor(tokens)
+    batched = x.data.ndim == 3
+    xs = x.data if batched else x.data[None]
+    b, n, d = xs.shape
+    h = params.n_heads
+    bias_t = None if bias is None else ad.as_tensor(bias)
+    bias4 = None if bias_t is None else bias_t.data.reshape(
+        (1,) * (4 - bias_t.data.ndim) + bias_t.shape)
+
+    def heads(a):
+        return a.reshape(b, n, h, d // h).transpose(0, 2, 1, 3)
+
+    def sample(a, i):
+        return a[i if a.shape[0] > 1 else 0]
+
+    scale = 1.0 / math.sqrt(d)
+    q = (xs @ params.wq.data) * scale
+    k = xs @ params.wk.data
+    v = xs @ params.wv.data
+    qh, kh, vh = heads(q), heads(k), heads(v)
+    dtype = np.result_type(q, k) if bias4 is None else np.result_type(q, k, bias4)
+    weights = np.empty((b, h, n, n), dtype=dtype)
+    ctx = np.empty((b, n, d), dtype=dtype)
+    ctx_h = heads(ctx)
+    for i in range(b):
+        block = np.matmul(qh[i], kh[i].swapaxes(-1, -2), out=weights[i])
+        if bias4 is not None:
+            block += sample(bias4, i)
+        ad.softmax(block)
+        ctx_h[i] = block @ vh[i]
+    out = ctx @ params.wo.data
+    parents = (x, params.wq, params.wk, params.wv, params.wo)
+    if bias_t is not None:
+        parents += (bias_t,)
+
+    def vjp(g):
+        gs = g if batched else g[None]
+        gctx_h = heads(gs @ params.wo.data.T)
+        gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+        gq_h, gk_h, gv_h = heads(gq), heads(gk), heads(gv)
+        gbias = None
+        if bias_t is not None and bias_t.requires_grad:
+            gbias = np.zeros(bias4.shape, dtype=bias4.dtype)
+            spread = tuple(
+                j for j in range(3) if bias4.shape[1 + j] == 1 and weights.shape[1 + j] != 1
+            )
+        for i in range(b):
+            p = weights[i]
+            gv_h[i] = p.swapaxes(-1, -2) @ gctx_h[i]
+            glog = gctx_h[i] @ vh[i].swapaxes(-1, -2)
+            glog -= np.einsum("hij,hij->hi", glog, p)[..., None]
+            glog *= p
+            if gbias is not None:
+                gbias_i = sample(gbias, i)
+                gbias_i += glog.sum(axis=spread, keepdims=True) if spread else glog
+            gq_h[i] = glog @ kh[i]
+            gk_h[i] = glog.swapaxes(-1, -2) @ qh[i]
+        gq *= scale
+        gx = gq @ params.wq.data.T + gk @ params.wk.data.T + gv @ params.wv.data.T
+        grads = (
+            gx if batched else gx[0],
+            xs.reshape(-1, d).T @ gq.reshape(-1, d),
+            xs.reshape(-1, d).T @ gk.reshape(-1, d),
+            xs.reshape(-1, d).T @ gv.reshape(-1, d),
+            ctx.reshape(-1, d).T @ gs.reshape(-1, d),
+        )
+        if bias_t is not None:
+            grads += (None if gbias is None else gbias.reshape(bias_t.shape),)
+        return grads
+
+    out_t = ad.Tensor._op(out if batched else out[0], parents, vjp)
+    return out_t, ad.Tensor(weights if batched else weights[0])
+
+
+@pytest.mark.parametrize("bias_shape", [None, (24, 24), (1, 4, 24, 24), (3, 1, 24, 24)])
+def test_blocked_attention_is_bitwise_the_per_sample_reference(bias_shape):
+    rng = np.random.default_rng(18)
+    params = make_params(16, 4, rng, dtype=np.float32)
+    x = rng.normal(size=(3, 24, 16)).astype(np.float32)
+    b = None if bias_shape is None else rng.normal(size=bias_shape).astype(np.float32)
+    coeff = rng.normal(size=x.shape).astype(np.float32)
+    results = []
+    for fn in (attention._attend_parts, reference_attend):
+        tokens = ad.parameter(x.copy())
+        bias = None if b is None else ad.parameter(b.copy())
+        ad.zero_grads([params.wq, params.wk, params.wv, params.wo])
+        out, weights = fn(tokens, params, bias=bias)
+        (out * ad.Tensor(coeff)).sum().backward()
+        grads = [t.grad for t in (tokens, params.wq, params.wk, params.wv, params.wo)]
+        results.append([out.data, weights.data] + grads + ([] if bias is None else [bias.grad]))
+    for blocked, reference in zip(*results):
+        assert blocked.dtype == reference.dtype == np.float32
+        assert blocked.shape == reference.shape
+        assert blocked.tobytes() == reference.tobytes()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from topoflow import evalkit, synthdata
+from topoflow import evalkit, model, synthdata
 from topoflow.errors import DataError, FitError, MaskError
 from topoflow.fields import GridSpec, LandMask, NormStats
 from topoflow.model import ModelConfig, init_params
@@ -185,3 +185,24 @@ def test_predict_grids_attention_collection(bundle):
     assert preds.shape == (len(bundle.samples), 2, 8, 16)
     assert len(attn) == len(bundle.samples)
     np.testing.assert_allclose(attn[0].sum(axis=-1), 1.0, atol=1e-5)
+
+
+def test_predict_grids_makes_one_forward_call_per_batch(bundle, monkeypatch):
+    # one batch is one `model.forward` call, also when the no-tape forward
+    # runs its samples one at a time
+    calls = []
+    original = model.forward
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[2]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", counting)
+    monkeypatch.setattr(evalkit, "forward", counting)
+    config = ModelConfig(spec=SPEC, d=16, layers=1, heads=2, mlp_hidden=32,
+                         head_hidden=32, dropout=0.0, n_horizons=2)
+    five = synthdata.DatasetBundle(SPEC, bundle.samples[:5], bundle.terrain, bundle.mask,
+                                   bundle.stats, bundle.horizons)
+    preds, _ = evalkit.predict_grids(init_params(config, seed=0), config, five, batch=2)
+    assert preds.shape[0] == 5
+    assert calls == [2, 2, 1]

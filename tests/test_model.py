@@ -1,9 +1,10 @@
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
-from topoflow import model, reorder, synthdata, topo_bias
+from topoflow import autodiff as ad, model, reorder, synthdata, topo_bias
 from topoflow.config import decode, encode
 from topoflow.errors import ConfigError, FormatError, ShapeError
 from topoflow.fields import GridSpec
@@ -206,6 +207,48 @@ def test_collect_attention_rows_stochastic():
     w = res.attention[0]
     assert w.shape == (2, config.spec.n_patches, config.spec.n_patches)
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-5)
+
+
+@pytest.mark.parametrize("over", [{}, {"wind_reorder": False, "elev_bias": False}])
+def test_no_grad_attention_maps_equal_the_taped_batch(over):
+    # the no-tape forward runs sample by sample; its maps and tokens must be
+    # the whole-batch taped pass's, bit for bit
+    config = tiny_config(layers=2, **over)
+    store = init_params(config, seed=1)
+    rng = np.random.default_rng(9)
+    x = random_inputs(config, rng, batch=3).astype(np.float32)
+    elev = rng.uniform(0, 3000, config.spec.n_patches)
+    taped = forward(store, config, x, elev, collect_attention=True)
+    with ad.no_grad():
+        plain = forward(store, config, x, elev, collect_attention=True)
+    assert taped.tokens.requires_grad and not plain.tokens.requires_grad
+    assert plain.tokens.data.tobytes() == taped.tokens.data.tobytes()
+    assert len(plain.attention) == len(taped.attention) == config.layers
+    for a, b in zip(plain.attention, taped.attention):
+        assert a.shape == b.shape == (3, config.spec.n_patches, config.spec.n_patches)
+        assert a.tobytes() == b.tobytes()
+
+
+def test_no_grad_forward_memory_does_not_grow_with_batch():
+    spec = GridSpec(16, 32, 2, 4, 2)
+    config = ModelConfig(spec=spec, d=16, layers=2, heads=2)
+    store = init_params(config, seed=0)
+    rng = np.random.default_rng(10)
+    x = random_inputs(config, rng, batch=8).astype(np.float32)
+    elev = rng.uniform(0, 3000, spec.n_patches)
+
+    def peak_bytes(batch):
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                forward(store, config, x[:batch], elev)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(1)  # fill the per-grid caches first
+    one, eight = peak_bytes(1), peak_bytes(8)
+    assert eight < 1.5 * one, (one, eight)
 
 
 # -- full-model gradient check -----------------------------------------------------
