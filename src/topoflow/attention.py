@@ -63,9 +63,11 @@ def _attend_parts(tokens, params: AttentionParams, bias=None):
     in-place row softmax. Only the post-softmax weights and the
     (N, d)-sized projections stay alive for the analytic backward, which
     visits the blocks in the same order with one reused (N, N) buffer and
-    returns the gradients of the tokens, the four projections and the bias
-    (summed over heads and any other axis the bias broadcasts along; a
-    bias shared by the heads gets each sample's head sum added at once).
+    returns the gradients of the tokens, the four projections and the bias.
+    The bias is shared by the heads: it has shape (N, N), (1, 1, N, N) or
+    (B, 1, N, N), the shapes `model.forward` passes, and any other shape
+    raises ShapeError. Its gradient adds up a sample's heads in one buffer,
+    in head order, and then the samples that share it.
     `weights` is a constant Tensor of shape (..., heads, N, N).
     """
     x = ad.as_tensor(tokens)
@@ -75,17 +77,15 @@ def _attend_parts(tokens, params: AttentionParams, bias=None):
     xs = x.data if batched else x.data[None]
     b, n, d = xs.shape
     h = params.n_heads
-    logits_shape = (b, h, n, n) if batched else (h, n, n)
     bias_t = None if bias is None else ad.as_tensor(bias)
-    bias4 = None
+    bias3 = None  # (1 or B, N, N)
     if bias_t is not None:
-        try:
-            fits = np.broadcast_shapes(bias_t.shape, logits_shape) == logits_shape
-        except ValueError:
-            fits = False
-        if not fits:
-            raise ShapeError(f"bias shape {bias_t.shape} does not broadcast to {logits_shape}")
-        bias4 = bias_t.data.reshape((1,) * (4 - bias_t.data.ndim) + bias_t.shape)
+        if bias_t.shape not in ((n, n), (1, 1, n, n), (b, 1, n, n)):
+            raise ShapeError(
+                f"bias shape {bias_t.shape} is not (N, N), (1, 1, N, N) or (B, 1, N, N) "
+                f"with B = {b}, N = {n}"
+            )
+        bias3 = bias_t.data.reshape(-1, n, n)
 
     def heads(a: np.ndarray) -> np.ndarray:
         """(B, N, d) -> (B, heads, N, d/heads) view."""
@@ -101,15 +101,15 @@ def _attend_parts(tokens, params: AttentionParams, bias=None):
     k = xs @ params.wk.data
     v = xs @ params.wv.data
     qh, kh, vh = heads(q), heads(k), heads(v)
-    dtype = np.result_type(q, k) if bias4 is None else np.result_type(q, k, bias4)
+    dtype = np.result_type(q, k) if bias3 is None else np.result_type(q, k, bias3)
     weights = np.empty((b, h, n, n), dtype=dtype)
     ctx = np.empty((b, n, d), dtype=dtype)
     ctx_h = heads(ctx)
     for i in range(b):
         for j in range(h):
             block = np.matmul(qh[i, j], kh[i, j].T, out=weights[i, j])
-            if bias4 is not None:
-                block += part(part(bias4, i), j)
+            if bias3 is not None:
+                block += part(bias3, i)
             if not np.isfinite(block).all():
                 raise NumericError("non-finite attention logits")
             ad.softmax(block)
@@ -128,13 +128,10 @@ def _attend_parts(tokens, params: AttentionParams, bias=None):
         glog = np.empty((n, n), dtype=np.result_type(gctx_h, vh))
         gbias = head_sum = None
         if bias_t is not None and bias_t.requires_grad:
-            gbias = np.zeros(bias4.shape, dtype=bias4.dtype)
-            # row and column axes of a block that the bias broadcasts along
-            spread = tuple(a for a in (0, 1) if bias4.shape[2 + a] == 1 and n != 1)
-            if bias4.shape[1] != h:
-                # shared by the heads: add a sample's heads up in one buffer,
-                # in head order, as a sum over the head axis would
-                head_sum = np.empty(bias4.shape[2:], dtype=glog.dtype)
+            gbias = np.zeros(bias3.shape, dtype=bias3.dtype)
+            # a sample's heads add up in one buffer, in head order, as a sum
+            # over the head axis would
+            head_sum = np.empty((n, n), dtype=glog.dtype)
         for i in range(b):
             for j in range(h):
                 p = weights[i, j]
@@ -143,18 +140,15 @@ def _attend_parts(tokens, params: AttentionParams, bias=None):
                 # softmax backward, in place: p * (dp - rowsum(dp * p))
                 glog -= np.einsum("ij,ij->i", glog, p)[:, None]
                 glog *= p
-                if gbias is not None:
-                    gb = glog.sum(axis=spread, keepdims=True) if spread else glog
-                    if head_sum is None:
-                        part(gbias, i)[j] += gb
-                    elif j == 0:
-                        head_sum[...] = gb
+                if head_sum is not None:
+                    if j == 0:
+                        head_sum[...] = glog
                     else:
-                        head_sum += gb
+                        head_sum += glog
                 gq_h[i, j] = glog @ kh[i, j]
                 gk_h[i, j] = glog.T @ qh[i, j]
             if head_sum is not None:
-                part(gbias, i)[0] += head_sum
+                part(gbias, i)[...] += head_sum
         gq *= scale
 
         def weight_grad(w, left, right):

@@ -90,9 +90,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
 
@@ -158,9 +155,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return (-self) + self._coerce(other)
-
     def __mul__(self, other):
         a, b = self, self._coerce(other)
         return Tensor._op(
@@ -173,30 +167,6 @@ class Tensor:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        a, b = self, self._coerce(other)
-        return Tensor._op(
-            a.data / b.data,
-            (a, b),
-            lambda g: (
-                _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-                if b.requires_grad else None,
-            ),
-        )
-
-    def __pow__(self, exponent: float):
-        n = float(exponent)
-        if n == 2.0:  # np.power is far slower than a plain multiply
-            return Tensor._op(
-                self.data * self.data, (self,), lambda g: (g * (2.0 * self.data),)
-            )
-        return Tensor._op(
-            self.data**n,
-            (self,),
-            lambda g: (g * n * self.data ** (n - 1.0),),
-        )
 
     def __matmul__(self, other):
         a, b = self, self._coerce(other)
@@ -214,34 +184,20 @@ class Tensor:
         )
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         return Tensor._op(
             self.data.reshape(shape), (self,), lambda g: (g.reshape(self.data.shape),)
         )
 
     def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         inverse = tuple(np.argsort(axes))
         return Tensor._op(
             self.data.transpose(axes), (self,), lambda g: (g.transpose(inverse),)
         )
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        def vjp(g):
-            if axis is None:
-                return (np.broadcast_to(g, self.data.shape).copy(),)
-            gg = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(gg, self.data.shape).copy(),)
-
-        return Tensor._op(self.data.sum(axis=axis, keepdims=keepdims), (self,), vjp)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else np.prod(
-            [self.data.shape[a] for a in np.atleast_1d(axis)]
+    def sum(self) -> "Tensor":
+        return Tensor._op(
+            self.data.sum(), (self,), lambda g: (np.broadcast_to(g, self.data.shape).copy(),)
         )
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
 
 
 def as_tensor(x, dtype=None) -> Tensor:

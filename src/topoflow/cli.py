@@ -96,34 +96,14 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def resolve_config(args) -> dict[str, str]:
+    """DEFAULTS, then the --config file, then every given flag, whose
+    argparse dest is the config key it sets; empty strings are ignored."""
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         cfg.update(parse_config_file(args.config))
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = str(args.seed)
-    for flag, key in (
-        ("data", "paths.data"),
-        ("out", "paths.out"),
-        ("checkpoint", "paths.checkpoint"),
-    ):
-        value = getattr(args, flag, None)
-        if value:
-            cfg[key] = str(value)
-    for flag, key in (
-        ("wind_reorder", "model.wind_reorder"),
-        ("elev_bias", "model.elev_bias"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg[key] = "true" if value else "false"
-    if getattr(args, "count", None) is not None:
-        cfg["data.count"] = str(args.count)
-    if getattr(args, "steps", None) is not None:
-        cfg["train.total_steps"] = str(args.steps)
-    if getattr(args, "seeds", None):
-        cfg["ablate.seeds"] = args.seeds
-    if getattr(args, "variants", None):
-        cfg["ablate.variants"] = args.variants
+    for key, given in vars(args).items():
+        if key in DEFAULTS and given is not None and given != "":
+            cfg[key] = ("true" if given else "false") if isinstance(given, bool) else str(given)
     return cfg
 
 
@@ -172,7 +152,7 @@ def _need_dir(cfg, key, what) -> Path:
 
 def cmd_gen(cfg: dict[str, str]) -> int:
     from .fields import NormStats
-    from . import synthdata
+    from . import synthdata, train
 
     out = _need_dir(cfg, "paths.out", "output directory")
     spec = build_grid(cfg)
@@ -199,8 +179,8 @@ def cmd_gen(cfg: dict[str, str]) -> int:
     if not samples:
         raise ConfigError("data.count must be >= 1 to write a dataset")
     # stats come from the training split only
-    n_val = max(1, int(round(len(samples) * value(cfg, "train.val_fraction", float))))
-    train_inputs = [s.input for s in samples[: len(samples) - n_val]] or [samples[0].input]
+    train_idx, _ = train.split_indices(len(samples), build_train_config(cfg).val_fraction)
+    train_inputs = [samples[i].input for i in train_idx] or [samples[0].input]
     stats = NormStats.fit(train_inputs, synthdata.norm_kinds())
     mask = synthdata.study_mask(spec)
     synthdata.write_dataset(out, samples, tw, mask, stats, seed)
@@ -395,14 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, checkpoint=False):
         p.add_argument("--config", help="key = value configuration file")
         p.add_argument("--seed", type=int, help="root random seed")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--data", help="dataset directory")
+        p.add_argument("--out", dest="paths.out", help="output directory")
+        p.add_argument("--data", dest="paths.data", help="dataset directory")
         if checkpoint:
-            p.add_argument("--checkpoint", help="checkpoint .gfd path")
+            p.add_argument("--checkpoint", dest="paths.checkpoint", help="checkpoint .gfd path")
 
     p_gen = sub.add_parser("gen", help="generate a synthetic dataset")
     common(p_gen)
-    p_gen.add_argument("--count", type=int, help="sample count override")
+    p_gen.add_argument("--count", type=int, dest="data.count", help="sample count override")
 
     p_train = sub.add_parser("train", help="train a forecaster")
     common(p_train)
@@ -410,12 +390,14 @@ def build_parser() -> argparse.ArgumentParser:
         "total optimization steps override; a budget below train.warmup "
         "(60 at the desk defaults) needs train.warmup lowered too, in a --config file"
     )
-    p_train.add_argument("--steps", type=int, help=steps_help)
+    p_train.add_argument("--steps", type=int, dest="train.total_steps", help=steps_help)
     p_train.add_argument("--resume", action="store_true", help="continue from last checkpoint")
     p_train.add_argument(
-        "--wind-reorder", action=argparse.BooleanOptionalAction, dest="wind_reorder"
+        "--wind-reorder", action=argparse.BooleanOptionalAction, dest="model.wind_reorder"
     )
-    p_train.add_argument("--elev-bias", action=argparse.BooleanOptionalAction, dest="elev_bias")
+    p_train.add_argument(
+        "--elev-bias", action=argparse.BooleanOptionalAction, dest="model.elev_bias"
+    )
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     common(p_eval, checkpoint=True)
@@ -423,9 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ablate = sub.add_parser("ablate", help="component or tile-granularity ablations")
     common(p_ablate)
     p_ablate.add_argument("--mode", choices=("components", "tiles"), default="components")
-    p_ablate.add_argument("--seeds", help="comma list of seeds")
-    p_ablate.add_argument("--variants", help="comma list of component variants")
-    p_ablate.add_argument("--steps", type=int, help=steps_help)
+    p_ablate.add_argument("--seeds", dest="ablate.seeds", help="comma list of seeds")
+    p_ablate.add_argument(
+        "--variants", dest="ablate.variants", help="comma list of component variants"
+    )
+    p_ablate.add_argument("--steps", type=int, dest="train.total_steps", help=steps_help)
 
     p_dump = sub.add_parser("dump", help="debug artifacts")
     p_dump.add_argument("what", choices=("attn", "bias", "perm"))

@@ -55,12 +55,10 @@ class ModelConfig:
     mlp_hidden: int = 256
     head_hidden: int = 256
     dropout: float = 0.1
-    channels: tuple[str, ...] = INPUT_CHANNELS
     v_out: int = 1
     n_horizons: int = 4
     wind_reorder: bool = True
     elev_bias: bool = True
-    wind_channels: tuple[str, str] = ("u", "v")
     wind_mean: str = "weighted"
 
     def __post_init__(self):
@@ -68,13 +66,10 @@ class ModelConfig:
             raise ConfigError(f"width {self.d} not divisible by {self.heads} heads")
         if self.layers < 0 or self.v_out < 1 or self.n_horizons < 1:
             raise ConfigError("layers must be >= 0; v_out and n_horizons >= 1")
-        for wc in self.wind_channels:
-            if wc not in self.channels:
-                raise ConfigError(f"wind channel {wc!r} missing from {self.channels}")
 
     @property
     def v_in(self) -> int:
-        return len(self.channels)
+        return len(INPUT_CHANNELS)
 
     @property
     def token_dim(self) -> int:
@@ -290,12 +285,6 @@ def build_perms(
     ]
 
 
-def perms_from_inputs(config: ModelConfig, inputs: np.ndarray):
-    iu = config.channels.index(config.wind_channels[0])
-    iv = config.channels.index(config.wind_channels[1])
-    return build_perms(config, inputs[:, iu], inputs[:, iv])
-
-
 def forward(
     params: ParamStore,
     config: ModelConfig,
@@ -308,10 +297,11 @@ def forward(
 ) -> ForwardResult:
     """Run the forecaster on a (B, C, H, W) normalized input stack.
 
-    `elev_patch_m` is the per-patch mean elevation in meters (required when
-    the elevation bias is enabled). Callers that normalize their inputs
-    should pass `perms` built from the physical winds; without them the
-    permutations are derived from the wind channels as given here.
+    `elev_patch_m` is the per-patch mean elevation in meters, required when
+    the elevation bias is enabled. `perms` holds each sample's slot order,
+    required when wind reordering is enabled: build it with `build_perms`
+    from the physical winds (as `train.prepare_arrays` does), since the
+    z-scored wind channels of `inputs` point elsewhere.
 
     A forward that records no tape (`train` off under `autodiff.no_grad`)
     runs the network one sample at a time, so its memory does not grow
@@ -320,8 +310,6 @@ def forward(
     keep their order.
     """
     arr = np.asarray(inputs)
-    if arr.ndim == 3:
-        arr = arr[None]
     spec = config.spec
     if arr.shape[1:] != (config.v_in, spec.height, spec.width):
         raise ShapeError(
@@ -331,11 +319,10 @@ def forward(
         raise ConfigError("training forward with dropout needs an rng")
     if config.elev_bias and elev_patch_m is None:
         raise ConfigError("elev_bias enabled but no patch elevations supplied")
+    if config.wind_reorder and perms is None:
+        raise ConfigError("wind_reorder enabled but no slot orders (perms) supplied")
 
-    if config.wind_reorder:
-        if perms is None:
-            perms = perms_from_inputs(config, arr)
-    else:
+    if not config.wind_reorder:
         perms = [reorder.SectorPermutation.identity(spec)] * arr.shape[0]
     orders = np.stack([p.forward for p in perms])  # (B, N) slot -> patch
 

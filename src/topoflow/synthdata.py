@@ -45,6 +45,7 @@ from .fields import (
     Sample,
     read_grid,
     temporal_encoding,
+    write_atomic,
     write_grid,
 )
 from .reorder import patch_wind_direction
@@ -421,8 +422,6 @@ def make_sample(
         cfg_i = dataclasses.replace(cfg, sources=_sample_sources(spec, rng))
     elif source_mode == "none":
         cfg_i = dataclasses.replace(cfg, sources=())
-    elif source_mode == "config":
-        cfg_i = cfg
     else:
         raise ConfigError(f"unknown source mode {source_mode!r}")
     if init_mode not in ("blobs", "textured"):
@@ -581,7 +580,9 @@ def write_dataset(
     stats: NormStats,
     seed: int,
 ) -> None:
-    """Persist a dataset directory; the manifest is written last (atomicity)."""
+    """Persist a dataset directory. The manifest, whose header names the
+    sample count, is written last and atomically, so a killed writer leaves
+    no `manifest.txt` and `read_dataset` refuses the directory."""
     out = Path(out_dir)
     (out / "samples").mkdir(parents=True, exist_ok=True)
     spec = samples[0].input.spec if samples else mask.spec
@@ -616,12 +617,12 @@ def write_dataset(
             )
             + "\n"
         )
-    with open(out / "manifest.txt", "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+    write_atomic(out / "manifest.txt", "".join(lines).encode("utf-8"))
 
 
 def read_dataset(in_dir) -> DatasetBundle:
-    """Load a dataset directory written by :func:`write_dataset`."""
+    """Load a dataset directory written by :func:`write_dataset`; a manifest
+    with other than `count=` sample rows (a cut file) raises DataError."""
     root = Path(in_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -644,8 +645,11 @@ def read_dataset(in_dir) -> DatasetBundle:
     )
     samples: list[Sample] = []
     horizons: tuple[int, ...] = ()
+    count = None
     with open(manifest, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, 1):
+            if ln == 1:
+                count = next((w[6:] for w in line.split() if w.startswith("count=")), None)
             if line.startswith("#") or not line.strip():
                 continue
             parts = line.split()
@@ -658,6 +662,8 @@ def read_dataset(in_dir) -> DatasetBundle:
             samples.append(Sample(inp, targets, horizons, int(hour), int(doy)))
     if not samples:
         raise DataError(f"{manifest}: dataset is empty")
+    if count != str(len(samples)):
+        raise DataError(f"{manifest}: {len(samples)} sample rows, header says count={count}")
     return DatasetBundle(
         samples[0].input.spec, tuple(samples), tw, mask, stats, horizons
     )

@@ -32,12 +32,16 @@ from . import autodiff as ad
 from . import model as model_mod
 from .config import encode
 from .errors import ConfigError, NumericError, ShapeError
-from .fields import mask_array, normalize, write_atomic
+from .fields import normalize, write_atomic
 from .model import ForwardResult, ModelConfig, ParamStore, forward, init_params, patchify
 from .synthdata import DatasetBundle
 from .topo_bias import patch_elevations
 
 BATCH_STREAM = 4   # SeedSequence lane for batch order + dropout
+# AdamW moment decay rates and the denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 LOG_HEADER = "# step,train_loss,val_loss,lr_base,alpha\n"
 
 
@@ -60,9 +64,6 @@ class TrainConfig:
     val_interval: int = 100
     val_fraction: float = 0.1
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.warmup < 0:
@@ -113,30 +114,11 @@ def lr_at(step: int, config: TrainConfig, group: str) -> float:
 # loss
 # ---------------------------------------------------------------------------
 
-def masked_mse(pred, target, mask):
-    """Masked MSE over (..., C, H, W); Tensor in, Tensor out.
-
-    Sums squared error over all channels (and horizons, which ride as
-    channels) inside the mask and divides by the selected-cell count and
-    any leading batch dims.
-    """
-    is_tensor = isinstance(pred, ad.Tensor)
-    p = pred if is_tensor else ad.as_tensor(np.asarray(pred))
-    t = np.asarray(target.data if isinstance(target, ad.Tensor) else target)
-    if p.shape != t.shape:
-        raise ShapeError(f"pred shape {p.shape} vs target shape {t.shape}")
-    m = mask_array(mask, t.dtype)
-    if m.shape != p.shape[-2:]:
-        raise ShapeError(f"mask shape {m.shape} does not match grid {p.shape[-2:]}")
-    denom = float(m.sum()) * float(np.prod(p.shape[:-3], dtype=np.int64))
-    diff = p - ad.Tensor(t)
-    loss = (diff * diff * ad.Tensor(m)).sum() * (1.0 / denom)
-    return loss if is_tensor else float(loss.data)
-
-
 def _masked_mse_tokens(pred: ad.Tensor, target: np.ndarray, mask_tok: np.ndarray,
                        cell_count: float) -> ad.Tensor:
-    """Token-space equivalent of :func:`masked_mse` (lossless rearrangement)."""
+    """The training loss on (B, N, out_dim) tokens: squared errors summed
+    over the entries `mask_tok` selects (every channel and horizon), divided
+    by the selected-cell count of one grid times the batch size."""
     denom = cell_count * pred.shape[0]
     diff = pred - ad.Tensor(target)
     return (diff * diff * ad.Tensor(mask_tok)).sum() * (1.0 / denom)
@@ -215,8 +197,8 @@ def optimize_step(store: ParamStore, state: TrainState, config: TrainConfig) -> 
             raise NumericError(f"non-finite gradient for {name}; step aborted")
     clip_gradients(store, config.clip_norm)
     t = state.step + 1
-    bc1 = 1.0 - config.beta1**t
-    bc2 = 1.0 - config.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for name in store.names():
         tensor = store[name]
         g = tensor.grad
@@ -225,13 +207,13 @@ def optimize_step(store: ParamStore, state: TrainState, config: TrainConfig) -> 
         lr = lr_at(state.step, config, store.group_of(name))
         m = state.m[name]
         v = state.v[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
         mhat = m / bc1
         vhat = v / bc2
-        tensor.data = tensor.data - lr * (mhat / (np.sqrt(vhat) + config.eps))
+        tensor.data = tensor.data - lr * (mhat / (np.sqrt(vhat) + ADAM_EPS))
         if config.weight_decay:
             tensor.data = tensor.data * (1.0 - lr * config.weight_decay)
     state.step = t
@@ -274,8 +256,8 @@ def prepare_arrays(bundle: DatasetBundle, config: ModelConfig) -> TrainingArrays
     )
     if config.wind_reorder:
         # permutations come from the physical winds, not the z-scored inputs
-        raw_u = np.stack([s.input.channel(config.wind_channels[0]) for s in bundle.samples])
-        raw_v = np.stack([s.input.channel(config.wind_channels[1]) for s in bundle.samples])
+        raw_u = np.stack([s.input.channel("u") for s in bundle.samples])
+        raw_v = np.stack([s.input.channel("v") for s in bundle.samples])
         perms = model_mod.build_perms(config, raw_u, raw_v)
         target_tokens = np.stack(
             [target_tokens[i][p.forward] for i, p in enumerate(perms)]
@@ -297,6 +279,13 @@ def prepare_arrays(bundle: DatasetBundle, config: ModelConfig) -> TrainingArrays
         elev_patch,
         perms,
     )
+
+
+def split_indices(n: int, val_fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    """(train, validation) indices of n samples: the last
+    max(1, round(n * val_fraction)) samples validate, the rest train."""
+    n_val = max(1, int(round(n * val_fraction)))
+    return np.arange(n - n_val), np.arange(n - n_val, n)
 
 
 def _batch_loss(
@@ -377,11 +366,9 @@ def fit(
     t0 = time.monotonic()
     arrays = prepare_arrays(bundle, config)
     n = len(bundle.samples)
-    n_val = max(1, int(round(n * tconfig.val_fraction)))
-    if n_val >= n:
+    train_idx, val_idx = split_indices(n, tconfig.val_fraction)
+    if not len(train_idx):
         raise ConfigError(f"{n} samples cannot host a {tconfig.val_fraction} validation split")
-    train_idx = np.arange(n - n_val)
-    val_idx = np.arange(n - n_val, n)
 
     last_path = out / "last.gfd" if out else None
     best_path = out / "best.gfd" if out else None

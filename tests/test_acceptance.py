@@ -27,7 +27,7 @@ from topoflow import attention, autodiff as ad, evalkit, model, reorder, synthda
 from topoflow.cli import main as cli_main
 from topoflow.fields import GridSpec, LandMask, NormStats, read_grid
 from topoflow.model import ModelConfig, forward, init_params, patchify
-from topoflow.train import TrainConfig, masked_mse
+from topoflow.train import TrainConfig
 
 PASSED: dict[int, str] = {}
 
@@ -145,7 +145,7 @@ def test_criterion_4_full_model_gradient_check():
     rng = np.random.default_rng(41)
     x = rng.normal(size=(1, config.v_in, 4, 8))
     elev = rng.uniform(0, 2500, spec.n_patches)
-    perms = model.perms_from_inputs(config, x)
+    perms = model.build_perms(config, x[:, 0], x[:, 1])
     target = rng.normal(size=(1, spec.n_patches, config.out_dim))
     maskgrid = np.zeros((1, 4, 8))
     maskgrid[:, 1:3, 1:7] = 1.0
@@ -191,17 +191,23 @@ def test_criterion_4_full_model_gradient_check():
 # -- criterion 5: loss and mask contract -------------------------------------------------
 
 def test_criterion_5_masked_loss_contract():
+    # the loss `fit` trains with, on 1x1 patches: token i is raster cell i
     spec = GridSpec(2, 2, 1, 1, 1)
     mask = LandMask(spec, np.array([[1, 0], [1, 1]]))
-    target = np.zeros((1, 2, 2))
-    pred = ad.parameter(np.array([[[3.0, 9.0], [1.0, 2.0]]]))
-    loss = masked_mse(pred, target, mask)
+    mask_tok = patchify(mask.mask[None].astype(np.float64), spec)  # (N, 1)
+    target = np.zeros((1, spec.n_patches, 1))
+    pred = ad.parameter(patchify(np.array([[[[3.0, 9.0], [1.0, 2.0]]]]), spec))
+
+    def loss_of(p):
+        return train._masked_mse_tokens(p, target, mask_tok, float(mask.count))
+
+    loss = loss_of(pred)
     assert float(loss.data) == pytest.approx(14.0 / 3.0, rel=1e-12)
     loss.backward()
-    assert pred.grad[0, 0, 1] == 0.0
+    assert pred.grad[0, 1, 0] == 0.0
     bumped = pred.data.copy()
-    bumped[0, 0, 1] = -4.2e7
-    assert masked_mse(bumped, target, mask) == pytest.approx(14.0 / 3.0, rel=1e-12)
+    bumped[0, 1, 0] = -4.2e7
+    assert float(loss_of(ad.Tensor(bumped)).data) == pytest.approx(14.0 / 3.0, rel=1e-12)
     record(5, "hand value 14/3 exact; masked cells carry zero gradient")
 
 

@@ -257,10 +257,12 @@ def chain_attention(tokens, params, bias=None):
     return merge(weights @ v) @ params.wo, weights
 
 
+# the bias shapes `model.forward` passes: one shared by the batch, one per
+# sample, and the no-tape forward's one-sample batch
 FUSED_CASES = [
     ((2, 5, 8), (5, 5)),
     ((2, 5, 8), (2, 1, 5, 5)),
-    ((2, 5, 8), (1, 2, 5, 5)),
+    ((2, 5, 8), (1, 1, 5, 5)),
     ((5, 8), (5, 5)),
 ]
 
@@ -307,8 +309,12 @@ def test_fused_attention_matches_primitive_chain(token_shape, bias_shape):
 def test_fused_attention_rejects_unbroadcastable_bias():
     rng = np.random.default_rng(16)
     params = make_params(8, 2, rng)
-    with pytest.raises(ShapeError):
-        attend(rng.normal(size=(2, 5, 8)), params, bias=np.zeros((3, 1, 5, 5)))
+    tokens = rng.normal(size=(2, 5, 8))
+    # a batch of 2, 2 heads, 5 tokens: only (5, 5), (1, 1, 5, 5) and
+    # (2, 1, 5, 5) are accepted, per-head biases included among the refused
+    for shape in ((3, 1, 5, 5), (1, 2, 5, 5), (5, 1), (1, 5), (2, 5, 5)):
+        with pytest.raises(ShapeError):
+            attend(tokens, params, bias=np.zeros(shape))
 
 
 def test_no_grad_attention_records_no_node():
@@ -406,7 +412,7 @@ def reference_attend(tokens, params, bias=None):
     return out_t, ad.Tensor(weights if batched else weights[0])
 
 
-@pytest.mark.parametrize("bias_shape", [None, (24, 24), (1, 4, 24, 24), (3, 1, 24, 24)])
+@pytest.mark.parametrize("bias_shape", [None, (24, 24), (1, 1, 24, 24), (3, 1, 24, 24)])
 def test_blocked_attention_is_bitwise_the_per_sample_reference(bias_shape):
     rng = np.random.default_rng(18)
     params = make_params(16, 4, rng, dtype=np.float32)

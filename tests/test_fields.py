@@ -168,6 +168,8 @@ def test_mask_validation():
     spec = tiny_spec()
     with pytest.raises(MaskError):
         LandMask(spec, np.zeros((2, 2)))
+    with pytest.raises(MaskError):
+        fields.mask_array(np.zeros((2, 2)))
     with pytest.raises(DataError):
         LandMask(spec, np.full((2, 2), 0.5))
     m = LandMask(spec, np.array([[1, 0], [1, 1]]))

@@ -32,6 +32,11 @@ def random_inputs(config, rng, batch=2):
     return arr
 
 
+def wind_perms(config, x):
+    """Slot orders from the u and v channels of an input stack."""
+    return model.build_perms(config, x[:, 0], x[:, 1])
+
+
 # -- patchify -------------------------------------------------------------------
 
 def test_patchify_hand_layout():
@@ -110,7 +115,9 @@ def test_forward_output_shape_contract():
     store = init_params(config, seed=0)
     rng = np.random.default_rng(1)
     elev = rng.uniform(0, 2000, config.spec.n_patches)
-    res = forward(params=store, config=config, inputs=random_inputs(config, rng), elev_patch_m=elev)
+    x = random_inputs(config, rng)
+    res = forward(params=store, config=config, inputs=x, elev_patch_m=elev,
+                  perms=wind_perms(config, x))
     assert res.tokens.shape == (2, config.spec.n_patches, config.out_dim)
     grid = res.to_grid()
     assert grid.shape == (2, config.n_horizons * config.v_out, 4, 8)
@@ -122,8 +129,8 @@ def test_forward_deterministic():
     rng = np.random.default_rng(2)
     x = random_inputs(config, rng)
     elev = rng.uniform(0, 2000, config.spec.n_patches)
-    a = forward(store, config, x, elev).to_grid()
-    b = forward(store, config, x, elev).to_grid()
+    a = forward(store, config, x, elev, perms=wind_perms(config, x)).to_grid()
+    b = forward(store, config, x, elev, perms=wind_perms(config, x)).to_grid()
     assert a.tobytes() == b.tobytes()
 
 
@@ -141,8 +148,17 @@ def test_missing_elevation_raises():
     config = tiny_config()
     store = init_params(config, seed=0)
     rng = np.random.default_rng(4)
-    with pytest.raises(ConfigError):
-        forward(store, config, random_inputs(config, rng))
+    x = random_inputs(config, rng)
+    with pytest.raises(ConfigError, match="elev"):
+        forward(store, config, x, perms=wind_perms(config, x))
+
+
+def test_missing_perms_raise_with_wind_reorder():
+    config = tiny_config(elev_bias=False)
+    store = init_params(config, seed=0)
+    x = random_inputs(config, np.random.default_rng(4))
+    with pytest.raises(ConfigError, match="perms"):
+        forward(store, config, x)
 
 
 def test_dropout_requires_rng_and_is_seeded():
@@ -161,8 +177,8 @@ def test_dropout_requires_rng_and_is_seeded():
 
 def uniform_wind_inputs(config, rng, u=1.0, v=0.25, batch=2):
     x = rng.normal(size=(batch, config.v_in, config.spec.height, config.spec.width))
-    x[:, config.channels.index("u")] = u
-    x[:, config.channels.index("v")] = v
+    x[:, synthdata.INPUT_CHANNELS.index("u")] = u
+    x[:, synthdata.INPUT_CHANNELS.index("v")] = v
     return x
 
 
@@ -175,12 +191,13 @@ def test_reorder_is_equivalence_at_init():
     store = init_params(config_on, seed=0, dtype=np.float64)
     rng = np.random.default_rng(6)
     x = uniform_wind_inputs(config_on, rng)
+    perms = wind_perms(config_on, x)
     base = forward(store, config_off, x).to_grid()
-    shuffled = forward(store, config_on, x).to_grid()
+    shuffled = forward(store, config_on, x, perms=perms).to_grid()
     assert np.abs(shuffled - base).max() < 1e-10
     # a trained (nonzero) relative table re-breaks the tie
     store["pos.rel"].data[:] = rng.normal(size=store["pos.rel"].shape)
-    diverged = forward(store, config_on, x).to_grid()
+    diverged = forward(store, config_on, x, perms=perms).to_grid()
     assert np.abs(diverged - forward(store, config_off, x).to_grid()).max() > 1e-6
 
 
@@ -202,7 +219,7 @@ def test_collect_attention_rows_stochastic():
     rng = np.random.default_rng(8)
     x = random_inputs(config, rng)
     elev = rng.uniform(0, 3000, config.spec.n_patches)
-    res = forward(store, config, x, elev, collect_attention=True)
+    res = forward(store, config, x, elev, perms=wind_perms(config, x), collect_attention=True)
     assert len(res.attention) == config.layers
     w = res.attention[0]
     assert w.shape == (2, config.spec.n_patches, config.spec.n_patches)
@@ -218,9 +235,10 @@ def test_no_grad_attention_maps_equal_the_taped_batch(over):
     rng = np.random.default_rng(9)
     x = random_inputs(config, rng, batch=3).astype(np.float32)
     elev = rng.uniform(0, 3000, config.spec.n_patches)
-    taped = forward(store, config, x, elev, collect_attention=True)
+    perms = wind_perms(config, x)
+    taped = forward(store, config, x, elev, perms=perms, collect_attention=True)
     with ad.no_grad():
-        plain = forward(store, config, x, elev, collect_attention=True)
+        plain = forward(store, config, x, elev, perms=perms, collect_attention=True)
     assert taped.tokens.requires_grad and not plain.tokens.requires_grad
     assert plain.tokens.data.tobytes() == taped.tokens.data.tobytes()
     assert len(plain.attention) == len(taped.attention) == config.layers
@@ -236,12 +254,13 @@ def test_no_grad_forward_memory_does_not_grow_with_batch():
     rng = np.random.default_rng(10)
     x = random_inputs(config, rng, batch=8).astype(np.float32)
     elev = rng.uniform(0, 3000, spec.n_patches)
+    perms = wind_perms(config, x)
 
     def peak_bytes(batch):
         tracemalloc.start()
         try:
             with ad.no_grad():
-                forward(store, config, x[:batch], elev)
+                forward(store, config, x[:batch], elev, perms=perms[:batch])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -273,7 +292,7 @@ def test_full_model_gradients_match_finite_differences():
         patchify(maskgrid, config.spec), (1, config.n_horizons * config.v_out)
     )[None]
     count = maskgrid.sum()
-    perms = model.perms_from_inputs(config, x)
+    perms = wind_perms(config, x)
     target_perm = np.stack([target[0][perms[0].forward]])
     mask_perm = np.stack([mask_tok[0][perms[0].forward]])
 

@@ -1,13 +1,15 @@
 import dataclasses
 import math
+import os
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from topoflow import synthdata
 from topoflow.errors import ConfigError, DataError, FitError, StabilityError
-from topoflow.fields import Field, GridSpec
+from topoflow.fields import Field, GridSpec, NormStats
 from topoflow.synthdata import PhysicsConfig, TerrainWind
 
 
@@ -322,14 +324,17 @@ def test_norm_kinds_cover_all_channels():
     assert set(kinds) == set(synthdata.INPUT_CHANNELS)
 
 
-def test_dataset_write_read_round_trip(tmp_path):
-    from topoflow.fields import NormStats
-
+def small_dataset(count):
+    """(samples, terrain, mask, stats): the arguments of `write_dataset`."""
     tw = synthdata.gen_terrain(SPEC, seed=2, archetype="basin")
     cfg = PhysicsConfig(substeps=1)
-    samples = synthdata.make_dataset(SPEC, tw, cfg, (12, 24), 3, seed=9)
+    samples = synthdata.make_dataset(SPEC, tw, cfg, (12, 24), count, seed=9)
     stats = NormStats.fit([s.input for s in samples], synthdata.norm_kinds())
-    mask = synthdata.study_mask(SPEC)
+    return samples, tw, synthdata.study_mask(SPEC), stats
+
+
+def test_dataset_write_read_round_trip(tmp_path):
+    samples, tw, mask, stats = small_dataset(3)
     synthdata.write_dataset(tmp_path / "ds", samples, tw, mask, stats, seed=9)
     bundle = synthdata.read_dataset(tmp_path / "ds")
     assert bundle.horizons == (12, 24)
@@ -348,6 +353,33 @@ def test_read_dataset_requires_manifest(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(DataError):
         synthdata.read_dataset(tmp_path / "empty")
+
+
+def test_killed_manifest_write_leaves_no_manifest(tmp_path, monkeypatch):
+    real_replace = os.replace
+
+    def killed_replace(src, dst):
+        if Path(dst).name == "manifest.txt":
+            raise KeyboardInterrupt
+        real_replace(src, dst)
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", killed_replace)
+        with pytest.raises(KeyboardInterrupt):
+            synthdata.write_dataset(tmp_path / "ds", *small_dataset(2), seed=9)
+    assert not (tmp_path / "ds" / "manifest.txt").exists()
+    with pytest.raises(DataError, match="no manifest"):
+        synthdata.read_dataset(tmp_path / "ds")
+
+
+def test_manifest_cut_at_a_row_boundary_raises(tmp_path):
+    synthdata.write_dataset(tmp_path / "ds", *small_dataset(4), seed=9)
+    manifest = tmp_path / "ds" / "manifest.txt"
+    lines = manifest.read_text().splitlines(True)
+    assert len(lines) == 5 and "count=4" in lines[0]
+    manifest.write_text("".join(lines[:4]))  # the header and 3 rows
+    with pytest.raises(DataError, match="count=4"):
+        synthdata.read_dataset(tmp_path / "ds")
 
 
 # -- covariance anisotropy -------------------------------------------------------

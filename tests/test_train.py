@@ -9,10 +9,10 @@ import pytest
 
 from topoflow import autodiff as ad
 from topoflow import model, synthdata, train
-from topoflow.errors import ConfigError, MaskError, NumericError
+from topoflow.errors import ConfigError, NumericError
 from topoflow.fields import GridSpec, LandMask, NormStats
-from topoflow.model import ModelConfig, init_params
-from topoflow.train import TrainConfig, TrainState, lr_at, masked_mse
+from topoflow.model import ModelConfig, init_params, patchify
+from topoflow.train import TrainConfig, TrainState, lr_at
 
 
 SPEC = GridSpec(8, 16, 2, 4, 2)
@@ -44,34 +44,48 @@ def quick_train(**over):
 
 # -- masked mse ------------------------------------------------------------------
 
+def cell_tokens(grid):
+    """(B, C, H, W) grids -> (B, H*W, C) tokens, one 1x1 patch per cell."""
+    grid = np.asarray(grid, dtype=np.float64)
+    return patchify(grid, GridSpec(grid.shape[-2], grid.shape[-1], 1, 1, 1))
+
+
+def token_mse(pred, target, mask):
+    """`train._masked_mse_tokens`, the loss `fit` trains with, on (B, C, H, W)
+    grids as cell tokens; `pred` may also be a Tensor of cell tokens."""
+    pred_tok = pred if isinstance(pred, ad.Tensor) else ad.Tensor(cell_tokens(pred))
+    mask_tok = cell_tokens(mask.mask[None, None])[0]  # (N, 1), broadcast over channels
+    return train._masked_mse_tokens(pred_tok, cell_tokens(target), mask_tok, float(mask.count))
+
+
 def test_masked_mse_hand_case():
     spec = GridSpec(2, 2, 1, 1, 1)
     mask = LandMask(spec, np.array([[1, 0], [1, 1]]))
-    target = np.zeros((1, 2, 2))
-    pred = np.array([[[3.0, 9.0], [1.0, 2.0]]])
-    assert masked_mse(pred, target, mask) == pytest.approx(14.0 / 3.0)
+    target = np.zeros((1, 1, 2, 2))
+    pred = np.array([[[[3.0, 9.0], [1.0, 2.0]]]])
+    assert float(token_mse(pred, target, mask).data) == pytest.approx(14.0 / 3.0)
 
 
 def test_masked_mse_zero_when_equal_and_nonnegative():
     rng = np.random.default_rng(0)
     spec = GridSpec(4, 4, 2, 2, 2)
     mask = LandMask(spec, np.ones((4, 4)))
-    x = rng.normal(size=(3, 4, 4))
-    assert masked_mse(x, x, mask) == 0.0
-    assert masked_mse(x, x + 1.0, mask) > 0.0
+    x = rng.normal(size=(1, 3, 4, 4))
+    assert float(token_mse(x, x, mask).data) == 0.0
+    assert float(token_mse(x, x + 1.0, mask).data) > 0.0
 
 
 def test_masked_cells_are_invisible_to_loss_and_gradient():
     spec = GridSpec(2, 2, 1, 1, 1)
     mask = LandMask(spec, np.array([[1, 0], [1, 1]]))
-    target = np.zeros((1, 2, 2))
-    pred = ad.parameter(np.array([[[3.0, 9.0], [1.0, 2.0]]]))
-    loss = masked_mse(pred, target, mask)
+    target = np.zeros((1, 1, 2, 2))
+    pred = ad.parameter(cell_tokens([[[[3.0, 9.0], [1.0, 2.0]]]]))
+    loss = token_mse(pred, target, mask)
     loss.backward()
-    assert pred.grad[0, 0, 1] == 0.0
+    assert pred.grad[0, 1, 0] == 0.0  # cell (0, 1) is token 1
     perturbed = pred.data.copy()
-    perturbed[0, 0, 1] = 1e9
-    assert masked_mse(perturbed, target, mask) == pytest.approx(14.0 / 3.0)
+    perturbed[0, 1, 0] = 1e9
+    assert float(token_mse(ad.Tensor(perturbed), target, mask).data) == pytest.approx(14.0 / 3.0)
 
 
 def test_masked_mse_batch_and_per_channel():
@@ -79,12 +93,7 @@ def test_masked_mse_batch_and_per_channel():
     mask = LandMask(spec, np.ones((2, 2)))
     pred = np.ones((2, 3, 2, 2))
     target = np.zeros((2, 3, 2, 2))
-    assert masked_mse(pred, target, mask) == pytest.approx(3.0)  # summed channels
-
-
-def test_masked_mse_empty_mask():
-    with pytest.raises(MaskError):
-        masked_mse(np.ones((1, 2, 2)), np.ones((1, 2, 2)), np.zeros((2, 2)))
+    assert float(token_mse(pred, target, mask).data) == pytest.approx(3.0)  # summed channels
 
 
 # -- schedule -----------------------------------------------------------------------
