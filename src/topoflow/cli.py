@@ -21,6 +21,8 @@ from pathlib import Path
 from .config import decode, value
 from .errors import ConfigError, TopoflowError, UsageError
 
+# a literal table rather than one derived from the config dataclasses:
+# importing those loads numpy before main() can apply TOPOFLOW_THREADS
 DEFAULTS: dict[str, str] = {
     "seed": "0",
     "grid.height": "32",

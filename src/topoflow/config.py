@@ -7,8 +7,8 @@ encoded and decoded again). Keys are the dataclass field names under a
 section prefix; a nested dataclass field such as `ModelConfig.spec` adds
 one more level (`model.spec.height`). Values are parsed by the field's
 annotation: bool (`true`/`false`), int, float, str, or a comma-separated
-`tuple[...]` of those. A value that does not parse, and an absent key for
-a field without a default, raise ConfigError naming the key.
+`tuple[T, ...]` of one of those. A value that does not parse, and an
+absent key for a field without a default, raise ConfigError naming the key.
 """
 
 from __future__ import annotations
@@ -31,12 +31,8 @@ def _format(value) -> str:
 
 def _parse(text: str, tp, key: str):
     if typing.get_origin(tp) is tuple:
-        parts = [x for x in text.split(",") if x]
-        args = typing.get_args(tp)
-        types = [args[0]] * len(parts) if args[-1] is Ellipsis else list(args)
-        if len(types) != len(parts):
-            raise ConfigError(f"{key} must be {len(types)} comma-separated values, got {text!r}")
-        return tuple(_parse(x, t, key) for x, t in zip(parts, types))
+        item = typing.get_args(tp)[0]
+        return tuple(_parse(x, item, key) for x in text.split(",") if x)
     if tp is bool:
         if text.lower() not in ("true", "false"):
             raise ConfigError(f"{key} must be true or false, got {text!r}")
@@ -48,7 +44,7 @@ def _parse(text: str, tp, key: str):
 
 
 def value(cfg: dict[str, str], key: str, tp):
-    """One config value parsed as `tp` (a scalar type or `tuple[...]`)."""
+    """One config value parsed as `tp` (a scalar type or `tuple[T, ...]`)."""
     return _parse(cfg[key], tp, key)
 
 

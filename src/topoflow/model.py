@@ -7,7 +7,10 @@ run L pre-norm transformer layers whose attention logits carry a shared
 relative slot-offset table plus the terrain penalty (both permuted or
 indexed so entries always refer to the right pair), decode with a
 two-layer head that emits every horizon at once, and finally undo the
-permutation so predictions land on their original patches.
+permutation so predictions land on their original patches. The input and
+output channels are fixed by the data format (`synthdata.INPUT_CHANNELS`
+in, one `synthdata.TARGET_CHANNELS` set per horizon out), so they are
+properties of ModelConfig rather than settings.
 
 Because the positional vectors follow their patches and the relative
 table starts at zero, freshly initialized networks compute the exact same
@@ -34,7 +37,7 @@ from .attention import AttentionParams, _attend_parts
 from .config import decode, encode
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .fields import Field, GridSpec, read_grid, write_atomic, write_grid
-from .synthdata import INPUT_CHANNELS
+from .synthdata import INPUT_CHANNELS, TARGET_CHANNELS
 
 # variance of a unit normal truncated to +-2 sigma is 0.773729...; scale
 # draws up so the post-truncation variance hits the 1/fan_in target
@@ -55,21 +58,28 @@ class ModelConfig:
     mlp_hidden: int = 256
     head_hidden: int = 256
     dropout: float = 0.1
-    v_out: int = 1
     n_horizons: int = 4
     wind_reorder: bool = True
     elev_bias: bool = True
     wind_mean: str = "weighted"
 
     def __post_init__(self):
+        if self.heads < 1:
+            raise ConfigError(f"model.heads = {self.heads} < 1")
         if self.d % self.heads:
             raise ConfigError(f"width {self.d} not divisible by {self.heads} heads")
-        if self.layers < 0 or self.v_out < 1 or self.n_horizons < 1:
-            raise ConfigError("layers must be >= 0; v_out and n_horizons >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"model.dropout = {self.dropout} is outside [0, 1)")
+        if self.layers < 0 or self.n_horizons < 1:
+            raise ConfigError("layers must be >= 0 and n_horizons >= 1")
 
     @property
     def v_in(self) -> int:
         return len(INPUT_CHANNELS)
+
+    @property
+    def v_out(self) -> int:
+        return len(TARGET_CHANNELS)
 
     @property
     def token_dim(self) -> int:
@@ -447,7 +457,7 @@ def save_checkpoint(
     write_atomic(f"{path}.txt", text.encode("utf-8"))
 
 
-def load_checkpoint(path, dtype=np.float32):
+def load_checkpoint(path):
     """Returns (ParamStore, ModelConfig, moments | None, extras dict).
 
     Names, shapes and groups come from `_param_layout` on the sidecar's
@@ -475,7 +485,7 @@ def load_checkpoint(path, dtype=np.float32):
     for state, row in zip(container.channels, container.data[:, 0]):
         chunks = np.split(row, np.cumsum(sizes)[:-1])
         states[state] = {
-            k: chunk.reshape(shapes[k]).astype(dtype) for k, chunk in zip(names, chunks)
+            k: chunk.reshape(shapes[k]).astype(np.float32) for k, chunk in zip(names, chunks)
         }
     store = ParamStore({k: ad.parameter(v) for k, v in states["param"].items()}, groups)
     moments = (states["adam_m"], states["adam_v"]) if "adam_m" in states else None

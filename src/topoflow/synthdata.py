@@ -14,9 +14,11 @@ without any external datasets. A dataset is built from:
     donor-cell advection plus central diffusion. Flux form conserves mass
     exactly under periodic boundaries; the sink is applied as a
     multiplicative decay exp(-D*dt) so nonnegativity is unconditional.
-    One integrator call advances many steps under fixed winds, doing the
-    wind-dependent set-up once; a sample makes one call per horizon
-    segment, bitwise equal to stepping one call at a time.
+    PhysicsConfig holds the constants; the point sources Q are drawn per
+    sample and passed to each integrator call. One call advances many
+    steps under fixed winds, doing the wind-dependent set-up once; a
+    sample makes one call per horizon segment, bitwise equal to stepping
+    one call at a time.
 
 Forecast horizons are nominal labels: `hours_per_step` hours of label time
 correspond to one model step of `substeps` integrator steps, so horizon
@@ -28,7 +30,6 @@ so datasets are order-independent and reproducible sample by sample.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,6 +58,8 @@ INPUT_CHANNELS = ("u", "v", "c", "x", "y", "elev") + TEMPORAL_CHANNELS
 INPUT_UNITS = ("m/s", "m/s", "ug/m3", "", "", "m") + ("",) * 4
 TARGET_CHANNELS = ("c",)
 ARCHETYPES = ("flat", "ridge", "basin", "basin_ridge")
+TERRAIN_COUPLING = 1.6     # streamfunction weight of the contour-following term
+NOISE_COUPLING = 0.35      # streamfunction weight of the smooth random term
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,6 @@ class PhysicsConfig:
     dt: float = 150.0              # integrator step, s
     dx: float = 2000.0             # cell size, m
     boundary: str = "periodic"     # periodic | clamped
-    sources: tuple = ()            # ((row, col), rate conc/s), ...
     sink: float = 6.7e-5           # decay rate, 1/s
     max_wind: float = 6.0          # CFL wind bound, m/s
     hours_per_step: float = 12.0   # nominal label hours per model step
@@ -103,10 +105,7 @@ class TerrainWind:
     elevation: np.ndarray   # (H, W) meters
     u: np.ndarray           # (H, W) m/s
     v: np.ndarray           # (H, W) m/s
-    seed: int
-    archetype: str
     base_speed: float       # m/s, uniform component magnitude
-    bearing: float          # radians, uniform component direction
 
     def __post_init__(self):
         for name in ("elevation", "u", "v"):
@@ -125,7 +124,6 @@ class CovarianceFit:
 
     along_decay: float      # cells
     cross_decay: float      # cells
-    residual: float         # rms log-residual of the along-wind fit
     l_adv: float            # advective length |u|*tau, cells
 
     def __post_init__(self):
@@ -179,8 +177,6 @@ def synth_wind(
     speed: float,
     rng: np.random.Generator,
     max_speed: float,
-    terrain_coupling: float = 1.6,
-    noise_coupling: float = 0.35,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Divergence-reduced wind from a streamfunction over the given terrain.
 
@@ -196,9 +192,9 @@ def synth_wind(
     span = elevation.max() - elevation.min()
     char_len = 0.33 * min(h, w) * dx
     if span > 0:
-        psi += terrain_coupling * speed * char_len * (elevation - elevation.min()) / span
+        psi += TERRAIN_COUPLING * speed * char_len * (elevation - elevation.min()) / span
     noise_corr = 0.25 * min(h, w)
-    psi += noise_coupling * speed * (noise_corr * dx) * _smooth_noise((h, w), noise_corr, rng)
+    psi += NOISE_COUPLING * speed * (noise_corr * dx) * _smooth_noise((h, w), noise_corr, rng)
     u = np.gradient(psi, dx, axis=0)
     v = -np.gradient(psi, dx, axis=1)
     top = np.hypot(u, v).max()
@@ -213,18 +209,16 @@ def gen_terrain(
     seed: int,
     archetype: str = "basin_ridge",
     base_speed: float = 2.0,
-    bearing: float | None = None,
     max_speed: float = 6.0,
 ) -> TerrainWind:
-    """Deterministic terrain + reference wind for one dataset."""
+    """Deterministic terrain + reference wind (at a random bearing) for one dataset."""
     if archetype not in ARCHETYPES:
         raise ConfigError(f"unknown archetype {archetype!r}; pick from {ARCHETYPES}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), TERRAIN_STREAM]))
     elev = _elevation(spec, archetype, rng)
-    if bearing is None:
-        bearing = float(rng.uniform(0.0, 2.0 * math.pi))
+    bearing = float(rng.uniform(0.0, 2.0 * math.pi))
     u, v = synth_wind(elev, 2000.0, bearing, base_speed, rng, max_speed)
-    return TerrainWind(elev, u, v, int(seed), archetype, base_speed, float(bearing))
+    return TerrainWind(elev, u, v, base_speed)
 
 
 def study_mask(spec: GridSpec) -> LandMask:
@@ -246,9 +240,12 @@ def _check_cfl(u: np.ndarray, v: np.ndarray, cfg: PhysicsConfig) -> None:
 
 
 def _step_array(
-    c: np.ndarray, u: np.ndarray, v: np.ndarray, cfg: PhysicsConfig, steps: int = 1
+    c: np.ndarray, u: np.ndarray, v: np.ndarray, cfg: PhysicsConfig, sources: tuple,
+    steps: int = 1,
 ) -> np.ndarray:
     """Advance `steps` explicit steps: donor-cell advection, central diffusion, Q, decay.
+
+    `sources` holds ((row, col), rate) point emissions, rate in conc/s.
 
     Periodic boundaries wrap (and conserve mass exactly, since face fluxes
     telescope). Clamped boundaries see a zero-concentration exterior:
@@ -312,7 +309,7 @@ def _step_array(
     west, east = grid[1:-1, :-2], grid[1:-1, 2:]
     lam = cfg.dt / cfg.dx
     diff = cfg.kappa * cfg.dt / cfg.dx**2
-    emissions = [(row, col, rate * cfg.dt) for (row, col), rate in cfg.sources]
+    emissions = [(row, col, rate * cfg.dt) for (row, col), rate in sources]
     decay = math.exp(-cfg.sink * cfg.dt) if cfg.sink > 0 else None
     adv = np.empty((h, w))
     ady = np.empty((h, w))
@@ -347,14 +344,15 @@ def _step_array(
     return cur.copy()
 
 
-def step(c: Field, tw: TerrainWind, cfg: PhysicsConfig) -> Field:
-    """Advance a single-channel concentration field by one integrator step."""
+def step(c: Field, tw: TerrainWind, cfg: PhysicsConfig, sources: tuple) -> Field:
+    """Advance a single-channel concentration field by one integrator step
+    under the terrain's winds and the ((row, col), rate) point `sources`."""
     if len(c.channels) != 1:
         raise ShapeError(f"step expects a 1-channel field, got {c.channels}")
     if tw.elevation.shape != (c.spec.height, c.spec.width):
         raise ShapeError("terrain grid does not match the field grid")
     _check_cfl(tw.u, tw.v, cfg)
-    out = _step_array(c.data[0], tw.u, tw.v, cfg)
+    out = _step_array(c.data[0], tw.u, tw.v, cfg, sources)
     return c.with_data(out[None].astype(np.float32))
 
 
@@ -419,9 +417,9 @@ def make_sample(
         raise ConfigError(f"unknown wind mode {wind_mode!r}")
     _check_cfl(u, v, cfg)
     if source_mode == "random":
-        cfg_i = dataclasses.replace(cfg, sources=_sample_sources(spec, rng))
+        sources = _sample_sources(spec, rng)
     elif source_mode == "none":
-        cfg_i = dataclasses.replace(cfg, sources=())
+        sources = ()
     else:
         raise ConfigError(f"unknown source mode {source_mode!r}")
     if init_mode not in ("blobs", "textured"):
@@ -435,7 +433,7 @@ def make_sample(
     done = 0
     for h in horizons:
         target = cfg.steps_for_hours(h)
-        c = _step_array(c, u, v, cfg_i, steps=target - done)
+        c = _step_array(c, u, v, cfg, sources, steps=target - done)
         done = target
         snapshots.append(c)
 
@@ -490,16 +488,15 @@ def fit_covariance_decay(
     samples: list[Sample],
     tw: TerrainWind,
     cfg: PhysicsConfig | None = None,
-    timescale_s: float | None = None,
-    max_lag: int | None = None,
 ) -> CovarianceFit:
     """Exponential decay of |cov| with lag, along vs across the mean wind.
 
     Ensemble covariance is estimated from the most-evolved tracer field of
     each sample (the last target; the input when a sample has none) at
-    integer cell shifts along the wind direction and perpendicular to it,
-    then log-linearly fit. The advective length uses tau = timescale_s if
-    given, else 1/sink when the physics config carries a positive sink.
+    integer cell shifts up to a third of the shorter grid side, along the
+    wind direction and perpendicular to it, then log-linearly fit. The
+    advective length uses tau = 1/sink when the physics config carries a
+    positive sink, and is NaN otherwise.
     """
     if len(samples) < 32:
         raise ConfigError(f"need >= 32 samples for a covariance fit, got {len(samples)}")
@@ -518,8 +515,7 @@ def fit_covariance_decay(
     theta = patch_wind_direction(tw.u, tw.v)
     along = (math.cos(theta), math.sin(theta))
     cross = (-math.sin(theta), math.cos(theta))
-    if max_lag is None:
-        max_lag = min(spec.height, spec.width) // 3
+    max_lag = min(spec.height, spec.width) // 3
 
     def cov_at(direction, lag):
         dcol = int(round(direction[0] * lag))
@@ -539,21 +535,13 @@ def fit_covariance_decay(
         a = np.stack([np.asarray(lags), np.ones(len(lags))], axis=1)
         coef, *_ = np.linalg.lstsq(a, np.asarray(logs), rcond=None)
         slope = float(coef[0])
-        resid = float(np.sqrt(np.mean((a @ coef - np.asarray(logs)) ** 2)))
-        length = math.inf if slope >= 0 else -1.0 / slope
-        return length, resid
+        return math.inf if slope >= 0 else -1.0 / slope
 
-    l_along, resid = decay_length(along)
-    l_cross, _ = decay_length(cross)
-
-    if timescale_s is None and cfg is not None and cfg.sink > 0:
-        timescale_s = 1.0 / cfg.sink
-    if timescale_s is not None and cfg is not None:
+    l_adv = math.nan
+    if cfg is not None and cfg.sink > 0:
         speed = float(np.hypot(tw.u, tw.v).mean())
-        l_adv = speed * timescale_s / cfg.dx
-    else:
-        l_adv = math.nan
-    return CovarianceFit(l_along, l_cross, resid, l_adv)
+        l_adv = speed * (1.0 / cfg.sink) / cfg.dx
+    return CovarianceFit(decay_length(along), decay_length(cross), l_adv)
 
 
 # ---------------------------------------------------------------------------
@@ -580,11 +568,13 @@ def write_dataset(
     stats: NormStats,
     seed: int,
 ) -> None:
-    """Persist a dataset directory. The manifest, whose header names the
-    sample count, is written last and atomically, so a killed writer leaves
-    no `manifest.txt` and `read_dataset` refuses the directory."""
+    """Persist a dataset directory. Any old manifest is removed first, and
+    the new one, whose header names the sample count, is written last and
+    atomically, so a killed writer leaves no `manifest.txt` (not even over
+    an older dataset) and `read_dataset` refuses the directory."""
     out = Path(out_dir)
     (out / "samples").mkdir(parents=True, exist_ok=True)
+    (out / "manifest.txt").unlink(missing_ok=True)
     spec = samples[0].input.spec if samples else mask.spec
     terrain_field = Field(
         spec,
@@ -638,10 +628,7 @@ def read_dataset(in_dir) -> DatasetBundle:
         terrain_field.channel("elev").astype(np.float64),
         terrain_field.channel("u").astype(np.float64),
         terrain_field.channel("v").astype(np.float64),
-        seed=0,
-        archetype="loaded",
         base_speed=0.0,
-        bearing=0.0,
     )
     samples: list[Sample] = []
     horizons: tuple[int, ...] = ()

@@ -21,20 +21,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DataError, ShapeError
-from .fields import Field, GridSpec
+from .fields import GridSpec
 
 H0_METERS = 1000.0    # reference climb normalizer
 BIAS_LO = -10.0       # clamp floor; ceiling is 0
 ALPHA_INIT = 2.0
 
 
-def patch_elevations(elevation, spec: GridSpec) -> np.ndarray:
-    """Mean elevation per patch, raster order, meters.
-
-    `elevation` is either an (H, W) array or a Field with an "elev" channel.
-    """
-    if isinstance(elevation, Field):
-        elevation = elevation.channel("elev")
+def patch_elevations(elevation: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """Mean elevation per patch of an (H, W) grid, raster order, meters."""
     elev = np.asarray(elevation, dtype=np.float64)
     if elev.shape != (spec.height, spec.width):
         raise ShapeError(f"elevation shape {elev.shape}, expected {(spec.height, spec.width)}")
@@ -43,12 +38,12 @@ def patch_elevations(elevation, spec: GridSpec) -> np.ndarray:
     return blocks.mean(axis=(1, 3)).reshape(spec.n_patches)
 
 
-def uphill_matrix(patch_elev: np.ndarray, h0: float = H0_METERS) -> np.ndarray:
+def uphill_matrix(patch_elev: np.ndarray) -> np.ndarray:
     """ReLU((h_j - h_i) / h0) for all patch pairs; row i = query, col j = key."""
     h = np.asarray(patch_elev, dtype=np.float64)
     if h.ndim != 1:
         raise ShapeError("patch elevations must be a flat vector")
-    return np.maximum(0.0, (h[None, :] - h[:, None]) / h0)
+    return np.maximum(0.0, (h[None, :] - h[:, None]) / H0_METERS)
 
 
 def bias_tensor(patch_elev: np.ndarray, alpha, orders: np.ndarray | None = None) -> ad.Tensor:

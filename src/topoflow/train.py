@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import statistics
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -34,6 +35,7 @@ from .config import encode
 from .errors import ConfigError, NumericError, ShapeError
 from .fields import normalize, write_atomic
 from .model import ForwardResult, ModelConfig, ParamStore, forward, init_params, patchify
+from .reorder import SectorPermutation
 from .synthdata import DatasetBundle
 from .topo_bias import patch_elevations
 
@@ -250,26 +252,23 @@ def prepare_arrays(bundle: DatasetBundle, config: ModelConfig) -> TrainingArrays
         raise ShapeError(
             f"dataset provides {target_grids.shape[1]} target channels, model expects {n_out}"
         )
-    target_tokens = patchify(target_grids, spec).astype(np.float32)
-    mask_tok = np.tile(
-        patchify(bundle.mask.mask[None].astype(np.float32), spec), (1, n_out)
-    )
     if config.wind_reorder:
         # permutations come from the physical winds, not the z-scored inputs
         raw_u = np.stack([s.input.channel("u") for s in bundle.samples])
         raw_v = np.stack([s.input.channel("v") for s in bundle.samples])
         perms = model_mod.build_perms(config, raw_u, raw_v)
-        target_tokens = np.stack(
-            [target_tokens[i][p.forward] for i, p in enumerate(perms)]
-        )
-        mask_tokens = np.stack([mask_tok[p.forward] for p in perms])
     else:
-        from .reorder import SectorPermutation
-
         perms = [SectorPermutation.identity(spec)] * len(bundle.samples)
-        mask_tokens = np.broadcast_to(
-            mask_tok, (len(bundle.samples),) + mask_tok.shape
-        ).copy()
+    # one gather into slot order serves both settings: an identity
+    # permutation gathers the raster order unchanged
+    orders = np.stack([p.forward for p in perms])
+    target_tokens = np.take_along_axis(
+        patchify(target_grids, spec).astype(np.float32), orders[..., None], axis=1
+    )
+    mask_tok = np.tile(
+        patchify(bundle.mask.mask[None].astype(np.float32), spec), (1, n_out)
+    )
+    mask_tokens = mask_tok[orders]
     elev_patch = patch_elevations(bundle.terrain.elevation, spec)
     return TrainingArrays(
         inputs.astype(np.float32),
@@ -493,7 +492,6 @@ def ablation_run(
     config: ModelConfig,
     tconfig: TrainConfig,
     variants: dict[str, tuple[bool, bool]] | None = None,
-    out_dir=None,
 ) -> list[AblationRow]:
     """Train every (variant, seed) pair and collect validation losses."""
     seeds = list(seeds)
@@ -505,10 +503,7 @@ def ablation_run(
         for seed in seeds:
             mcfg = dataclasses.replace(config, wind_reorder=wind, elev_bias=elev)
             tcfg = dataclasses.replace(tconfig, seed=int(seed))
-            run_dir = None
-            if out_dir is not None:
-                run_dir = Path(out_dir) / f"{name}_seed{seed}"
-            result = fit(bundle, mcfg, tcfg, out_dir=run_dir)
+            result = fit(bundle, mcfg, tcfg)
             rows.append(
                 AblationRow(name, int(seed), wind, elev, result.best_val,
                             result.final_val, result.seconds)
@@ -517,12 +512,10 @@ def ablation_run(
 
 
 def median_best_by_variant(rows: list[AblationRow]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for name in {r.variant for r in rows}:
-        vals = sorted(r.best_val for r in rows if r.variant == name)
-        mid = len(vals) // 2
-        out[name] = vals[mid] if len(vals) % 2 else 0.5 * (vals[mid - 1] + vals[mid])
-    return out
+    return {
+        name: statistics.median(r.best_val for r in rows if r.variant == name)
+        for name in {r.variant for r in rows}
+    }
 
 
 def sector_sweep(
@@ -530,7 +523,6 @@ def sector_sweep(
     tiles_list,
     config: ModelConfig,
     tconfig: TrainConfig,
-    out_dir=None,
 ) -> list[dict]:
     """Train the wind-reorder variant across sector granularities.
 
@@ -548,8 +540,7 @@ def sector_sweep(
             spec, sector_rows=spec.patches_y // ty, sector_cols=spec.patches_x // tx
         )
         mcfg = dataclasses.replace(config, spec=new_spec, wind_reorder=True)
-        run_dir = Path(out_dir) / f"tiles_{label}" if out_dir is not None else None
-        result = fit(bundle, mcfg, tconfig, out_dir=run_dir)
+        result = fit(bundle, mcfg, tconfig)
         if base_loss is None:
             base_loss = result.best_val
         rows.append(

@@ -227,7 +227,7 @@ def test_criterion_6_physics_suite():
     c = 50.0 * np.exp(-((rows - 16) ** 2 + (cols - 20) ** 2) / 12.5)
     total0 = c.sum()
     for _ in range(100):
-        c = synthdata._step_array(c, u, v, cfg)
+        c = synthdata._step_array(c, u, v, cfg, ())
     drift = abs(c.sum() - total0) / total0
     assert drift < 1e-5
 
@@ -236,7 +236,7 @@ def test_criterion_6_physics_suite():
                                    max_wind=2.5, substeps=1)
     c = 50.0 * np.exp(-((rows - 16) ** 2 + (cols - 10) ** 2) / 12.5)
     for _ in range(30):
-        c = synthdata._step_array(c, np.full((32, 64), 2.0), np.zeros((32, 64)), cfg2)
+        c = synthdata._step_array(c, np.full((32, 64), 2.0), np.zeros((32, 64)), cfg2, ())
     peak = np.unravel_index(np.argmax(c), c.shape)
     expected = 10 + round(30 * 2.0 * 200.0 / 1000.0)
     assert abs(peak[1] - expected) <= 1 and peak[0] == 16
@@ -247,8 +247,7 @@ def test_criterion_6_physics_suite():
     assert peclet >= 10.0
     for seed in range(10):
         tw = synthdata.TerrainWind(
-            np.zeros((32, 64)), np.full((32, 64), 2.0), np.zeros((32, 64)),
-            seed=seed, archetype="flat", base_speed=2.0, bearing=0.0,
+            np.zeros((32, 64)), np.full((32, 64), 2.0), np.zeros((32, 64)), base_speed=2.0
         )
         pcfg = synthdata.PhysicsConfig(kappa=40.0, dt=150.0, dx=2000.0, sink=6.7e-5,
                                        max_wind=6.0, substeps=96)

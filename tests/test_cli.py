@@ -2,6 +2,9 @@
 
 import argparse
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -186,8 +189,7 @@ def test_dump_perm_uniform_east_wind(tmp_path, config_path):
     spec = GridSpec(8, 16, 2, 4, 2)
     shape = (8, 16)
     tw = synthdata.TerrainWind(
-        np.zeros(shape), np.ones(shape), np.zeros(shape),
-        seed=0, archetype="flat", base_speed=1.0, bearing=0.0,
+        np.zeros(shape), np.ones(shape), np.zeros(shape), base_speed=1.0
     )
     cfg = synthdata.PhysicsConfig(substeps=1)
     samples = synthdata.make_dataset(spec, tw, cfg, (12,), 2, seed=0, wind_mode="fixed")
@@ -242,7 +244,8 @@ def test_config_errors_exit_two(tmp_path, dataset, capsys):
         bad = tmp_path / f"bad{i}.cfg"
         bad.write_text(text + "\n", encoding="utf-8")
         assert run("gen", "--config", str(bad), "--out", str(tmp_path / f"x{i}")) == 2
-    for key, value in (("model.d", "abc"), ("model.elev_bias", "maybe")):
+    for key, value in (("model.d", "abc"), ("model.elev_bias", "maybe"), ("model.heads", "0"),
+                       ("model.dropout", "1.0"), ("model.dropout", "-0.1")):
         cfg = write_config(tmp_path / f"{key}.cfg", **{key: value})
         capsys.readouterr()
         assert run(
@@ -320,8 +323,6 @@ def test_gen_budget_100_samples_default_grid(tmp_path):
 
 
 def test_thread_cap_env(monkeypatch):
-    import os
-
     from topoflow.cli import _apply_thread_cap
 
     monkeypatch.setenv("TOPOFLOW_THREADS", "1")
@@ -330,3 +331,9 @@ def test_thread_cap_env(monkeypatch):
     _apply_thread_cap()
     assert os.environ["OMP_NUM_THREADS"] == "1"
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    # the cap is applied in main(), so it only reaches BLAS if importing
+    # the CLI loads no numpy (why DEFAULTS is a literal table)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(synthdata.__file__)))
+    code = "import sys, topoflow.cli; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

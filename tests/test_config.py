@@ -26,6 +26,15 @@ def test_defaults_keys_name_dataclass_fields():
     assert cli.build_train_config(cli.DEFAULTS).total_steps == 600
 
 
+def test_dataclass_fields_are_defaults_keys():
+    """Every config field has a key, except those the caller supplies."""
+    given = {"model.spec", "model.n_horizons", "train.seed"}
+    for section, cls in SECTIONS.items():
+        for f in dataclasses.fields(cls):
+            key = f"{section}.{f.name}"
+            assert key in cli.DEFAULTS or key in given, key
+
+
 def test_codec_errors_are_config_errors():
     with pytest.raises(ConfigError, match="grid.height"):
         decode(GridSpec, {}, "grid")
@@ -36,7 +45,6 @@ def test_codec_errors_are_config_errors():
         "train.lr_base": ("fast", float),
         "model.wind_reorder": ("yes", bool),
         "data.horizons": ("12,a", tuple[int, ...]),
-        "model.wind_channels": ("u", tuple[str, str]),
     }
     for key, (text, tp) in bad.items():
         with pytest.raises(ConfigError, match=key):

@@ -19,8 +19,7 @@ SPEC = GridSpec(32, 64, 2, 8, 8)
 def uniform_terrain(spec, u=2.0, v=0.0):
     shape = (spec.height, spec.width)
     return TerrainWind(
-        np.zeros(shape), np.full(shape, u), np.full(shape, v),
-        seed=0, archetype="flat", base_speed=math.hypot(u, v), bearing=math.atan2(v, u),
+        np.zeros(shape), np.full(shape, u), np.full(shape, v), base_speed=math.hypot(u, v)
     )
 
 
@@ -92,7 +91,7 @@ def test_step_no_dynamics_is_identity():
     cfg = quiet_config()
     rng = np.random.default_rng(0)
     c = Field(SPEC, ("c",), rng.uniform(0, 10, (1, 32, 64)).astype(np.float32), ("ug/m3",))
-    out = synthdata.step(c, tw, cfg)
+    out = synthdata.step(c, tw, cfg, ())
     np.testing.assert_array_equal(out.data, c.data)
 
 
@@ -101,9 +100,9 @@ def test_step_rejects_cfl_violation():
     tw = uniform_terrain(SPEC, 3.0, 0.0)
     fast = uniform_terrain(SPEC, 8.0, 0.0)  # exceeds the bound at step time
     c = Field(SPEC, ("c",), np.zeros((1, 32, 64), np.float32), ("ug/m3",))
-    synthdata.step(c, tw, cfg)
+    synthdata.step(c, tw, cfg, ())
     with pytest.raises(StabilityError):
-        synthdata.step(c, fast, cfg)
+        synthdata.step(c, fast, cfg, ())
 
 
 def gaussian_blob(spec, row, col, sigma=2.5, amp=50.0):
@@ -118,13 +117,13 @@ def test_mass_conserved_over_100_periodic_steps():
         np.zeros((32, 64)),
         rng.normal(0.0, 0.6, (32, 64)),
         rng.normal(0.0, 0.6, (32, 64)),
-        seed=0, archetype="flat", base_speed=1.0, bearing=0.0,
+        base_speed=1.0,
     )
     cfg = quiet_config(kappa=100.0)
     c = gaussian_blob(SPEC, 16, 20).astype(np.float64)
     total0 = c.sum()
     for _ in range(100):
-        c = synthdata._step_array(c, tw.u, tw.v, cfg)
+        c = synthdata._step_array(c, tw.u, tw.v, cfg, ())
     assert abs(c.sum() - total0) / total0 < 1e-5
 
 
@@ -136,7 +135,7 @@ def test_gaussian_peak_advected_by_expected_cells():
     c = gaussian_blob(SPEC, *start).astype(np.float64)
     n = 30
     for _ in range(n):
-        c = synthdata._step_array(c, tw.u, tw.v, cfg)
+        c = synthdata._step_array(c, tw.u, tw.v, cfg, ())
     expected_cols = round(n * u * cfg.dt / cfg.dx)  # 12 cells east
     peak = np.unravel_index(np.argmax(c), c.shape)
     assert abs(peak[1] - (start[1] + expected_cols)) <= 1
@@ -147,10 +146,10 @@ def test_nonnegativity_preserved():
     rng = np.random.default_rng(2)
     tw = uniform_terrain(SPEC, 1.5, -1.0)
     cfg = quiet_config(kappa=30.0, sink=1e-4)
-    cfg = dataclasses.replace(cfg, sources=(((8, 8), 2e-3),))
+    sources = (((8, 8), 2e-3),)
     c = gaussian_blob(SPEC, 16, 32).astype(np.float64)
     for _ in range(200):
-        c = synthdata._step_array(c, tw.u, tw.v, cfg)
+        c = synthdata._step_array(c, tw.u, tw.v, cfg, sources)
         assert c.min() >= 0.0
 
 
@@ -160,7 +159,7 @@ def test_clamped_boundary_does_not_wrap():
     c = gaussian_blob(SPEC, 16, 60).astype(np.float64)  # near the east edge
     total0 = c.sum()
     for _ in range(40):
-        c = synthdata._step_array(c, tw.u, tw.v, cfg)
+        c = synthdata._step_array(c, tw.u, tw.v, cfg, ())
     assert c.sum() < total0 * 0.6          # mass left the domain
     assert c[:, :5].max() < 1e-6           # nothing reappeared in the west
 
@@ -169,11 +168,11 @@ def test_sink_is_multiplicative_decay():
     tw = uniform_terrain(SPEC, 0.0, 0.0)
     cfg = quiet_config(sink=1e-4)
     c = np.full((32, 64), 10.0)
-    out = synthdata._step_array(c, tw.u, tw.v, cfg)
+    out = synthdata._step_array(c, tw.u, tw.v, cfg, ())
     np.testing.assert_allclose(out, 10.0 * math.exp(-1e-4 * cfg.dt), rtol=1e-12)
 
 
-def reference_step(c, u, v, cfg):
+def reference_step(c, u, v, cfg, sources):
     """The one-step integrator as first written (np.roll / np.pad per step),
     kept here as the reference for the multi-step one."""
     lam = cfg.dt / cfg.dx
@@ -206,7 +205,7 @@ def reference_step(c, u, v, cfg):
         cp = np.pad(c, 1, mode="edge")
         lap = cp[:-2, 1:-1] + cp[2:, 1:-1] + cp[1:-1, :-2] + cp[1:-1, 2:] - 4.0 * c
     out = c + adv + (cfg.kappa * cfg.dt / cfg.dx**2) * lap
-    for (row, col), rate in cfg.sources:
+    for (row, col), rate in sources:
         out[row, col] += rate * cfg.dt
     if cfg.sink > 0:
         out *= math.exp(-cfg.sink * cfg.dt)
@@ -231,16 +230,16 @@ def awkward_winds(seed):
 def test_multi_step_call_equals_per_step_reference_bitwise(boundary):
     u, v = awkward_winds(3)
     cfg = PhysicsConfig(
-        kappa=40.0, dt=150.0, dx=2000.0, boundary=boundary, sink=6.7e-5, max_wind=6.0,
-        sources=(((5, 7), 3e-3), ((0, 63), 1e-3), ((-1, 0), 2e-3), ((5, 7), 1e-3)),
+        kappa=40.0, dt=150.0, dx=2000.0, boundary=boundary, sink=6.7e-5, max_wind=6.0
     )
+    sources = (((5, 7), 3e-3), ((0, 63), 1e-3), ((-1, 0), 2e-3), ((5, 7), 1e-3))
     rng = np.random.default_rng(4)
     c0 = gaussian_blob(SPEC, 16, 3) + rng.uniform(0.0, 5.0, (32, 64))
     for k in (1, 2, 13, 48):
         ref = c0
         for _ in range(k):
-            ref = reference_step(ref, u, v, cfg)
-        out = synthdata._step_array(c0, u, v, cfg, steps=k)
+            ref = reference_step(ref, u, v, cfg, sources)
+        out = synthdata._step_array(c0, u, v, cfg, sources, steps=k)
         assert out.dtype == np.float64 and out.shape == c0.shape
         assert out.tobytes() == ref.tobytes(), (boundary, k)
 
@@ -248,12 +247,13 @@ def test_multi_step_call_equals_per_step_reference_bitwise(boundary):
 @pytest.mark.parametrize("boundary", ["periodic", "clamped"])
 def test_integrator_leaves_input_alone_and_zero_steps_is_identity(boundary):
     u, v = awkward_winds(5)
-    cfg = PhysicsConfig(boundary=boundary, sources=(((3, 3), 2e-3),))
+    cfg = PhysicsConfig(boundary=boundary)
+    sources = (((3, 3), 2e-3),)
     c = np.random.default_rng(6).uniform(0.0, 30.0, (32, 64))
     before = c.copy()
-    same = synthdata._step_array(c, u, v, cfg, steps=0)
+    same = synthdata._step_array(c, u, v, cfg, sources, steps=0)
     assert same.tobytes() == c.tobytes() and not np.shares_memory(same, c)
-    out = synthdata._step_array(c, u, v, cfg, steps=5)
+    out = synthdata._step_array(c, u, v, cfg, sources, steps=5)
     assert c.tobytes() == before.tobytes()
     assert out.flags.c_contiguous
     out[...] = 0.0                  # the result owns its memory
@@ -324,11 +324,11 @@ def test_norm_kinds_cover_all_channels():
     assert set(kinds) == set(synthdata.INPUT_CHANNELS)
 
 
-def small_dataset(count):
+def small_dataset(count, seed=9):
     """(samples, terrain, mask, stats): the arguments of `write_dataset`."""
     tw = synthdata.gen_terrain(SPEC, seed=2, archetype="basin")
     cfg = PhysicsConfig(substeps=1)
-    samples = synthdata.make_dataset(SPEC, tw, cfg, (12, 24), count, seed=9)
+    samples = synthdata.make_dataset(SPEC, tw, cfg, (12, 24), count, seed=seed)
     stats = NormStats.fit([s.input for s in samples], synthdata.norm_kinds())
     return samples, tw, synthdata.study_mask(SPEC), stats
 
@@ -367,6 +367,28 @@ def test_killed_manifest_write_leaves_no_manifest(tmp_path, monkeypatch):
         m.setattr(os, "replace", killed_replace)
         with pytest.raises(KeyboardInterrupt):
             synthdata.write_dataset(tmp_path / "ds", *small_dataset(2), seed=9)
+    assert not (tmp_path / "ds" / "manifest.txt").exists()
+    with pytest.raises(DataError, match="no manifest"):
+        synthdata.read_dataset(tmp_path / "ds")
+
+
+def test_killed_overwrite_leaves_no_manifest(tmp_path, monkeypatch):
+    """A writer killed over an older dataset must not leave the old manifest
+    naming a mix of old and new sample files."""
+    synthdata.write_dataset(tmp_path / "ds", *small_dataset(6, seed=1), seed=1)
+    real_write_grid = synthdata.write_grid
+    written = []
+
+    def killed_write_grid(obj, path):
+        written.append(path)
+        if len(written) == 6:   # terrain, mask, sample 0's three files, then sample 1
+            raise KeyboardInterrupt
+        real_write_grid(obj, path)
+
+    with monkeypatch.context() as m:
+        m.setattr(synthdata, "write_grid", killed_write_grid)
+        with pytest.raises(KeyboardInterrupt):
+            synthdata.write_dataset(tmp_path / "ds", *small_dataset(6, seed=2), seed=2)
     assert not (tmp_path / "ds" / "manifest.txt").exists()
     with pytest.raises(DataError, match="no manifest"):
         synthdata.read_dataset(tmp_path / "ds")
