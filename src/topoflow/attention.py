@@ -15,8 +15,13 @@ single tape node with an analytic backward. Forward and backward visit
 one (sample, head) pair's (N, N) logit block at a time, the blocking idea
 of FlashAttention (Dao et al. 2022, arXiv:2205.14135) rather than its
 kernel: a block is 1 MB at the desk size (N = 512, float32), so it stays
-in a core's L2 cache while it is biased, normalized and multiplied, and
-the only N x N arrays kept for backward are the softmax weights.
+in a core's L2 cache while it is biased, normalized and multiplied. No
+N x N array is kept for the backward. The forward records each softmax
+row's max and sum of exponentials, and the backward recomputes a block's
+weights from them: one more q k^T product and four elementwise passes
+per block buy back the (B, heads, N, N) weights the tape would otherwise
+hold (recompute instead of store, as in gradient checkpointing, Chen et
+al. 2016, arXiv:1604.06174).
 """
 
 from __future__ import annotations
@@ -55,20 +60,27 @@ class AttentionParams:
         return self.wq.shape[0]
 
 
-def _attend_parts(tokens, params: AttentionParams, bias=None):
+def _attend_parts(tokens, params: AttentionParams, bias=None, weights: bool = False):
     """Biased multi-head attention as one tape node; returns (out, weights).
 
     The forward projects Q, K and V, then works on one head's (N, N) logit
-    block of one sample at a time: bias add, finiteness check and an
-    in-place row softmax. Only the post-softmax weights and the
-    (N, d)-sized projections stay alive for the analytic backward, which
-    visits the blocks in the same order with one reused (N, N) buffer and
-    returns the gradients of the tokens, the four projections and the bias.
+    block of one sample at a time, in one reused buffer: q k^T, bias add,
+    finiteness check and an in-place row softmax, which also writes each
+    row's max and sum of exponentials into two (B, heads, N, 1) arrays.
+    The analytic backward keeps no N x N array: it holds the projections,
+    the context, the bias and those row statistics, and visits the blocks
+    in the same order. It recomputes each block's weights in a reused
+    buffer as exp(q k^T + bias - max) / sum, the forward's own operations
+    on the same operands, so every weight and every gradient keeps its
+    bits. It returns the gradients of the tokens, the four projections
+    and the bias.
     The bias is shared by the heads: it has shape (N, N), (1, 1, N, N) or
     (B, 1, N, N), the shapes `model.forward` passes, and any other shape
     raises ShapeError. Its gradient adds up a sample's heads in one buffer,
     in head order, and then the samples that share it.
-    `weights` is a constant Tensor of shape (..., heads, N, N).
+    With `weights` the second value is the post-softmax weights, a
+    constant Tensor of shape (..., heads, N, N); without it, an empty
+    (..., heads, 0, 0) Tensor of the logits' dtype.
     """
     x = ad.as_tensor(tokens)
     if x.data.ndim not in (2, 3) or x.shape[-1] != params.d:
@@ -102,17 +114,21 @@ def _attend_parts(tokens, params: AttentionParams, bias=None):
     v = xs @ params.wv.data
     qh, kh, vh = heads(q), heads(k), heads(v)
     dtype = np.result_type(q, k) if bias3 is None else np.result_type(q, k, bias3)
-    weights = np.empty((b, h, n, n), dtype=dtype)
+    kept = n if weights else 0
+    probs = np.empty((b, h, kept, kept), dtype=dtype)
+    row_max = np.empty((b, h, n, 1), dtype=dtype)
+    row_sum = np.empty((b, h, n, 1), dtype=dtype)
+    buf = None if weights else np.empty((n, n), dtype=dtype)
     ctx = np.empty((b, n, d), dtype=dtype)
     ctx_h = heads(ctx)
     for i in range(b):
         for j in range(h):
-            block = np.matmul(qh[i, j], kh[i, j].T, out=weights[i, j])
+            block = np.matmul(qh[i, j], kh[i, j].T, out=probs[i, j] if weights else buf)
             if bias3 is not None:
                 block += part(bias3, i)
             if not np.isfinite(block).all():
                 raise NumericError("non-finite attention logits")
-            ad.softmax(block)
+            ad.softmax(block, stats=(row_max[i, j], row_sum[i, j]))
             ctx_h[i, j] = block @ vh[i, j]
     out = ctx @ params.wo.data
 
@@ -125,28 +141,34 @@ def _attend_parts(tokens, params: AttentionParams, bias=None):
         gctx_h = heads(gs @ params.wo.data.T)
         gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
         gq_h, gk_h, gv_h = heads(gq), heads(gk), heads(gv)
+        p = np.empty((n, n), dtype=dtype)
         glog = np.empty((n, n), dtype=np.result_type(gctx_h, vh))
         gbias = head_sum = None
         if bias_t is not None and bias_t.requires_grad:
             gbias = np.zeros(bias3.shape, dtype=bias3.dtype)
             # a sample's heads add up in one buffer, in head order, as a sum
-            # over the head axis would
+            # over the head axis would; the first head's gradient is
+            # written straight into it
             head_sum = np.empty((n, n), dtype=glog.dtype)
         for i in range(b):
             for j in range(h):
-                p = weights[i, j]
+                # the forward's softmax of this block, from its row statistics
+                np.matmul(qh[i, j], kh[i, j].T, out=p)
+                if bias3 is not None:
+                    p += part(bias3, i)
+                p -= row_max[i, j]
+                np.exp(p, out=p)
+                p /= row_sum[i, j]
                 gv_h[i, j] = p.T @ gctx_h[i, j]
-                np.matmul(gctx_h[i, j], vh[i, j].T, out=glog)
+                gl = head_sum if head_sum is not None and j == 0 else glog
+                np.matmul(gctx_h[i, j], vh[i, j].T, out=gl)
                 # softmax backward, in place: p * (dp - rowsum(dp * p))
-                glog -= np.einsum("ij,ij->i", glog, p)[:, None]
-                glog *= p
-                if head_sum is not None:
-                    if j == 0:
-                        head_sum[...] = glog
-                    else:
-                        head_sum += glog
-                gq_h[i, j] = glog @ kh[i, j]
-                gk_h[i, j] = glog.T @ qh[i, j]
+                gl -= np.einsum("ij,ij->i", gl, p)[:, None]
+                gl *= p
+                if head_sum is not None and j > 0:
+                    head_sum += gl
+                gq_h[i, j] = gl @ kh[i, j]
+                gk_h[i, j] = gl.T @ qh[i, j]
             if head_sum is not None:
                 part(gbias, i)[...] += head_sum
         gq *= scale
@@ -170,7 +192,7 @@ def _attend_parts(tokens, params: AttentionParams, bias=None):
         return grads
 
     out_t = ad.Tensor._op(out if batched else out[0], parents, vjp)
-    return out_t, ad.Tensor(weights if batched else weights[0])
+    return out_t, ad.Tensor(probs if batched else probs[0])
 
 
 def equivariance_check(

@@ -229,52 +229,77 @@ def take(x: Tensor, idx: np.ndarray) -> Tensor:
 
 _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
+# elements per GELU chunk: a chunk and its scratch buffers (128 kB each in
+# float32) stay in a core's L2 cache through the whole formula
+_GELU_CHUNK = 32768
+
+
+def _chunks(*arrays: Array):
+    """Yield matching flat slices of equal-size arrays, _GELU_CHUNK at a
+    time; a C-contiguous array's slices are views that can be written."""
+    flat = [a.reshape(-1) for a in arrays]
+    for start in range(0, flat[0].size, _GELU_CHUNK):
+        yield [a[start:start + _GELU_CHUNK] for a in flat]
 
 
 def gelu(x: Tensor) -> Tensor:
     """Smooth (tanh-form) GELU activation.
 
-    The forward is built in place and only the tanh is kept for backward;
-    the vjp recomputes x*x from the input. Both keep the operation order
-    of the textbook formula, so results do not change with the buffering.
+    Forward and backward run over flat chunks of _GELU_CHUNK elements with
+    scratch buffers reused from chunk to chunk, so no temporary is as
+    large as the input. Only the tanh is kept for backward; the vjp
+    recomputes x*x from the input. Both keep the operation order of the
+    textbook formula, so results do not change with the chunking.
     """
     xd = x.data
-    t = xd * xd
-    t *= _GELU_C
-    t *= xd
-    t += xd
-    t *= _GELU_K
-    np.tanh(t, out=t)       # tanh(K * (x + C * x^2 * x))
-    out = xd * 0.5
-    out *= t + 1.0          # 0.5 * x * (1 + t)
+    t = np.empty(xd.shape, dtype=xd.dtype)
+    out = np.empty(xd.shape, dtype=xd.dtype)
+    scratch = np.empty(min(xd.size, _GELU_CHUNK), dtype=xd.dtype)
+    for xc, tc, oc in _chunks(xd, t, out):
+        np.multiply(xc, xc, out=tc)
+        tc *= _GELU_C
+        tc *= xc
+        tc += xc
+        tc *= _GELU_K
+        np.tanh(tc, out=tc)     # tanh(K * (x + C * x^2 * x))
+        np.multiply(xc, 0.5, out=oc)
+        oc *= np.add(tc, 1.0, out=scratch[:tc.size])   # 0.5 * x * (1 + t)
 
     def vjp(g):
-        du = xd * xd
-        du *= 3.0 * _GELU_C
-        du += 1.0
-        du *= _GELU_K       # K * (1 + 3C * x^2)
-        d = t * t
-        np.subtract(1.0, d, out=d)
-        d *= xd * 0.5
-        d *= du             # 0.5 * x * (1 - t^2) * du
-        s = t + 1.0
-        s *= 0.5
-        s += d
-        return (np.multiply(g, s, out=s if g.dtype == s.dtype else None),)
+        gx = np.empty(xd.shape, dtype=np.result_type(g, t))
+        scratch = np.empty((3, min(xd.size, _GELU_CHUNK)), dtype=t.dtype)
+        for xc, tc, gc, gxc in _chunks(xd, t, g, gx):
+            du, d, s = scratch[:, :tc.size]
+            np.multiply(xc, xc, out=du)
+            du *= 3.0 * _GELU_C
+            du += 1.0
+            du *= _GELU_K       # K * (1 + 3C * x^2)
+            np.multiply(tc, tc, out=d)
+            np.subtract(1.0, d, out=d)
+            d *= np.multiply(xc, 0.5, out=s)
+            d *= du             # 0.5 * x * (1 - t^2) * du
+            np.add(tc, 1.0, out=s)
+            s *= 0.5
+            s += d
+            np.multiply(gc, s, out=gxc)
+        return (gx,)
 
     return Tensor._op(out, (x,), vjp)
 
 
-def softmax(x: Tensor | Array) -> Tensor | Array:
+def softmax(x: Tensor | Array, stats: tuple[Array, Array] | None = None) -> Tensor | Array:
     """Row softmax over the last axis, computed with max subtraction.
 
     A Tensor gets a new tape node. A plain array is a raw logit block: it
     is normalized in place and returned, with nothing recorded (the fused
-    attention node calls this once per (sample, head) block).
+    attention node calls this once per (sample, head) block). `stats`, a
+    (max_out, sum_out) pair shaped like the input with a last axis of 1,
+    receives each row's max and its sum of exponentials, from which
+    exp(x - max) / sum rebuilds the output bit for bit.
     """
     if isinstance(x, np.ndarray):
-        return _softmax_rows(x)
-    y = _softmax_rows(x.data.copy())
+        return _softmax_rows(x, stats)
+    y = _softmax_rows(x.data.copy(), stats)
 
     def vjp(g):
         return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
@@ -282,11 +307,13 @@ def softmax(x: Tensor | Array) -> Tensor | Array:
     return Tensor._op(y, (x,), vjp)
 
 
-def _softmax_rows(y: Array) -> Array:
-    """Overwrite each last-axis row of y with exp(y - max) / sum, return y."""
-    y -= y.max(axis=-1, keepdims=True)
+def _softmax_rows(y: Array, stats: tuple[Array, Array] | None = None) -> Array:
+    """Overwrite each last-axis row of y with exp(y - max) / sum, return y;
+    the row maxima and sums go to `stats` when it is given."""
+    row_max, row_sum = (None, None) if stats is None else stats
+    y -= y.max(axis=-1, keepdims=True, out=row_max)
     np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y /= y.sum(axis=-1, keepdims=True, out=row_sum)
     return y
 
 

@@ -14,7 +14,7 @@ runs are qualitative anchors, not reproduction targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,8 +29,8 @@ ATTN_BINS = 50  # fixed histogram binning over [0, 1]
 
 
 def _grid(x) -> np.ndarray:
-    arr = x.data if isinstance(x, Field) else np.asarray(x)
-    return arr.astype(np.float64)
+    arr = x.data if isinstance(x, Field) else x
+    return np.asarray(arr, dtype=np.float64)
 
 
 def rmse(pred, target, mask) -> float:
@@ -38,14 +38,16 @@ def rmse(pred, target, mask) -> float:
     p, t, m = _grid(pred), _grid(target), mask_array(mask)
     if p.shape != t.shape or p.shape[-2:] != m.shape:
         raise ShapeError(f"shapes {p.shape} / {t.shape} / mask {m.shape}")
-    se = (p - t)[..., m] ** 2
+    se = np.subtract(p, t)[..., m]
+    np.square(se, out=se)
     return float(np.sqrt(se.sum() / se.size))
 
 
 def mae(pred, target, mask) -> float:
     p, t, m = _grid(pred), _grid(target), mask_array(mask)
-    err = np.abs(p - t)[..., m]
-    return float(err.mean())
+    err = np.subtract(p, t)
+    np.abs(err, out=err)
+    return float(err[..., m].mean())
 
 
 def correlation(pred, target, mask) -> float:
@@ -182,31 +184,36 @@ def predict_grids(
 
     Returns (preds, attention) with preds shaped (S, n_horizons*v_out, H, W)
     and attention a list of head-averaged matrices from the final layer in
-    raster (unshuffled) token order. The forwards build no autodiff tape,
-    so `model.forward` runs each batch sample by sample and memory does
-    not grow with `batch`; each batch is still one `forward` call.
+    raster (unshuffled) token order. Each batch's inputs are prepared on
+    their own, so the predictions are the only array that spans the
+    dataset. The forwards build no autodiff tape, so `model.forward` runs
+    each batch sample by sample and memory does not grow with `batch`;
+    each batch is still one `forward` call.
     """
-    arrays = prepare_arrays(bundle, config)
-    preds = []
+    preds = None
     attn: list[np.ndarray] = []
     for start in range(0, len(bundle.samples), batch):
-        idx = np.arange(start, min(start + batch, len(bundle.samples)))
+        rows = slice(start, start + batch)
+        arrays = prepare_arrays(replace(bundle, samples=bundle.samples[rows]), config)
         with ad.no_grad():
             res = forward(
                 store,
                 config,
-                arrays.inputs[idx],
+                arrays.inputs,
                 elev_patch_m=arrays.elev_patch,
-                perms=[arrays.perms[i] for i in idx],
+                perms=arrays.perms,
                 collect_attention=collect_attention,
             )
-        preds.append(res.to_grid())
+        grid = res.to_grid()
+        if preds is None:
+            preds = np.empty((len(bundle.samples),) + grid.shape[1:], dtype=grid.dtype)
+        preds[rows] = grid
         if collect_attention and res.attention:
             last = res.attention[-1]
             for b, perm in enumerate(res.perms):
                 inv = perm.inverse
                 attn.append(last[b][np.ix_(inv, inv)])
-    return np.concatenate(preds), attn
+    return preds, attn
 
 
 def report(
@@ -224,10 +231,10 @@ def report(
     for hi, horizon in enumerate(horizons):
         for ci, channel in enumerate(channels):
             st = bundle.stats.for_channel(channel)
-            plane = st.apply(preds_norm[:, hi * len(channels) + ci], forward=False)
-            truth = np.stack(
-                [s.targets[hi].channel(channel).astype(np.float64) for s in bundle.samples]
-            )
+            plane = _grid(st.apply(preds_norm[:, hi * len(channels) + ci], forward=False))
+            truth = np.empty(plane.shape, dtype=np.float64)
+            for i, s in enumerate(bundle.samples):
+                truth[i] = s.targets[hi].channel(channel)
             cells[channel, horizon] = MetricCell(
                 rmse(plane, truth, mask),
                 mae(plane, truth, mask),

@@ -336,14 +336,16 @@ def forward(
         perms = [reorder.SectorPermutation.identity(spec)] * arr.shape[0]
     orders = np.stack([p.forward for p in perms])  # (B, N) slot -> patch
 
-    # shared by every sample: the relative slot-offset logits and the
-    # per-patch positional vectors
+    # shared by every sample: the relative slot-offset logits, the
+    # per-patch positional vectors and the raster uphill matrix, from which
+    # each sample's terrain penalty is gathered in its slot order
     rel = ad.take(params["pos.rel"], _relative_slot_index(spec))
     pos = params["pos.grid"] @ params["pos.proj"]
+    uphill = topo_bias.uphill_matrix(elev_patch_m) if config.elev_bias else None
 
     def run(rows: slice):
         return _forward_samples(
-            params, config, arr[rows], orders[rows], elev_patch_m, rel, pos,
+            params, config, arr[rows], orders[rows], uphill, rel, pos,
             train, rng, collect_attention,
         )
 
@@ -361,7 +363,7 @@ def _forward_samples(
     config: ModelConfig,
     arr: np.ndarray,
     orders: np.ndarray,
-    elev_patch_m: np.ndarray | None,
+    uphill: np.ndarray | None,
     rel: ad.Tensor,
     pos: ad.Tensor,
     train: bool,
@@ -369,7 +371,9 @@ def _forward_samples(
     collect_attention: bool,
 ) -> tuple[ad.Tensor, list[np.ndarray]]:
     """Slot-order output tokens and per-layer attention maps of `forward`
-    for the samples `arr`, whose slot -> patch orders are `orders`."""
+    for the samples `arr`, whose slot -> patch orders are `orders`;
+    `uphill` is the raster `topo_bias.uphill_matrix` when the elevation
+    bias is on."""
     spec = config.spec
     tokens_np = patchify(arr, spec).astype(params["patch_embed.w"].dtype)
     if config.wind_reorder:
@@ -377,11 +381,11 @@ def _forward_samples(
 
     # relative positional logits live in slot space and are shared by every
     # layer; the terrain penalty (when enabled) rides on the same additive
-    # bias input, built per sample in its slot order so entry (i, j) keeps
-    # naming the same patch pair, as (B, 1, N, N) to broadcast over heads
+    # bias input, gathered per sample in its slot order so entry (i, j)
+    # keeps naming the same patch pair, as (B, 1, N, N) to broadcast over heads
     bias = rel
     if config.elev_bias:
-        bias = bias + topo_bias.bias_tensor(elev_patch_m, params["alpha"], orders)
+        bias = bias + topo_bias.bias_tensor(uphill, params["alpha"], orders)
 
     def drop(t):
         return ad.dropout(t, config.dropout, rng) if train else t
@@ -397,11 +401,11 @@ def _forward_samples(
     for i in range(config.layers):
         normed = ad.layer_norm(x, params[f"layer{i}.ln1.g"], params[f"layer{i}.ln1.b"])
         attended, weights = _attend_parts(
-            normed, _layer_attention_params(params, i, config.heads), bias=bias
+            normed, _layer_attention_params(params, i, config.heads), bias=bias,
+            weights=collect_attention,
         )
         if collect_attention:
             attn_maps.append(weights.data.mean(axis=-3))
-        del weights  # without a tape, nothing else holds this (B, heads, N, N) array
         x = x + drop(attended)
         normed = ad.layer_norm(x, params[f"layer{i}.ln2.g"], params[f"layer{i}.ln2.b"])
         hidden = drop(ad.gelu(normed @ params[f"layer{i}.mlp.w1"] + params[f"layer{i}.mlp.b1"]))

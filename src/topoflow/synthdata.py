@@ -571,7 +571,9 @@ def write_dataset(
     """Persist a dataset directory. Any old manifest is removed first, and
     the new one, whose header names the sample count, is written last and
     atomically, so a killed writer leaves no `manifest.txt` (not even over
-    an older dataset) and `read_dataset` refuses the directory."""
+    an older dataset) and `read_dataset` refuses the directory. Files in
+    `samples/` that the new manifest does not name, such as an older and
+    larger dataset's, are removed before it is written."""
     out = Path(out_dir)
     (out / "samples").mkdir(parents=True, exist_ok=True)
     (out / "manifest.txt").unlink(missing_ok=True)
@@ -586,6 +588,7 @@ def write_dataset(
     write_grid(mask, out / "mask.gfd")
     stats.save(out / "stats.txt")
     lines = [f"# topoflow dataset v1 seed={seed} count={len(samples)}\n"]
+    named = set()
     for i, s in enumerate(samples):
         in_rel = f"samples/{i:06d}.in.gfd"
         write_grid(s.input, out / in_rel)
@@ -594,6 +597,7 @@ def write_dataset(
             rel = f"samples/{i:06d}.h{h:03d}.gfd"
             write_grid(t, out / rel)
             target_rels.append(rel)
+        named.update([in_rel, *target_rels])
         lines.append(
             " ".join(
                 [
@@ -607,6 +611,9 @@ def write_dataset(
             )
             + "\n"
         )
+    for path in (out / "samples").iterdir():
+        if f"samples/{path.name}" not in named:
+            path.unlink()
     write_atomic(out / "manifest.txt", "".join(lines).encode("utf-8"))
 
 

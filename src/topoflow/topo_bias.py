@@ -46,14 +46,18 @@ def uphill_matrix(patch_elev: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, (h[None, :] - h[:, None]) / H0_METERS)
 
 
-def bias_tensor(patch_elev: np.ndarray, alpha, orders: np.ndarray | None = None) -> ad.Tensor:
+def bias_tensor(terrain: np.ndarray, alpha, orders: np.ndarray | None = None) -> ad.Tensor:
     """The clamped penalty clip(-alpha * uphill, BIAS_LO, 0) as one tape node.
 
-    `alpha` is a scalar Tensor, whose dtype the result takes, or a plain
-    number, taken as float64. Without `orders` the result is the (N, N)
-    penalty between the patches in raster order. `orders` is a (B, N)
-    array of slot -> patch indices; sample b then gets the penalty of its
-    patches in that order, and the result is (B, 1, N, N), which
+    `terrain` is the flat vector of patch elevations in meters, raster
+    order, or its (N, N) `uphill_matrix`, which a caller that builds
+    several penalties on one terrain computes once. `alpha` is a scalar
+    Tensor, whose dtype the result takes, or a plain number, taken as
+    float64. Without `orders` the result is the (N, N) penalty between
+    the patches in raster order. `orders` is a (B, N) array of slot ->
+    patch indices; sample b then gets the penalty of its patches in that
+    order, gathered from the raster matrix (entry (i, j) is
+    uphill[order[i], order[j]]), and the result is (B, 1, N, N), which
     broadcasts over attention heads.
 
     The backward gives alpha -sum(g * uphill) over the entries strictly
@@ -64,15 +68,15 @@ def bias_tensor(patch_elev: np.ndarray, alpha, orders: np.ndarray | None = None)
     alpha = ad.as_tensor(alpha, dtype=np.float64)
     if not np.isfinite(alpha.data).all():
         raise DataError(f"alpha must be finite, got {alpha.data}")
-    h = np.asarray(patch_elev)
-    if orders is None:
-        up = uphill_matrix(h).astype(alpha.dtype, copy=False)
-    else:
+    h = np.asarray(terrain)
+    square = h.ndim == 2 and h.shape[0] == h.shape[1]
+    up = (h if square else uphill_matrix(h)).astype(alpha.dtype, copy=False)
+    if orders is not None:
         orders = np.asarray(orders)
         b, n = orders.shape
-        up = np.empty((b, 1, n, n), dtype=alpha.dtype)
+        raster, up = up, np.empty((b, 1, n, n), dtype=alpha.dtype)
         for i, order in enumerate(orders):
-            up[i, 0] = uphill_matrix(h[order])
+            up[i, 0] = raster.take(order, axis=0).take(order, axis=1)
     out = (-alpha.data) * up
     np.clip(out, BIAS_LO, 0.0, out=out)
 

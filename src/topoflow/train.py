@@ -240,38 +240,38 @@ class TrainingArrays:
 def prepare_arrays(bundle: DatasetBundle, config: ModelConfig) -> TrainingArrays:
     stats = bundle.stats
     spec = config.spec
-    inputs = np.stack([normalize(s.input, stats).data for s in bundle.samples])
+    samples = bundle.samples
     n_out = config.n_horizons * config.v_out
-    target_grids = np.stack(
-        [
-            np.concatenate([normalize(t, stats).data for t in s.targets])
-            for s in bundle.samples
-        ]
-    )
-    if target_grids.shape[1] != n_out:
-        raise ShapeError(
-            f"dataset provides {target_grids.shape[1]} target channels, model expects {n_out}"
-        )
     if config.wind_reorder:
         # permutations come from the physical winds, not the z-scored inputs
-        raw_u = np.stack([s.input.channel("u") for s in bundle.samples])
-        raw_v = np.stack([s.input.channel("v") for s in bundle.samples])
+        raw_u = np.stack([s.input.channel("u") for s in samples])
+        raw_v = np.stack([s.input.channel("v") for s in samples])
         perms = model_mod.build_perms(config, raw_u, raw_v)
     else:
-        perms = [SectorPermutation.identity(spec)] * len(bundle.samples)
+        perms = [SectorPermutation.identity(spec)] * len(samples)
     # one gather into slot order serves both settings: an identity
     # permutation gathers the raster order unchanged
     orders = np.stack([p.forward for p in perms])
-    target_tokens = np.take_along_axis(
-        patchify(target_grids, spec).astype(np.float32), orders[..., None], axis=1
-    )
+    # the stacks are allocated once and filled a sample at a time, so no
+    # temporary is larger than one sample's fields
+    inputs = np.empty((len(samples),) + samples[0].input.data.shape, dtype=np.float32)
+    target_tokens = np.empty((len(samples), spec.n_patches, n_out * spec.patch**2),
+                             dtype=np.float32)
+    for i, s in enumerate(samples):
+        inputs[i] = normalize(s.input, stats).data
+        grid = np.concatenate([normalize(t, stats).data for t in s.targets])
+        if grid.shape[0] != n_out:
+            raise ShapeError(
+                f"dataset provides {grid.shape[0]} target channels, model expects {n_out}"
+            )
+        np.take(patchify(grid, spec), orders[i], axis=0, out=target_tokens[i])
     mask_tok = np.tile(
         patchify(bundle.mask.mask[None].astype(np.float32), spec), (1, n_out)
     )
     mask_tokens = mask_tok[orders]
     elev_patch = patch_elevations(bundle.terrain.elevation, spec)
     return TrainingArrays(
-        inputs.astype(np.float32),
+        inputs,
         target_tokens,
         mask_tokens,
         float(bundle.mask.count),

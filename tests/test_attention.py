@@ -1,4 +1,7 @@
+import contextlib
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ def attend(tokens, params, bias=None, pos=None):
 
 def attention_weights(tokens, params, bias=None):
     """Post-softmax attention weights averaged over heads, as plain arrays."""
-    _, weights = attention._attend_parts(tokens, params, bias=bias)
+    _, weights = attention._attend_parts(tokens, params, bias=bias, weights=True)
     return weights.data.mean(axis=-3)
 
 
@@ -97,7 +100,7 @@ def test_per_head_rows_are_stochastic():
     rng = np.random.default_rng(13)
     params = make_params(16, 4, rng)
     tokens = rng.normal(size=(3, 10, 16))
-    _, weights = attention._attend_parts(tokens, params)
+    _, weights = attention._attend_parts(tokens, params, weights=True)
     assert weights.shape == (3, 4, 10, 10)
     np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -293,7 +296,7 @@ def test_fused_attention_matches_primitive_chain(token_shape, bias_shape):
     b = None if bias_shape is None else rng.normal(size=bias_shape)
     coeff = rng.normal(size=token_shape)
     results = []
-    for fn in (attention._attend_parts, chain_attention):
+    for fn in (functools.partial(attention._attend_parts, weights=True), chain_attention):
         tokens = ad.parameter(x.copy())
         bias = None if b is None else ad.parameter(b.copy())
         ad.zero_grads([params.wq, params.wk, params.wv, params.wo])
@@ -420,7 +423,7 @@ def test_blocked_attention_is_bitwise_the_per_sample_reference(bias_shape):
     b = None if bias_shape is None else rng.normal(size=bias_shape).astype(np.float32)
     coeff = rng.normal(size=x.shape).astype(np.float32)
     results = []
-    for fn in (attention._attend_parts, reference_attend):
+    for fn in (functools.partial(attention._attend_parts, weights=True), reference_attend):
         tokens = ad.parameter(x.copy())
         bias = None if b is None else ad.parameter(b.copy())
         ad.zero_grads([params.wq, params.wk, params.wv, params.wo])
@@ -432,3 +435,62 @@ def test_blocked_attention_is_bitwise_the_per_sample_reference(bias_shape):
         assert blocked.dtype == reference.dtype == np.float32
         assert blocked.shape == reference.shape
         assert blocked.tobytes() == reference.tobytes()
+
+
+# -- what the attention node keeps and returns ---------------------------------------
+
+def test_taped_attention_keeps_no_n_by_n_array():
+    # the tape holds the projections, the context and per-row softmax
+    # statistics; the backward recomputes the (B, heads, N, N) weights
+    rng = np.random.default_rng(19)
+    b, h, n, d = 2, 2, 256, 8
+    params = make_params(d, h, rng, dtype=np.float32)
+    tokens = ad.parameter(rng.normal(size=(b, n, d)).astype(np.float32))
+    bias = ad.parameter(rng.normal(size=(b, 1, n, n)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out, weights = attention._attend_parts(tokens, params, bias=bias)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < b * h * n * n * np.dtype(np.float32).itemsize
+    assert out.requires_grad and weights.shape == (b, h, 0, 0)
+
+
+@pytest.mark.parametrize("taped", [True, False])
+@pytest.mark.parametrize("want", [True, False])
+@pytest.mark.parametrize("token_shape", [(2, 6, 8), (6, 8)])
+@pytest.mark.parametrize("bias_dtype", [None, np.float32, np.float64])
+def test_second_value_is_a_tensor_of_the_logits_dtype(taped, want, token_shape, bias_dtype):
+    rng = np.random.default_rng(20)
+    params = make_params(8, 2, rng, dtype=np.float32)
+    tokens = ad.parameter(rng.normal(size=token_shape).astype(np.float32))
+    bias = None if bias_dtype is None else ad.parameter(
+        rng.normal(size=(6, 6)).astype(bias_dtype))
+    with contextlib.nullcontext() if taped else ad.no_grad():
+        out, weights = attention._attend_parts(tokens, params, bias=bias, weights=want)
+    assert out.requires_grad == taped
+    assert isinstance(weights, ad.Tensor) and not weights.requires_grad
+    assert weights.data.dtype == (bias_dtype or np.float32)
+    kept = 6 if want else 0
+    assert weights.shape == token_shape[:-2] + (2, kept, kept)
+    if want:
+        np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("taped", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_bias_entries_raise_numeric_error(taped, bad):
+    from topoflow.errors import NumericError
+
+    # the bad entry sits in the second sample's bias, so it reaches the
+    # logit buffer after the first sample's heads have used it
+    rng = np.random.default_rng(21)
+    params = make_params(8, 2, rng, dtype=np.float32)
+    tokens = ad.parameter(rng.normal(size=(2, 5, 8)).astype(np.float32))
+    values = rng.normal(size=(2, 1, 5, 5)).astype(np.float32)
+    values[1, 0, 2, 3] = bad
+    bias = ad.parameter(values)
+    with contextlib.nullcontext() if taped else ad.no_grad(), pytest.raises(NumericError):
+        attend(tokens, params, bias=bias)

@@ -206,3 +206,6 @@ def test_predict_grids_makes_one_forward_call_per_batch(bundle, monkeypatch):
     preds, _ = evalkit.predict_grids(init_params(config, seed=0), config, five, batch=2)
     assert preds.shape[0] == 5
     assert calls == [2, 2, 1]
+    # each batch is prepared on its own; the predictions keep their bits
+    whole, _ = evalkit.predict_grids(init_params(config, seed=0), config, five, batch=5)
+    np.testing.assert_array_equal(preds, whole)

@@ -324,11 +324,11 @@ def test_norm_kinds_cover_all_channels():
     assert set(kinds) == set(synthdata.INPUT_CHANNELS)
 
 
-def small_dataset(count, seed=9):
+def small_dataset(count, seed=9, horizons=(12, 24)):
     """(samples, terrain, mask, stats): the arguments of `write_dataset`."""
     tw = synthdata.gen_terrain(SPEC, seed=2, archetype="basin")
     cfg = PhysicsConfig(substeps=1)
-    samples = synthdata.make_dataset(SPEC, tw, cfg, (12, 24), count, seed=seed)
+    samples = synthdata.make_dataset(SPEC, tw, cfg, horizons, count, seed=seed)
     stats = NormStats.fit([s.input for s in samples], synthdata.norm_kinds())
     return samples, tw, synthdata.study_mask(SPEC), stats
 
@@ -392,6 +392,21 @@ def test_killed_overwrite_leaves_no_manifest(tmp_path, monkeypatch):
     assert not (tmp_path / "ds" / "manifest.txt").exists()
     with pytest.raises(DataError, match="no manifest"):
         synthdata.read_dataset(tmp_path / "ds")
+
+
+def test_smaller_dataset_over_a_larger_one_leaves_no_stale_samples(tmp_path):
+    horizons = (12, 24, 36, 48)   # an input and four targets per sample
+    synthdata.write_dataset(tmp_path / "ds", *small_dataset(6, 1, horizons), seed=1)
+    assert len(list((tmp_path / "ds" / "samples").iterdir())) == 30
+    synthdata.write_dataset(tmp_path / "ds", *small_dataset(3, 2, horizons), seed=2)
+    left = sorted(p.name for p in (tmp_path / "ds" / "samples").iterdir())
+    assert len(left) == 15
+    named = set()
+    for row in (tmp_path / "ds" / "manifest.txt").read_text().splitlines()[1:]:
+        in_rel, target_rels = row.split()[:2]
+        named.update([in_rel, *target_rels.split(",")])
+    assert left == sorted(rel.removeprefix("samples/") for rel in named)
+    assert len(synthdata.read_dataset(tmp_path / "ds").samples) == 3
 
 
 def test_manifest_cut_at_a_row_boundary_raises(tmp_path):

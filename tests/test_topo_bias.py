@@ -230,3 +230,24 @@ def test_bias_tensor_matches_reference_formula():
     want = np.clip(-1.7 * topo_bias.uphill_matrix(h), topo_bias.BIAS_LO, 0.0)
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(penalty(h, 1.7), want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gather_from_raster_uphill_is_bitwise_the_per_sample_build(dtype):
+    # the reference builds each sample's uphill matrix from its reordered
+    # elevations; `bias_tensor` gathers it from one raster matrix, given
+    # as elevations or as that matrix
+    rng = np.random.default_rng(9)
+    h = rng.uniform(0, 8000, size=12)
+    orders = np.stack([rng.permutation(12) for _ in range(3)])
+    coeff = rng.normal(size=(3, 1, 12, 12)).astype(dtype)
+    up = np.stack([topo_bias.uphill_matrix(h[order]) for order in orders])[:, None]
+    want = np.clip(-dtype(1.3) * up.astype(dtype), topo_bias.BIAS_LO, 0.0)
+    for terrain in (h, topo_bias.uphill_matrix(h)):
+        alpha = ad.parameter(np.array(1.3, dtype=dtype))
+        out = topo_bias.bias_tensor(terrain, alpha, orders)
+        assert out.data.dtype == dtype
+        assert out.data.tobytes() == want.tobytes()
+        (out * ad.Tensor(coeff)).sum().backward()
+        inside = (want > topo_bias.BIAS_LO) & (want < 0.0)
+        assert alpha.grad == -((coeff * inside) * up.astype(dtype)).sum()
