@@ -96,7 +96,12 @@ class Tensor:
     # -- autograd ---------------------------------------------------------
 
     def backward(self, grad: Array | None = None) -> None:
-        """Accumulate gradients of this (scalar) node into the whole tape."""
+        """Accumulate gradients of this (scalar) node into the whole tape.
+
+        The graph stays alive after backward, so it can be walked again: a
+        training loop must drop its last reference to the output (and so
+        to every saved activation) before the next forward builds a new one.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without an explicit gradient needs a scalar")
@@ -209,6 +214,23 @@ def as_tensor(x, dtype=None) -> Tensor:
 
 def parameter(data) -> Tensor:
     return Tensor(np.asarray(data), requires_grad=True)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`x @ w + b` as one tape node, so the tape keeps no pre-bias product.
+
+    Output and gradients are bitwise those of the `@` then `+` chain.
+    """
+    xd, wd = x.data, w.data
+
+    def vjp(g):
+        return (
+            _unbroadcast(g @ np.swapaxes(wd, -1, -2), xd.shape) if x.requires_grad else None,
+            _unbroadcast(np.swapaxes(xd, -1, -2) @ g, wd.shape) if w.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
+
+    return Tensor._op(xd @ wd + b.data, (x, w, b), vjp)
 
 
 def take(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -343,12 +365,22 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout with a mask drawn from the supplied generator."""
+    """Inverted dropout with a mask drawn from the supplied generator.
+
+    The tape keeps the mask as bools; forward and backward each rebuild
+    the scaled mask `kept / keep` in the input's dtype, which gives the
+    bits of multiplying by a stored float mask.
+    """
     if rate <= 0.0:
         return x
     keep = 1.0 - rate
-    mask = (rng.random(x.data.shape) < keep).astype(x.data.dtype) / keep
-    return x * Tensor(mask)
+    kept = rng.random(x.data.shape) < keep
+    dtype = x.data.dtype
+
+    def vjp(g):
+        return (g * (kept.astype(dtype) / keep),)
+
+    return Tensor._op(x.data * (kept.astype(dtype) / keep), (x,), vjp)
 
 
 def zero_grads(tensors) -> None:

@@ -76,10 +76,6 @@ DEFAULTS: dict[str, str] = {
     "paths.checkpoint": "",
 }
 
-FULL_SCALE_REFERENCE = (
-    "# full-scale reference val losses: baseline 0.264, wind 0.257, wind+elev 0.249\n"
-)
-
 
 def parse_config_file(path) -> dict[str, str]:
     out: dict[str, str] = {}
@@ -269,9 +265,7 @@ def cmd_ablate(cfg: dict[str, str], mode: str) -> int:
             csv.append(
                 f"{r.variant},{r.seed},{r.wind_reorder},{r.elev_bias},{r.best_val!r},{r.final_val!r}"
             )
-        (out / "ablation.txt").write_text(
-            "\n".join(text) + "\n" + FULL_SCALE_REFERENCE, encoding="utf-8"
-        )
+        (out / "ablation.txt").write_text("\n".join(text) + "\n", encoding="utf-8")
         (out / "ablation.csv").write_text("\n".join(csv) + "\n", encoding="utf-8")
         print((out / "ablation.txt").read_text(), end="")
     elif mode == "tiles":

@@ -390,7 +390,7 @@ def _forward_samples(
     def drop(t):
         return ad.dropout(t, config.dropout, rng) if train else t
 
-    x = ad.as_tensor(tokens_np) @ params["patch_embed.w"] + params["patch_embed.b"]
+    x = ad.linear(ad.as_tensor(tokens_np), params["patch_embed.w"], params["patch_embed.b"])
     # positional vectors are per patch and travel with it through the
     # shuffle; sequence structure is carried by the relative slot table
     if config.wind_reorder:
@@ -408,14 +408,15 @@ def _forward_samples(
             attn_maps.append(weights.data.mean(axis=-3))
         x = x + drop(attended)
         normed = ad.layer_norm(x, params[f"layer{i}.ln2.g"], params[f"layer{i}.ln2.b"])
-        hidden = drop(ad.gelu(normed @ params[f"layer{i}.mlp.w1"] + params[f"layer{i}.mlp.b1"]))
+        hidden = ad.linear(normed, params[f"layer{i}.mlp.w1"], params[f"layer{i}.mlp.b1"])
+        hidden = drop(ad.gelu(hidden))
         x = x + hidden @ params[f"layer{i}.mlp.w2"] + params[f"layer{i}.mlp.b2"]
         if not np.isfinite(x.data).all():
             raise NumericError(f"non-finite activations after layer {i}")
 
     x = ad.layer_norm(x, params["head.ln.g"], params["head.ln.b"])
-    hidden = ad.gelu(x @ params["head.w1"] + params["head.b1"])
-    out = hidden @ params["head.w2"] + params["head.b2"]
+    hidden = ad.gelu(ad.linear(x, params["head.w1"], params["head.b1"]))
+    out = ad.linear(hidden, params["head.w2"], params["head.b2"])
     if not np.isfinite(out.data).all():
         raise NumericError("non-finite activations in the prediction head")
     return out, attn_maps

@@ -440,10 +440,14 @@ def fit(
                            rng=state.rng)
         loss.backward()
         optimize_step(store, state, tconfig)
+        train_loss = float(loss.data)
+        # free this step's tape before the next forward builds its own, so
+        # two steps' saved activations are never held at once
+        del loss
         # validating only on interval multiples keeps interrupted-and-resumed
         # logs identical to uninterrupted ones
         if state.step % tconfig.val_interval == 0:
-            final_val = validate(state.step, float(loss.data))
+            final_val = validate(state.step, train_loss)
     if state.step % tconfig.val_interval:
         save_last()
     if best_path is not None and not best_path.exists():

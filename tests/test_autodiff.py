@@ -60,6 +60,42 @@ def test_matmul_batched():
     np.testing.assert_allclose(w.grad, gw, rtol=1e-6, atol=1e-8)
 
 
+@pytest.mark.parametrize("x_shape", [(5, 4), (2, 5, 4)])
+def test_linear_bitwise_equals_matmul_then_add(x_shape):
+    rng = np.random.default_rng(12)
+    x0 = rng.normal(size=x_shape).astype(np.float32)
+    w0 = rng.normal(size=(4, 3)).astype(np.float32)
+    b0 = rng.normal(size=(3,)).astype(np.float32)
+    g = rng.normal(size=x_shape[:-1] + (3,)).astype(np.float32)
+    runs = []
+    for op in (ad.linear, lambda x, w, b: x @ w + b):
+        x, w, b = (ad.parameter(a.copy()) for a in (x0, w0, b0))
+        y = op(x, w, b)
+        (y * ad.Tensor(g)).sum().backward()
+        runs.append([y.data, x.grad, w.grad, b.grad])
+    for fused, chain in zip(*runs):
+        assert fused.dtype == np.float32
+        assert fused.tobytes() == chain.tobytes()
+
+
+def test_linear_matches_finite_differences_and_records_nothing_under_no_grad():
+    rng = np.random.default_rng(13)
+    x = ad.parameter(rng.normal(size=(2, 3, 4)))
+    w = ad.parameter(rng.normal(size=(4, 5)))
+    b = ad.parameter(rng.normal(size=(5,)))
+    c = np.cos(np.arange(30.0)).reshape(2, 3, 5)
+    (ad.linear(x, w, b) * ad.Tensor(c)).sum().backward()
+    for t, f in (
+        (x, lambda a: ((a @ w.data + b.data) * c).sum()),
+        (w, lambda a: ((x.data @ a + b.data) * c).sum()),
+        (b, lambda a: ((x.data @ w.data + a) * c).sum()),
+    ):
+        np.testing.assert_allclose(t.grad, numeric_grad(f, t.data.copy()), rtol=1e-7, atol=1e-7)
+    with ad.no_grad():
+        y = ad.linear(x, w, b)
+    assert not y.requires_grad and y._parents == () and y._vjp is None
+
+
 def test_reshape_transpose_sum_mean():
     rng = np.random.default_rng(3)
     x = ad.parameter(rng.normal(size=(2, 3, 4)))
@@ -182,6 +218,32 @@ def test_dropout_scaling_and_determinism():
     np.testing.assert_allclose(kept, 1.0 / 0.75)
     assert abs(y1.data.mean() - 1.0) < 0.1
     assert ad.dropout(x, 0.0, np.random.default_rng(0)) is x
+
+
+def test_dropout_bitwise_equals_multiplying_by_a_float_mask():
+    rng = np.random.default_rng(14)
+    x0 = rng.normal(size=(3, 50)).astype(np.float32)
+    g = rng.normal(size=(3, 50)).astype(np.float32)
+    x = ad.parameter(x0.copy())
+    y = ad.dropout(x, 0.3, np.random.default_rng(5))
+    (y * ad.Tensor(g)).sum().backward()
+    mask = (np.random.default_rng(5).random(x0.shape) < 0.7).astype(np.float32) / 0.7
+    ref_x = ad.parameter(x0.copy())
+    ref = ref_x * ad.Tensor(mask)
+    (ref * ad.Tensor(g)).sum().backward()
+    assert y.data.dtype == x.grad.dtype == np.float32
+    assert y.data.tobytes() == ref.data.tobytes()
+    assert x.grad.tobytes() == ref_x.grad.tobytes()
+
+
+def test_dropout_tape_keeps_a_bool_mask_only():
+    x = ad.parameter(np.ones((4, 8), dtype=np.float32))
+    y = ad.dropout(x, 0.25, np.random.default_rng(0))
+    held = [c.cell_contents for c in y._vjp.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+    assert [a.dtype for a in held] == [np.bool_]
+    assert held[0].shape == x.shape
+    assert y._parents == (x,)
 
 
 def test_dtype_is_preserved():

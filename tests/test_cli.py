@@ -167,7 +167,7 @@ def test_ablate_two_variants_two_rows(tmp_path, config_path, dataset):
         "variant", "scanning", "wind_tiles", "elevation_alpha", "median_best_val"
     ]
     assert len([ln for ln in text if ln and not ln.startswith("#")]) == 3
-    assert any("full-scale reference" in ln for ln in text)
+    assert not any("full-scale reference" in ln for ln in text)
     csv = (out / "ablation.csv").read_text().splitlines()
     assert len(csv) == 3  # header + 2 variant rows
 

@@ -1,5 +1,7 @@
+import importlib.util
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +270,36 @@ def test_no_grad_forward_memory_does_not_grow_with_batch():
     peak_bytes(1)  # fill the per-grid caches first
     one, eight = peak_bytes(1), peak_bytes(8)
     assert eight < 1.5 * one, (one, eight)
+
+
+def load_tape_stats():
+    """`tape_stats` of the benchmark's instrument module, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "instrument.py"
+    spec = importlib.util.spec_from_file_location("perfbench_instrument", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.tape_stats
+
+
+# One taped training forward of the two-layer tiny model with dropout on
+# records 34 nodes whose reachable buffers (parameters and the bool dropout
+# masks included) come to 43364 bytes. Each `x @ w + b` is one node and
+# dropout keeps a bool mask; a refactor that brings back a kept
+# intermediate, such as a pre-bias product or a float mask, fails here.
+TAPE_NODES = 34
+TAPE_BYTES = 43364
+
+
+def test_taped_forward_node_count_and_bytes_pinned():
+    config = tiny_config(layers=2, dropout=0.1)
+    store = init_params(config, seed=0)
+    rng = np.random.default_rng(4)
+    x = random_inputs(config, rng).astype(np.float32)
+    elev = rng.uniform(0, 2500, config.spec.n_patches)
+    res = forward(store, config, x, elev, perms=wind_perms(config, x), train=True, rng=rng)
+    nodes, nbytes = load_tape_stats()(res.tokens)
+    assert nodes == TAPE_NODES
+    assert nbytes <= TAPE_BYTES
 
 
 # -- full-model gradient check -----------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import weakref
 import zlib
 from pathlib import Path
 
@@ -229,6 +230,31 @@ def test_fit_deterministic_bitwise(tmp_path, bundle):
     assert (tmp_path / "a" / "last.gfd").read_bytes() == (tmp_path / "b" / "last.gfd").read_bytes()
     c = train.fit(bundle, tiny_model(), quick_train(seed=1), out_dir=tmp_path / "c")
     assert a.history != c.history
+
+
+def test_fit_drops_each_step_tape_before_the_next_forward(bundle, monkeypatch):
+    batch_loss = train._batch_loss
+    previous = []   # weak references into the last training step's tape
+
+    def traced(*args, **kwargs):
+        if kwargs["train"]:
+            assert all(ref() is None for ref in previous), "last step's tape is alive"
+            previous.clear()
+        loss = batch_loss(*args, **kwargs)
+        if kwargs["train"]:
+            nodes, stack = [], [loss]
+            while stack:
+                node = stack.pop()
+                if node._vjp is not None:
+                    nodes.append(node)
+                    stack.extend(node._parents)
+            largest = max(nodes, key=lambda t: t.data.nbytes)
+            previous.extend(weakref.ref(t.data) for t in (loss, largest))
+        return loss
+
+    monkeypatch.setattr(train, "_batch_loss", traced)
+    result = train.fit(bundle, tiny_model(), quick_train())
+    assert result.state.step == 6 and len(previous) == 2
 
 
 # CRC-32 of `last.gfd` after `quick_train()` on `tiny_model()`: both
