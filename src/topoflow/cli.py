@@ -18,63 +18,50 @@ import os
 import sys
 from pathlib import Path
 
-from .config import decode, value
+from .config import (
+    DESK_GRID,
+    GridSpec,
+    ModelConfig,
+    PhysicsConfig,
+    TrainConfig,
+    decode,
+    encode,
+    value,
+)
 from .errors import ConfigError, TopoflowError, UsageError
 
-# a literal table rather than one derived from the config dataclasses:
-# importing those loads numpy before main() can apply TOPOFLOW_THREADS
-DEFAULTS: dict[str, str] = {
-    "seed": "0",
-    "grid.height": "32",
-    "grid.width": "64",
-    "grid.patch": "2",
-    "grid.sector_cols": "8",
-    "grid.sector_rows": "8",
-    "physics.kappa": "40.0",
-    "physics.dt": "150.0",
-    "physics.dx": "2000.0",
-    "physics.boundary": "periodic",
-    "physics.sink": "6.7e-05",
-    "physics.max_wind": "6.0",
-    "physics.hours_per_step": "12.0",
-    "physics.substeps": "12",
-    "data.archetype": "basin_ridge",
-    "data.base_speed": "2.0",
-    "data.count": "200",
-    "data.horizons": "12,24,48,96",
-    "data.wind_mode": "rotate",
-    "data.source_mode": "random",
-    "data.init_mode": "textured",
-    "model.d": "64",
-    "model.layers": "2",
-    "model.heads": "4",
-    "model.mlp_hidden": "256",
-    "model.head_hidden": "256",
-    "model.dropout": "0.1",
-    "model.wind_reorder": "true",
-    "model.elev_bias": "true",
-    "model.wind_mean": "weighted",
-    "train.lr_base": "0.0001",
-    "train.lr_embed": "0.0002",
-    "train.lr_head": "5e-05",
-    "train.lr_backbone": "1e-05",
-    "train.weight_decay": "0.01",
-    "train.warmup": "60",
-    "train.total_steps": "600",
-    "train.eta_min": "1e-06",
-    "train.clip_norm": "1.0",
-    "train.batch_size": "8",
-    "train.epochs": "60",
-    "train.patience": "10",
-    "train.val_interval": "25",
-    "train.val_fraction": "0.1",
-    "ablate.seeds": "0,1,2,3,4",
-    "ablate.variants": "baseline,wind,wind_elev",
-    "ablate.tiles": "global,2x2,4x4,8x8",
-    "paths.data": "",
-    "paths.out": "",
-    "paths.checkpoint": "",
-}
+
+def _desk_defaults() -> dict[str, str]:
+    """Every config key at the desk scale: the config dataclasses' defaults
+    over the desk grid, less the fields a caller fills in (`model.spec` and
+    `model.n_horizons` come from the dataset, `train.seed` is `seed`), plus
+    the keys that name no dataclass field."""
+    model = encode(ModelConfig(DESK_GRID), "model")
+    del model["model.n_horizons"]
+    train = encode(TrainConfig(), "train")
+    return {
+        "seed": train.pop("train.seed"),
+        **encode(DESK_GRID, "grid"),
+        **encode(PhysicsConfig(), "physics"),
+        "data.archetype": "basin_ridge",
+        "data.base_speed": "2.0",
+        "data.count": "200",
+        "data.horizons": "12,24,48,96",
+        "data.wind_mode": "rotate",
+        "data.source_mode": "random",
+        "data.init_mode": "textured",
+        **{k: v for k, v in model.items() if not k.startswith("model.spec.")},
+        **train,
+        "ablate.seeds": "0,1,2,3,4",
+        "ablate.variants": "baseline,wind,wind_elev",
+        "ablate.tiles": "global,2x2,4x4,8x8",
+        "paths.data": "",
+        "paths.out": "",
+        "paths.checkpoint": "",
+    }
+
+
+DEFAULTS: dict[str, str] = _desk_defaults()
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -112,28 +99,20 @@ def echo_config(cfg: dict[str, str], out_dir: Path) -> None:
 
 
 def build_grid(cfg):
-    from .fields import GridSpec
-
     return decode(GridSpec, cfg, "grid")
 
 
 def build_physics(cfg):
-    from .synthdata import PhysicsConfig
-
     return decode(PhysicsConfig, cfg, "physics")
 
 
 def build_model_config(cfg, spec=None, n_horizons=None):
-    from .model import ModelConfig
-
     if n_horizons is None:
         n_horizons = len(value(cfg, "data.horizons", tuple[int, ...]))
     return decode(ModelConfig, cfg, "model", spec=spec or build_grid(cfg), n_horizons=n_horizons)
 
 
 def build_train_config(cfg):
-    from .train import TrainConfig
-
     return decode(TrainConfig, cfg, "train", seed=value(cfg, "seed", int))
 
 
@@ -226,9 +205,21 @@ def _tiles_from_label(label: str) -> tuple[str, int, int]:
         return ("global", 1, 1)
     try:
         ty, tx = (int(x) for x in label.split("x"))
+        if ty < 1 or tx < 1:
+            raise ValueError
     except ValueError:
-        raise ConfigError(f"bad tile label {label!r}; use 'global' or 'RxC'") from None
+        raise ConfigError(
+            f"ablate.tiles: bad tile label {label!r}; use 'global' or 'RxC' with R, C >= 1"
+        ) from None
     return (label, ty, tx)
+
+
+def _distinct(cfg: dict[str, str], key: str, tp) -> tuple:
+    """A non-empty comma list from the config, each entry once."""
+    items = value(cfg, key, tuple[tp, ...])
+    if not items or len(set(items)) < len(items):
+        raise ConfigError(f"{key} must list distinct entries, got {cfg[key]!r}")
+    return items
 
 
 def cmd_ablate(cfg: dict[str, str], mode: str) -> int:
@@ -241,8 +232,8 @@ def cmd_ablate(cfg: dict[str, str], mode: str) -> int:
     tconfig = build_train_config(cfg)
     out.mkdir(parents=True, exist_ok=True)
     if mode == "components":
-        seeds = value(cfg, "ablate.seeds", tuple[int, ...])
-        wanted = [x for x in cfg["ablate.variants"].split(",") if x]
+        seeds = _distinct(cfg, "ablate.seeds", int)
+        wanted = _distinct(cfg, "ablate.variants", str)
         unknown = set(wanted) - set(train.ABLATION_VARIANTS)
         if unknown:
             raise ConfigError(f"unknown ablation variants {sorted(unknown)}")
@@ -254,8 +245,6 @@ def cmd_ablate(cfg: dict[str, str], mode: str) -> int:
         text = ["variant scanning wind_tiles elevation_alpha median_best_val"]
         csv = ["variant,seed,wind_reorder,elev_bias,best_val,final_val"]
         for name in wanted:
-            if name not in medians:
-                continue
             text.append(
                 f"{name} {scanning[name]} "
                 f"{tiles if name != 'baseline' else 'none'} "
@@ -290,7 +279,7 @@ def cmd_dump(cfg: dict[str, str], what: str) -> int:
     import numpy as np
 
     from . import evalkit, model, reorder, synthdata, topo_bias
-    from .fields import Field, GridSpec, write_grid
+    from .fields import Field, write_grid
 
     data = _need_dir(cfg, "paths.data", "dataset directory")
     out = _need_dir(cfg, "paths.out", "output directory")
@@ -382,9 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a forecaster")
     common(p_train)
+    warmup = DEFAULTS["train.warmup"]
     steps_help = (
-        "total optimization steps override; a budget below train.warmup "
-        "(60 at the desk defaults) needs train.warmup lowered too, in a --config file"
+        f"total optimization steps override; a budget below train.warmup ({warmup} at the"
+        " desk defaults) needs train.warmup lowered too, in a --config file"
     )
     p_train.add_argument("--steps", type=int, dest="train.total_steps", help=steps_help)
     p_train.add_argument("--resume", action="store_true", help="continue from last checkpoint")

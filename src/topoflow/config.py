@@ -1,22 +1,207 @@
-"""Flat `section.field = value` text form of the config dataclasses.
+"""The config dataclasses and their flat `section.field = value` text form.
 
-One codec serves both string configurations in the package: the CLI's
-resolved key/value config (decoded into GridSpec, PhysicsConfig,
-ModelConfig and TrainConfig) and the checkpoint sidecar (a ModelConfig
-encoded and decoded again). Keys are the dataclass field names under a
-section prefix; a nested dataclass field such as `ModelConfig.spec` adds
-one more level (`model.spec.height`). Values are parsed by the field's
-annotation: bool (`true`/`false`), int, float, str, or a comma-separated
-`tuple[T, ...]` of one of those. A value that does not parse, and an
-absent key for a field without a default, raise ConfigError naming the key.
+GridSpec, PhysicsConfig, ModelConfig and TrainConfig live here with their
+checks and without numpy, so the CLI derives its defaults from them before
+it caps threads. One codec serves both string configurations in the
+package: the CLI's resolved key/value config (decoded into those four) and
+the checkpoint sidecar (a ModelConfig encoded and decoded again). Keys are
+the dataclass field names under a section prefix; a nested dataclass field
+such as `ModelConfig.spec` adds one more level (`model.spec.height`).
+Values are parsed by the field's annotation: bool (`true`/`false`), int,
+float, str, or a comma-separated `tuple[T, ...]` of one of those. A value
+that does not parse, and an absent key for a field without a default,
+raise ConfigError naming the key.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 import typing
+from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, StabilityError
+
+TEMPORAL_CHANNELS = ("hour_sin", "hour_cos", "doy_sin", "doy_cos")
+INPUT_CHANNELS = ("u", "v", "c", "x", "y", "elev") + TEMPORAL_CHANNELS
+TARGET_CHANNELS = ("c",)
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Grid geometry: cell counts plus patch and sector tiling."""
+
+    height: int       # H, grid rows (cells)
+    width: int        # W, grid cols (cells)
+    patch: int        # p, cells per patch edge
+    sector_cols: int  # c, patches per sector edge along x
+    sector_rows: int  # r, patches per sector edge along y
+
+    def __post_init__(self):
+        for name in ("height", "width", "patch", "sector_cols", "sector_rows"):
+            v = getattr(self, name)
+            if not hasattr(v, "__index__") or operator.index(v) <= 0:
+                raise ConfigError(f"GridSpec.{name} must be a positive integer, got {v!r}")
+        if self.height % self.patch or self.width % self.patch:
+            raise ConfigError(
+                f"grid {self.height}x{self.width} not divisible by patch {self.patch}"
+            )
+        if self.patches_y % self.sector_rows or self.patches_x % self.sector_cols:
+            raise ConfigError(
+                f"patch grid {self.patches_y}x{self.patches_x} not divisible by "
+                f"sector {self.sector_rows}x{self.sector_cols}"
+            )
+
+    @property
+    def patches_y(self) -> int:
+        return self.height // self.patch
+
+    @property
+    def patches_x(self) -> int:
+        return self.width // self.patch
+
+    @property
+    def n_patches(self) -> int:
+        """N, total patch (token) count."""
+        return self.patches_y * self.patches_x
+
+    @property
+    def sectors_y(self) -> int:
+        return self.patches_y // self.sector_rows
+
+    @property
+    def sectors_x(self) -> int:
+        return self.patches_x // self.sector_cols
+
+    @property
+    def n_sectors(self) -> int:
+        """K, number of sectors."""
+        return self.sectors_y * self.sectors_x
+
+    @property
+    def patches_per_sector(self) -> int:
+        """M = c * r."""
+        return self.sector_cols * self.sector_rows
+
+
+# the desk grid (N = 512 tokens); a constant, not GridSpec field defaults,
+# so a checkpoint sidecar missing a `model.spec.*` key still fails to decode
+DESK_GRID = GridSpec(32, 64, 2, 8, 8)
+
+
+@dataclass(frozen=True)
+class PhysicsConfig:
+    """Integrator constants; CFL bounds are enforced at construction."""
+
+    kappa: float = 40.0            # diffusivity, m^2/s
+    dt: float = 150.0              # integrator step, s
+    dx: float = 2000.0             # cell size, m
+    boundary: str = "periodic"     # periodic | clamped
+    sink: float = 6.7e-5           # decay rate, 1/s
+    max_wind: float = 6.0          # CFL wind bound, m/s
+    hours_per_step: float = 12.0   # nominal label hours per model step
+    substeps: int = 12             # integrator steps per model step
+
+    def __post_init__(self):
+        if self.kappa < 0 or self.dt <= 0 or self.dx <= 0 or self.sink < 0:
+            raise ConfigError("kappa/sink must be >= 0, dt/dx > 0")
+        if self.boundary not in ("periodic", "clamped"):
+            raise ConfigError(f"unknown boundary {self.boundary!r}")
+        if self.hours_per_step <= 0 or self.substeps < 1:
+            raise ConfigError("hours_per_step must be > 0 and substeps >= 1")
+        adv = self.max_wind * self.dt / self.dx
+        if adv > 0.5:
+            raise StabilityError(f"advective CFL {adv:.3f} > 0.5 for max_wind")
+        dif = self.kappa * self.dt / self.dx**2
+        if dif > 0.25:
+            raise StabilityError(f"diffusive CFL {dif:.3f} > 0.25")
+
+    def steps_for_hours(self, hours: float) -> int:
+        n = hours / self.hours_per_step
+        if abs(n - round(n)) > 1e-9 or round(n) < 1:
+            raise ConfigError(
+                f"horizon {hours} h is not a positive multiple of {self.hours_per_step} h"
+            )
+        return int(round(n)) * self.substeps
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    """Architecture plus the two physics toggles (the ablation axes)."""
+
+    spec: GridSpec
+    d: int = 64                 # embedding width
+    layers: int = 2             # transformer depth L
+    heads: int = 4
+    mlp_hidden: int = 256
+    head_hidden: int = 256
+    dropout: float = 0.1
+    n_horizons: int = 4
+    wind_reorder: bool = True
+    elev_bias: bool = True
+    wind_mean: str = "weighted"
+
+    def __post_init__(self):
+        if self.heads < 1:
+            raise ConfigError(f"model.heads = {self.heads} < 1")
+        if self.d % self.heads:
+            raise ConfigError(f"width {self.d} not divisible by {self.heads} heads")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"model.dropout = {self.dropout} is outside [0, 1)")
+        if self.layers < 0 or self.n_horizons < 1:
+            raise ConfigError("layers must be >= 0 and n_horizons >= 1")
+
+    @property
+    def v_in(self) -> int:
+        return len(INPUT_CHANNELS)
+
+    @property
+    def v_out(self) -> int:
+        return len(TARGET_CHANNELS)
+
+    @property
+    def token_dim(self) -> int:
+        return self.v_in * self.spec.patch**2
+
+    @property
+    def out_dim(self) -> int:
+        return self.n_horizons * self.v_out * self.spec.patch**2
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Optimization constants; the defaults are the desk schedule."""
+
+    lr_base: float = 1e-4        # positional table, alpha
+    lr_embed: float = 2e-4       # patch embedding
+    lr_head: float = 5e-5        # prediction head
+    lr_backbone: float = 1e-5    # transformer blocks
+    weight_decay: float = 0.01
+    warmup: int = 60
+    total_steps: int = 600
+    eta_min: float = 1e-6
+    clip_norm: float = 1.0
+    batch_size: int = 8
+    epochs: int = 60             # cap; total_steps is the binding budget
+    patience: int = 10
+    val_interval: int = 25
+    val_fraction: float = 0.1
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.warmup < 0:
+            raise ConfigError(f"train.warmup = {self.warmup} < 0")
+        if self.warmup > self.total_steps:
+            raise ConfigError(
+                f"train.warmup = {self.warmup} > train.total_steps = {self.total_steps}"
+            )
+        for name in ("lr_base", "lr_embed", "lr_head", "lr_backbone"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0")
+        if self.batch_size < 1 or self.val_interval < 1 or self.epochs < 1:
+            raise ConfigError("batch_size, val_interval and epochs must be >= 1")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ConfigError("val_fraction must be in (0, 1)")
 
 _EXPECTED = {bool: "true or false", int: "an integer", float: "a number"}
 

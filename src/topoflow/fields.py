@@ -37,68 +37,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .config import GridSpec
 from .errors import ConfigError, DataError, FormatError, MaskError, ShapeError, StatsError
 
 GFD_MAGIC = b"GFD1"
 GFD_VERSION = 1
 MASK_CHANNEL = "mask"
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Grid geometry: cell counts plus patch and sector tiling."""
-
-    height: int       # H, grid rows (cells)
-    width: int        # W, grid cols (cells)
-    patch: int        # p, cells per patch edge
-    sector_cols: int  # c, patches per sector edge along x
-    sector_rows: int  # r, patches per sector edge along y
-
-    def __post_init__(self):
-        for name in ("height", "width", "patch", "sector_cols", "sector_rows"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v <= 0:
-                raise ConfigError(f"GridSpec.{name} must be a positive integer, got {v!r}")
-        if self.height % self.patch or self.width % self.patch:
-            raise ConfigError(
-                f"grid {self.height}x{self.width} not divisible by patch {self.patch}"
-            )
-        if self.patches_y % self.sector_rows or self.patches_x % self.sector_cols:
-            raise ConfigError(
-                f"patch grid {self.patches_y}x{self.patches_x} not divisible by "
-                f"sector {self.sector_rows}x{self.sector_cols}"
-            )
-
-    @property
-    def patches_y(self) -> int:
-        return self.height // self.patch
-
-    @property
-    def patches_x(self) -> int:
-        return self.width // self.patch
-
-    @property
-    def n_patches(self) -> int:
-        """N, total patch (token) count."""
-        return self.patches_y * self.patches_x
-
-    @property
-    def sectors_y(self) -> int:
-        return self.patches_y // self.sector_rows
-
-    @property
-    def sectors_x(self) -> int:
-        return self.patches_x // self.sector_cols
-
-    @property
-    def n_sectors(self) -> int:
-        """K, number of sectors."""
-        return self.sectors_y * self.sectors_x
-
-    @property
-    def patches_per_sector(self) -> int:
-        """M = c * r."""
-        return self.sector_cols * self.sector_rows
 
 
 @dataclass(frozen=True)
@@ -297,8 +241,6 @@ def temporal_encoding(hour: int, doy: int) -> np.ndarray:
     td = 2.0 * math.pi * doy / 365.0
     return np.array([math.sin(th), math.cos(th), math.sin(td), math.cos(td)])
 
-
-TEMPORAL_CHANNELS = ("hour_sin", "hour_cos", "doy_sin", "doy_cos")
 
 
 @dataclass(frozen=True)

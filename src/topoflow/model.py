@@ -8,8 +8,8 @@ relative slot-offset table plus the terrain penalty (both permuted or
 indexed so entries always refer to the right pair), decode with a
 two-layer head that emits every horizon at once, and finally undo the
 permutation so predictions land on their original patches. The input and
-output channels are fixed by the data format (`synthdata.INPUT_CHANNELS`
-in, one `synthdata.TARGET_CHANNELS` set per horizon out), so they are
+output channels are fixed by the data format (`config.INPUT_CHANNELS`
+in, one `config.TARGET_CHANNELS` set per horizon out), so they are
 properties of ModelConfig rather than settings.
 
 Because the positional vectors follow their patches and the relative
@@ -34,10 +34,9 @@ import numpy as np
 from . import autodiff as ad
 from . import reorder, topo_bias
 from .attention import AttentionParams, _attend_parts
-from .config import decode, encode
+from .config import GridSpec, ModelConfig, decode, encode
 from .errors import ConfigError, FormatError, NumericError, ShapeError
-from .fields import Field, GridSpec, read_grid, write_atomic, write_grid
-from .synthdata import INPUT_CHANNELS, TARGET_CHANNELS
+from .fields import Field, read_grid, write_atomic, write_grid
 
 # variance of a unit normal truncated to +-2 sigma is 0.773729...; scale
 # draws up so the post-truncation variance hits the 1/fan_in target
@@ -45,49 +44,6 @@ _TRUNC_VAR = 1.0 - 4.0 * 0.05399096651318806 / 0.9544997361036416
 _TRUNC_CORRECTION = 1.0 / math.sqrt(_TRUNC_VAR)
 
 PARAM_GROUPS = ("patch_embed", "pos_embed", "backbone", "head", "alpha")
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """Architecture plus the two physics toggles (the ablation axes)."""
-
-    spec: GridSpec
-    d: int = 64                 # embedding width
-    layers: int = 2             # transformer depth L
-    heads: int = 4
-    mlp_hidden: int = 256
-    head_hidden: int = 256
-    dropout: float = 0.1
-    n_horizons: int = 4
-    wind_reorder: bool = True
-    elev_bias: bool = True
-    wind_mean: str = "weighted"
-
-    def __post_init__(self):
-        if self.heads < 1:
-            raise ConfigError(f"model.heads = {self.heads} < 1")
-        if self.d % self.heads:
-            raise ConfigError(f"width {self.d} not divisible by {self.heads} heads")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"model.dropout = {self.dropout} is outside [0, 1)")
-        if self.layers < 0 or self.n_horizons < 1:
-            raise ConfigError("layers must be >= 0 and n_horizons >= 1")
-
-    @property
-    def v_in(self) -> int:
-        return len(INPUT_CHANNELS)
-
-    @property
-    def v_out(self) -> int:
-        return len(TARGET_CHANNELS)
-
-    @property
-    def token_dim(self) -> int:
-        return self.v_in * self.spec.patch**2
-
-    @property
-    def out_dim(self) -> int:
-        return self.n_horizons * self.v_out * self.spec.patch**2
 
 
 @dataclass

@@ -36,9 +36,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import INPUT_CHANNELS, TARGET_CHANNELS, TEMPORAL_CHANNELS, PhysicsConfig
 from .errors import ConfigError, DataError, FitError, ShapeError, StabilityError
 from .fields import (
-    TEMPORAL_CHANNELS,
     Field,
     GridSpec,
     LandMask,
@@ -54,48 +54,10 @@ from .reorder import patch_wind_direction
 SAMPLE_STREAM = 1          # SeedSequence lane for per-sample draws
 TERRAIN_STREAM = 0         # SeedSequence lane for terrain/wind synthesis
 
-INPUT_CHANNELS = ("u", "v", "c", "x", "y", "elev") + TEMPORAL_CHANNELS
 INPUT_UNITS = ("m/s", "m/s", "ug/m3", "", "", "m") + ("",) * 4
-TARGET_CHANNELS = ("c",)
 ARCHETYPES = ("flat", "ridge", "basin", "basin_ridge")
 TERRAIN_COUPLING = 1.6     # streamfunction weight of the contour-following term
 NOISE_COUPLING = 0.35      # streamfunction weight of the smooth random term
-
-
-@dataclass(frozen=True)
-class PhysicsConfig:
-    """Integrator constants; CFL bounds are enforced at construction."""
-
-    kappa: float = 40.0            # diffusivity, m^2/s
-    dt: float = 150.0              # integrator step, s
-    dx: float = 2000.0             # cell size, m
-    boundary: str = "periodic"     # periodic | clamped
-    sink: float = 6.7e-5           # decay rate, 1/s
-    max_wind: float = 6.0          # CFL wind bound, m/s
-    hours_per_step: float = 12.0   # nominal label hours per model step
-    substeps: int = 12             # integrator steps per model step
-
-    def __post_init__(self):
-        if self.kappa < 0 or self.dt <= 0 or self.dx <= 0 or self.sink < 0:
-            raise ConfigError("kappa/sink must be >= 0, dt/dx > 0")
-        if self.boundary not in ("periodic", "clamped"):
-            raise ConfigError(f"unknown boundary {self.boundary!r}")
-        if self.hours_per_step <= 0 or self.substeps < 1:
-            raise ConfigError("hours_per_step must be > 0 and substeps >= 1")
-        adv = self.max_wind * self.dt / self.dx
-        if adv > 0.5:
-            raise StabilityError(f"advective CFL {adv:.3f} > 0.5 for max_wind")
-        dif = self.kappa * self.dt / self.dx**2
-        if dif > 0.25:
-            raise StabilityError(f"diffusive CFL {dif:.3f} > 0.25")
-
-    def steps_for_hours(self, hours: float) -> int:
-        n = hours / self.hours_per_step
-        if abs(n - round(n)) > 1e-9 or round(n) < 1:
-            raise ConfigError(
-                f"horizon {hours} h is not a positive multiple of {self.hours_per_step} h"
-            )
-        return int(round(n)) * self.substeps
 
 
 @dataclass(frozen=True)
@@ -366,7 +328,7 @@ def _coordinate_channels(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _initial_blobs(spec: GridSpec, rng: np.random.Generator, textured: bool = False) -> np.ndarray:
+def _initial_blobs(spec: GridSpec, rng: np.random.Generator, textured: bool) -> np.ndarray:
     rows = np.arange(spec.height)[:, None]
     cols = np.arange(spec.width)[None, :]
     c0 = np.zeros((spec.height, spec.width))
@@ -401,9 +363,9 @@ def make_sample(
     tw: TerrainWind,
     cfg: PhysicsConfig,
     horizons: tuple[int, ...],
-    wind_mode: str = "rotate",
-    source_mode: str = "random",
-    init_mode: str = "blobs",
+    wind_mode: str,
+    source_mode: str,
+    init_mode: str,
 ) -> Sample:
     """Generate one sample from its own seed stream (order-independent)."""
     rng = np.random.default_rng(np.random.SeedSequence([int(root_seed), SAMPLE_STREAM, index]))
@@ -459,7 +421,7 @@ def make_dataset(
     seed: int,
     wind_mode: str = "rotate",
     source_mode: str = "random",
-    init_mode: str = "blobs",
+    init_mode: str = "textured",
 ) -> list[Sample]:
     """Generate `count` labeled samples; same seed always yields the same list."""
     if count < 0:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
-from .config import encode
+from .config import TrainConfig, encode
 from .errors import ConfigError, NumericError, ShapeError
 from .fields import normalize, write_atomic
 from .model import ForwardResult, ModelConfig, ParamStore, forward, init_params, patchify
@@ -45,42 +45,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LOG_HEADER = "# step,train_loss,val_loss,lr_base,alpha\n"
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Optimization constants; defaults follow the full-scale recipe."""
-
-    lr_base: float = 1e-4        # positional table, alpha
-    lr_embed: float = 2e-4       # patch embedding
-    lr_head: float = 5e-5        # prediction head
-    lr_backbone: float = 1e-5    # transformer blocks
-    weight_decay: float = 0.01
-    warmup: int = 2000
-    total_steps: int = 20000
-    eta_min: float = 1e-6
-    clip_norm: float = 1.0
-    batch_size: int = 8
-    epochs: int = 60             # cap; total_steps is the binding budget
-    patience: int = 10
-    val_interval: int = 100
-    val_fraction: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.warmup < 0:
-            raise ConfigError(f"train.warmup = {self.warmup} < 0")
-        if self.warmup > self.total_steps:
-            raise ConfigError(
-                f"train.warmup = {self.warmup} > train.total_steps = {self.total_steps}"
-            )
-        for name in ("lr_base", "lr_embed", "lr_head", "lr_backbone"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
-        if self.batch_size < 1 or self.val_interval < 1 or self.epochs < 1:
-            raise ConfigError("batch_size, val_interval and epochs must be >= 1")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigError("val_fraction must be in (0, 1)")
 
 
 GROUP_RATE_FIELDS = {

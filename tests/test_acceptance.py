@@ -252,7 +252,8 @@ def test_criterion_6_physics_suite():
         pcfg = synthdata.PhysicsConfig(kappa=40.0, dt=150.0, dx=2000.0, sink=6.7e-5,
                                        max_wind=6.0, substeps=96)
         samples = synthdata.make_dataset(
-            spec, tw, pcfg, (12,), 36, seed=seed, wind_mode="fixed", source_mode="random"
+            spec, tw, pcfg, (12,), 36, seed=seed, wind_mode="fixed", source_mode="random",
+            init_mode="blobs",
         )
         fit = synthdata.fit_covariance_decay(samples, tw, pcfg)
         wins += fit.along_decay > fit.cross_decay

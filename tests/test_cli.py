@@ -184,6 +184,26 @@ def test_ablate_tiles_schema(tmp_path, config_path, dataset):
     assert float(rows[1].split(",")[3]) == 0.0
 
 
+def test_ablate_bad_lists_exit_two(tmp_path, config_path, dataset, capsys):
+    cases = (
+        ("components", "ablate.seeds", "0,0,1"),
+        ("components", "ablate.variants", "baseline,wind,baseline"),
+        ("components", "ablate.variants", ","),
+        ("tiles", "ablate.tiles", "global,0x2"),
+        ("tiles", "ablate.tiles", "2x0"),
+    )
+    for i, (mode, key, text) in enumerate(cases):
+        cfg = write_config(tmp_path / f"bad{i}.cfg", **{key: text})
+        out = tmp_path / f"out{i}"
+        capsys.readouterr()
+        assert run(
+            "ablate", "--config", str(cfg), "--data", str(dataset), "--out", str(out),
+            "--mode", mode, "--steps", "2",
+        ) == 2, (key, text)
+        assert key in capsys.readouterr().err
+        assert list(out.iterdir()) == []  # no rows written
+
+
 def test_dump_perm_uniform_east_wind(tmp_path, config_path):
     # build a dataset whose terrain wind is exactly eastward
     spec = GridSpec(8, 16, 2, 4, 2)
@@ -331,9 +351,14 @@ def test_thread_cap_env(monkeypatch):
     _apply_thread_cap()
     assert os.environ["OMP_NUM_THREADS"] == "1"
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-    # the cap is applied in main(), so it only reaches BLAS if importing
-    # the CLI loads no numpy (why DEFAULTS is a literal table)
+    # the cap is applied in main(), so it only reaches BLAS if the CLI
+    # loads no numpy before then: DEFAULTS is derived from the config
+    # dataclasses, so topoflow.config must stay numpy-free too
     src = os.path.dirname(os.path.dirname(os.path.abspath(synthdata.__file__)))
-    code = "import sys, topoflow.cli; sys.exit('numpy' in sys.modules)"
+    code = (
+        "import sys, topoflow.config, topoflow.cli as cli; "
+        "cli.DEFAULTS['train.warmup']; cli.build_parser(); "
+        "sys.exit('numpy' in sys.modules)"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,6 +1,7 @@
 """The flat config codec against the desk defaults and the config dataclasses."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +23,22 @@ def test_defaults_keys_name_dataclass_fields():
             assert name in {f.name for f in dataclasses.fields(SECTIONS[section])}, key
     assert cli.build_grid(cli.DEFAULTS) == GridSpec(32, 64, 2, 8, 8)
     assert cli.build_physics(cli.DEFAULTS) == PhysicsConfig()
-    assert cli.build_model_config(cli.DEFAULTS).n_horizons == 4
+    assert cli.build_model_config(cli.DEFAULTS) == ModelConfig(GridSpec(32, 64, 2, 8, 8))
+    assert cli.build_train_config(cli.DEFAULTS) == TrainConfig()
     assert cli.build_train_config(cli.DEFAULTS).total_steps == 600
+
+
+def test_readme_table_is_defaults():
+    """README's configuration table has one row per key, with its default."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Configuration reference")[1]
+    rows = {}
+    for line in section.split("\n## ")[0].splitlines():
+        cells = [c.strip().strip("`") for c in line.split("|")[1:-1]]
+        if len(cells) == 3 and cells[0] not in ("key", "---"):
+            assert cells[0] not in rows, cells[0]
+            rows[cells[0]] = cells[1]
+    assert rows == cli.DEFAULTS
 
 
 def test_dataclass_fields_are_defaults_keys():

@@ -271,7 +271,7 @@ def test_tiny_dataset_pinned_crc32():
     for boundary, pinned in (("periodic", "1228dc9c"), ("clamped", "0c0d7abb")):
         cfg = PhysicsConfig(boundary=boundary)
         crc = 0
-        for s in synthdata.make_dataset(SPEC, tw, cfg, (12, 24), 3, seed=9):
+        for s in synthdata.make_dataset(SPEC, tw, cfg, (12, 24), 3, seed=9, init_mode="blobs"):
             for f in (s.input,) + s.targets:
                 crc = zlib.crc32(f.data.tobytes(), crc)
         assert f"{crc:08x}" == pinned, boundary
@@ -428,7 +428,8 @@ def plume_samples(seed, u=2.0, v=0.0, count=40):
         kappa=40.0, dt=150.0, dx=2000.0, sink=6.7e-5, max_wind=6.0, substeps=96
     )
     samples = synthdata.make_dataset(
-        spec, tw, cfg, (12,), count, seed=seed, wind_mode="fixed", source_mode="random"
+        spec, tw, cfg, (12,), count, seed=seed, wind_mode="fixed", source_mode="random",
+        init_mode="blobs",
     )
     return samples, tw, cfg
 
@@ -438,7 +439,8 @@ def test_isotropic_fields_have_comparable_decay():
     tw = uniform_terrain(spec, 2.0, 1.0)
     cfg = quiet_config()
     samples = synthdata.make_dataset(
-        spec, tw, cfg, (12,), 40, seed=3, wind_mode="fixed", source_mode="none"
+        spec, tw, cfg, (12,), 40, seed=3, wind_mode="fixed", source_mode="none",
+        init_mode="blobs",
     )
     # zero dynamics: targets are the isotropic initial blobs
     fit = synthdata.fit_covariance_decay(samples, tw, cfg)

@@ -23,7 +23,7 @@ SPEC = GridSpec(8, 16, 2, 4, 2)
 def bundle(tmp_path_factory):
     tw = synthdata.gen_terrain(SPEC, seed=3, archetype="basin_ridge")
     cfg = synthdata.PhysicsConfig(substeps=2)
-    samples = synthdata.make_dataset(SPEC, tw, cfg, (12, 24), 24, seed=7)
+    samples = synthdata.make_dataset(SPEC, tw, cfg, (12, 24), 24, seed=7, init_mode="blobs")
     stats = NormStats.fit([s.input for s in samples], synthdata.norm_kinds())
     mask = synthdata.study_mask(SPEC)
     return synthdata.DatasetBundle(SPEC, tuple(samples), tw, mask, stats, (12, 24))
@@ -108,7 +108,7 @@ def test_lr_schedule_endpoints():
 
 
 def test_lr_schedule_group_rates():
-    cfg = TrainConfig()
+    cfg = TrainConfig(warmup=2000, total_steps=20000)
     assert lr_at(cfg.warmup, cfg, "patch_embed") == pytest.approx(2e-4)
     assert lr_at(cfg.warmup, cfg, "head") == pytest.approx(5e-5)
     assert lr_at(cfg.warmup, cfg, "backbone") == pytest.approx(1e-5)
@@ -175,7 +175,7 @@ def test_zero_gradients_with_decay_shrink_multiplicatively():
 
 
 def test_clipping_scales_by_global_norm():
-    cfg = TrainConfig()
+    cfg = TrainConfig(warmup=2000, total_steps=20000)
     config = tiny_model(dropout=0.0)
     store = init_params(config, seed=0)
     g = {}
