@@ -1,9 +1,14 @@
 """Multi-head self-attention with additive terrain bias.
 
 The core operation follows the standard scaled dot-product form with the
-softmax temperature sqrt(d) taken over the full model width. An optional
-additive bias lands on the logits of every head (the terrain penalty is
-shared across heads).
+softmax temperature sqrt(d) taken over the full model width. Two optional
+additive terms land on the logits of every head: a bias already in slot
+order (the model's relative slot-offset table), and the terrain penalty
+as one (N, N) table between the patches in raster order, with each
+sample's slot -> patch order. The node gathers a sample's penalty from
+that table in its order, so the (B, 1, N, N) per-sample bias is never
+built, kept or differentiated; the penalty's gradient is scattered back
+into one raster table.
 
 Without a bias the operation is permutation equivariant: reordering
 tokens, attending, and undoing the reorder is exactly attention on the
@@ -15,13 +20,14 @@ single tape node with an analytic backward. Forward and backward visit
 one (sample, head) pair's (N, N) logit block at a time, the blocking idea
 of FlashAttention (Dao et al. 2022, arXiv:2205.14135) rather than its
 kernel: a block is 1 MB at the desk size (N = 512, float32), so it stays
-in a core's L2 cache while it is biased, normalized and multiplied. No
-N x N array is kept for the backward. The forward records each softmax
-row's max and sum of exponentials, and the backward recomputes a block's
-weights from them: one more q k^T product and four elementwise passes
-per block buy back the (B, heads, N, N) weights the tape would otherwise
-hold (recompute instead of store, as in gradient checkpointing, Chen et
-al. 2016, arXiv:1604.06174).
+in a core's L2 cache while it is biased, normalized and multiplied. The
+backward keeps no N x N array besides the bias and penalty it was given.
+The forward records each softmax row's max and sum of exponentials, and
+the backward recomputes a block's weights from them: one more q k^T
+product and four elementwise passes per block buy back the
+(B, heads, N, N) weights the tape would otherwise hold (recompute
+instead of store, as in gradient checkpointing, Chen et al. 2016,
+arXiv:1604.06174).
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import reorder
-from .errors import NumericError, ShapeError
+from .errors import DataError, NumericError, ShapeError
 
 
 @dataclass
@@ -60,24 +66,37 @@ class AttentionParams:
         return self.wq.shape[0]
 
 
-def _attend_parts(tokens, params: AttentionParams, bias=None, weights: bool = False):
+def _attend_parts(
+    tokens, params: AttentionParams, bias=None, weights: bool = False, penalty=None,
+    orders=None,
+):
     """Biased multi-head attention as one tape node; returns (out, weights).
 
     The forward projects Q, K and V, then works on one head's (N, N) logit
     block of one sample at a time, in one reused buffer: q k^T, bias add,
     finiteness check and an in-place row softmax, which also writes each
     row's max and sum of exponentials into two (B, heads, N, 1) arrays.
-    The analytic backward keeps no N x N array: it holds the projections,
-    the context, the bias and those row statistics, and visits the blocks
-    in the same order. It recomputes each block's weights in a reused
-    buffer as exp(q k^T + bias - max) / sum, the forward's own operations
-    on the same operands, so every weight and every gradient keeps its
-    bits. It returns the gradients of the tokens, the four projections
-    and the bias.
+    The analytic backward keeps no N x N array of its own: it holds the
+    projections, the context, the bias, the penalty and those row
+    statistics, and visits the blocks in the same order. It recomputes
+    each block's weights in a reused buffer as exp(q k^T + bias - max) /
+    sum, the forward's own operations on the same operands, so every
+    weight and every gradient keeps its bits. It returns the gradients
+    of the tokens, the four projections, the bias and the penalty.
     The bias is shared by the heads: it has shape (N, N), (1, 1, N, N) or
     (B, 1, N, N), the shapes `model.forward` passes, and any other shape
     raises ShapeError. Its gradient adds up a sample's heads in one buffer,
     in head order, and then the samples that share it.
+    `penalty` is an (N, N) table between the patches in raster order (the
+    terrain penalty), shared by the batch and the heads. With `orders`, a
+    (B, N) array whose row i is sample i's slot -> patch permutation,
+    sample i's logit (a, b) gets penalty[order[a], order[b]]; without it,
+    the table lands as it is; a penalty of another shape raises
+    ShapeError, and a row of `orders` that is not a permutation raises
+    DataError. A sample's bias, `bias` plus its gathered penalty, is built
+    in one reused (N, N) buffer before its heads, so no (B, 1, N, N) bias
+    is made; its head sum goes back to the raster table through the
+    inverse order.
     With `weights` the second value is the post-softmax weights, a
     constant Tensor of shape (..., heads, N, N); without it, an empty
     (..., heads, 0, 0) Tensor of the logits' dtype.
@@ -98,14 +117,27 @@ def _attend_parts(tokens, params: AttentionParams, bias=None, weights: bool = Fa
                 f"with B = {b}, N = {n}"
             )
         bias3 = bias_t.data.reshape(-1, n, n)
+    pen_t = None if penalty is None else ad.as_tensor(penalty)
+    inverse = None
+    orders = None if pen_t is None else orders  # they only place the penalty
+    if pen_t is not None:
+        if pen_t.shape != (n, n):
+            raise ShapeError(f"penalty shape {pen_t.shape} is not (N, N) with N = {n}")
+        if orders is not None:
+            orders = np.asarray(orders)
+            if orders.shape != (b, n):
+                raise ShapeError(f"orders shape {orders.shape} is not (B, N) = {(b, n)}")
+            inverse = np.argsort(orders, axis=1)
+            if not (np.take_along_axis(orders, inverse, axis=1) == np.arange(n)).all():
+                raise DataError("each row of orders must be a permutation of 0..N-1")
 
     def heads(a: np.ndarray) -> np.ndarray:
         """(B, N, d) -> (B, heads, N, d/heads) view."""
         return a.reshape(b, n, h, d // h).transpose(0, 2, 1, 3)
 
-    def part(a: np.ndarray, i: int) -> np.ndarray:
+    def part(a: np.ndarray | None, i: int) -> np.ndarray | None:
         """a[i], or a[0] when `a` broadcasts along its leading axis."""
-        return a[i if a.shape[0] > 1 else 0]
+        return None if a is None else a[i if a.shape[0] > 1 else 0]
 
     # the 1/sqrt(d) temperature is folded into q (cheaper than scaling logits)
     scale = 1.0 / math.sqrt(d)
@@ -113,19 +145,25 @@ def _attend_parts(tokens, params: AttentionParams, bias=None, weights: bool = Fa
     k = xs @ params.wk.data
     v = xs @ params.wv.data
     qh, kh, vh = heads(q), heads(k), heads(v)
-    dtype = np.result_type(q, k) if bias3 is None else np.result_type(q, k, bias3)
+    dtype = np.result_type(q, k, *(t.data for t in (bias_t, pen_t) if t is not None))
+    # the penalty is gathered in the logits' dtype, into buffers of that dtype
+    pen = None if pen_t is None else pen_t.data.astype(dtype, copy=False)
     kept = n if weights else 0
     probs = np.empty((b, h, kept, kept), dtype=dtype)
     row_max = np.empty((b, h, n, 1), dtype=dtype)
     row_sum = np.empty((b, h, n, 1), dtype=dtype)
     buf = None if weights else np.empty((n, n), dtype=dtype)
+    bias_buf = None if pen is None else np.empty((n, n), dtype=dtype)
     ctx = np.empty((b, n, d), dtype=dtype)
     ctx_h = heads(ctx)
     for i in range(b):
+        # the sample's first logit block is still free: it is the gather scratch
+        bias_i = _sample_bias(
+            part(bias3, i), pen, part(orders, i), bias_buf, probs[i, 0] if weights else buf)
         for j in range(h):
             block = np.matmul(qh[i, j], kh[i, j].T, out=probs[i, j] if weights else buf)
-            if bias3 is not None:
-                block += part(bias3, i)
+            if bias_i is not None:
+                block += bias_i
             if not np.isfinite(block).all():
                 raise NumericError("non-finite attention logits")
             ad.softmax(block, stats=(row_max[i, j], row_sum[i, j]))
@@ -133,29 +171,34 @@ def _attend_parts(tokens, params: AttentionParams, bias=None, weights: bool = Fa
     out = ctx @ params.wo.data
 
     parents = (x, params.wq, params.wk, params.wv, params.wo)
-    if bias_t is not None:
-        parents += (bias_t,)
+    parents += tuple(t for t in (bias_t, pen_t) if t is not None)
 
     def vjp(g):
         gs = g if batched else g[None]
         gctx_h = heads(gs @ params.wo.data.T)
         gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
         gq_h, gk_h, gv_h = heads(gq), heads(gk), heads(gv)
+        # the backward's own buffers: the forward's are not kept on the tape
         p = np.empty((n, n), dtype=dtype)
         glog = np.empty((n, n), dtype=np.result_type(gctx_h, vh))
-        gbias = head_sum = None
+        bias_buf = None if pen is None else np.empty((n, n), dtype=dtype)
+        gbias = gpen = head_sum = None
         if bias_t is not None and bias_t.requires_grad:
             gbias = np.zeros(bias3.shape, dtype=bias3.dtype)
+        if pen_t is not None and pen_t.requires_grad:
+            gpen = np.zeros((n, n), dtype=pen_t.dtype)
+        if gbias is not None or gpen is not None:
             # a sample's heads add up in one buffer, in head order, as a sum
             # over the head axis would; the first head's gradient is
             # written straight into it
             head_sum = np.empty((n, n), dtype=glog.dtype)
         for i in range(b):
+            bias_i = _sample_bias(part(bias3, i), pen, part(orders, i), bias_buf, p)
             for j in range(h):
                 # the forward's softmax of this block, from its row statistics
                 np.matmul(qh[i, j], kh[i, j].T, out=p)
-                if bias3 is not None:
-                    p += part(bias3, i)
+                if bias_i is not None:
+                    p += bias_i
                 p -= row_max[i, j]
                 np.exp(p, out=p)
                 p /= row_sum[i, j]
@@ -169,8 +212,14 @@ def _attend_parts(tokens, params: AttentionParams, bias=None, weights: bool = Fa
                     head_sum += gl
                 gq_h[i, j] = gl @ kh[i, j]
                 gk_h[i, j] = gl.T @ qh[i, j]
-            if head_sum is not None:
+            if gbias is not None:
                 part(gbias, i)[...] += head_sum
+            if gpen is not None:
+                if inverse is not None:
+                    # back to raster order: entry (order[a], order[b]) gets (a, b)
+                    np.take(head_sum, inverse[i], axis=0, out=glog, mode="clip")
+                    np.take(glog, inverse[i], axis=1, out=head_sum, mode="clip")
+                gpen += head_sum
         gq *= scale
 
         def weight_grad(w, left, right):
@@ -189,10 +238,32 @@ def _attend_parts(tokens, params: AttentionParams, bias=None, weights: bool = Fa
         )
         if bias_t is not None:
             grads += (None if gbias is None else gbias.reshape(bias_t.shape),)
+        if pen_t is not None:
+            grads += (gpen,)
         return grads
 
     out_t = ad.Tensor._op(out if batched else out[0], parents, vjp)
     return out_t, ad.Tensor(probs if batched else probs[0])
+
+
+def _sample_bias(bias, penalty, order, out, scratch):
+    """One sample's (N, N) logit bias: `bias` plus `penalty` in slot order.
+
+    `bias` is the sample's (N, N) bias or None, `penalty` the raster
+    (N, N) table or None, and `order` the sample's slot -> patch
+    permutation, or None to add the table as it is. Without a penalty the
+    result is `bias` itself. With one it is written into `out`: the
+    table's rows are gathered into `scratch`, any free (N, N) buffer of
+    the table's dtype, and its columns into `out`, and `bias` is added in
+    front, so entry (a, b) is the float sum
+    bias[a, b] + penalty[order[a], order[b]].
+    """
+    if penalty is None:
+        return bias
+    if order is not None:
+        rows = np.take(penalty, order, axis=0, out=scratch, mode="clip")
+        penalty = np.take(rows, order, axis=1, out=out, mode="clip")
+    return penalty if bias is None else np.add(bias, penalty, out=out)
 
 
 def equivariance_check(

@@ -260,6 +260,13 @@ def cmd_ablate(cfg: dict[str, str], mode: str) -> int:
     elif mode == "tiles":
         labels = [x for x in cfg["ablate.tiles"].split(",") if x]
         tiles_list = [_tiles_from_label(label) for label in labels]
+        # 'global' is the 1x1 grid: each granularity may be trained once
+        grids = [(ty, tx) for _, ty, tx in tiles_list]
+        if len(set(grids)) < len(grids):
+            raise ConfigError(
+                f"ablate.tiles must list distinct granularities ('global' is 1x1), "
+                f"got {cfg['ablate.tiles']!r}"
+            )
         rows = train.sector_sweep(bundle, tiles_list, mconfig, tconfig)
         text = ["strategy tiles loss delta"]
         csv = ["strategy,tiles,loss,delta"]

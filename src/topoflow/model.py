@@ -293,15 +293,15 @@ def forward(
     orders = np.stack([p.forward for p in perms])  # (B, N) slot -> patch
 
     # shared by every sample: the relative slot-offset logits, the
-    # per-patch positional vectors and the raster uphill matrix, from which
-    # each sample's terrain penalty is gathered in its slot order
+    # per-patch positional vectors and the raster terrain penalty, whose
+    # entries the attention node gathers in each sample's slot order
     rel = ad.take(params["pos.rel"], _relative_slot_index(spec))
     pos = params["pos.grid"] @ params["pos.proj"]
-    uphill = topo_bias.uphill_matrix(elev_patch_m) if config.elev_bias else None
+    penalty = topo_bias.bias_tensor(elev_patch_m, params["alpha"]) if config.elev_bias else None
 
     def run(rows: slice):
         return _forward_samples(
-            params, config, arr[rows], orders[rows], uphill, rel, pos,
+            params, config, arr[rows], orders[rows], penalty, rel, pos,
             train, rng, collect_attention,
         )
 
@@ -319,7 +319,7 @@ def _forward_samples(
     config: ModelConfig,
     arr: np.ndarray,
     orders: np.ndarray,
-    uphill: np.ndarray | None,
+    penalty: ad.Tensor | None,
     rel: ad.Tensor,
     pos: ad.Tensor,
     train: bool,
@@ -328,7 +328,7 @@ def _forward_samples(
 ) -> tuple[ad.Tensor, list[np.ndarray]]:
     """Slot-order output tokens and per-layer attention maps of `forward`
     for the samples `arr`, whose slot -> patch orders are `orders`;
-    `uphill` is the raster `topo_bias.uphill_matrix` when the elevation
+    `penalty` is the raster `topo_bias.bias_tensor` when the elevation
     bias is on."""
     spec = config.spec
     tokens_np = patchify(arr, spec).astype(params["patch_embed.w"].dtype)
@@ -336,12 +336,10 @@ def _forward_samples(
         tokens_np = np.take_along_axis(tokens_np, orders[..., None], axis=1)
 
     # relative positional logits live in slot space and are shared by every
-    # layer; the terrain penalty (when enabled) rides on the same additive
-    # bias input, gathered per sample in its slot order so entry (i, j)
-    # keeps naming the same patch pair, as (B, 1, N, N) to broadcast over heads
-    bias = rel
-    if config.elev_bias:
-        bias = bias + topo_bias.bias_tensor(uphill, params["alpha"], orders)
+    # layer; the terrain penalty (when enabled) stays one raster (N, N)
+    # table, and the attention node adds each sample's entries to them in
+    # its slot order, so entry (i, j) keeps naming the same patch pair
+    slot_orders = orders if config.wind_reorder else None
 
     def drop(t):
         return ad.dropout(t, config.dropout, rng) if train else t
@@ -357,8 +355,8 @@ def _forward_samples(
     for i in range(config.layers):
         normed = ad.layer_norm(x, params[f"layer{i}.ln1.g"], params[f"layer{i}.ln1.b"])
         attended, weights = _attend_parts(
-            normed, _layer_attention_params(params, i, config.heads), bias=bias,
-            weights=collect_attention,
+            normed, _layer_attention_params(params, i, config.heads), bias=rel,
+            weights=collect_attention, penalty=penalty, orders=slot_orders,
         )
         if collect_attention:
             attn_maps.append(weights.data.mean(axis=-3))

@@ -6,9 +6,12 @@ proportion to the climb, downhill and level attention are free. Entries
 are clamped to [BIAS_LO, 0]; the clamp is hard, so saturated pairs stop
 contributing gradient to the learnable scale alpha.
 
-`bias_tensor` is the one place the penalty is computed: for one patch
-order (the `dump bias` matrix) or for a batch of wind-sorted orders (the
-model's logit bias), as a single tape node whose only parent is alpha.
+`bias_tensor` is the one place the penalty is computed: one (N, N)
+matrix between the patches in raster order, as a single tape node whose
+only parent is alpha. The `dump bias` matrix is that table, and so is the
+model's: the attention node gathers each sample's entries from it in the
+sample's slot order (entry (a, b) is table[order[a], order[b]]), so no
+per-sample copy of the penalty is built or kept.
 
 Elevations enter in meters (pre-normalization) because the reference
 height h0 = 1000 m is dimensional; the [0, 1]-scaled elevation channel the
@@ -46,19 +49,14 @@ def uphill_matrix(patch_elev: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, (h[None, :] - h[:, None]) / H0_METERS)
 
 
-def bias_tensor(terrain: np.ndarray, alpha, orders: np.ndarray | None = None) -> ad.Tensor:
+def bias_tensor(patch_elev: np.ndarray, alpha) -> ad.Tensor:
     """The clamped penalty clip(-alpha * uphill, BIAS_LO, 0) as one tape node.
 
-    `terrain` is the flat vector of patch elevations in meters, raster
-    order, or its (N, N) `uphill_matrix`, which a caller that builds
-    several penalties on one terrain computes once. `alpha` is a scalar
-    Tensor, whose dtype the result takes, or a plain number, taken as
-    float64. Without `orders` the result is the (N, N) penalty between
-    the patches in raster order. `orders` is a (B, N) array of slot ->
-    patch indices; sample b then gets the penalty of its patches in that
-    order, gathered from the raster matrix (entry (i, j) is
-    uphill[order[i], order[j]]), and the result is (B, 1, N, N), which
-    broadcasts over attention heads.
+    `patch_elev` is the flat vector of patch elevations in meters, raster
+    order. `alpha` is a scalar Tensor, whose dtype the result takes, or a
+    plain number, taken as float64. The result is the (N, N) penalty
+    between the patches in raster order; row i is the query patch,
+    column j the key patch.
 
     The backward gives alpha -sum(g * uphill) over the entries strictly
     inside the clamp. Those are exactly the entries the forward left
@@ -68,15 +66,7 @@ def bias_tensor(terrain: np.ndarray, alpha, orders: np.ndarray | None = None) ->
     alpha = ad.as_tensor(alpha, dtype=np.float64)
     if not np.isfinite(alpha.data).all():
         raise DataError(f"alpha must be finite, got {alpha.data}")
-    h = np.asarray(terrain)
-    square = h.ndim == 2 and h.shape[0] == h.shape[1]
-    up = (h if square else uphill_matrix(h)).astype(alpha.dtype, copy=False)
-    if orders is not None:
-        orders = np.asarray(orders)
-        b, n = orders.shape
-        raster, up = up, np.empty((b, 1, n, n), dtype=alpha.dtype)
-        for i, order in enumerate(orders):
-            up[i, 0] = raster.take(order, axis=0).take(order, axis=1)
+    up = uphill_matrix(patch_elev).astype(alpha.dtype, copy=False)
     out = (-alpha.data) * up
     np.clip(out, BIAS_LO, 0.0, out=out)
 

@@ -495,15 +495,21 @@ def sector_sweep(
     """Train the wind-reorder variant across sector granularities.
 
     `tiles_list` holds (label, tiles_y, tiles_x) entries; tiles are the
-    sector grid (1x1 = one global sector). Emits rows with the granularity
-    sweep schema: strategy, tiles, loss, delta vs the first row.
+    sector grid (1x1 = one global sector). Every tile grid must divide the
+    patch grid; that is checked for all of them before the first fit.
+    Emits rows with the granularity sweep schema: strategy, tiles, loss,
+    delta vs the first row.
     """
+    spec = config.spec
+    for _label, ty, tx in tiles_list:
+        if spec.patches_y % ty or spec.patches_x % tx:
+            raise ConfigError(
+                f"tile grid {ty}x{tx} does not divide the "
+                f"{spec.patches_y}x{spec.patches_x} patch grid"
+            )
     rows: list[dict] = []
     base_loss = None
     for label, ty, tx in tiles_list:
-        spec = config.spec
-        if spec.patches_y % ty or spec.patches_x % tx:
-            raise ConfigError(f"tile grid {ty}x{tx} does not divide patch grid")
         new_spec = dataclasses.replace(
             spec, sector_rows=spec.patches_y // ty, sector_cols=spec.patches_x // tx
         )

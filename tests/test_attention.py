@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from topoflow import attention, autodiff as ad, reorder, topo_bias
-from topoflow.errors import ShapeError
+from topoflow.errors import DataError, ShapeError
 from topoflow.fields import GridSpec
 
 
@@ -494,3 +494,106 @@ def test_non_finite_bias_entries_raise_numeric_error(taped, bad):
     bias = ad.parameter(values)
     with contextlib.nullcontext() if taped else ad.no_grad(), pytest.raises(NumericError):
         attend(tokens, params, bias=bias)
+
+
+# -- the terrain penalty as one raster table plus slot orders ------------------------
+
+def penalty_case(rng, b=3, n=24):
+    """Float32 tokens, projections, slot-order bias, elevations and orders."""
+    params = make_params(16, 4, rng, dtype=np.float32)
+    x = rng.normal(size=(b, n, 16)).astype(np.float32)
+    coeff = rng.normal(size=x.shape).astype(np.float32)
+    rel = rng.normal(size=(n, n)).astype(np.float32)
+    elev = rng.uniform(0, 8000, size=n)
+    orders = np.stack([rng.permutation(n) for _ in range(b)])
+    return params, x, coeff, rel, elev, orders
+
+
+def attend_and_grads(params, x, coeff, **kwargs):
+    """(out, weights, token and projection grads) of one taped call and backward."""
+    tokens = ad.parameter(x.copy())
+    ad.zero_grads([params.wq, params.wk, params.wv, params.wo])
+    out, weights = attention._attend_parts(tokens, params, weights=True, **kwargs)
+    (out * ad.Tensor(coeff)).sum().backward()
+    grads = [t.grad for t in (tokens, params.wq, params.wk, params.wv, params.wo)]
+    return [out.data, weights.data] + grads
+
+
+# (penalty, orders): both mechanisms on, wind reordering off, the terrain
+# penalty off (orders without a penalty change nothing), both off
+PENALTY_CASES = [(True, True), (True, False), (False, True), (False, False)]
+
+
+@pytest.mark.parametrize("with_penalty,with_orders", PENALTY_CASES)
+def test_penalty_and_orders_match_the_materialized_bias(with_penalty, with_orders):
+    rng = np.random.default_rng(22)
+    params, x, coeff, rel, elev, orders = penalty_case(rng)
+    b, n = orders.shape
+    slots = orders if with_orders else np.tile(np.arange(n), (b, 1))
+
+    # reference: the (B, 1, N, N) sum rel + gathered penalty, as a leaf
+    flat = topo_bias.bias_tensor(elev, ad.Tensor(np.array(1.3, dtype=np.float32))).data
+    gathered = np.stack([flat[o][:, o] for o in slots])[:, None]
+    ref_bias = ad.parameter(rel + gathered if with_penalty else rel.copy())
+    want = attend_and_grads(params, x, coeff, bias=ref_bias)
+
+    rel_t = ad.parameter(rel.copy())
+    alpha = ad.parameter(np.array(1.3, dtype=np.float32))
+    penalty = topo_bias.bias_tensor(elev, alpha) if with_penalty else None
+    got = attend_and_grads(params, x, coeff, bias=rel_t, penalty=penalty,
+                           orders=orders if with_orders else None)
+    for new, old in zip(got, want):
+        assert new.dtype == old.dtype == np.float32
+        assert new.tobytes() == old.tobytes()
+    with ad.no_grad():
+        plain, _ = attention._attend_parts(x, params, bias=rel_t, penalty=penalty,
+                                           orders=orders if with_orders else None)
+    assert plain.data.tobytes() == got[0].tobytes()
+
+    g = ref_bias.grad
+    np.testing.assert_allclose(rel_t.grad, g.sum(axis=(0, 1)) if g.ndim == 4 else g,
+                               rtol=1e-5, atol=1e-7)
+    if with_penalty:
+        # the removed (B, 1, N, N) penalty node's backward rule
+        up = topo_bias.uphill_matrix(elev).astype(np.float32)
+        up = np.stack([up[o][:, o] for o in slots])[:, None]
+        inside = (gathered > topo_bias.BIAS_LO) & (gathered < 0.0)
+        assert alpha.grad == pytest.approx(-((g * inside) * up).sum(), rel=1e-5)
+    else:
+        assert alpha.grad is None
+
+
+@pytest.mark.parametrize("with_orders", [True, False])
+def test_penalty_gradient_is_the_scattered_head_sum(with_orders):
+    # the raster table's gradient adds each sample's head sum, moved back to
+    # raster order, in sample order: bit for bit what a scatter of the
+    # per-sample bias gradients gives
+    rng = np.random.default_rng(23)
+    params, x, coeff, rel, elev, orders = penalty_case(rng)
+    b, n = orders.shape
+    flat = topo_bias.bias_tensor(elev, ad.Tensor(np.array(1.3, dtype=np.float32))).data
+    slots = orders if with_orders else np.tile(np.arange(n), (b, 1))
+    ref_bias = ad.parameter(np.stack([flat[o][:, o] for o in slots])[:, None])
+    attend_and_grads(params, x, coeff, bias=ref_bias)
+    penalty = ad.parameter(flat.copy())
+    attend_and_grads(params, x, coeff, penalty=penalty,
+                     orders=orders if with_orders else None)
+    want = np.zeros((n, n), dtype=np.float32)
+    for o, g in zip(slots, ref_bias.grad[:, 0]):
+        inv = np.argsort(o)
+        want += g[inv][:, inv]
+    assert penalty.grad.dtype == np.float32
+    assert penalty.grad.tobytes() == want.tobytes()
+
+
+def test_penalty_and_orders_are_checked():
+    rng = np.random.default_rng(24)
+    params, x, _coeff, rel, _elev, orders = penalty_case(rng, b=2, n=6)
+    with pytest.raises(ShapeError):
+        attention._attend_parts(x, params, penalty=np.zeros((2, 1, 6, 6)))
+    with pytest.raises(ShapeError):
+        attention._attend_parts(x, params, penalty=rel, orders=orders[:1])
+    repeated = orders.copy()
+    repeated[1, 0] = repeated[1, 1]
+    with pytest.raises(DataError):
+        attention._attend_parts(x, params, penalty=rel, orders=repeated)

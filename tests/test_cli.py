@@ -204,6 +204,30 @@ def test_ablate_bad_lists_exit_two(tmp_path, config_path, dataset, capsys):
         assert list(out.iterdir()) == []  # no rows written
 
 
+def test_ablate_tiles_checked_before_any_fit(tmp_path, config_path, dataset, capsys,
+                                             monkeypatch):
+    # 3x3 does not divide the 4x8 patch grid, and 'global' is the 1x1 grid:
+    # each list is refused before its first granularity is trained
+    from topoflow import train
+
+    fits = []
+    monkeypatch.setattr(train, "fit", lambda *a, **k: fits.append(a))
+    cases = (("global,3x3", None), ("global,2x2,2x2", "ablate.tiles"),
+             ("1x1,2x2,global", "ablate.tiles"))
+    for i, (tiles, key) in enumerate(cases):
+        cfg = write_config(tmp_path / f"tiles{i}.cfg", **{"ablate.tiles": tiles})
+        out = tmp_path / f"tiles{i}"
+        capsys.readouterr()
+        assert run(
+            "ablate", "--config", str(cfg), "--data", str(dataset), "--out", str(out),
+            "--mode", "tiles", "--steps", "2",
+        ) == 2, tiles
+        err = capsys.readouterr().err
+        assert key is None or key in err, err
+        assert not (out / "tiles.txt").exists()
+    assert fits == []
+
+
 def test_dump_perm_uniform_east_wind(tmp_path, config_path):
     # build a dataset whose terrain wind is exactly eastward
     spec = GridSpec(8, 16, 2, 4, 2)

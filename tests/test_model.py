@@ -203,6 +203,25 @@ def test_reorder_is_equivalence_at_init():
     assert np.abs(diverged - forward(store, config_off, x).to_grid()).max() > 1e-6
 
 
+def test_terrain_penalty_follows_the_shuffle_at_init():
+    # with the terrain penalty on, the shuffle stays an equivalence at init
+    # only if each sample's penalty is gathered in its own slot order
+    config_on = tiny_config(wind_reorder=True)
+    config_off = tiny_config(wind_reorder=False)
+    store = init_params(config_on, seed=0, dtype=np.float64)
+    rng = np.random.default_rng(6)
+    x = uniform_wind_inputs(config_on, rng)
+    x[1, synthdata.INPUT_CHANNELS.index("v")] = -2.0
+    perms = wind_perms(config_on, x)
+    assert len({tuple(p.forward) for p in perms}) == 2
+    assert not any(np.array_equal(p.forward, np.arange(config_on.spec.n_patches))
+                   for p in perms)
+    elev = rng.uniform(0, 3000, config_on.spec.n_patches)
+    base = forward(store, config_off, x, elev).to_grid()
+    shuffled = forward(store, config_on, x, elev, perms=perms).to_grid()
+    assert np.abs(shuffled - base).max() < 1e-10
+
+
 def test_toggles_off_is_the_shared_baseline_path():
     config = tiny_config(wind_reorder=False, elev_bias=False)
     store = init_params(config, seed=0)
@@ -228,10 +247,14 @@ def test_collect_attention_rows_stochastic():
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-5)
 
 
-@pytest.mark.parametrize("over", [{}, {"wind_reorder": False, "elev_bias": False}])
+@pytest.mark.parametrize("over", [
+    {}, {"wind_reorder": False, "elev_bias": False}, {"wind_reorder": False},
+    {"elev_bias": False},
+])
 def test_no_grad_attention_maps_equal_the_taped_batch(over):
     # the no-tape forward runs sample by sample; its maps and tokens must be
-    # the whole-batch taped pass's, bit for bit
+    # the whole-batch taped pass's, bit for bit, with both mechanisms on
+    # (the default), either one or neither
     config = tiny_config(layers=2, **over)
     store = init_params(config, seed=1)
     rng = np.random.default_rng(9)
@@ -282,12 +305,14 @@ def load_tape_stats():
 
 
 # One taped training forward of the two-layer tiny model with dropout on
-# records 34 nodes whose reachable buffers (parameters and the bool dropout
-# masks included) come to 43364 bytes. Each `x @ w + b` is one node and
-# dropout keeps a bool mask; a refactor that brings back a kept
-# intermediate, such as a pre-bias product or a float mask, fails here.
-TAPE_NODES = 34
-TAPE_BYTES = 43364
+# records 33 nodes whose reachable buffers (parameters and the bool dropout
+# masks included) come to 42596 bytes. Each `x @ w + b` is one node,
+# dropout keeps a bool mask, and the terrain penalty is one raster (N, N)
+# node that the attention nodes gather from; a refactor that brings back a
+# kept intermediate, such as a pre-bias product, a float mask or a
+# per-sample bias, fails here.
+TAPE_NODES = 33
+TAPE_BYTES = 42596
 
 
 def test_taped_forward_node_count_and_bytes_pinned():
@@ -300,6 +325,36 @@ def test_taped_forward_node_count_and_bytes_pinned():
     nodes, nbytes = load_tape_stats()(res.tokens)
     assert nodes == TAPE_NODES
     assert nbytes <= TAPE_BYTES
+
+
+def test_taped_forward_keeps_no_batch_by_n_by_n_array():
+    # with both mechanisms on, the bias reaches attention as the (N, N)
+    # slot table and the (N, N) raster penalty; no array on the tape, walked
+    # as `tape_stats` walks it, is as large as one (B, 1, N, N) bias
+    config = tiny_config(spec=GridSpec(16, 32, 2, 4, 2), layers=2, dropout=0.1)
+    assert config.wind_reorder and config.elev_bias
+    store = init_params(config, seed=0)
+    rng = np.random.default_rng(5)
+    x = random_inputs(config, rng).astype(np.float32)
+    elev = rng.uniform(0, 2500, config.spec.n_patches)
+    res = forward(store, config, x, elev, perms=wind_perms(config, x), train=True, rng=rng)
+    b, n = x.shape[0], config.spec.n_patches
+    largest, seen, stack = 0, set(), [res.tokens]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        arrays = [node.data] + [
+            cell.cell_contents for cell in getattr(node._vjp, "__closure__", None) or ()
+            if isinstance(cell.cell_contents, np.ndarray)
+        ]
+        for arr in arrays:
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            largest = max(largest, arr.size)
+        stack.extend(node._parents)
+    assert n * n <= largest < b * n * n
 
 
 # -- full-model gradient check -----------------------------------------------------

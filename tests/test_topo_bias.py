@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from topoflow import autodiff as ad
-from topoflow import topo_bias
+from topoflow import attention, autodiff as ad, topo_bias
 from topoflow.errors import DataError
 from topoflow.fields import GridSpec
 
@@ -122,8 +121,7 @@ def test_non_finite_alpha_rejected():
     with pytest.raises(DataError):
         topo_bias.bias_tensor(h, np.nan)
     with pytest.raises(DataError):
-        topo_bias.bias_tensor(h, ad.parameter(np.array(np.inf, dtype=np.float32)),
-                              orders=np.array([[1, 0]]))
+        topo_bias.bias_tensor(h, ad.parameter(np.array(np.inf, dtype=np.float32)))
 
 
 # -- alpha gradient ----------------------------------------------------------------
@@ -174,50 +172,80 @@ def test_tape_alpha_gradient_matches_analytic():
     assert alpha.grad == pytest.approx(want, rel=1e-12)
 
 
+# -- the penalty in slot order, as the attention node gathers it -------------------
+
+def attention_case(rng, n, batch, dtype=np.float64):
+    """(tokens, params, coeff) for a small attention layer of width 8, 2 heads."""
+    def w():
+        return ad.parameter(rng.normal(0.0, 0.35, size=(8, 8)).astype(dtype))
+    params = attention.AttentionParams(w(), w(), w(), w(), 2)
+    tokens = rng.normal(size=(batch, n, 8)).astype(dtype)
+    coeff = rng.normal(size=(batch, n, 8)).astype(dtype)
+    return tokens, params, coeff
+
+
+def gathered(penalty, order, bias=None):
+    """The bias the attention node builds for one sample, through its helper."""
+    n = penalty.shape[0]
+    out, scratch = np.empty((n, n), penalty.dtype), np.empty((n, n), penalty.dtype)
+    return attention._sample_bias(bias, penalty, order, out, scratch)
+
+
 def test_batched_alpha_gradient_matches_central_differences():
+    # alpha reaches the loss through the raster penalty and the attention
+    # node's per-sample gathers, three distinct slot orders
     rng = np.random.default_rng(6)
     h = rng.uniform(0, 8000, size=9)
     orders = np.stack([rng.permutation(9) for _ in range(3)])
-    coeff = rng.normal(size=(3, 1, 9, 9))
+    assert len({tuple(o) for o in orders}) == 3
+    tokens, params, coeff = attention_case(rng, 9, 3)
+    rel = rng.normal(size=(9, 9))
     alpha, eps = 2.0, 1e-6
 
+    def attend(a):
+        out, _ = attention._attend_parts(
+            tokens, params, bias=rel, penalty=topo_bias.bias_tensor(h, a), orders=orders)
+        return out
+
     def loss(a):
-        return float((topo_bias.bias_tensor(h, a, orders).data * coeff).sum())
+        return float((attend(a).data * coeff).sum())
 
     a = ad.parameter(np.array(alpha))
-    out = topo_bias.bias_tensor(h, a, orders)
-    assert out.shape == (3, 1, 9, 9)
-    (out * ad.Tensor(coeff)).sum().backward()
+    (attend(a) * ad.Tensor(coeff)).sum().backward()
     fd = (loss(alpha + eps) - loss(alpha - eps)) / (2 * eps)
     assert a.grad == pytest.approx(fd, rel=1e-8)
     # the case covers interior, clamped and downhill (or level) entries
-    assert ((out.data > topo_bias.BIAS_LO) & (out.data < 0.0)).any()
-    assert (out.data == topo_bias.BIAS_LO).any()
-    assert (out.data == 0.0).any()
+    out = topo_bias.bias_tensor(h, alpha).data
+    assert ((out > topo_bias.BIAS_LO) & (out < 0.0)).any()
+    assert (out == topo_bias.BIAS_LO).any()
+    assert (out == 0.0).any()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_batched_output_is_the_reindexed_penalty(dtype):
+    # sample i's bias is rel + penalty[o][:, o], entry for entry
     rng = np.random.default_rng(7)
     h = rng.uniform(0, 8000, size=10)
     orders = np.stack([rng.permutation(10) for _ in range(4)])
     alpha = ad.parameter(np.array(1.3, dtype=dtype))
     flat = topo_bias.bias_tensor(h, alpha).data
-    batched = topo_bias.bias_tensor(h, alpha, orders).data
-    assert batched.dtype == flat.dtype == dtype
-    for b, order in enumerate(orders):
-        np.testing.assert_array_equal(batched[b, 0], flat[order][:, order])
+    rel = rng.normal(size=(10, 10)).astype(dtype)
+    assert flat.dtype == dtype
+    for order in orders:
+        got = gathered(flat, order, rel)
+        assert got.dtype == dtype
+        assert got.tobytes() == (rel + flat[order][:, order]).tobytes()
+        assert gathered(flat, order).tobytes() == flat[order][:, order].tobytes()
 
 
 def test_one_node_on_alpha_and_none_under_no_grad():
     rng = np.random.default_rng(8)
     h = rng.uniform(0, 4000, size=6)
-    orders = np.stack([rng.permutation(6) for _ in range(2)])
     alpha = ad.parameter(np.array(2.0))
-    taped = topo_bias.bias_tensor(h, alpha, orders)
+    taped = topo_bias.bias_tensor(h, alpha)
     assert taped._parents == (alpha,) and taped._vjp is not None
     with ad.no_grad():
-        plain = topo_bias.bias_tensor(h, alpha, orders)
+        plain = topo_bias.bias_tensor(h, alpha)
     assert not plain.requires_grad and plain._parents == () and plain._vjp is None
     np.testing.assert_array_equal(plain.data, taped.data)
 
@@ -234,20 +262,30 @@ def test_bias_tensor_matches_reference_formula():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gather_from_raster_uphill_is_bitwise_the_per_sample_build(dtype):
-    # the reference builds each sample's uphill matrix from its reordered
-    # elevations; `bias_tensor` gathers it from one raster matrix, given
-    # as elevations or as that matrix
+    # the reference builds each sample's penalty from its reordered
+    # elevations; the attention node gathers it from the one raster table
     rng = np.random.default_rng(9)
     h = rng.uniform(0, 8000, size=12)
     orders = np.stack([rng.permutation(12) for _ in range(3)])
-    coeff = rng.normal(size=(3, 1, 12, 12)).astype(dtype)
-    up = np.stack([topo_bias.uphill_matrix(h[order]) for order in orders])[:, None]
-    want = np.clip(-dtype(1.3) * up.astype(dtype), topo_bias.BIAS_LO, 0.0)
-    for terrain in (h, topo_bias.uphill_matrix(h)):
-        alpha = ad.parameter(np.array(1.3, dtype=dtype))
-        out = topo_bias.bias_tensor(terrain, alpha, orders)
-        assert out.data.dtype == dtype
-        assert out.data.tobytes() == want.tobytes()
-        (out * ad.Tensor(coeff)).sum().backward()
-        inside = (want > topo_bias.BIAS_LO) & (want < 0.0)
-        assert alpha.grad == -((coeff * inside) * up.astype(dtype)).sum()
+    alpha = ad.parameter(np.array(1.3, dtype=dtype))
+    raster = topo_bias.bias_tensor(h, alpha).data
+    for order in orders:
+        want = topo_bias.bias_tensor(h[order], alpha).data
+        got = gathered(raster, order)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+    # and through the node: alpha's gradient from the raster table's three
+    # gathers is the sum of the three per-sample builds', to rounding
+    tokens, params, coeff = attention_case(rng, 12, 3, dtype)
+    alpha = ad.parameter(np.array(1.3, dtype=dtype))
+    out, _ = attention._attend_parts(
+        tokens, params, penalty=topo_bias.bias_tensor(h, alpha), orders=orders)
+    (out * ad.Tensor(coeff)).sum().backward()
+    per_sample = ad.parameter(np.array(1.3, dtype=dtype))
+    for i, order in enumerate(orders):
+        out, _ = attention._attend_parts(
+            tokens[i], params, bias=topo_bias.bias_tensor(h[order], per_sample))
+        (out * ad.Tensor(coeff[i])).sum().backward()
+    assert alpha.grad.dtype == per_sample.grad.dtype == dtype
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    assert float(alpha.grad) == pytest.approx(float(per_sample.grad), rel=tol)
