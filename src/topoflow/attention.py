@@ -70,80 +70,61 @@ def _attend_parts(
     tokens, params: AttentionParams, bias=None, weights: bool = False, penalty=None,
     orders=None,
 ):
-    """Biased multi-head attention as one tape node; returns (out, weights).
+    """Biased multi-head attention over (B, N, d) tokens as one tape node;
+    returns (out, weights).
 
     The forward projects Q, K and V, then works on one head's (N, N) logit
     block of one sample at a time, in one reused buffer: q k^T, bias add,
     finiteness check and an in-place row softmax, which also writes each
     row's max and sum of exponentials into two (B, heads, N, 1) arrays.
     The analytic backward keeps no N x N array of its own: it holds the
-    projections, the context, the bias, the penalty and those row
-    statistics, and visits the blocks in the same order. It recomputes
-    each block's weights in a reused buffer as exp(q k^T + bias - max) /
-    sum, the forward's own operations on the same operands, so every
-    weight and every gradient keeps its bits. It returns the gradients
-    of the tokens, the four projections, the bias and the penalty.
-    The bias is shared by the heads: it has shape (N, N), (1, 1, N, N) or
-    (B, 1, N, N), the shapes `model.forward` passes, and any other shape
-    raises ShapeError. Its gradient adds up a sample's heads in one buffer,
-    in head order, and then the samples that share it.
-    `penalty` is an (N, N) table between the patches in raster order (the
-    terrain penalty), shared by the batch and the heads. With `orders`, a
-    (B, N) array whose row i is sample i's slot -> patch permutation,
-    sample i's logit (a, b) gets penalty[order[a], order[b]]; without it,
-    the table lands as it is; a penalty of another shape raises
-    ShapeError, and a row of `orders` that is not a permutation raises
-    DataError. A sample's bias, `bias` plus its gathered penalty, is built
-    in one reused (N, N) buffer before its heads, so no (B, 1, N, N) bias
-    is made; its head sum goes back to the raster table through the
-    inverse order.
+    projections, the context, the tables and those row statistics, and
+    recomputes each block's weights as exp(q k^T + bias - max) / sum, the
+    forward's own operations on the same operands, so every weight and
+    every gradient keeps its bits.
+    `bias` (the relative slot-offset logits) and `penalty` (the terrain
+    penalty between the patches in raster order) are (N, N) tables shared
+    by the batch and the heads. With `orders`, a (B, N) array whose row i
+    is sample i's slot -> patch permutation, sample i's logit (a, b) gets
+    penalty[order[a], order[b]]; without it, the penalty lands as it is.
+    A sample's bias is built in one reused (N, N) buffer before its heads.
+    A table's gradient adds up each sample's heads in head order, then the
+    samples in sample order, the penalty's through the inverse order.
+    Other shapes raise ShapeError; a row of `orders` that is not a
+    permutation raises DataError.
     With `weights` the second value is the post-softmax weights, a
-    constant Tensor of shape (..., heads, N, N); without it, an empty
-    (..., heads, 0, 0) Tensor of the logits' dtype.
+    constant Tensor of shape (B, heads, N, N); without it, an empty
+    (B, heads, 0, 0) Tensor of the logits' dtype.
     """
     x = ad.as_tensor(tokens)
-    if x.data.ndim not in (2, 3) or x.shape[-1] != params.d:
-        raise ShapeError(f"tokens shape {x.shape} incompatible with width {params.d}")
-    batched = x.data.ndim == 3
-    xs = x.data if batched else x.data[None]
-    b, n, d = xs.shape
+    if x.data.ndim != 3 or x.shape[-1] != params.d:
+        raise ShapeError(f"tokens shape {x.shape} is not (B, N, {params.d})")
+    b, n, d = x.shape
     h = params.n_heads
     bias_t = None if bias is None else ad.as_tensor(bias)
-    bias3 = None  # (1 or B, N, N)
-    if bias_t is not None:
-        if bias_t.shape not in ((n, n), (1, 1, n, n), (b, 1, n, n)):
-            raise ShapeError(
-                f"bias shape {bias_t.shape} is not (N, N), (1, 1, N, N) or (B, 1, N, N) "
-                f"with B = {b}, N = {n}"
-            )
-        bias3 = bias_t.data.reshape(-1, n, n)
     pen_t = None if penalty is None else ad.as_tensor(penalty)
+    for name, t in (("bias", bias_t), ("penalty", pen_t)):
+        if t is not None and t.shape != (n, n):
+            raise ShapeError(f"{name} shape {t.shape} is not (N, N) with N = {n}")
     inverse = None
     orders = None if pen_t is None else orders  # they only place the penalty
-    if pen_t is not None:
-        if pen_t.shape != (n, n):
-            raise ShapeError(f"penalty shape {pen_t.shape} is not (N, N) with N = {n}")
-        if orders is not None:
-            orders = np.asarray(orders)
-            if orders.shape != (b, n):
-                raise ShapeError(f"orders shape {orders.shape} is not (B, N) = {(b, n)}")
-            inverse = np.argsort(orders, axis=1)
-            if not (np.take_along_axis(orders, inverse, axis=1) == np.arange(n)).all():
-                raise DataError("each row of orders must be a permutation of 0..N-1")
+    if orders is not None:
+        orders = np.asarray(orders)
+        if orders.shape != (b, n):
+            raise ShapeError(f"orders shape {orders.shape} is not (B, N) = {(b, n)}")
+        inverse = np.argsort(orders, axis=1)
+        if not (np.take_along_axis(orders, inverse, axis=1) == np.arange(n)).all():
+            raise DataError("each row of orders must be a permutation of 0..N-1")
 
     def heads(a: np.ndarray) -> np.ndarray:
         """(B, N, d) -> (B, heads, N, d/heads) view."""
         return a.reshape(b, n, h, d // h).transpose(0, 2, 1, 3)
 
-    def part(a: np.ndarray | None, i: int) -> np.ndarray | None:
-        """a[i], or a[0] when `a` broadcasts along its leading axis."""
-        return None if a is None else a[i if a.shape[0] > 1 else 0]
-
     # the 1/sqrt(d) temperature is folded into q (cheaper than scaling logits)
     scale = 1.0 / math.sqrt(d)
-    q = (xs @ params.wq.data) * scale
-    k = xs @ params.wk.data
-    v = xs @ params.wv.data
+    q = (x.data @ params.wq.data) * scale
+    k = x.data @ params.wk.data
+    v = x.data @ params.wv.data
     qh, kh, vh = heads(q), heads(k), heads(v)
     dtype = np.result_type(q, k, *(t.data for t in (bias_t, pen_t) if t is not None))
     # the penalty is gathered in the logits' dtype, into buffers of that dtype
@@ -156,10 +137,12 @@ def _attend_parts(
     bias_buf = None if pen is None else np.empty((n, n), dtype=dtype)
     ctx = np.empty((b, n, d), dtype=dtype)
     ctx_h = heads(ctx)
+    bias_nn = None if bias_t is None else bias_t.data
+    order_of = [None] * b if orders is None else orders  # sample -> order or None
     for i in range(b):
         # the sample's first logit block is still free: it is the gather scratch
-        bias_i = _sample_bias(
-            part(bias3, i), pen, part(orders, i), bias_buf, probs[i, 0] if weights else buf)
+        scratch = probs[i, 0] if weights else buf
+        bias_i = _sample_bias(bias_nn, pen, order_of[i], bias_buf, scratch)
         for j in range(h):
             block = np.matmul(qh[i, j], kh[i, j].T, out=probs[i, j] if weights else buf)
             if bias_i is not None:
@@ -174,8 +157,7 @@ def _attend_parts(
     parents += tuple(t for t in (bias_t, pen_t) if t is not None)
 
     def vjp(g):
-        gs = g if batched else g[None]
-        gctx_h = heads(gs @ params.wo.data.T)
+        gctx_h = heads(g @ params.wo.data.T)
         gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
         gq_h, gk_h, gv_h = heads(gq), heads(gk), heads(gv)
         # the backward's own buffers: the forward's are not kept on the tape
@@ -184,7 +166,7 @@ def _attend_parts(
         bias_buf = None if pen is None else np.empty((n, n), dtype=dtype)
         gbias = gpen = head_sum = None
         if bias_t is not None and bias_t.requires_grad:
-            gbias = np.zeros(bias3.shape, dtype=bias3.dtype)
+            gbias = np.zeros((n, n), dtype=bias_t.dtype)
         if pen_t is not None and pen_t.requires_grad:
             gpen = np.zeros((n, n), dtype=pen_t.dtype)
         if gbias is not None or gpen is not None:
@@ -193,7 +175,7 @@ def _attend_parts(
             # written straight into it
             head_sum = np.empty((n, n), dtype=glog.dtype)
         for i in range(b):
-            bias_i = _sample_bias(part(bias3, i), pen, part(orders, i), bias_buf, p)
+            bias_i = _sample_bias(bias_nn, pen, order_of[i], bias_buf, p)
             for j in range(h):
                 # the forward's softmax of this block, from its row statistics
                 np.matmul(qh[i, j], kh[i, j].T, out=p)
@@ -213,7 +195,7 @@ def _attend_parts(
                 gq_h[i, j] = gl @ kh[i, j]
                 gk_h[i, j] = gl.T @ qh[i, j]
             if gbias is not None:
-                part(gbias, i)[...] += head_sum
+                gbias += head_sum
             if gpen is not None:
                 if inverse is not None:
                     # back to raster order: entry (order[a], order[b]) gets (a, b)
@@ -228,22 +210,17 @@ def _attend_parts(
         gx = None
         if x.requires_grad:
             gx = gq @ params.wq.data.T + gk @ params.wk.data.T + gv @ params.wv.data.T
-            gx = gx if batched else gx[0]
         grads = (
             gx,
-            weight_grad(params.wq, xs, gq),
-            weight_grad(params.wk, xs, gk),
-            weight_grad(params.wv, xs, gv),
-            weight_grad(params.wo, ctx, gs),
+            weight_grad(params.wq, x.data, gq),
+            weight_grad(params.wk, x.data, gk),
+            weight_grad(params.wv, x.data, gv),
+            weight_grad(params.wo, ctx, g),
         )
-        if bias_t is not None:
-            grads += (None if gbias is None else gbias.reshape(bias_t.shape),)
-        if pen_t is not None:
-            grads += (gpen,)
+        grads += tuple(gt for t, gt in ((bias_t, gbias), (pen_t, gpen)) if t is not None)
         return grads
 
-    out_t = ad.Tensor._op(out if batched else out[0], parents, vjp)
-    return out_t, ad.Tensor(probs if batched else probs[0])
+    return ad.Tensor._op(out, parents, vjp), ad.Tensor(probs)
 
 
 def _sample_bias(bias, penalty, order, out, scratch):
@@ -269,7 +246,9 @@ def _sample_bias(bias, penalty, order, out, scratch):
 def equivariance_check(
     tokens: np.ndarray, params: AttentionParams, perm: reorder.SectorPermutation
 ) -> float:
-    """Max |unapply(Attn(apply(X))) - Attn(X)| without a bias."""
-    straight, _ = _attend_parts(tokens, params)
-    shuffled, _ = _attend_parts(reorder.apply(perm, np.asarray(tokens)), params)
-    return float(np.abs(reorder.unapply(perm, shuffled.data) - straight.data).max())
+    """Max |unapply(Attn(apply(X))) - Attn(X)| without a bias, for (N, d)
+    tokens, each order attended as a batch of one."""
+    tokens = np.asarray(tokens)
+    straight, _ = _attend_parts(tokens[None], params)
+    shuffled, _ = _attend_parts(reorder.apply(perm, tokens)[None], params)
+    return float(np.abs(reorder.unapply(perm, shuffled.data[0]) - straight.data[0]).max())

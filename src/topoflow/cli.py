@@ -66,6 +66,8 @@ DEFAULTS: dict[str, str] = _desk_defaults()
 
 def parse_config_file(path) -> dict[str, str]:
     out: dict[str, str] = {}
+    if not os.path.isfile(path):
+        raise ConfigError(f"{path}: no such config file")
     with open(path, "r", encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -294,9 +296,10 @@ def cmd_dump(cfg: dict[str, str], what: str) -> int:
     spec = bundle.spec
     out.mkdir(parents=True, exist_ok=True)
     if what == "perm":
-        perm = reorder.build_permutation(
-            spec, bundle.terrain.u, bundle.terrain.v, wind_mean=cfg["model.wind_mean"]
-        )
+        # the order the model gives sample 0, the first sample `dump attn`
+        # previews: each sample is ordered by its own input winds
+        first = bundle.samples[0].input
+        perm = reorder.build_permutation(spec, first.channel("u"), first.channel("v"))
         lines = ["# slot forward inverse"]
         lines += [f"{i} {perm.forward[i]} {perm.inverse[i]}" for i in range(spec.n_patches)]
         lines.append("# sector angles (radians)")

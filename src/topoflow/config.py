@@ -139,7 +139,6 @@ class ModelConfig:
     n_horizons: int = 4
     wind_reorder: bool = True
     elev_bias: bool = True
-    wind_mean: str = "weighted"
 
     def __post_init__(self):
         if self.heads < 1:

@@ -204,9 +204,11 @@ class NormStats:
                 parts = line.split()
                 if not parts:
                     continue
-                if len(parts) != 4:
-                    raise ConfigError(f"{path}:{ln}: expected 'name kind a b'")
-                entries[parts[0]] = ChannelStats(parts[1], float(parts[2]), float(parts[3]))
+                try:
+                    name, kind, a, b = parts
+                    entries[name] = ChannelStats(kind, float(a), float(b))
+                except ValueError:
+                    raise ConfigError(f"{path}:{ln}: expected 'name kind a b'") from None
         return cls(entries)
 
 
@@ -309,26 +311,33 @@ def write_atomic(path, data: bytes) -> None:
 
 
 def read_grid(path) -> Field | LandMask:
-    """Parse a .gfd container, returning LandMask for single-channel "mask" files."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """Parse a .gfd container, returning LandMask for single-channel "mask" files;
+    a missing file raises DataError, a malformed one FormatError with its offset."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except FileNotFoundError:
+        raise DataError(f"{path}: no such file") from None
+
+    def malformed(message: str, offset: int) -> FormatError:
+        return FormatError(f"{path}: {message}", offset=offset)
 
     def need(n: int, offset: int, what: str) -> None:
         if offset + n > len(raw):
-            raise FormatError(f"truncated file while reading {what}", offset=len(raw))
+            raise malformed(f"truncated file while reading {what}", len(raw))
 
     need(4, 0, "magic")
     if raw[:4] != GFD_MAGIC:
-        raise FormatError(f"bad magic {raw[:4]!r}, expected {GFD_MAGIC!r}", offset=0)
+        raise malformed(f"bad magic {raw[:4]!r}, expected {GFD_MAGIC!r}", 0)
     need(28, 4, "header")
     version, n_ch, h, w, p, sc, sr = struct.unpack_from("<7I", raw, 4)
     if version != GFD_VERSION:
-        raise FormatError(f"unsupported version {version}", offset=4)
+        raise malformed(f"unsupported version {version}", 4)
     offset = 32
     try:
         spec = GridSpec(h, w, p, sc, sr)
     except ConfigError as exc:
-        raise FormatError(f"invalid grid header: {exc}", offset=8) from None
+        raise malformed(f"invalid grid header: {exc}", 8) from None
     channels: list[str] = []
     units: list[str] = []
     for i in range(n_ch):
@@ -337,12 +346,15 @@ def read_grid(path) -> Field | LandMask:
             (ln,) = struct.unpack_from("<H", raw, offset)
             offset += 2
             need(ln, offset, f"channel {i} {what}")
-            dest.append(raw[offset : offset + ln].decode("utf-8"))
+            try:
+                dest.append(raw[offset : offset + ln].decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise malformed(f"channel {i} {what} is not UTF-8", offset + exc.start) from None
             offset += ln
     count = n_ch * h * w
     need(4 * count, offset, "payload")
     if len(raw) != offset + 4 * count:
-        raise FormatError("trailing bytes after payload", offset=offset + 4 * count)
+        raise malformed("trailing bytes after payload", offset + 4 * count)
     data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(n_ch, h, w)
     if not np.isfinite(data).all():
         raise DataError(f"{path}: non-finite values in payload")

@@ -5,12 +5,14 @@ patch tokens sector-by-sector along the per-sample wind, embed and add
 the positional vectors (per patch, so they ride along with the shuffle),
 run L pre-norm transformer layers whose attention logits carry a shared
 relative slot-offset table plus the terrain penalty (both permuted or
-indexed so entries always refer to the right pair), decode with a
-two-layer head that emits every horizon at once, and finally undo the
-permutation so predictions land on their original patches. The input and
-output channels are fixed by the data format (`config.INPUT_CHANNELS`
-in, one `config.TARGET_CHANNELS` set per horizon out), so they are
-properties of ModelConfig rather than settings.
+indexed so entries always refer to the right pair), and decode with a
+two-layer head that emits every horizon at once. `forward` returns the
+predictions as tokens in slot order, with each sample's permutation;
+`ForwardResult.to_grid` undoes the permutation, so predictions land on
+their original patches. The input and output channels are fixed by the
+data format (`config.INPUT_CHANNELS` in, one `config.TARGET_CHANNELS`
+set per horizon out), so they are properties of ModelConfig rather than
+settings.
 
 Because the positional vectors follow their patches and the relative
 table starts at zero, freshly initialized networks compute the exact same
@@ -245,10 +247,7 @@ def build_perms(
     (which terrain-steered winds have) distorts directions, and the whole
     point of the ordering is to track the real wind.
     """
-    return [
-        reorder.build_permutation(config.spec, ub, vb, wind_mean=config.wind_mean)
-        for ub, vb in zip(u, v)
-    ]
+    return [reorder.build_permutation(config.spec, ub, vb) for ub, vb in zip(u, v)]
 
 
 def forward(
@@ -420,12 +419,15 @@ def load_checkpoint(path):
     """Returns (ParamStore, ModelConfig, moments | None, extras dict).
 
     Names, shapes and groups come from `_param_layout` on the sidecar's
-    config, with no random draws. A payload whose length does not fit
-    that config, or whose CRC-32 is not the sidecar's (a torn
-    payload/sidecar pair), raises FormatError.
+    config, with no random draws. A missing sidecar, a payload whose
+    length does not fit that config, or one whose CRC-32 is not the
+    sidecar's (a torn payload/sidecar pair), raises FormatError.
     """
-    with open(f"{path}.txt", "r", encoding="utf-8") as fh:
-        kv = dict(line.rstrip("\n").partition(" = ")[::2] for line in fh)
+    try:
+        with open(f"{path}.txt", "r", encoding="utf-8") as fh:
+            kv = dict(line.rstrip("\n").partition(" = ")[::2] for line in fh)
+    except FileNotFoundError:
+        raise FormatError(f"{path}.txt: no checkpoint sidecar") from None
     extras = {k[len("state."):]: v for k, v in kv.items() if k.startswith("state.")}
     config = decode(ModelConfig, kv, "model")
     layout = _param_layout(config)

@@ -62,29 +62,22 @@ class SectorPermutation:
         return cls(spec, idx, idx.copy(), np.zeros(spec.n_sectors))
 
 
-def patch_wind_direction(u: np.ndarray, v: np.ndarray, mean: str = "weighted") -> float:
+def patch_wind_direction(u: np.ndarray, v: np.ndarray) -> float:
     """Dominant wind angle over one region, in radians.
 
-    "weighted" averages components with weights w = sqrt(u^2 + v^2);
-    "plain" uses the unweighted component means. Returns the sentinel
-    angle 0.0 when the region carries no wind at all.
+    The components are averaged with weights w = sqrt(u^2 + v^2), so strong
+    cells steer the direction. Returns the sentinel angle 0.0 when the
+    region carries no wind at all.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.size == 0 or u.shape != v.shape:
         raise ShapeError(f"wind component shapes {u.shape} vs {v.shape}")
-    if mean == "weighted":
-        w = np.hypot(u, v)
-        sw = w.sum()
-        if sw == 0.0:
-            return 0.0
-        return math.atan2(float((v * w).sum() / sw), float((u * w).sum() / sw))
-    if mean == "plain":
-        um, vm = float(u.mean()), float(v.mean())
-        if um == 0.0 and vm == 0.0:
-            return 0.0
-        return math.atan2(vm, um)
-    raise DataError(f"unknown wind mean mode {mean!r}")
+    w = np.hypot(u, v)
+    sw = w.sum()
+    if sw == 0.0:
+        return 0.0
+    return math.atan2(float((v * w).sum() / sw), float((u * w).sum() / sw))
 
 
 def projection(x, y, theta: float):
@@ -101,9 +94,7 @@ def _sector_layout(spec: GridSpec):
     return blocks.transpose(0, 2, 1, 3).reshape(spec.n_sectors, spec.patches_per_sector)
 
 
-def build_permutation(
-    spec: GridSpec, u: np.ndarray, v: np.ndarray, wind_mean: str = "weighted"
-) -> SectorPermutation:
+def build_permutation(spec: GridSpec, u: np.ndarray, v: np.ndarray) -> SectorPermutation:
     """Compute the wind-guided ordering from per-cell winds over the grid."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -129,7 +120,7 @@ def build_permutation(
             # zero-wind sentinel: keep raster order
             forward[slots] = slots
             continue
-        theta = patch_wind_direction(us, vs, mean=wind_mean)
+        theta = patch_wind_direction(us, vs)
         angles[s] = theta
         pi = projection(lx, ly, theta)
         order = np.argsort(pi, kind="stable")  # ties keep raster order
@@ -138,27 +129,18 @@ def build_permutation(
     return SectorPermutation(spec, forward, inverse, angles)
 
 
-def _token_axis(tokens: np.ndarray) -> int:
-    return 0 if tokens.ndim == 1 else tokens.ndim - 2
+def _take(perm: SectorPermutation, tokens: np.ndarray, order: np.ndarray) -> np.ndarray:
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 2 or tokens.shape[0] != perm.spec.n_patches:
+        raise ShapeError(f"tokens shape {tokens.shape} is not (N, C), N = {perm.spec.n_patches}")
+    return np.take(tokens, order, axis=0)
 
 
 def apply(perm: SectorPermutation, tokens: np.ndarray) -> np.ndarray:
-    """Reorder tokens into wind order along the sequence axis."""
-    tokens = np.asarray(tokens)
-    axis = _token_axis(tokens)
-    if tokens.shape[axis] != perm.spec.n_patches:
-        raise ShapeError(
-            f"{tokens.shape[axis]} tokens for a {perm.spec.n_patches}-patch permutation"
-        )
-    return np.take(tokens, perm.forward, axis=axis)
+    """Reorder (N, C) raster-order tokens into wind order."""
+    return _take(perm, tokens, perm.forward)
 
 
 def unapply(perm: SectorPermutation, tokens: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`apply`: tokens return to raster positions."""
-    tokens = np.asarray(tokens)
-    axis = _token_axis(tokens)
-    if tokens.shape[axis] != perm.spec.n_patches:
-        raise ShapeError(
-            f"{tokens.shape[axis]} tokens for a {perm.spec.n_patches}-patch permutation"
-        )
-    return np.take(tokens, perm.inverse, axis=axis)
+    """Exact inverse of :func:`apply`: (N, C) tokens return to raster positions."""
+    return _take(perm, tokens, perm.inverse)

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import INPUT_CHANNELS, TARGET_CHANNELS, TEMPORAL_CHANNELS, PhysicsConfig
-from .errors import ConfigError, DataError, FitError, ShapeError, StabilityError
+from .errors import ConfigError, DataError, FitError, FormatError, ShapeError, StabilityError
 from .fields import (
     Field,
     GridSpec,
@@ -581,7 +581,8 @@ def write_dataset(
 
 def read_dataset(in_dir) -> DatasetBundle:
     """Load a dataset directory written by :func:`write_dataset`; a manifest
-    with other than `count=` sample rows (a cut file) raises DataError."""
+    with other than `count=` sample rows (a cut file) or a missing file raises
+    DataError, and a row that is not UTF-8 or integer hours FormatError."""
     root = Path(in_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -602,20 +603,27 @@ def read_dataset(in_dir) -> DatasetBundle:
     samples: list[Sample] = []
     horizons: tuple[int, ...] = ()
     count = None
-    with open(manifest, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            if ln == 1:
-                count = next((w[6:] for w in line.split() if w.startswith("count=")), None)
-            if line.startswith("#") or not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise DataError(f"{manifest}:{ln}: expected 6 columns, got {len(parts)}")
-            in_rel, target_rels, hours_s, _seed, hour, doy = parts
-            inp = read_grid(root / in_rel)
-            targets = tuple(read_grid(root / rel) for rel in target_rels.split(","))
+    for ln, raw in enumerate(manifest.read_bytes().splitlines(), 1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{manifest}:{ln}: not UTF-8 at column {exc.start}") from None
+        if ln == 1:
+            count = next((w[6:] for w in line.split() if w.startswith("count=")), None)
+        if line.startswith("#") or not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 6:
+            raise DataError(f"{manifest}:{ln}: expected 6 columns, got {len(parts)}")
+        in_rel, target_rels, hours_s, _seed, hour, doy = parts
+        try:
             horizons = tuple(int(h) for h in hours_s.split(","))
-            samples.append(Sample(inp, targets, horizons, int(hour), int(doy)))
+            hour, doy = int(hour), int(doy)
+        except ValueError:
+            raise FormatError(f"{manifest}:{ln}: hours, hour and day must be integers") from None
+        inp = read_grid(root / in_rel)
+        targets = tuple(read_grid(root / rel) for rel in target_rels.split(","))
+        samples.append(Sample(inp, targets, horizons, hour, doy))
     if not samples:
         raise DataError(f"{manifest}: dataset is empty")
     if count != str(len(samples)):

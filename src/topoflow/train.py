@@ -32,7 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as model_mod
 from .config import TrainConfig, encode
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .fields import normalize, write_atomic
 from .model import ForwardResult, ModelConfig, ParamStore, forward, init_params, patchify
 from .reorder import SectorPermutation
@@ -124,16 +124,28 @@ class TrainState:
 
     @classmethod
     def from_extras(cls, moments, extras: dict[str, str]) -> "TrainState":
-        rng = np.random.default_rng()
-        rng.bit_generator.state = json.loads(extras["rng"])
+        """The state `extras()` wrote; a missing or unparsable `state.*`
+        key raises FormatError naming it."""
+
+        def read(key, parse):
+            try:
+                return parse(extras[key])
+            except (KeyError, TypeError, ValueError):
+                raise FormatError(f"checkpoint key state.{key} is missing or unparsable") from None
+
+        def generator(text):
+            rng = np.random.default_rng()
+            rng.bit_generator.state = json.loads(text)
+            return rng
+
         m1, m2 = moments
         return cls(
-            step=int(extras["step"]),
+            step=read("step", int),
             m=m1,
             v=m2,
-            best_val=float.fromhex(extras["best_val"]),
-            bad_count=int(extras["bad_count"]),
-            rng=rng,
+            best_val=read("best_val", float.fromhex),
+            bad_count=read("bad_count", int),
+            rng=read("rng", generator),
             stopped=extras.get("stopped") == "true",
         )
 

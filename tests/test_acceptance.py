@@ -76,11 +76,8 @@ def test_criterion_2_reorder_oracle():
         spec = specs[trial % len(specs)]
         u = rng.normal(size=(spec.height, spec.width))
         v = rng.normal(size=(spec.height, spec.width))
-        mean = "weighted" if trial % 2 == 0 else "plain"
-        perm = reorder.build_permutation(spec, u, v, wind_mean=mean)
-        assert sector_orders_from_perm(spec, perm) == brute_force_sector_orders(
-            spec, u, v, wind_mean=mean
-        )
+        perm = reorder.build_permutation(spec, u, v)
+        assert sector_orders_from_perm(spec, perm) == brute_force_sector_orders(spec, u, v)
         n = spec.n_patches
         assert np.array_equal(perm.inverse[perm.forward], np.arange(n))
         tokens = rng.normal(size=(n, 3))

@@ -12,17 +12,22 @@ from topoflow.fields import GridSpec
 
 
 def attend(tokens, params, bias=None, pos=None):
-    """Attention output, with `pos` added to the tokens ahead of the projections."""
+    """Attention output, with `pos` added to the tokens ahead of the
+    projections; (N, d) tokens go through the node as a batch of one."""
+    x = ad.as_tensor(tokens)
     if pos is not None:
-        tokens = ad.as_tensor(tokens) + ad.as_tensor(pos)
-    out, _ = attention._attend_parts(tokens, params, bias=bias)
-    return out
+        x = x + ad.as_tensor(pos)
+    if x.data.ndim != 2:
+        return attention._attend_parts(x, params, bias=bias)[0]
+    out, _ = attention._attend_parts(x.reshape(1, *x.shape), params, bias=bias)
+    return out.reshape(*x.shape)
 
 
 def attention_weights(tokens, params, bias=None):
-    """Post-softmax attention weights averaged over heads, as plain arrays."""
-    _, weights = attention._attend_parts(tokens, params, bias=bias, weights=True)
-    return weights.data.mean(axis=-3)
+    """Post-softmax weights of (N, d) tokens averaged over heads, as plain arrays."""
+    x = np.asarray(tokens)[None]
+    _, weights = attention._attend_parts(x, params, bias=bias, weights=True)
+    return weights.data[0].mean(axis=0)
 
 
 def make_params(d, heads, rng, dtype=np.float64, scale=None):
@@ -82,6 +87,10 @@ def test_shape_errors():
     params = make_params(8, 2, rng)
     with pytest.raises(ShapeError):
         attend(rng.normal(size=(5, 7)), params)
+    # the node takes (B, N, d) tokens only
+    for shape in ((5, 8), (1, 2, 5, 8)):
+        with pytest.raises(ShapeError):
+            attention._attend_parts(rng.normal(size=shape), params)
     with pytest.raises(ShapeError):
         attention.AttentionParams(params.wq, params.wk, params.wv, params.wo, 3)
 
@@ -233,56 +242,106 @@ def test_attend_gradients_match_finite_differences():
 def chain_attention(tokens, params, bias=None):
     """Reference: attention built from the primitive tape ops one by one."""
     x = ad.as_tensor(tokens)
+    b, n, d = x.shape
     h = params.n_heads
 
     def split(t):
-        if t.data.ndim == 2:
-            n, d = t.shape
-            return t.reshape(n, h, d // h).transpose(1, 0, 2)
-        b, n, d = t.shape
         return t.reshape(b, n, h, d // h).transpose(0, 2, 1, 3)
 
     def merge(t):
-        if t.data.ndim == 3:
-            _, n, dh = t.shape
-            return t.transpose(1, 0, 2).reshape(n, h * dh)
-        b, _, n, dh = t.shape
-        return t.transpose(0, 2, 1, 3).reshape(b, n, h * dh)
+        return t.transpose(0, 2, 1, 3).reshape(b, n, d)
 
     q = split((x @ params.wq) * (1.0 / math.sqrt(params.d)))
     k = split(x @ params.wk)
     v = split(x @ params.wv)
-    nd = k.data.ndim
-    logits = q @ k.transpose(*range(nd - 2), nd - 1, nd - 2)
+    logits = q @ k.transpose(0, 1, 3, 2)
     if bias is not None:
         logits = logits + ad.as_tensor(bias)
     weights = ad.softmax(logits)
     return merge(weights @ v) @ params.wo, weights
 
 
-# the bias shapes `model.forward` passes: one shared by the batch, one per
-# sample, and the no-tape forward's one-sample batch
+# the node, returning its attention weights as the references do
+NODE = functools.partial(attention._attend_parts, weights=True)
+
+
+def attend_and_grads(params, x, coeff, fn=NODE, **kwargs):
+    """(out, weights, token and projection grads) of one taped call of
+    `fn`, the node by default, and its backward."""
+    tokens = ad.parameter(x.copy())
+    ad.zero_grads([params.wq, params.wk, params.wv, params.wo])
+    out, weights = fn(tokens, params, **kwargs)
+    (out * ad.Tensor(coeff)).sum().backward()
+    grads = [t.grad for t in (tokens, params.wq, params.wk, params.wv, params.wo)]
+    return [out.data, weights.data] + grads
+
+
+# the per-sample bias the references take, by shape, and how the node gets
+# it: the shared slot table, a raster table the batch shares as it is, that
+# table gathered in each sample's own slot order, and the one-sample batch
+# that the no-tape forward passes
 FUSED_CASES = [
     ((2, 5, 8), (5, 5)),
     ((2, 5, 8), (2, 1, 5, 5)),
     ((2, 5, 8), (1, 1, 5, 5)),
-    ((5, 8), (5, 5)),
+    ((1, 5, 8), (5, 5)),
 ]
+
+
+def node_bias(bias_shape, table, rng):
+    """The node's keyword arguments that give each sample's logits the
+    (N, N) `table` as a bias of `bias_shape`, and that bias materialized.
+
+    (N, N) passes the table as `bias`, the slot table; (1, 1, N, N) passes
+    it as `penalty` without orders, so it lands as it is; (B, 1, N, N)
+    passes it as `penalty` with B distinct slot orders, and sample i gets
+    table[o_i][:, o_i]. None passes nothing.
+    """
+    if bias_shape is None:
+        return {}, None
+    if len(bias_shape) == 2:
+        return {"bias": table}, table.data.copy()
+    if bias_shape[0] == 1:
+        return {"penalty": table}, table.data[None, None].copy()
+    n = table.shape[0]
+    orders = np.stack([rng.permutation(n) for _ in range(bias_shape[0])])
+    assert len({tuple(o) for o in orders}) == len(orders)
+    gathered = np.stack([table.data[o][:, o] for o in orders])[:, None]
+    return {"penalty": table, "orders": orders}, gathered
+
+
+def scattered(bias_grad, orders=None):
+    """The (N, N) table gradient that a materialized bias gradient makes:
+    each sample's block moved back to raster order, added in sample order."""
+    if bias_grad.ndim == 2:
+        return bias_grad
+    n = bias_grad.shape[-1]
+    out = np.zeros((n, n), dtype=bias_grad.dtype)
+    for i, g in enumerate(bias_grad[:, 0]):
+        inv = np.arange(n) if orders is None else np.argsort(orders[i])
+        out += g[inv][:, inv]
+    return out
 
 
 @pytest.mark.parametrize("token_shape,bias_shape", FUSED_CASES)
 def test_fused_attention_gradients_match_finite_differences(token_shape, bias_shape):
+    # float64 central differences; with (2, 1, N, N) the table is the
+    # raster penalty that two distinct slot orders gather
     rng = np.random.default_rng(14)
     params = make_params(8, 2, rng)
     tokens = ad.parameter(rng.normal(size=token_shape))
-    bias = ad.parameter(rng.normal(size=bias_shape))
+    table = ad.parameter(rng.normal(size=(5, 5)))
+    kwargs, _ = node_bias(bias_shape, table, rng)
     coeff = rng.normal(size=token_shape)
 
-    def forward_scalar():
-        return float((attend(tokens, params, bias=bias).data * coeff).sum())
+    def forward():
+        return attention._attend_parts(tokens, params, **kwargs)[0]
 
-    (attend(tokens, params, bias=bias) * ad.Tensor(coeff)).sum().backward()
-    for t in (tokens, params.wq, params.wk, params.wv, params.wo, bias):
+    def forward_scalar():
+        return float((forward().data * coeff).sum())
+
+    (forward() * ad.Tensor(coeff)).sum().backward()
+    for t in (tokens, params.wq, params.wk, params.wv, params.wo, table):
         assert t.grad.shape == t.shape
         fd = numeric_grad(forward_scalar, t.data)
         assert rel_err(t.grad, fd) < 1e-4
@@ -293,29 +352,29 @@ def test_fused_attention_matches_primitive_chain(token_shape, bias_shape):
     rng = np.random.default_rng(15)
     params = make_params(8, 2, rng)
     x = rng.normal(size=token_shape)
-    b = None if bias_shape is None else rng.normal(size=bias_shape)
+    table = ad.parameter(rng.normal(size=(5, 5)))
+    kwargs, bias = node_bias(bias_shape, table, rng)
     coeff = rng.normal(size=token_shape)
-    results = []
-    for fn in (functools.partial(attention._attend_parts, weights=True), chain_attention):
-        tokens = ad.parameter(x.copy())
-        bias = None if b is None else ad.parameter(b.copy())
-        ad.zero_grads([params.wq, params.wk, params.wv, params.wo])
-        out, weights = fn(tokens, params, bias=bias)
-        (out * ad.Tensor(coeff)).sum().backward()
-        grads = [t.grad for t in (tokens, params.wq, params.wk, params.wv, params.wo)]
-        results.append([out.data, weights.data] + grads + ([] if bias is None else [bias.grad]))
-    for fused, chain in zip(*results):
-        assert fused.shape == chain.shape
-        np.testing.assert_allclose(fused, chain, rtol=0, atol=1e-12)
+    chain_bias = None if bias is None else ad.parameter(bias)
+    fused = attend_and_grads(params, x, coeff, **kwargs)
+    chain = attend_and_grads(params, x, coeff, fn=chain_attention, bias=chain_bias)
+    if bias is not None:
+        fused.append(table.grad)
+        chain.append(scattered(chain_bias.grad, kwargs.get("orders")))
+    for f, c in zip(fused, chain):
+        assert f.shape == c.shape
+        np.testing.assert_allclose(f, c, rtol=0, atol=1e-12)
 
 
 def test_fused_attention_rejects_unbroadcastable_bias():
     rng = np.random.default_rng(16)
     params = make_params(8, 2, rng)
     tokens = rng.normal(size=(2, 5, 8))
-    # a batch of 2, 2 heads, 5 tokens: only (5, 5), (1, 1, 5, 5) and
-    # (2, 1, 5, 5) are accepted, per-head biases included among the refused
-    for shape in ((3, 1, 5, 5), (1, 2, 5, 5), (5, 1), (1, 5), (2, 5, 5)):
+    # a batch of 2, 2 heads, 5 tokens: only the (5, 5) table is accepted;
+    # per-sample and per-head biases are among the refused
+    shapes = ((1, 1, 5, 5), (2, 1, 5, 5), (3, 1, 5, 5), (1, 2, 5, 5), (5, 1), (1, 5),
+              (2, 5, 5))
+    for shape in shapes:
         with pytest.raises(ShapeError):
             attend(tokens, params, bias=np.zeros(shape))
 
@@ -339,11 +398,12 @@ def reference_attend(tokens, params, bias=None):
     """Attention as one tape node that works on a sample's (heads, N, N) block.
 
     This is the earlier form of `attention._attend_parts`, kept as the
-    reference its per-(sample, head) blocking must match bit for bit.
+    reference its per-(sample, head) blocking must match bit for bit. It
+    takes (B, N, d) tokens and a bias that broadcasts to (B, 1, N, N), so
+    it also takes each sample's bias materialized.
     """
     x = ad.as_tensor(tokens)
-    batched = x.data.ndim == 3
-    xs = x.data if batched else x.data[None]
+    xs = x.data
     b, n, d = xs.shape
     h = params.n_heads
     bias_t = None if bias is None else ad.as_tensor(bias)
@@ -377,8 +437,7 @@ def reference_attend(tokens, params, bias=None):
         parents += (bias_t,)
 
     def vjp(g):
-        gs = g if batched else g[None]
-        gctx_h = heads(gs @ params.wo.data.T)
+        gctx_h = heads(g @ params.wo.data.T)
         gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
         gq_h, gk_h, gv_h = heads(gq), heads(gk), heads(gv)
         gbias = None
@@ -401,37 +460,36 @@ def reference_attend(tokens, params, bias=None):
         gq *= scale
         gx = gq @ params.wq.data.T + gk @ params.wk.data.T + gv @ params.wv.data.T
         grads = (
-            gx if batched else gx[0],
+            gx,
             xs.reshape(-1, d).T @ gq.reshape(-1, d),
             xs.reshape(-1, d).T @ gk.reshape(-1, d),
             xs.reshape(-1, d).T @ gv.reshape(-1, d),
-            ctx.reshape(-1, d).T @ gs.reshape(-1, d),
+            ctx.reshape(-1, d).T @ g.reshape(-1, d),
         )
         if bias_t is not None:
             grads += (None if gbias is None else gbias.reshape(bias_t.shape),)
         return grads
 
-    out_t = ad.Tensor._op(out if batched else out[0], parents, vjp)
-    return out_t, ad.Tensor(weights if batched else weights[0])
+    return ad.Tensor._op(out, parents, vjp), ad.Tensor(weights)
 
 
 @pytest.mark.parametrize("bias_shape", [None, (24, 24), (1, 1, 24, 24), (3, 1, 24, 24)])
 def test_blocked_attention_is_bitwise_the_per_sample_reference(bias_shape):
+    # the node gets each bias as `node_bias` says; the reference gets it
+    # materialized, and its bias gradient is scattered back to the table
     rng = np.random.default_rng(18)
     params = make_params(16, 4, rng, dtype=np.float32)
     x = rng.normal(size=(3, 24, 16)).astype(np.float32)
-    b = None if bias_shape is None else rng.normal(size=bias_shape).astype(np.float32)
+    table = ad.parameter(rng.normal(size=(24, 24)).astype(np.float32))
+    kwargs, bias = node_bias(bias_shape, table, rng)
     coeff = rng.normal(size=x.shape).astype(np.float32)
-    results = []
-    for fn in (functools.partial(attention._attend_parts, weights=True), reference_attend):
-        tokens = ad.parameter(x.copy())
-        bias = None if b is None else ad.parameter(b.copy())
-        ad.zero_grads([params.wq, params.wk, params.wv, params.wo])
-        out, weights = fn(tokens, params, bias=bias)
-        (out * ad.Tensor(coeff)).sum().backward()
-        grads = [t.grad for t in (tokens, params.wq, params.wk, params.wv, params.wo)]
-        results.append([out.data, weights.data] + grads + ([] if bias is None else [bias.grad]))
-    for blocked, reference in zip(*results):
+    ref_bias = None if bias is None else ad.parameter(bias)
+    got = attend_and_grads(params, x, coeff, **kwargs)
+    want = attend_and_grads(params, x, coeff, fn=reference_attend, bias=ref_bias)
+    if bias is not None:
+        got.append(table.grad)
+        want.append(scattered(ref_bias.grad, kwargs.get("orders")))
+    for blocked, reference in zip(got, want):
         assert blocked.dtype == reference.dtype == np.float32
         assert blocked.shape == reference.shape
         assert blocked.tobytes() == reference.tobytes()
@@ -446,11 +504,14 @@ def test_taped_attention_keeps_no_n_by_n_array():
     b, h, n, d = 2, 2, 256, 8
     params = make_params(d, h, rng, dtype=np.float32)
     tokens = ad.parameter(rng.normal(size=(b, n, d)).astype(np.float32))
-    bias = ad.parameter(rng.normal(size=(b, 1, n, n)).astype(np.float32))
+    bias = ad.parameter(rng.normal(size=(n, n)).astype(np.float32))
+    penalty = ad.parameter(rng.normal(size=(n, n)).astype(np.float32))
+    orders = np.stack([rng.permutation(n) for _ in range(b)])
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out, weights = attention._attend_parts(tokens, params, bias=bias)
+        out, weights = attention._attend_parts(
+            tokens, params, bias=bias, penalty=penalty, orders=orders)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -460,7 +521,7 @@ def test_taped_attention_keeps_no_n_by_n_array():
 
 @pytest.mark.parametrize("taped", [True, False])
 @pytest.mark.parametrize("want", [True, False])
-@pytest.mark.parametrize("token_shape", [(2, 6, 8), (6, 8)])
+@pytest.mark.parametrize("token_shape", [(2, 6, 8), (1, 6, 8)])
 @pytest.mark.parametrize("bias_dtype", [None, np.float32, np.float64])
 def test_second_value_is_a_tensor_of_the_logits_dtype(taped, want, token_shape, bias_dtype):
     rng = np.random.default_rng(20)
@@ -484,16 +545,18 @@ def test_second_value_is_a_tensor_of_the_logits_dtype(taped, want, token_shape, 
 def test_non_finite_bias_entries_raise_numeric_error(taped, bad):
     from topoflow.errors import NumericError
 
-    # the bad entry sits in the second sample's bias, so it reaches the
-    # logit buffer after the first sample's heads have used it
+    # the bad entry sits in the slot table, or in the raster penalty that
+    # each sample gathers to another slot pair
     rng = np.random.default_rng(21)
     params = make_params(8, 2, rng, dtype=np.float32)
     tokens = ad.parameter(rng.normal(size=(2, 5, 8)).astype(np.float32))
-    values = rng.normal(size=(2, 1, 5, 5)).astype(np.float32)
-    values[1, 0, 2, 3] = bad
-    bias = ad.parameter(values)
-    with contextlib.nullcontext() if taped else ad.no_grad(), pytest.raises(NumericError):
-        attend(tokens, params, bias=bias)
+    values = rng.normal(size=(5, 5)).astype(np.float32)
+    values[2, 3] = bad
+    table = ad.parameter(values)
+    orders = np.stack([rng.permutation(5) for _ in range(2)])
+    for kwargs in ({"bias": table}, {"penalty": table, "orders": orders}):
+        with contextlib.nullcontext() if taped else ad.no_grad(), pytest.raises(NumericError):
+            attention._attend_parts(tokens, params, **kwargs)
 
 
 # -- the terrain penalty as one raster table plus slot orders ------------------------
@@ -507,16 +570,6 @@ def penalty_case(rng, b=3, n=24):
     elev = rng.uniform(0, 8000, size=n)
     orders = np.stack([rng.permutation(n) for _ in range(b)])
     return params, x, coeff, rel, elev, orders
-
-
-def attend_and_grads(params, x, coeff, **kwargs):
-    """(out, weights, token and projection grads) of one taped call and backward."""
-    tokens = ad.parameter(x.copy())
-    ad.zero_grads([params.wq, params.wk, params.wv, params.wo])
-    out, weights = attention._attend_parts(tokens, params, weights=True, **kwargs)
-    (out * ad.Tensor(coeff)).sum().backward()
-    grads = [t.grad for t in (tokens, params.wq, params.wk, params.wv, params.wo)]
-    return [out.data, weights.data] + grads
 
 
 # (penalty, orders): both mechanisms on, wind reordering off, the terrain
@@ -535,7 +588,7 @@ def test_penalty_and_orders_match_the_materialized_bias(with_penalty, with_order
     flat = topo_bias.bias_tensor(elev, ad.Tensor(np.array(1.3, dtype=np.float32))).data
     gathered = np.stack([flat[o][:, o] for o in slots])[:, None]
     ref_bias = ad.parameter(rel + gathered if with_penalty else rel.copy())
-    want = attend_and_grads(params, x, coeff, bias=ref_bias)
+    want = attend_and_grads(params, x, coeff, fn=reference_attend, bias=ref_bias)
 
     rel_t = ad.parameter(rel.copy())
     alpha = ad.parameter(np.array(1.3, dtype=np.float32))
@@ -574,14 +627,11 @@ def test_penalty_gradient_is_the_scattered_head_sum(with_orders):
     flat = topo_bias.bias_tensor(elev, ad.Tensor(np.array(1.3, dtype=np.float32))).data
     slots = orders if with_orders else np.tile(np.arange(n), (b, 1))
     ref_bias = ad.parameter(np.stack([flat[o][:, o] for o in slots])[:, None])
-    attend_and_grads(params, x, coeff, bias=ref_bias)
+    attend_and_grads(params, x, coeff, fn=reference_attend, bias=ref_bias)
     penalty = ad.parameter(flat.copy())
     attend_and_grads(params, x, coeff, penalty=penalty,
                      orders=orders if with_orders else None)
-    want = np.zeros((n, n), dtype=np.float32)
-    for o, g in zip(slots, ref_bias.grad[:, 0]):
-        inv = np.argsort(o)
-        want += g[inv][:, inv]
+    want = scattered(ref_bias.grad, slots)
     assert penalty.grad.dtype == np.float32
     assert penalty.grad.tobytes() == want.tobytes()
 

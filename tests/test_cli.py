@@ -347,6 +347,105 @@ def test_eval_torn_checkpoint_exits_three(tmp_path, config_path, dataset):
                "--checkpoint", str(torn), "--out", str(tmp_path / "report")) == 3
 
 
+BROKEN_INPUTS = (
+    "gfd channel name not UTF-8",
+    "manifest hour not an integer",
+    "manifest not UTF-8",
+    "stats value not a number",
+    "terrain.gfd missing",
+    "sample file missing",
+    "eval checkpoint sidecar missing",
+    "dump checkpoint sidecar missing",
+    "resume state.rng missing",
+    "config file missing",
+)
+
+
+@pytest.mark.parametrize("case", BROKEN_INPUTS)
+def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, dataset, capsys):
+    # each reader maps its fault to the error of its exit code, so the
+    # command prints one line naming the file or key and no traceback
+    common = ["--config", str(config_path), "--data", str(dataset)]
+    out = ["--out", str(tmp_path / "out")]
+
+    def trained():
+        run_dir = tmp_path / "run"
+        assert run("train", *common, "--out", str(run_dir), "--steps", "2") == 0
+        return run_dir
+
+    def rewrite(path, old, new):
+        raw = path.read_bytes()
+        assert old in raw
+        path.write_bytes(raw.replace(old, new, 1))
+
+    manifest = dataset / "manifest.txt"
+    row = manifest.read_bytes().splitlines()[2]  # the second sample's row
+    code = 3
+    if case == "gfd channel name not UTF-8":
+        sample = dataset / "samples" / "000001.in.gfd"
+        raw = bytearray(sample.read_bytes())
+        raw[34] = 0xFF  # the first channel name's first byte
+        sample.write_bytes(bytes(raw))
+        argv, named = ["train", *common, *out], "000001.in.gfd"
+    elif case == "manifest hour not an integer":
+        cols = row.split()
+        rewrite(manifest, row, b" ".join(cols[:4] + [b"noon", cols[5]]))
+        argv, named = ["train", *common, *out], "manifest.txt:3"
+    elif case == "manifest not UTF-8":
+        rewrite(manifest, row, row + b"\xff")
+        argv, named = ["train", *common, *out], "manifest.txt:3"
+    elif case == "stats value not a number":
+        stats = dataset / "stats.txt"
+        first = stats.read_bytes().splitlines()[0]
+        rewrite(stats, first, b" ".join(first.split()[:2] + [b"abc", b"1.0"]))
+        argv, named, code = ["train", *common, *out], "stats.txt:1", 2
+    elif case == "terrain.gfd missing":
+        (dataset / "terrain.gfd").unlink()
+        argv, named = ["train", *common, *out], "terrain.gfd"
+    elif case == "sample file missing":
+        (dataset / "samples" / "000003.h024.gfd").unlink()
+        argv, named = ["train", *common, *out], "000003.h024.gfd"
+    elif case in ("eval checkpoint sidecar missing", "dump checkpoint sidecar missing"):
+        ckpt = trained() / "best.gfd"
+        (tmp_path / "run" / "best.gfd.txt").unlink()
+        cmd = ["eval"] if case.startswith("eval") else ["dump", "attn"]
+        argv, named = [*cmd, *common, "--checkpoint", str(ckpt), *out], "best.gfd.txt"
+    elif case == "resume state.rng missing":
+        sidecar = trained() / "last.gfd.txt"
+        kept = [ln for ln in sidecar.read_text().splitlines(True)
+                if not ln.startswith("state.rng")]
+        sidecar.write_text("".join(kept))
+        argv = ["train", *common, "--out", str(tmp_path / "run"), "--steps", "2", "--resume"]
+        named = "state.rng"
+    else:
+        missing = str(tmp_path / "missing.cfg")
+        argv, named, code = ["gen", "--config", missing, *out], "missing.cfg", 2
+    capsys.readouterr()
+    assert run(*argv) == code
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"topoflow {argv[0]}: "), err
+    assert named in lines[0] and "Traceback" not in err
+
+
+def test_dump_perm_lists_sample_zero_order(tmp_path, config_path, dataset):
+    # under the default rotating wind each sample has its own wind, and the
+    # listing is the order the model gives sample 0
+    from topoflow import train
+    from topoflow.model import ModelConfig
+
+    assert DEFAULTS["data.wind_mode"] == "rotate"
+    out = tmp_path / "dump"
+    assert run("dump", "perm", "--config", str(config_path), "--data", str(dataset),
+               "--out", str(out)) == 0
+    lines = (out / "perm.txt").read_text().splitlines()
+    bundle = synthdata.read_dataset(dataset)
+    config = ModelConfig(bundle.spec, n_horizons=len(bundle.horizons))
+    want = train.prepare_arrays(bundle, config).perms[0].forward
+    forward = [int(ln.split()[1]) for ln in lines[1 : 1 + bundle.spec.n_patches]]
+    assert forward == want.tolist()
+
+
 def test_resolved_config_echo_is_sorted(dataset):
     lines = (dataset / "resolved_config.txt").read_text().splitlines()
     keys = [ln.split(" = ")[0] for ln in lines]

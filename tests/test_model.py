@@ -497,7 +497,7 @@ def test_config_kv_round_trip():
     configs = {
         "grid": GridSpec(4, 8, 2, 2, 1),
         "physics": synthdata.PhysicsConfig(kappa=12.5, boundary="clamped", substeps=3),
-        "model": tiny_config(wind_reorder=False, dropout=0.25, wind_mean="plain"),
+        "model": tiny_config(wind_reorder=False, dropout=0.25),
         "train": TrainConfig(lr_head=3e-05, warmup=7, total_steps=70, seed=11),
     }
     for section, obj in configs.items():

@@ -8,14 +8,14 @@ from topoflow.errors import ShapeError
 from topoflow.fields import GridSpec
 
 
-def brute_force_sector_orders(spec, u, v, wind_mean="weighted"):
+def brute_force_sector_orders(spec, u, v):
     """Independent oracle: per sector, stable sort of (projection, raster index)."""
     per_sector = {}
     c, r, p = spec.sector_cols, spec.sector_rows, spec.patch
     for s in range(spec.n_sectors):
         sy, sx = divmod(s, spec.sectors_x)
         cells = (slice(sy * r * p, (sy + 1) * r * p), slice(sx * c * p, (sx + 1) * c * p))
-        theta = reorder.patch_wind_direction(u[cells], v[cells], mean=wind_mean)
+        theta = reorder.patch_wind_direction(u[cells], v[cells])
         entries = []
         for local_row in range(r):
             for local_col in range(c):
@@ -63,18 +63,18 @@ def test_direction_two_cells_equal_magnitude():
 def test_direction_zero_wind_sentinel():
     z = np.zeros((3, 3))
     assert reorder.patch_wind_direction(z, z) == 0.0
-    assert reorder.patch_wind_direction(z, z, mean="plain") == 0.0
 
 
 def test_direction_weighted_vs_plain():
     # one strong westward cell vs many weak eastward cells
     u = np.array([-10.0, 1.0, 1.0, 1.0])
     v = np.zeros(4)
-    assert reorder.patch_wind_direction(u, v, mean="weighted") == pytest.approx(math.pi)
-    assert reorder.patch_wind_direction(u, v, mean="plain") == pytest.approx(math.pi)
+    assert reorder.patch_wind_direction(u, v) == pytest.approx(math.pi)
+    # the plain component mean points east (+0.25); the magnitude weights
+    # let the strong westward cell win
     u2 = np.array([-2.0, 1.0, 1.0, 1.0])
-    assert reorder.patch_wind_direction(u2, v, mean="plain") == 0.0  # mean is +0.25
-    assert reorder.patch_wind_direction(u2, v, mean="weighted") == pytest.approx(math.pi)
+    assert u2.mean() == 0.25
+    assert reorder.patch_wind_direction(u2, v) == pytest.approx(math.pi)
 
 
 # -- projection ---------------------------------------------------------------
@@ -129,11 +129,8 @@ def test_oracle_equivalence_random_instances():
         spec = specs[trial % len(specs)]
         u = rng.normal(size=(spec.height, spec.width))
         v = rng.normal(size=(spec.height, spec.width))
-        mean = "weighted" if trial % 2 == 0 else "plain"
-        perm = reorder.build_permutation(spec, u, v, wind_mean=mean)
-        assert sector_orders_from_perm(spec, perm) == brute_force_sector_orders(
-            spec, u, v, wind_mean=mean
-        )
+        perm = reorder.build_permutation(spec, u, v)
+        assert sector_orders_from_perm(spec, perm) == brute_force_sector_orders(spec, u, v)
 
 
 def test_block_structure_random_winds():
@@ -171,10 +168,6 @@ def test_apply_identity_and_round_trip():
     v = rng.normal(size=(8, 8))
     perm = reorder.build_permutation(spec, u, v)
     np.testing.assert_array_equal(reorder.unapply(perm, reorder.apply(perm, tokens)), tokens)
-    batched = rng.normal(size=(3, spec.n_patches, 5))
-    np.testing.assert_array_equal(
-        reorder.unapply(perm, reorder.apply(perm, batched)), batched
-    )
 
 
 def test_single_swap_exchanges_tokens():
@@ -195,6 +188,16 @@ def test_apply_length_mismatch():
         reorder.apply(perm, np.zeros((spec.n_patches + 1, 3)))
     with pytest.raises(ShapeError):
         reorder.unapply(perm, np.zeros((2, 3)))
+
+
+def test_apply_takes_n_by_c_tokens_only():
+    spec = GridSpec(8, 8, 2, 2, 2)
+    perm = reorder.SectorPermutation.identity(spec)
+    n = spec.n_patches
+    for shape in ((n,), (1, n, 3), (2, n, 3)):
+        for fn in (reorder.apply, reorder.unapply):
+            with pytest.raises(ShapeError):
+                fn(perm, np.zeros(shape))
 
 
 def test_sort_work_scales_with_sector_size():

@@ -284,8 +284,8 @@ def test_gather_from_raster_uphill_is_bitwise_the_per_sample_build(dtype):
     per_sample = ad.parameter(np.array(1.3, dtype=dtype))
     for i, order in enumerate(orders):
         out, _ = attention._attend_parts(
-            tokens[i], params, bias=topo_bias.bias_tensor(h[order], per_sample))
-        (out * ad.Tensor(coeff[i])).sum().backward()
+            tokens[i : i + 1], params, bias=topo_bias.bias_tensor(h[order], per_sample))
+        (out * ad.Tensor(coeff[i : i + 1])).sum().backward()
     assert alpha.grad.dtype == per_sample.grad.dtype == dtype
     tol = 1e-5 if dtype == np.float32 else 1e-12
     assert float(alpha.grad) == pytest.approx(float(per_sample.grad), rel=tol)
