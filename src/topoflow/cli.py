@@ -14,7 +14,9 @@ and is applied before the numeric stack loads.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
+import statistics
 import sys
 from pathlib import Path
 
@@ -68,17 +70,21 @@ def parse_config_file(path) -> dict[str, str]:
     out: dict[str, str] = {}
     if not os.path.isfile(path):
         raise ConfigError(f"{path}: no such config file")
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{ln}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in DEFAULTS:
-                raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
-            out[key] = value
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    for ln, text in enumerate(raw.splitlines(), 1):
+        try:
+            line = text.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}:{ln}: not UTF-8 at column {exc.start}") from None
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{ln}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in DEFAULTS:
+            raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
+        out[key] = value
     return out
 
 
@@ -202,9 +208,16 @@ def cmd_eval(cfg: dict[str, str]) -> int:
     return 0
 
 
-def _tiles_from_label(label: str) -> tuple[str, int, int]:
+ABLATION_VARIANTS = {
+    "baseline": (False, False),
+    "wind": (True, False),
+    "wind_elev": (True, True),
+}
+
+
+def _tile_grid(label: str) -> tuple[int, int]:
     if label == "global":
-        return ("global", 1, 1)
+        return (1, 1)
     try:
         ty, tx = (int(x) for x in label.split("x"))
         if ty < 1 or tx < 1:
@@ -213,7 +226,7 @@ def _tiles_from_label(label: str) -> tuple[str, int, int]:
         raise ConfigError(
             f"ablate.tiles: bad tile label {label!r}; use 'global' or 'RxC' with R, C >= 1"
         ) from None
-    return (label, ty, tx)
+    return (ty, tx)
 
 
 def _distinct(cfg: dict[str, str], key: str, tp) -> tuple:
@@ -224,7 +237,62 @@ def _distinct(cfg: dict[str, str], key: str, tp) -> tuple:
     return items
 
 
+def _component_runs(cfg, mconfig, tconfig) -> list[tuple]:
+    """(run name, variant, ModelConfig, TrainConfig) for every variant and
+    seed, variant-major."""
+    seeds = _distinct(cfg, "ablate.seeds", int)
+    variants = _distinct(cfg, "ablate.variants", str)
+    unknown = set(variants) - set(ABLATION_VARIANTS)
+    if unknown:
+        raise ConfigError(f"unknown ablation variants {sorted(unknown)}")
+    runs = []
+    for variant in variants:
+        wind, elev = ABLATION_VARIANTS[variant]
+        m = dataclasses.replace(mconfig, wind_reorder=wind, elev_bias=elev)
+        runs += [(f"{variant}-seed{seed}", variant, m, dataclasses.replace(tconfig, seed=seed))
+                 for seed in seeds]
+    return runs
+
+
+def _tile_runs(cfg, mconfig, tconfig) -> list[tuple]:
+    """(run name, "RxC", ModelConfig, TrainConfig) for every tile label: the
+    wind-reorder variant with the patch grid cut into R x C sectors."""
+    labels = [x for x in cfg["ablate.tiles"].split(",") if x]
+    grids = [_tile_grid(label) for label in labels]
+    # 'global' is the 1x1 grid: each granularity may be trained once
+    if len(set(grids)) < len(grids):
+        raise ConfigError(
+            f"ablate.tiles must list distinct granularities ('global' is 1x1), "
+            f"got {cfg['ablate.tiles']!r}"
+        )
+    spec = mconfig.spec
+    runs = []
+    for label, (ty, tx) in zip(labels, grids):
+        # the sector sizes below floor, and GridSpec accepts them, so a grid
+        # that does not divide the patch grid would train another granularity
+        if spec.patches_y % ty or spec.patches_x % tx:
+            raise ConfigError(
+                f"tile grid {ty}x{tx} does not divide the "
+                f"{spec.patches_y}x{spec.patches_x} patch grid"
+            )
+        sectors = dataclasses.replace(
+            spec, sector_rows=spec.patches_y // ty, sector_cols=spec.patches_x // tx
+        )
+        m = dataclasses.replace(mconfig, spec=sectors, wind_reorder=True)
+        runs.append((label, f"{ty}x{tx}", m, tconfig))
+    return runs
+
+
+def _write_table(out: Path, stem: str, text: list[str], csv: list[str]) -> None:
+    (out / f"{stem}.txt").write_text("\n".join(text) + "\n", encoding="utf-8")
+    (out / f"{stem}.csv").write_text("\n".join(csv) + "\n", encoding="utf-8")
+    print((out / f"{stem}.txt").read_text(), end="")
+
+
 def cmd_ablate(cfg: dict[str, str], mode: str) -> int:
+    """Train each run of the mode's list into `runs/<name>/` under the
+    output directory, then write the mode's tables. The whole list is
+    checked before the first fit."""
     from . import synthdata, train
 
     data = _need_dir(cfg, "paths.data", "dataset directory")
@@ -234,52 +302,38 @@ def cmd_ablate(cfg: dict[str, str], mode: str) -> int:
     tconfig = build_train_config(cfg)
     out.mkdir(parents=True, exist_ok=True)
     if mode == "components":
-        seeds = _distinct(cfg, "ablate.seeds", int)
-        wanted = _distinct(cfg, "ablate.variants", str)
-        unknown = set(wanted) - set(train.ABLATION_VARIANTS)
-        if unknown:
-            raise ConfigError(f"unknown ablation variants {sorted(unknown)}")
-        variants = {name: train.ABLATION_VARIANTS[name] for name in wanted}
-        rows = train.ablation_run(bundle, seeds, mconfig, tconfig, variants=variants)
-        medians = train.median_best_by_variant(rows)
+        runs = _component_runs(cfg, mconfig, tconfig)
+    elif mode == "tiles":
+        runs = _tile_runs(cfg, mconfig, tconfig)
+    else:
+        raise UsageError(f"unknown ablate mode {mode!r}")
+    results = [train.fit(bundle, m, t, out / "runs" / name) for name, _key, m, t in runs]
+    if mode == "components":
         scanning = {"baseline": "row-major", "wind": "wind-directed", "wind_elev": "wind-directed"}
         tiles = f"{bundle.spec.sectors_y}x{bundle.spec.sectors_x}"
         text = ["variant scanning wind_tiles elevation_alpha median_best_val"]
         csv = ["variant,seed,wind_reorder,elev_bias,best_val,final_val"]
-        for name in wanted:
-            text.append(
-                f"{name} {scanning[name]} "
-                f"{tiles if name != 'baseline' else 'none'} "
-                f"{'yes' if name == 'wind_elev' else 'no'} {medians[name]!r}"
-            )
-        for r in rows:
+        best = {}
+        for (_name, variant, m, t), r in zip(runs, results):
+            best.setdefault(variant, []).append(r.best_val)
             csv.append(
-                f"{r.variant},{r.seed},{r.wind_reorder},{r.elev_bias},{r.best_val!r},{r.final_val!r}"
+                f"{variant},{t.seed},{m.wind_reorder},{m.elev_bias},{r.best_val!r},{r.final_val!r}"
             )
-        (out / "ablation.txt").write_text("\n".join(text) + "\n", encoding="utf-8")
-        (out / "ablation.csv").write_text("\n".join(csv) + "\n", encoding="utf-8")
-        print((out / "ablation.txt").read_text(), end="")
-    elif mode == "tiles":
-        labels = [x for x in cfg["ablate.tiles"].split(",") if x]
-        tiles_list = [_tiles_from_label(label) for label in labels]
-        # 'global' is the 1x1 grid: each granularity may be trained once
-        grids = [(ty, tx) for _, ty, tx in tiles_list]
-        if len(set(grids)) < len(grids):
-            raise ConfigError(
-                f"ablate.tiles must list distinct granularities ('global' is 1x1), "
-                f"got {cfg['ablate.tiles']!r}"
+        for variant, values in best.items():
+            text.append(
+                f"{variant} {scanning[variant]} "
+                f"{tiles if variant != 'baseline' else 'none'} "
+                f"{'yes' if variant == 'wind_elev' else 'no'} {statistics.median(values)!r}"
             )
-        rows = train.sector_sweep(bundle, tiles_list, mconfig, tconfig)
+        _write_table(out, "ablation", text, csv)
+    else:
         text = ["strategy tiles loss delta"]
         csv = ["strategy,tiles,loss,delta"]
-        for r in rows:
-            text.append(f"{r['strategy']} {r['tiles']} {r['loss']!r} {r['delta']!r}")
-            csv.append(f"{r['strategy']},{r['tiles']},{r['loss']!r},{r['delta']!r}")
-        (out / "tiles.txt").write_text("\n".join(text) + "\n", encoding="utf-8")
-        (out / "tiles.csv").write_text("\n".join(csv) + "\n", encoding="utf-8")
-        print((out / "tiles.txt").read_text(), end="")
-    else:
-        raise UsageError(f"unknown ablate mode {mode!r}")
+        for (label, grid, _m, _t), r in zip(runs, results):
+            delta = r.best_val - results[0].best_val
+            text.append(f"{label} {grid} {r.best_val!r} {delta!r}")
+            csv.append(f"{label},{grid},{r.best_val!r},{delta!r}")
+        _write_table(out, "tiles", text, csv)
     echo_config(cfg, out)
     return 0
 

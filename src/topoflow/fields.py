@@ -198,17 +198,27 @@ class NormStats:
 
     @classmethod
     def load(cls, path) -> "NormStats":
+        """The stats `save` wrote. A missing file raises DataError, a line
+        that is not UTF-8 FormatError, one that is not `name kind a b`
+        ConfigError, each naming the file."""
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except FileNotFoundError:
+            raise DataError(f"{path}: no such file") from None
         entries: dict[str, ChannelStats] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for ln, line in enumerate(fh, 1):
-                parts = line.split()
-                if not parts:
-                    continue
-                try:
-                    name, kind, a, b = parts
-                    entries[name] = ChannelStats(kind, float(a), float(b))
-                except ValueError:
-                    raise ConfigError(f"{path}:{ln}: expected 'name kind a b'") from None
+        for ln, line in enumerate(raw.splitlines(), 1):
+            try:
+                parts = line.decode("utf-8").split()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}:{ln}: not UTF-8 at column {exc.start}") from None
+            if not parts:
+                continue
+            try:
+                name, kind, a, b = parts
+                entries[name] = ChannelStats(kind, float(a), float(b))
+            except ValueError:
+                raise ConfigError(f"{path}:{ln}: expected 'name kind a b'") from None
         return cls(entries)
 
 

@@ -19,12 +19,10 @@ whole run's randomness is one serializable rng state.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-import statistics
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -315,29 +313,29 @@ class FitResult:
     store: ParamStore
     best_val: float
     final_val: float
-    history: list[tuple] = dc_field(default_factory=list)
-    best_path: Path | None = None
-    last_path: Path | None = None
-    seconds: float = 0.0
+    history: list[tuple]
+    best_path: Path
+    last_path: Path
+    seconds: float
 
 
 def fit(
     bundle: DatasetBundle,
     config: ModelConfig,
     tconfig: TrainConfig,
-    out_dir=None,
+    out_dir,
     resume: bool = False,
 ) -> FitResult:
     """Train to the step budget or early stop; persist best + last checkpoints.
 
     Every validation appends a loss-curve line (`step,train_loss,val_loss,
-    lr_base,alpha`), then saves `last` with the run state and TrainConfig.
-    `resume=True` continues from out_dir's `last`, bitwise identical to an
-    uninterrupted run even after a kill; a changed config raises ConfigError.
+    lr_base,alpha`) to out_dir's `loss_log.txt`, then saves `last` with the
+    run state and TrainConfig. `resume=True` continues from out_dir's `last`,
+    bitwise identical to an uninterrupted run even after a kill; a changed
+    config raises ConfigError, and a missing log starts over from its header.
     """
-    out = Path(out_dir) if out_dir is not None else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
     arrays = prepare_arrays(bundle, config)
     n = len(bundle.samples)
@@ -345,13 +343,13 @@ def fit(
     if not len(train_idx):
         raise ConfigError(f"{n} samples cannot host a {tconfig.val_fraction} validation split")
 
-    last_path = out / "last.gfd" if out else None
-    best_path = out / "best.gfd" if out else None
-    log_path = out / "loss_log.txt" if out else None
+    last_path = out / "last.gfd"
+    best_path = out / "best.gfd"
+    log_path = out / "loss_log.txt"
     train_kv = encode(tconfig, "train")
 
     if resume:
-        if last_path is None or not last_path.exists():
+        if not last_path.exists():
             raise ConfigError("resume requested but no last checkpoint found")
         store, ckpt_config, moments, extras = model_mod.load_checkpoint(last_path)
         if ckpt_config != config:
@@ -368,34 +366,30 @@ def fit(
     max_steps = min(tconfig.total_steps, tconfig.epochs * steps_per_epoch)
 
     history: list[tuple] = []
-    if log_path is not None:
+    rows = []
+    if resume and log_path.exists():
         # rows past the checkpoint come from a run killed before its `last` save
-        rows = log_path.read_text(encoding="utf-8").splitlines(True)[1:] if resume else []
+        rows = log_path.read_text(encoding="utf-8").splitlines(True)[1:]
         rows = [r for r in rows if r.endswith("\n") and int(r.split(",", 1)[0]) <= state.step]
-        write_atomic(log_path, (LOG_HEADER + "".join(rows)).encode("utf-8"))
+    write_atomic(log_path, (LOG_HEADER + "".join(rows)).encode("utf-8"))
 
     def log(step, train_loss, val_loss):
         lr = lr_at(step, tconfig, "pos_embed")
         alpha = float(store["alpha"].data)
         history.append((step, train_loss, val_loss, lr, alpha))
-        if log_path is not None:
-            with open(log_path, "a", encoding="utf-8") as fh:
-                fh.write(
-                    f"{step},{_fmt(train_loss)},{_fmt(val_loss)},{_fmt(lr)},{_fmt(alpha)}\n"
-                )
+        with open(log_path, "a", encoding="utf-8") as fh:
+            fh.write(f"{step},{_fmt(train_loss)},{_fmt(val_loss)},{_fmt(lr)},{_fmt(alpha)}\n")
 
     def save_last():
-        if last_path is not None:
-            model_mod.save_checkpoint(last_path, store, config, moments=(state.m, state.v),
-                                      extras={**state.extras(), **train_kv})
+        model_mod.save_checkpoint(last_path, store, config, moments=(state.m, state.v),
+                                  extras={**state.extras(), **train_kv})
 
     def validate(step, train_loss) -> float:
         val = evaluate_loss(store, config, arrays, val_idx, tconfig.batch_size)
         if val < state.best_val:
             state.best_val = val
             state.bad_count = 0
-            if best_path is not None:
-                model_mod.save_checkpoint(best_path, store, config, extras={"step": str(step)})
+            model_mod.save_checkpoint(best_path, store, config, extras={"step": str(step)})
         elif step >= tconfig.warmup:
             state.bad_count += 1
             if state.bad_count > tconfig.patience:
@@ -426,7 +420,7 @@ def fit(
             final_val = validate(state.step, train_loss)
     if state.step % tconfig.val_interval:
         save_last()
-    if best_path is not None and not best_path.exists():
+    if not best_path.exists():
         model_mod.save_checkpoint(best_path, store, config, extras={"step": str(state.step)})
     return FitResult(
         state=state,
@@ -442,99 +436,3 @@ def fit(
 
 def _fmt(x: float) -> str:
     return "nan" if isinstance(x, float) and math.isnan(x) else repr(float(x))
-
-
-# ---------------------------------------------------------------------------
-# experiments
-# ---------------------------------------------------------------------------
-
-ABLATION_VARIANTS = {
-    "baseline": (False, False),
-    "wind": (True, False),
-    "wind_elev": (True, True),
-}
-
-
-@dataclass
-class AblationRow:
-    variant: str
-    seed: int
-    wind_reorder: bool
-    elev_bias: bool
-    best_val: float
-    final_val: float
-    seconds: float
-
-
-def ablation_run(
-    bundle: DatasetBundle,
-    seeds,
-    config: ModelConfig,
-    tconfig: TrainConfig,
-    variants: dict[str, tuple[bool, bool]] | None = None,
-) -> list[AblationRow]:
-    """Train every (variant, seed) pair and collect validation losses."""
-    seeds = list(seeds)
-    if not seeds:
-        raise ConfigError("ablation needs at least one seed")
-    variants = dict(variants) if variants is not None else dict(ABLATION_VARIANTS)
-    rows: list[AblationRow] = []
-    for name, (wind, elev) in variants.items():
-        for seed in seeds:
-            mcfg = dataclasses.replace(config, wind_reorder=wind, elev_bias=elev)
-            tcfg = dataclasses.replace(tconfig, seed=int(seed))
-            result = fit(bundle, mcfg, tcfg)
-            rows.append(
-                AblationRow(name, int(seed), wind, elev, result.best_val,
-                            result.final_val, result.seconds)
-            )
-    return rows
-
-
-def median_best_by_variant(rows: list[AblationRow]) -> dict[str, float]:
-    return {
-        name: statistics.median(r.best_val for r in rows if r.variant == name)
-        for name in {r.variant for r in rows}
-    }
-
-
-def sector_sweep(
-    bundle: DatasetBundle,
-    tiles_list,
-    config: ModelConfig,
-    tconfig: TrainConfig,
-) -> list[dict]:
-    """Train the wind-reorder variant across sector granularities.
-
-    `tiles_list` holds (label, tiles_y, tiles_x) entries; tiles are the
-    sector grid (1x1 = one global sector). Every tile grid must divide the
-    patch grid; that is checked for all of them before the first fit.
-    Emits rows with the granularity sweep schema: strategy, tiles, loss,
-    delta vs the first row.
-    """
-    spec = config.spec
-    for _label, ty, tx in tiles_list:
-        if spec.patches_y % ty or spec.patches_x % tx:
-            raise ConfigError(
-                f"tile grid {ty}x{tx} does not divide the "
-                f"{spec.patches_y}x{spec.patches_x} patch grid"
-            )
-    rows: list[dict] = []
-    base_loss = None
-    for label, ty, tx in tiles_list:
-        new_spec = dataclasses.replace(
-            spec, sector_rows=spec.patches_y // ty, sector_cols=spec.patches_x // tx
-        )
-        mcfg = dataclasses.replace(config, spec=new_spec, wind_reorder=True)
-        result = fit(bundle, mcfg, tconfig)
-        if base_loss is None:
-            base_loss = result.best_val
-        rows.append(
-            {
-                "strategy": label,
-                "tiles": f"{ty}x{tx}",
-                "loss": result.best_val,
-                "delta": result.best_val - base_loss,
-            }
-        )
-    return rows

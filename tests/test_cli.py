@@ -3,8 +3,10 @@
 import argparse
 import math
 import os
+import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +174,28 @@ def test_ablate_two_variants_two_rows(tmp_path, config_path, dataset):
     assert len(csv) == 3  # header + 2 variant rows
 
 
+def test_ablate_medians_and_run_directories(tmp_path, config_path, dataset):
+    """Each variant's median is the median of its rows' best_val, and every
+    (variant, seed) run leaves its log and checkpoints under runs/."""
+    out = tmp_path / "ablate"
+    assert run(
+        "ablate", "--config", str(config_path), "--data", str(dataset), "--out", str(out),
+        "--seeds", "0,1,2", "--variants", "baseline,wind", "--steps", "2",
+    ) == 0
+    rows = [r.split(",") for r in (out / "ablation.csv").read_text().splitlines()[1:]]
+    medians = {ln.split()[0]: float(ln.split()[-1])
+               for ln in (out / "ablation.txt").read_text().splitlines()[1:]}
+    assert list(medians) == ["baseline", "wind"]
+    for variant, median in medians.items():
+        best = [float(r[4]) for r in rows if r[0] == variant]
+        assert len(best) == 3 and median == statistics.median(best)
+    names = {f"{v}-seed{k}" for v in medians for k in (0, 1, 2)}
+    assert {p.name for p in (out / "runs").iterdir()} == names
+    for name in names:
+        for file in ("loss_log.txt", "best.gfd", "last.gfd"):
+            assert (out / "runs" / name / file).exists(), (name, file)
+
+
 def test_ablate_tiles_schema(tmp_path, config_path, dataset):
     out = tmp_path / "tiles"
     assert run(
@@ -298,6 +322,21 @@ def test_config_errors_exit_two(tmp_path, dataset, capsys):
         assert key in capsys.readouterr().err
 
 
+def test_readme_commands_parse():
+    """Every `topoflow ...` line of README's CLI block is a valid command line."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI")[1].split("```sh")[1]
+    commands = [ln.split() for ln in block.split("```")[0].splitlines()
+                if ln.startswith("topoflow ")]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {' '.join(argv)}")
+
+
 def test_every_flag_dest_is_a_config_key():
     subparsers = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
@@ -352,12 +391,15 @@ BROKEN_INPUTS = (
     "manifest hour not an integer",
     "manifest not UTF-8",
     "stats value not a number",
+    "stats not UTF-8",
+    "stats.txt missing",
     "terrain.gfd missing",
     "sample file missing",
     "eval checkpoint sidecar missing",
     "dump checkpoint sidecar missing",
     "resume state.rng missing",
     "config file missing",
+    "config file not UTF-8",
 )
 
 
@@ -399,6 +441,14 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
         first = stats.read_bytes().splitlines()[0]
         rewrite(stats, first, b" ".join(first.split()[:2] + [b"abc", b"1.0"]))
         argv, named, code = ["train", *common, *out], "stats.txt:1", 2
+    elif case == "stats not UTF-8":
+        stats = dataset / "stats.txt"
+        first = stats.read_bytes().splitlines()[0]
+        rewrite(stats, first, first + b"\xff")
+        argv, named = ["train", *common, *out], "stats.txt:1"
+    elif case == "stats.txt missing":
+        (dataset / "stats.txt").unlink()
+        argv, named = ["train", *common, *out], "stats.txt"
     elif case == "terrain.gfd missing":
         (dataset / "terrain.gfd").unlink()
         argv, named = ["train", *common, *out], "terrain.gfd"
@@ -417,9 +467,14 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
         sidecar.write_text("".join(kept))
         argv = ["train", *common, "--out", str(tmp_path / "run"), "--steps", "2", "--resume"]
         named = "state.rng"
-    else:
+    elif case == "config file missing":
         missing = str(tmp_path / "missing.cfg")
         argv, named, code = ["gen", "--config", missing, *out], "missing.cfg", 2
+    else:
+        latin = write_config(tmp_path / "latin.cfg")
+        ln = len(latin.read_bytes().splitlines()) + 1
+        latin.write_bytes(latin.read_bytes() + b"data.archetype = basin\xe9\n")
+        argv, named, code = ["gen", "--config", str(latin), *out], f"latin.cfg:{ln}", 2
     capsys.readouterr()
     assert run(*argv) == code
     err = capsys.readouterr().err

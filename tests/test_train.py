@@ -232,7 +232,7 @@ def test_fit_deterministic_bitwise(tmp_path, bundle):
     assert a.history != c.history
 
 
-def test_fit_drops_each_step_tape_before_the_next_forward(bundle, monkeypatch):
+def test_fit_drops_each_step_tape_before_the_next_forward(tmp_path, bundle, monkeypatch):
     batch_loss = train._batch_loss
     previous = []   # weak references into the last training step's tape
 
@@ -253,7 +253,7 @@ def test_fit_drops_each_step_tape_before_the_next_forward(bundle, monkeypatch):
         return loss
 
     monkeypatch.setattr(train, "_batch_loss", traced)
-    result = train.fit(bundle, tiny_model(), quick_train())
+    result = train.fit(bundle, tiny_model(), quick_train(), out_dir=tmp_path)
     assert result.state.step == 6 and len(previous) == 2
 
 
@@ -337,6 +337,33 @@ def test_resume_after_kill_inside_last_save(tmp_path, bundle, monkeypatch):
     assert_same_run(tmp_path / "full", run)
 
 
+def test_resume_without_a_log_starts_it_over(tmp_path, bundle, monkeypatch):
+    """A run killed during step 4 of 6 whose log is then lost resumes from
+    `last` to the uninterrupted bytes, with a log of the rows past step 2."""
+    mcfg, tcfg = tiny_model(), quick_train(total_steps=6)
+    train.fit(bundle, mcfg, tcfg, out_dir=tmp_path / "full")
+    run = tmp_path / "killed"
+    real_step = train.optimize_step
+
+    def killed_step(store, state, config):
+        real_step(store, state, config)
+        if state.step == 4:
+            raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(train, "optimize_step", killed_step)
+        with pytest.raises(KeyboardInterrupt):
+            train.fit(bundle, mcfg, tcfg, out_dir=run)
+    assert "state.step = 2\n" in (run / "last.gfd.txt").read_text()
+    (run / "loss_log.txt").unlink()
+    train.fit(bundle, mcfg, tcfg, out_dir=run, resume=True)
+    assert (run / "last.gfd").read_bytes() == (tmp_path / "full" / "last.gfd").read_bytes()
+    full_log = (tmp_path / "full" / "loss_log.txt").read_text().splitlines(True)
+    past = [r for r in full_log[1:] if int(r.split(",")[0]) > 2]
+    assert [r.split(",")[0] for r in past] == ["4", "6"]
+    assert (run / "loss_log.txt").read_text() == full_log[0] + "".join(past)
+
+
 def test_resume_refuses_changed_config(tmp_path, bundle):
     train.fit(bundle, tiny_model(), quick_train(total_steps=6), out_dir=tmp_path / "run")
     with pytest.raises(ConfigError, match="total_steps"):
@@ -358,63 +385,27 @@ def test_resume_needs_checkpoint(tmp_path, bundle):
         train.fit(bundle, tiny_model(), quick_train(), out_dir=tmp_path / "nope", resume=True)
 
 
-def test_patience_zero_stops_at_first_validation_after_warmup(bundle):
+def test_patience_zero_stops_at_first_validation_after_warmup(tmp_path, bundle):
     # a destructive learning rate makes the first post-baseline validation worse
     cfg = quick_train(
         warmup=0, total_steps=50, val_interval=1, patience=0,
         lr_base=1.0, lr_embed=1.0, lr_head=1.0, lr_backbone=1.0,
     )
-    result = train.fit(bundle, tiny_model(dropout=0.0), cfg)
+    result = train.fit(bundle, tiny_model(dropout=0.0), cfg, out_dir=tmp_path)
     assert result.state.stopped
     assert result.state.step == 1
 
 
-def test_fit_epoch_cap(bundle):
+def test_fit_epoch_cap(tmp_path, bundle):
     # 18 train samples / batch 4 -> 5 steps per epoch; 1 epoch caps the run
     cfg = quick_train(total_steps=100, epochs=1)
-    result = train.fit(bundle, tiny_model(), cfg)
+    result = train.fit(bundle, tiny_model(), cfg, out_dir=tmp_path)
     assert result.state.step == 5
 
 
-def test_training_reduces_loss(bundle):
+def test_training_reduces_loss(tmp_path, bundle):
     cfg = quick_train(total_steps=40, val_interval=10, warmup=5,
                       lr_base=3e-3, lr_embed=3e-3, lr_head=3e-3, lr_backbone=3e-3)
-    result = train.fit(bundle, tiny_model(dropout=0.0), cfg)
+    result = train.fit(bundle, tiny_model(dropout=0.0), cfg, out_dir=tmp_path)
     assert result.best_val < result.history[0][2] * 0.9
 
-
-# -- experiments ----------------------------------------------------------------------
-
-def test_ablation_identical_toggles_identical_results(bundle):
-    rows = train.ablation_run(
-        bundle,
-        seeds=[0],
-        config=tiny_model(),
-        tconfig=quick_train(),
-        variants={"a": (False, False), "b": (False, False)},
-    )
-    by_name = {r.variant: r for r in rows}
-    assert by_name["a"].best_val == by_name["b"].best_val
-    assert by_name["a"].final_val == by_name["b"].final_val
-
-
-def test_median_best_by_variant():
-    rows = [
-        train.AblationRow("x", s, True, True, b, b, 0.0)
-        for s, b in [(0, 3.0), (1, 1.0), (2, 2.0)]
-    ]
-    assert train.median_best_by_variant(rows) == {"x": 2.0}
-
-
-def test_sector_sweep_schema(bundle):
-    rows = train.sector_sweep(
-        bundle,
-        [("global", 1, 1), ("2x2", 2, 2)],
-        tiny_model(),
-        quick_train(total_steps=2, val_interval=2),
-    )
-    assert [r["strategy"] for r in rows] == ["global", "2x2"]
-    assert rows[0]["delta"] == 0.0
-    assert set(rows[0]) == {"strategy", "tiles", "loss", "delta"}
-    with pytest.raises(ConfigError):
-        train.sector_sweep(bundle, [("bad", 3, 3)], tiny_model(), quick_train())
