@@ -28,6 +28,8 @@ from .config import (
     TrainConfig,
     decode,
     encode,
+    format_kv,
+    read_kv,
     value,
 )
 from .errors import ConfigError, TopoflowError, UsageError
@@ -66,34 +68,12 @@ def _desk_defaults() -> dict[str, str]:
 DEFAULTS: dict[str, str] = _desk_defaults()
 
 
-def parse_config_file(path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    if not os.path.isfile(path):
-        raise ConfigError(f"{path}: no such config file")
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    for ln, text in enumerate(raw.splitlines(), 1):
-        try:
-            line = text.decode("utf-8").strip()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}:{ln}: not UTF-8 at column {exc.start}") from None
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{ln}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in DEFAULTS:
-            raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
-        out[key] = value
-    return out
-
-
 def resolve_config(args) -> dict[str, str]:
     """DEFAULTS, then the --config file, then every given flag, whose
     argparse dest is the config key it sets; empty strings are ignored."""
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
-        cfg.update(parse_config_file(args.config))
+        cfg.update(read_kv(args.config, ConfigError, DEFAULTS))
     for key, given in vars(args).items():
         if key in DEFAULTS and given is not None and given != "":
             cfg[key] = ("true" if given else "false") if isinstance(given, bool) else str(given)
@@ -102,8 +82,7 @@ def resolve_config(args) -> dict[str, str]:
 
 def echo_config(cfg: dict[str, str], out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [f"{key} = {cfg[key]}\n" for key in sorted(cfg)]
-    (out_dir / "resolved_config.txt").write_text("".join(lines), encoding="utf-8")
+    (out_dir / "resolved_config.txt").write_text(format_kv(cfg), encoding="utf-8")
 
 
 def build_grid(cfg):
@@ -284,9 +263,10 @@ def _tile_runs(cfg, mconfig, tconfig) -> list[tuple]:
 
 
 def _write_table(out: Path, stem: str, text: list[str], csv: list[str]) -> None:
-    (out / f"{stem}.txt").write_text("\n".join(text) + "\n", encoding="utf-8")
+    table = "\n".join(text) + "\n"
+    (out / f"{stem}.txt").write_text(table, encoding="utf-8")
     (out / f"{stem}.csv").write_text("\n".join(csv) + "\n", encoding="utf-8")
-    print((out / f"{stem}.txt").read_text(), end="")
+    print(table, end="")
 
 
 def cmd_ablate(cfg: dict[str, str], mode: str) -> int:

@@ -1,16 +1,14 @@
-"""The config dataclasses and their flat `section.field = value` text form.
+"""Config dataclasses, their `section.field = value` text, and the file reader.
 
 GridSpec, PhysicsConfig, ModelConfig and TrainConfig live here with their
 checks and without numpy, so the CLI derives its defaults from them before
-it caps threads. One codec serves both string configurations in the
-package: the CLI's resolved key/value config (decoded into those four) and
-the checkpoint sidecar (a ModelConfig encoded and decoded again). Keys are
-the dataclass field names under a section prefix; a nested dataclass field
-such as `ModelConfig.spec` adds one more level (`model.spec.height`).
-Values are parsed by the field's annotation: bool (`true`/`false`), int,
-float, str, or a comma-separated `tuple[T, ...]` of one of those. A value
-that does not parse, and an absent key for a field without a default,
-raise ConfigError naming the key.
+it caps threads. One codec serves the CLI's config and the checkpoint
+sidecar. Keys are the dataclass field names under a section prefix; a
+nested dataclass field such as `ModelConfig.spec` adds one more level
+(`model.spec.height`). Values are parsed by the field's annotation: bool
+(`true`/`false`), int, float, str, or a comma-separated `tuple[T, ...]`.
+A value that does not parse, and an absent key for a field without a
+default, raise ConfigError naming the key.
 """
 
 from __future__ import annotations
@@ -264,3 +262,42 @@ def decode(cls, kv: dict[str, str], section: str, **given):
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"missing config key {key!r}")
     return cls(**args)
+
+
+def read_bytes(path, error) -> bytes:
+    """The whole file; one that cannot be read raises `error` naming it."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error(f"{path}: cannot read ({exc.strerror or exc})") from None
+
+
+def read_lines(path, error):
+    """(number, line with its end) per line; one not UTF-8 raises `error`."""
+    for ln, raw in enumerate(read_bytes(path, error).splitlines(True), 1):
+        try:
+            yield ln, raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}:{ln}: not UTF-8 at column {exc.start}") from None
+
+
+def read_kv(path, error, known=None) -> dict[str, str]:
+    """The `key = value` lines of a file, less blank and `#` lines; any other
+    line, or a key outside a given `known`, raises `error` at `file:line`."""
+    out: dict[str, str] = {}
+    for ln, line in read_lines(path, error):
+        key, eq, text = (part.strip() for part in line.partition("="))
+        if key.startswith("#") or not (key or eq):
+            continue
+        if not (key and eq):
+            raise error(f"{path}:{ln}: expected 'key = value'")
+        if known is not None and key not in known:
+            raise error(f"{path}:{ln}: unknown key {key!r}")
+        out[key] = text
+    return out
+
+
+def format_kv(kv: dict[str, str]) -> str:
+    """The text `read_kv` reads back: one sorted `key = value` line per key."""
+    return "".join(f"{key} = {kv[key]}\n" for key in sorted(kv))

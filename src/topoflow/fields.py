@@ -37,7 +37,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import GridSpec
+from .config import GridSpec, read_bytes, read_lines
 from .errors import ConfigError, DataError, FormatError, MaskError, ShapeError, StatsError
 
 GFD_MAGIC = b"GFD1"
@@ -198,20 +198,11 @@ class NormStats:
 
     @classmethod
     def load(cls, path) -> "NormStats":
-        """The stats `save` wrote. A missing file raises DataError, a line
-        that is not UTF-8 FormatError, one that is not `name kind a b`
-        ConfigError, each naming the file."""
-        try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
-        except FileNotFoundError:
-            raise DataError(f"{path}: no such file") from None
+        """The stats `save` wrote. An unreadable file or a line not UTF-8 raises
+        FormatError, one not `name kind a b` ConfigError, naming the file."""
         entries: dict[str, ChannelStats] = {}
-        for ln, line in enumerate(raw.splitlines(), 1):
-            try:
-                parts = line.decode("utf-8").split()
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{path}:{ln}: not UTF-8 at column {exc.start}") from None
+        for ln, line in read_lines(path, FormatError):
+            parts = line.split()
             if not parts:
                 continue
             try:
@@ -322,12 +313,8 @@ def write_atomic(path, data: bytes) -> None:
 
 def read_grid(path) -> Field | LandMask:
     """Parse a .gfd container, returning LandMask for single-channel "mask" files;
-    a missing file raises DataError, a malformed one FormatError with its offset."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except FileNotFoundError:
-        raise DataError(f"{path}: no such file") from None
+    an unreadable file raises DataError, a malformed one FormatError with its offset."""
+    raw = read_bytes(path, DataError)
 
     def malformed(message: str, offset: int) -> FormatError:
         return FormatError(f"{path}: {message}", offset=offset)

@@ -36,7 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from . import reorder, topo_bias
 from .attention import AttentionParams, _attend_parts
-from .config import GridSpec, ModelConfig, decode, encode
+from .config import GridSpec, ModelConfig, decode, encode, format_kv, read_kv
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .fields import Field, read_grid, write_atomic, write_grid
 
@@ -411,23 +411,18 @@ def save_checkpoint(
     kv = encode(config, "model")
     kv.update((f"state.{k}", v) for k, v in (extras or {}).items())
     kv["payload.crc32"] = _payload_crc(container.data)
-    text = "".join(f"{key} = {value}\n" for key, value in sorted(kv.items()))
-    write_atomic(f"{path}.txt", text.encode("utf-8"))
+    write_atomic(f"{path}.txt", format_kv(kv).encode("utf-8"))
 
 
 def load_checkpoint(path):
     """Returns (ParamStore, ModelConfig, moments | None, extras dict).
 
     Names, shapes and groups come from `_param_layout` on the sidecar's
-    config, with no random draws. A missing sidecar, a payload whose
-    length does not fit that config, or one whose CRC-32 is not the
-    sidecar's (a torn payload/sidecar pair), raises FormatError.
+    config, with no random draws. An unreadable sidecar or one line in it
+    that is not `key = value`, a payload that does not fit that config, or
+    one whose CRC-32 is not the sidecar's (a torn pair) raises FormatError.
     """
-    try:
-        with open(f"{path}.txt", "r", encoding="utf-8") as fh:
-            kv = dict(line.rstrip("\n").partition(" = ")[::2] for line in fh)
-    except FileNotFoundError:
-        raise FormatError(f"{path}.txt: no checkpoint sidecar") from None
+    kv = read_kv(f"{path}.txt", FormatError)
     extras = {k[len("state."):]: v for k, v in kv.items() if k.startswith("state.")}
     config = decode(ModelConfig, kv, "model")
     layout = _param_layout(config)

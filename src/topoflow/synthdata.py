@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import INPUT_CHANNELS, TARGET_CHANNELS, TEMPORAL_CHANNELS, PhysicsConfig
+from .config import INPUT_CHANNELS, TARGET_CHANNELS, TEMPORAL_CHANNELS, PhysicsConfig, read_lines
 from .errors import ConfigError, DataError, FitError, FormatError, ShapeError, StabilityError
 from .fields import (
     Field,
@@ -549,7 +549,9 @@ def write_dataset(
     write_grid(terrain_field, out / "terrain.gfd")
     write_grid(mask, out / "mask.gfd")
     stats.save(out / "stats.txt")
-    lines = [f"# topoflow dataset v1 seed={seed} count={len(samples)}\n"]
+    lines = [
+        f"# topoflow dataset v1 seed={seed} count={len(samples)} base_speed={tw.base_speed!r}\n"
+    ]
     named = set()
     for i, s in enumerate(samples):
         in_rel = f"samples/{i:06d}.in.gfd"
@@ -581,8 +583,9 @@ def write_dataset(
 
 def read_dataset(in_dir) -> DatasetBundle:
     """Load a dataset directory written by :func:`write_dataset`; a manifest
-    with other than `count=` sample rows (a cut file) or a missing file raises
-    DataError, and a row that is not UTF-8 or integer hours FormatError."""
+    with other than `count=` sample rows (a cut file), a header without a
+    numeric `base_speed=` or a missing file raises DataError, and a row that
+    is not UTF-8 or integer hours FormatError."""
     root = Path(in_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -594,22 +597,12 @@ def read_dataset(in_dir) -> DatasetBundle:
     if not isinstance(mask, LandMask):
         raise DataError(f"{root}/mask.gfd is not a mask file")
     stats = NormStats.load(root / "stats.txt")
-    tw = TerrainWind(
-        terrain_field.channel("elev").astype(np.float64),
-        terrain_field.channel("u").astype(np.float64),
-        terrain_field.channel("v").astype(np.float64),
-        base_speed=0.0,
-    )
     samples: list[Sample] = []
     horizons: tuple[int, ...] = ()
-    count = None
-    for ln, raw in enumerate(manifest.read_bytes().splitlines(), 1):
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{manifest}:{ln}: not UTF-8 at column {exc.start}") from None
+    header: dict[str, str] = {}
+    for ln, line in read_lines(manifest, FormatError):
         if ln == 1:
-            count = next((w[6:] for w in line.split() if w.startswith("count=")), None)
+            header = dict(w.split("=", 1) for w in line.split() if "=" in w)
         if line.startswith("#") or not line.strip():
             continue
         parts = line.split()
@@ -626,8 +619,19 @@ def read_dataset(in_dir) -> DatasetBundle:
         samples.append(Sample(inp, targets, horizons, hour, doy))
     if not samples:
         raise DataError(f"{manifest}: dataset is empty")
+    count = header.get("count")
     if count != str(len(samples)):
         raise DataError(f"{manifest}: {len(samples)} sample rows, header says count={count}")
+    try:
+        base_speed = float(header["base_speed"])
+    except (KeyError, ValueError):
+        raise DataError(f"{manifest}:1: header needs a numeric base_speed=") from None
+    tw = TerrainWind(
+        terrain_field.channel("elev").astype(np.float64),
+        terrain_field.channel("u").astype(np.float64),
+        terrain_field.channel("v").astype(np.float64),
+        base_speed=base_speed,
+    )
     return DatasetBundle(
         samples[0].input.spec, tuple(samples), tw, mask, stats, horizons
     )

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
-from .config import TrainConfig, encode
+from .config import TrainConfig, encode, read_lines
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .fields import normalize, write_atomic
 from .model import ForwardResult, ModelConfig, ParamStore, forward, init_params, patchify
@@ -166,7 +166,9 @@ def clip_gradients(store: ParamStore, max_norm: float) -> float:
 
 
 def optimize_step(store: ParamStore, state: TrainState, config: TrainConfig) -> None:
-    """One clipped AdamW update with per-group learning rates."""
+    """One clipped AdamW update with per-group learning rates. A tensor with
+    no gradient (alpha when the variant has no elevation bias) gets neither
+    the Adam step nor weight decay, and its moments stay as they are."""
     for name in store.names():
         g = store[name].grad
         if g is not None and not np.isfinite(g).all():
@@ -179,7 +181,7 @@ def optimize_step(store: ParamStore, state: TrainState, config: TrainConfig) -> 
         tensor = store[name]
         g = tensor.grad
         if g is None:
-            g = np.zeros_like(tensor.data)
+            continue
         lr = lr_at(state.step, config, store.group_of(name))
         m = state.m[name]
         v = state.v[name]
@@ -332,7 +334,8 @@ def fit(
     lr_base,alpha`) to out_dir's `loss_log.txt`, then saves `last` with the
     run state and TrainConfig. `resume=True` continues from out_dir's `last`,
     bitwise identical to an uninterrupted run even after a kill; a changed
-    config raises ConfigError, and a missing log starts over from its header.
+    config raises ConfigError, a missing log starts over from its header, and
+    a log row whose step is not an integer raises FormatError.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -368,9 +371,13 @@ def fit(
     history: list[tuple] = []
     rows = []
     if resume and log_path.exists():
-        # rows past the checkpoint come from a run killed before its `last` save
-        rows = log_path.read_text(encoding="utf-8").splitlines(True)[1:]
-        rows = [r for r in rows if r.endswith("\n") and int(r.split(",", 1)[0]) <= state.step]
+        # later rows come from a run killed before its `last` save or mid-row
+        for ln, row in read_lines(log_path, FormatError):
+            step = row.split(",", 1)[0]
+            if ln > 1 and not step.isdecimal():
+                raise FormatError(f"{log_path}:{ln}: step {step!r} is not an integer")
+            if ln > 1 and row.endswith("\n") and int(step) <= state.step:
+                rows.append(row)
     write_atomic(log_path, (LOG_HEADER + "".join(rows)).encode("utf-8"))
 
     def log(step, train_loss, val_loss):

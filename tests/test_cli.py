@@ -400,6 +400,12 @@ BROKEN_INPUTS = (
     "resume state.rng missing",
     "config file missing",
     "config file not UTF-8",
+    "eval checkpoint sidecar not UTF-8",
+    "eval baseline sidecar line not key = value",
+    "resume loss_log row step not an integer",
+    "resume loss_log not UTF-8",
+    "manifest header without base_speed",
+    "config file is a directory",
 )
 
 
@@ -470,6 +476,37 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
     elif case == "config file missing":
         missing = str(tmp_path / "missing.cfg")
         argv, named, code = ["gen", "--config", missing, *out], "missing.cfg", 2
+    elif case == "eval checkpoint sidecar not UTF-8":
+        sidecar = trained() / "best.gfd.txt"
+        line = sidecar.read_bytes().splitlines()[1]
+        rewrite(sidecar, line, line + b"\xff")
+        argv = ["eval", *common, "--checkpoint", str(tmp_path / "run" / "best.gfd"), *out]
+        named = "best.gfd.txt:2"
+    elif case == "eval baseline sidecar line not key = value":
+        run_dir = tmp_path / "run"
+        assert run("train", *common, "--out", str(run_dir), "--steps", "2",
+                   "--no-wind-reorder", "--no-elev-bias") == 0
+        sidecar = run_dir / "best.gfd.txt"
+        lines = sidecar.read_bytes().splitlines()
+        ln = lines.index(b"model.wind_reorder = false") + 1
+        rewrite(sidecar, b"model.wind_reorder = false", b"model.wind_reorder: false")
+        argv = ["eval", *common, "--checkpoint", str(run_dir / "best.gfd"), *out]
+        named = f"best.gfd.txt:{ln}"
+    elif case.startswith("resume loss_log"):
+        log = trained() / "loss_log.txt"
+        row = log.read_bytes().splitlines()[2]   # the step-2 row
+        garbled = b"two" + row[1:] if "integer" in case else row + b"\xff"
+        rewrite(log, row, garbled)
+        argv = ["train", *common, "--out", str(tmp_path / "run"), "--steps", "2", "--resume"]
+        named = "loss_log.txt:3"
+    elif case == "manifest header without base_speed":
+        header = manifest.read_bytes().splitlines()[0]
+        rewrite(manifest, header, b" ".join(w for w in header.split()
+                                            if not w.startswith(b"base_speed=")))
+        argv, named = ["train", *common, *out], "base_speed"
+    elif case == "config file is a directory":
+        (tmp_path / "cfgdir").mkdir()
+        argv, named, code = ["gen", "--config", str(tmp_path / "cfgdir"), *out], "cfgdir", 2
     else:
         latin = write_config(tmp_path / "latin.cfg")
         ln = len(latin.read_bytes().splitlines()) + 1
@@ -499,6 +536,28 @@ def test_dump_perm_lists_sample_zero_order(tmp_path, config_path, dataset):
     want = train.prepare_arrays(bundle, config).perms[0].forward
     forward = [int(ln.split()[1]) for ln in lines[1 : 1 + bundle.spec.n_patches]]
     assert forward == want.tolist()
+
+
+def test_loaded_dataset_regenerates_its_samples(dataset, config_path):
+    # the manifest carries the terrain's base wind speed, so make_sample on a
+    # loaded bundle draws the stored winds; only the float32 round trip of
+    # the stored terrain is left between the two
+    from topoflow import cli
+
+    cfg = cli.resolve_config(argparse.Namespace(config=str(config_path)))
+    bundle = synthdata.read_dataset(dataset)
+    assert bundle.terrain.base_speed == float(cfg["data.base_speed"])
+    for i, stored in enumerate(bundle.samples):
+        again = synthdata.make_sample(
+            i, 0, bundle.spec, bundle.terrain, cli.build_physics(cfg), bundle.horizons,
+            cfg["data.wind_mode"], cfg["data.source_mode"], cfg["data.init_mode"],
+        )
+        for name in ("u", "v"):
+            np.testing.assert_allclose(
+                again.input.channel(name), stored.input.channel(name), rtol=0, atol=2e-6
+            )
+        for t0, t1 in zip(again.targets, stored.targets):
+            np.testing.assert_allclose(t0.data, t1.data, rtol=0, atol=5e-5)
 
 
 def test_resolved_config_echo_is_sorted(dataset):

@@ -1,5 +1,6 @@
 """The flat config codec against the desk defaults and the config dataclasses."""
 
+import ast
 import dataclasses
 from pathlib import Path
 
@@ -64,3 +65,40 @@ def test_codec_errors_are_config_errors():
     for key, (text, tp) in bad.items():
         with pytest.raises(ConfigError, match=key):
             value({key: text}, key, tp)
+
+
+def _read_calls(tree):
+    """Calls in a module's syntax tree that read a file: `open` in a mode
+    without w, a or x (or a mode that is not a literal), `.read_text()`
+    and `.read_bytes()`."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("read_text", "read_bytes") and isinstance(func, ast.Attribute):
+            yield node
+        elif name == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax")):
+                yield node
+
+
+def test_files_are_read_only_in_config():
+    """Every file the package reads goes through `topoflow.config`, so each
+    fault is reported one way."""
+    src = Path(__file__).resolve().parents[1] / "src" / "topoflow"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in _read_calls(tree)]
+    assert found and all(site.startswith("config.py:") for site in found), found
+
+
+def test_read_calls_finder_sees_each_form():
+    tree = ast.parse(
+        "open(p)\nopen(p, 'rb')\nopen(p, mode='r')\nopen(p, m)\np.read_text()\n"
+        "p.read_bytes()\nopen(p, 'w')\nopen(p, 'ab')\nopen(p, mode='x')\nfh.read()\n"
+    )
+    assert [node.lineno for node in _read_calls(tree)] == [1, 2, 3, 4, 5, 6]

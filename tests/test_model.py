@@ -493,6 +493,17 @@ def test_checkpoint_payload_length_must_fit_config(tmp_path):
         model.load_checkpoint(path)
 
 
+def test_checkpoint_sidecar_ignores_unknown_keys(tmp_path):
+    # a sidecar written before a key was retired, such as model.wind_mean,
+    # still loads; only its lines must be `key = value`
+    config = tiny_config()
+    path = tmp_path / "ckpt.gfd"
+    model.save_checkpoint(path, init_params(config, seed=0), config)
+    sidecar = tmp_path / "ckpt.gfd.txt"
+    sidecar.write_text("model.wind_mean = 0.5\n" + sidecar.read_text())
+    assert model.load_checkpoint(path)[1] == config
+
+
 def test_config_kv_round_trip():
     configs = {
         "grid": GridSpec(4, 8, 2, 2, 1),

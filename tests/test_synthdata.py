@@ -409,6 +409,18 @@ def test_smaller_dataset_over_a_larger_one_leaves_no_stale_samples(tmp_path):
     assert len(synthdata.read_dataset(tmp_path / "ds").samples) == 3
 
 
+def test_manifest_header_carries_base_speed(tmp_path):
+    samples, tw, mask, stats = small_dataset(2)
+    synthdata.write_dataset(tmp_path / "ds", samples, tw, mask, stats, seed=9)
+    assert synthdata.read_dataset(tmp_path / "ds").terrain.base_speed == tw.base_speed
+    manifest = tmp_path / "ds" / "manifest.txt"
+    lines = manifest.read_text().splitlines(True)
+    assert lines[0].endswith(f" base_speed={tw.base_speed!r}\n")
+    manifest.write_text(lines[0].replace(" base_speed=", " speed=") + "".join(lines[1:]))
+    with pytest.raises(DataError, match="base_speed"):
+        synthdata.read_dataset(tmp_path / "ds")
+
+
 def test_manifest_cut_at_a_row_boundary_raises(tmp_path):
     synthdata.write_dataset(tmp_path / "ds", *small_dataset(4), seed=9)
     manifest = tmp_path / "ds" / "manifest.txt"

@@ -174,6 +174,19 @@ def test_zero_gradients_with_decay_shrink_multiplicatively():
     assert float(store["alpha"].data) == pytest.approx(2.0 * (1 - lr * 0.01), rel=1e-6)
 
 
+def test_parameter_without_gradient_is_neither_stepped_nor_decayed(tmp_path, bundle):
+    # without the elevation bias alpha gets no gradient, so a baseline keeps
+    # it at its initial value, moments included, through every step
+    from topoflow.topo_bias import ALPHA_INIT
+
+    mcfg = tiny_model(wind_reorder=False, elev_bias=False)
+    result = train.fit(bundle, mcfg, quick_train(total_steps=2), out_dir=tmp_path)
+    assert result.state.step == 2
+    assert result.store["alpha"].data.tobytes() == np.float32(ALPHA_INIT).tobytes()
+    assert not result.state.m["alpha"].any() and not result.state.v["alpha"].any()
+    assert all(row[4] == ALPHA_INIT for row in result.history)
+
+
 def test_clipping_scales_by_global_norm():
     cfg = TrainConfig(warmup=2000, total_steps=20000)
     config = tiny_model(dropout=0.0)
