@@ -20,11 +20,19 @@ single tape node with an analytic backward. Forward and backward visit
 one (sample, head) pair's (N, N) logit block at a time, the blocking idea
 of FlashAttention (Dao et al. 2022, arXiv:2205.14135) rather than its
 kernel: a block is 1 MB at the desk size (N = 512, float32), so it stays
-in a core's L2 cache while it is biased, normalized and multiplied. The
-backward keeps no N x N array besides the bias and penalty it was given.
-The forward records each softmax row's max and sum of exponentials, and
-the backward recomputes a block's weights from them: one more q k^T
-product and four elementwise passes per block buy back the
+in a core's L2 cache while it is biased, exponentiated and multiplied.
+Each block is laid out keys x queries, k q^T with one column per query,
+and so are the two tables: the softmax's max, shift and sum run down
+columns with (1, N) broadcasts, which numpy does faster than the (N, 1)
+broadcasts and last-axis reductions of the row layout. The softmax
+divide moves off the block onto the (N, d/heads) context, and the
+backward takes its D = rowsum(dO * O) term from the context, as
+FlashAttention does (Dao et al. 2022; Dao 2023, arXiv:2307.08691), so
+no N x N pass divides a block.
+The backward keeps no N x N array besides the bias and penalty it was
+given. The forward records each query's max and sum of exponentials,
+and the backward recomputes a block's exponentials from the max: one
+more k q^T product and three elementwise passes per block buy back the
 (B, heads, N, N) weights the tape would otherwise hold (recompute
 instead of store, as in gradient checkpointing, Chen et al. 2016,
 arXiv:1604.06174).
@@ -74,27 +82,33 @@ def _attend_parts(
     returns (out, weights).
 
     The forward projects Q, K and V, then works on one head's (N, N) logit
-    block of one sample at a time, in one reused buffer: q k^T, bias add,
-    finiteness check and an in-place row softmax, which also writes each
-    row's max and sum of exponentials into two (B, heads, N, 1) arrays.
+    block of one sample at a time, in one reused buffer laid out keys x
+    queries: k q^T, bias add, finiteness check and the in-place column
+    step of `autodiff.softmax`, exp(s - max) with each query column's max
+    and sum of exponentials written into two (B, heads, 1, N) arrays. The
+    block is never divided: e^T v gives the context, and its (N, d/heads)
+    rows are divided by the sums.
     The analytic backward keeps no N x N array of its own: it holds the
-    projections, the context, the tables and those row statistics, and
-    recomputes each block's weights as exp(q k^T + bias - max) / sum, the
-    forward's own operations on the same operands, so every weight and
-    every gradient keeps its bits.
+    projections, the context, the tables and those column statistics. It
+    recomputes each block's exp(k q^T + bias - max), the forward's own
+    operations on the same operands, scales the context gradient dO by
+    1/sum on its rows, and takes the softmax term D = rowsum(dO * O) from
+    the context O, so no N x N pass divides or reduces.
     `bias` (the relative slot-offset logits) and `penalty` (the terrain
     penalty between the patches in raster order) are (N, N) tables shared
-    by the batch and the heads. With `orders`, a (B, N) array whose row i
-    is sample i's slot -> patch permutation, sample i's logit (a, b) gets
-    penalty[order[a], order[b]]; without it, the penalty lands as it is.
-    A sample's bias is built in one reused (N, N) buffer before its heads.
-    A table's gradient adds up each sample's heads in head order, then the
-    samples in sample order, the penalty's through the inverse order.
+    by the batch and the heads, laid out keys x queries: row k, column q
+    lands on query q's logit for key k. With `orders`, a (B, N) array
+    whose row i is sample i's slot -> patch permutation, sample i's block
+    entry (k, q) gets penalty[order[k], order[q]]; without it, the penalty
+    lands as it is. A sample's bias is built in one reused (N, N) buffer
+    before its heads. A table's gradient adds up each sample's heads in
+    head order, then the samples in sample order, the penalty's through
+    the inverse order.
     Other shapes raise ShapeError; a row of `orders` that is not a
     permutation raises DataError.
-    With `weights` the second value is the post-softmax weights, a
-    constant Tensor of shape (B, heads, N, N); without it, an empty
-    (B, heads, 0, 0) Tensor of the logits' dtype.
+    With `weights` the second value is the post-softmax weights, queries
+    x keys, a constant Tensor of shape (B, heads, N, N); without it, an
+    empty (B, heads, 0, 0) Tensor of the logits' dtype.
     """
     x = ad.as_tensor(tokens)
     if x.data.ndim != 3 or x.shape[-1] != params.d:
@@ -131,26 +145,28 @@ def _attend_parts(
     pen = None if pen_t is None else pen_t.data.astype(dtype, copy=False)
     kept = n if weights else 0
     probs = np.empty((b, h, kept, kept), dtype=dtype)
-    row_max = np.empty((b, h, n, 1), dtype=dtype)
-    row_sum = np.empty((b, h, n, 1), dtype=dtype)
-    buf = None if weights else np.empty((n, n), dtype=dtype)
+    col_max = np.empty((b, h, 1, n), dtype=dtype)
+    col_sum = np.empty((b, h, 1, n), dtype=dtype)
+    block = np.empty((n, n), dtype=dtype)
     bias_buf = None if pen is None else np.empty((n, n), dtype=dtype)
     ctx = np.empty((b, n, d), dtype=dtype)
     ctx_h = heads(ctx)
     bias_nn = None if bias_t is None else bias_t.data
     order_of = [None] * b if orders is None else orders  # sample -> order or None
     for i in range(b):
-        # the sample's first logit block is still free: it is the gather scratch
-        scratch = probs[i, 0] if weights else buf
-        bias_i = _sample_bias(bias_nn, pen, order_of[i], bias_buf, scratch)
+        # before the sample's first head the block is free: it is the gather scratch
+        bias_i = _sample_bias(bias_nn, pen, order_of[i], bias_buf, block)
         for j in range(h):
-            block = np.matmul(qh[i, j], kh[i, j].T, out=probs[i, j] if weights else buf)
+            np.matmul(kh[i, j], qh[i, j].T, out=block)
             if bias_i is not None:
                 block += bias_i
             if not np.isfinite(block).all():
                 raise NumericError("non-finite attention logits")
-            ad.softmax(block, stats=(row_max[i, j], row_sum[i, j]))
-            ctx_h[i, j] = block @ vh[i, j]
+            ad.softmax(block, stats=(col_max[i, j], col_sum[i, j]))
+            np.matmul(block.T, vh[i, j], out=ctx_h[i, j])
+            ctx_h[i, j] /= col_sum[i, j].T
+            if weights:
+                np.divide(block, col_sum[i, j], out=probs[i, j].T)
     out = ctx @ params.wo.data
 
     parents = (x, params.wq, params.wk, params.wv, params.wo)
@@ -161,8 +177,8 @@ def _attend_parts(
         gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
         gq_h, gk_h, gv_h = heads(gq), heads(gk), heads(gv)
         # the backward's own buffers: the forward's are not kept on the tape
-        p = np.empty((n, n), dtype=dtype)
-        glog = np.empty((n, n), dtype=np.result_type(gctx_h, vh))
+        e = np.empty((n, n), dtype=dtype)
+        glog = np.empty((n, n), dtype=np.result_type(gctx_h, col_sum, vh))
         bias_buf = None if pen is None else np.empty((n, n), dtype=dtype)
         gbias = gpen = head_sum = None
         if bias_t is not None and bias_t.requires_grad:
@@ -175,25 +191,27 @@ def _attend_parts(
             # written straight into it
             head_sum = np.empty((n, n), dtype=glog.dtype)
         for i in range(b):
-            bias_i = _sample_bias(bias_nn, pen, order_of[i], bias_buf, p)
+            bias_i = _sample_bias(bias_nn, pen, order_of[i], bias_buf, e)
             for j in range(h):
-                # the forward's softmax of this block, from its row statistics
-                np.matmul(qh[i, j], kh[i, j].T, out=p)
+                # the forward's exp(s - max) of this block, from its column maxima
+                np.matmul(kh[i, j], qh[i, j].T, out=e)
                 if bias_i is not None:
-                    p += bias_i
-                p -= row_max[i, j]
-                np.exp(p, out=p)
-                p /= row_sum[i, j]
-                gv_h[i, j] = p.T @ gctx_h[i, j]
+                    e += bias_i
+                e -= col_max[i, j]
+                np.exp(e, out=e)
+                # dO / sum on the context's rows, and D / sum = rowsum(dO / sum * O)
+                go = gctx_h[i, j] / col_sum[i, j].T
+                d_term = np.einsum("ij,ij->i", go, ctx_h[i, j])
+                np.matmul(e, go, out=gv_h[i, j])
                 gl = head_sum if head_sum is not None and j == 0 else glog
-                np.matmul(gctx_h[i, j], vh[i, j].T, out=gl)
-                # softmax backward, in place: p * (dp - rowsum(dp * p))
-                gl -= np.einsum("ij,ij->i", gl, p)[:, None]
-                gl *= p
+                np.matmul(vh[i, j], go.T, out=gl)
+                # softmax backward, in place: e * (dP / sum - D / sum)
+                gl -= d_term
+                gl *= e
                 if head_sum is not None and j > 0:
                     head_sum += gl
-                gq_h[i, j] = gl @ kh[i, j]
-                gk_h[i, j] = gl.T @ qh[i, j]
+                np.matmul(gl.T, kh[i, j], out=gq_h[i, j])
+                np.matmul(gl, qh[i, j], out=gk_h[i, j])
             if gbias is not None:
                 gbias += head_sum
             if gpen is not None:

@@ -310,18 +310,21 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor | Array, stats: tuple[Array, Array] | None = None) -> Tensor | Array:
-    """Row softmax over the last axis, computed with max subtraction.
+    """Row softmax of a Tensor over its last axis, with max subtraction, as a
+    new tape node; or, for a plain array, the column step of attention.
 
-    A Tensor gets a new tape node. A plain array is a raw logit block: it
-    is normalized in place and returned, with nothing recorded (the fused
-    attention node calls this once per (sample, head) block). `stats`, a
-    (max_out, sum_out) pair shaped like the input with a last axis of 1,
-    receives each row's max and its sum of exponentials, from which
-    exp(x - max) / sum rebuilds the output bit for bit.
+    A plain array is a raw logit block laid out keys x queries, (..., N, M)
+    with one column per query (the fused attention node calls this once
+    per (sample, head) block). Each column is overwritten in place with
+    exp(x - max) and the array returned, with nothing recorded. `stats`,
+    a (max_out, sum_out) pair shaped (..., 1, M), receives each column's
+    max and its sum of exponentials, the latter as one ones(1, N) @ e
+    product; dividing a column by its sum gives its softmax, which the
+    attention node leaves to its (N, d/heads) context.
     """
     if isinstance(x, np.ndarray):
-        return _softmax_rows(x, stats)
-    y = _softmax_rows(x.data.copy(), stats)
+        return _exp_columns(x, *stats)
+    y = _softmax_rows(x.data.copy())
 
     def vjp(g):
         return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
@@ -329,14 +332,22 @@ def softmax(x: Tensor | Array, stats: tuple[Array, Array] | None = None) -> Tens
     return Tensor._op(y, (x,), vjp)
 
 
-def _softmax_rows(y: Array, stats: tuple[Array, Array] | None = None) -> Array:
-    """Overwrite each last-axis row of y with exp(y - max) / sum, return y;
-    the row maxima and sums go to `stats` when it is given."""
-    row_max, row_sum = (None, None) if stats is None else stats
-    y -= y.max(axis=-1, keepdims=True, out=row_max)
+def _softmax_rows(y: Array) -> Array:
+    """Overwrite each last-axis row of y with exp(y - max) / sum, return y."""
+    y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True, out=row_sum)
+    y /= y.sum(axis=-1, keepdims=True)
     return y
+
+
+def _exp_columns(e: Array, col_max: Array, col_sum: Array) -> Array:
+    """Overwrite each axis -2 column of e with exp(e - max), return e; the
+    column maxima go to `col_max` and the sums to `col_sum`."""
+    np.max(e, axis=-2, keepdims=True, out=col_max)
+    e -= col_max
+    np.exp(e, out=e)
+    np.matmul(np.ones((1, e.shape[-2]), dtype=e.dtype), e, out=col_sum)
+    return e
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

@@ -171,7 +171,7 @@ def cmd_train(cfg: dict[str, str], resume: bool) -> int:
 
 
 def cmd_eval(cfg: dict[str, str]) -> int:
-    from . import evalkit, model, synthdata
+    from . import evalkit, model, synthdata, train
 
     data = _need_dir(cfg, "paths.data", "dataset directory")
     ckpt = _need_dir(cfg, "paths.checkpoint", "checkpoint path")
@@ -183,8 +183,19 @@ def cmd_eval(cfg: dict[str, str]) -> int:
     (out / "report.txt").write_text(rep.render_text(), encoding="utf-8")
     (out / "report.csv").write_text(rep.to_csv(), encoding="utf-8")
     echo_config(cfg, out)
+    # the report covers every sample, the ones `train` fits on included
+    n = len(bundle.samples)
+    fit_idx, val_idx = train.split_indices(n, build_train_config(cfg).val_fraction)
+    print(f"scored samples {_span(range(n))}: training split {_span(fit_idx)}, "
+          f"validation split {_span(val_idx)} (train.val_fraction = "
+          f"{cfg['train.val_fraction']})")
     print(f"overall rmse {rep.overall()!r}; wrote {out / 'report.txt'}")
     return 0
+
+
+def _span(idx) -> str:
+    """`first-last` of a run of consecutive indices, or `none`."""
+    return f"{idx[0]}-{idx[-1]}" if len(idx) else "none"
 
 
 ABLATION_VARIANTS = {

@@ -198,8 +198,9 @@ class NormStats:
 
     @classmethod
     def load(cls, path) -> "NormStats":
-        """The stats `save` wrote. An unreadable file or a line not UTF-8 raises
-        FormatError, one not `name kind a b` ConfigError, naming the file."""
+        """The stats `save` wrote. An unreadable file, or a line that is not
+        UTF-8, not `name kind a b` or not a valid ChannelStats, raises
+        FormatError naming the file and line."""
         entries: dict[str, ChannelStats] = {}
         for ln, line in read_lines(path, FormatError):
             parts = line.split()
@@ -209,7 +210,9 @@ class NormStats:
                 name, kind, a, b = parts
                 entries[name] = ChannelStats(kind, float(a), float(b))
             except ValueError:
-                raise ConfigError(f"{path}:{ln}: expected 'name kind a b'") from None
+                raise FormatError(f"{path}:{ln}: expected 'name kind a b'") from None
+            except StatsError as exc:
+                raise FormatError(f"{path}:{ln}: {exc}") from None
         return cls(entries)
 
 

@@ -91,12 +91,13 @@ def _slot_coordinates(spec: GridSpec) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _relative_slot_index(spec: GridSpec) -> np.ndarray:
-    """(N, N) lookup into the relative slot-offset table.
+    """(N, N) lookup into the relative slot-offset table, keys x queries.
 
-    Entry (i, j) is the within-sector slot-rank difference shifted to
-    0..2M-2; pairs in different sectors share the final bucket 2M-1. Under
-    wind reordering, slot rank is position along the wind, so the table
-    can express "attend upwind neighbors" as one shared pattern.
+    Entry (k, q), for key slot k and query slot q, is the within-sector
+    slot-rank difference rank(q) - rank(k) shifted to 0..2M-2; pairs in
+    different sectors share the final bucket 2M-1. Under wind reordering,
+    slot rank is position along the wind, so the table can express
+    "attend upwind neighbors" as one shared pattern.
     """
     layout = reorder._sector_layout(spec)
     n, m = spec.n_patches, spec.patches_per_sector
@@ -105,7 +106,7 @@ def _relative_slot_index(spec: GridSpec) -> np.ndarray:
     for s in range(spec.n_sectors):
         ranks[layout[s]] = np.arange(m)
         sector_of[layout[s]] = s
-    idx = ranks[:, None] - ranks[None, :] + (m - 1)
+    idx = ranks[None, :] - ranks[:, None] + (m - 1)
     idx[sector_of[:, None] != sector_of[None, :]] = 2 * m - 1
     return idx
 
@@ -294,9 +295,8 @@ def forward(
     # shared by every sample: the relative slot-offset logits, the
     # per-patch positional vectors and the raster terrain penalty, whose
     # entries the attention node gathers in each sample's slot order
-    rel = ad.take(params["pos.rel"], _relative_slot_index(spec))
+    rel, penalty = _attention_tables(params, config, elev_patch_m)
     pos = params["pos.grid"] @ params["pos.proj"]
-    penalty = topo_bias.bias_tensor(elev_patch_m, params["alpha"]) if config.elev_bias else None
 
     def run(rows: slice):
         return _forward_samples(
@@ -313,6 +313,24 @@ def forward(
     return ForwardResult(out, list(perms), config, attn_maps)
 
 
+def _attention_tables(
+    params: ParamStore, config: ModelConfig, elev_patch_m: np.ndarray | None
+) -> tuple[ad.Tensor, ad.Tensor | None]:
+    """The relative slot-offset logits and the raster terrain penalty (None
+    without the elevation bias), both (N, N) and laid out keys x queries as
+    the attention node takes them, built once per forward.
+
+    The penalty is `topo_bias.bias_tensor` of the negated elevations, which
+    is the queries x keys penalty transposed bit for bit:
+    fl(-h_k - (-h_q)) = fl(h_q - h_k).
+    """
+    rel = ad.take(params["pos.rel"], _relative_slot_index(config.spec))
+    if not config.elev_bias:
+        return rel, None
+    flipped = np.negative(np.asarray(elev_patch_m, dtype=np.float64))
+    return rel, topo_bias.bias_tensor(flipped, params["alpha"])
+
+
 def _forward_samples(
     params: ParamStore,
     config: ModelConfig,
@@ -327,8 +345,8 @@ def _forward_samples(
 ) -> tuple[ad.Tensor, list[np.ndarray]]:
     """Slot-order output tokens and per-layer attention maps of `forward`
     for the samples `arr`, whose slot -> patch orders are `orders`;
-    `penalty` is the raster `topo_bias.bias_tensor` when the elevation
-    bias is on."""
+    `rel` and `penalty` are the keys x queries tables of
+    `_attention_tables`."""
     spec = config.spec
     tokens_np = patchify(arr, spec).astype(params["patch_embed.w"].dtype)
     if config.wind_reorder:
@@ -337,7 +355,7 @@ def _forward_samples(
     # relative positional logits live in slot space and are shared by every
     # layer; the terrain penalty (when enabled) stays one raster (N, N)
     # table, and the attention node adds each sample's entries to them in
-    # its slot order, so entry (i, j) keeps naming the same patch pair
+    # its slot order, so entry (k, q) keeps naming the same patch pair
     slot_orders = orders if config.wind_reorder else None
 
     def drop(t):
@@ -418,13 +436,24 @@ def load_checkpoint(path):
     """Returns (ParamStore, ModelConfig, moments | None, extras dict).
 
     Names, shapes and groups come from `_param_layout` on the sidecar's
-    config, with no random draws. An unreadable sidecar or one line in it
-    that is not `key = value`, a payload that does not fit that config, or
+    config, with no random draws. An unreadable sidecar, one line in it
+    that is not `key = value`, a `model.*` key it lacks or whose value does
+    not make a ModelConfig, a payload that does not fit that config, or
     one whose CRC-32 is not the sidecar's (a torn pair) raises FormatError.
+    Keys it has beyond those are ignored.
     """
-    kv = read_kv(f"{path}.txt", FormatError)
+    sidecar = f"{path}.txt"
+    kv = read_kv(sidecar, FormatError)
     extras = {k[len("state."):]: v for k, v in kv.items() if k.startswith("state.")}
-    config = decode(ModelConfig, kv, "model")
+    try:
+        config = decode(ModelConfig, kv, "model")
+    except ConfigError as exc:
+        raise FormatError(f"{sidecar}: {exc}") from None
+    # decode fills a key left out with its default, which for a toggle is
+    # the other variant
+    for key in encode(config, "model"):
+        if key not in kv:
+            raise FormatError(f"{sidecar}: missing key {key!r}")
     layout = _param_layout(config)
     shapes = {name: shape for name, _, shape, _ in layout}
     groups = {name: group for name, group, _, _ in layout}

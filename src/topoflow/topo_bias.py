@@ -8,8 +8,10 @@ contributing gradient to the learnable scale alpha.
 
 `bias_tensor` is the one place the penalty is computed: one (N, N)
 matrix between the patches in raster order, as a single tape node whose
-only parent is alpha. The `dump bias` matrix is that table, and so is the
-model's: the attention node gathers each sample's entries from it in the
+only parent is alpha. The `dump bias` matrix is that table, rows the
+query patches. The model's is its transpose, keys x queries as the
+attention node takes it, which `bias_tensor` of the negated elevations
+gives bit for bit; the node gathers each sample's entries from it in the
 sample's slot order (entry (a, b) is table[order[a], order[b]]), so no
 per-sample copy of the penalty is built or kept.
 

@@ -55,12 +55,13 @@ def test_rows_sum_to_one_and_single_token():
 
 
 def test_hand_softmax_case_quarter_three_quarters():
-    # identical tokens give constant logits; a bias column of ln(3) tilts each
-    # row's weights to exactly (0.25, 0.75)
+    # identical tokens give constant logits; ln(3) on key 1 for both queries
+    # (the table's row 1, keys x queries) tilts each query's weights to
+    # exactly (0.25, 0.75)
     rng = np.random.default_rng(2)
     params = make_params(4, 1, rng)
     tokens = np.tile(rng.normal(size=(1, 4)), (2, 1))
-    bias = np.array([[0.0, math.log(3.0)], [0.0, math.log(3.0)]])
+    bias = np.array([[0.0, 0.0], [math.log(3.0), math.log(3.0)]])
     w = attention_weights(tokens, params, bias=bias)
     np.testing.assert_allclose(w, [[0.25, 0.75], [0.25, 0.75]], atol=1e-12)
 
@@ -69,7 +70,8 @@ def test_bias_floor_suppresses_by_exp_minus_ten():
     rng = np.random.default_rng(3)
     params = make_params(4, 1, rng)
     tokens = np.tile(rng.normal(size=(1, 4)), (2, 1))
-    bias = np.array([[0.0, -10.0], [0.0, -10.0]])
+    # keys x queries: key 1 sits on the floor for both queries
+    bias = np.array([[0.0, 0.0], [-10.0, -10.0]])
     w = attention_weights(tokens, params, bias=bias)
     assert w[0, 1] / w[0, 0] == pytest.approx(math.exp(-10.0), rel=1e-9)
 
@@ -290,37 +292,39 @@ FUSED_CASES = [
 
 def node_bias(bias_shape, table, rng):
     """The node's keyword arguments that give each sample's logits the
-    (N, N) `table` as a bias of `bias_shape`, and that bias materialized.
+    (N, N) keys x queries `table` as a bias of `bias_shape`, and that bias
+    materialized queries x keys, as the references take it.
 
     (N, N) passes the table as `bias`, the slot table; (1, 1, N, N) passes
     it as `penalty` without orders, so it lands as it is; (B, 1, N, N)
     passes it as `penalty` with B distinct slot orders, and sample i gets
-    table[o_i][:, o_i]. None passes nothing.
+    table.T[o_i][:, o_i]. None passes nothing.
     """
     if bias_shape is None:
         return {}, None
     if len(bias_shape) == 2:
-        return {"bias": table}, table.data.copy()
+        return {"bias": table}, table.data.T.copy()
     if bias_shape[0] == 1:
-        return {"penalty": table}, table.data[None, None].copy()
+        return {"penalty": table}, table.data.T[None, None].copy()
     n = table.shape[0]
     orders = np.stack([rng.permutation(n) for _ in range(bias_shape[0])])
     assert len({tuple(o) for o in orders}) == len(orders)
-    gathered = np.stack([table.data[o][:, o] for o in orders])[:, None]
+    gathered = np.stack([table.data.T[o][:, o] for o in orders])[:, None]
     return {"penalty": table, "orders": orders}, gathered
 
 
 def scattered(bias_grad, orders=None):
-    """The (N, N) table gradient that a materialized bias gradient makes:
-    each sample's block moved back to raster order, added in sample order."""
+    """The keys x queries (N, N) table gradient that a materialized queries
+    x keys bias gradient makes: each sample's block moved back to raster
+    order, added in sample order, and transposed."""
     if bias_grad.ndim == 2:
-        return bias_grad
+        return bias_grad.T
     n = bias_grad.shape[-1]
     out = np.zeros((n, n), dtype=bias_grad.dtype)
     for i, g in enumerate(bias_grad[:, 0]):
         inv = np.arange(n) if orders is None else np.argsort(orders[i])
         out += g[inv][:, inv]
-    return out
+    return out.T
 
 
 @pytest.mark.parametrize("token_shape,bias_shape", FUSED_CASES)
@@ -398,9 +402,14 @@ def reference_attend(tokens, params, bias=None):
     """Attention as one tape node that works on a sample's (heads, N, N) block.
 
     This is the earlier form of `attention._attend_parts`, kept as the
-    reference its per-(sample, head) blocking must match bit for bit. It
-    takes (B, N, d) tokens and a bias that broadcasts to (B, 1, N, N), so
-    it also takes each sample's bias materialized.
+    reference its per-(sample, head) blocking must match bit for bit, with
+    the node's formulas: blocks laid out keys x queries, exp(s - max) down
+    each query's column, the softmax divide on the context, and the
+    backward's D term from the context. It keeps every block's exp for the
+    backward rather than recompute it. It takes (B, N, d) tokens and a
+    queries x keys bias that broadcasts to (B, 1, N, N), so it also takes
+    each sample's bias materialized, and gives that bias's gradient in the
+    same layout.
     """
     x = ad.as_tensor(tokens)
     xs = x.data
@@ -422,15 +431,20 @@ def reference_attend(tokens, params, bias=None):
     v = xs @ params.wv.data
     qh, kh, vh = heads(q), heads(k), heads(v)
     dtype = np.result_type(q, k) if bias4 is None else np.result_type(q, k, bias4)
+    exps = np.empty((b, h, n, n), dtype=dtype)
     weights = np.empty((b, h, n, n), dtype=dtype)
+    col_max = np.empty((b, h, 1, n), dtype=dtype)
+    col_sum = np.empty((b, h, 1, n), dtype=dtype)
     ctx = np.empty((b, n, d), dtype=dtype)
     ctx_h = heads(ctx)
     for i in range(b):
-        block = np.matmul(qh[i], kh[i].swapaxes(-1, -2), out=weights[i])
+        block = np.matmul(kh[i], qh[i].swapaxes(-1, -2), out=exps[i])
         if bias4 is not None:
-            block += sample(bias4, i)
-        ad.softmax(block)
-        ctx_h[i] = block @ vh[i]
+            block += sample(bias4, i).swapaxes(-1, -2)
+        ad.softmax(block, stats=(col_max[i], col_sum[i]))
+        np.matmul(block.swapaxes(-1, -2), vh[i], out=ctx_h[i])
+        ctx_h[i] /= col_sum[i].swapaxes(-1, -2)
+        np.divide(block, col_sum[i], out=weights[i].swapaxes(-1, -2))
     out = ctx @ params.wo.data
     parents = (x, params.wq, params.wk, params.wv, params.wo)
     if bias_t is not None:
@@ -447,16 +461,18 @@ def reference_attend(tokens, params, bias=None):
                 j for j in range(3) if bias4.shape[1 + j] == 1 and weights.shape[1 + j] != 1
             )
         for i in range(b):
-            p = weights[i]
-            gv_h[i] = p.swapaxes(-1, -2) @ gctx_h[i]
-            glog = gctx_h[i] @ vh[i].swapaxes(-1, -2)
-            glog -= np.einsum("hij,hij->hi", glog, p)[..., None]
-            glog *= p
+            e = exps[i]
+            go = gctx_h[i] / col_sum[i].swapaxes(-1, -2)
+            gv_h[i] = e @ go
+            glog = vh[i] @ go.swapaxes(-1, -2)
+            glog -= np.einsum("hij,hij->hi", go, ctx_h[i])[:, None, :]
+            glog *= e
             if gbias is not None:
                 gbias_i = sample(gbias, i)
-                gbias_i += glog.sum(axis=spread, keepdims=True) if spread else glog
-            gq_h[i] = glog @ kh[i]
-            gk_h[i] = glog.swapaxes(-1, -2) @ qh[i]
+                summed = glog.sum(axis=spread, keepdims=True) if spread else glog
+                gbias_i += summed.swapaxes(-1, -2)
+            gq_h[i] = glog.swapaxes(-1, -2) @ kh[i]
+            gk_h[i] = glog @ qh[i]
         gq *= scale
         gx = gq @ params.wq.data.T + gk @ params.wk.data.T + gv @ params.wv.data.T
         grads = (
@@ -590,9 +606,11 @@ def test_penalty_and_orders_match_the_materialized_bias(with_penalty, with_order
     ref_bias = ad.parameter(rel + gathered if with_penalty else rel.copy())
     want = attend_and_grads(params, x, coeff, fn=reference_attend, bias=ref_bias)
 
-    rel_t = ad.parameter(rel.copy())
+    # the node takes both tables keys x queries; the penalty of negated
+    # elevations is the raster penalty transposed, bit for bit
+    rel_t = ad.parameter(rel.T.copy())
     alpha = ad.parameter(np.array(1.3, dtype=np.float32))
-    penalty = topo_bias.bias_tensor(elev, alpha) if with_penalty else None
+    penalty = topo_bias.bias_tensor(-elev, alpha) if with_penalty else None
     got = attend_and_grads(params, x, coeff, bias=rel_t, penalty=penalty,
                            orders=orders if with_orders else None)
     for new, old in zip(got, want):
@@ -604,7 +622,7 @@ def test_penalty_and_orders_match_the_materialized_bias(with_penalty, with_order
     assert plain.data.tobytes() == got[0].tobytes()
 
     g = ref_bias.grad
-    np.testing.assert_allclose(rel_t.grad, g.sum(axis=(0, 1)) if g.ndim == 4 else g,
+    np.testing.assert_allclose(rel_t.grad, (g.sum(axis=(0, 1)) if g.ndim == 4 else g).T,
                                rtol=1e-5, atol=1e-7)
     if with_penalty:
         # the removed (B, 1, N, N) penalty node's backward rule
@@ -628,7 +646,7 @@ def test_penalty_gradient_is_the_scattered_head_sum(with_orders):
     slots = orders if with_orders else np.tile(np.arange(n), (b, 1))
     ref_bias = ad.parameter(np.stack([flat[o][:, o] for o in slots])[:, None])
     attend_and_grads(params, x, coeff, fn=reference_attend, bias=ref_bias)
-    penalty = ad.parameter(flat.copy())
+    penalty = ad.parameter(flat.T.copy())
     attend_and_grads(params, x, coeff, penalty=penalty,
                      orders=orders if with_orders else None)
     want = scattered(ref_bias.grad, slots)

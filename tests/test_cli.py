@@ -121,6 +121,19 @@ def test_eval_idempotent(tmp_path, config_path, dataset):
     assert (r1 / "report.txt").read_bytes() == (r2 / "report.txt").read_bytes()
 
 
+def test_eval_prints_the_samples_it_scored(tmp_path, config_path, dataset, capsys):
+    # the report covers all 12 samples, the 9 that `train` fits on included
+    run_dir = tmp_path / "run"
+    common = ["--config", str(config_path), "--data", str(dataset)]
+    assert run("train", *common, "--out", str(run_dir), "--steps", "2") == 0
+    capsys.readouterr()
+    assert run("eval", *common, "--checkpoint", str(run_dir / "best.gfd"),
+               "--out", str(tmp_path / "report")) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "scored samples 0-11: training split 0-8, validation split 9-11 "
+        "(train.val_fraction = 0.25)")
+
+
 def test_train_toggle_flags(tmp_path, config_path, dataset):
     base = tmp_path / "base"
     assert run(
@@ -297,6 +310,28 @@ def test_dump_bias_and_attn(tmp_path, config_path, dataset):
     assert text.startswith("rows ")
 
 
+def test_dump_bias_is_the_queries_by_keys_penalty(tmp_path, config_path, dataset):
+    # `dump bias` writes the raster penalty queries x keys, row the query
+    # patch and column the key patch: the transpose of the keys x queries
+    # table that the model hands the attention node
+    from topoflow import model, topo_bias
+
+    out = tmp_path / "dump_bias"
+    assert run("dump", "bias", "--config", str(config_path), "--data", str(dataset),
+               "--out", str(out)) == 0
+    dumped = read_grid(out / "bias.gfd").data[0]
+    bundle = synthdata.read_dataset(dataset)
+    elev = topo_bias.patch_elevations(bundle.terrain.elevation, bundle.spec)
+    want = topo_bias.bias_tensor(elev, topo_bias.ALPHA_INIT).data.astype(np.float32)
+    assert dumped.tobytes() == want.tobytes()
+    low, high = int(np.argmin(elev)), int(np.argmax(elev))
+    assert dumped[low, high] < 0.0 and dumped[high, low] == 0.0
+    mconfig = model.ModelConfig(bundle.spec, d=16, heads=2, n_horizons=2)
+    store = model.init_params(mconfig, seed=0, dtype=np.float64)
+    _rel, penalty = model._attention_tables(store, mconfig, elev)
+    assert dumped.tobytes() == np.ascontiguousarray(penalty.data.T, np.float32).tobytes()
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert run() == 1
     assert run("frobnicate") == 1
@@ -406,6 +441,9 @@ BROKEN_INPUTS = (
     "resume loss_log not UTF-8",
     "manifest header without base_speed",
     "config file is a directory",
+    "eval baseline sidecar without model.wind_reorder",
+    "eval sidecar value not an integer",
+    "stats kind unknown",
 )
 
 
@@ -446,7 +484,7 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
         stats = dataset / "stats.txt"
         first = stats.read_bytes().splitlines()[0]
         rewrite(stats, first, b" ".join(first.split()[:2] + [b"abc", b"1.0"]))
-        argv, named, code = ["train", *common, *out], "stats.txt:1", 2
+        argv, named = ["train", *common, *out], "stats.txt:1"
     elif case == "stats not UTF-8":
         stats = dataset / "stats.txt"
         first = stats.read_bytes().splitlines()[0]
@@ -504,6 +542,25 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
         rewrite(manifest, header, b" ".join(w for w in header.split()
                                             if not w.startswith(b"base_speed=")))
         argv, named = ["train", *common, *out], "base_speed"
+    elif case == "eval baseline sidecar without model.wind_reorder":
+        # left out, the key would load at its default: the wind variant
+        run_dir = tmp_path / "run"
+        assert run("train", *common, "--out", str(run_dir), "--steps", "2",
+                   "--no-wind-reorder", "--no-elev-bias") == 0
+        rewrite(run_dir / "best.gfd.txt", b"model.wind_reorder = false\n", b"")
+        argv = ["eval", *common, "--checkpoint", str(run_dir / "best.gfd"), *out]
+        named = "best.gfd.txt: missing key 'model.wind_reorder'"
+    elif case == "eval sidecar value not an integer":
+        sidecar = trained() / "best.gfd.txt"
+        rewrite(sidecar, b"model.d = 16\n", b"model.d = abc\n")
+        argv = ["eval", *common, "--checkpoint", str(tmp_path / "run" / "best.gfd"), *out]
+        named = "best.gfd.txt: model.d must be an integer"
+    elif case == "stats kind unknown":
+        stats = dataset / "stats.txt"
+        first = stats.read_bytes().splitlines()[0]
+        cols = first.split()
+        rewrite(stats, first, b" ".join([cols[0], b"quantile"] + cols[2:]))
+        argv, named = ["train", *common, *out], "stats.txt:1"
     elif case == "config file is a directory":
         (tmp_path / "cfgdir").mkdir()
         argv, named, code = ["gen", "--config", str(tmp_path / "cfgdir"), *out], "cfgdir", 2

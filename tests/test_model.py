@@ -222,6 +222,40 @@ def test_terrain_penalty_follows_the_shuffle_at_init():
     assert np.abs(shuffled - base).max() < 1e-10
 
 
+def test_attention_tables_are_keys_by_queries():
+    # the forward hands the attention node both (N, N) tables laid out keys
+    # x queries: the transposes, bit for bit, of the queries x keys penalty
+    # that `dump bias` writes and of the earlier relative slot index
+    config = tiny_config(spec=GridSpec(8, 16, 2, 4, 2))
+    spec = config.spec
+    store = init_params(config, seed=0)
+    store["pos.rel"].data[:] = np.arange(store["pos.rel"].data.size)
+    rng = np.random.default_rng(16)
+    elev = rng.uniform(0, 8000, spec.n_patches)
+    rel, penalty = model._attention_tables(store, config, elev)
+    want = topo_bias.bias_tensor(elev, store["alpha"]).data
+    assert penalty.dtype == want.dtype == np.float32
+    assert penalty.data.tobytes() == np.ascontiguousarray(want.T).tobytes()
+    assert penalty._parents == (store["alpha"],)
+    # the queries x keys index: query rank minus key rank, shifted, and one
+    # shared bucket for pairs in different sectors
+    layout = reorder._sector_layout(spec)
+    m = spec.patches_per_sector
+    ranks = np.empty(spec.n_patches, dtype=np.int64)
+    sector_of = np.empty(spec.n_patches, dtype=np.int64)
+    for s in range(spec.n_sectors):
+        ranks[layout[s]] = np.arange(m)
+        sector_of[layout[s]] = s
+    by_query = ranks[:, None] - ranks[None, :] + (m - 1)
+    by_query[sector_of[:, None] != sector_of[None, :]] = 2 * m - 1
+    index = model._relative_slot_index(spec)
+    np.testing.assert_array_equal(index, by_query.T)
+    assert not np.array_equal(index, by_query)
+    np.testing.assert_array_equal(rel.data, store["pos.rel"].data[by_query.T])
+    no_bias = tiny_config(spec=spec, elev_bias=False)
+    assert model._attention_tables(store, no_bias, None)[1] is None
+
+
 def test_toggles_off_is_the_shared_baseline_path():
     config = tiny_config(wind_reorder=False, elev_bias=False)
     store = init_params(config, seed=0)

@@ -279,8 +279,11 @@ def test_fit_drops_each_step_tape_before_the_next_forward(tmp_path, bundle, monk
 # The value moved when the attention node began to take the penalty as one
 # raster table: the alpha and `pos.rel` gradients are now summed per layer
 # over (N, N) tables, not once over a (B, 1, N, N) bias, which moves their
-# float32 rounding; every other gradient kept its bits.
-LAST_GFD_CRC32 = "5d791181"
+# float32 rounding; every other gradient kept its bits. It moved again when
+# the attention blocks were laid out keys x queries with the softmax divide
+# on the context: the column sums, the divide and the backward's D term
+# round differently, so every trained bit moves.
+LAST_GFD_CRC32 = "8ac94c43"
 
 
 def test_fit_checkpoint_bytes_pinned(tmp_path, bundle):
