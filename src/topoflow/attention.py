@@ -4,11 +4,12 @@ The core operation follows the standard scaled dot-product form with the
 softmax temperature sqrt(d) taken over the full model width. Two optional
 additive terms land on the logits of every head: a bias already in slot
 order (the model's relative slot-offset table), and the terrain penalty
-as one (N, N) table between the patches in raster order, with each
-sample's slot -> patch order. The node gathers a sample's penalty from
-that table in its order, so the (B, 1, N, N) per-sample bias is never
-built, kept or differentiated; the penalty's gradient is scattered back
-into one raster table.
+as one (N, N) table between the patches in raster order. The orders come
+with the penalty: each sample's slot -> patch order, identity for a
+variant without wind reordering. The node gathers a sample's penalty
+from that table in its order, so the (B, 1, N, N) per-sample bias is
+never built, kept or differentiated; the penalty's gradient is scattered
+back into one raster table.
 
 Without a bias the operation is permutation equivariant: reordering
 tokens, attending, and undoing the reorder is exactly attention on the
@@ -97,15 +98,15 @@ def _attend_parts(
     `bias` (the relative slot-offset logits) and `penalty` (the terrain
     penalty between the patches in raster order) are (N, N) tables shared
     by the batch and the heads, laid out keys x queries: row k, column q
-    lands on query q's logit for key k. With `orders`, a (B, N) array
-    whose row i is sample i's slot -> patch permutation, sample i's block
-    entry (k, q) gets penalty[order[k], order[q]]; without it, the penalty
-    lands as it is. A sample's bias is built in one reused (N, N) buffer
-    before its heads. A table's gradient adds up each sample's heads in
-    head order, then the samples in sample order, the penalty's through
-    the inverse order.
-    Other shapes raise ShapeError; a row of `orders` that is not a
-    permutation raises DataError.
+    lands on query q's logit for key k. A penalty comes with `orders`, a
+    (B, N) array whose row i is sample i's slot -> patch permutation:
+    sample i's block entry (k, q) gets penalty[order[k], order[q]].
+    Without a penalty the orders are not read. A sample's bias is built in
+    one reused (N, N) buffer before its heads. A table's gradient adds up
+    each sample's heads in head order, then the samples in sample order,
+    the penalty's through the inverse order.
+    Other shapes, or a penalty without orders, raise ShapeError; a row of
+    `orders` that is not a permutation raises DataError.
     With `weights` the second value is the post-softmax weights, queries
     x keys, a constant Tensor of shape (B, heads, N, N); without it, an
     empty (B, heads, 0, 0) Tensor of the logits' dtype.
@@ -120,12 +121,11 @@ def _attend_parts(
     for name, t in (("bias", bias_t), ("penalty", pen_t)):
         if t is not None and t.shape != (n, n):
             raise ShapeError(f"{name} shape {t.shape} is not (N, N) with N = {n}")
-    inverse = None
-    orders = None if pen_t is None else orders  # they only place the penalty
-    if orders is not None:
+    if pen_t is not None:
+        # the orders come with the penalty (None has shape ())
         orders = np.asarray(orders)
         if orders.shape != (b, n):
-            raise ShapeError(f"orders shape {orders.shape} is not (B, N) = {(b, n)}")
+            raise ShapeError(f"penalty orders shape {orders.shape} is not (B, N) = {(b, n)}")
         inverse = np.argsort(orders, axis=1)
         if not (np.take_along_axis(orders, inverse, axis=1) == np.arange(n)).all():
             raise DataError("each row of orders must be a permutation of 0..N-1")
@@ -152,10 +152,10 @@ def _attend_parts(
     ctx = np.empty((b, n, d), dtype=dtype)
     ctx_h = heads(ctx)
     bias_nn = None if bias_t is None else bias_t.data
-    order_of = [None] * b if orders is None else orders  # sample -> order or None
     for i in range(b):
         # before the sample's first head the block is free: it is the gather scratch
-        bias_i = _sample_bias(bias_nn, pen, order_of[i], bias_buf, block)
+        bias_i = (bias_nn if pen is None
+                  else _sample_bias(bias_nn, pen, orders[i], bias_buf, block))
         for j in range(h):
             np.matmul(kh[i, j], qh[i, j].T, out=block)
             if bias_i is not None:
@@ -191,7 +191,8 @@ def _attend_parts(
             # written straight into it
             head_sum = np.empty((n, n), dtype=glog.dtype)
         for i in range(b):
-            bias_i = _sample_bias(bias_nn, pen, order_of[i], bias_buf, e)
+            bias_i = (bias_nn if pen is None
+                      else _sample_bias(bias_nn, pen, orders[i], bias_buf, e))
             for j in range(h):
                 # the forward's exp(s - max) of this block, from its column maxima
                 np.matmul(kh[i, j], qh[i, j].T, out=e)
@@ -215,10 +216,9 @@ def _attend_parts(
             if gbias is not None:
                 gbias += head_sum
             if gpen is not None:
-                if inverse is not None:
-                    # back to raster order: entry (order[a], order[b]) gets (a, b)
-                    np.take(head_sum, inverse[i], axis=0, out=glog, mode="clip")
-                    np.take(glog, inverse[i], axis=1, out=head_sum, mode="clip")
+                # back to raster order: entry (order[a], order[b]) gets (a, b)
+                np.take(head_sum, inverse[i], axis=0, out=glog, mode="clip")
+                np.take(glog, inverse[i], axis=1, out=head_sum, mode="clip")
                 gpen += head_sum
         gq *= scale
 
@@ -245,19 +245,14 @@ def _sample_bias(bias, penalty, order, out, scratch):
     """One sample's (N, N) logit bias: `bias` plus `penalty` in slot order.
 
     `bias` is the sample's (N, N) bias or None, `penalty` the raster
-    (N, N) table or None, and `order` the sample's slot -> patch
-    permutation, or None to add the table as it is. Without a penalty the
-    result is `bias` itself. With one it is written into `out`: the
-    table's rows are gathered into `scratch`, any free (N, N) buffer of
-    the table's dtype, and its columns into `out`, and `bias` is added in
-    front, so entry (a, b) is the float sum
-    bias[a, b] + penalty[order[a], order[b]].
+    (N, N) table and `order` the sample's slot -> patch permutation. The
+    result is written into `out`: the table's rows are gathered into
+    `scratch`, any free (N, N) buffer of the table's dtype, and its
+    columns into `out`, and `bias` is added in front, so entry (a, b) is
+    the float sum bias[a, b] + penalty[order[a], order[b]].
     """
-    if penalty is None:
-        return bias
-    if order is not None:
-        rows = np.take(penalty, order, axis=0, out=scratch, mode="clip")
-        penalty = np.take(rows, order, axis=1, out=out, mode="clip")
+    rows = np.take(penalty, order, axis=0, out=scratch, mode="clip")
+    penalty = np.take(rows, order, axis=1, out=out, mode="clip")
     return penalty if bias is None else np.add(bias, penalty, out=out)
 
 

@@ -300,21 +300,20 @@ def cmd_ablate(cfg: dict[str, str], mode: str) -> int:
         raise UsageError(f"unknown ablate mode {mode!r}")
     results = [train.fit(bundle, m, t, out / "runs" / name) for name, _key, m, t in runs]
     if mode == "components":
-        scanning = {"baseline": "row-major", "wind": "wind-directed", "wind_elev": "wind-directed"}
         tiles = f"{bundle.spec.sectors_y}x{bundle.spec.sectors_x}"
         text = ["variant scanning wind_tiles elevation_alpha median_best_val"]
         csv = ["variant,seed,wind_reorder,elev_bias,best_val,final_val"]
         best = {}
         for (_name, variant, m, t), r in zip(runs, results):
-            best.setdefault(variant, []).append(r.best_val)
+            best.setdefault((variant, m), []).append(r.best_val)
             csv.append(
                 f"{variant},{t.seed},{m.wind_reorder},{m.elev_bias},{r.best_val!r},{r.final_val!r}"
             )
-        for variant, values in best.items():
+        for (variant, m), values in best.items():
             text.append(
-                f"{variant} {scanning[variant]} "
-                f"{tiles if variant != 'baseline' else 'none'} "
-                f"{'yes' if variant == 'wind_elev' else 'no'} {statistics.median(values)!r}"
+                f"{variant} {'wind-directed' if m.wind_reorder else 'row-major'} "
+                f"{tiles if m.wind_reorder else 'none'} "
+                f"{'yes' if m.elev_bias else 'no'} {statistics.median(values)!r}"
             )
         _write_table(out, "ablation", text, csv)
     else:
@@ -348,7 +347,7 @@ def cmd_dump(cfg: dict[str, str], what: str) -> int:
         lines = ["# slot forward inverse"]
         lines += [f"{i} {perm.forward[i]} {perm.inverse[i]}" for i in range(spec.n_patches)]
         lines.append("# sector angles (radians)")
-        lines += [f"sector {s} {perm.angles[s]!r}" for s in range(spec.n_sectors)]
+        lines += [f"sector {s} {float(perm.angles[s])!r}" for s in range(spec.n_sectors)]
         (out / "perm.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"wrote {out / 'perm.txt'}")
     elif what == "bias":
@@ -365,17 +364,14 @@ def cmd_dump(cfg: dict[str, str], what: str) -> int:
         )
         write_grid(container, out / "bias.gfd")
         (out / "bias.txt").write_text(
-            f"alpha {alpha!r}\nmin {bias.min()!r}\nmax {bias.max()!r}\n",
+            f"alpha {float(alpha)!r}\nmin {float(bias.min())!r}\nmax {float(bias.max())!r}\n",
             encoding="utf-8",
         )
         print(f"wrote {out / 'bias.gfd'} (alpha={alpha})")
     elif what == "attn":
         ckpt = _need_dir(cfg, "paths.checkpoint", "checkpoint path")
         store, mconfig, _m, _e = model.load_checkpoint(ckpt)
-        preview = synthdata.DatasetBundle(
-            bundle.spec, bundle.samples[: min(4, len(bundle.samples))], bundle.terrain,
-            bundle.mask, bundle.stats, bundle.horizons,
-        )
+        preview = dataclasses.replace(bundle, samples=bundle.samples[:4])
         _preds, attn = evalkit.predict_grids(
             store, mconfig, preview, batch=4, collect_attention=True
         )

@@ -179,7 +179,6 @@ class TrainConfig:
     eta_min: float = 1e-6
     clip_norm: float = 1.0
     batch_size: int = 8
-    epochs: int = 60             # cap; total_steps is the binding budget
     patience: int = 10
     val_interval: int = 25
     val_fraction: float = 0.1
@@ -195,8 +194,8 @@ class TrainConfig:
         for name in ("lr_base", "lr_embed", "lr_head", "lr_backbone"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
-        if self.batch_size < 1 or self.val_interval < 1 or self.epochs < 1:
-            raise ConfigError("batch_size, val_interval and epochs must be >= 1")
+        if self.batch_size < 1 or self.val_interval < 1:
+            raise ConfigError("batch_size and val_interval must be >= 1")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError("val_fraction must be in (0, 1)")
 

@@ -107,7 +107,7 @@ def render_attn_text(diag: AttnDiagnostics) -> str:
     ]
     for i in range(len(diag.histogram)):
         lines.append(
-            f"{diag.bin_edges[i]:.3f} {diag.bin_edges[i + 1]:.3f} {diag.histogram[i]!r}"
+            f"{diag.bin_edges[i]:.3f} {diag.bin_edges[i + 1]:.3f} {float(diag.histogram[i])!r}"
         )
     return "\n".join(lines) + "\n"
 

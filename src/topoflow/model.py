@@ -19,9 +19,15 @@ table starts at zero, freshly initialized networks compute the exact same
 function with the shuffle on or off; what the reordering changes is what
 the relative table MEANS (attend-k-slots-back is "k ranks upwind" instead
 of "k raster positions back"), which is the entire mechanism. The two
-physics toggles gate exactly one term each over one shared code path, so
-the baseline configuration is literally the same network minus the two
-mechanisms.
+physics toggles choose data, not code: every variant runs the same
+operations, so the baseline configuration is literally the same network
+minus the two mechanisms. `wind_reorder` chooses the slot orders, read in
+`train.prepare_arrays` (wind orders or identity) and in `forward`'s
+identity default and missing-perms guard; `elev_bias` chooses whether the
+terrain penalty table exists, read in `_attention_tables`. Below those
+places the tokens, the positional vectors and the penalty are always
+gathered through the orders, and an identity gather is a copy, so the
+baseline is the wind variant under identity slot orders bit for bit.
 """
 
 from __future__ import annotations
@@ -239,18 +245,6 @@ def _layer_attention_params(params: ParamStore, i: int, heads: int) -> Attention
     )
 
 
-def build_perms(
-    config: ModelConfig, u: np.ndarray, v: np.ndarray
-) -> list[reorder.SectorPermutation]:
-    """Per-sample wind permutations from (B, H, W) wind components.
-
-    Pass winds in physical units: z-scoring with anisotropic statistics
-    (which terrain-steered winds have) distorts directions, and the whole
-    point of the ordering is to track the real wind.
-    """
-    return [reorder.build_permutation(config.spec, ub, vb) for ub, vb in zip(u, v)]
-
-
 def forward(
     params: ParamStore,
     config: ModelConfig,
@@ -265,9 +259,10 @@ def forward(
 
     `elev_patch_m` is the per-patch mean elevation in meters, required when
     the elevation bias is enabled. `perms` holds each sample's slot order,
-    required when wind reordering is enabled: build it with `build_perms`
-    from the physical winds (as `train.prepare_arrays` does), since the
-    z-scored wind channels of `inputs` point elsewhere.
+    required when wind reordering is enabled and ignored without it: build
+    each with `reorder.build_permutation` from the physical winds (as
+    `train.prepare_arrays` does), since the z-scored wind channels of
+    `inputs` point elsewhere.
 
     A forward that records no tape (`train` off under `autodiff.no_grad`)
     runs the network one sample at a time, so its memory does not grow
@@ -285,11 +280,10 @@ def forward(
         raise ConfigError("training forward with dropout needs an rng")
     if config.elev_bias and elev_patch_m is None:
         raise ConfigError("elev_bias enabled but no patch elevations supplied")
-    if config.wind_reorder and perms is None:
-        raise ConfigError("wind_reorder enabled but no slot orders (perms) supplied")
-
     if not config.wind_reorder:
         perms = [reorder.SectorPermutation.identity(spec)] * arr.shape[0]
+    elif perms is None:
+        raise ConfigError("wind_reorder enabled but no slot orders (perms) supplied")
     orders = np.stack([p.forward for p in perms])  # (B, N) slot -> patch
 
     # shared by every sample: the relative slot-offset logits, the
@@ -346,17 +340,10 @@ def _forward_samples(
     """Slot-order output tokens and per-layer attention maps of `forward`
     for the samples `arr`, whose slot -> patch orders are `orders`;
     `rel` and `penalty` are the keys x queries tables of
-    `_attention_tables`."""
-    spec = config.spec
-    tokens_np = patchify(arr, spec).astype(params["patch_embed.w"].dtype)
-    if config.wind_reorder:
-        tokens_np = np.take_along_axis(tokens_np, orders[..., None], axis=1)
-
-    # relative positional logits live in slot space and are shared by every
-    # layer; the terrain penalty (when enabled) stays one raster (N, N)
-    # table, and the attention node adds each sample's entries to them in
-    # its slot order, so entry (k, q) keeps naming the same patch pair
-    slot_orders = orders if config.wind_reorder else None
+    `_attention_tables`. Every variant runs these same operations; the
+    toggles chose the orders and the penalty."""
+    tokens_np = patchify(arr, config.spec).astype(params["patch_embed.w"].dtype)
+    tokens_np = np.take_along_axis(tokens_np, orders[..., None], axis=1)
 
     def drop(t):
         return ad.dropout(t, config.dropout, rng) if train else t
@@ -364,16 +351,17 @@ def _forward_samples(
     x = ad.linear(ad.as_tensor(tokens_np), params["patch_embed.w"], params["patch_embed.b"])
     # positional vectors are per patch and travel with it through the
     # shuffle; sequence structure is carried by the relative slot table
-    if config.wind_reorder:
-        pos = ad.take(pos, orders)
-    x = drop(x + pos)
+    x = drop(x + ad.take(pos, orders))
 
     attn_maps: list[np.ndarray] = []
     for i in range(config.layers):
         normed = ad.layer_norm(x, params[f"layer{i}.ln1.g"], params[f"layer{i}.ln1.b"])
+        # the relative logits live in slot space; the node gathers the
+        # raster penalty's entries in each sample's slot order, so entry
+        # (k, q) keeps naming the same patch pair
         attended, weights = _attend_parts(
             normed, _layer_attention_params(params, i, config.heads), bias=rel,
-            weights=collect_attention, penalty=penalty, orders=slot_orders,
+            weights=collect_attention, penalty=penalty, orders=orders,
         )
         if collect_attention:
             attn_maps.append(weights.data.mean(axis=-3))

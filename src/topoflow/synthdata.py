@@ -584,8 +584,9 @@ def write_dataset(
 def read_dataset(in_dir) -> DatasetBundle:
     """Load a dataset directory written by :func:`write_dataset`; a manifest
     with other than `count=` sample rows (a cut file), a header without a
-    numeric `base_speed=` or a missing file raises DataError, and a row that
-    is not UTF-8 or integer hours FormatError."""
+    numeric `base_speed=`, a row whose hours differ from the first row's or
+    a missing file raises DataError, and a row that is not UTF-8 or integer
+    hours FormatError."""
     root = Path(in_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -610,10 +611,17 @@ def read_dataset(in_dir) -> DatasetBundle:
             raise DataError(f"{manifest}:{ln}: expected 6 columns, got {len(parts)}")
         in_rel, target_rels, hours_s, _seed, hour, doy = parts
         try:
-            horizons = tuple(int(h) for h in hours_s.split(","))
+            hours = tuple(int(h) for h in hours_s.split(","))
             hour, doy = int(hour), int(doy)
         except ValueError:
             raise FormatError(f"{manifest}:{ln}: hours, hour and day must be integers") from None
+        if not samples:
+            horizons = hours
+        elif hours != horizons:
+            raise DataError(
+                f"{manifest}:{ln}: hours {hours_s} differ from the first row's "
+                f"{','.join(map(str, horizons))}"
+            )
         inp = read_grid(root / in_rel)
         targets = tuple(read_grid(root / rel) for rel in target_rels.split(","))
         samples.append(Sample(inp, targets, horizons, hour, doy))

@@ -29,11 +29,11 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
+from . import reorder
 from .config import TrainConfig, encode, read_lines
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .fields import normalize, write_atomic
 from .model import ForwardResult, ModelConfig, ParamStore, forward, init_params, patchify
-from .reorder import SectorPermutation
 from .synthdata import DatasetBundle
 from .topo_bias import patch_elevations
 
@@ -207,7 +207,7 @@ class TrainingArrays:
 
     inputs: np.ndarray           # (S, C, H, W) float32, normalized
     target_tokens: np.ndarray    # (S, N, out_dim) float32, normalized, slot order
-    mask_tokens: np.ndarray      # (S, N, out_dim) float32, slot order
+    mask_tokens: np.ndarray      # (N, out_dim) float32, raster order, one for all samples
     cell_count: float
     elev_patch: np.ndarray       # (N,) meters
     perms: list                  # per-sample SectorPermutation
@@ -220,14 +220,10 @@ def prepare_arrays(bundle: DatasetBundle, config: ModelConfig) -> TrainingArrays
     n_out = config.n_horizons * config.v_out
     if config.wind_reorder:
         # permutations come from the physical winds, not the z-scored inputs
-        raw_u = np.stack([s.input.channel("u") for s in samples])
-        raw_v = np.stack([s.input.channel("v") for s in samples])
-        perms = model_mod.build_perms(config, raw_u, raw_v)
+        perms = [reorder.build_permutation(spec, s.input.channel("u"), s.input.channel("v"))
+                 for s in samples]
     else:
-        perms = [SectorPermutation.identity(spec)] * len(samples)
-    # one gather into slot order serves both settings: an identity
-    # permutation gathers the raster order unchanged
-    orders = np.stack([p.forward for p in perms])
+        perms = [reorder.SectorPermutation.identity(spec)] * len(samples)
     # the stacks are allocated once and filled a sample at a time, so no
     # temporary is larger than one sample's fields
     inputs = np.empty((len(samples),) + samples[0].input.data.shape, dtype=np.float32)
@@ -240,11 +236,12 @@ def prepare_arrays(bundle: DatasetBundle, config: ModelConfig) -> TrainingArrays
             raise ShapeError(
                 f"dataset provides {grid.shape[0]} target channels, model expects {n_out}"
             )
-        np.take(patchify(grid, spec), orders[i], axis=0, out=target_tokens[i])
-    mask_tok = np.tile(
+        # one gather into slot order serves both settings: an identity
+        # permutation gathers the raster order unchanged
+        np.take(patchify(grid, spec), perms[i].forward, axis=0, out=target_tokens[i])
+    mask_tokens = np.tile(
         patchify(bundle.mask.mask[None].astype(np.float32), spec), (1, n_out)
     )
-    mask_tokens = mask_tok[orders]
     elev_patch = patch_elevations(bundle.terrain.elevation, spec)
     return TrainingArrays(
         inputs,
@@ -271,19 +268,22 @@ def _batch_loss(
     train: bool,
     rng: np.random.Generator | None,
 ) -> ad.Tensor:
+    perms = [arrays.perms[i] for i in idx]
     res = forward(
         store,
         config,
         arrays.inputs[idx],
         elev_patch_m=arrays.elev_patch,
-        perms=[arrays.perms[i] for i in idx],
+        perms=perms,
         train=train,
         rng=rng,
     )
+    # the one raster mask, gathered into each sample's slot order
+    orders = np.stack([p.forward for p in perms])
     return _masked_mse_tokens(
         res.tokens,
         arrays.target_tokens[idx],
-        arrays.mask_tokens[idx],
+        arrays.mask_tokens[orders],
         arrays.cell_count,
     )
 
@@ -365,9 +365,6 @@ def fit(
         store = init_params(config, tconfig.seed)
         state = TrainState.fresh(store, tconfig)
 
-    steps_per_epoch = max(1, math.ceil(len(train_idx) / tconfig.batch_size))
-    max_steps = min(tconfig.total_steps, tconfig.epochs * steps_per_epoch)
-
     history: list[tuple] = []
     rows = []
     if resume and log_path.exists():
@@ -409,7 +406,7 @@ def fit(
         validate(0, math.nan)  # baseline before any update
 
     final_val = state.best_val
-    while state.step < max_steps and not state.stopped:
+    while state.step < tconfig.total_steps and not state.stopped:
         idx = state.rng.choice(len(train_idx), size=min(tconfig.batch_size, len(train_idx)),
                                replace=False)
         ad.zero_grads(store.tensors())

@@ -142,7 +142,7 @@ def test_criterion_4_full_model_gradient_check():
     rng = np.random.default_rng(41)
     x = rng.normal(size=(1, config.v_in, 4, 8))
     elev = rng.uniform(0, 2500, spec.n_patches)
-    perms = model.build_perms(config, x[:, 0], x[:, 1])
+    perms = [reorder.build_permutation(spec, u, v) for u, v in zip(x[:, 0], x[:, 1])]
     target = rng.normal(size=(1, spec.n_patches, config.out_dim))
     maskgrid = np.zeros((1, 4, 8))
     maskgrid[:, 1:3, 1:7] = 1.0

@@ -279,9 +279,9 @@ def attend_and_grads(params, x, coeff, fn=NODE, **kwargs):
 
 
 # the per-sample bias the references take, by shape, and how the node gets
-# it: the shared slot table, a raster table the batch shares as it is, that
-# table gathered in each sample's own slot order, and the one-sample batch
-# that the no-tape forward passes
+# it: the shared slot table, a raster table gathered in each sample's own
+# slot order, that table under identity orders (the batch shares it as it
+# is), and the one-sample batch that the no-tape forward passes
 FUSED_CASES = [
     ((2, 5, 8), (5, 5)),
     ((2, 5, 8), (2, 1, 5, 5)),
@@ -290,23 +290,24 @@ FUSED_CASES = [
 ]
 
 
-def node_bias(bias_shape, table, rng):
+def node_bias(bias_shape, table, rng, batch):
     """The node's keyword arguments that give each sample's logits the
     (N, N) keys x queries `table` as a bias of `bias_shape`, and that bias
     materialized queries x keys, as the references take it.
 
     (N, N) passes the table as `bias`, the slot table; (1, 1, N, N) passes
-    it as `penalty` without orders, so it lands as it is; (B, 1, N, N)
-    passes it as `penalty` with B distinct slot orders, and sample i gets
-    table.T[o_i][:, o_i]. None passes nothing.
+    it as `penalty` with `batch` identity orders, so it lands as it is;
+    (B, 1, N, N) passes it as `penalty` with B distinct slot orders, and
+    sample i gets table.T[o_i][:, o_i]. None passes nothing.
     """
     if bias_shape is None:
         return {}, None
     if len(bias_shape) == 2:
         return {"bias": table}, table.data.T.copy()
-    if bias_shape[0] == 1:
-        return {"penalty": table}, table.data.T[None, None].copy()
     n = table.shape[0]
+    if bias_shape[0] == 1:
+        identity = np.tile(np.arange(n), (batch, 1))
+        return {"penalty": table, "orders": identity}, table.data.T[None, None].copy()
     orders = np.stack([rng.permutation(n) for _ in range(bias_shape[0])])
     assert len({tuple(o) for o in orders}) == len(orders)
     gathered = np.stack([table.data.T[o][:, o] for o in orders])[:, None]
@@ -335,7 +336,7 @@ def test_fused_attention_gradients_match_finite_differences(token_shape, bias_sh
     params = make_params(8, 2, rng)
     tokens = ad.parameter(rng.normal(size=token_shape))
     table = ad.parameter(rng.normal(size=(5, 5)))
-    kwargs, _ = node_bias(bias_shape, table, rng)
+    kwargs, _ = node_bias(bias_shape, table, rng, token_shape[0])
     coeff = rng.normal(size=token_shape)
 
     def forward():
@@ -357,7 +358,7 @@ def test_fused_attention_matches_primitive_chain(token_shape, bias_shape):
     params = make_params(8, 2, rng)
     x = rng.normal(size=token_shape)
     table = ad.parameter(rng.normal(size=(5, 5)))
-    kwargs, bias = node_bias(bias_shape, table, rng)
+    kwargs, bias = node_bias(bias_shape, table, rng, token_shape[0])
     coeff = rng.normal(size=token_shape)
     chain_bias = None if bias is None else ad.parameter(bias)
     fused = attend_and_grads(params, x, coeff, **kwargs)
@@ -497,7 +498,7 @@ def test_blocked_attention_is_bitwise_the_per_sample_reference(bias_shape):
     params = make_params(16, 4, rng, dtype=np.float32)
     x = rng.normal(size=(3, 24, 16)).astype(np.float32)
     table = ad.parameter(rng.normal(size=(24, 24)).astype(np.float32))
-    kwargs, bias = node_bias(bias_shape, table, rng)
+    kwargs, bias = node_bias(bias_shape, table, rng, len(x))
     coeff = rng.normal(size=x.shape).astype(np.float32)
     ref_bias = None if bias is None else ad.parameter(bias)
     got = attend_and_grads(params, x, coeff, **kwargs)
@@ -588,8 +589,9 @@ def penalty_case(rng, b=3, n=24):
     return params, x, coeff, rel, elev, orders
 
 
-# (penalty, orders): both mechanisms on, wind reordering off, the terrain
-# penalty off (orders without a penalty change nothing), both off
+# (penalty, wind orders): both mechanisms on, wind reordering off (the
+# penalty comes with identity orders), the terrain penalty off (orders
+# without a penalty change nothing), both off
 PENALTY_CASES = [(True, True), (True, False), (False, True), (False, False)]
 
 
@@ -611,14 +613,13 @@ def test_penalty_and_orders_match_the_materialized_bias(with_penalty, with_order
     rel_t = ad.parameter(rel.T.copy())
     alpha = ad.parameter(np.array(1.3, dtype=np.float32))
     penalty = topo_bias.bias_tensor(-elev, alpha) if with_penalty else None
-    got = attend_and_grads(params, x, coeff, bias=rel_t, penalty=penalty,
-                           orders=orders if with_orders else None)
+    got = attend_and_grads(params, x, coeff, bias=rel_t, penalty=penalty, orders=slots)
     for new, old in zip(got, want):
         assert new.dtype == old.dtype == np.float32
         assert new.tobytes() == old.tobytes()
     with ad.no_grad():
         plain, _ = attention._attend_parts(x, params, bias=rel_t, penalty=penalty,
-                                           orders=orders if with_orders else None)
+                                           orders=slots)
     assert plain.data.tobytes() == got[0].tobytes()
 
     g = ref_bias.grad
@@ -647,8 +648,7 @@ def test_penalty_gradient_is_the_scattered_head_sum(with_orders):
     ref_bias = ad.parameter(np.stack([flat[o][:, o] for o in slots])[:, None])
     attend_and_grads(params, x, coeff, fn=reference_attend, bias=ref_bias)
     penalty = ad.parameter(flat.T.copy())
-    attend_and_grads(params, x, coeff, penalty=penalty,
-                     orders=orders if with_orders else None)
+    attend_and_grads(params, x, coeff, penalty=penalty, orders=slots)
     want = scattered(ref_bias.grad, slots)
     assert penalty.grad.dtype == np.float32
     assert penalty.grad.tobytes() == want.tobytes()
@@ -659,6 +659,9 @@ def test_penalty_and_orders_are_checked():
     params, x, _coeff, rel, _elev, orders = penalty_case(rng, b=2, n=6)
     with pytest.raises(ShapeError):
         attention._attend_parts(x, params, penalty=np.zeros((2, 1, 6, 6)))
+    # a penalty comes with its orders: there is no raster mode
+    with pytest.raises(ShapeError, match="orders"):
+        attention._attend_parts(x, params, penalty=rel)
     with pytest.raises(ShapeError):
         attention._attend_parts(x, params, penalty=rel, orders=orders[:1])
     repeated = orders.copy()

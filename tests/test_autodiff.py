@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from topoflow import autodiff as ad
-from topoflow import model
+from topoflow import model, reorder
 from topoflow.fields import GridSpec
 
 
@@ -275,7 +275,7 @@ def test_no_grad_model_forward_is_bitwise_equal():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(3, config.v_in, 4, 8)).astype(np.float32)
     elev = rng.uniform(0, 2500, spec.n_patches)
-    perms = model.build_perms(config, x[:, 0], x[:, 1])
+    perms = [reorder.build_permutation(spec, u, v) for u, v in zip(x[:, 0], x[:, 1])]
     taped = model.forward(store, config, x, elev, perms=perms)
     with ad.no_grad():
         plain = model.forward(store, config, x, elev, perms=perms)

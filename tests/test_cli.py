@@ -287,6 +287,14 @@ def test_dump_perm_uniform_east_wind(tmp_path, config_path):
     assert sector0 == [0, 8, 1, 9, 2, 10, 3, 11]
 
 
+def dump_numbers(path):
+    """Every field of a dump text file that is not a word (a label such as
+    `alpha` or `bin_lo`) or on a `#` line, parsed with `float()`, which a
+    numpy repr such as `np.float64(-2.2)` fails."""
+    return [float(field) for ln in path.read_text().splitlines() if not ln.startswith("#")
+            for field in ln.split() if not field.replace("_", "").isalpha()]
+
+
 def test_dump_bias_and_attn(tmp_path, config_path, dataset):
     run_dir = tmp_path / "run"
     run("train", "--config", str(config_path), "--data", str(dataset), "--out", str(run_dir))
@@ -299,6 +307,8 @@ def test_dump_bias_and_attn(tmp_path, config_path, dataset):
     n = 4 * 8
     assert bias.data.shape == (1, n, n)
     assert bias.data.min() >= -10.0 and bias.data.max() <= 0.0
+    _alpha, low, high = dump_numbers(out_b / "bias.txt")
+    assert -10.0 <= low <= high <= 0.0
     out_a = tmp_path / "dump_attn"
     assert run(
         "dump", "attn", "--config", str(config_path), "--data", str(dataset),
@@ -308,6 +318,17 @@ def test_dump_bias_and_attn(tmp_path, config_path, dataset):
     assert attn.data.shape == (1, n, n)
     text = (out_a / "attn.txt").read_text()
     assert text.startswith("rows ")
+    assert text.splitlines()[3] == "bin_lo bin_hi mass"
+    # rows, mu_row_max, entropy_mean, then (bin_lo, bin_hi, mass) per bin
+    mass = dump_numbers(out_a / "attn.txt")[3:][2::3]
+    assert len(mass) == 50 and math.isclose(sum(mass), 1.0)
+    out_p = tmp_path / "dump_perm"
+    assert run("dump", "perm", "--config", str(config_path), "--data", str(dataset),
+               "--out", str(out_p)) == 0
+    # (slot, forward, inverse) per patch, then (sector, angle) per sector
+    values = dump_numbers(out_p / "perm.txt")
+    assert len(values) == 3 * n + 2 * 4
+    assert all(abs(angle) <= math.pi for angle in values[3 * n + 1::2])
 
 
 def test_dump_bias_is_the_queries_by_keys_penalty(tmp_path, config_path, dataset):
@@ -340,9 +361,10 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 
 
 def test_config_errors_exit_two(tmp_path, dataset, capsys):
+    # train.epochs is a retired key: the step budget is train.total_steps
     for i, text in enumerate(
         ("no.such.key = 1", "just words", "model.bias_combine = identity",
-         "train.val_fraction = 1.5")
+         "train.val_fraction = 1.5", "train.epochs = 60")
     ):
         bad = tmp_path / f"bad{i}.cfg"
         bad.write_text(text + "\n", encoding="utf-8")
@@ -424,6 +446,7 @@ def test_eval_torn_checkpoint_exits_three(tmp_path, config_path, dataset):
 BROKEN_INPUTS = (
     "gfd channel name not UTF-8",
     "manifest hour not an integer",
+    "manifest hours differ from the first row's",
     "manifest not UTF-8",
     "stats value not a number",
     "stats not UTF-8",
@@ -476,6 +499,11 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
     elif case == "manifest hour not an integer":
         cols = row.split()
         rewrite(manifest, row, b" ".join(cols[:4] + [b"noon", cols[5]]))
+        argv, named = ["train", *common, *out], "manifest.txt:3"
+    elif case == "manifest hours differ from the first row's":
+        cols = row.split()
+        assert cols[2] == b"12,24"
+        rewrite(manifest, row, b" ".join(cols[:2] + [b"12,48"] + cols[3:]))
         argv, named = ["train", *common, *out], "manifest.txt:3"
     elif case == "manifest not UTF-8":
         rewrite(manifest, row, row + b"\xff")

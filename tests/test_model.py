@@ -1,6 +1,7 @@
 import importlib.util
 import tracemalloc
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ def random_inputs(config, rng, batch=2):
 
 def wind_perms(config, x):
     """Slot orders from the u and v channels of an input stack."""
-    return model.build_perms(config, x[:, 0], x[:, 1])
+    return [reorder.build_permutation(config.spec, u, v) for u, v in zip(x[:, 0], x[:, 1])]
 
 
 # -- patchify -------------------------------------------------------------------
@@ -266,6 +267,45 @@ def test_toggles_off_is_the_shared_baseline_path():
         np.testing.assert_array_equal(p.forward, np.arange(config.spec.n_patches))
     # alpha exists but is unused on this path
     assert "alpha" in store.params
+
+
+def test_toggles_choose_data_not_branches():
+    # every variant runs one path: the wind variant under identity slot
+    # orders is the baseline, and the terrain penalty at alpha 0 adds
+    # nothing, for outputs and every gradient, bit for bit, dropout on
+    base = tiny_config(dropout=0.2, wind_reorder=False, elev_bias=False)
+    rng = np.random.default_rng(11)
+    x = random_inputs(base, rng, batch=3).astype(np.float32)
+    elev = rng.uniform(0, 3000, base.spec.n_patches)
+    coeff = rng.normal(size=(3, base.spec.n_patches, base.out_dim)).astype(np.float32)
+
+    def run(config, perms=None, alpha=None):
+        store = init_params(config, seed=0)
+        if alpha is not None:
+            store["alpha"].data[...] = alpha
+        res = forward(store, config, x, elev, perms=perms, train=True,
+                      rng=np.random.default_rng(12))
+        (res.tokens * ad.Tensor(coeff)).sum().backward()
+        return res.tokens.data, {k: store[k].grad for k in store.names()}
+
+    def assert_same_bits(a, b, skip=()):
+        assert a[0].tobytes() == b[0].tobytes()
+        for name, grad in a[1].items():
+            if name not in skip:
+                other = b[1][name]
+                assert (grad is None) == (other is None), name
+                assert grad is None or grad.tobytes() == other.tobytes(), name
+
+    identity = [reorder.SectorPermutation.identity(base.spec)] * len(x)
+    baseline = run(base)
+    assert_same_bits(run(replace(base, wind_reorder=True), identity), baseline)
+    for wind in (False, True):
+        config = replace(base, wind_reorder=wind)
+        perms = wind_perms(config, x) if wind else None
+        off = run(config, perms)
+        on = run(replace(config, elev_bias=True), perms, alpha=0.0)
+        assert off[1]["alpha"] is None and on[1]["alpha"] is not None
+        assert_same_bits(on, off, skip=("alpha",))
 
 
 def test_collect_attention_rows_stochastic():
