@@ -220,14 +220,29 @@ def _step_array(
     clamped), the upwind donor of each face as an index into a halo-padded
     copy of the field (a clamped donor outside the domain reads a zero
     cell), and the scalar constants. Each step fills the one-cell halo
-    (wrap or edge copy), gathers the donors, and updates the interior in
-    preallocated buffers, so both boundaries share one loop. The arithmetic
-    per element is that of a single step, so one call of k steps equals k
-    calls of one step bit for bit. The field is integrated in float64; `c`
-    is not modified and the result is a new array (a copy of `c` when
-    `steps` is 0).
+    (wrap or edge copy), gathers the donors, and updates the field in
+    preallocated buffers, so both boundaries share one loop.
+
+    Every ufunc of a step runs on one contiguous 1-D span: rows 1..h of the
+    padded grid, pad columns included, so a row of the span is w+2 long.
+    The cell itself is the span; its north and south neighbours are the
+    span shifted by one padded row, west and east by one element. The x
+    face flux of a span slot is that of its west face, the y flux that of
+    its north face, so east and south faces are the same arrays shifted by
+    one slot and one row. A slot at a pad column has face speed 0 and the
+    zero cell as donor, so its update is some finite value that no interior
+    cell reads, and the next halo fill overwrites it. Each interior cell
+    keeps its operands and their order, so the arithmetic per element is
+    that of a single step and one call of k steps equals k calls of one
+    step bit for bit. Emissions go through the 2-D interior view, so a
+    negative index counts from the domain's edge and an index out of range
+    raises IndexError. The field is integrated in float64; `c` is not
+    modified and the result is a new array (a copy of `c` when `steps` is
+    0).
     """
     h, w = c.shape
+    row = w + 2                     # the padded grid's row length
+    n = h * row                     # the span: padded rows 1..h
     periodic = cfg.boundary == "periodic"
     # face k of a row lies between cells k-1 and k; likewise down a column
     uf = np.empty((h, w + 1))
@@ -242,23 +257,30 @@ def _step_array(
         vf[0], vf[-1] = v[0], v[-1]
 
     # the field lives inside a halo-padded grid; one extra cell stays zero
-    buf = np.zeros((h + 2) * (w + 2) + 1)
-    grid = buf[:-1].reshape(h + 2, w + 2)
-    cur = grid[1:-1, 1:-1]
-    cur[...] = c
-    rows, cols = np.arange(h + 2)[:, None], np.arange(w + 2)[None, :]
+    buf = np.zeros((h + 2) * row + 1)
+    zero = buf.size - 1
+    grid = buf[:-1].reshape(h + 2, row)
+    interior = grid[1:-1, 1:-1]
+    interior[...] = c
+    rows, cols = np.arange(h + 2)[:, None], np.arange(row)[None, :]
     xcol = np.where(uf > 0, cols[:, :-1], cols[:, 1:])   # padded donor column
     yrow = np.where(vf > 0, rows[:-1], rows[1:])         # padded donor row
-    xdonor = rows[1:-1] * (w + 2) + xcol
-    ydonor = yrow * (w + 2) + cols[:, 1:-1]
+    xdonor = rows[1:-1] * row + xcol
+    ydonor = yrow * row + cols[:, 1:-1]
     if not periodic:
-        xdonor[(xcol == 0) | (xcol == w + 1)] = buf.size - 1
-        ydonor[(yrow == 0) | (yrow == h + 1)] = buf.size - 1
-    donors = np.concatenate([xdonor.ravel(), ydonor.ravel()])
-    face_speed = np.concatenate([uf.ravel(), vf.ravel()])
-    flux = np.empty(donors.size)
-    fx = flux[: uf.size].reshape(uf.shape)
-    fy = flux[uf.size :].reshape(vf.shape)
+        xdonor[(xcol == 0) | (xcol == w + 1)] = zero
+        ydonor[(yrow == 0) | (yrow == h + 1)] = zero
+    # faces in span order: n+1 x faces (west of each slot, then one more),
+    # then n+row y faces (north of each slot, then the south row's)
+    face_speed = np.zeros(2 * n + row + 1)
+    donors = np.full(face_speed.size, zero)
+    for faces, x, y in ((face_speed, uf, vf), (donors, xdonor, ydonor)):
+        faces[:n].reshape(h, row)[:, 1:] = x
+        faces[n + 1 :].reshape(h + 1, row)[:, 1:-1] = y
+    flux = np.empty(face_speed.size)
+    fx, fy = flux[: n + 1], flux[n + 1 :]
+    east_face, west_face = fx[1:], fx[:-1]
+    south_face, north_face = fy[row:], fy[:n]
 
     top, bottom, left, right = (h, 1, w, 1) if periodic else (1, h, 1, w)
     halo = (
@@ -267,16 +289,17 @@ def _step_array(
         (grid[1:-1, 0], grid[1:-1, left]),
         (grid[1:-1, -1], grid[1:-1, right]),
     )
-    north, south = grid[:-2, 1:-1], grid[2:, 1:-1]
-    west, east = grid[1:-1, :-2], grid[1:-1, 2:]
+    cur = buf[row : row + n]
+    north, south = buf[:n], buf[2 * row : 2 * row + n]
+    west, east = buf[row - 1 : row - 1 + n], buf[row + 1 : row + 1 + n]
     lam = cfg.dt / cfg.dx
     diff = cfg.kappa * cfg.dt / cfg.dx**2
-    emissions = [(row, col, rate * cfg.dt) for (row, col), rate in sources]
+    emissions = [(r, col, rate * cfg.dt) for (r, col), rate in sources]
     decay = math.exp(-cfg.sink * cfg.dt) if cfg.sink > 0 else None
-    adv = np.empty((h, w))
-    ady = np.empty((h, w))
-    lap = np.empty((h, w))
-    scratch = np.empty((h, w))
+    adv = np.empty(n)
+    ady = np.empty(n)
+    lap = np.empty(n)
+    scratch = np.empty(n)
 
     for _ in range(steps):
         for dst, src in halo:
@@ -284,9 +307,9 @@ def _step_array(
         np.take(buf, donors, out=flux, mode="clip")
         np.multiply(flux, face_speed, out=flux)
         # adv = -lam * (fx east - fx west) - lam * (fy south - fy north)
-        np.subtract(fx[:, 1:], fx[:, :-1], out=adv)
+        np.subtract(east_face, west_face, out=adv)
         np.multiply(adv, -lam, out=adv)
-        np.subtract(fy[1:], fy[:-1], out=ady)
+        np.subtract(south_face, north_face, out=ady)
         np.multiply(ady, lam, out=ady)
         np.subtract(adv, ady, out=adv)
         # lap = north + south + west + east - 4 c
@@ -299,23 +322,11 @@ def _step_array(
         np.add(cur, adv, out=adv)
         np.multiply(lap, diff, out=lap)
         np.add(adv, lap, out=cur)
-        for row, col, amount in emissions:
-            cur[row, col] += amount
+        for r, col, amount in emissions:
+            interior[r, col] += amount
         if decay is not None:
             np.multiply(cur, decay, out=cur)
-    return cur.copy()
-
-
-def step(c: Field, tw: TerrainWind, cfg: PhysicsConfig, sources: tuple) -> Field:
-    """Advance a single-channel concentration field by one integrator step
-    under the terrain's winds and the ((row, col), rate) point `sources`."""
-    if len(c.channels) != 1:
-        raise ShapeError(f"step expects a 1-channel field, got {c.channels}")
-    if tw.elevation.shape != (c.spec.height, c.spec.width):
-        raise ShapeError("terrain grid does not match the field grid")
-    _check_cfl(tw.u, tw.v, cfg)
-    out = _step_array(c.data[0], tw.u, tw.v, cfg, sources)
-    return c.with_data(out[None].astype(np.float32))
+    return interior.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +595,10 @@ def write_dataset(
 def read_dataset(in_dir) -> DatasetBundle:
     """Load a dataset directory written by :func:`write_dataset`; a manifest
     with other than `count=` sample rows (a cut file), a header without a
-    numeric `base_speed=`, a row whose hours differ from the first row's or
-    a missing file raises DataError, and a row that is not UTF-8 or integer
-    hours FormatError."""
+    numeric `base_speed=`, a row whose hours differ from the first row's,
+    a row that does not make a valid `Sample` (as many targets as hours,
+    increasing hours, hour and day in range) or a missing file raises
+    DataError, and a row that is not UTF-8 or integer hours FormatError."""
     root = Path(in_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -624,7 +636,10 @@ def read_dataset(in_dir) -> DatasetBundle:
             )
         inp = read_grid(root / in_rel)
         targets = tuple(read_grid(root / rel) for rel in target_rels.split(","))
-        samples.append(Sample(inp, targets, horizons, hour, doy))
+        try:
+            samples.append(Sample(inp, targets, horizons, hour, doy))
+        except DataError as err:   # ShapeError included
+            raise DataError(f"{manifest}:{ln}: {err}") from None
     if not samples:
         raise DataError(f"{manifest}: dataset is empty")
     count = header.get("count")

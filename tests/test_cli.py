@@ -605,6 +605,34 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
     assert named in lines[0] and "Traceback" not in err
 
 
+
+@pytest.mark.parametrize("fault", ["fewer targets than hours", "hours not increasing"])
+def test_manifest_row_that_makes_no_sample_names_its_line(fault, tmp_path, config_path,
+                                                          dataset, capsys):
+    # the first sample row (line 2) sets the hours the later rows must match,
+    # so non-increasing hours can only reach the sample's own check there
+    manifest = dataset / "manifest.txt"
+    lines = manifest.read_bytes().splitlines(True)
+    ln = 3 if fault == "fewer targets than hours" else 2
+    cols = lines[ln - 1].split()
+    assert cols[2] == b"12,24"
+    if fault == "fewer targets than hours":
+        cols[1] = cols[1].split(b",")[0]
+        message = "1 targets for 2 lead times"
+    else:
+        cols[2] = b"24,12"
+        message = "lead times must be strictly increasing"
+    lines[ln - 1] = b" ".join(cols) + b"\n"
+    manifest.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    argv = ["train", "--config", str(config_path), "--data", str(dataset),
+            "--out", str(tmp_path / "out")]
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and f"manifest.txt:{ln}: {message}" in lines[0], err
+    assert "Traceback" not in err
+
 def test_dump_perm_lists_sample_zero_order(tmp_path, config_path, dataset):
     # under the default rotating wind each sample has its own wind, and the
     # listing is the order the model gives sample 0

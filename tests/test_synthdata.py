@@ -9,7 +9,7 @@ import pytest
 
 from topoflow import synthdata
 from topoflow.errors import ConfigError, DataError, FitError, StabilityError
-from topoflow.fields import Field, GridSpec, NormStats
+from topoflow.fields import GridSpec, NormStats
 from topoflow.synthdata import PhysicsConfig, TerrainWind
 
 
@@ -90,19 +90,20 @@ def test_step_no_dynamics_is_identity():
     tw = uniform_terrain(SPEC, 0.0, 0.0)
     cfg = quiet_config()
     rng = np.random.default_rng(0)
-    c = Field(SPEC, ("c",), rng.uniform(0, 10, (1, 32, 64)).astype(np.float32), ("ug/m3",))
-    out = synthdata.step(c, tw, cfg, ())
-    np.testing.assert_array_equal(out.data, c.data)
+    c = rng.uniform(0, 10, (32, 64)).astype(np.float32)
+    out = synthdata._step_array(c.astype(np.float64), tw.u, tw.v, cfg, ())
+    np.testing.assert_array_equal(out, c)
 
 
 def test_step_rejects_cfl_violation():
     cfg = quiet_config(dt=100.0, max_wind=4.0)
     tw = uniform_terrain(SPEC, 3.0, 0.0)
     fast = uniform_terrain(SPEC, 8.0, 0.0)  # exceeds the bound at step time
-    c = Field(SPEC, ("c",), np.zeros((1, 32, 64), np.float32), ("ug/m3",))
-    synthdata.step(c, tw, cfg, ())
+    c = np.zeros((32, 64))
+    synthdata._check_cfl(tw.u, tw.v, cfg)
+    synthdata._step_array(c, tw.u, tw.v, cfg, ())
     with pytest.raises(StabilityError):
-        synthdata.step(c, fast, cfg, ())
+        synthdata._check_cfl(fast.u, fast.v, cfg)
 
 
 def gaussian_blob(spec, row, col, sigma=2.5, amp=50.0):
@@ -243,6 +244,32 @@ def test_multi_step_call_equals_per_step_reference_bitwise(boundary):
         assert out.dtype == np.float64 and out.shape == c0.shape
         assert out.tobytes() == ref.tobytes(), (boundary, k)
 
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "clamped"])
+@pytest.mark.parametrize("shape", [(5, 7), (3, 64)])
+def test_span_edges_equal_per_step_reference_bitwise(shape, boundary):
+    """Odd grids put the pad columns of the padded span next to every
+    edge cell, and negative indices put sources on the last row and column."""
+    h, w = shape
+    rng = np.random.default_rng(h * w)
+    u = np.clip(rng.normal(0.0, 1.5, shape), -5.0, 5.0)
+    v = np.clip(rng.normal(0.0, 1.5, shape), -5.0, 5.0)
+    u[0, 0], u[-1, -1], v[0, -1], v[-1, 0] = 1.0, -1.0, -1.0, 1.0
+    cfg = PhysicsConfig(
+        kappa=40.0, dt=150.0, dx=2000.0, boundary=boundary, sink=6.7e-5, max_wind=6.0
+    )
+    sources = (((2, -1), 3e-3), ((-1, 3), 2e-3), ((0, 0), 1e-3))
+    c0 = rng.uniform(0.0, 30.0, shape)
+    for k in (1, 13):
+        ref = c0
+        for _ in range(k):
+            ref = reference_step(ref, u, v, cfg, sources)
+        out = synthdata._step_array(c0, u, v, cfg, sources, steps=k)
+        assert out.tobytes() == ref.tobytes(), (shape, boundary, k)
+    for source in ((h, 0), (0, w), (-h - 1, 0)):
+        with pytest.raises(IndexError):
+            synthdata._step_array(c0, u, v, cfg, ((source, 1e-3),))
 
 @pytest.mark.parametrize("boundary", ["periodic", "clamped"])
 def test_integrator_leaves_input_alone_and_zero_steps_is_identity(boundary):
