@@ -14,7 +14,8 @@ back into one raster table.
 Without a bias the operation is permutation equivariant: reordering
 tokens, attending, and undoing the reorder is exactly attention on the
 original order, which is what licenses the wind-guided shuffle in the
-first place. `equivariance_check` measures the deviation directly.
+first place. Release criterion 1 measures the deviation directly, with
+`equivariance_check` in tests/oracles.py.
 
 The whole chain from the Q/K/V projections to the output projection is a
 single tape node with an analytic backward. Forward and backward visit
@@ -47,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import reorder
 from .errors import DataError, NumericError, ShapeError
 
 
@@ -255,13 +255,3 @@ def _sample_bias(bias, penalty, order, out, scratch):
     penalty = np.take(rows, order, axis=1, out=out, mode="clip")
     return penalty if bias is None else np.add(bias, penalty, out=out)
 
-
-def equivariance_check(
-    tokens: np.ndarray, params: AttentionParams, perm: reorder.SectorPermutation
-) -> float:
-    """Max |unapply(Attn(apply(X))) - Attn(X)| without a bias, for (N, d)
-    tokens, each order attended as a batch of one."""
-    tokens = np.asarray(tokens)
-    straight, _ = _attend_parts(tokens[None], params)
-    shuffled, _ = _attend_parts(reorder.apply(perm, tokens)[None], params)
-    return float(np.abs(reorder.unapply(perm, shuffled.data[0]) - straight.data[0]).max())

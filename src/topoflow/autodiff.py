@@ -6,6 +6,8 @@ and accumulates vector-Jacobian products into `.grad` of every node that
 requires gradients. Only the operations the forecaster actually needs are
 implemented; each nonlinear primitive carries its analytic backward rule
 and is validated against central finite differences in the test suite.
+`softmax` is no tape op: it is the fused attention node's in-place column
+step on plain arrays, and that node carries its backward.
 
 Arrays keep whatever dtype they were created with (float32 for training,
 float64 for gradient checks); no implicit casting happens on the tape.
@@ -188,17 +190,6 @@ class Tensor:
             ),
         )
 
-    def reshape(self, *shape) -> "Tensor":
-        return Tensor._op(
-            self.data.reshape(shape), (self,), lambda g: (g.reshape(self.data.shape),)
-        )
-
-    def transpose(self, *axes) -> "Tensor":
-        inverse = tuple(np.argsort(axes))
-        return Tensor._op(
-            self.data.transpose(axes), (self,), lambda g: (g.transpose(inverse),)
-        )
-
     def sum(self) -> "Tensor":
         return Tensor._op(
             self.data.sum(), (self,), lambda g: (np.broadcast_to(g, self.data.shape).copy(),)
@@ -309,45 +300,24 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._op(out, (x,), vjp)
 
 
-def softmax(x: Tensor | Array, stats: tuple[Array, Array] | None = None) -> Tensor | Array:
-    """Row softmax of a Tensor over its last axis, with max subtraction, as a
-    new tape node; or, for a plain array, the column step of attention.
+def softmax(block: Array, stats: tuple[Array, Array]) -> Array:
+    """The column step of attention's softmax, in place, with nothing recorded.
 
-    A plain array is a raw logit block laid out keys x queries, (..., N, M)
-    with one column per query (the fused attention node calls this once
-    per (sample, head) block). Each column is overwritten in place with
-    exp(x - max) and the array returned, with nothing recorded. `stats`,
-    a (max_out, sum_out) pair shaped (..., 1, M), receives each column's
-    max and its sum of exponentials, the latter as one ones(1, N) @ e
-    product; dividing a column by its sum gives its softmax, which the
-    attention node leaves to its (N, d/heads) context.
+    `block` is a raw logit block laid out keys x queries, (..., N, M) with
+    one column per query (the fused attention node calls this once per
+    (sample, head) block). Each column is overwritten with exp(s - max)
+    and the array returned. `stats`, a (max_out, sum_out) pair shaped
+    (..., 1, M), receives each column's max and its sum of exponentials,
+    the latter as one ones(1, N) @ e product; dividing a column by its sum
+    gives its softmax, which the attention node leaves to its (N, d/heads)
+    context.
     """
-    if isinstance(x, np.ndarray):
-        return _exp_columns(x, *stats)
-    y = _softmax_rows(x.data.copy())
-
-    def vjp(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
-
-    return Tensor._op(y, (x,), vjp)
-
-
-def _softmax_rows(y: Array) -> Array:
-    """Overwrite each last-axis row of y with exp(y - max) / sum, return y."""
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
-    return y
-
-
-def _exp_columns(e: Array, col_max: Array, col_sum: Array) -> Array:
-    """Overwrite each axis -2 column of e with exp(e - max), return e; the
-    column maxima go to `col_max` and the sums to `col_sum`."""
-    np.max(e, axis=-2, keepdims=True, out=col_max)
-    e -= col_max
-    np.exp(e, out=e)
-    np.matmul(np.ones((1, e.shape[-2]), dtype=e.dtype), e, out=col_sum)
-    return e
+    col_max, col_sum = stats
+    np.max(block, axis=-2, keepdims=True, out=col_max)
+    block -= col_max
+    np.exp(block, out=block)
+    np.matmul(np.ones((1, block.shape[-2]), dtype=block.dtype), block, out=col_sum)
+    return block
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

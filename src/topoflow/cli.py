@@ -247,7 +247,7 @@ def _component_runs(cfg, mconfig, tconfig) -> list[tuple]:
 def _tile_runs(cfg, mconfig, tconfig) -> list[tuple]:
     """(run name, "RxC", ModelConfig, TrainConfig) for every tile label: the
     wind-reorder variant with the patch grid cut into R x C sectors."""
-    labels = [x for x in cfg["ablate.tiles"].split(",") if x]
+    labels = _distinct(cfg, "ablate.tiles", str)
     grids = [_tile_grid(label) for label in labels]
     # 'global' is the 1x1 grid: each granularity may be trained once
     if len(set(grids)) < len(grids):

@@ -216,21 +216,12 @@ class NormStats:
         return cls(entries)
 
 
-def _apply_stats(field: Field, stats: NormStats, forward: bool) -> Field:
-    out = np.empty_like(field.data, dtype=np.float32)
-    for i, name in enumerate(field.channels):
-        out[i] = stats.for_channel(name).apply(field.data[i], forward)
-    return field.with_data(out)
-
-
 def normalize(field: Field, stats: NormStats) -> Field:
     """Map each channel into model space per its stats entry."""
-    return _apply_stats(field, stats, forward=True)
-
-
-def denormalize(field: Field, stats: NormStats) -> Field:
-    """Exact inverse of :func:`normalize`, back to physical units."""
-    return _apply_stats(field, stats, forward=False)
+    out = np.empty_like(field.data, dtype=np.float32)
+    for i, name in enumerate(field.channels):
+        out[i] = stats.for_channel(name).apply(field.data[i])
+    return field.with_data(out)
 
 
 def temporal_encoding(hour: int, doy: int) -> np.ndarray:

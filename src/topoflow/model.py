@@ -73,9 +73,6 @@ class ParamStore:
     def group_of(self, name: str) -> str:
         return self.groups[name]
 
-    def n_parameters(self) -> int:
-        return sum(t.data.size for t in self.params.values())
-
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     """Normal draws redrawn until inside +-2 std (deterministic per rng)."""
@@ -198,19 +195,16 @@ def patchify(data: np.ndarray, spec: GridSpec) -> np.ndarray:
 
 
 def unpatchify(tokens: np.ndarray, spec: GridSpec, n_channels: int) -> np.ndarray:
-    """Exact inverse of :func:`patchify` for a known channel count."""
+    """(B, N, C*p*p) -> (B, C, H, W), the exact inverse of :func:`patchify`
+    for a known channel count."""
     arr = np.asarray(tokens)
-    batched = arr.ndim == 3
-    if not batched:
-        arr = arr[None]
     p = spec.patch
     if arr.ndim != 3 or arr.shape[-2:] != (spec.n_patches, n_channels * p * p):
-        raise ShapeError(f"cannot unpatchify shape {np.asarray(tokens).shape} on {spec}")
+        raise ShapeError(f"cannot unpatchify shape {arr.shape} on {spec}")
     b = arr.shape[0]
     x = arr.reshape(b, spec.patches_y, spec.patches_x, n_channels, p, p)
     x = x.transpose(0, 3, 1, 4, 2, 5)
-    grid = x.reshape(b, n_channels, spec.height, spec.width)
-    return grid if batched else grid[0]
+    return x.reshape(b, n_channels, spec.height, spec.width)
 
 
 # ---------------------------------------------------------------------------

@@ -129,18 +129,10 @@ def build_permutation(spec: GridSpec, u: np.ndarray, v: np.ndarray) -> SectorPer
     return SectorPermutation(spec, forward, inverse, angles)
 
 
-def _take(perm: SectorPermutation, tokens: np.ndarray, order: np.ndarray) -> np.ndarray:
+def unapply(perm: SectorPermutation, tokens: np.ndarray) -> np.ndarray:
+    """Return (N, C) wind-order tokens to their raster positions: slot
+    perm.inverse[i] holds raster patch i."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2 or tokens.shape[0] != perm.spec.n_patches:
         raise ShapeError(f"tokens shape {tokens.shape} is not (N, C), N = {perm.spec.n_patches}")
-    return np.take(tokens, order, axis=0)
-
-
-def apply(perm: SectorPermutation, tokens: np.ndarray) -> np.ndarray:
-    """Reorder (N, C) raster-order tokens into wind order."""
-    return _take(perm, tokens, perm.forward)
-
-
-def unapply(perm: SectorPermutation, tokens: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`apply`: (N, C) tokens return to raster positions."""
-    return _take(perm, tokens, perm.inverse)
+    return np.take(tokens, perm.inverse, axis=0)

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import INPUT_CHANNELS, TARGET_CHANNELS, TEMPORAL_CHANNELS, PhysicsConfig, read_lines
-from .errors import ConfigError, DataError, FitError, FormatError, ShapeError, StabilityError
+from .errors import ConfigError, DataError, FormatError, ShapeError, StabilityError
 from .fields import (
     Field,
     GridSpec,
@@ -49,7 +49,6 @@ from .fields import (
     write_atomic,
     write_grid,
 )
-from .reorder import patch_wind_direction
 
 SAMPLE_STREAM = 1          # SeedSequence lane for per-sample draws
 TERRAIN_STREAM = 0         # SeedSequence lane for terrain/wind synthesis
@@ -78,19 +77,6 @@ class TerrainWind:
             object.__setattr__(self, name, arr)
         if self.u.shape != self.elevation.shape or self.v.shape != self.elevation.shape:
             raise ShapeError("terrain and wind shapes differ")
-
-
-@dataclass(frozen=True)
-class CovarianceFit:
-    """Exponential decay lengths of |cov| along and across the wind."""
-
-    along_decay: float      # cells
-    cross_decay: float      # cells
-    l_adv: float            # advective length |u|*tau, cells
-
-    def __post_init__(self):
-        if not (self.along_decay > 0 and self.cross_decay > 0):
-            raise FitError("decay lengths must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -454,70 +440,6 @@ def norm_kinds() -> dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# covariance anisotropy
-# ---------------------------------------------------------------------------
-
-def fit_covariance_decay(
-    samples: list[Sample],
-    tw: TerrainWind,
-    cfg: PhysicsConfig | None = None,
-) -> CovarianceFit:
-    """Exponential decay of |cov| with lag, along vs across the mean wind.
-
-    Ensemble covariance is estimated from the most-evolved tracer field of
-    each sample (the last target; the input when a sample has none) at
-    integer cell shifts up to a third of the shorter grid side, along the
-    wind direction and perpendicular to it, then log-linearly fit. The
-    advective length uses tau = 1/sink when the physics config carries a
-    positive sink, and is NaN otherwise.
-    """
-    if len(samples) < 32:
-        raise ConfigError(f"need >= 32 samples for a covariance fit, got {len(samples)}")
-    spec = samples[0].input.spec
-    tracer = np.stack(
-        [
-            (s.targets[-1] if s.targets else s.input).channel("c").astype(np.float64)
-            for s in samples
-        ]
-    )
-    anomaly = tracer - tracer.mean(axis=0, keepdims=True)
-    var0 = float((anomaly * anomaly).mean())
-    if var0 <= 0:
-        raise FitError("constant fields: covariance is degenerate")
-
-    theta = patch_wind_direction(tw.u, tw.v)
-    along = (math.cos(theta), math.sin(theta))
-    cross = (-math.sin(theta), math.cos(theta))
-    max_lag = min(spec.height, spec.width) // 3
-
-    def cov_at(direction, lag):
-        dcol = int(round(direction[0] * lag))
-        drow = int(round(direction[1] * lag))
-        shifted = np.roll(anomaly, (-drow, -dcol), axis=(1, 2))
-        return float((anomaly * shifted).mean())
-
-    def decay_length(direction):
-        lags, logs = [], []
-        for lag in range(1, max_lag + 1):
-            c = abs(cov_at(direction, lag)) / var0
-            if c > 1e-3:
-                lags.append(float(lag))
-                logs.append(math.log(c))
-        if len(lags) < 3:
-            raise FitError("too few usable lags for an exponential fit")
-        a = np.stack([np.asarray(lags), np.ones(len(lags))], axis=1)
-        coef, *_ = np.linalg.lstsq(a, np.asarray(logs), rcond=None)
-        slope = float(coef[0])
-        return math.inf if slope >= 0 else -1.0 / slope
-
-    l_adv = math.nan
-    if cfg is not None and cfg.sink > 0:
-        speed = float(np.hypot(tw.u, tw.v).mean())
-        l_adv = speed * (1.0 / cfg.sink) / cfg.dx
-    return CovarianceFit(decay_length(along), decay_length(cross), l_adv)
-
-
-# ---------------------------------------------------------------------------
 # on-disk datasets
 # ---------------------------------------------------------------------------
 
@@ -597,8 +519,10 @@ def read_dataset(in_dir) -> DatasetBundle:
     with other than `count=` sample rows (a cut file), a header without a
     numeric `base_speed=`, a row whose hours differ from the first row's,
     a row that does not make a valid `Sample` (as many targets as hours,
-    increasing hours, hour and day in range) or a missing file raises
-    DataError, and a row that is not UTF-8 or integer hours FormatError."""
+    increasing hours, hour and day in range), a sample or mask on another
+    grid than `terrain.gfd`'s or a missing file raises DataError, and a
+    row that is not UTF-8 or integer hours, or a `stats.txt` without an
+    entry for an input or target channel, FormatError."""
     root = Path(in_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -606,10 +530,16 @@ def read_dataset(in_dir) -> DatasetBundle:
     terrain_field = read_grid(root / "terrain.gfd")
     if not isinstance(terrain_field, Field) or terrain_field.channels != ("elev", "u", "v"):
         raise DataError(f"{root}/terrain.gfd: expected channels (elev, u, v)")
+    spec = terrain_field.spec
     mask = read_grid(root / "mask.gfd")
     if not isinstance(mask, LandMask):
         raise DataError(f"{root}/mask.gfd is not a mask file")
+    if mask.spec != spec:
+        raise DataError(f"{root}/mask.gfd is on {mask.spec}, terrain.gfd on {spec}")
     stats = NormStats.load(root / "stats.txt")
+    for name in INPUT_CHANNELS + TARGET_CHANNELS:
+        if name not in stats.entries:
+            raise FormatError(f"{root}/stats.txt: no entry for channel {name!r}")
     samples: list[Sample] = []
     horizons: tuple[int, ...] = ()
     header: dict[str, str] = {}
@@ -635,6 +565,8 @@ def read_dataset(in_dir) -> DatasetBundle:
                 f"{','.join(map(str, horizons))}"
             )
         inp = read_grid(root / in_rel)
+        if inp.spec != spec:
+            raise DataError(f"{manifest}:{ln}: {in_rel} is on {inp.spec}, terrain.gfd on {spec}")
         targets = tuple(read_grid(root / rel) for rel in target_rels.split(","))
         try:
             samples.append(Sample(inp, targets, horizons, hour, doy))
@@ -655,6 +587,4 @@ def read_dataset(in_dir) -> DatasetBundle:
         terrain_field.channel("v").astype(np.float64),
         base_speed=base_speed,
     )
-    return DatasetBundle(
-        samples[0].input.spec, tuple(samples), tw, mask, stats, horizons
-    )
+    return DatasetBundle(spec, tuple(samples), tw, mask, stats, horizons)

@@ -1,0 +1,145 @@
+"""Reference implementations the tests compare the package against.
+
+No command reaches these, so they live with the tests: the bias-free
+attention equivariance measure (criterion 1), the covariance decay fit
+(criterion 6), the tape ops that the primitive-chain attention reference is
+built from (row softmax, reshape, transpose), and the forward reorder that
+`reorder.unapply` undoes.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from topoflow import attention, autodiff as ad, reorder
+from topoflow.config import PhysicsConfig
+from topoflow.errors import ConfigError, FitError, ShapeError
+from topoflow.fields import Sample
+from topoflow.synthdata import TerrainWind
+
+# -- tape ops of the primitive-chain attention reference ---------------------------
+
+
+def softmax_rows(x: ad.Tensor) -> ad.Tensor:
+    """Row softmax over the last axis, with max subtraction, as a tape node."""
+    y = x.data.copy()
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+
+    return ad.Tensor._op(y, (x,), vjp)
+
+
+def reshape(x: ad.Tensor, *shape) -> ad.Tensor:
+    return ad.Tensor._op(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.data.shape),))
+
+
+def transpose(x: ad.Tensor, *axes) -> ad.Tensor:
+    inverse = tuple(np.argsort(axes))
+    return ad.Tensor._op(x.data.transpose(axes), (x,), lambda g: (g.transpose(inverse),))
+
+
+# -- reordering and criterion 1 ------------------------------------------------------
+
+
+def apply(perm: reorder.SectorPermutation, tokens: np.ndarray) -> np.ndarray:
+    """Reorder (N, C) raster-order tokens into wind order: slot i holds raster
+    patch perm.forward[i]. Gathers by itself, so the round trip through
+    `reorder.unapply` checks unapply's own index."""
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 2 or tokens.shape[0] != perm.spec.n_patches:
+        raise ShapeError(f"tokens shape {tokens.shape} is not (N, C), N = {perm.spec.n_patches}")
+    return np.take(tokens, perm.forward, axis=0)
+
+
+def equivariance_check(
+    tokens: np.ndarray, params: attention.AttentionParams, perm: reorder.SectorPermutation
+) -> float:
+    """Max |unapply(Attn(apply(X))) - Attn(X)| without a bias, for (N, d)
+    tokens, each order attended as a batch of one."""
+    tokens = np.asarray(tokens)
+    straight, _ = attention._attend_parts(tokens[None], params)
+    shuffled, _ = attention._attend_parts(apply(perm, tokens)[None], params)
+    return float(np.abs(reorder.unapply(perm, shuffled.data[0]) - straight.data[0]).max())
+
+
+# -- criterion 6: covariance anisotropy -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CovarianceFit:
+    """Exponential decay lengths of |cov| along and across the wind."""
+
+    along_decay: float      # cells
+    cross_decay: float      # cells
+    l_adv: float            # advective length |u|*tau, cells
+
+    def __post_init__(self):
+        if not (self.along_decay > 0 and self.cross_decay > 0):
+            raise FitError("decay lengths must be positive")
+
+
+def fit_covariance_decay(
+    samples: list[Sample],
+    tw: TerrainWind,
+    cfg: PhysicsConfig | None = None,
+) -> CovarianceFit:
+    """Exponential decay of |cov| with lag, along vs across the mean wind.
+
+    Ensemble covariance is estimated from the most-evolved tracer field of
+    each sample (the last target; the input when a sample has none) at
+    integer cell shifts up to a third of the shorter grid side, along the
+    wind direction and perpendicular to it, then log-linearly fit. The
+    advective length uses tau = 1/sink when the physics config carries a
+    positive sink, and is NaN otherwise.
+    """
+    if len(samples) < 32:
+        raise ConfigError(f"need >= 32 samples for a covariance fit, got {len(samples)}")
+    spec = samples[0].input.spec
+    tracer = np.stack(
+        [
+            (s.targets[-1] if s.targets else s.input).channel("c").astype(np.float64)
+            for s in samples
+        ]
+    )
+    anomaly = tracer - tracer.mean(axis=0, keepdims=True)
+    var0 = float((anomaly * anomaly).mean())
+    if var0 <= 0:
+        raise FitError("constant fields: covariance is degenerate")
+
+    theta = reorder.patch_wind_direction(tw.u, tw.v)
+    along = (math.cos(theta), math.sin(theta))
+    cross = (-math.sin(theta), math.cos(theta))
+    max_lag = min(spec.height, spec.width) // 3
+
+    def cov_at(direction, lag):
+        dcol = int(round(direction[0] * lag))
+        drow = int(round(direction[1] * lag))
+        shifted = np.roll(anomaly, (-drow, -dcol), axis=(1, 2))
+        return float((anomaly * shifted).mean())
+
+    def decay_length(direction):
+        lags, logs = [], []
+        for lag in range(1, max_lag + 1):
+            c = abs(cov_at(direction, lag)) / var0
+            if c > 1e-3:
+                lags.append(float(lag))
+                logs.append(math.log(c))
+        if len(lags) < 3:
+            raise FitError("too few usable lags for an exponential fit")
+        a = np.stack([np.asarray(lags), np.ones(len(lags))], axis=1)
+        coef, *_ = np.linalg.lstsq(a, np.asarray(logs), rcond=None)
+        slope = float(coef[0])
+        return math.inf if slope >= 0 else -1.0 / slope
+
+    l_adv = math.nan
+    if cfg is not None and cfg.sink > 0:
+        speed = float(np.hypot(tw.u, tw.v).mean())
+        l_adv = speed * (1.0 / cfg.sink) / cfg.dx
+    return CovarianceFit(decay_length(along), decay_length(cross), l_adv)

