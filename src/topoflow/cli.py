@@ -4,7 +4,9 @@ Configuration is a flat UTF-8 text file of `key = value` lines with dotted
 section prefixes (`model.d = 64`). Resolution order: built-in desk-scale
 defaults, then the config file, then command-line flags; the fully
 resolved configuration is echoed verbatim into every output directory so
-a run can always be reproduced from its artifacts.
+a run can always be reproduced from its artifacts. The defaults are those
+of the five config dataclasses (`grid.*`, `physics.*`, `data.*`, `model.*`,
+`train.*`); only `seed`, `ablate.*` and `paths.*` are written here.
 
 Exit codes: 0 success, 1 usage, 2 configuration, 3 data/format, 4 numeric.
 The TOPOFLOW_THREADS environment variable caps worker/BLAS thread counts
@@ -22,6 +24,7 @@ from pathlib import Path
 
 from .config import (
     DESK_GRID,
+    DataConfig,
     GridSpec,
     ModelConfig,
     PhysicsConfig,
@@ -39,7 +42,7 @@ def _desk_defaults() -> dict[str, str]:
     """Every config key at the desk scale: the config dataclasses' defaults
     over the desk grid, less the fields a caller fills in (`model.spec` and
     `model.n_horizons` come from the dataset, `train.seed` is `seed`), plus
-    the keys that name no dataclass field."""
+    `seed`, `ablate.*` and `paths.*`, the keys that name no dataclass field."""
     model = encode(ModelConfig(DESK_GRID), "model")
     del model["model.n_horizons"]
     train = encode(TrainConfig(), "train")
@@ -47,13 +50,7 @@ def _desk_defaults() -> dict[str, str]:
         "seed": train.pop("train.seed"),
         **encode(DESK_GRID, "grid"),
         **encode(PhysicsConfig(), "physics"),
-        "data.archetype": "basin_ridge",
-        "data.base_speed": "2.0",
-        "data.count": "200",
-        "data.horizons": "12,24,48,96",
-        "data.wind_mode": "rotate",
-        "data.source_mode": "random",
-        "data.init_mode": "textured",
+        **encode(DataConfig(), "data"),
         **{k: v for k, v in model.items() if not k.startswith("model.spec.")},
         **train,
         "ablate.seeds": "0,1,2,3,4",
@@ -93,10 +90,12 @@ def build_physics(cfg):
     return decode(PhysicsConfig, cfg, "physics")
 
 
-def build_model_config(cfg, spec=None, n_horizons=None):
-    if n_horizons is None:
-        n_horizons = len(value(cfg, "data.horizons", tuple[int, ...]))
-    return decode(ModelConfig, cfg, "model", spec=spec or build_grid(cfg), n_horizons=n_horizons)
+def build_data(cfg):
+    return decode(DataConfig, cfg, "data")
+
+
+def build_model_config(cfg, spec, n_horizons):
+    return decode(ModelConfig, cfg, "model", spec=spec, n_horizons=n_horizons)
 
 
 def build_train_config(cfg):
@@ -121,27 +120,10 @@ def cmd_gen(cfg: dict[str, str]) -> int:
     out = _need_dir(cfg, "paths.out", "output directory")
     spec = build_grid(cfg)
     physics = build_physics(cfg)
+    data = build_data(cfg)
     seed = value(cfg, "seed", int)
-    tw = synthdata.gen_terrain(
-        spec,
-        seed,
-        archetype=cfg["data.archetype"],
-        base_speed=value(cfg, "data.base_speed", float),
-        max_speed=physics.max_wind,
-    )
-    samples = synthdata.make_dataset(
-        spec,
-        tw,
-        physics,
-        value(cfg, "data.horizons", tuple[int, ...]),
-        value(cfg, "data.count", int),
-        seed,
-        wind_mode=cfg["data.wind_mode"],
-        source_mode=cfg["data.source_mode"],
-        init_mode=cfg["data.init_mode"],
-    )
-    if not samples:
-        raise ConfigError("data.count must be >= 1 to write a dataset")
+    tw = synthdata.gen_terrain(spec, seed, data, physics)
+    samples = synthdata.make_dataset(spec, tw, physics, data, seed)
     # stats come from the training split only
     train_idx, _ = train.split_indices(len(samples), build_train_config(cfg).val_fraction)
     train_inputs = [samples[i].input for i in train_idx] or [samples[0].input]

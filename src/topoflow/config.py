@@ -1,14 +1,14 @@
 """Config dataclasses, their `section.field = value` text, and the file reader.
 
-GridSpec, PhysicsConfig, ModelConfig and TrainConfig live here with their
-checks and without numpy, so the CLI derives its defaults from them before
-it caps threads. One codec serves the CLI's config and the checkpoint
-sidecar. Keys are the dataclass field names under a section prefix; a
-nested dataclass field such as `ModelConfig.spec` adds one more level
-(`model.spec.height`). Values are parsed by the field's annotation: bool
-(`true`/`false`), int, float, str, or a comma-separated `tuple[T, ...]`.
-A value that does not parse, and an absent key for a field without a
-default, raise ConfigError naming the key.
+GridSpec, PhysicsConfig, DataConfig, ModelConfig and TrainConfig live here
+with their checks and without numpy, so the CLI derives its defaults from
+them before it caps threads. One codec serves the CLI's config and the
+checkpoint sidecar. Keys are the dataclass field names under a section
+prefix; a nested dataclass field such as `ModelConfig.spec` adds one more
+level (`model.spec.height`). Values are parsed by the field's annotation:
+bool (`true`/`false`), int, float, str, or a comma-separated
+`tuple[T, ...]`. A value that does not parse, and an absent key for a
+field without a default, raise ConfigError naming the key.
 """
 
 from __future__ import annotations
@@ -121,6 +121,39 @@ class PhysicsConfig:
                 f"horizon {hours} h is not a positive multiple of {self.hours_per_step} h"
             )
         return int(round(n)) * self.substeps
+
+
+ARCHETYPES = ("flat", "ridge", "basin", "basin_ridge")
+
+
+@dataclass(frozen=True)
+class DataConfig:
+    """The synthetic dataset `gen` writes; the defaults are the desk dataset.
+    `PhysicsConfig.steps_for_hours` checks each horizon against its step."""
+
+    archetype: str = "basin_ridge"          # one of ARCHETYPES
+    base_speed: float = 2.0                 # reference wind speed, m/s
+    count: int = 200                        # samples
+    horizons: tuple[int, ...] = (12, 24, 48, 96)   # lead times, hours
+    wind_mode: str = "rotate"               # rotate (a bearing per sample) | fixed
+    source_mode: str = "random"             # random point sources | none
+    init_mode: str = "textured"             # blobs | textured (blobs on a background)
+
+    def __post_init__(self):
+        for name, allowed in (
+            ("archetype", ARCHETYPES),
+            ("wind_mode", ("rotate", "fixed")),
+            ("source_mode", ("random", "none")),
+            ("init_mode", ("blobs", "textured")),
+        ):
+            given = getattr(self, name)
+            if given not in allowed:
+                raise ConfigError(f"unknown data.{name} {given!r}; pick from {allowed}")
+        if self.count < 1:
+            raise ConfigError(f"data.count = {self.count} < 1")
+        h = self.horizons
+        if not h or h[0] <= 0 or any(b <= a for a, b in zip(h, h[1:])):
+            raise ConfigError(f"data.horizons must be positive and strictly increasing, got {h}")
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ without any external datasets. A dataset is built from:
     donor-cell advection plus central diffusion. Flux form conserves mass
     exactly under periodic boundaries; the sink is applied as a
     multiplicative decay exp(-D*dt) so nonnegativity is unconditional.
-    PhysicsConfig holds the constants; the point sources Q are drawn per
-    sample and passed to each integrator call. One call advances many
-    steps under fixed winds, doing the wind-dependent set-up once; a
-    sample makes one call per horizon segment, bitwise equal to stepping
-    one call at a time.
+    PhysicsConfig holds the constants, DataConfig the dataset's choices;
+    the point sources Q are drawn per sample and passed to each
+    integrator call. One call advances many steps under fixed winds,
+    doing the wind-dependent set-up once; a sample makes one call per
+    horizon segment, bitwise equal to stepping one call at a time.
 
 Forecast horizons are nominal labels: `hours_per_step` hours of label time
 correspond to one model step of `substeps` integrator steps, so horizon
@@ -36,8 +36,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import INPUT_CHANNELS, TARGET_CHANNELS, TEMPORAL_CHANNELS, PhysicsConfig, read_lines
-from .errors import ConfigError, DataError, FormatError, ShapeError, StabilityError
+from .config import INPUT_CHANNELS, TARGET_CHANNELS, TEMPORAL_CHANNELS, read_lines
+from .config import DataConfig, PhysicsConfig
+from .errors import DataError, FormatError, ShapeError, StabilityError
 from .fields import (
     Field,
     GridSpec,
@@ -54,7 +55,6 @@ SAMPLE_STREAM = 1          # SeedSequence lane for per-sample draws
 TERRAIN_STREAM = 0         # SeedSequence lane for terrain/wind synthesis
 
 INPUT_UNITS = ("m/s", "m/s", "ug/m3", "", "", "m") + ("",) * 4
-ARCHETYPES = ("flat", "ridge", "basin", "basin_ridge")
 TERRAIN_COUPLING = 1.6     # streamfunction weight of the contour-following term
 NOISE_COUPLING = 0.35      # streamfunction weight of the smooth random term
 
@@ -153,20 +153,14 @@ def synth_wind(
 
 
 def gen_terrain(
-    spec: GridSpec,
-    seed: int,
-    archetype: str = "basin_ridge",
-    base_speed: float = 2.0,
-    max_speed: float = 6.0,
+    spec: GridSpec, seed: int, data: DataConfig, physics: PhysicsConfig
 ) -> TerrainWind:
     """Deterministic terrain + reference wind (at a random bearing) for one dataset."""
-    if archetype not in ARCHETYPES:
-        raise ConfigError(f"unknown archetype {archetype!r}; pick from {ARCHETYPES}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), TERRAIN_STREAM]))
-    elev = _elevation(spec, archetype, rng)
+    elev = _elevation(spec, data.archetype, rng)
     bearing = float(rng.uniform(0.0, 2.0 * math.pi))
-    u, v = synth_wind(elev, 2000.0, bearing, base_speed, rng, max_speed)
-    return TerrainWind(elev, u, v, base_speed)
+    u, v = synth_wind(elev, physics.dx, bearing, data.base_speed, rng, physics.max_wind)
+    return TerrainWind(elev, u, v, data.base_speed)
 
 
 def study_mask(spec: GridSpec) -> LandMask:
@@ -355,44 +349,32 @@ def _sample_sources(spec: GridSpec, rng: np.random.Generator) -> tuple:
 
 def make_sample(
     index: int,
-    root_seed: int,
+    seed: int,
     spec: GridSpec,
     tw: TerrainWind,
-    cfg: PhysicsConfig,
-    horizons: tuple[int, ...],
-    wind_mode: str,
-    source_mode: str,
-    init_mode: str,
+    physics: PhysicsConfig,
+    data: DataConfig,
 ) -> Sample:
     """Generate one sample from its own seed stream (order-independent)."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(root_seed), SAMPLE_STREAM, index]))
-    if wind_mode == "rotate":
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), SAMPLE_STREAM, index]))
+    if data.wind_mode == "rotate":
         bearing = float(rng.uniform(0.0, 2.0 * math.pi))
         speed = tw.base_speed * float(rng.uniform(0.7, 1.3))
-        u, v = synth_wind(tw.elevation, cfg.dx, bearing, speed, rng, cfg.max_wind)
-    elif wind_mode == "fixed":
+        u, v = synth_wind(tw.elevation, physics.dx, bearing, speed, rng, physics.max_wind)
+    else:
         u, v = tw.u, tw.v
-    else:
-        raise ConfigError(f"unknown wind mode {wind_mode!r}")
-    _check_cfl(u, v, cfg)
-    if source_mode == "random":
-        sources = _sample_sources(spec, rng)
-    elif source_mode == "none":
-        sources = ()
-    else:
-        raise ConfigError(f"unknown source mode {source_mode!r}")
-    if init_mode not in ("blobs", "textured"):
-        raise ConfigError(f"unknown init mode {init_mode!r}")
-    c0 = _initial_blobs(spec, rng, textured=init_mode == "textured")
+    _check_cfl(u, v, physics)
+    sources = _sample_sources(spec, rng) if data.source_mode == "random" else ()
+    c0 = _initial_blobs(spec, rng, textured=data.init_mode == "textured")
     hour = int(rng.integers(0, 24))
     doy = int(rng.integers(1, 366))
 
     snapshots = []
     c = c0
     done = 0
-    for h in horizons:
-        target = cfg.steps_for_hours(h)
-        c = _step_array(c, u, v, cfg, sources, steps=target - done)
+    for h in data.horizons:
+        target = physics.steps_for_hours(h)
+        c = _step_array(c, u, v, physics, sources, steps=target - done)
         done = target
         snapshots.append(c)
 
@@ -406,30 +388,14 @@ def make_sample(
     targets = tuple(
         Field(spec, TARGET_CHANNELS, s[None].astype(np.float32), ("ug/m3",)) for s in snapshots
     )
-    return Sample(inp, targets, tuple(horizons), hour, doy)
+    return Sample(inp, targets, data.horizons, hour, doy)
 
 
 def make_dataset(
-    spec: GridSpec,
-    tw: TerrainWind,
-    cfg: PhysicsConfig,
-    horizons: tuple[int, ...],
-    count: int,
-    seed: int,
-    wind_mode: str = "rotate",
-    source_mode: str = "random",
-    init_mode: str = "textured",
+    spec: GridSpec, tw: TerrainWind, physics: PhysicsConfig, data: DataConfig, seed: int
 ) -> list[Sample]:
-    """Generate `count` labeled samples; same seed always yields the same list."""
-    if count < 0:
-        raise ConfigError("count must be >= 0")
-    return [
-        make_sample(
-            i, seed, spec, tw, cfg, tuple(horizons),
-            wind_mode=wind_mode, source_mode=source_mode, init_mode=init_mode,
-        )
-        for i in range(count)
-    ]
+    """Generate `data.count` labeled samples; same seed always yields the same list."""
+    return [make_sample(i, seed, spec, tw, physics, data) for i in range(data.count)]
 
 
 def norm_kinds() -> dict[str, str]:
@@ -514,15 +480,26 @@ def write_dataset(
     write_atomic(out / "manifest.txt", "".join(lines).encode("utf-8"))
 
 
+def _read_sample_grid(root: Path, rel: str, channels: tuple[str, ...], where: str) -> Field:
+    """A sample's `.gfd` file, which must hold `channels` in that order."""
+    grid = read_grid(root / rel)
+    got = grid.channels if isinstance(grid, Field) else "a mask"
+    if got != channels:
+        raise DataError(f"{where}: {rel} holds {got}, expected channels {channels}")
+    return grid
+
+
 def read_dataset(in_dir) -> DatasetBundle:
     """Load a dataset directory written by :func:`write_dataset`; a manifest
     with other than `count=` sample rows (a cut file), a header without a
     numeric `base_speed=`, a row whose hours differ from the first row's,
     a row that does not make a valid `Sample` (as many targets as hours,
-    increasing hours, hour and day in range), a sample or mask on another
-    grid than `terrain.gfd`'s or a missing file raises DataError, and a
-    row that is not UTF-8 or integer hours, or a `stats.txt` without an
-    entry for an input or target channel, FormatError."""
+    increasing hours, hour and day in range), an input whose channels are
+    not `INPUT_CHANNELS` in order or a target's not `TARGET_CHANNELS`, a
+    sample or mask on another grid than `terrain.gfd`'s or a missing file
+    raises DataError, and a row that is not UTF-8 or integer hours, or a
+    `stats.txt` without an entry for an input or target channel,
+    FormatError."""
     root = Path(in_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -564,10 +541,13 @@ def read_dataset(in_dir) -> DatasetBundle:
                 f"{manifest}:{ln}: hours {hours_s} differ from the first row's "
                 f"{','.join(map(str, horizons))}"
             )
-        inp = read_grid(root / in_rel)
+        where = f"{manifest}:{ln}"
+        inp = _read_sample_grid(root, in_rel, INPUT_CHANNELS, where)
         if inp.spec != spec:
-            raise DataError(f"{manifest}:{ln}: {in_rel} is on {inp.spec}, terrain.gfd on {spec}")
-        targets = tuple(read_grid(root / rel) for rel in target_rels.split(","))
+            raise DataError(f"{where}: {in_rel} is on {inp.spec}, terrain.gfd on {spec}")
+        targets = tuple(
+            _read_sample_grid(root, rel, TARGET_CHANNELS, where) for rel in target_rels.split(",")
+        )
         try:
             samples.append(Sample(inp, targets, horizons, hour, doy))
         except DataError as err:   # ShapeError included

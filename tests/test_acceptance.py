@@ -25,6 +25,7 @@ import pytest
 
 from topoflow import attention, autodiff as ad, evalkit, model, reorder, synthdata, topo_bias, train
 from topoflow.cli import main as cli_main
+from topoflow.config import DataConfig
 from topoflow.fields import GridSpec, LandMask, NormStats, read_grid
 from topoflow.model import ModelConfig, forward, init_params, patchify
 from topoflow.train import TrainConfig
@@ -250,10 +251,10 @@ def test_criterion_6_physics_suite():
         )
         pcfg = synthdata.PhysicsConfig(kappa=40.0, dt=150.0, dx=2000.0, sink=6.7e-5,
                                        max_wind=6.0, substeps=96)
-        samples = synthdata.make_dataset(
-            spec, tw, pcfg, (12,), 36, seed=seed, wind_mode="fixed", source_mode="random",
-            init_mode="blobs",
+        data = DataConfig(
+            count=36, horizons=(12,), wind_mode="fixed", source_mode="random", init_mode="blobs"
         )
+        samples = synthdata.make_dataset(spec, tw, pcfg, data, seed=seed)
         fit = oracles.fit_covariance_decay(samples, tw, pcfg)
         wins += fit.along_decay > fit.cross_decay
     assert wins >= 9, f"only {wins}/10 seeds anisotropic"

@@ -13,6 +13,7 @@ import pytest
 
 from topoflow import synthdata
 from topoflow.cli import DEFAULTS, build_parser, main
+from topoflow.config import DataConfig
 from topoflow.fields import GridSpec, NormStats, read_grid
 
 
@@ -274,7 +275,8 @@ def test_dump_perm_uniform_east_wind(tmp_path, config_path):
         np.zeros(shape), np.ones(shape), np.zeros(shape), base_speed=1.0
     )
     cfg = synthdata.PhysicsConfig(substeps=1)
-    samples = synthdata.make_dataset(spec, tw, cfg, (12,), 2, seed=0, wind_mode="fixed")
+    fixed = DataConfig(count=2, horizons=(12,), wind_mode="fixed")
+    samples = synthdata.make_dataset(spec, tw, cfg, fixed, seed=0)
     stats = NormStats.fit([s.input for s in samples], synthdata.norm_kinds())
     data = tmp_path / "east"
     synthdata.write_dataset(data, samples, tw, synthdata.study_mask(spec), stats, seed=0)
@@ -471,6 +473,8 @@ BROKEN_INPUTS = (
     "stats.txt without a channel",
     "sample on another grid",
     "mask on another grid",
+    "input channels out of order",
+    "target channel renamed",
 )
 
 
@@ -610,6 +614,15 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
         for rel in moved:
             (dataset / rel).write_bytes((wide / rel).read_bytes())
         argv = ["train", *common, *out]
+    elif case == "input channels out of order":
+        # the names of u and v swapped, their lengths and the data kept
+        rewrite(dataset / "samples" / "000001.in.gfd",
+                b"\x01\x00u\x03\x00m/s\x01\x00v", b"\x01\x00v\x03\x00m/s\x01\x00u")
+        argv, named = ["train", *common, *out], "manifest.txt:3: samples/000001.in.gfd holds"
+    elif case == "target channel renamed":
+        rewrite(dataset / "samples" / "000001.h024.gfd",
+                b"\x01\x00c\x05\x00", b"\x01\x00x\x05\x00")
+        argv, named = ["train", *common, *out], "manifest.txt:3: samples/000001.h024.gfd holds"
     elif case == "config file is a directory":
         (tmp_path / "cfgdir").mkdir()
         argv, named, code = ["gen", "--config", str(tmp_path / "cfgdir"), *out], "cfgdir", 2
@@ -654,6 +667,25 @@ def test_manifest_row_that_makes_no_sample_names_its_line(fault, tmp_path, confi
     assert len(lines) == 1 and f"manifest.txt:{ln}: {message}" in lines[0], err
     assert "Traceback" not in err
 
+
+@pytest.mark.parametrize("key, text", [
+    ("data.horizons", ""),
+    ("data.horizons", "24,12"),
+    ("data.horizons", "12,12"),
+    ("data.count", "0"),
+    ("data.archetype", "volcano"),
+    ("data.wind_mode", "gusty"),
+])
+def test_gen_refuses_bad_data_config_before_writing(key, text, tmp_path, capsys):
+    cfg = write_config(tmp_path / "bad.cfg", **{key: text})
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("gen", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err, err
+    assert not out.exists()
+
+
 def test_dump_perm_lists_sample_zero_order(tmp_path, config_path, dataset):
     # under the default rotating wind each sample has its own wind, and the
     # listing is the order the model gives sample 0
@@ -681,10 +713,11 @@ def test_loaded_dataset_regenerates_its_samples(dataset, config_path):
     cfg = cli.resolve_config(argparse.Namespace(config=str(config_path)))
     bundle = synthdata.read_dataset(dataset)
     assert bundle.terrain.base_speed == float(cfg["data.base_speed"])
+    data = cli.build_data(cfg)
+    assert data.horizons == bundle.horizons
     for i, stored in enumerate(bundle.samples):
         again = synthdata.make_sample(
-            i, 0, bundle.spec, bundle.terrain, cli.build_physics(cfg), bundle.horizons,
-            cfg["data.wind_mode"], cfg["data.source_mode"], cfg["data.init_mode"],
+            i, 0, bundle.spec, bundle.terrain, cli.build_physics(cfg), data
         )
         for name in ("u", "v"):
             np.testing.assert_allclose(

@@ -7,14 +7,20 @@ from pathlib import Path
 import pytest
 
 from topoflow import cli
-from topoflow.config import decode, value
+from topoflow.config import DataConfig, decode, value
 from topoflow.errors import ConfigError
 from topoflow.fields import GridSpec
 from topoflow.model import ModelConfig
 from topoflow.synthdata import PhysicsConfig
 from topoflow.train import TrainConfig
 
-SECTIONS = {"grid": GridSpec, "physics": PhysicsConfig, "model": ModelConfig, "train": TrainConfig}
+SECTIONS = {
+    "grid": GridSpec,
+    "physics": PhysicsConfig,
+    "data": DataConfig,
+    "model": ModelConfig,
+    "train": TrainConfig,
+}
 
 
 def test_defaults_keys_name_dataclass_fields():
@@ -24,7 +30,10 @@ def test_defaults_keys_name_dataclass_fields():
             assert name in {f.name for f in dataclasses.fields(SECTIONS[section])}, key
     assert cli.build_grid(cli.DEFAULTS) == GridSpec(32, 64, 2, 8, 8)
     assert cli.build_physics(cli.DEFAULTS) == PhysicsConfig()
-    assert cli.build_model_config(cli.DEFAULTS) == ModelConfig(GridSpec(32, 64, 2, 8, 8))
+    data = cli.build_data(cli.DEFAULTS)
+    assert data == DataConfig()
+    model = cli.build_model_config(cli.DEFAULTS, cli.build_grid(cli.DEFAULTS), len(data.horizons))
+    assert model == ModelConfig(GridSpec(32, 64, 2, 8, 8))
     assert cli.build_train_config(cli.DEFAULTS) == TrainConfig()
     assert cli.build_train_config(cli.DEFAULTS).total_steps == 600
 

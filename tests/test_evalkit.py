@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from topoflow import evalkit, model, synthdata
+from topoflow.config import DataConfig
 from topoflow.errors import DataError, FitError, MaskError
 from topoflow.fields import GridSpec, LandMask, NormStats
 from topoflow.model import ModelConfig, init_params
@@ -14,9 +15,9 @@ SPEC = GridSpec(8, 16, 2, 4, 2)
 
 @pytest.fixture(scope="module")
 def bundle():
-    tw = synthdata.gen_terrain(SPEC, seed=1, archetype="basin_ridge")
+    tw = synthdata.gen_terrain(SPEC, 1, DataConfig(), synthdata.PhysicsConfig())
     cfg = synthdata.PhysicsConfig(substeps=2)
-    samples = synthdata.make_dataset(SPEC, tw, cfg, (12, 24), 8, seed=2)
+    samples = synthdata.make_dataset(SPEC, tw, cfg, DataConfig(count=8, horizons=(12, 24)), seed=2)
     stats = NormStats.fit([s.input for s in samples], synthdata.norm_kinds())
     mask = synthdata.study_mask(SPEC)
     return synthdata.DatasetBundle(SPEC, tuple(samples), tw, mask, stats, (12, 24))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from topoflow import synthdata
+from topoflow.config import DataConfig
 from topoflow.errors import ConfigError, DataError, FitError, StabilityError
 from topoflow.fields import GridSpec, NormStats
 from topoflow.synthdata import PhysicsConfig, TerrainWind
@@ -34,31 +35,31 @@ def quiet_config(**over):
 # -- terrain ------------------------------------------------------------------
 
 def test_flat_terrain_is_exactly_zero():
-    tw = synthdata.gen_terrain(SPEC, seed=1, archetype="flat")
+    tw = synthdata.gen_terrain(SPEC, 1, DataConfig(archetype="flat"), PhysicsConfig())
     assert np.all(tw.elevation == 0.0)
 
 
 def test_terrain_determinism_bitwise():
-    a = synthdata.gen_terrain(SPEC, seed=7, archetype="basin_ridge")
-    b = synthdata.gen_terrain(SPEC, seed=7, archetype="basin_ridge")
+    a = synthdata.gen_terrain(SPEC, 7, DataConfig(), PhysicsConfig())
+    b = synthdata.gen_terrain(SPEC, 7, DataConfig(), PhysicsConfig())
     assert a.elevation.tobytes() == b.elevation.tobytes()
     assert a.u.tobytes() == b.u.tobytes() and a.v.tobytes() == b.v.tobytes()
-    c = synthdata.gen_terrain(SPEC, seed=8, archetype="basin_ridge")
+    c = synthdata.gen_terrain(SPEC, 8, DataConfig(), PhysicsConfig())
     assert a.elevation.tobytes() != c.elevation.tobytes()
 
 
 def test_basin_interior_below_rim():
-    tw = synthdata.gen_terrain(SPEC, seed=3, archetype="basin")
+    tw = synthdata.gen_terrain(SPEC, 3, DataConfig(archetype="basin"), PhysicsConfig())
     h, w = SPEC.height, SPEC.width
     interior = tw.elevation[h // 2 - 2 : h // 2 + 2, w // 2 - 2 : w // 2 + 2]
     assert interior.min() < tw.elevation.max() * 0.5
 
 
 def test_wind_bounded_and_unknown_archetype():
-    tw = synthdata.gen_terrain(SPEC, seed=4, archetype="ridge", max_speed=5.0)
+    tw = synthdata.gen_terrain(SPEC, 4, DataConfig(archetype="ridge"), PhysicsConfig(max_wind=5.0))
     assert np.hypot(tw.u, tw.v).max() <= 5.0 + 1e-9
-    with pytest.raises(ConfigError):
-        synthdata.gen_terrain(SPEC, seed=4, archetype="volcano")
+    with pytest.raises(ConfigError, match="archetype"):
+        DataConfig(archetype="volcano")
 
 
 def test_study_mask_fraction():
@@ -296,11 +297,12 @@ def test_tiny_dataset_pinned_crc32():
     initial fields and winds, so a numpy whose kernels round differently
     moves them without any change here.
     """
-    tw = synthdata.gen_terrain(SPEC, seed=5, archetype="basin_ridge")
+    tw = synthdata.gen_terrain(SPEC, 5, DataConfig(), PhysicsConfig())
+    data = DataConfig(count=3, horizons=(12, 24), init_mode="blobs")
     for boundary, pinned in (("periodic", "1228dc9c"), ("clamped", "0c0d7abb")):
         cfg = PhysicsConfig(boundary=boundary)
         crc = 0
-        for s in synthdata.make_dataset(SPEC, tw, cfg, (12, 24), 3, seed=9, init_mode="blobs"):
+        for s in synthdata.make_dataset(SPEC, tw, cfg, data, seed=9):
             for f in (s.input,) + s.targets:
                 crc = zlib.crc32(f.data.tobytes(), crc)
         assert f"{crc:08x}" == pinned, boundary
@@ -309,36 +311,38 @@ def test_tiny_dataset_pinned_crc32():
 # -- datasets -----------------------------------------------------------------------
 
 def test_make_dataset_count_zero():
-    tw = uniform_terrain(SPEC)
-    assert synthdata.make_dataset(SPEC, tw, quiet_config(), (12,), 0, seed=0) == []
+    # a dataset of no samples is refused when its config is built
+    with pytest.raises(ConfigError, match="data.count"):
+        DataConfig(count=0)
 
 
 def test_zero_dynamics_target_equals_input():
     tw = uniform_terrain(SPEC, 0.0, 0.0)
     cfg = quiet_config()
-    (s,) = synthdata.make_dataset(
-        SPEC, tw, cfg, (12,), 1, seed=5, wind_mode="fixed", source_mode="none"
-    )
+    data = DataConfig(count=1, horizons=(12,), wind_mode="fixed", source_mode="none")
+    (s,) = synthdata.make_dataset(SPEC, tw, cfg, data, seed=5)
     np.testing.assert_array_equal(s.targets[0].channel("c"), s.input.channel("c"))
 
 
 def test_dataset_determinism():
-    tw = synthdata.gen_terrain(SPEC, seed=11, archetype="basin_ridge")
+    tw = synthdata.gen_terrain(SPEC, 11, DataConfig(), PhysicsConfig())
     cfg = PhysicsConfig(substeps=2)
-    a = synthdata.make_dataset(SPEC, tw, cfg, (12, 24), 3, seed=42)
-    b = synthdata.make_dataset(SPEC, tw, cfg, (12, 24), 3, seed=42)
+    data = DataConfig(count=3, horizons=(12, 24))
+    a = synthdata.make_dataset(SPEC, tw, cfg, data, seed=42)
+    b = synthdata.make_dataset(SPEC, tw, cfg, data, seed=42)
     for sa, sb in zip(a, b):
         assert sa.input.data.tobytes() == sb.input.data.tobytes()
         for ta, tb in zip(sa.targets, sb.targets):
             assert ta.data.tobytes() == tb.data.tobytes()
-    c = synthdata.make_dataset(SPEC, tw, cfg, (12, 24), 3, seed=43)
+    c = synthdata.make_dataset(SPEC, tw, cfg, data, seed=43)
     assert a[0].input.data.tobytes() != c[0].input.data.tobytes()
 
 
 def test_sample_channels_and_winds_vary_when_rotating():
-    tw = synthdata.gen_terrain(SPEC, seed=11, archetype="ridge")
+    tw = synthdata.gen_terrain(SPEC, 11, DataConfig(archetype="ridge"), PhysicsConfig())
     cfg = PhysicsConfig(substeps=1)
-    samples = synthdata.make_dataset(SPEC, tw, cfg, (12,), 2, seed=1, wind_mode="rotate")
+    data = DataConfig(count=2, horizons=(12,), wind_mode="rotate")
+    samples = synthdata.make_dataset(SPEC, tw, cfg, data, seed=1)
     assert samples[0].input.channels == synthdata.INPUT_CHANNELS
     u0 = samples[0].input.channel("u")
     u1 = samples[1].input.channel("u")
@@ -355,9 +359,10 @@ def test_norm_kinds_cover_all_channels():
 
 def small_dataset(count, seed=9, horizons=(12, 24)):
     """(samples, terrain, mask, stats): the arguments of `write_dataset`."""
-    tw = synthdata.gen_terrain(SPEC, seed=2, archetype="basin")
+    tw = synthdata.gen_terrain(SPEC, 2, DataConfig(archetype="basin"), PhysicsConfig())
     cfg = PhysicsConfig(substeps=1)
-    samples = synthdata.make_dataset(SPEC, tw, cfg, horizons, count, seed=seed)
+    data = DataConfig(count=count, horizons=horizons)
+    samples = synthdata.make_dataset(SPEC, tw, cfg, data, seed=seed)
     stats = NormStats.fit([s.input for s in samples], synthdata.norm_kinds())
     return samples, tw, synthdata.study_mask(SPEC), stats
 
@@ -468,10 +473,10 @@ def plume_samples(seed, u=2.0, v=0.0, count=40):
     cfg = PhysicsConfig(
         kappa=40.0, dt=150.0, dx=2000.0, sink=6.7e-5, max_wind=6.0, substeps=96
     )
-    samples = synthdata.make_dataset(
-        spec, tw, cfg, (12,), count, seed=seed, wind_mode="fixed", source_mode="random",
-        init_mode="blobs",
+    data = DataConfig(
+        count=count, horizons=(12,), wind_mode="fixed", source_mode="random", init_mode="blobs"
     )
+    samples = synthdata.make_dataset(spec, tw, cfg, data, seed=seed)
     return samples, tw, cfg
 
 
@@ -479,10 +484,10 @@ def test_isotropic_fields_have_comparable_decay():
     spec = GridSpec(32, 64, 2, 8, 8)
     tw = uniform_terrain(spec, 2.0, 1.0)
     cfg = quiet_config()
-    samples = synthdata.make_dataset(
-        spec, tw, cfg, (12,), 40, seed=3, wind_mode="fixed", source_mode="none",
-        init_mode="blobs",
+    data = DataConfig(
+        count=40, horizons=(12,), wind_mode="fixed", source_mode="none", init_mode="blobs"
     )
+    samples = synthdata.make_dataset(spec, tw, cfg, data, seed=3)
     # zero dynamics: targets are the isotropic initial blobs
     fit = oracles.fit_covariance_decay(samples, tw, cfg)
     ratio = fit.along_decay / fit.cross_decay
@@ -509,7 +514,9 @@ def test_covariance_fit_needs_samples_and_variance():
     spec = GridSpec(32, 64, 2, 8, 8)
     tw = uniform_terrain(spec)
     cfg = quiet_config()
-    few = synthdata.make_dataset(spec, tw, cfg, (12,), 4, seed=0, source_mode="none")
+    few = synthdata.make_dataset(
+        spec, tw, cfg, DataConfig(count=4, horizons=(12,), source_mode="none"), seed=0
+    )
     with pytest.raises(ConfigError):
         oracles.fit_covariance_decay(few, tw)
     flat = [
@@ -518,7 +525,9 @@ def test_covariance_fit_needs_samples_and_variance():
             input=s.input,
             targets=(s.targets[0].with_data(np.zeros_like(s.targets[0].data)),),
         )
-        for s in synthdata.make_dataset(spec, tw, cfg, (12,), 32, seed=0, source_mode="none")
+        for s in synthdata.make_dataset(
+            spec, tw, cfg, DataConfig(count=32, horizons=(12,), source_mode="none"), seed=0
+        )
     ]
     with pytest.raises(FitError):
         oracles.fit_covariance_decay(flat, tw)

@@ -11,6 +11,7 @@ import pytest
 from topoflow import autodiff as ad
 from topoflow import model, synthdata, train
 from topoflow.cli import ABLATION_VARIANTS
+from topoflow.config import DataConfig
 from topoflow.errors import ConfigError, NumericError
 from topoflow.fields import GridSpec, LandMask, NormStats
 from topoflow.model import ModelConfig, init_params, patchify
@@ -22,9 +23,10 @@ SPEC = GridSpec(8, 16, 2, 4, 2)
 
 @pytest.fixture(scope="module")
 def bundle(tmp_path_factory):
-    tw = synthdata.gen_terrain(SPEC, seed=3, archetype="basin_ridge")
+    tw = synthdata.gen_terrain(SPEC, 3, DataConfig(), synthdata.PhysicsConfig())
     cfg = synthdata.PhysicsConfig(substeps=2)
-    samples = synthdata.make_dataset(SPEC, tw, cfg, (12, 24), 24, seed=7, init_mode="blobs")
+    data = DataConfig(count=24, horizons=(12, 24), init_mode="blobs")
+    samples = synthdata.make_dataset(SPEC, tw, cfg, data, seed=7)
     stats = NormStats.fit([s.input for s in samples], synthdata.norm_kinds())
     mask = synthdata.study_mask(SPEC)
     return synthdata.DatasetBundle(SPEC, tuple(samples), tw, mask, stats, (12, 24))
