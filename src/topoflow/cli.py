@@ -121,11 +121,12 @@ def cmd_gen(cfg: dict[str, str]) -> int:
     spec = build_grid(cfg)
     physics = build_physics(cfg)
     data = build_data(cfg)
+    val_fraction = build_train_config(cfg).val_fraction
     seed = value(cfg, "seed", int)
     tw = synthdata.gen_terrain(spec, seed, data, physics)
     samples = synthdata.make_dataset(spec, tw, physics, data, seed)
     # stats come from the training split only
-    train_idx, _ = train.split_indices(len(samples), build_train_config(cfg).val_fraction)
+    train_idx, _ = train.split_indices(len(samples), val_fraction)
     train_inputs = [samples[i].input for i in train_idx] or [samples[0].input]
     stats = NormStats.fit(train_inputs, synthdata.norm_kinds())
     mask = synthdata.study_mask(spec)

@@ -14,6 +14,7 @@ field without a default, raise ConfigError naming the key.
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 import typing
 from dataclasses import dataclass
@@ -151,6 +152,8 @@ class DataConfig:
                 raise ConfigError(f"unknown data.{name} {given!r}; pick from {allowed}")
         if self.count < 1:
             raise ConfigError(f"data.count = {self.count} < 1")
+        if not (math.isfinite(self.base_speed) and self.base_speed >= 0.0):
+            raise ConfigError(f"data.base_speed = {self.base_speed} is not a finite speed >= 0")
         h = self.horizons
         if not h or h[0] <= 0 or any(b <= a for a, b in zip(h, h[1:])):
             raise ConfigError(f"data.horizons must be positive and strictly increasing, got {h}")
@@ -226,11 +229,12 @@ class TrainConfig:
             )
         for name in ("lr_base", "lr_embed", "lr_head", "lr_backbone"):
             if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
-        if self.batch_size < 1 or self.val_interval < 1:
-            raise ConfigError("batch_size and val_interval must be >= 1")
+                raise ConfigError(f"train.{name} = {getattr(self, name)} <= 0")
+        for name in ("batch_size", "val_interval"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"train.{name} = {getattr(self, name)} < 1")
         if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigError("val_fraction must be in (0, 1)")
+            raise ConfigError(f"train.val_fraction = {self.val_fraction} is outside (0, 1)")
 
 _EXPECTED = {bool: "true or false", int: "an integer", float: "a number"}
 

@@ -183,12 +183,13 @@ def predict_grids(
     """Normalized prediction grids for every sample, plus optional attention.
 
     Returns (preds, attention) with preds shaped (S, n_horizons*v_out, H, W)
-    and attention a list of head-averaged matrices from the final layer in
-    raster (unshuffled) token order. Each batch's inputs are prepared on
-    their own, so the predictions are the only array that spans the
-    dataset. The forwards build no autodiff tape, so `model.forward` runs
-    each batch sample by sample and memory does not grow with `batch`;
-    each batch is still one `forward` call.
+    and attention a list of head-averaged matrices from the final layer,
+    one per sample, in raster token order as `model.forward` returns
+    them. Each batch's inputs are prepared on their own, so the
+    predictions are the only array that spans the dataset. The forwards
+    build no autodiff tape, so `model.forward` runs each batch sample by
+    sample and memory does not grow with `batch`; each batch is still one
+    `forward` call.
     """
     preds = None
     attn: list[np.ndarray] = []
@@ -209,10 +210,7 @@ def predict_grids(
             preds = np.empty((len(bundle.samples),) + grid.shape[1:], dtype=grid.dtype)
         preds[rows] = grid
         if collect_attention and res.attention:
-            last = res.attention[-1]
-            for b, perm in enumerate(res.perms):
-                inv = perm.inverse
-                attn.append(last[b][np.ix_(inv, inv)])
+            attn.extend(res.attention[-1])
     return preds, attn
 
 

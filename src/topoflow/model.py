@@ -6,13 +6,14 @@ the positional vectors (per patch, so they ride along with the shuffle),
 run L pre-norm transformer layers whose attention logits carry a shared
 relative slot-offset table plus the terrain penalty (both permuted or
 indexed so entries always refer to the right pair), and decode with a
-two-layer head that emits every horizon at once. `forward` returns the
-predictions as tokens in slot order, with each sample's permutation;
-`ForwardResult.to_grid` undoes the permutation, so predictions land on
-their original patches. The input and output channels are fixed by the
-data format (`config.INPUT_CHANNELS` in, one `config.TARGET_CHANNELS`
-set per horizon out), so they are properties of ModelConfig rather than
-settings.
+two-layer head that emits every horizon at once. The last step of
+`forward` undoes each sample's reorder (`reorder.unapply`, one tape node),
+so its tokens and attention maps are in raster patch order and no caller
+needs the slot orders: `ForwardResult.to_grid` is a plain unpatchify, and
+the loss compares raster targets under the raster mask. The input and
+output channels are fixed by the data format (`config.INPUT_CHANNELS`
+in, one `config.TARGET_CHANNELS` set per horizon out), so they are
+properties of ModelConfig rather than settings.
 
 Because the positional vectors follow their patches and the relative
 table starts at zero, freshly initialized networks compute the exact same
@@ -26,8 +27,9 @@ minus the two mechanisms. `wind_reorder` chooses the slot orders, read in
 identity default and missing-perms guard; `elev_bias` chooses whether the
 terrain penalty table exists, read in `_attention_tables`. Below those
 places the tokens, the positional vectors and the penalty are always
-gathered through the orders, and an identity gather is a copy, so the
-baseline is the wind variant under identity slot orders bit for bit.
+gathered through the orders and the head output is put back in raster
+order; an identity gather is a copy, so the baseline is the wind variant
+under identity slot orders bit for bit.
 """
 
 from __future__ import annotations
@@ -213,20 +215,16 @@ def unpatchify(tokens: np.ndarray, spec: GridSpec, n_channels: int) -> np.ndarra
 
 @dataclass
 class ForwardResult:
-    """Predictions in slot order plus what is needed to undo the shuffle."""
+    """Predictions in raster patch order, and the attention maps if asked."""
 
-    tokens: ad.Tensor                          # (B, N, out_dim), slot order
-    perms: list[reorder.SectorPermutation]     # one per sample
+    tokens: ad.Tensor                          # (B, N, out_dim), raster order
     config: ModelConfig
     attention: list[np.ndarray] = dc_field(default_factory=list)
 
     def to_grid(self) -> np.ndarray:
-        """(B, n_horizons*v_out, H, W), inverse-permuted to raster order."""
-        pred = self.tokens.data
-        out = np.empty_like(pred)
-        for b, perm in enumerate(self.perms):
-            out[b] = reorder.unapply(perm, pred[b])
-        return unpatchify(out, self.config.spec, self.config.n_horizons * self.config.v_out)
+        """(B, n_horizons*v_out, H, W) prediction grids."""
+        return unpatchify(self.tokens.data, self.config.spec,
+                          self.config.n_horizons * self.config.v_out)
 
 
 def _layer_attention_params(params: ParamStore, i: int, heads: int) -> AttentionParams:
@@ -258,6 +256,10 @@ def forward(
     `train.prepare_arrays` does), since the z-scored wind channels of
     `inputs` point elsewhere.
 
+    The slot orders stay inside: the returned tokens, and with
+    `collect_attention` every layer's head-averaged (B, N, N) map, are in
+    raster patch order, so token i is patch i for every variant.
+
     A forward that records no tape (`train` off under `autodiff.no_grad`)
     runs the network one sample at a time, so its memory does not grow
     with the batch; the outputs and attention maps are bitwise those of
@@ -278,7 +280,6 @@ def forward(
         perms = [reorder.SectorPermutation.identity(spec)] * arr.shape[0]
     elif perms is None:
         raise ConfigError("wind_reorder enabled but no slot orders (perms) supplied")
-    orders = np.stack([p.forward for p in perms])  # (B, N) slot -> patch
 
     # shared by every sample: the relative slot-offset logits, the
     # per-patch positional vectors and the raster terrain penalty, whose
@@ -288,7 +289,7 @@ def forward(
 
     def run(rows: slice):
         return _forward_samples(
-            params, config, arr[rows], orders[rows], penalty, rel, pos,
+            params, config, arr[rows], perms[rows], penalty, rel, pos,
             train, rng, collect_attention,
         )
 
@@ -298,7 +299,7 @@ def forward(
         parts = [run(slice(i, i + 1)) for i in range(arr.shape[0])]
         out = ad.Tensor(np.concatenate([o.data for o, _ in parts]))
         attn_maps = [np.concatenate(maps) for maps in zip(*(m for _, m in parts))]
-    return ForwardResult(out, list(perms), config, attn_maps)
+    return ForwardResult(out, config, attn_maps)
 
 
 def _attention_tables(
@@ -323,7 +324,7 @@ def _forward_samples(
     params: ParamStore,
     config: ModelConfig,
     arr: np.ndarray,
-    orders: np.ndarray,
+    perms: list[reorder.SectorPermutation],
     penalty: ad.Tensor | None,
     rel: ad.Tensor,
     pos: ad.Tensor,
@@ -331,11 +332,12 @@ def _forward_samples(
     rng: np.random.Generator | None,
     collect_attention: bool,
 ) -> tuple[ad.Tensor, list[np.ndarray]]:
-    """Slot-order output tokens and per-layer attention maps of `forward`
-    for the samples `arr`, whose slot -> patch orders are `orders`;
-    `rel` and `penalty` are the keys x queries tables of
-    `_attention_tables`. Every variant runs these same operations; the
-    toggles chose the orders and the penalty."""
+    """Raster-order output tokens and per-layer attention maps of `forward`
+    for the samples `arr`, whose slot orders are `perms`; `rel` and
+    `penalty` are the keys x queries tables of `_attention_tables`. Every
+    variant runs these same operations; the toggles chose the orders and
+    the penalty."""
+    orders = np.stack([p.forward for p in perms])  # (B, N) slot -> patch
     tokens_np = patchify(arr, config.spec).astype(params["patch_embed.w"].dtype)
     tokens_np = np.take_along_axis(tokens_np, orders[..., None], axis=1)
 
@@ -358,7 +360,12 @@ def _forward_samples(
             weights=collect_attention, penalty=penalty, orders=orders,
         )
         if collect_attention:
-            attn_maps.append(weights.data.mean(axis=-3))
+            # head-averaged, then remapped by each sample's inverse so that
+            # entry (i, j) names raster patches i and j
+            maps = weights.data.mean(axis=-3)
+            attn_maps.append(np.stack(
+                [m[np.ix_(p.inverse, p.inverse)] for m, p in zip(maps, perms)]
+            ))
         x = x + drop(attended)
         normed = ad.layer_norm(x, params[f"layer{i}.ln2.g"], params[f"layer{i}.ln2.b"])
         hidden = ad.linear(normed, params[f"layer{i}.mlp.w1"], params[f"layer{i}.mlp.b1"])
@@ -372,7 +379,22 @@ def _forward_samples(
     out = ad.linear(hidden, params["head.w2"], params["head.b2"])
     if not np.isfinite(out.data).all():
         raise NumericError("non-finite activations in the prediction head")
-    return out, attn_maps
+    return _raster_tokens(out, perms, orders), attn_maps
+
+
+def _raster_tokens(
+    out: ad.Tensor, perms: list[reorder.SectorPermutation], orders: np.ndarray
+) -> ad.Tensor:
+    """(B, N, C) slot-order tokens in raster order, as one tape node: the
+    forward is `reorder.unapply` of each sample, the backward gathers the
+    gradient back into slot order through the (B, N) slot -> patch
+    `orders`, so gradients upstream keep their bits."""
+    raster = np.stack([reorder.unapply(p, t) for p, t in zip(perms, out.data)])
+
+    def vjp(g):
+        return (np.take_along_axis(g, orders[..., None], axis=1),)
+
+    return ad.Tensor._op(raster, (out,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -492,14 +492,14 @@ def _read_sample_grid(root: Path, rel: str, channels: tuple[str, ...], where: st
 def read_dataset(in_dir) -> DatasetBundle:
     """Load a dataset directory written by :func:`write_dataset`; a manifest
     with other than `count=` sample rows (a cut file), a header without a
-    numeric `base_speed=`, a row whose hours differ from the first row's,
-    a row that does not make a valid `Sample` (as many targets as hours,
-    increasing hours, hour and day in range), an input whose channels are
-    not `INPUT_CHANNELS` in order or a target's not `TARGET_CHANNELS`, a
-    sample or mask on another grid than `terrain.gfd`'s or a missing file
-    raises DataError, and a row that is not UTF-8 or integer hours, or a
-    `stats.txt` without an entry for an input or target channel,
-    FormatError."""
+    finite, non-negative `base_speed=`, a row whose hours differ from the
+    first row's, a row that does not make a valid `Sample` (as many targets
+    as hours, increasing hours, hour and day in range), an input whose
+    channels are not `INPUT_CHANNELS` in order or a target's not
+    `TARGET_CHANNELS`, a sample or mask on another grid than
+    `terrain.gfd`'s or a missing file raises DataError, and a row that is
+    not UTF-8 or integer hours, or a `stats.txt` without an entry for an
+    input or target channel, FormatError."""
     root = Path(in_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -561,6 +561,8 @@ def read_dataset(in_dir) -> DatasetBundle:
         base_speed = float(header["base_speed"])
     except (KeyError, ValueError):
         raise DataError(f"{manifest}:1: header needs a numeric base_speed=") from None
+    if not (math.isfinite(base_speed) and base_speed >= 0.0):
+        raise DataError(f"{manifest}:1: base_speed={base_speed} is not a finite speed >= 0")
     tw = TerrainWind(
         terrain_field.channel("elev").astype(np.float64),
         terrain_field.channel("u").astype(np.float64),

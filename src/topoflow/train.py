@@ -206,7 +206,7 @@ class TrainingArrays:
     """Dataset tensors, normalized and token-spaced once up front."""
 
     inputs: np.ndarray           # (S, C, H, W) float32, normalized
-    target_tokens: np.ndarray    # (S, N, out_dim) float32, normalized, slot order
+    target_tokens: np.ndarray    # (S, N, out_dim) float32, normalized, raster order
     mask_tokens: np.ndarray      # (N, out_dim) float32, raster order, one for all samples
     cell_count: float
     elev_patch: np.ndarray       # (N,) meters
@@ -236,9 +236,7 @@ def prepare_arrays(bundle: DatasetBundle, config: ModelConfig) -> TrainingArrays
             raise ShapeError(
                 f"dataset provides {grid.shape[0]} target channels, model expects {n_out}"
             )
-        # one gather into slot order serves both settings: an identity
-        # permutation gathers the raster order unchanged
-        np.take(patchify(grid, spec), perms[i].forward, axis=0, out=target_tokens[i])
+        target_tokens[i] = patchify(grid, spec)
     mask_tokens = np.tile(
         patchify(bundle.mask.mask[None].astype(np.float32), spec), (1, n_out)
     )
@@ -268,22 +266,20 @@ def _batch_loss(
     train: bool,
     rng: np.random.Generator | None,
 ) -> ad.Tensor:
-    perms = [arrays.perms[i] for i in idx]
     res = forward(
         store,
         config,
         arrays.inputs[idx],
         elev_patch_m=arrays.elev_patch,
-        perms=perms,
+        perms=[arrays.perms[i] for i in idx],
         train=train,
         rng=rng,
     )
-    # the one raster mask, gathered into each sample's slot order
-    orders = np.stack([p.forward for p in perms])
+    # the one raster mask broadcasts over the batch
     return _masked_mse_tokens(
         res.tokens,
         arrays.target_tokens[idx],
-        arrays.mask_tokens[orders],
+        arrays.mask_tokens,
         arrays.cell_count,
     )
 

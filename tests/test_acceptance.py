@@ -151,17 +151,15 @@ def test_criterion_4_full_model_gradient_check():
     maskgrid[:, 1:3, 1:7] = 1.0
     mask_tok = np.tile(patchify(maskgrid, spec), (1, config.n_horizons))[None]
     count = maskgrid.sum()
-    target_perm = np.stack([target[0][perms[0].forward]])
-    mask_perm = np.stack([mask_tok[0][perms[0].forward]])
 
     def loss_scalar():
         res = forward(store, config, x, elev, perms=perms)
-        diff = res.tokens.data - target_perm
-        return float((diff * diff * mask_perm).sum() / count)
+        diff = res.tokens.data - target
+        return float((diff * diff * mask_tok).sum() / count)
 
     res = forward(store, config, x, elev, perms=perms)
-    diff = res.tokens - ad.Tensor(target_perm)
-    ((diff * diff * ad.Tensor(mask_perm)).sum() * (1.0 / count)).backward()
+    diff = res.tokens - ad.Tensor(target)
+    ((diff * diff * ad.Tensor(mask_tok)).sum() * (1.0 / count)).backward()
 
     eps = 1e-5
     worst_by_group: dict[str, float] = {}

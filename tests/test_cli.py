@@ -466,6 +466,7 @@ BROKEN_INPUTS = (
     "resume loss_log row step not an integer",
     "resume loss_log not UTF-8",
     "manifest header without base_speed",
+    "manifest header base_speed not finite",
     "config file is a directory",
     "eval baseline sidecar without model.wind_reorder",
     "eval sidecar value not an integer",
@@ -578,6 +579,11 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
         rewrite(manifest, header, b" ".join(w for w in header.split()
                                             if not w.startswith(b"base_speed=")))
         argv, named = ["train", *common, *out], "base_speed"
+    elif case == "manifest header base_speed not finite":
+        header = manifest.read_bytes().splitlines()[0]
+        speed = next(w for w in header.split() if w.startswith(b"base_speed="))
+        rewrite(manifest, speed, b"base_speed=inf")
+        argv, named = ["train", *common, *out], "manifest.txt:1: base_speed=inf"
     elif case == "eval baseline sidecar without model.wind_reorder":
         # left out, the key would load at its default: the wind variant
         run_dir = tmp_path / "run"
@@ -675,10 +681,19 @@ def test_manifest_row_that_makes_no_sample_names_its_line(fault, tmp_path, confi
     ("data.count", "0"),
     ("data.archetype", "volcano"),
     ("data.wind_mode", "gusty"),
+    ("data.base_speed", "nan"),
+    ("data.base_speed", "-1"),
+    ("train.val_fraction", "1.5"),
 ])
-def test_gen_refuses_bad_data_config_before_writing(key, text, tmp_path, capsys):
+def test_gen_refuses_bad_data_config_before_writing(key, text, tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path / "bad.cfg", **{key: text})
     out = tmp_path / "out"
+
+    def no_terrain(*args, **kwargs):
+        raise AssertionError("terrain built before the config was checked")
+
+    # refused before any terrain is built or sample integrated
+    monkeypatch.setattr(synthdata, "gen_terrain", no_terrain)
     capsys.readouterr()
     assert run("gen", "--config", str(cfg), "--out", str(out)) == 2
     err = capsys.readouterr().err

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from topoflow import autodiff as ad, model, reorder, synthdata, topo_bias
-from topoflow.config import decode, encode
+from topoflow.config import DataConfig, decode, encode
 from topoflow.errors import ConfigError, FormatError, ShapeError
-from topoflow.fields import GridSpec
+from topoflow.fields import GridSpec, NormStats
 from topoflow.model import ModelConfig, forward, init_params, patchify, unpatchify
-from topoflow.train import TrainConfig
+from topoflow.train import TrainConfig, prepare_arrays
 
 
 def tiny_config(**over):
@@ -223,6 +223,46 @@ def test_terrain_penalty_follows_the_shuffle_at_init():
     assert np.abs(shuffled - base).max() < 1e-10
 
 
+def test_wind_forward_returns_raster_tokens_and_maps():
+    # with a zero relative table and no terrain penalty the shuffle is an
+    # equivalence, so in raster order the wind variant's tokens and every
+    # layer's attention map are the baseline's
+    config_on = tiny_config(spec=GridSpec(8, 16, 2, 4, 2), layers=2, elev_bias=False)
+    config_off = replace(config_on, wind_reorder=False)
+    store = init_params(config_on, seed=2, dtype=np.float64)
+    assert not store["pos.rel"].data.any()
+    rng = np.random.default_rng(13)
+    x = random_inputs(config_on, rng, batch=3)
+    perms = wind_perms(config_on, x)
+    assert not any(np.array_equal(p.forward, np.arange(config_on.spec.n_patches))
+                   for p in perms)
+    on = forward(store, config_on, x, perms=perms, collect_attention=True)
+    off = forward(store, config_off, x, collect_attention=True)
+    np.testing.assert_allclose(on.tokens.data, off.tokens.data, rtol=0, atol=1e-10)
+    assert len(on.attention) == len(off.attention) == config_on.layers
+    for a, b in zip(on.attention, off.attention):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+
+
+def test_raster_tokens_node_is_unapply_and_its_adjoint():
+    # the last node of the forward: each sample's `reorder.unapply`, with a
+    # backward that is the exact adjoint, <g, f(t)> = <vjp(g), t>; the
+    # orders are not their own inverses, so a vjp through the inverse fails
+    spec = GridSpec(8, 16, 2, 4, 2)
+    rng = np.random.default_rng(14)
+    perms = [reorder.build_permutation(spec, *rng.normal(size=(2, 8, 16))) for _ in range(2)]
+    orders = np.stack([p.forward for p in perms])
+    assert not (np.take_along_axis(orders, orders, axis=1) == np.arange(spec.n_patches)).all()
+    slots = ad.parameter(rng.normal(size=(2, spec.n_patches, 3)))
+    raster = model._raster_tokens(slots, perms, orders)
+    for b, p in enumerate(perms):
+        np.testing.assert_array_equal(raster.data[b], reorder.unapply(p, slots.data[b]))
+    g = rng.normal(size=raster.shape)
+    (raster * ad.Tensor(g)).sum().backward()
+    np.testing.assert_allclose((slots.grad * slots.data).sum(), (g * raster.data).sum(),
+                               rtol=1e-12)
+
+
 def test_attention_tables_are_keys_by_queries():
     # the forward hands the attention node both (N, N) tables laid out keys
     # x queries: the transposes, bit for bit, of the queries x keys penalty
@@ -258,13 +298,26 @@ def test_attention_tables_are_keys_by_queries():
 
 
 def test_toggles_off_is_the_shared_baseline_path():
-    config = tiny_config(wind_reorder=False, elev_bias=False)
+    config = tiny_config(spec=GridSpec(8, 16, 2, 4, 2), wind_reorder=False, elev_bias=False)
     store = init_params(config, seed=0)
     rng = np.random.default_rng(7)
     x = random_inputs(config, rng)
+    # the training arrays hand the baseline identity slot orders, and
+    # `forward` takes identity orders for it whatever it is given
+    spec = config.spec
+    physics = synthdata.PhysicsConfig(substeps=2)
+    data = DataConfig(count=2, horizons=(12, 24))
+    tw = synthdata.gen_terrain(spec, 3, data, physics)
+    samples = synthdata.make_dataset(spec, tw, physics, data, seed=7)
+    stats = NormStats.fit([s.input for s in samples], synthdata.norm_kinds())
+    bundle = synthdata.DatasetBundle(spec, tuple(samples), tw, synthdata.study_mask(spec),
+                                     stats, data.horizons)
+    for p in prepare_arrays(bundle, config).perms:
+        np.testing.assert_array_equal(p.forward, np.arange(spec.n_patches))
+    perms = wind_perms(replace(config, wind_reorder=True), x)
+    assert not any(np.array_equal(p.forward, np.arange(spec.n_patches)) for p in perms)
     res = forward(store, config, x)
-    for p in res.perms:
-        np.testing.assert_array_equal(p.forward, np.arange(config.spec.n_patches))
+    assert res.tokens.data.tobytes() == forward(store, config, x, perms=perms).tokens.data.tobytes()
     # alpha exists but is unused on this path
     assert "alpha" in store.params
 
@@ -379,14 +432,16 @@ def load_tape_stats():
 
 
 # One taped training forward of the two-layer tiny model with dropout on
-# records 33 nodes whose reachable buffers (parameters and the bool dropout
-# masks included) come to 42596 bytes. Each `x @ w + b` is one node,
-# dropout keeps a bool mask, and the terrain penalty is one raster (N, N)
-# node that the attention nodes gather from; a refactor that brings back a
-# kept intermediate, such as a pre-bias product, a float mask or a
-# per-sample bias, fails here.
-TAPE_NODES = 33
-TAPE_BYTES = 42596
+# records 34 nodes whose reachable buffers (parameters and the bool dropout
+# masks included) come to 43108 bytes. Each `x @ w + b` is one node,
+# dropout keeps a bool mask, the terrain penalty is one raster (N, N)
+# node that the attention nodes gather from, and the last node gathers
+# the head output back to raster order, keeping only its (B, N, out_dim)
+# result and the (B, N) slot orders the attention nodes already hold; a
+# refactor that brings back a kept intermediate, such as a pre-bias
+# product, a float mask or a per-sample bias, fails here.
+TAPE_NODES = 34
+TAPE_BYTES = 43108
 
 
 def test_taped_forward_node_count_and_bytes_pinned():
@@ -454,16 +509,14 @@ def test_full_model_gradients_match_finite_differences():
     )[None]
     count = maskgrid.sum()
     perms = wind_perms(config, x)
-    target_perm = np.stack([target[0][perms[0].forward]])
-    mask_perm = np.stack([mask_tok[0][perms[0].forward]])
 
     def loss_value():
         res = forward(store, config, x, elev, perms=perms)
-        diff = res.tokens.data - target_perm
-        return float((diff * diff * mask_perm).sum() / count)
+        diff = res.tokens.data - target
+        return float((diff * diff * mask_tok).sum() / count)
 
     res = forward(store, config, x, elev, perms=perms)
-    token_loss(res, target_perm, mask_perm, count).backward()
+    token_loss(res, target, mask_tok, count).backward()
 
     eps = 1e-5
     worst = {}

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,3 +237,36 @@ def test_sort_work_scales_with_sector_size():
     ratio = large / small
     expected = model(1, 64) / model(16, 4)
     assert 0.2 * expected < ratio < 5.0 * expected
+
+
+# -- where the slot order may be read ----------------------------------------
+
+def _slot_order_reads(tree):
+    """Reads of a `.forward` or `.inverse` attribute in a module's syntax
+    tree, a permutation's slot -> patch and patch -> slot arrays. A called
+    attribute, such as `model.forward(...)`, is a function, not an order."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ("forward", "inverse")
+                and id(node) not in called):
+            yield node
+
+
+def test_slot_order_is_read_only_in_reorder_model_and_cli():
+    """The slot order stays behind `model.forward`: only `reorder`, which
+    builds it, `model`, which applies and undoes it, and `cli`'s `dump perm`
+    read a permutation's arrays, so `train` and `evalkit` see raster tokens."""
+    src = Path(__file__).resolve().parents[1] / "src" / "topoflow"
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {path.name for _ in _slot_order_reads(tree)}
+    assert found == {"reorder.py", "model.py", "cli.py"}, sorted(found)
+
+
+def test_slot_order_finder_sees_each_form():
+    tree = ast.parse(
+        "p.forward\nperm.inverse[i]\nnp.take(t, perms[0].forward)\nf = model.forward\n"
+        "model.forward(x)\nmodel_mod.forward(store, config, x)\np.angles\n"
+    )
+    assert sorted(node.lineno for node in _slot_order_reads(tree)) == [1, 2, 3, 4]
