@@ -122,6 +122,7 @@ def cmd_gen(cfg: dict[str, str]) -> int:
     physics = build_physics(cfg)
     data = build_data(cfg)
     val_fraction = build_train_config(cfg).val_fraction
+    synthdata.check_sources(spec, data)
     seed = value(cfg, "seed", int)
     tw = synthdata.gen_terrain(spec, seed, data, physics)
     samples = synthdata.make_dataset(spec, tw, physics, data, seed)

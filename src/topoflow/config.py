@@ -88,6 +88,20 @@ class GridSpec:
 DESK_GRID = GridSpec(32, 64, 2, 8, 8)
 
 
+def _check_fields(cfg, section: str, positive=(), nonnegative=()) -> None:
+    """ConfigError naming `section.field` for a float field that is NaN
+    (which passes every comparison) or infinite, a `positive` field <= 0,
+    or a `nonnegative` field < 0."""
+    for f in dataclasses.fields(cfg):
+        v = getattr(cfg, f.name)
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ConfigError(f"{section}.{f.name} = {v} is not finite")
+        if (f.name in positive and v <= 0) or (f.name in nonnegative and v < 0):
+            raise ConfigError(
+                f"{section}.{f.name} = {v} must be {'>' if f.name in positive else '>='} 0"
+            )
+
+
 @dataclass(frozen=True)
 class PhysicsConfig:
     """Integrator constants; CFL bounds are enforced at construction."""
@@ -102,18 +116,16 @@ class PhysicsConfig:
     substeps: int = 12             # integrator steps per model step
 
     def __post_init__(self):
-        if self.kappa < 0 or self.dt <= 0 or self.dx <= 0 or self.sink < 0:
-            raise ConfigError("kappa/sink must be >= 0, dt/dx > 0")
+        _check_fields(self, "physics", positive=("dt", "dx", "hours_per_step", "substeps"),
+                      nonnegative=("kappa", "sink"))
         if self.boundary not in ("periodic", "clamped"):
-            raise ConfigError(f"unknown boundary {self.boundary!r}")
-        if self.hours_per_step <= 0 or self.substeps < 1:
-            raise ConfigError("hours_per_step must be > 0 and substeps >= 1")
+            raise ConfigError(f"unknown physics.boundary {self.boundary!r}")
         adv = self.max_wind * self.dt / self.dx
         if adv > 0.5:
-            raise StabilityError(f"advective CFL {adv:.3f} > 0.5 for max_wind")
+            raise StabilityError(f"advective CFL {adv:.3f} > 0.5 for physics.max_wind")
         dif = self.kappa * self.dt / self.dx**2
         if dif > 0.25:
-            raise StabilityError(f"diffusive CFL {dif:.3f} > 0.25")
+            raise StabilityError(f"diffusive CFL {dif:.3f} > 0.25 for physics.kappa")
 
     def steps_for_hours(self, hours: float) -> int:
         n = hours / self.hours_per_step
@@ -150,10 +162,7 @@ class DataConfig:
             given = getattr(self, name)
             if given not in allowed:
                 raise ConfigError(f"unknown data.{name} {given!r}; pick from {allowed}")
-        if self.count < 1:
-            raise ConfigError(f"data.count = {self.count} < 1")
-        if not (math.isfinite(self.base_speed) and self.base_speed >= 0.0):
-            raise ConfigError(f"data.base_speed = {self.base_speed} is not a finite speed >= 0")
+        _check_fields(self, "data", positive=("count",), nonnegative=("base_speed",))
         h = self.horizons
         if not h or h[0] <= 0 or any(b <= a for a, b in zip(h, h[1:])):
             raise ConfigError(f"data.horizons must be positive and strictly increasing, got {h}")
@@ -175,14 +184,12 @@ class ModelConfig:
     elev_bias: bool = True
 
     def __post_init__(self):
-        if self.heads < 1:
-            raise ConfigError(f"model.heads = {self.heads} < 1")
+        _check_fields(self, "model", positive=("d", "heads", "mlp_hidden", "head_hidden",
+                                                "n_horizons"), nonnegative=("layers",))
         if self.d % self.heads:
             raise ConfigError(f"width {self.d} not divisible by {self.heads} heads")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"model.dropout = {self.dropout} is outside [0, 1)")
-        if self.layers < 0 or self.n_horizons < 1:
-            raise ConfigError("layers must be >= 0 and n_horizons >= 1")
 
     @property
     def v_in(self) -> int:
@@ -221,18 +228,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.warmup < 0:
-            raise ConfigError(f"train.warmup = {self.warmup} < 0")
+        _check_fields(
+            self, "train",
+            positive=("lr_base", "lr_embed", "lr_head", "lr_backbone", "clip_norm",
+                      "batch_size", "val_interval"),
+            nonnegative=("warmup", "weight_decay", "eta_min"),
+        )
         if self.warmup > self.total_steps:
             raise ConfigError(
                 f"train.warmup = {self.warmup} > train.total_steps = {self.total_steps}"
             )
-        for name in ("lr_base", "lr_embed", "lr_head", "lr_backbone"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"train.{name} = {getattr(self, name)} <= 0")
-        for name in ("batch_size", "val_interval"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"train.{name} = {getattr(self, name)} < 1")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"train.val_fraction = {self.val_fraction} is outside (0, 1)")
 

@@ -22,7 +22,10 @@ rather than resolved.
                   within a channel, channels concatenated in order
 
 A land mask is the same container with a single channel named "mask" whose
-values are exactly 0.0 or 1.0. Round trips are bitwise exact for every
+values are exactly 0.0 or 1.0. A dataset sample is one container too: the
+input channels, then each horizon's target channels tagged with its lead
+time (`c@12h`, see `synthdata.sample_channels`), which the reader slices
+back into views of the one payload. Round trips are bitwise exact for every
 finite binary32 value including signed zeros; non-finite payloads are
 rejected at load time.
 """
@@ -190,11 +193,9 @@ class NormStats:
         return cls(entries)
 
     def save(self, path) -> None:
-        lines = [
-            f"{name} {st.kind} {st.a!r} {st.b!r}\n" for name, st in self.entries.items()
-        ]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
+        """One `name kind a b` line per channel, written atomically."""
+        lines = (f"{name} {st.kind} {st.a!r} {st.b!r}\n" for name, st in self.entries.items())
+        write_atomic(path, "".join(lines).encode("utf-8"))
 
     @classmethod
     def load(cls, path) -> "NormStats":

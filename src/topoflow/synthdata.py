@@ -38,7 +38,7 @@ import numpy as np
 
 from .config import INPUT_CHANNELS, TARGET_CHANNELS, TEMPORAL_CHANNELS, read_lines
 from .config import DataConfig, PhysicsConfig
-from .errors import DataError, FormatError, ShapeError, StabilityError
+from .errors import ConfigError, DataError, FormatError, ShapeError, StabilityError
 from .fields import (
     Field,
     GridSpec,
@@ -53,6 +53,7 @@ from .fields import (
 
 SAMPLE_STREAM = 1          # SeedSequence lane for per-sample draws
 TERRAIN_STREAM = 0         # SeedSequence lane for terrain/wind synthesis
+SOURCE_MARGIN = 2          # cells between a random point source and the grid's edge
 
 INPUT_UNITS = ("m/s", "m/s", "ug/m3", "", "", "m") + ("",) * 4
 TERRAIN_COUPLING = 1.6     # streamfunction weight of the contour-following term
@@ -337,11 +338,20 @@ def _initial_blobs(spec: GridSpec, rng: np.random.Generator, textured: bool) -> 
     return c0
 
 
+def check_sources(spec: GridSpec, data: DataConfig) -> None:
+    """ConfigError if `data.source_mode = random` finds no cell SOURCE_MARGIN
+    cells from every edge to place its point sources on."""
+    for key, cells in (("grid.height", spec.height), ("grid.width", spec.width)):
+        if data.source_mode == "random" and cells <= 2 * SOURCE_MARGIN:
+            raise ConfigError(f"{key} = {cells} leaves data.source_mode = random no cell "
+                              f"{SOURCE_MARGIN} cells from each edge")
+
+
 def _sample_sources(spec: GridSpec, rng: np.random.Generator) -> tuple:
     out = []
     for _ in range(int(rng.integers(1, 4))):
-        row = int(rng.integers(2, spec.height - 2))
-        col = int(rng.integers(2, spec.width - 2))
+        row = int(rng.integers(SOURCE_MARGIN, spec.height - SOURCE_MARGIN))
+        col = int(rng.integers(SOURCE_MARGIN, spec.width - SOURCE_MARGIN))
         rate = float(rng.uniform(1.0e-3, 4.0e-3))
         out.append(((row, col), rate))
     return tuple(out)
@@ -421,6 +431,12 @@ class DatasetBundle:
     horizons: tuple[int, ...]
 
 
+def sample_channels(horizons) -> tuple[str, ...]:
+    """The channels of a sample file: `INPUT_CHANNELS`, then each
+    horizon's `TARGET_CHANNELS` tagged with its lead time (`c@12h`)."""
+    return INPUT_CHANNELS + tuple(f"{n}@{h}h" for h in horizons for n in TARGET_CHANNELS)
+
+
 def write_dataset(
     out_dir,
     samples: list[Sample],
@@ -429,77 +445,56 @@ def write_dataset(
     stats: NormStats,
     seed: int,
 ) -> None:
-    """Persist a dataset directory. Any old manifest is removed first, and
-    the new one, whose header names the sample count, is written last and
+    """Persist a dataset directory: `terrain.gfd`, `mask.gfd`, `stats.txt`,
+    one `samples/{index:06d}.gfd` per sample holding `sample_channels`, and
+    `manifest.txt`, whose header states the seed, the sample count, the
+    terrain's base wind speed and the horizons, and whose rows are
+    `index hour doy`. Every sample must share the first one's lead times.
+    Any old manifest is removed first, and the new one is written last and
     atomically, so a killed writer leaves no `manifest.txt` (not even over
     an older dataset) and `read_dataset` refuses the directory. Files in
     `samples/` that the new manifest does not name, such as an older and
     larger dataset's, are removed before it is written."""
+    horizons = samples[0].lead_times if samples else ()
+    if any(s.lead_times != horizons for s in samples):
+        raise DataError(f"samples differ in lead times; sample 0 has {horizons}")
     out = Path(out_dir)
     (out / "samples").mkdir(parents=True, exist_ok=True)
     (out / "manifest.txt").unlink(missing_ok=True)
     spec = samples[0].input.spec if samples else mask.spec
-    terrain_field = Field(
-        spec,
-        ("elev", "u", "v"),
-        np.stack([tw.elevation, tw.u, tw.v]).astype(np.float32),
-        ("m", "m/s", "m/s"),
-    )
-    write_grid(terrain_field, out / "terrain.gfd")
+    terrain = np.stack([tw.elevation, tw.u, tw.v]).astype(np.float32)
+    write_grid(Field(spec, ("elev", "u", "v"), terrain, ("m", "m/s", "m/s")), out / "terrain.gfd")
     write_grid(mask, out / "mask.gfd")
     stats.save(out / "stats.txt")
     lines = [
-        f"# topoflow dataset v1 seed={seed} count={len(samples)} base_speed={tw.base_speed!r}\n"
+        f"# topoflow dataset v2 seed={seed} count={len(samples)} "
+        f"base_speed={tw.base_speed!r} horizons={','.join(map(str, horizons))}\n"
     ]
-    named = set()
+    channels = sample_channels(horizons)
     for i, s in enumerate(samples):
-        in_rel = f"samples/{i:06d}.in.gfd"
-        write_grid(s.input, out / in_rel)
-        target_rels = []
-        for h, t in zip(s.lead_times, s.targets):
-            rel = f"samples/{i:06d}.h{h:03d}.gfd"
-            write_grid(t, out / rel)
-            target_rels.append(rel)
-        named.update([in_rel, *target_rels])
-        lines.append(
-            " ".join(
-                [
-                    in_rel,
-                    ",".join(target_rels),
-                    ",".join(str(h) for h in s.lead_times),
-                    str(i),
-                    str(s.hour),
-                    str(s.doy),
-                ]
-            )
-            + "\n"
-        )
+        parts = (s.input, *s.targets)
+        stack = np.concatenate([f.data for f in parts])
+        units = tuple(u for f in parts for u in f.units)
+        write_grid(Field(spec, channels, stack, units), out / f"samples/{i:06d}.gfd")
+        lines.append(f"{i} {s.hour} {s.doy}\n")
+    named = {f"{i:06d}.gfd" for i in range(len(samples))}
     for path in (out / "samples").iterdir():
-        if f"samples/{path.name}" not in named:
+        if path.name not in named:
             path.unlink()
     write_atomic(out / "manifest.txt", "".join(lines).encode("utf-8"))
 
 
-def _read_sample_grid(root: Path, rel: str, channels: tuple[str, ...], where: str) -> Field:
-    """A sample's `.gfd` file, which must hold `channels` in that order."""
-    grid = read_grid(root / rel)
-    got = grid.channels if isinstance(grid, Field) else "a mask"
-    if got != channels:
-        raise DataError(f"{where}: {rel} holds {got}, expected channels {channels}")
-    return grid
-
-
 def read_dataset(in_dir) -> DatasetBundle:
-    """Load a dataset directory written by :func:`write_dataset`; a manifest
-    with other than `count=` sample rows (a cut file), a header without a
-    finite, non-negative `base_speed=`, a row whose hours differ from the
-    first row's, a row that does not make a valid `Sample` (as many targets
-    as hours, increasing hours, hour and day in range), an input whose
-    channels are not `INPUT_CHANNELS` in order or a target's not
-    `TARGET_CHANNELS`, a sample or mask on another grid than
-    `terrain.gfd`'s or a missing file raises DataError, and a row that is
-    not UTF-8 or integer hours, or a `stats.txt` without an entry for an
-    input or target channel, FormatError."""
+    """Load a dataset directory written by :func:`write_dataset`; each
+    sample's input and targets are views of its one file's payload. A
+    manifest that is not v2 (refused with a note to regenerate it), a
+    header `count=`, `base_speed=` or `horizons=` that `DataConfig` refuses,
+    other than `count=` rows (a cut file), a row whose index is not its
+    position or that makes no valid `Sample`, a sample file whose channels
+    are not `sample_channels(horizons)`, a sample or mask on another grid
+    than `terrain.gfd`'s or a missing file raises DataError, and a row that
+    is not UTF-8 or three integers, or a `stats.txt` without an entry for
+    an input or target channel, FormatError."""
     root = Path(in_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -517,56 +512,53 @@ def read_dataset(in_dir) -> DatasetBundle:
     for name in INPUT_CHANNELS + TARGET_CHANNELS:
         if name not in stats.entries:
             raise FormatError(f"{root}/stats.txt: no entry for channel {name!r}")
+    lines = list(read_lines(manifest, FormatError))
+    first = lines[0][1] if lines else ""
+    if not first.startswith("# topoflow dataset v2 "):
+        raise DataError(
+            f"{manifest}:1: not a topoflow dataset v2 header; regenerate it with "
+            "`topoflow gen`, which rebuilds a dataset from its seed"
+        )
+    header = dict(w.split("=", 1) for w in first.split() if "=" in w)
+    try:   # the `data.*` values the header carries, checked as `gen` checks them
+        data = DataConfig(count=int(header["count"]), base_speed=float(header["base_speed"]),
+                          horizons=tuple(int(h) for h in header["horizons"].split(",")))
+    except (KeyError, ValueError, ConfigError) as err:
+        raise DataError(f"{manifest}:1: header count=, base_speed= or horizons= is not "
+                        f"as `topoflow gen` writes it: {err}") from None
+    channels = sample_channels(data.horizons)
+    n_in, n_out = len(INPUT_CHANNELS), len(TARGET_CHANNELS)
     samples: list[Sample] = []
-    horizons: tuple[int, ...] = ()
-    header: dict[str, str] = {}
-    for ln, line in read_lines(manifest, FormatError):
-        if ln == 1:
-            header = dict(w.split("=", 1) for w in line.split() if "=" in w)
+    for ln, line in lines[1:]:
         if line.startswith("#") or not line.strip():
             continue
-        parts = line.split()
-        if len(parts) != 6:
-            raise DataError(f"{manifest}:{ln}: expected 6 columns, got {len(parts)}")
-        in_rel, target_rels, hours_s, _seed, hour, doy = parts
-        try:
-            hours = tuple(int(h) for h in hours_s.split(","))
-            hour, doy = int(hour), int(doy)
-        except ValueError:
-            raise FormatError(f"{manifest}:{ln}: hours, hour and day must be integers") from None
-        if not samples:
-            horizons = hours
-        elif hours != horizons:
-            raise DataError(
-                f"{manifest}:{ln}: hours {hours_s} differ from the first row's "
-                f"{','.join(map(str, horizons))}"
-            )
         where = f"{manifest}:{ln}"
-        inp = _read_sample_grid(root, in_rel, INPUT_CHANNELS, where)
-        if inp.spec != spec:
-            raise DataError(f"{where}: {in_rel} is on {inp.spec}, terrain.gfd on {spec}")
+        parts = line.split()
+        if len(parts) != 3:
+            raise DataError(f"{where}: expected 3 columns (index hour doy), got {len(parts)}")
+        try:
+            index, hour, doy = (int(p) for p in parts)
+        except ValueError:
+            raise FormatError(f"{where}: index, hour and day must be integers") from None
+        if index != len(samples):
+            raise DataError(f"{where}: row index {index}, expected {len(samples)}")
+        rel = f"samples/{index:06d}.gfd"
+        grid = read_grid(root / rel)
+        got = grid.channels if isinstance(grid, Field) else "a mask"
+        if got != channels:
+            raise DataError(f"{where}: {rel} holds {got}, expected channels {channels}")
+        if grid.spec != spec:
+            raise DataError(f"{where}: {rel} is on {grid.spec}, terrain.gfd on {spec}")
+        inp = Field(spec, INPUT_CHANNELS, grid.data[:n_in], grid.units[:n_in])
         targets = tuple(
-            _read_sample_grid(root, rel, TARGET_CHANNELS, where) for rel in target_rels.split(",")
+            Field(spec, TARGET_CHANNELS, grid.data[k : k + n_out], grid.units[k : k + n_out])
+            for k in range(n_in, len(channels), n_out)
         )
         try:
-            samples.append(Sample(inp, targets, horizons, hour, doy))
+            samples.append(Sample(inp, targets, data.horizons, hour, doy))
         except DataError as err:   # ShapeError included
-            raise DataError(f"{manifest}:{ln}: {err}") from None
-    if not samples:
-        raise DataError(f"{manifest}: dataset is empty")
-    count = header.get("count")
-    if count != str(len(samples)):
-        raise DataError(f"{manifest}: {len(samples)} sample rows, header says count={count}")
-    try:
-        base_speed = float(header["base_speed"])
-    except (KeyError, ValueError):
-        raise DataError(f"{manifest}:1: header needs a numeric base_speed=") from None
-    if not (math.isfinite(base_speed) and base_speed >= 0.0):
-        raise DataError(f"{manifest}:1: base_speed={base_speed} is not a finite speed >= 0")
-    tw = TerrainWind(
-        terrain_field.channel("elev").astype(np.float64),
-        terrain_field.channel("u").astype(np.float64),
-        terrain_field.channel("v").astype(np.float64),
-        base_speed=base_speed,
-    )
-    return DatasetBundle(spec, tuple(samples), tw, mask, stats, horizons)
+            raise DataError(f"{where}: {err}") from None
+    if len(samples) != data.count:
+        raise DataError(f"{manifest}: {len(samples)} sample rows, header says count={data.count}")
+    tw = TerrainWind(*terrain_field.data, base_speed=data.base_speed)
+    return DatasetBundle(spec, tuple(samples), tw, mask, stats, data.horizons)

@@ -372,7 +372,7 @@ def test_criterion_10_format_contract(tmp_path):
         "data.count = 4\ndata.horizons = 12\n", encoding="utf-8",
     )
     assert cli_main(["gen", "--config", str(cfg_path), "--out", str(victim)]) == 0
-    target = victim / "samples" / "000000.in.gfd"
+    target = victim / "samples" / "000000.gfd"
     blob = bytearray(target.read_bytes())
     blob[:4] = b"ZZZZ"
     target.write_bytes(bytes(blob))

@@ -68,7 +68,11 @@ def test_gen_writes_dataset_layout(dataset):
     assert (dataset / "mask.gfd").exists()
     assert (dataset / "stats.txt").exists()
     assert (dataset / "resolved_config.txt").exists()
-    assert len(list((dataset / "samples").glob("*.in.gfd"))) == 12
+    # one file per sample, plus terrain, mask, stats, manifest and config echo
+    assert len(list((dataset / "samples").glob("*.gfd"))) == 12
+    assert len([p for p in dataset.rglob("*") if p.is_file()]) == 12 + 5
+    header = (dataset / "manifest.txt").read_text().splitlines()[0]
+    assert header.startswith("# topoflow dataset v2 ") and header.endswith(" horizons=12,24")
 
 
 def test_gen_is_reproducible(tmp_path, config_path):
@@ -81,8 +85,8 @@ def test_gen_is_reproducible(tmp_path, config_path):
         assert (a / rel).read_bytes() == (b / rel).read_bytes()
     c = tmp_path / "c"
     assert run("gen", "--config", str(config_path), "--out", str(c), "--seed", "5") == 0
-    assert (a / "samples" / "000000.in.gfd").read_bytes() != (
-        c / "samples" / "000000.in.gfd"
+    assert (a / "samples" / "000000.gfd").read_bytes() != (
+        c / "samples" / "000000.gfd"
     ).read_bytes()
 
 
@@ -419,7 +423,7 @@ def test_train_steps_below_warmup_exits_two(tmp_path, dataset, capsys):
 
 
 def test_corrupted_magic_exits_three(tmp_path, config_path, dataset):
-    victim = dataset / "samples" / "000000.in.gfd"
+    victim = dataset / "samples" / "000000.gfd"
     raw = bytearray(victim.read_bytes())
     raw[:4] = b"XXXX"
     victim.write_bytes(bytes(raw))
@@ -449,7 +453,8 @@ def test_eval_torn_checkpoint_exits_three(tmp_path, config_path, dataset):
 BROKEN_INPUTS = (
     "gfd channel name not UTF-8",
     "manifest hour not an integer",
-    "manifest hours differ from the first row's",
+    "manifest row index not its position",
+    "manifest v1 header",
     "manifest not UTF-8",
     "stats value not a number",
     "stats not UTF-8",
@@ -500,20 +505,28 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
     row = manifest.read_bytes().splitlines()[2]  # the second sample's row
     code = 3
     if case == "gfd channel name not UTF-8":
-        sample = dataset / "samples" / "000001.in.gfd"
+        sample = dataset / "samples" / "000001.gfd"
         raw = bytearray(sample.read_bytes())
         raw[34] = 0xFF  # the first channel name's first byte
         sample.write_bytes(bytes(raw))
-        argv, named = ["train", *common, *out], "000001.in.gfd"
+        argv, named = ["train", *common, *out], "000001.gfd"
     elif case == "manifest hour not an integer":
         cols = row.split()
-        rewrite(manifest, row, b" ".join(cols[:4] + [b"noon", cols[5]]))
+        rewrite(manifest, row, b" ".join([cols[0], b"noon", cols[2]]))
         argv, named = ["train", *common, *out], "manifest.txt:3"
-    elif case == "manifest hours differ from the first row's":
+    elif case == "manifest row index not its position":
         cols = row.split()
-        assert cols[2] == b"12,24"
-        rewrite(manifest, row, b" ".join(cols[:2] + [b"12,48"] + cols[3:]))
-        argv, named = ["train", *common, *out], "manifest.txt:3"
+        assert cols[0] == b"1"
+        rewrite(manifest, row, b" ".join([b"0", *cols[1:]]))
+        argv, named = ["train", *common, *out], "manifest.txt:3: row index 0, expected 1"
+    elif case == "manifest v1 header":
+        # the older layout: an input and a file per horizon, named on every row
+        manifest.write_text("# topoflow dataset v1 seed=0 count=12 base_speed=2.0\n" + "".join(
+            f"samples/{i:06d}.in.gfd samples/{i:06d}.h012.gfd,samples/{i:06d}.h024.gfd "
+            f"12,24 {i} 5 100\n" for i in range(12)))
+        argv = ["train", *common, *out]
+        named = ("manifest.txt:1: not a topoflow dataset v2 header; "
+                 "regenerate it with `topoflow gen`")
     elif case == "manifest not UTF-8":
         rewrite(manifest, row, row + b"\xff")
         argv, named = ["train", *common, *out], "manifest.txt:3"
@@ -534,8 +547,8 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
         (dataset / "terrain.gfd").unlink()
         argv, named = ["train", *common, *out], "terrain.gfd"
     elif case == "sample file missing":
-        (dataset / "samples" / "000003.h024.gfd").unlink()
-        argv, named = ["train", *common, *out], "000003.h024.gfd"
+        (dataset / "samples" / "000003.gfd").unlink()
+        argv, named = ["train", *common, *out], "000003.gfd"
     elif case in ("eval checkpoint sidecar missing", "dump checkpoint sidecar missing"):
         ckpt = trained() / "best.gfd"
         (tmp_path / "run" / "best.gfd.txt").unlink()
@@ -583,7 +596,9 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
         header = manifest.read_bytes().splitlines()[0]
         speed = next(w for w in header.split() if w.startswith(b"base_speed="))
         rewrite(manifest, speed, b"base_speed=inf")
-        argv, named = ["train", *common, *out], "manifest.txt:1: base_speed=inf"
+        argv = ["train", *common, *out]
+        named = ("manifest.txt:1: header count=, base_speed= or horizons= is not as "
+                 "`topoflow gen` writes it: data.base_speed = inf is not finite")
     elif case == "eval baseline sidecar without model.wind_reorder":
         # left out, the key would load at its default: the wind variant
         run_dir = tmp_path / "run"
@@ -615,20 +630,19 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
         if case.startswith("mask"):
             moved, named = ["mask.gfd"], "mask.gfd is on GridSpec(height=8, width=24"
         else:
-            moved = [f"samples/000001.{part}.gfd" for part in ("in", "h012", "h024")]
-            named = "manifest.txt:3: samples/000001.in.gfd is on GridSpec(height=8, width=24"
+            moved = ["samples/000001.gfd"]
+            named = "manifest.txt:3: samples/000001.gfd is on GridSpec(height=8, width=24"
         for rel in moved:
             (dataset / rel).write_bytes((wide / rel).read_bytes())
         argv = ["train", *common, *out]
     elif case == "input channels out of order":
         # the names of u and v swapped, their lengths and the data kept
-        rewrite(dataset / "samples" / "000001.in.gfd",
+        rewrite(dataset / "samples" / "000001.gfd",
                 b"\x01\x00u\x03\x00m/s\x01\x00v", b"\x01\x00v\x03\x00m/s\x01\x00u")
-        argv, named = ["train", *common, *out], "manifest.txt:3: samples/000001.in.gfd holds"
+        argv, named = ["train", *common, *out], "manifest.txt:3: samples/000001.gfd holds"
     elif case == "target channel renamed":
-        rewrite(dataset / "samples" / "000001.h024.gfd",
-                b"\x01\x00c\x05\x00", b"\x01\x00x\x05\x00")
-        argv, named = ["train", *common, *out], "manifest.txt:3: samples/000001.h024.gfd holds"
+        rewrite(dataset / "samples" / "000001.gfd", b"\x05\x00c@24h", b"\x05\x00x@24h")
+        argv, named = ["train", *common, *out], "manifest.txt:3: samples/000001.gfd holds"
     elif case == "config file is a directory":
         (tmp_path / "cfgdir").mkdir()
         argv, named, code = ["gen", "--config", str(tmp_path / "cfgdir"), *out], "cfgdir", 2
@@ -646,23 +660,26 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
 
 
 
-@pytest.mark.parametrize("fault", ["fewer targets than hours", "hours not increasing"])
+@pytest.mark.parametrize(
+    "fault", ["fewer targets than hours", "hours not increasing", "hour out of range"])
 def test_manifest_row_that_makes_no_sample_names_its_line(fault, tmp_path, config_path,
                                                           dataset, capsys):
-    # the first sample row (line 2) sets the hours the later rows must match,
-    # so non-increasing hours can only reach the sample's own check there
+    # the header states the hours once: a sample file whose targets do not
+    # match them fails at its row, and hours `DataConfig` refuses at line 1
     manifest = dataset / "manifest.txt"
     lines = manifest.read_bytes().splitlines(True)
-    ln = 3 if fault == "fewer targets than hours" else 2
-    cols = lines[ln - 1].split()
-    assert cols[2] == b"12,24"
-    if fault == "fewer targets than hours":
-        cols[1] = cols[1].split(b",")[0]
-        message = "1 targets for 2 lead times"
+    assert lines[0].endswith(b" horizons=12,24\n")
+    if fault == "hour out of range":
+        ln, message = 3, "hour must be an integer in 0..23, got 24"
+        index, _hour, doy = lines[2].split()
+        lines[2] = b" ".join([index, b"24", doy]) + b"\n"
+    elif fault == "fewer targets than hours":
+        ln, message = 2, "samples/000000.gfd holds"
+        lines[0] = lines[0].replace(b" horizons=12,24", b" horizons=12,24,48")
     else:
-        cols[2] = b"24,12"
-        message = "lead times must be strictly increasing"
-    lines[ln - 1] = b" ".join(cols) + b"\n"
+        ln, message = 1, ("header count=, base_speed= or horizons= is not as `topoflow gen` "
+                          "writes it: data.horizons must be positive and strictly increasing")
+        lines[0] = lines[0].replace(b" horizons=12,24", b" horizons=24,12")
     manifest.write_bytes(b"".join(lines))
     capsys.readouterr()
     argv = ["train", "--config", str(config_path), "--data", str(dataset),
@@ -684,6 +701,12 @@ def test_manifest_row_that_makes_no_sample_names_its_line(fault, tmp_path, confi
     ("data.base_speed", "nan"),
     ("data.base_speed", "-1"),
     ("train.val_fraction", "1.5"),
+    ("physics.sink", "nan"),
+    ("physics.hours_per_step", "nan"),
+    ("physics.kappa", "nan"),
+    ("physics.dt", "nan"),
+    ("physics.max_wind", "nan"),
+    ("grid.height", "4"),
 ])
 def test_gen_refuses_bad_data_config_before_writing(key, text, tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path / "bad.cfg", **{key: text})
@@ -696,6 +719,28 @@ def test_gen_refuses_bad_data_config_before_writing(key, text, tmp_path, capsys,
     monkeypatch.setattr(synthdata, "gen_terrain", no_terrain)
     capsys.readouterr()
     assert run("gen", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err, err
+    assert key != "grid.height" or "data.source_mode = random" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, text", [
+    ("train.lr_base", "nan"),
+    ("train.weight_decay", "nan"),
+    ("train.weight_decay", "-0.1"),
+    ("train.clip_norm", "nan"),
+    ("train.clip_norm", "0"),
+    ("train.eta_min", "-1.0"),
+    ("model.d", "0"),
+    ("model.mlp_hidden", "0"),
+    ("model.head_hidden", "-4"),
+])
+def test_train_refuses_bad_config_before_writing(key, text, tmp_path, dataset, capsys):
+    cfg = write_config(tmp_path / "bad.cfg", **{key: text})
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run("train", "--config", str(cfg), "--data", str(dataset), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err, err
     assert not out.exists()
@@ -758,7 +803,7 @@ def test_gen_budget_100_samples_default_grid(tmp_path):
     assert run("gen", "--out", str(out), "--count", "100") == 0
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
-    assert len(list((out / "samples").glob("*.in.gfd"))) == 100
+    assert len(list((out / "samples").glob("*.gfd"))) == 100
 
 
 def test_thread_cap_env(monkeypatch):

@@ -378,6 +378,9 @@ def test_dataset_write_read_round_trip(tmp_path):
         assert orig.hour == back.hour and orig.doy == back.doy
         for t0, t1 in zip(orig.targets, back.targets):
             assert t0.data.tobytes() == t1.data.tobytes()
+            assert t1.channels == ("c",) and t1.units == ("ug/m3",)
+            # every part is a view of the sample file's one payload
+            assert t1.data.base is back.input.data.base is not None
     assert bundle.mask.count == mask.count
     # terrain rides in the float32 container
     assert np.array_equal(bundle.terrain.elevation, tw.elevation.astype(np.float32))
@@ -389,57 +392,49 @@ def test_read_dataset_requires_manifest(tmp_path):
         synthdata.read_dataset(tmp_path / "empty")
 
 
-def test_killed_manifest_write_leaves_no_manifest(tmp_path, monkeypatch):
+# every write `write_dataset` makes, in order, for two samples
+DATASET_WRITES = ("terrain.gfd", "mask.gfd", "stats.txt", "000000.gfd", "000001.gfd",
+                  "manifest.txt")
+
+
+@pytest.mark.parametrize("victim", DATASET_WRITES)
+@pytest.mark.parametrize("older", [False, True], ids=["fresh", "over an older dataset"])
+def test_killed_dataset_write_leaves_no_manifest(victim, older, tmp_path, monkeypatch):
+    """A writer killed at any of its writes, after the temp file and before
+    the rename, leaves no manifest, not even an older dataset's naming a mix
+    of old and new files, so the directory does not load."""
+    if older:
+        synthdata.write_dataset(tmp_path / "ds", *small_dataset(3, seed=1), seed=1)
     real_replace = os.replace
+    renamed = []
 
     def killed_replace(src, dst):
-        if Path(dst).name == "manifest.txt":
+        renamed.append(Path(dst).name)
+        if renamed[-1] == victim:
             raise KeyboardInterrupt
         real_replace(src, dst)
 
     with monkeypatch.context() as m:
         m.setattr(os, "replace", killed_replace)
         with pytest.raises(KeyboardInterrupt):
-            synthdata.write_dataset(tmp_path / "ds", *small_dataset(2), seed=9)
-    assert not (tmp_path / "ds" / "manifest.txt").exists()
-    with pytest.raises(DataError, match="no manifest"):
-        synthdata.read_dataset(tmp_path / "ds")
-
-
-def test_killed_overwrite_leaves_no_manifest(tmp_path, monkeypatch):
-    """A writer killed over an older dataset must not leave the old manifest
-    naming a mix of old and new sample files."""
-    synthdata.write_dataset(tmp_path / "ds", *small_dataset(6, seed=1), seed=1)
-    real_write_grid = synthdata.write_grid
-    written = []
-
-    def killed_write_grid(obj, path):
-        written.append(path)
-        if len(written) == 6:   # terrain, mask, sample 0's three files, then sample 1
-            raise KeyboardInterrupt
-        real_write_grid(obj, path)
-
-    with monkeypatch.context() as m:
-        m.setattr(synthdata, "write_grid", killed_write_grid)
-        with pytest.raises(KeyboardInterrupt):
-            synthdata.write_dataset(tmp_path / "ds", *small_dataset(6, seed=2), seed=2)
+            synthdata.write_dataset(tmp_path / "ds", *small_dataset(2, seed=2), seed=2)
+    assert renamed == list(DATASET_WRITES[: DATASET_WRITES.index(victim) + 1])
     assert not (tmp_path / "ds" / "manifest.txt").exists()
     with pytest.raises(DataError, match="no manifest"):
         synthdata.read_dataset(tmp_path / "ds")
 
 
 def test_smaller_dataset_over_a_larger_one_leaves_no_stale_samples(tmp_path):
-    horizons = (12, 24, 36, 48)   # an input and four targets per sample
+    horizons = (12, 24, 36, 48)   # still one file per sample
+    samples = tmp_path / "ds" / "samples"
     synthdata.write_dataset(tmp_path / "ds", *small_dataset(6, 1, horizons), seed=1)
-    assert len(list((tmp_path / "ds" / "samples").iterdir())) == 30
+    assert len(list(samples.iterdir())) == 6
+    (samples / "000000.h012.gfd").write_bytes(b"")   # a file of an older layout
     synthdata.write_dataset(tmp_path / "ds", *small_dataset(3, 2, horizons), seed=2)
-    left = sorted(p.name for p in (tmp_path / "ds" / "samples").iterdir())
-    assert len(left) == 15
-    named = set()
-    for row in (tmp_path / "ds" / "manifest.txt").read_text().splitlines()[1:]:
-        in_rel, target_rels = row.split()[:2]
-        named.update([in_rel, *target_rels.split(",")])
-    assert left == sorted(rel.removeprefix("samples/") for rel in named)
+    left = sorted(p.name for p in samples.iterdir())
+    rows = (tmp_path / "ds" / "manifest.txt").read_text().splitlines()[1:]
+    assert left == [f"{int(row.split()[0]):06d}.gfd" for row in rows] == [
+        "000000.gfd", "000001.gfd", "000002.gfd"]
     assert len(synthdata.read_dataset(tmp_path / "ds").samples) == 3
 
 
@@ -449,7 +444,7 @@ def test_manifest_header_carries_base_speed(tmp_path):
     assert synthdata.read_dataset(tmp_path / "ds").terrain.base_speed == tw.base_speed
     manifest = tmp_path / "ds" / "manifest.txt"
     lines = manifest.read_text().splitlines(True)
-    assert lines[0].endswith(f" base_speed={tw.base_speed!r}\n")
+    assert f" base_speed={tw.base_speed!r} " in lines[0]
     manifest.write_text(lines[0].replace(" base_speed=", " speed=") + "".join(lines[1:]))
     with pytest.raises(DataError, match="base_speed"):
         synthdata.read_dataset(tmp_path / "ds")
