@@ -5,8 +5,10 @@ softmax temperature sqrt(d) taken over the full model width. Two optional
 additive terms land on the logits of every head: a bias already in slot
 order (the model's relative slot-offset table), and the terrain penalty
 as one (N, N) table between the patches in raster order. The orders come
-with the penalty: each sample's slot -> patch order, identity for a
-variant without wind reordering. The node gathers a sample's penalty
+with the penalty as one (B, N) int array whose row i is sample i's slot ->
+patch order, identity rows for a variant without wind reordering;
+`model.forward` checks them once, and the node checks them again because
+it is also called directly. The node gathers a sample's penalty
 from that table in its order, so the (B, 1, N, N) per-sample bias is
 never built, kept or differentiated; the penalty's gradient is scattered
 back into one raster table.

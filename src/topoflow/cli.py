@@ -99,7 +99,10 @@ def build_model_config(cfg, spec, n_horizons):
 
 
 def build_train_config(cfg):
-    return decode(TrainConfig, cfg, "train", seed=value(cfg, "seed", int))
+    seed = value(cfg, "seed", int)
+    if seed < 0:
+        raise ConfigError(f"seed = {seed} must be >= 0")
+    return decode(TrainConfig, cfg, "train", seed=seed)
 
 
 def _need_dir(cfg, key, what) -> Path:
@@ -121,13 +124,15 @@ def cmd_gen(cfg: dict[str, str]) -> int:
     spec = build_grid(cfg)
     physics = build_physics(cfg)
     data = build_data(cfg)
-    val_fraction = build_train_config(cfg).val_fraction
+    tconfig = build_train_config(cfg)
     synthdata.check_sources(spec, data)
-    seed = value(cfg, "seed", int)
+    for hours in data.horizons:
+        physics.steps_for_hours(hours)
+    seed = tconfig.seed
     tw = synthdata.gen_terrain(spec, seed, data, physics)
     samples = synthdata.make_dataset(spec, tw, physics, data, seed)
     # stats come from the training split only
-    train_idx, _ = train.split_indices(len(samples), val_fraction)
+    train_idx, _ = train.split_indices(len(samples), tconfig.val_fraction)
     train_inputs = [samples[i].input for i in train_idx] or [samples[0].input]
     stats = NormStats.fit(train_inputs, synthdata.norm_kinds())
     mask = synthdata.study_mask(spec)
@@ -160,6 +165,7 @@ def cmd_eval(cfg: dict[str, str]) -> int:
     data = _need_dir(cfg, "paths.data", "dataset directory")
     ckpt = _need_dir(cfg, "paths.checkpoint", "checkpoint path")
     out = _need_dir(cfg, "paths.out", "output directory")
+    val_fraction = build_train_config(cfg).val_fraction
     bundle = synthdata.read_dataset(data)
     store, mconfig, _moments, _extras = model.load_checkpoint(ckpt)
     rep = evalkit.report(store, mconfig, bundle)
@@ -169,7 +175,7 @@ def cmd_eval(cfg: dict[str, str]) -> int:
     echo_config(cfg, out)
     # the report covers every sample, the ones `train` fits on included
     n = len(bundle.samples)
-    fit_idx, val_idx = train.split_indices(n, build_train_config(cfg).val_fraction)
+    fit_idx, val_idx = train.split_indices(n, val_fraction)
     print(f"scored samples {_span(range(n))}: training split {_span(fit_idx)}, "
           f"validation split {_span(val_idx)} (train.val_fraction = "
           f"{cfg['train.val_fraction']})")
@@ -215,6 +221,8 @@ def _component_runs(cfg, mconfig, tconfig) -> list[tuple]:
     """(run name, variant, ModelConfig, TrainConfig) for every variant and
     seed, variant-major."""
     seeds = _distinct(cfg, "ablate.seeds", int)
+    if min(seeds) < 0:
+        raise ConfigError(f"ablate.seeds must be >= 0, got {cfg['ablate.seeds']!r}")
     variants = _distinct(cfg, "ablate.variants", str)
     unknown = set(variants) - set(ABLATION_VARIANTS)
     if unknown:
@@ -327,11 +335,12 @@ def cmd_dump(cfg: dict[str, str], what: str) -> int:
         # the order the model gives sample 0, the first sample `dump attn`
         # previews: each sample is ordered by its own input winds
         first = bundle.samples[0].input
-        perm = reorder.build_permutation(spec, first.channel("u"), first.channel("v"))
+        order, angles = reorder.build_permutation(spec, first.channel("u"), first.channel("v"))
+        inverse = np.argsort(order)
         lines = ["# slot forward inverse"]
-        lines += [f"{i} {perm.forward[i]} {perm.inverse[i]}" for i in range(spec.n_patches)]
+        lines += [f"{i} {order[i]} {inverse[i]}" for i in range(spec.n_patches)]
         lines.append("# sector angles (radians)")
-        lines += [f"sector {s} {float(perm.angles[s])!r}" for s in range(spec.n_sectors)]
+        lines += [f"sector {s} {float(angles[s])!r}" for s in range(spec.n_sectors)]
         (out / "perm.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"wrote {out / 'perm.txt'}")
     elif what == "bias":

@@ -116,8 +116,8 @@ class PhysicsConfig:
     substeps: int = 12             # integrator steps per model step
 
     def __post_init__(self):
-        _check_fields(self, "physics", positive=("dt", "dx", "hours_per_step", "substeps"),
-                      nonnegative=("kappa", "sink"))
+        _check_fields(self, "physics", nonnegative=("kappa", "sink"),
+                      positive=("dt", "dx", "max_wind", "hours_per_step", "substeps"))
         if self.boundary not in ("periodic", "clamped"):
             raise ConfigError(f"unknown physics.boundary {self.boundary!r}")
         adv = self.max_wind * self.dt / self.dx
@@ -131,7 +131,8 @@ class PhysicsConfig:
         n = hours / self.hours_per_step
         if abs(n - round(n)) > 1e-9 or round(n) < 1:
             raise ConfigError(
-                f"horizon {hours} h is not a positive multiple of {self.hours_per_step} h"
+                f"data.horizons: {hours} h is not a positive multiple of "
+                f"physics.hours_per_step = {self.hours_per_step} h"
             )
         return int(round(n)) * self.substeps
 
@@ -232,7 +233,7 @@ class TrainConfig:
             self, "train",
             positive=("lr_base", "lr_embed", "lr_head", "lr_backbone", "clip_norm",
                       "batch_size", "val_interval"),
-            nonnegative=("warmup", "weight_decay", "eta_min"),
+            nonnegative=("warmup", "weight_decay", "eta_min", "seed"),
         )
         if self.warmup > self.total_steps:
             raise ConfigError(

@@ -202,7 +202,7 @@ def predict_grids(
                 config,
                 arrays.inputs,
                 elev_patch_m=arrays.elev_patch,
-                perms=arrays.perms,
+                orders=arrays.orders,
                 collect_attention=collect_attention,
             )
         grid = res.to_grid()

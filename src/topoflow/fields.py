@@ -36,7 +36,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 

@@ -1,8 +1,9 @@
 """End-to-end forecaster over gridded fields.
 
 Pipeline per forward pass: patchify the (normalized) input stack, reorder
-patch tokens sector-by-sector along the per-sample wind, embed and add
-the positional vectors (per patch, so they ride along with the shuffle),
+patch tokens sector-by-sector along the per-sample wind (a sample's slot
+order is one row of a (B, N) int array, slot -> raster patch), embed and
+add the positional vectors (per patch, so they ride along with the shuffle),
 run L pre-norm transformer layers whose attention logits carry a shared
 relative slot-offset table plus the terrain penalty (both permuted or
 indexed so entries always refer to the right pair), and decode with a
@@ -24,8 +25,9 @@ physics toggles choose data, not code: every variant runs the same
 operations, so the baseline configuration is literally the same network
 minus the two mechanisms. `wind_reorder` chooses the slot orders, read in
 `train.prepare_arrays` (wind orders or identity) and in `forward`'s
-identity default and missing-perms guard; `elev_bias` chooses whether the
-terrain penalty table exists, read in `_attention_tables`. Below those
+identity default and missing-orders guard, next to the one check that
+each row is a permutation; `elev_bias` chooses whether the terrain
+penalty table exists, read in `_attention_tables`. Below those
 places the tokens, the positional vectors and the penalty are always
 gathered through the orders and the head output is put back in raster
 order; an identity gather is a copy, so the baseline is the wind variant
@@ -45,7 +47,7 @@ from . import autodiff as ad
 from . import reorder, topo_bias
 from .attention import AttentionParams, _attend_parts
 from .config import GridSpec, ModelConfig, decode, encode, format_kv, read_kv
-from .errors import ConfigError, FormatError, NumericError, ShapeError
+from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError
 from .fields import Field, read_grid, write_atomic, write_grid
 
 # variance of a unit normal truncated to +-2 sigma is 0.773729...; scale
@@ -242,7 +244,7 @@ def forward(
     config: ModelConfig,
     inputs: np.ndarray,
     elev_patch_m: np.ndarray | None = None,
-    perms: list[reorder.SectorPermutation] | None = None,
+    orders: np.ndarray | None = None,
     train: bool = False,
     rng: np.random.Generator | None = None,
     collect_attention: bool = False,
@@ -250,11 +252,13 @@ def forward(
     """Run the forecaster on a (B, C, H, W) normalized input stack.
 
     `elev_patch_m` is the per-patch mean elevation in meters, required when
-    the elevation bias is enabled. `perms` holds each sample's slot order,
-    required when wind reordering is enabled and ignored without it: build
-    each with `reorder.build_permutation` from the physical winds (as
+    the elevation bias is enabled. `orders` is a (B, N) int array whose row
+    i is sample i's slot -> patch order, required when wind reordering is
+    enabled and ignored without it: build each row with
+    `reorder.build_permutation` from the physical winds (as
     `train.prepare_arrays` does), since the z-scored wind channels of
-    `inputs` point elsewhere.
+    `inputs` point elsewhere. Orders of another shape raise ShapeError, a
+    row that is not a permutation of 0..N-1 raises DataError.
 
     The slot orders stay inside: the returned tokens, and with
     `collect_attention` every layer's head-averaged (B, N, N) map, are in
@@ -276,10 +280,16 @@ def forward(
         raise ConfigError("training forward with dropout needs an rng")
     if config.elev_bias and elev_patch_m is None:
         raise ConfigError("elev_bias enabled but no patch elevations supplied")
+    b, n = arr.shape[0], spec.n_patches
     if not config.wind_reorder:
-        perms = [reorder.SectorPermutation.identity(spec)] * arr.shape[0]
-    elif perms is None:
-        raise ConfigError("wind_reorder enabled but no slot orders (perms) supplied")
+        orders = np.tile(np.arange(n), (b, 1))
+    elif orders is None:
+        raise ConfigError("wind_reorder enabled but no slot orders supplied")
+    orders = np.asarray(orders)
+    if orders.shape != (b, n):
+        raise ShapeError(f"slot orders shape {orders.shape} is not (B, N) = {(b, n)}")
+    if orders.dtype.kind not in "iu" or (np.sort(orders, axis=1) != np.arange(n)).any():
+        raise DataError("each row of the slot orders must be a permutation of 0..N-1")
 
     # shared by every sample: the relative slot-offset logits, the
     # per-patch positional vectors and the raster terrain penalty, whose
@@ -289,7 +299,7 @@ def forward(
 
     def run(rows: slice):
         return _forward_samples(
-            params, config, arr[rows], perms[rows], penalty, rel, pos,
+            params, config, arr[rows], orders[rows], penalty, rel, pos,
             train, rng, collect_attention,
         )
 
@@ -324,7 +334,7 @@ def _forward_samples(
     params: ParamStore,
     config: ModelConfig,
     arr: np.ndarray,
-    perms: list[reorder.SectorPermutation],
+    orders: np.ndarray,
     penalty: ad.Tensor | None,
     rel: ad.Tensor,
     pos: ad.Tensor,
@@ -333,11 +343,10 @@ def _forward_samples(
     collect_attention: bool,
 ) -> tuple[ad.Tensor, list[np.ndarray]]:
     """Raster-order output tokens and per-layer attention maps of `forward`
-    for the samples `arr`, whose slot orders are `perms`; `rel` and
-    `penalty` are the keys x queries tables of `_attention_tables`. Every
-    variant runs these same operations; the toggles chose the orders and
-    the penalty."""
-    orders = np.stack([p.forward for p in perms])  # (B, N) slot -> patch
+    for the samples `arr`, whose slot -> patch orders are the rows of
+    `orders`; `rel` and `penalty` are the keys x queries tables of
+    `_attention_tables`. Every variant runs these same operations; the
+    toggles chose the orders and the penalty."""
     tokens_np = patchify(arr, config.spec).astype(params["patch_embed.w"].dtype)
     tokens_np = np.take_along_axis(tokens_np, orders[..., None], axis=1)
 
@@ -364,7 +373,7 @@ def _forward_samples(
             # entry (i, j) names raster patches i and j
             maps = weights.data.mean(axis=-3)
             attn_maps.append(np.stack(
-                [m[np.ix_(p.inverse, p.inverse)] for m, p in zip(maps, perms)]
+                [m[np.ix_(inv, inv)] for m, inv in zip(maps, np.argsort(orders, axis=1))]
             ))
         x = x + drop(attended)
         normed = ad.layer_norm(x, params[f"layer{i}.ln2.g"], params[f"layer{i}.ln2.b"])
@@ -379,17 +388,15 @@ def _forward_samples(
     out = ad.linear(hidden, params["head.w2"], params["head.b2"])
     if not np.isfinite(out.data).all():
         raise NumericError("non-finite activations in the prediction head")
-    return _raster_tokens(out, perms, orders), attn_maps
+    return _raster_tokens(out, orders), attn_maps
 
 
-def _raster_tokens(
-    out: ad.Tensor, perms: list[reorder.SectorPermutation], orders: np.ndarray
-) -> ad.Tensor:
+def _raster_tokens(out: ad.Tensor, orders: np.ndarray) -> ad.Tensor:
     """(B, N, C) slot-order tokens in raster order, as one tape node: the
     forward is `reorder.unapply` of each sample, the backward gathers the
     gradient back into slot order through the (B, N) slot -> patch
     `orders`, so gradients upstream keep their bits."""
-    raster = np.stack([reorder.unapply(p, t) for p, t in zip(perms, out.data)])
+    raster = np.stack([reorder.unapply(o, t) for o, t in zip(orders, out.data)])
 
     def vjp(g):
         return (np.take_along_axis(g, orders[..., None], axis=1),)

@@ -20,46 +20,11 @@ defined to preserve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import ShapeError
 from .fields import GridSpec
-
-
-@dataclass(frozen=True)
-class SectorPermutation:
-    """A sector-blocked patch ordering together with its exact inverse.
-
-    forward[k] is the original (raster) patch index of the token at
-    sequence slot k; inverse = argsort(forward), so inverse[forward[i]] == i.
-    angles[s] is the wind angle used for sector s (raster sector order),
-    with the sentinel value 0.0 for zero-wind sectors.
-    """
-
-    spec: GridSpec
-    forward: np.ndarray   # (N,) int64
-    inverse: np.ndarray   # (N,) int64
-    angles: np.ndarray    # (K,) float64
-
-    def __post_init__(self):
-        fwd = np.ascontiguousarray(self.forward, dtype=np.int64)
-        inv = np.ascontiguousarray(self.inverse, dtype=np.int64)
-        n = self.spec.n_patches
-        if fwd.shape != (n,) or inv.shape != (n,):
-            raise ShapeError(f"permutation length must be {n}")
-        if not np.array_equal(fwd[inv], np.arange(n)):
-            raise DataError("forward and inverse are not mutually inverse")
-        for arr in (fwd, inv):
-            arr.flags.writeable = False
-        object.__setattr__(self, "forward", fwd)
-        object.__setattr__(self, "inverse", inv)
-
-    @classmethod
-    def identity(cls, spec: GridSpec) -> "SectorPermutation":
-        idx = np.arange(spec.n_patches, dtype=np.int64)
-        return cls(spec, idx, idx.copy(), np.zeros(spec.n_sectors))
 
 
 def patch_wind_direction(u: np.ndarray, v: np.ndarray) -> float:
@@ -94,8 +59,16 @@ def _sector_layout(spec: GridSpec):
     return blocks.transpose(0, 2, 1, 3).reshape(spec.n_sectors, spec.patches_per_sector)
 
 
-def build_permutation(spec: GridSpec, u: np.ndarray, v: np.ndarray) -> SectorPermutation:
-    """Compute the wind-guided ordering from per-cell winds over the grid."""
+def build_permutation(
+    spec: GridSpec, u: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The wind-guided slot order from per-cell winds over the grid.
+
+    Returns (order, angles): order[k] is the raster patch index of the
+    token at sequence slot k, an (N,) int64 permutation, and angles[s] is
+    the wind angle used for sector s (raster sector order), with the
+    sentinel 0.0 for zero-wind sectors.
+    """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     want = (spec.height, spec.width)
@@ -108,7 +81,7 @@ def build_permutation(spec: GridSpec, u: np.ndarray, v: np.ndarray) -> SectorPer
     lx = (np.tile(np.arange(c), r) + 0.5) / c
     ly = (np.repeat(np.arange(r), c) + 0.5) / r
 
-    forward = np.empty(spec.n_patches, dtype=np.int64)
+    order = np.empty(spec.n_patches, dtype=np.int64)
     angles = np.zeros(spec.n_sectors)
     for s in range(spec.n_sectors):
         sy, sx = divmod(s, spec.sectors_x)
@@ -118,21 +91,20 @@ def build_permutation(spec: GridSpec, u: np.ndarray, v: np.ndarray) -> SectorPer
         slots = sectors[s]
         if not us.any() and not vs.any():
             # zero-wind sentinel: keep raster order
-            forward[slots] = slots
+            order[slots] = slots
             continue
         theta = patch_wind_direction(us, vs)
         angles[s] = theta
         pi = projection(lx, ly, theta)
-        order = np.argsort(pi, kind="stable")  # ties keep raster order
-        forward[slots] = slots[order]
-    inverse = np.argsort(forward)
-    return SectorPermutation(spec, forward, inverse, angles)
+        ranked = np.argsort(pi, kind="stable")  # ties keep raster order
+        order[slots] = slots[ranked]
+    return order, angles
 
 
-def unapply(perm: SectorPermutation, tokens: np.ndarray) -> np.ndarray:
-    """Return (N, C) wind-order tokens to their raster positions: slot
-    perm.inverse[i] holds raster patch i."""
+def unapply(order: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+    """Return (N, C) tokens in the slot order `order` to their raster
+    positions: raster patch order[k] takes the token of slot k."""
     tokens = np.asarray(tokens)
-    if tokens.ndim != 2 or tokens.shape[0] != perm.spec.n_patches:
-        raise ShapeError(f"tokens shape {tokens.shape} is not (N, C), N = {perm.spec.n_patches}")
-    return np.take(tokens, perm.inverse, axis=0)
+    if tokens.ndim != 2 or tokens.shape[0] != len(order):
+        raise ShapeError(f"tokens shape {tokens.shape} is not (N, C), N = {len(order)}")
+    return np.take(tokens, np.argsort(order), axis=0)

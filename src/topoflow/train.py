@@ -15,6 +15,11 @@ last checkpoint is bitwise identical to never having stopped.
 Batches are drawn independently each step (sampling without replacement
 within the batch) from a single generator that also feeds dropout, so the
 whole run's randomness is one serializable rng state.
+
+`prepare_arrays` builds every sample's slot order once, from the physical
+winds (identity rows without wind reordering), as one (S, N) int array. A
+batch hands its rows to `model.forward` as `orders`; the forward gathers
+through them and returns raster tokens, so nothing here indexes by them.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from . import reorder
 from .config import TrainConfig, encode, read_lines
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .fields import normalize, write_atomic
-from .model import ForwardResult, ModelConfig, ParamStore, forward, init_params, patchify
+from .model import ModelConfig, ParamStore, forward, init_params, patchify
 from .synthdata import DatasetBundle
 from .topo_bias import patch_elevations
 
@@ -210,7 +215,7 @@ class TrainingArrays:
     mask_tokens: np.ndarray      # (N, out_dim) float32, raster order, one for all samples
     cell_count: float
     elev_patch: np.ndarray       # (N,) meters
-    perms: list                  # per-sample SectorPermutation
+    orders: np.ndarray           # (S, N) int64, row i is sample i's slot -> patch order
 
 
 def prepare_arrays(bundle: DatasetBundle, config: ModelConfig) -> TrainingArrays:
@@ -218,12 +223,12 @@ def prepare_arrays(bundle: DatasetBundle, config: ModelConfig) -> TrainingArrays
     spec = config.spec
     samples = bundle.samples
     n_out = config.n_horizons * config.v_out
+    orders = np.tile(np.arange(spec.n_patches), (len(samples), 1))
     if config.wind_reorder:
-        # permutations come from the physical winds, not the z-scored inputs
-        perms = [reorder.build_permutation(spec, s.input.channel("u"), s.input.channel("v"))
-                 for s in samples]
-    else:
-        perms = [reorder.SectorPermutation.identity(spec)] * len(samples)
+        # the orders come from the physical winds, not the z-scored inputs
+        for i, s in enumerate(samples):
+            orders[i] = reorder.build_permutation(spec, s.input.channel("u"),
+                                                  s.input.channel("v"))[0]
     # the stacks are allocated once and filled a sample at a time, so no
     # temporary is larger than one sample's fields
     inputs = np.empty((len(samples),) + samples[0].input.data.shape, dtype=np.float32)
@@ -241,14 +246,8 @@ def prepare_arrays(bundle: DatasetBundle, config: ModelConfig) -> TrainingArrays
         patchify(bundle.mask.mask[None].astype(np.float32), spec), (1, n_out)
     )
     elev_patch = patch_elevations(bundle.terrain.elevation, spec)
-    return TrainingArrays(
-        inputs,
-        target_tokens,
-        mask_tokens,
-        float(bundle.mask.count),
-        elev_patch,
-        perms,
-    )
+    return TrainingArrays(inputs, target_tokens, mask_tokens, float(bundle.mask.count),
+                          elev_patch, orders=orders)
 
 
 def split_indices(n: int, val_fraction: float) -> tuple[np.ndarray, np.ndarray]:
@@ -271,7 +270,7 @@ def _batch_loss(
         config,
         arrays.inputs[idx],
         elev_patch_m=arrays.elev_patch,
-        perms=[arrays.perms[i] for i in idx],
+        orders=arrays.orders[idx],
         train=train,
         rng=rng,
     )

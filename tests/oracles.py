@@ -48,25 +48,25 @@ def transpose(x: ad.Tensor, *axes) -> ad.Tensor:
 # -- reordering and criterion 1 ------------------------------------------------------
 
 
-def apply(perm: reorder.SectorPermutation, tokens: np.ndarray) -> np.ndarray:
-    """Reorder (N, C) raster-order tokens into wind order: slot i holds raster
-    patch perm.forward[i]. Gathers by itself, so the round trip through
-    `reorder.unapply` checks unapply's own index."""
+def apply(order: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+    """Reorder (N, C) raster-order tokens into the slot order `order`: slot k
+    holds raster patch order[k]. Gathers by itself, so the round trip
+    through `reorder.unapply` checks unapply's own index."""
     tokens = np.asarray(tokens)
-    if tokens.ndim != 2 or tokens.shape[0] != perm.spec.n_patches:
-        raise ShapeError(f"tokens shape {tokens.shape} is not (N, C), N = {perm.spec.n_patches}")
-    return np.take(tokens, perm.forward, axis=0)
+    if tokens.ndim != 2 or tokens.shape[0] != len(order):
+        raise ShapeError(f"tokens shape {tokens.shape} is not (N, C), N = {len(order)}")
+    return np.take(tokens, order, axis=0)
 
 
 def equivariance_check(
-    tokens: np.ndarray, params: attention.AttentionParams, perm: reorder.SectorPermutation
+    tokens: np.ndarray, params: attention.AttentionParams, order: np.ndarray
 ) -> float:
     """Max |unapply(Attn(apply(X))) - Attn(X)| without a bias, for (N, d)
     tokens, each order attended as a batch of one."""
     tokens = np.asarray(tokens)
     straight, _ = attention._attend_parts(tokens[None], params)
-    shuffled, _ = attention._attend_parts(apply(perm, tokens)[None], params)
-    return float(np.abs(reorder.unapply(perm, shuffled.data[0]) - straight.data[0]).max())
+    shuffled, _ = attention._attend_parts(apply(order, tokens)[None], params)
+    return float(np.abs(reorder.unapply(order, shuffled.data[0]) - straight.data[0]).max())
 
 
 # -- criterion 6: covariance anisotropy -------------------------------------------------

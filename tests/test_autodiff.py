@@ -287,10 +287,10 @@ def test_no_grad_model_forward_is_bitwise_equal():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(3, config.v_in, 4, 8)).astype(np.float32)
     elev = rng.uniform(0, 2500, spec.n_patches)
-    perms = [reorder.build_permutation(spec, u, v) for u, v in zip(x[:, 0], x[:, 1])]
-    taped = model.forward(store, config, x, elev, perms=perms)
+    orders = np.stack([reorder.build_permutation(spec, u, v)[0] for u, v in zip(x[:, 0], x[:, 1])])
+    taped = model.forward(store, config, x, elev, orders=orders)
     with ad.no_grad():
-        plain = model.forward(store, config, x, elev, perms=perms)
+        plain = model.forward(store, config, x, elev, orders=orders)
     assert taped.tokens.requires_grad and taped.tokens._parents
     assert not plain.tokens.requires_grad and plain.tokens._parents == ()
     np.testing.assert_array_equal(plain.to_grid(), taped.to_grid())

@@ -112,6 +112,23 @@ def test_train_eval_pipeline(tmp_path, config_path, dataset):
     assert len(csv) == 3  # one channel, two horizons
 
 
+def test_eval_refuses_bad_config_before_writing(tmp_path, config_path, dataset, capsys):
+    # `eval` reads `train.val_fraction` for its split line, and `seed` is
+    # checked with the train keys: both before it scores or writes anything
+    run_dir = tmp_path / "run"
+    assert run("train", "--config", str(config_path), "--data", str(dataset),
+               "--out", str(run_dir), "--steps", "2") == 0
+    for i, (key, text) in enumerate((("seed", "-1"), ("train.val_fraction", "1.5"))):
+        cfg = write_config(tmp_path / f"bad{i}.cfg", **{key: text})
+        out = tmp_path / f"report{i}"
+        capsys.readouterr()
+        assert run("eval", "--config", str(cfg), "--data", str(dataset),
+                   "--checkpoint", str(run_dir / "best.gfd"), "--out", str(out)) == 2, key
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err, err
+        assert not out.exists()
+
+
 def test_eval_idempotent(tmp_path, config_path, dataset):
     run_dir = tmp_path / "run"
     run("train", "--config", str(config_path), "--data", str(dataset), "--out", str(run_dir))
@@ -229,6 +246,7 @@ def test_ablate_tiles_schema(tmp_path, config_path, dataset):
 def test_ablate_bad_lists_exit_two(tmp_path, config_path, dataset, capsys):
     cases = (
         ("components", "ablate.seeds", "0,0,1"),
+        ("components", "ablate.seeds", "0,-1"),
         ("components", "ablate.variants", "baseline,wind,baseline"),
         ("components", "ablate.variants", ","),
         ("tiles", "ablate.tiles", "global,0x2"),
@@ -706,6 +724,10 @@ def test_manifest_row_that_makes_no_sample_names_its_line(fault, tmp_path, confi
     ("physics.kappa", "nan"),
     ("physics.dt", "nan"),
     ("physics.max_wind", "nan"),
+    ("physics.max_wind", "-6"),
+    ("physics.max_wind", "0"),
+    ("data.horizons", "6,12"),
+    ("seed", "-1"),
     ("grid.height", "4"),
 ])
 def test_gen_refuses_bad_data_config_before_writing(key, text, tmp_path, capsys, monkeypatch):
@@ -735,6 +757,7 @@ def test_gen_refuses_bad_data_config_before_writing(key, text, tmp_path, capsys,
     ("model.d", "0"),
     ("model.mlp_hidden", "0"),
     ("model.head_hidden", "-4"),
+    ("seed", "-1"),
 ])
 def test_train_refuses_bad_config_before_writing(key, text, tmp_path, dataset, capsys):
     cfg = write_config(tmp_path / "bad.cfg", **{key: text})
@@ -759,7 +782,7 @@ def test_dump_perm_lists_sample_zero_order(tmp_path, config_path, dataset):
     lines = (out / "perm.txt").read_text().splitlines()
     bundle = synthdata.read_dataset(dataset)
     config = ModelConfig(bundle.spec, n_horizons=len(bundle.horizons))
-    want = train.prepare_arrays(bundle, config).perms[0].forward
+    want = train.prepare_arrays(bundle, config).orders[0]
     forward = [int(ln.split()[1]) for ln in lines[1 : 1 + bundle.spec.n_patches]]
     assert forward == want.tolist()
 

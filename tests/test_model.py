@@ -9,7 +9,7 @@ import pytest
 
 from topoflow import autodiff as ad, model, reorder, synthdata, topo_bias
 from topoflow.config import DataConfig, decode, encode
-from topoflow.errors import ConfigError, FormatError, ShapeError
+from topoflow.errors import ConfigError, DataError, FormatError, ShapeError
 from topoflow.fields import GridSpec, NormStats
 from topoflow.model import ModelConfig, forward, init_params, patchify, unpatchify
 from topoflow.train import TrainConfig, prepare_arrays
@@ -35,9 +35,10 @@ def random_inputs(config, rng, batch=2):
     return arr
 
 
-def wind_perms(config, x):
-    """Slot orders from the u and v channels of an input stack."""
-    return [reorder.build_permutation(config.spec, u, v) for u, v in zip(x[:, 0], x[:, 1])]
+def wind_orders(config, x):
+    """(B, N) slot orders from the u and v channels of an input stack."""
+    return np.stack([reorder.build_permutation(config.spec, u, v)[0]
+                     for u, v in zip(x[:, 0], x[:, 1])])
 
 
 # -- patchify -------------------------------------------------------------------
@@ -120,7 +121,7 @@ def test_forward_output_shape_contract():
     elev = rng.uniform(0, 2000, config.spec.n_patches)
     x = random_inputs(config, rng)
     res = forward(params=store, config=config, inputs=x, elev_patch_m=elev,
-                  perms=wind_perms(config, x))
+                  orders=wind_orders(config, x))
     assert res.tokens.shape == (2, config.spec.n_patches, config.out_dim)
     grid = res.to_grid()
     assert grid.shape == (2, config.n_horizons * config.v_out, 4, 8)
@@ -132,8 +133,8 @@ def test_forward_deterministic():
     rng = np.random.default_rng(2)
     x = random_inputs(config, rng)
     elev = rng.uniform(0, 2000, config.spec.n_patches)
-    a = forward(store, config, x, elev, perms=wind_perms(config, x)).to_grid()
-    b = forward(store, config, x, elev, perms=wind_perms(config, x)).to_grid()
+    a = forward(store, config, x, elev, orders=wind_orders(config, x)).to_grid()
+    b = forward(store, config, x, elev, orders=wind_orders(config, x)).to_grid()
     assert a.tobytes() == b.tobytes()
 
 
@@ -153,15 +154,35 @@ def test_missing_elevation_raises():
     rng = np.random.default_rng(4)
     x = random_inputs(config, rng)
     with pytest.raises(ConfigError, match="elev"):
-        forward(store, config, x, perms=wind_perms(config, x))
+        forward(store, config, x, orders=wind_orders(config, x))
 
 
-def test_missing_perms_raise_with_wind_reorder():
+def test_missing_orders_raise_with_wind_reorder():
     config = tiny_config(elev_bias=False)
     store = init_params(config, seed=0)
     x = random_inputs(config, np.random.default_rng(4))
-    with pytest.raises(ConfigError, match="perms"):
+    with pytest.raises(ConfigError, match="slot orders"):
         forward(store, config, x)
+
+
+def test_forward_refuses_bad_slot_orders():
+    # each row must be a permutation of 0..N-1 and there is one row per
+    # sample; without wind reordering the orders are not read
+    config = tiny_config(elev_bias=False)
+    store = init_params(config, seed=0)
+    x = random_inputs(config, np.random.default_rng(4))
+    good = wind_orders(config, x)
+    repeated = good.copy()
+    repeated[1, 0] = repeated[1, 1]
+    for bad in (repeated, good + 1, good.astype(np.float64)):
+        with pytest.raises(DataError, match="permutation"):
+            forward(store, config, x, orders=bad)
+    for bad in (good[:1], good[:, :-1], good[0]):
+        with pytest.raises(ShapeError, match="slot orders"):
+            forward(store, config, x, orders=bad)
+    off = replace(config, wind_reorder=False)
+    assert forward(store, off, x, orders=repeated).tokens.data.tobytes() == \
+        forward(store, off, x).tokens.data.tobytes()
 
 
 def test_dropout_requires_rng_and_is_seeded():
@@ -194,13 +215,13 @@ def test_reorder_is_equivalence_at_init():
     store = init_params(config_on, seed=0, dtype=np.float64)
     rng = np.random.default_rng(6)
     x = uniform_wind_inputs(config_on, rng)
-    perms = wind_perms(config_on, x)
+    orders = wind_orders(config_on, x)
     base = forward(store, config_off, x).to_grid()
-    shuffled = forward(store, config_on, x, perms=perms).to_grid()
+    shuffled = forward(store, config_on, x, orders=orders).to_grid()
     assert np.abs(shuffled - base).max() < 1e-10
     # a trained (nonzero) relative table re-breaks the tie
     store["pos.rel"].data[:] = rng.normal(size=store["pos.rel"].shape)
-    diverged = forward(store, config_on, x, perms=perms).to_grid()
+    diverged = forward(store, config_on, x, orders=orders).to_grid()
     assert np.abs(diverged - forward(store, config_off, x).to_grid()).max() > 1e-6
 
 
@@ -213,13 +234,12 @@ def test_terrain_penalty_follows_the_shuffle_at_init():
     rng = np.random.default_rng(6)
     x = uniform_wind_inputs(config_on, rng)
     x[1, synthdata.INPUT_CHANNELS.index("v")] = -2.0
-    perms = wind_perms(config_on, x)
-    assert len({tuple(p.forward) for p in perms}) == 2
-    assert not any(np.array_equal(p.forward, np.arange(config_on.spec.n_patches))
-                   for p in perms)
+    orders = wind_orders(config_on, x)
+    assert len({tuple(o) for o in orders}) == 2
+    assert not any(np.array_equal(o, np.arange(config_on.spec.n_patches)) for o in orders)
     elev = rng.uniform(0, 3000, config_on.spec.n_patches)
     base = forward(store, config_off, x, elev).to_grid()
-    shuffled = forward(store, config_on, x, elev, perms=perms).to_grid()
+    shuffled = forward(store, config_on, x, elev, orders=orders).to_grid()
     assert np.abs(shuffled - base).max() < 1e-10
 
 
@@ -233,10 +253,9 @@ def test_wind_forward_returns_raster_tokens_and_maps():
     assert not store["pos.rel"].data.any()
     rng = np.random.default_rng(13)
     x = random_inputs(config_on, rng, batch=3)
-    perms = wind_perms(config_on, x)
-    assert not any(np.array_equal(p.forward, np.arange(config_on.spec.n_patches))
-                   for p in perms)
-    on = forward(store, config_on, x, perms=perms, collect_attention=True)
+    orders = wind_orders(config_on, x)
+    assert not any(np.array_equal(o, np.arange(config_on.spec.n_patches)) for o in orders)
+    on = forward(store, config_on, x, orders=orders, collect_attention=True)
     off = forward(store, config_off, x, collect_attention=True)
     np.testing.assert_allclose(on.tokens.data, off.tokens.data, rtol=0, atol=1e-10)
     assert len(on.attention) == len(off.attention) == config_on.layers
@@ -250,13 +269,13 @@ def test_raster_tokens_node_is_unapply_and_its_adjoint():
     # orders are not their own inverses, so a vjp through the inverse fails
     spec = GridSpec(8, 16, 2, 4, 2)
     rng = np.random.default_rng(14)
-    perms = [reorder.build_permutation(spec, *rng.normal(size=(2, 8, 16))) for _ in range(2)]
-    orders = np.stack([p.forward for p in perms])
+    orders = np.stack([reorder.build_permutation(spec, *rng.normal(size=(2, 8, 16)))[0]
+                       for _ in range(2)])
     assert not (np.take_along_axis(orders, orders, axis=1) == np.arange(spec.n_patches)).all()
     slots = ad.parameter(rng.normal(size=(2, spec.n_patches, 3)))
-    raster = model._raster_tokens(slots, perms, orders)
-    for b, p in enumerate(perms):
-        np.testing.assert_array_equal(raster.data[b], reorder.unapply(p, slots.data[b]))
+    raster = model._raster_tokens(slots, orders)
+    for b, order in enumerate(orders):
+        np.testing.assert_array_equal(raster.data[b], reorder.unapply(order, slots.data[b]))
     g = rng.normal(size=raster.shape)
     (raster * ad.Tensor(g)).sum().backward()
     np.testing.assert_allclose((slots.grad * slots.data).sum(), (g * raster.data).sum(),
@@ -312,12 +331,12 @@ def test_toggles_off_is_the_shared_baseline_path():
     stats = NormStats.fit([s.input for s in samples], synthdata.norm_kinds())
     bundle = synthdata.DatasetBundle(spec, tuple(samples), tw, synthdata.study_mask(spec),
                                      stats, data.horizons)
-    for p in prepare_arrays(bundle, config).perms:
-        np.testing.assert_array_equal(p.forward, np.arange(spec.n_patches))
-    perms = wind_perms(replace(config, wind_reorder=True), x)
-    assert not any(np.array_equal(p.forward, np.arange(spec.n_patches)) for p in perms)
-    res = forward(store, config, x)
-    assert res.tokens.data.tobytes() == forward(store, config, x, perms=perms).tokens.data.tobytes()
+    orders = prepare_arrays(bundle, config).orders
+    np.testing.assert_array_equal(orders, np.tile(np.arange(spec.n_patches), (2, 1)))
+    orders = wind_orders(replace(config, wind_reorder=True), x)
+    assert not any(np.array_equal(o, np.arange(spec.n_patches)) for o in orders)
+    res = forward(store, config, x, orders=orders)
+    assert res.tokens.data.tobytes() == forward(store, config, x).tokens.data.tobytes()
     # alpha exists but is unused on this path
     assert "alpha" in store.params
 
@@ -332,11 +351,11 @@ def test_toggles_choose_data_not_branches():
     elev = rng.uniform(0, 3000, base.spec.n_patches)
     coeff = rng.normal(size=(3, base.spec.n_patches, base.out_dim)).astype(np.float32)
 
-    def run(config, perms=None, alpha=None):
+    def run(config, orders=None, alpha=None):
         store = init_params(config, seed=0)
         if alpha is not None:
             store["alpha"].data[...] = alpha
-        res = forward(store, config, x, elev, perms=perms, train=True,
+        res = forward(store, config, x, elev, orders=orders, train=True,
                       rng=np.random.default_rng(12))
         (res.tokens * ad.Tensor(coeff)).sum().backward()
         return res.tokens.data, {k: store[k].grad for k in store.names()}
@@ -349,14 +368,14 @@ def test_toggles_choose_data_not_branches():
                 assert (grad is None) == (other is None), name
                 assert grad is None or grad.tobytes() == other.tobytes(), name
 
-    identity = [reorder.SectorPermutation.identity(base.spec)] * len(x)
+    identity = np.tile(np.arange(base.spec.n_patches), (len(x), 1))
     baseline = run(base)
     assert_same_bits(run(replace(base, wind_reorder=True), identity), baseline)
     for wind in (False, True):
         config = replace(base, wind_reorder=wind)
-        perms = wind_perms(config, x) if wind else None
-        off = run(config, perms)
-        on = run(replace(config, elev_bias=True), perms, alpha=0.0)
+        orders = wind_orders(config, x) if wind else None
+        off = run(config, orders)
+        on = run(replace(config, elev_bias=True), orders, alpha=0.0)
         assert off[1]["alpha"] is None and on[1]["alpha"] is not None
         assert_same_bits(on, off, skip=("alpha",))
 
@@ -367,7 +386,7 @@ def test_collect_attention_rows_stochastic():
     rng = np.random.default_rng(8)
     x = random_inputs(config, rng)
     elev = rng.uniform(0, 3000, config.spec.n_patches)
-    res = forward(store, config, x, elev, perms=wind_perms(config, x), collect_attention=True)
+    res = forward(store, config, x, elev, orders=wind_orders(config, x), collect_attention=True)
     assert len(res.attention) == config.layers
     w = res.attention[0]
     assert w.shape == (2, config.spec.n_patches, config.spec.n_patches)
@@ -387,10 +406,10 @@ def test_no_grad_attention_maps_equal_the_taped_batch(over):
     rng = np.random.default_rng(9)
     x = random_inputs(config, rng, batch=3).astype(np.float32)
     elev = rng.uniform(0, 3000, config.spec.n_patches)
-    perms = wind_perms(config, x)
-    taped = forward(store, config, x, elev, perms=perms, collect_attention=True)
+    orders = wind_orders(config, x)
+    taped = forward(store, config, x, elev, orders=orders, collect_attention=True)
     with ad.no_grad():
-        plain = forward(store, config, x, elev, perms=perms, collect_attention=True)
+        plain = forward(store, config, x, elev, orders=orders, collect_attention=True)
     assert taped.tokens.requires_grad and not plain.tokens.requires_grad
     assert plain.tokens.data.tobytes() == taped.tokens.data.tobytes()
     assert len(plain.attention) == len(taped.attention) == config.layers
@@ -406,13 +425,13 @@ def test_no_grad_forward_memory_does_not_grow_with_batch():
     rng = np.random.default_rng(10)
     x = random_inputs(config, rng, batch=8).astype(np.float32)
     elev = rng.uniform(0, 3000, spec.n_patches)
-    perms = wind_perms(config, x)
+    orders = wind_orders(config, x)
 
     def peak_bytes(batch):
         tracemalloc.start()
         try:
             with ad.no_grad():
-                forward(store, config, x[:batch], elev, perms=perms[:batch])
+                forward(store, config, x[:batch], elev, orders=orders[:batch])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -450,7 +469,7 @@ def test_taped_forward_node_count_and_bytes_pinned():
     rng = np.random.default_rng(4)
     x = random_inputs(config, rng).astype(np.float32)
     elev = rng.uniform(0, 2500, config.spec.n_patches)
-    res = forward(store, config, x, elev, perms=wind_perms(config, x), train=True, rng=rng)
+    res = forward(store, config, x, elev, orders=wind_orders(config, x), train=True, rng=rng)
     nodes, nbytes = load_tape_stats()(res.tokens)
     assert nodes == TAPE_NODES
     assert nbytes <= TAPE_BYTES
@@ -466,7 +485,7 @@ def test_taped_forward_keeps_no_batch_by_n_by_n_array():
     rng = np.random.default_rng(5)
     x = random_inputs(config, rng).astype(np.float32)
     elev = rng.uniform(0, 2500, config.spec.n_patches)
-    res = forward(store, config, x, elev, perms=wind_perms(config, x), train=True, rng=rng)
+    res = forward(store, config, x, elev, orders=wind_orders(config, x), train=True, rng=rng)
     b, n = x.shape[0], config.spec.n_patches
     largest, seen, stack = 0, set(), [res.tokens]
     while stack:
@@ -508,14 +527,14 @@ def test_full_model_gradients_match_finite_differences():
         patchify(maskgrid, config.spec), (1, config.n_horizons * config.v_out)
     )[None]
     count = maskgrid.sum()
-    perms = wind_perms(config, x)
+    orders = wind_orders(config, x)
 
     def loss_value():
-        res = forward(store, config, x, elev, perms=perms)
+        res = forward(store, config, x, elev, orders=orders)
         diff = res.tokens.data - target
         return float((diff * diff * mask_tok).sum() / count)
 
-    res = forward(store, config, x, elev, perms=perms)
+    res = forward(store, config, x, elev, orders=orders)
     token_loss(res, target, mask_tok, count).backward()
 
     eps = 1e-5

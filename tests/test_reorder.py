@@ -34,12 +34,12 @@ def brute_force_sector_orders(spec, u, v):
     return per_sector
 
 
-def sector_orders_from_perm(spec, perm):
-    """Extract each sector's ordered patch list out of the global forward map."""
+def sector_orders_from_perm(spec, order):
+    """Extract each sector's ordered patch list out of the global slot order."""
     orders = {}
     layout = reorder._sector_layout(spec)
     for s in range(spec.n_sectors):
-        orders[s] = list(perm.forward[layout[s]])
+        orders[s] = list(order[layout[s]])
     return orders
 
 
@@ -100,18 +100,18 @@ def test_uniform_east_wind_sorts_west_to_east():
     spec = GridSpec(4, 4, 2, 2, 2)
     u = np.ones((4, 4))
     v = np.zeros((4, 4))
-    perm = reorder.build_permutation(spec, u, v)
-    assert list(perm.forward) == [0, 2, 1, 3]
-    assert sector_orders_from_perm(spec, perm) == brute_force_sector_orders(spec, u, v)
+    order, _ = reorder.build_permutation(spec, u, v)
+    assert order.dtype == np.int64
+    assert list(order) == [0, 2, 1, 3]
+    assert sector_orders_from_perm(spec, order) == brute_force_sector_orders(spec, u, v)
 
 
 def test_zero_wind_gives_identity():
     spec = GridSpec(8, 8, 2, 2, 2)
     z = np.zeros((8, 8))
-    perm = reorder.build_permutation(spec, z, z)
-    assert np.array_equal(perm.forward, np.arange(spec.n_patches))
-    assert np.array_equal(perm.inverse, np.arange(spec.n_patches))
-    assert np.all(perm.angles == 0.0)
+    order, angles = reorder.build_permutation(spec, z, z)
+    assert np.array_equal(order, np.arange(spec.n_patches))
+    assert np.all(angles == 0.0)
 
 
 def test_inverse_round_trip_random():
@@ -120,10 +120,10 @@ def test_inverse_round_trip_random():
     for _ in range(20):
         u = rng.normal(size=(8, 16))
         v = rng.normal(size=(8, 16))
-        perm = reorder.build_permutation(spec, u, v)
-        n = spec.n_patches
-        assert np.array_equal(perm.inverse[perm.forward], np.arange(n))
-        assert np.array_equal(perm.forward[perm.inverse], np.arange(n))
+        order, _ = reorder.build_permutation(spec, u, v)
+        inverse, n = np.argsort(order), spec.n_patches
+        assert np.array_equal(inverse[order], np.arange(n))
+        assert np.array_equal(order[inverse], np.arange(n))
 
 
 def test_oracle_equivalence_random_instances():
@@ -133,8 +133,8 @@ def test_oracle_equivalence_random_instances():
         spec = specs[trial % len(specs)]
         u = rng.normal(size=(spec.height, spec.width))
         v = rng.normal(size=(spec.height, spec.width))
-        perm = reorder.build_permutation(spec, u, v)
-        assert sector_orders_from_perm(spec, perm) == brute_force_sector_orders(spec, u, v)
+        order, _ = reorder.build_permutation(spec, u, v)
+        assert sector_orders_from_perm(spec, order) == brute_force_sector_orders(spec, u, v)
 
 
 def test_block_structure_random_winds():
@@ -144,9 +144,9 @@ def test_block_structure_random_winds():
     for _ in range(50):
         u = rng.normal(size=(16, 16))
         v = rng.normal(size=(16, 16))
-        perm = reorder.build_permutation(spec, u, v)
+        order, _ = reorder.build_permutation(spec, u, v)
         for s in range(spec.n_sectors):
-            assert set(perm.forward[layout[s]]) == set(layout[s])
+            assert set(order[layout[s]]) == set(layout[s])
 
 
 def test_determinism_bitwise():
@@ -154,26 +154,26 @@ def test_determinism_bitwise():
     rng = np.random.default_rng(9)
     u = rng.normal(size=(8, 16))
     v = rng.normal(size=(8, 16))
-    p1 = reorder.build_permutation(spec, u, v)
-    p2 = reorder.build_permutation(spec, u.copy(), v.copy())
-    assert np.array_equal(p1.forward, p2.forward)
-    assert np.array_equal(p1.angles, p2.angles)
+    o1, a1 = reorder.build_permutation(spec, u, v)
+    o2, a2 = reorder.build_permutation(spec, u.copy(), v.copy())
+    assert np.array_equal(o1, o2)
+    assert np.array_equal(a1, a2)
 
 
 # -- apply / unapply -----------------------------------------------------------
 
 def test_apply_identity_and_round_trip():
     spec = GridSpec(8, 8, 2, 2, 2)
-    ident = reorder.SectorPermutation.identity(spec)
+    ident = np.arange(spec.n_patches)
     rng = np.random.default_rng(3)
     tokens = rng.normal(size=(spec.n_patches, 5))
     np.testing.assert_array_equal(oracles.apply(ident, tokens), tokens)
     u = rng.normal(size=(8, 8))
     v = rng.normal(size=(8, 8))
-    perm = reorder.build_permutation(spec, u, v)
-    # not its own inverse, so an unapply that gathers by `forward` fails here
-    assert not np.array_equal(perm.forward[perm.forward], np.arange(spec.n_patches))
-    np.testing.assert_array_equal(reorder.unapply(perm, oracles.apply(perm, tokens)), tokens)
+    order, _ = reorder.build_permutation(spec, u, v)
+    # not its own inverse, so an unapply that gathers by the order fails here
+    assert not np.array_equal(order[order], np.arange(spec.n_patches))
+    np.testing.assert_array_equal(reorder.unapply(order, oracles.apply(order, tokens)), tokens)
 
 
 def test_single_swap_exchanges_tokens():
@@ -181,29 +181,28 @@ def test_single_swap_exchanges_tokens():
     spec = GridSpec(2, 4, 2, 2, 1)
     u = np.full((2, 4), -1.0)
     v = np.zeros((2, 4))
-    perm = reorder.build_permutation(spec, u, v)
-    assert list(perm.forward) == [1, 0]
+    order, _ = reorder.build_permutation(spec, u, v)
+    assert list(order) == [1, 0]
     tokens = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(oracles.apply(perm, tokens), tokens[::-1])
+    np.testing.assert_array_equal(oracles.apply(order, tokens), tokens[::-1])
 
 
 def test_apply_length_mismatch():
     spec = GridSpec(8, 8, 2, 2, 2)
-    perm = reorder.SectorPermutation.identity(spec)
+    ident = np.arange(spec.n_patches)
     with pytest.raises(ShapeError):
-        oracles.apply(perm, np.zeros((spec.n_patches + 1, 3)))
+        oracles.apply(ident, np.zeros((spec.n_patches + 1, 3)))
     with pytest.raises(ShapeError):
-        reorder.unapply(perm, np.zeros((2, 3)))
+        reorder.unapply(ident, np.zeros((2, 3)))
 
 
 def test_apply_takes_n_by_c_tokens_only():
     spec = GridSpec(8, 8, 2, 2, 2)
-    perm = reorder.SectorPermutation.identity(spec)
     n = spec.n_patches
     for shape in ((n,), (1, n, 3), (2, n, 3)):
         for fn in (oracles.apply, reorder.unapply):
             with pytest.raises(ShapeError):
-                fn(perm, np.zeros(shape))
+                fn(np.arange(n), np.zeros(shape))
 
 
 def test_sort_work_scales_with_sector_size():
@@ -239,34 +238,53 @@ def test_sort_work_scales_with_sector_size():
     assert 0.2 * expected < ratio < 5.0 * expected
 
 
-# -- where the slot order may be read ----------------------------------------
+# -- where a slot order may be gathered through ----------------------------------
 
-def _slot_order_reads(tree):
-    """Reads of a `.forward` or `.inverse` attribute in a module's syntax
-    tree, a permutation's slot -> patch and patch -> slot arrays. A called
-    attribute, such as `model.forward(...)`, is a function, not an order."""
-    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+ORDER_NAMES = ("order", "orders")
+
+
+def _is_order(node):
+    """A slot-order value: a name or attribute called `order` or `orders`,
+    or rows of one, such as `arrays.orders[idx]`."""
+    while isinstance(node, (ast.Subscript, ast.Starred)):
+        node = node.value
+    return ((isinstance(node, ast.Name) and node.id in ORDER_NAMES)
+            or (isinstance(node, ast.Attribute) and node.attr in ORDER_NAMES))
+
+
+def _order_gathers(tree):
+    """Gathers through a slot order in a module's syntax tree: an order
+    passed positionally to a call (`np.take(t, order)`) or used as an index
+    (`t[orders]`, `t[:, order]`). Passing one by keyword, as
+    `forward(..., orders=...)` does, and selecting its rows are not gathers."""
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr in ("forward", "inverse")
-                and id(node) not in called):
+        if isinstance(node, ast.Call):
+            used = node.args
+        elif isinstance(node, ast.Subscript):
+            used = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+        else:
+            continue
+        if any(_is_order(arg) for arg in used):
             yield node
 
 
-def test_slot_order_is_read_only_in_reorder_model_and_cli():
-    """The slot order stays behind `model.forward`: only `reorder`, which
-    builds it, `model`, which applies and undoes it, and `cli`'s `dump perm`
-    read a permutation's arrays, so `train` and `evalkit` see raster tokens."""
+def test_train_and_evalkit_pass_slot_orders_without_gathering():
+    """The slot order stays behind `model.forward`: `train` and `evalkit`
+    hold the orders and hand rows of them to it by keyword, but gather
+    nothing through them, so they see raster tokens only."""
     src = Path(__file__).resolve().parents[1] / "src" / "topoflow"
-    found = set()
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        found |= {path.name for _ in _slot_order_reads(tree)}
-    assert found == {"reorder.py", "model.py", "cli.py"}, sorted(found)
+    for name in ("train.py", "evalkit.py"):
+        tree = ast.parse((src / name).read_text(encoding="utf-8"))
+        assert any(_is_order(node) for node in ast.walk(tree)), name
+        assert [node.lineno for node in _order_gathers(tree)] == [], name
 
 
 def test_slot_order_finder_sees_each_form():
     tree = ast.parse(
-        "p.forward\nperm.inverse[i]\nnp.take(t, perms[0].forward)\nf = model.forward\n"
-        "model.forward(x)\nmodel_mod.forward(store, config, x)\np.angles\n"
+        "np.take(t, order)\nt[orders]\nx[:, order]\n"
+        "np.take_along_axis(t, arrays.orders[idx][..., None], axis=1)\n"
+        "zip(orders, out)\nf(*orders)\n"
+        "forward(store, config, x, orders=arrays.orders[idx])\nrows = orders[idx]\n"
+        "order.shape\nt[border]\nnp.take(t, perm)\n"
     )
-    assert sorted(node.lineno for node in _slot_order_reads(tree)) == [1, 2, 3, 4]
+    assert sorted(node.lineno for node in _order_gathers(tree)) == [1, 2, 3, 4, 5, 6]
