@@ -112,6 +112,20 @@ def _need_dir(cfg, key, what) -> Path:
     return Path(value)
 
 
+def read_dataset(cfg):
+    """The dataset at `paths.data`. A `grid.*` key that differs from the
+    dataset's grid raises ConfigError naming the first, since the run
+    takes its grid from the dataset and would echo another."""
+    from . import synthdata
+
+    bundle = synthdata.read_dataset(_need_dir(cfg, "paths.data", "dataset directory"))
+    for key, text in encode(bundle.spec, "grid").items():
+        if value(cfg, key, int) != int(text):
+            raise ConfigError(f"{key} = {cfg[key]}, but the dataset at {cfg['paths.data']} "
+                              f"has {key} = {text}")
+    return bundle
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -143,11 +157,10 @@ def cmd_gen(cfg: dict[str, str]) -> int:
 
 
 def cmd_train(cfg: dict[str, str], resume: bool) -> int:
-    from . import synthdata, train
+    from . import train
 
-    data = _need_dir(cfg, "paths.data", "dataset directory")
     out = _need_dir(cfg, "paths.out", "output directory")
-    bundle = synthdata.read_dataset(data)
+    bundle = read_dataset(cfg)
     mconfig = build_model_config(cfg, spec=bundle.spec, n_horizons=len(bundle.horizons))
     tconfig = build_train_config(cfg)
     result = train.fit(bundle, mconfig, tconfig, out_dir=out, resume=resume)
@@ -160,13 +173,12 @@ def cmd_train(cfg: dict[str, str], resume: bool) -> int:
 
 
 def cmd_eval(cfg: dict[str, str]) -> int:
-    from . import evalkit, model, synthdata, train
+    from . import evalkit, model, train
 
-    data = _need_dir(cfg, "paths.data", "dataset directory")
     ckpt = _need_dir(cfg, "paths.checkpoint", "checkpoint path")
     out = _need_dir(cfg, "paths.out", "output directory")
     val_fraction = build_train_config(cfg).val_fraction
-    bundle = synthdata.read_dataset(data)
+    bundle = read_dataset(cfg)
     store, mconfig, _moments, _extras = model.load_checkpoint(ckpt)
     rep = evalkit.report(store, mconfig, bundle)
     out.mkdir(parents=True, exist_ok=True)
@@ -276,11 +288,10 @@ def cmd_ablate(cfg: dict[str, str], mode: str) -> int:
     """Train each run of the mode's list into `runs/<name>/` under the
     output directory, then write the mode's tables. The whole list is
     checked before the first fit."""
-    from . import synthdata, train
+    from . import train
 
-    data = _need_dir(cfg, "paths.data", "dataset directory")
     out = _need_dir(cfg, "paths.out", "output directory")
-    bundle = synthdata.read_dataset(data)
+    bundle = read_dataset(cfg)
     mconfig = build_model_config(cfg, spec=bundle.spec, n_horizons=len(bundle.horizons))
     tconfig = build_train_config(cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -323,12 +334,11 @@ def cmd_ablate(cfg: dict[str, str], mode: str) -> int:
 def cmd_dump(cfg: dict[str, str], what: str) -> int:
     import numpy as np
 
-    from . import evalkit, model, reorder, synthdata, topo_bias
+    from . import evalkit, model, reorder, topo_bias
     from .fields import Field, write_grid
 
-    data = _need_dir(cfg, "paths.data", "dataset directory")
     out = _need_dir(cfg, "paths.out", "output directory")
-    bundle = synthdata.read_dataset(data)
+    bundle = read_dataset(cfg)
     spec = bundle.spec
     out.mkdir(parents=True, exist_ok=True)
     if what == "perm":

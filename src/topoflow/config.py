@@ -233,7 +233,7 @@ class TrainConfig:
             self, "train",
             positive=("lr_base", "lr_embed", "lr_head", "lr_backbone", "clip_norm",
                       "batch_size", "val_interval"),
-            nonnegative=("warmup", "weight_decay", "eta_min", "seed"),
+            nonnegative=("warmup", "total_steps", "weight_decay", "eta_min", "patience", "seed"),
         )
         if self.warmup > self.total_steps:
             raise ConfigError(

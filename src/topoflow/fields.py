@@ -21,11 +21,12 @@ rather than resolved.
     payload       C*H*W IEEE-754 binary32 values, little-endian, row-major
                   within a channel, channels concatenated in order
 
-A land mask is the same container with a single channel named "mask" whose
-values are exactly 0.0 or 1.0. A dataset sample is one container too: the
-input channels, then each horizon's target channels tagged with its lead
-time (`c@12h`, see `synthdata.sample_channels`), which the reader slices
-back into views of the one payload. Round trips are bitwise exact for every
+A dataset's study mask is the `mask` channel of its terrain container,
+next to elevation and the reference wind, with values exactly 0.0 or 1.0.
+A dataset sample is one container too: the input channels, then each
+horizon's target channels tagged with its lead time (`c@12h`, see
+`synthdata.sample_channels`), which the reader slices back into views of
+the one payload. Round trips are bitwise exact for every
 finite binary32 value including signed zeros; non-finite payloads are
 rejected at load time.
 """
@@ -40,12 +41,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import GridSpec, read_bytes, read_lines
+from .config import GridSpec, read_bytes
 from .errors import ConfigError, DataError, FormatError, MaskError, ShapeError, StatsError
 
 GFD_MAGIC = b"GFD1"
 GFD_VERSION = 1
-MASK_CHANNEL = "mask"
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,8 @@ class ChannelStats:
     def __post_init__(self):
         if self.kind not in ("zscore", "minmax", "none"):
             raise StatsError(f"unknown normalization kind {self.kind!r}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise StatsError(f"a = {self.a} and b = {self.b} must be finite")
         if self.kind == "zscore" and not self.b > 0:
             raise StatsError(f"zscore sigma must be > 0, got {self.b}")
         if self.kind == "minmax" and not self.b > self.a:
@@ -192,30 +194,6 @@ class NormStats:
                 entries[name] = ChannelStats("none")
         return cls(entries)
 
-    def save(self, path) -> None:
-        """One `name kind a b` line per channel, written atomically."""
-        lines = (f"{name} {st.kind} {st.a!r} {st.b!r}\n" for name, st in self.entries.items())
-        write_atomic(path, "".join(lines).encode("utf-8"))
-
-    @classmethod
-    def load(cls, path) -> "NormStats":
-        """The stats `save` wrote. An unreadable file, or a line that is not
-        UTF-8, not `name kind a b` or not a valid ChannelStats, raises
-        FormatError naming the file and line."""
-        entries: dict[str, ChannelStats] = {}
-        for ln, line in read_lines(path, FormatError):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                name, kind, a, b = parts
-                entries[name] = ChannelStats(kind, float(a), float(b))
-            except ValueError:
-                raise FormatError(f"{path}:{ln}: expected 'name kind a b'") from None
-            except StatsError as exc:
-                raise FormatError(f"{path}:{ln}: {exc}") from None
-        return cls(entries)
-
 
 def normalize(field: Field, stats: NormStats) -> Field:
     """Map each channel into model space per its stats entry."""
@@ -248,8 +226,6 @@ class Sample:
     input: Field
     targets: tuple[Field, ...]
     lead_times: tuple[int, ...]   # hours, strictly increasing
-    hour: int                     # hour-of-day at forecast start
-    doy: int                      # day-of-year at forecast start
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
@@ -263,19 +239,14 @@ class Sample:
         for t in self.targets:
             if t.spec != self.input.spec:
                 raise ShapeError("sample input and targets must share one grid spec")
-        temporal_encoding(self.hour, self.doy)  # range validation
 
 
 # ---------------------------------------------------------------------------
 # .gfd read/write
 # ---------------------------------------------------------------------------
 
-def write_grid(obj: Field | LandMask, path) -> None:
-    """Serialize a Field or LandMask to the .gfd container, atomically."""
-    if isinstance(obj, LandMask):
-        field = Field(obj.spec, (MASK_CHANNEL,), obj.mask[None].astype(np.float32), ("",))
-    else:
-        field = obj
+def write_grid(field: Field, path) -> None:
+    """Serialize a Field to the .gfd container, atomically."""
     spec = field.spec
     parts = [GFD_MAGIC]
     parts.append(
@@ -306,9 +277,9 @@ def write_atomic(path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def read_grid(path) -> Field | LandMask:
-    """Parse a .gfd container, returning LandMask for single-channel "mask" files;
-    an unreadable file raises DataError, a malformed one FormatError with its offset."""
+def read_grid(path) -> Field:
+    """Parse a .gfd container; an unreadable file raises DataError, a
+    malformed one FormatError with its offset."""
     raw = read_bytes(path, DataError)
 
     def malformed(message: str, offset: int) -> FormatError:
@@ -350,6 +321,4 @@ def read_grid(path) -> Field | LandMask:
     data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(n_ch, h, w)
     if not np.isfinite(data).all():
         raise DataError(f"{path}: non-finite values in payload")
-    if n_ch == 1 and channels[0] == MASK_CHANNEL:
-        return LandMask(spec, data[0])
     return Field(spec, tuple(channels), data, tuple(units))

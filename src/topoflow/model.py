@@ -471,8 +471,7 @@ def load_checkpoint(path):
     names = sorted(shapes)
     sizes = [math.prod(shapes[k]) for k in names]
     container = read_grid(path)
-    if (not isinstance(container, Field)
-            or container.channels not in (("param",), ("param", "adam_m", "adam_v"))
+    if (container.channels not in (("param",), ("param", "adam_m", "adam_v"))
             or container.data.shape[1:] != (1, sum(sizes))):
         raise FormatError(f"{path}: payload does not fit its sidecar's model config")
     if kv.get("payload.crc32") != _payload_crc(container.data):

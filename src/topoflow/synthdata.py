@@ -26,6 +26,10 @@ hours map to integer step counts regardless of the CFL-constrained dt.
 
 Per-sample randomness is drawn from numpy SeedSequence([root, 1, index]),
 so datasets are order-independent and reproducible sample by sample.
+
+On disk a dataset is one terrain file (elevation, reference wind and the
+study mask), one file per sample and a `key = value` manifest that states
+the `data.*` values and the normalization stats once (`write_dataset`).
 """
 
 from __future__ import annotations
@@ -36,10 +40,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import INPUT_CHANNELS, TARGET_CHANNELS, TEMPORAL_CHANNELS, read_lines
-from .config import DataConfig, PhysicsConfig
+from .config import INPUT_CHANNELS, TARGET_CHANNELS, TEMPORAL_CHANNELS, DataConfig, PhysicsConfig
+from .config import decode, encode, format_kv, read_kv, read_lines, value
 from .errors import ConfigError, DataError, FormatError, ShapeError, StabilityError
 from .fields import (
+    ChannelStats,
     Field,
     GridSpec,
     LandMask,
@@ -398,7 +403,7 @@ def make_sample(
     targets = tuple(
         Field(spec, TARGET_CHANNELS, s[None].astype(np.float32), ("ug/m3",)) for s in snapshots
     )
-    return Sample(inp, targets, data.horizons, hour, doy)
+    return Sample(inp, targets, data.horizons)
 
 
 def make_dataset(
@@ -431,6 +436,16 @@ class DatasetBundle:
     horizons: tuple[int, ...]
 
 
+TERRAIN_CHANNELS = ("elev", "u", "v", "mask")
+DATASET_FORMAT = "topoflow dataset v3"
+REGENERATE = "regenerate it with `topoflow gen`, which rebuilds a dataset from its seed"
+# every key of a manifest: the `data.*` values a dataset fixes, and the
+# normalization stats of each input channel, fit on the training split
+MANIFEST_KEYS = ("format", "seed", "data.count", "data.base_speed", "data.horizons") + tuple(
+    key for name in INPUT_CHANNELS for key in encode(ChannelStats("none"), f"stats.{name}")
+)
+
+
 def sample_channels(horizons) -> tuple[str, ...]:
     """The channels of a sample file: `INPUT_CHANNELS`, then each
     horizon's `TARGET_CHANNELS` tagged with its lead time (`c@12h`)."""
@@ -445,120 +460,106 @@ def write_dataset(
     stats: NormStats,
     seed: int,
 ) -> None:
-    """Persist a dataset directory: `terrain.gfd`, `mask.gfd`, `stats.txt`,
-    one `samples/{index:06d}.gfd` per sample holding `sample_channels`, and
-    `manifest.txt`, whose header states the seed, the sample count, the
-    terrain's base wind speed and the horizons, and whose rows are
-    `index hour doy`. Every sample must share the first one's lead times.
-    Any old manifest is removed first, and the new one is written last and
-    atomically, so a killed writer leaves no `manifest.txt` (not even over
-    an older dataset) and `read_dataset` refuses the directory. Files in
-    `samples/` that the new manifest does not name, such as an older and
-    larger dataset's, are removed before it is written."""
+    """Persist a dataset directory on the mask's grid: `terrain.gfd` with
+    channels `TERRAIN_CHANNELS`, one `samples/{index:06d}.gfd` per sample
+    holding `sample_channels`, and `manifest.txt`, the `key = value` lines
+    of `MANIFEST_KEYS`. Every sample must share the first one's lead times,
+    and the `data.*` values and stats must make a manifest `read_dataset`
+    takes; both are checked before any file is touched. Any old manifest is
+    removed first, and the new one is written last and atomically, so a
+    killed writer leaves no `manifest.txt` (not even over an older
+    dataset) and `read_dataset` refuses the directory. Files in `samples/`
+    other than the new samples', such as an older and larger dataset's,
+    are removed before it is written."""
     horizons = samples[0].lead_times if samples else ()
     if any(s.lead_times != horizons for s in samples):
         raise DataError(f"samples differ in lead times; sample 0 has {horizons}")
+    data = DataConfig(count=len(samples), base_speed=tw.base_speed, horizons=horizons)
+    kv = {k: v for k, v in encode(data, "data").items() if k in MANIFEST_KEYS}
+    kv.update(format=DATASET_FORMAT, seed=str(int(seed)))
+    for name in INPUT_CHANNELS:
+        kv.update(encode(stats.for_channel(name), f"stats.{name}"))
     out = Path(out_dir)
     (out / "samples").mkdir(parents=True, exist_ok=True)
     (out / "manifest.txt").unlink(missing_ok=True)
-    spec = samples[0].input.spec if samples else mask.spec
-    terrain = np.stack([tw.elevation, tw.u, tw.v]).astype(np.float32)
-    write_grid(Field(spec, ("elev", "u", "v"), terrain, ("m", "m/s", "m/s")), out / "terrain.gfd")
-    write_grid(mask, out / "mask.gfd")
-    stats.save(out / "stats.txt")
-    lines = [
-        f"# topoflow dataset v2 seed={seed} count={len(samples)} "
-        f"base_speed={tw.base_speed!r} horizons={','.join(map(str, horizons))}\n"
-    ]
+    spec = mask.spec
+    terrain = np.stack([tw.elevation, tw.u, tw.v, mask.mask]).astype(np.float32)
+    write_grid(Field(spec, TERRAIN_CHANNELS, terrain, ("m", "m/s", "m/s", "")),
+               out / "terrain.gfd")
     channels = sample_channels(horizons)
     for i, s in enumerate(samples):
         parts = (s.input, *s.targets)
         stack = np.concatenate([f.data for f in parts])
         units = tuple(u for f in parts for u in f.units)
         write_grid(Field(spec, channels, stack, units), out / f"samples/{i:06d}.gfd")
-        lines.append(f"{i} {s.hour} {s.doy}\n")
     named = {f"{i:06d}.gfd" for i in range(len(samples))}
     for path in (out / "samples").iterdir():
         if path.name not in named:
             path.unlink()
-    write_atomic(out / "manifest.txt", "".join(lines).encode("utf-8"))
+    write_atomic(out / "manifest.txt", format_kv(kv).encode("utf-8"))
 
 
 def read_dataset(in_dir) -> DatasetBundle:
     """Load a dataset directory written by :func:`write_dataset`; each
     sample's input and targets are views of its one file's payload. A
-    manifest that is not v2 (refused with a note to regenerate it), a
-    header `count=`, `base_speed=` or `horizons=` that `DataConfig` refuses,
-    other than `count=` rows (a cut file), a row whose index is not its
-    position or that makes no valid `Sample`, a sample file whose channels
-    are not `sample_channels(horizons)`, a sample or mask on another grid
-    than `terrain.gfd`'s or a missing file raises DataError, and a row that
-    is not UTF-8 or three integers, or a `stats.txt` without an entry for
-    an input or target channel, FormatError."""
+    manifest with an older header (refused with a note to regenerate it),
+    a line that is not UTF-8 or `key = value`, a key outside
+    `MANIFEST_KEYS` or one of them missing, another `format`, `data.*`
+    values that `DataConfig` refuses or stats that `ChannelStats` refuses
+    raises FormatError naming the manifest and the line or key. A missing
+    file, a `terrain.gfd` without channels `TERRAIN_CHANNELS` or whose mask
+    is not 0 and 1 or selects no cell, and a sample file whose channels
+    are not `sample_channels(horizons)` or whose grid is not
+    `terrain.gfd`'s raise DataError naming the file."""
     root = Path(in_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
         raise DataError(f"{root}: no manifest.txt (incomplete or missing dataset)")
-    terrain_field = read_grid(root / "terrain.gfd")
-    if not isinstance(terrain_field, Field) or terrain_field.channels != ("elev", "u", "v"):
-        raise DataError(f"{root}/terrain.gfd: expected channels (elev, u, v)")
-    spec = terrain_field.spec
-    mask = read_grid(root / "mask.gfd")
-    if not isinstance(mask, LandMask):
-        raise DataError(f"{root}/mask.gfd is not a mask file")
-    if mask.spec != spec:
-        raise DataError(f"{root}/mask.gfd is on {mask.spec}, terrain.gfd on {spec}")
-    stats = NormStats.load(root / "stats.txt")
-    for name in INPUT_CHANNELS + TARGET_CHANNELS:
-        if name not in stats.entries:
-            raise FormatError(f"{root}/stats.txt: no entry for channel {name!r}")
-    lines = list(read_lines(manifest, FormatError))
-    first = lines[0][1] if lines else ""
-    if not first.startswith("# topoflow dataset v2 "):
-        raise DataError(
-            f"{manifest}:1: not a topoflow dataset v2 header; regenerate it with "
-            "`topoflow gen`, which rebuilds a dataset from its seed"
-        )
-    header = dict(w.split("=", 1) for w in first.split() if "=" in w)
-    try:   # the `data.*` values the header carries, checked as `gen` checks them
-        data = DataConfig(count=int(header["count"]), base_speed=float(header["base_speed"]),
-                          horizons=tuple(int(h) for h in header["horizons"].split(",")))
-    except (KeyError, ValueError, ConfigError) as err:
-        raise DataError(f"{manifest}:1: header count=, base_speed= or horizons= is not "
-                        f"as `topoflow gen` writes it: {err}") from None
+    if next(read_lines(manifest, FormatError), (1, ""))[1].startswith("# topoflow dataset "):
+        raise FormatError(f"{manifest}:1: an older topoflow dataset header; {REGENERATE}")
+    kv = read_kv(manifest, FormatError, known=MANIFEST_KEYS)
+    # decode fills a key left out with its default, so each is checked here
+    for key in MANIFEST_KEYS:
+        if key not in kv:
+            raise FormatError(f"{manifest}: missing key {key!r}")
+    if kv["format"] != DATASET_FORMAT:
+        raise FormatError(f"{manifest}: format = {kv['format']}, not {DATASET_FORMAT}; "
+                          f"{REGENERATE}")
+    try:
+        data = DataConfig(count=value(kv, "data.count", int),
+                          base_speed=value(kv, "data.base_speed", float),
+                          horizons=value(kv, "data.horizons", tuple[int, ...]))
+    except ConfigError as err:
+        raise FormatError(f"{manifest}: {err}") from None
+    entries = {}
+    for name in INPUT_CHANNELS:
+        try:
+            entries[name] = decode(ChannelStats, kv, f"stats.{name}")
+        except ConfigError as err:   # StatsError included
+            raise FormatError(f"{manifest}: stats.{name}: {err}") from None
+    terrain = read_grid(root / "terrain.gfd")
+    if terrain.channels != TERRAIN_CHANNELS:
+        raise DataError(f"{root}/terrain.gfd: expected channels {TERRAIN_CHANNELS}")
+    spec = terrain.spec
+    try:
+        mask = LandMask(spec, terrain.channel("mask"))
+    except DataError as err:   # MaskError included
+        raise DataError(f"{root}/terrain.gfd: channel 'mask': {err}") from None
     channels = sample_channels(data.horizons)
     n_in, n_out = len(INPUT_CHANNELS), len(TARGET_CHANNELS)
-    samples: list[Sample] = []
-    for ln, line in lines[1:]:
-        if line.startswith("#") or not line.strip():
-            continue
-        where = f"{manifest}:{ln}"
-        parts = line.split()
-        if len(parts) != 3:
-            raise DataError(f"{where}: expected 3 columns (index hour doy), got {len(parts)}")
-        try:
-            index, hour, doy = (int(p) for p in parts)
-        except ValueError:
-            raise FormatError(f"{where}: index, hour and day must be integers") from None
-        if index != len(samples):
-            raise DataError(f"{where}: row index {index}, expected {len(samples)}")
-        rel = f"samples/{index:06d}.gfd"
-        grid = read_grid(root / rel)
-        got = grid.channels if isinstance(grid, Field) else "a mask"
-        if got != channels:
-            raise DataError(f"{where}: {rel} holds {got}, expected channels {channels}")
+    samples = []
+    for index in range(data.count):
+        path = root / f"samples/{index:06d}.gfd"
+        grid = read_grid(path)
+        if grid.channels != channels:
+            raise DataError(f"{path}: holds {grid.channels}, expected channels {channels}")
         if grid.spec != spec:
-            raise DataError(f"{where}: {rel} is on {grid.spec}, terrain.gfd on {spec}")
+            raise DataError(f"{path}: on {grid.spec}, terrain.gfd on {spec}")
         inp = Field(spec, INPUT_CHANNELS, grid.data[:n_in], grid.units[:n_in])
         targets = tuple(
             Field(spec, TARGET_CHANNELS, grid.data[k : k + n_out], grid.units[k : k + n_out])
             for k in range(n_in, len(channels), n_out)
         )
-        try:
-            samples.append(Sample(inp, targets, data.horizons, hour, doy))
-        except DataError as err:   # ShapeError included
-            raise DataError(f"{where}: {err}") from None
-    if len(samples) != data.count:
-        raise DataError(f"{manifest}: {len(samples)} sample rows, header says count={data.count}")
-    tw = TerrainWind(*terrain_field.data, base_speed=data.base_speed)
-    return DatasetBundle(spec, tuple(samples), tw, mask, stats, data.horizons)
+        samples.append(Sample(inp, targets, data.horizons))
+    tw = TerrainWind(*terrain.data[:3], base_speed=data.base_speed)
+    return DatasetBundle(spec, tuple(samples), tw, mask, NormStats(entries), data.horizons)

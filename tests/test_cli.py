@@ -3,6 +3,7 @@
 import argparse
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 from topoflow import synthdata
 from topoflow.cli import DEFAULTS, build_parser, main
 from topoflow.config import DataConfig
-from topoflow.fields import GridSpec, NormStats, read_grid
+from topoflow.fields import GridSpec, NormStats, read_grid, write_grid
 
 
 def run(*argv):
@@ -64,15 +65,16 @@ def dataset(tmp_path, config_path):
 
 def test_gen_writes_dataset_layout(dataset):
     assert (dataset / "manifest.txt").exists()
-    assert (dataset / "terrain.gfd").exists()
-    assert (dataset / "mask.gfd").exists()
-    assert (dataset / "stats.txt").exists()
     assert (dataset / "resolved_config.txt").exists()
-    # one file per sample, plus terrain, mask, stats, manifest and config echo
+    assert read_grid(dataset / "terrain.gfd").channels == ("elev", "u", "v", "mask")
+    # one file per sample, plus terrain, manifest and config echo
     assert len(list((dataset / "samples").glob("*.gfd"))) == 12
-    assert len([p for p in dataset.rglob("*") if p.is_file()]) == 12 + 5
-    header = (dataset / "manifest.txt").read_text().splitlines()[0]
-    assert header.startswith("# topoflow dataset v2 ") and header.endswith(" horizons=12,24")
+    assert len([p for p in dataset.rglob("*") if p.is_file()]) == 12 + 3
+    lines = (dataset / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    assert [ln.split(" = ")[0] for ln in lines] == sorted(synthdata.MANIFEST_KEYS)
+    for line in ("format = topoflow dataset v3", "seed = 0", "data.count = 12",
+                 "data.base_speed = 2.0", "data.horizons = 12,24", "stats.x.kind = none"):
+        assert line in lines
 
 
 def test_gen_is_reproducible(tmp_path, config_path):
@@ -303,7 +305,8 @@ def test_dump_perm_uniform_east_wind(tmp_path, config_path):
     data = tmp_path / "east"
     synthdata.write_dataset(data, samples, tw, synthdata.study_mask(spec), stats, seed=0)
     out = tmp_path / "dump"
-    assert run("dump", "perm", "--data", str(data), "--out", str(out)) == 0
+    assert run("dump", "perm", "--config", str(config_path), "--data", str(data),
+               "--out", str(out)) == 0
     lines = (out / "perm.txt").read_text().splitlines()
     forward = [int(ln.split()[1]) for ln in lines[1 : 1 + spec.n_patches]]
     # first sector (patch rows 0-1, cols 0-3): west-to-east, top-before-bottom
@@ -470,13 +473,14 @@ def test_eval_torn_checkpoint_exits_three(tmp_path, config_path, dataset):
 
 BROKEN_INPUTS = (
     "gfd channel name not UTF-8",
-    "manifest hour not an integer",
-    "manifest row index not its position",
     "manifest v1 header",
+    "manifest v2 header",
     "manifest not UTF-8",
+    "manifest key unknown",
+    "manifest format not v3",
     "stats value not a number",
+    "stats value not finite",
     "stats not UTF-8",
-    "stats.txt missing",
     "terrain.gfd missing",
     "sample file missing",
     "eval checkpoint sidecar missing",
@@ -494,9 +498,9 @@ BROKEN_INPUTS = (
     "eval baseline sidecar without model.wind_reorder",
     "eval sidecar value not an integer",
     "stats kind unknown",
-    "stats.txt without a channel",
+    "mask value not 0 or 1",
+    "mask selects no cell",
     "sample on another grid",
-    "mask on another grid",
     "input channels out of order",
     "target channel renamed",
 )
@@ -520,7 +524,7 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
         path.write_bytes(raw.replace(old, new, 1))
 
     manifest = dataset / "manifest.txt"
-    row = manifest.read_bytes().splitlines()[2]  # the second sample's row
+    keys = [ln.split(b" = ")[0] for ln in manifest.read_bytes().splitlines()]
     code = 3
     if case == "gfd channel name not UTF-8":
         sample = dataset / "samples" / "000001.gfd"
@@ -528,39 +532,49 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
         raw[34] = 0xFF  # the first channel name's first byte
         sample.write_bytes(bytes(raw))
         argv, named = ["train", *common, *out], "000001.gfd"
-    elif case == "manifest hour not an integer":
-        cols = row.split()
-        rewrite(manifest, row, b" ".join([cols[0], b"noon", cols[2]]))
-        argv, named = ["train", *common, *out], "manifest.txt:3"
-    elif case == "manifest row index not its position":
-        cols = row.split()
-        assert cols[0] == b"1"
-        rewrite(manifest, row, b" ".join([b"0", *cols[1:]]))
-        argv, named = ["train", *common, *out], "manifest.txt:3: row index 0, expected 1"
-    elif case == "manifest v1 header":
-        # the older layout: an input and a file per horizon, named on every row
-        manifest.write_text("# topoflow dataset v1 seed=0 count=12 base_speed=2.0\n" + "".join(
-            f"samples/{i:06d}.in.gfd samples/{i:06d}.h012.gfd,samples/{i:06d}.h024.gfd "
-            f"12,24 {i} 5 100\n" for i in range(12)))
+    elif case in ("manifest v1 header", "manifest v2 header"):
+        # the older layouts: a header line, then one row per sample; v1 named
+        # an input and a file per horizon on every row, v2 its hour and day
+        if case.startswith("manifest v1"):
+            manifest.write_text("# topoflow dataset v1 seed=0 count=12 base_speed=2.0\n" + "".join(
+                f"samples/{i:06d}.in.gfd samples/{i:06d}.h012.gfd,samples/{i:06d}.h024.gfd "
+                f"12,24 {i} 5 100\n" for i in range(12)))
+        else:
+            manifest.write_text("# topoflow dataset v2 seed=0 count=12 base_speed=2.0 "
+                                "horizons=12,24\n" + "".join(f"{i} 5 100\n" for i in range(12)))
         argv = ["train", *common, *out]
-        named = ("manifest.txt:1: not a topoflow dataset v2 header; "
+        named = ("manifest.txt:1: an older topoflow dataset header; "
                  "regenerate it with `topoflow gen`")
     elif case == "manifest not UTF-8":
-        rewrite(manifest, row, row + b"\xff")
+        line = manifest.read_bytes().splitlines()[2]
+        rewrite(manifest, line, line + b"\xff")
         argv, named = ["train", *common, *out], "manifest.txt:3"
+    elif case == "manifest key unknown":
+        rewrite(manifest, b"data.count = 12\n", b"data.count = 12\ndata.archetype = ridge\n")
+        ln = keys.index(b"data.count") + 2
+        argv = ["train", *common, *out]
+        named = f"manifest.txt:{ln}: unknown key 'data.archetype'"
+    elif case == "manifest format not v3":
+        rewrite(manifest, b"format = topoflow dataset v3", b"format = topoflow dataset v4")
+        argv = ["train", *common, *out]
+        named = ("manifest.txt: format = topoflow dataset v4, not topoflow dataset v3; "
+                 "regenerate it with `topoflow gen`")
     elif case == "stats value not a number":
-        stats = dataset / "stats.txt"
-        first = stats.read_bytes().splitlines()[0]
-        rewrite(stats, first, b" ".join(first.split()[:2] + [b"abc", b"1.0"]))
-        argv, named = ["train", *common, *out], "stats.txt:1"
+        line = next(ln for ln in manifest.read_bytes().splitlines()
+                    if ln.startswith(b"stats.u.a = "))
+        rewrite(manifest, line, b"stats.u.a = abc")
+        argv = ["train", *common, *out]
+        named = "manifest.txt: stats.u: stats.u.a must be a number, got 'abc'"
+    elif case == "stats value not finite":
+        line = next(ln for ln in manifest.read_bytes().splitlines()
+                    if ln.startswith(b"stats.u.a = "))
+        rewrite(manifest, line, b"stats.u.a = nan")
+        argv = ["train", *common, *out]
+        named = "manifest.txt: stats.u: a = nan and b = "
     elif case == "stats not UTF-8":
-        stats = dataset / "stats.txt"
-        first = stats.read_bytes().splitlines()[0]
-        rewrite(stats, first, first + b"\xff")
-        argv, named = ["train", *common, *out], "stats.txt:1"
-    elif case == "stats.txt missing":
-        (dataset / "stats.txt").unlink()
-        argv, named = ["train", *common, *out], "stats.txt"
+        rewrite(manifest, b"stats.u.kind = zscore", b"stats.u.kind = zscore\xff")
+        ln = keys.index(b"stats.u.kind") + 1
+        argv, named = ["train", *common, *out], f"manifest.txt:{ln}"
     elif case == "terrain.gfd missing":
         (dataset / "terrain.gfd").unlink()
         argv, named = ["train", *common, *out], "terrain.gfd"
@@ -606,17 +620,13 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
         argv = ["train", *common, "--out", str(tmp_path / "run"), "--steps", "2", "--resume"]
         named = "loss_log.txt:3"
     elif case == "manifest header without base_speed":
-        header = manifest.read_bytes().splitlines()[0]
-        rewrite(manifest, header, b" ".join(w for w in header.split()
-                                            if not w.startswith(b"base_speed=")))
-        argv, named = ["train", *common, *out], "base_speed"
-    elif case == "manifest header base_speed not finite":
-        header = manifest.read_bytes().splitlines()[0]
-        speed = next(w for w in header.split() if w.startswith(b"base_speed="))
-        rewrite(manifest, speed, b"base_speed=inf")
+        rewrite(manifest, b"data.base_speed = 2.0\n", b"")
         argv = ["train", *common, *out]
-        named = ("manifest.txt:1: header count=, base_speed= or horizons= is not as "
-                 "`topoflow gen` writes it: data.base_speed = inf is not finite")
+        named = "manifest.txt: missing key 'data.base_speed'"
+    elif case == "manifest header base_speed not finite":
+        rewrite(manifest, b"data.base_speed = 2.0\n", b"data.base_speed = inf\n")
+        argv = ["train", *common, *out]
+        named = "manifest.txt: data.base_speed = inf is not finite"
     elif case == "eval baseline sidecar without model.wind_reorder":
         # left out, the key would load at its default: the wind variant
         run_dir = tmp_path / "run"
@@ -631,36 +641,35 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
         argv = ["eval", *common, "--checkpoint", str(tmp_path / "run" / "best.gfd"), *out]
         named = "best.gfd.txt: model.d must be an integer"
     elif case == "stats kind unknown":
-        stats = dataset / "stats.txt"
-        first = stats.read_bytes().splitlines()[0]
-        cols = first.split()
-        rewrite(stats, first, b" ".join([cols[0], b"quantile"] + cols[2:]))
-        argv, named = ["train", *common, *out], "stats.txt:1"
-    elif case == "stats.txt without a channel":
-        stats = dataset / "stats.txt"
-        line = next(ln for ln in stats.read_bytes().splitlines(True) if ln.startswith(b"u "))
-        rewrite(stats, line, b"")
-        argv, named = ["train", *common, *out], "stats.txt: no entry for channel 'u'"
-    elif case in ("sample on another grid", "mask on another grid"):
+        rewrite(manifest, b"stats.u.kind = zscore", b"stats.u.kind = quantile")
+        argv = ["train", *common, *out]
+        named = "manifest.txt: stats.u: unknown normalization kind 'quantile'"
+    elif case in ("mask value not 0 or 1", "mask selects no cell"):
+        terrain = read_grid(dataset / "terrain.gfd")
+        data = terrain.data.copy()
+        if case == "mask selects no cell":
+            data[3] = 0.0
+            named = "terrain.gfd: channel 'mask': mask selects no cells"
+        else:
+            data[3, 4, 8] = 0.5
+            named = "terrain.gfd: channel 'mask': mask values must be 0 or 1"
+        write_grid(terrain.with_data(data), dataset / "terrain.gfd")
+        argv = ["train", *common, *out]
+    elif case == "sample on another grid":
         wide = tmp_path / "wide"
         wide_cfg = write_config(tmp_path / "wide.cfg", **{"grid.width": "24"})
         assert run("gen", "--config", str(wide_cfg), "--out", str(wide)) == 0
-        if case.startswith("mask"):
-            moved, named = ["mask.gfd"], "mask.gfd is on GridSpec(height=8, width=24"
-        else:
-            moved = ["samples/000001.gfd"]
-            named = "manifest.txt:3: samples/000001.gfd is on GridSpec(height=8, width=24"
-        for rel in moved:
-            (dataset / rel).write_bytes((wide / rel).read_bytes())
-        argv = ["train", *common, *out]
+        rel = "samples/000001.gfd"
+        (dataset / rel).write_bytes((wide / rel).read_bytes())
+        argv, named = ["train", *common, *out], f"{rel}: on GridSpec(height=8, width=24"
     elif case == "input channels out of order":
         # the names of u and v swapped, their lengths and the data kept
         rewrite(dataset / "samples" / "000001.gfd",
                 b"\x01\x00u\x03\x00m/s\x01\x00v", b"\x01\x00v\x03\x00m/s\x01\x00u")
-        argv, named = ["train", *common, *out], "manifest.txt:3: samples/000001.gfd holds"
+        argv, named = ["train", *common, *out], "samples/000001.gfd: holds"
     elif case == "target channel renamed":
         rewrite(dataset / "samples" / "000001.gfd", b"\x05\x00c@24h", b"\x05\x00x@24h")
-        argv, named = ["train", *common, *out], "manifest.txt:3: samples/000001.gfd holds"
+        argv, named = ["train", *common, *out], "samples/000001.gfd: holds"
     elif case == "config file is a directory":
         (tmp_path / "cfgdir").mkdir()
         argv, named, code = ["gen", "--config", str(tmp_path / "cfgdir"), *out], "cfgdir", 2
@@ -678,35 +687,81 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
 
 
 
-@pytest.mark.parametrize(
-    "fault", ["fewer targets than hours", "hours not increasing", "hour out of range"])
+@pytest.mark.parametrize("fault", ["fewer targets than hours", "hours not increasing"])
 def test_manifest_row_that_makes_no_sample_names_its_line(fault, tmp_path, config_path,
                                                           dataset, capsys):
-    # the header states the hours once: a sample file whose targets do not
-    # match them fails at its row, and hours `DataConfig` refuses at line 1
+    # the manifest's `data.horizons` line states the hours once: a sample
+    # file whose targets do not match them fails at that file, and hours
+    # `DataConfig` refuses fail at the manifest, naming the key
     manifest = dataset / "manifest.txt"
-    lines = manifest.read_bytes().splitlines(True)
-    assert lines[0].endswith(b" horizons=12,24\n")
-    if fault == "hour out of range":
-        ln, message = 3, "hour must be an integer in 0..23, got 24"
-        index, _hour, doy = lines[2].split()
-        lines[2] = b" ".join([index, b"24", doy]) + b"\n"
-    elif fault == "fewer targets than hours":
-        ln, message = 2, "samples/000000.gfd holds"
-        lines[0] = lines[0].replace(b" horizons=12,24", b" horizons=12,24,48")
+    text = manifest.read_text(encoding="utf-8")
+    assert "data.horizons = 12,24\n" in text
+    if fault == "fewer targets than hours":
+        where, message = "samples/000000.gfd", "holds"
+        text = text.replace("data.horizons = 12,24", "data.horizons = 12,24,48")
     else:
-        ln, message = 1, ("header count=, base_speed= or horizons= is not as `topoflow gen` "
-                          "writes it: data.horizons must be positive and strictly increasing")
-        lines[0] = lines[0].replace(b" horizons=12,24", b" horizons=24,12")
-    manifest.write_bytes(b"".join(lines))
+        where, message = "manifest.txt", "data.horizons must be positive and strictly increasing"
+        text = text.replace("data.horizons = 12,24", "data.horizons = 24,12")
+    manifest.write_text(text, encoding="utf-8")
     capsys.readouterr()
     argv = ["train", "--config", str(config_path), "--data", str(dataset),
             "--out", str(tmp_path / "out")]
     assert run(*argv) == 3
     err = capsys.readouterr().err
     lines = err.splitlines()
-    assert len(lines) == 1 and f"manifest.txt:{ln}: {message}" in lines[0], err
+    assert len(lines) == 1 and f"{where}: {message}" in lines[0], err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """A config and the dataset `gen` makes from it, shared by a module's
+    tests: each copies the dataset before it changes a file."""
+    root = tmp_path_factory.mktemp("pristine")
+    config = write_config(root / "desk.cfg")
+    assert run("gen", "--config", str(config), "--out", str(root / "data")) == 0
+    return root
+
+
+@pytest.mark.parametrize("key", synthdata.MANIFEST_KEYS)
+def test_manifest_without_a_key_exits_three(key, pristine, tmp_path, capsys):
+    # `decode` would fill a stats key left out with its default, so every
+    # key `gen` writes is required, and its absence names it
+    dataset = tmp_path / "data"
+    shutil.copytree(pristine / "data", dataset)
+    manifest = dataset / "manifest.txt"
+    lines = manifest.read_text(encoding="utf-8").splitlines(True)
+    kept = [ln for ln in lines if ln.split(" = ")[0] != key]
+    assert len(kept) == len(lines) - 1
+    manifest.write_text("".join(kept), encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("train", "--config", str(pristine / "desk.cfg"), "--data", str(dataset),
+               "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert f"manifest.txt: missing key {key!r}" in err and "Traceback" not in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ablate", "dump"])
+def test_config_grid_other_than_the_dataset_exits_two(command, pristine, tmp_path, capsys):
+    # each command runs on the dataset's grid, so a config naming another
+    # one is refused before anything is written, not echoed beside it
+    common = ["--data", str(pristine / "data")]
+    argv = {"train": ["train"], "eval": ["eval"], "ablate": ["ablate", "--seeds", "0"],
+            "dump": ["dump", "perm"]}[command]
+    if command == "eval":
+        run_dir = tmp_path / "run"
+        assert run("train", "--config", str(pristine / "desk.cfg"), *common,
+                   "--out", str(run_dir), "--steps", "2") == 0
+        argv += ["--checkpoint", str(run_dir / "best.gfd")]
+    cfg = write_config(tmp_path / "patch4.cfg", **{"grid.patch": "4"})
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*argv, "--config", str(cfg), *common, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "grid.patch = 4" in err and "grid.patch = 2" in err and "Traceback" not in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, text", [
@@ -758,6 +813,8 @@ def test_gen_refuses_bad_data_config_before_writing(key, text, tmp_path, capsys,
     ("model.mlp_hidden", "0"),
     ("model.head_hidden", "-4"),
     ("seed", "-1"),
+    ("train.patience", "-3"),
+    ("train.total_steps", "-1"),
 ])
 def test_train_refuses_bad_config_before_writing(key, text, tmp_path, dataset, capsys):
     cfg = write_config(tmp_path / "bad.cfg", **{key: text})
@@ -765,7 +822,8 @@ def test_train_refuses_bad_config_before_writing(key, text, tmp_path, dataset, c
     capsys.readouterr()
     assert run("train", "--config", str(cfg), "--data", str(dataset), "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert key in err and "Traceback" not in err, err
+    # the message opens with the key at fault, not another one its value upsets
+    assert err.startswith(f"topoflow train: {key} = ") and "Traceback" not in err, err
     assert not out.exists()
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from topoflow import fields
+from topoflow.config import decode, encode, format_kv, read_kv
 from topoflow.errors import ConfigError, DataError, FormatError, MaskError, ShapeError, StatsError
 from topoflow.fields import ChannelStats, Field, GridSpec, LandMask, NormStats, Sample
 
@@ -96,6 +97,9 @@ def test_invalid_stats_rejected():
         ChannelStats("minmax", 5.0, 5.0)
     with pytest.raises(StatsError):
         ChannelStats("quantile", 0.0, 1.0)
+    for a, b in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, math.inf)):
+        with pytest.raises(StatsError, match="must be finite"):
+            ChannelStats("minmax", a, b)
 
 
 def test_fit_stats_from_training_fields():
@@ -109,14 +113,19 @@ def test_fit_stats_from_training_fields():
 
 
 def test_stats_save_load_round_trip(tmp_path):
+    # stats are saved as `stats.<channel>.*` lines, the form a dataset manifest holds
     stats = NormStats({
-        "c": ChannelStats("zscore", 1.25, 0.5),
+        "c": ChannelStats("zscore", 1.25, 0.1),
         "elev": ChannelStats("minmax", -10.0, 5698.0),
         "hour_sin": ChannelStats("none"),
     })
+    kv = {}
+    for name, st in stats.entries.items():
+        kv.update(encode(st, f"stats.{name}"))
     path = tmp_path / "stats.txt"
-    stats.save(path)
-    loaded = NormStats.load(path)
+    path.write_text(format_kv(kv))
+    back = read_kv(path, FormatError)
+    loaded = NormStats({name: decode(ChannelStats, back, f"stats.{name}") for name in stats.entries})
     assert loaded.entries == stats.entries
 
 
@@ -181,12 +190,12 @@ def test_mask_validation():
 def test_sample_validation():
     f = make_field([1, 2, 3, 4])
     t = make_field([1, 1, 1, 1])
-    s = Sample(f, (t, t), (12, 24), hour=3, doy=88)
+    s = Sample(f, (t, t), (12, 24))
     assert s.lead_times == (12, 24)
     with pytest.raises(DataError):
-        Sample(f, (t, t), (24, 12), hour=3, doy=88)
+        Sample(f, (t, t), (24, 12))
     with pytest.raises(ShapeError):
-        Sample(f, (t,), (12, 24), hour=3, doy=88)
+        Sample(f, (t,), (12, 24))
 
 
 # -- .gfd container ----------------------------------------------------------
@@ -208,12 +217,15 @@ def test_gfd_round_trip_bitwise(tmp_path):
 
 
 def test_gfd_mask_round_trip(tmp_path):
+    # a mask is stored as a "mask" channel of a container, as in a dataset's terrain.gfd
     spec = tiny_spec()
     mask = LandMask(spec, np.array([[1, 0], [1, 1]]))
-    fields.write_grid(mask, tmp_path / "m.gfd")
+    field = Field(spec, ("mask",), mask.mask[None].astype(np.float32), ("",))
+    fields.write_grid(field, tmp_path / "m.gfd")
     back = fields.read_grid(tmp_path / "m.gfd")
-    assert isinstance(back, LandMask)
-    assert np.array_equal(back.mask, mask.mask)
+    assert back.channels == ("mask",)
+    restored = LandMask(spec, back.channel("mask"))
+    assert np.array_equal(restored.mask, mask.mask) and restored.count == mask.count
 
 
 def test_gfd_hand_layout(tmp_path):

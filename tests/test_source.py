@@ -39,3 +39,54 @@ def test_unused_import_finder_sees_each_form():
         "def f(x: Iterable):\n    from .cli import main\n    return np.sum(x)\n"
     )
     assert _unused_imports(tree) == [(4, "os"), (6, "fw"), (7, "reorder"), (9, "main")]
+
+
+def _unread_definitions(trees):
+    """(module, name) of each module-level function or class, and each
+    non-dunder method (`Class.method`), whose name no `Name` or attribute
+    in any of the `{module: tree}` modules reads."""
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (module, f"{node.name}.{item.name}") for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                ]
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted((m, name) for m, name in defined if name.rpartition(".")[2] not in read)
+
+
+def test_every_definition_is_read():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert _unread_definitions(trees) == []
+
+
+def test_unread_definition_finder_sees_each_form():
+    trees = {
+        "a.py": ast.parse(
+            "def used(): pass\ndef lonely(): pass\nasync def stray(): pass\n"
+            "class Kept:\n    def __init__(self): pass\n    def run(self): pass\n"
+            "    def save(self): pass\n    @property\n    def size(self): return 1\n"
+            "class Gone:\n    pass\n"
+            "def outer():\n    def inner(): pass\n    return inner\n"
+        ),
+        "b.py": ast.parse(
+            "from a import used, Kept\nsave = 1\n"
+            "def main():\n    used()\n    Kept().run()\n    return Kept().size + outer()\n"
+        ),
+    }
+    assert _unread_definitions(trees) == [
+        ("a.py", "Gone"), ("a.py", "Kept.save"), ("a.py", "lonely"), ("a.py", "stray"),
+        ("b.py", "main"),
+    ]

@@ -9,8 +9,8 @@ import pytest
 
 from topoflow import synthdata
 from topoflow.config import DataConfig
-from topoflow.errors import ConfigError, DataError, FitError, StabilityError
-from topoflow.fields import GridSpec, NormStats
+from topoflow.errors import ConfigError, DataError, FitError, FormatError, StabilityError
+from topoflow.fields import GridSpec, NormStats, read_grid
 from topoflow.synthdata import PhysicsConfig, TerrainWind
 
 import oracles
@@ -375,14 +375,17 @@ def test_dataset_write_read_round_trip(tmp_path):
     assert len(bundle.samples) == 3
     for orig, back in zip(samples, bundle.samples):
         assert orig.input.data.tobytes() == back.input.data.tobytes()
-        assert orig.hour == back.hour and orig.doy == back.doy
         for t0, t1 in zip(orig.targets, back.targets):
             assert t0.data.tobytes() == t1.data.tobytes()
             assert t1.channels == ("c",) and t1.units == ("ug/m3",)
             # every part is a view of the sample file's one payload
             assert t1.data.base is back.input.data.base is not None
-    assert bundle.mask.count == mask.count
-    # terrain rides in the float32 container
+    # the stats ride in the manifest, bit for bit
+    assert bundle.stats.entries == stats.entries
+    assert set(stats.entries) == set(synthdata.INPUT_CHANNELS)
+    # terrain and mask ride in one float32 container
+    assert read_grid(tmp_path / "ds" / "terrain.gfd").channels == synthdata.TERRAIN_CHANNELS
+    assert np.array_equal(bundle.mask.mask, mask.mask) and bundle.mask.mask.dtype == np.uint8
     assert np.array_equal(bundle.terrain.elevation, tw.elevation.astype(np.float32))
 
 
@@ -393,8 +396,7 @@ def test_read_dataset_requires_manifest(tmp_path):
 
 
 # every write `write_dataset` makes, in order, for two samples
-DATASET_WRITES = ("terrain.gfd", "mask.gfd", "stats.txt", "000000.gfd", "000001.gfd",
-                  "manifest.txt")
+DATASET_WRITES = ("terrain.gfd", "000000.gfd", "000001.gfd", "manifest.txt")
 
 
 @pytest.mark.parametrize("victim", DATASET_WRITES)
@@ -432,9 +434,8 @@ def test_smaller_dataset_over_a_larger_one_leaves_no_stale_samples(tmp_path):
     (samples / "000000.h012.gfd").write_bytes(b"")   # a file of an older layout
     synthdata.write_dataset(tmp_path / "ds", *small_dataset(3, 2, horizons), seed=2)
     left = sorted(p.name for p in samples.iterdir())
-    rows = (tmp_path / "ds" / "manifest.txt").read_text().splitlines()[1:]
-    assert left == [f"{int(row.split()[0]):06d}.gfd" for row in rows] == [
-        "000000.gfd", "000001.gfd", "000002.gfd"]
+    assert left == ["000000.gfd", "000001.gfd", "000002.gfd"]
+    assert "data.count = 3\n" in (tmp_path / "ds" / "manifest.txt").read_text()
     assert len(synthdata.read_dataset(tmp_path / "ds").samples) == 3
 
 
@@ -443,10 +444,11 @@ def test_manifest_header_carries_base_speed(tmp_path):
     synthdata.write_dataset(tmp_path / "ds", samples, tw, mask, stats, seed=9)
     assert synthdata.read_dataset(tmp_path / "ds").terrain.base_speed == tw.base_speed
     manifest = tmp_path / "ds" / "manifest.txt"
-    lines = manifest.read_text().splitlines(True)
-    assert f" base_speed={tw.base_speed!r} " in lines[0]
-    manifest.write_text(lines[0].replace(" base_speed=", " speed=") + "".join(lines[1:]))
-    with pytest.raises(DataError, match="base_speed"):
+    text = manifest.read_text()
+    line = f"data.base_speed = {tw.base_speed!r}\n"
+    assert line in text
+    manifest.write_text(text.replace(line, line.replace("data.", "")))
+    with pytest.raises(FormatError, match="unknown key 'base_speed'"):
         synthdata.read_dataset(tmp_path / "ds")
 
 
@@ -454,10 +456,21 @@ def test_manifest_cut_at_a_row_boundary_raises(tmp_path):
     synthdata.write_dataset(tmp_path / "ds", *small_dataset(4), seed=9)
     manifest = tmp_path / "ds" / "manifest.txt"
     lines = manifest.read_text().splitlines(True)
-    assert len(lines) == 5 and "count=4" in lines[0]
-    manifest.write_text("".join(lines[:4]))  # the header and 3 rows
-    with pytest.raises(DataError, match="count=4"):
+    assert len(lines) == len(synthdata.MANIFEST_KEYS)
+    manifest.write_text("".join(lines[:-1]))  # cut before its last line
+    with pytest.raises(FormatError, match="missing key 'stats.y.kind'"):
         synthdata.read_dataset(tmp_path / "ds")
+
+
+def test_write_dataset_refuses_stats_without_a_channel_before_writing(tmp_path):
+    samples, tw, mask, stats = small_dataset(2)
+    synthdata.write_dataset(tmp_path / "ds", samples, tw, mask, stats, seed=9)
+    before = {p: p.read_bytes() for p in (tmp_path / "ds").rglob("*") if p.is_file()}
+    partial = NormStats({k: v for k, v in stats.entries.items() if k != "elev"})
+    with pytest.raises(ConfigError, match="'elev'"):
+        synthdata.write_dataset(tmp_path / "ds", samples, tw, mask, partial, seed=9)
+    after = {p: p.read_bytes() for p in (tmp_path / "ds").rglob("*") if p.is_file()}
+    assert after == before
 
 
 # -- covariance anisotropy -------------------------------------------------------
