@@ -1,23 +1,25 @@
 """Multi-head self-attention with additive terrain bias.
 
 The core operation follows the standard scaled dot-product form with the
-softmax temperature sqrt(d) taken over the full model width. Two optional
-additive terms land on the logits of every head: a bias already in slot
-order (the model's relative slot-offset table), and the terrain penalty
-as one (N, N) table between the patches in raster order. The orders come
-with the penalty as one (B, N) int array whose row i is sample i's slot ->
-patch order, identity rows for a variant without wind reordering;
-`model.forward` checks them once, and the node checks them again because
-it is also called directly. The node gathers a sample's penalty
-from that table in its order, so the (B, 1, N, N) per-sample bias is
-never built, kept or differentiated; the penalty's gradient is scattered
-back into one raster table.
+softmax temperature sqrt(d) taken over the full model width, on tokens in
+raster patch order. Two optional additive (N, N) terms land on the logits
+of every head: the model's relative table, indexed by slot, and the
+terrain penalty between the patches, which every sample shares as it is.
+The slot orders come with the table as one (B, N) int array whose row i
+is sample i's slot -> patch order, identity rows for a variant without
+wind reordering; `model.forward` checks them once, and the node again
+because it is also called directly. The node maps the table into each
+sample's raster positions (`reorder.unapply` on its rows, the same
+inverse on its columns), so the (B, 1, N, N) per-sample bias is never
+built, kept or differentiated, and gathers the table's gradient back to
+slot order.
 
 Without a bias the operation is permutation equivariant: reordering
 tokens, attending, and undoing the reorder is exactly attention on the
-original order, which is what licenses the wind-guided shuffle in the
-first place. Release criterion 1 measures the deviation directly, with
-`equivariance_check` in tests/oracles.py.
+original order. So the wind-guided order moves no token: it only chooses
+which relative offset each pair of patches sees, a bias indexed by the
+pair (Shaw et al. 2018, arXiv:1803.02155). Release criterion 1 measures
+the deviation with `equivariance_check` in tests/oracles.py.
 
 The whole chain from the Q/K/V projections to the output projection is a
 single tape node with an analytic backward. Forward and backward visit
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
+from . import autodiff as ad, reorder
 from .errors import DataError, NumericError, ShapeError
 
 
@@ -97,18 +99,19 @@ def _attend_parts(
     operations on the same operands, scales the context gradient dO by
     1/sum on its rows, and takes the softmax term D = rowsum(dO * O) from
     the context O, so no N x N pass divides or reduces.
-    `bias` (the relative slot-offset logits) and `penalty` (the terrain
-    penalty between the patches in raster order) are (N, N) tables shared
-    by the batch and the heads, laid out keys x queries: row k, column q
-    lands on query q's logit for key k. A penalty comes with `orders`, a
-    (B, N) array whose row i is sample i's slot -> patch permutation:
-    sample i's block entry (k, q) gets penalty[order[k], order[q]].
-    Without a penalty the orders are not read. A sample's bias is built in
-    one reused (N, N) buffer before its heads. A table's gradient adds up
-    each sample's heads in head order, then the samples in sample order,
-    the penalty's through the inverse order.
-    Other shapes, or a penalty without orders, raise ShapeError; a row of
-    `orders` that is not a permutation raises DataError.
+    `bias` (the relative logits, indexed by slot) and `penalty` (the
+    terrain penalty between the patches in raster order) are (N, N) tables
+    shared by the batch and the heads, laid out keys x queries: row k,
+    column q lands on query q's logit for key k. `orders`, a (B, N) array
+    whose row i is sample i's slot -> patch permutation, maps `bias` into
+    sample i's raster positions: with s = argsort(order), its block entry
+    (a, c) gets bias[s[a], s[c]]. Without orders `bias` lands as it is; the
+    penalty always does. A sample's bias is built in one reused (N, N)
+    buffer before its heads. A table's gradient adds up each sample's heads
+    in head order, then the samples in sample order, the relative table's
+    gathered back to slot order through the order.
+    Other shapes raise ShapeError; a row of `orders` that is not a
+    permutation raises DataError.
     With `weights` the second value is the post-softmax weights, queries
     x keys, a constant Tensor of shape (B, heads, N, N); without it, an
     empty (B, heads, 0, 0) Tensor of the logits' dtype.
@@ -123,11 +126,10 @@ def _attend_parts(
     for name, t in (("bias", bias_t), ("penalty", pen_t)):
         if t is not None and t.shape != (n, n):
             raise ShapeError(f"{name} shape {t.shape} is not (N, N) with N = {n}")
-    if pen_t is not None:
-        # the orders come with the penalty (None has shape ())
+    if orders is not None:
         orders = np.asarray(orders)
         if orders.shape != (b, n):
-            raise ShapeError(f"penalty orders shape {orders.shape} is not (B, N) = {(b, n)}")
+            raise ShapeError(f"slot orders shape {orders.shape} is not (B, N) = {(b, n)}")
         inverse = np.argsort(orders, axis=1)
         if not (np.take_along_axis(orders, inverse, axis=1) == np.arange(n)).all():
             raise DataError("each row of orders must be a permutation of 0..N-1")
@@ -143,21 +145,29 @@ def _attend_parts(
     v = x.data @ params.wv.data
     qh, kh, vh = heads(q), heads(k), heads(v)
     dtype = np.result_type(q, k, *(t.data for t in (bias_t, pen_t) if t is not None))
-    # the penalty is gathered in the logits' dtype, into buffers of that dtype
-    pen = None if pen_t is None else pen_t.data.astype(dtype, copy=False)
+    # both tables are mapped and added in the logits' dtype
+    rel, pen = (None if t is None else t.data.astype(dtype, copy=False) for t in (bias_t, pen_t))
     kept = n if weights else 0
     probs = np.empty((b, h, kept, kept), dtype=dtype)
     col_max = np.empty((b, h, 1, n), dtype=dtype)
     col_sum = np.empty((b, h, 1, n), dtype=dtype)
-    block = np.empty((n, n), dtype=dtype)
-    bias_buf = None if pen is None else np.empty((n, n), dtype=dtype)
+    block, bias_buf = np.empty((n, n), dtype=dtype), np.empty((n, n), dtype=dtype)
     ctx = np.empty((b, n, d), dtype=dtype)
     ctx_h = heads(ctx)
-    bias_nn = None if bias_t is None else bias_t.data
+
+    def sample_bias(i, out):
+        """Sample i's (N, N) bias in raster order, built in `out` unless it
+        is one table as it is; None without tables."""
+        if rel is None:
+            return pen
+        mapped = rel
+        if orders is not None:
+            mapped = np.take(reorder.unapply(orders[i], rel), inverse[i], axis=1, out=out,
+                             mode="clip")
+        return mapped if pen is None else np.add(mapped, pen, out=out)
+
     for i in range(b):
-        # before the sample's first head the block is free: it is the gather scratch
-        bias_i = (bias_nn if pen is None
-                  else _sample_bias(bias_nn, pen, orders[i], bias_buf, block))
+        bias_i = sample_bias(i, bias_buf)
         for j in range(h):
             np.matmul(kh[i, j], qh[i, j].T, out=block)
             if bias_i is not None:
@@ -179,9 +189,8 @@ def _attend_parts(
         gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
         gq_h, gk_h, gv_h = heads(gq), heads(gk), heads(gv)
         # the backward's own buffers: the forward's are not kept on the tape
-        e = np.empty((n, n), dtype=dtype)
+        e, bias_buf = np.empty((n, n), dtype=dtype), np.empty((n, n), dtype=dtype)
         glog = np.empty((n, n), dtype=np.result_type(gctx_h, col_sum, vh))
-        bias_buf = None if pen is None else np.empty((n, n), dtype=dtype)
         gbias = gpen = head_sum = None
         if bias_t is not None and bias_t.requires_grad:
             gbias = np.zeros((n, n), dtype=bias_t.dtype)
@@ -193,8 +202,7 @@ def _attend_parts(
             # written straight into it
             head_sum = np.empty((n, n), dtype=glog.dtype)
         for i in range(b):
-            bias_i = (bias_nn if pen is None
-                      else _sample_bias(bias_nn, pen, orders[i], bias_buf, e))
+            bias_i = sample_bias(i, bias_buf)
             for j in range(h):
                 # the forward's exp(s - max) of this block, from its column maxima
                 np.matmul(kh[i, j], qh[i, j].T, out=e)
@@ -215,13 +223,14 @@ def _attend_parts(
                     head_sum += gl
                 np.matmul(gl.T, kh[i, j], out=gq_h[i, j])
                 np.matmul(gl, qh[i, j], out=gk_h[i, j])
+            if gpen is not None:
+                gpen += head_sum
+            if gbias is not None and orders is not None:
+                # back to slot order: entry (k, q) gets (order[k], order[q])
+                np.take(head_sum, orders[i], axis=0, out=glog, mode="clip")
+                np.take(glog, orders[i], axis=1, out=head_sum, mode="clip")
             if gbias is not None:
                 gbias += head_sum
-            if gpen is not None:
-                # back to raster order: entry (order[a], order[b]) gets (a, b)
-                np.take(head_sum, inverse[i], axis=0, out=glog, mode="clip")
-                np.take(glog, inverse[i], axis=1, out=head_sum, mode="clip")
-                gpen += head_sum
         gq *= scale
 
         def weight_grad(w, left, right):
@@ -241,19 +250,4 @@ def _attend_parts(
         return grads
 
     return ad.Tensor._op(out, parents, vjp), ad.Tensor(probs)
-
-
-def _sample_bias(bias, penalty, order, out, scratch):
-    """One sample's (N, N) logit bias: `bias` plus `penalty` in slot order.
-
-    `bias` is the sample's (N, N) bias or None, `penalty` the raster
-    (N, N) table and `order` the sample's slot -> patch permutation. The
-    result is written into `out`: the table's rows are gathered into
-    `scratch`, any free (N, N) buffer of the table's dtype, and its
-    columns into `out`, and `bias` is added in front, so entry (a, b) is
-    the float sum bias[a, b] + penalty[order[a], order[b]].
-    """
-    rows = np.take(penalty, order, axis=0, out=scratch, mode="clip")
-    penalty = np.take(rows, order, axis=1, out=out, mode="clip")
-    return penalty if bias is None else np.add(bias, penalty, out=out)
 

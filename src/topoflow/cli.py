@@ -113,17 +113,39 @@ def _need_dir(cfg, key, what) -> Path:
 
 
 def read_dataset(cfg):
-    """The dataset at `paths.data`. A `grid.*` key that differs from the
-    dataset's grid raises ConfigError naming the first, since the run
-    takes its grid from the dataset and would echo another."""
+    """The dataset at `paths.data`. A `grid.*` key or `train.val_fraction`
+    other than the dataset's raises ConfigError naming the first: the run
+    takes its grid from the dataset and would echo another, and a split
+    other than the one its stats were fit on would validate on samples
+    they have seen."""
     from . import synthdata
 
     bundle = synthdata.read_dataset(_need_dir(cfg, "paths.data", "dataset directory"))
-    for key, text in encode(bundle.spec, "grid").items():
-        if value(cfg, key, int) != int(text):
+    recorded = [(key, int(text)) for key, text in encode(bundle.spec, "grid").items()]
+    for key, want in recorded + [("train.val_fraction", bundle.val_fraction)]:
+        if value(cfg, key, type(want)) != want:
             raise ConfigError(f"{key} = {cfg[key]}, but the dataset at {cfg['paths.data']} "
-                              f"has {key} = {text}")
+                              f"has {key} = {want!r}")
     return bundle
+
+
+def load_checkpoint(cfg, bundle):
+    """`model.load_checkpoint` of `paths.checkpoint`, for a run on `bundle`.
+    A grid size, patch size or horizon count other than the dataset's
+    raises ConfigError naming the checkpoint and the first such key; the
+    sectors may differ, as a tile ablation cuts the patch grid its own way."""
+    from . import model
+
+    path = _need_dir(cfg, "paths.checkpoint", "checkpoint path")
+    loaded = model.load_checkpoint(path)
+    have = encode(loaded[1], "model")
+    want = encode(dataclasses.replace(loaded[1], spec=bundle.spec,
+                                      n_horizons=len(bundle.horizons)), "model")
+    for key in ("model.spec.height", "model.spec.width", "model.spec.patch", "model.n_horizons"):
+        if have[key] != want[key]:
+            raise ConfigError(f"{path}: {key} = {have[key]}, but the dataset at "
+                              f"{cfg['paths.data']} needs {key} = {want[key]}")
+    return loaded
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +172,8 @@ def cmd_gen(cfg: dict[str, str]) -> int:
     train_inputs = [samples[i].input for i in train_idx] or [samples[0].input]
     stats = NormStats.fit(train_inputs, synthdata.norm_kinds())
     mask = synthdata.study_mask(spec)
-    synthdata.write_dataset(out, samples, tw, mask, stats, seed)
+    synthdata.write_dataset(out, samples, tw, mask, stats, seed,
+                            val_fraction=tconfig.val_fraction)
     echo_config(cfg, out)
     print(f"wrote {len(samples)} samples to {out}")
     return 0
@@ -173,13 +196,12 @@ def cmd_train(cfg: dict[str, str], resume: bool) -> int:
 
 
 def cmd_eval(cfg: dict[str, str]) -> int:
-    from . import evalkit, model, train
+    from . import evalkit, train
 
-    ckpt = _need_dir(cfg, "paths.checkpoint", "checkpoint path")
     out = _need_dir(cfg, "paths.out", "output directory")
     val_fraction = build_train_config(cfg).val_fraction
     bundle = read_dataset(cfg)
-    store, mconfig, _moments, _extras = model.load_checkpoint(ckpt)
+    store, mconfig, _moments, _extras = load_checkpoint(cfg, bundle)
     rep = evalkit.report(store, mconfig, bundle)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_text(rep.render_text(), encoding="utf-8")
@@ -340,6 +362,11 @@ def cmd_dump(cfg: dict[str, str], what: str) -> int:
     out = _need_dir(cfg, "paths.out", "output directory")
     bundle = read_dataset(cfg)
     spec = bundle.spec
+    if what == "attn":
+        store, mconfig, _m, _e = load_checkpoint(cfg, bundle)
+        if mconfig.layers == 0:
+            raise ConfigError(f"{cfg['paths.checkpoint']}: model.layers = 0, so the model has "
+                              f"no attention layer to dump")
     out.mkdir(parents=True, exist_ok=True)
     if what == "perm":
         # the order the model gives sample 0, the first sample `dump attn`
@@ -372,8 +399,6 @@ def cmd_dump(cfg: dict[str, str], what: str) -> int:
         )
         print(f"wrote {out / 'bias.gfd'} (alpha={alpha})")
     elif what == "attn":
-        ckpt = _need_dir(cfg, "paths.checkpoint", "checkpoint path")
-        store, mconfig, _m, _e = model.load_checkpoint(ckpt)
         preview = dataclasses.replace(bundle, samples=bundle.samples[:4])
         _preds, attn = evalkit.predict_grids(
             store, mconfig, preview, batch=4, collect_attention=True

@@ -1,37 +1,32 @@
 """End-to-end forecaster over gridded fields.
 
-Pipeline per forward pass: patchify the (normalized) input stack, reorder
-patch tokens sector-by-sector along the per-sample wind (a sample's slot
-order is one row of a (B, N) int array, slot -> raster patch), embed and
-add the positional vectors (per patch, so they ride along with the shuffle),
-run L pre-norm transformer layers whose attention logits carry a shared
-relative slot-offset table plus the terrain penalty (both permuted or
-indexed so entries always refer to the right pair), and decode with a
-two-layer head that emits every horizon at once. The last step of
-`forward` undoes each sample's reorder (`reorder.unapply`, one tape node),
-so its tokens and attention maps are in raster patch order and no caller
-needs the slot orders: `ForwardResult.to_grid` is a plain unpatchify, and
-the loss compares raster targets under the raster mask. The input and
-output channels are fixed by the data format (`config.INPUT_CHANNELS`
-in, one `config.TARGET_CHANNELS` set per horizon out), so they are
-properties of ModelConfig rather than settings.
+Pipeline per forward pass: patchify the (normalized) input stack, embed
+the patch tokens and add their per-patch positional vectors, run L
+pre-norm transformer layers whose attention logits carry a shared
+relative slot-offset table plus the terrain penalty, and decode with a
+two-layer head that emits every horizon at once. The tokens stay in
+raster patch order throughout, so `ForwardResult.to_grid` is a plain
+unpatchify and the loss compares raster targets under the raster mask.
+The input and output channels are fixed by the data format
+(`config.INPUT_CHANNELS` in, one `config.TARGET_CHANNELS` set per horizon
+out), so they are properties of ModelConfig rather than settings.
 
-Because the positional vectors follow their patches and the relative
-table starts at zero, freshly initialized networks compute the exact same
-function with the shuffle on or off; what the reordering changes is what
-the relative table MEANS (attend-k-slots-back is "k ranks upwind" instead
-of "k raster positions back"), which is the entire mechanism. The two
-physics toggles choose data, not code: every variant runs the same
-operations, so the baseline configuration is literally the same network
-minus the two mechanisms. `wind_reorder` chooses the slot orders, read in
-`train.prepare_arrays` (wind orders or identity) and in `forward`'s
-identity default and missing-orders guard, next to the one check that
-each row is a permutation; `elev_bias` chooses whether the terrain
-penalty table exists, read in `_attention_tables`. Below those
-places the tokens, the positional vectors and the penalty are always
-gathered through the orders and the head output is put back in raster
-order; an identity gather is a copy, so the baseline is the wind variant
-under identity slot orders bit for bit.
+Wind-guided reordering reaches only the attention node, which maps the
+relative table through each sample's slot order (one row of a (B, N) int
+array, slot -> raster patch). Attention without a bias is permutation
+equivariant (criterion 1), so this computes what running the tokens in
+slot order and back would, without moving them. The table starts at
+zero, so freshly initialized networks compute the exact same function
+with the shuffle on or off; what the reordering changes is what the table
+MEANS (attend-k-slots-back is "k ranks upwind" instead of "k raster
+positions back"), which is the entire mechanism. The two physics
+toggles choose data, not code, so the baseline configuration is literally
+the same network minus the two mechanisms. `wind_reorder` chooses the
+slot orders, read in `train.prepare_arrays` (wind orders or identity)
+and in `forward`'s identity default and missing-orders guard;
+`elev_bias` chooses whether the terrain penalty table exists, read in
+`_attention_tables`. An identity map of the table is a copy, so the
+baseline is the wind variant under identity slot orders bit for bit.
 """
 
 from __future__ import annotations
@@ -260,9 +255,9 @@ def forward(
     `inputs` point elsewhere. Orders of another shape raise ShapeError, a
     row that is not a permutation of 0..N-1 raises DataError.
 
-    The slot orders stay inside: the returned tokens, and with
-    `collect_attention` every layer's head-averaged (B, N, N) map, are in
-    raster patch order, so token i is patch i for every variant.
+    The slot orders reach only the attention node: the returned tokens,
+    and with `collect_attention` every layer's head-averaged (B, N, N) map,
+    are in raster patch order, so token i is patch i for every variant.
 
     A forward that records no tape (`train` off under `autodiff.no_grad`)
     runs the network one sample at a time, so its memory does not grow
@@ -291,9 +286,8 @@ def forward(
     if orders.dtype.kind not in "iu" or (np.sort(orders, axis=1) != np.arange(n)).any():
         raise DataError("each row of the slot orders must be a permutation of 0..N-1")
 
-    # shared by every sample: the relative slot-offset logits, the
-    # per-patch positional vectors and the raster terrain penalty, whose
-    # entries the attention node gathers in each sample's slot order
+    # shared by every sample: the relative slot-offset logits, which the node
+    # maps through each slot order, the positional vectors and the penalty
     rel, penalty = _attention_tables(params, config, elev_patch_m)
     pos = params["pos.grid"] @ params["pos.proj"]
 
@@ -347,34 +341,23 @@ def _forward_samples(
     `orders`; `rel` and `penalty` are the keys x queries tables of
     `_attention_tables`. Every variant runs these same operations; the
     toggles chose the orders and the penalty."""
-    tokens_np = patchify(arr, config.spec).astype(params["patch_embed.w"].dtype)
-    tokens_np = np.take_along_axis(tokens_np, orders[..., None], axis=1)
+    tokens = patchify(arr, config.spec).astype(params["patch_embed.w"].dtype)
 
     def drop(t):
         return ad.dropout(t, config.dropout, rng) if train else t
 
-    x = ad.linear(ad.as_tensor(tokens_np), params["patch_embed.w"], params["patch_embed.b"])
-    # positional vectors are per patch and travel with it through the
-    # shuffle; sequence structure is carried by the relative slot table
-    x = drop(x + ad.take(pos, orders))
+    x = ad.linear(ad.as_tensor(tokens), params["patch_embed.w"], params["patch_embed.b"])
+    x = drop(x + pos)
 
     attn_maps: list[np.ndarray] = []
     for i in range(config.layers):
         normed = ad.layer_norm(x, params[f"layer{i}.ln1.g"], params[f"layer{i}.ln1.b"])
-        # the relative logits live in slot space; the node gathers the
-        # raster penalty's entries in each sample's slot order, so entry
-        # (k, q) keeps naming the same patch pair
         attended, weights = _attend_parts(
             normed, _layer_attention_params(params, i, config.heads), bias=rel,
             weights=collect_attention, penalty=penalty, orders=orders,
         )
         if collect_attention:
-            # head-averaged, then remapped by each sample's inverse so that
-            # entry (i, j) names raster patches i and j
-            maps = weights.data.mean(axis=-3)
-            attn_maps.append(np.stack(
-                [m[np.ix_(inv, inv)] for m, inv in zip(maps, np.argsort(orders, axis=1))]
-            ))
+            attn_maps.append(weights.data.mean(axis=-3))
         x = x + drop(attended)
         normed = ad.layer_norm(x, params[f"layer{i}.ln2.g"], params[f"layer{i}.ln2.b"])
         hidden = ad.linear(normed, params[f"layer{i}.mlp.w1"], params[f"layer{i}.mlp.b1"])
@@ -388,20 +371,7 @@ def _forward_samples(
     out = ad.linear(hidden, params["head.w2"], params["head.b2"])
     if not np.isfinite(out.data).all():
         raise NumericError("non-finite activations in the prediction head")
-    return _raster_tokens(out, orders), attn_maps
-
-
-def _raster_tokens(out: ad.Tensor, orders: np.ndarray) -> ad.Tensor:
-    """(B, N, C) slot-order tokens in raster order, as one tape node: the
-    forward is `reorder.unapply` of each sample, the backward gathers the
-    gradient back into slot order through the (B, N) slot -> patch
-    `orders`, so gradients upstream keep their bits."""
-    raster = np.stack([reorder.unapply(o, t) for o, t in zip(orders, out.data)])
-
-    def vjp(g):
-        return (np.take_along_axis(g, orders[..., None], axis=1),)
-
-    return ad.Tensor._op(raster, (out,), vjp)
+    return out, attn_maps
 
 
 # ---------------------------------------------------------------------------

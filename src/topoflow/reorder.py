@@ -14,7 +14,8 @@ identity when every sector keeps raster order. Sectors whose cells carry
 exactly zero wind skip the projection sort and keep raster order outright;
 a literal sort under the sentinel angle 0 would order such sectors
 column-major, which is not the raster baseline the degenerate case is
-defined to preserve.
+defined to preserve. No token moves: the attention node maps the model's
+slot-indexed relative table to raster positions with `unapply`.
 """
 
 from __future__ import annotations
@@ -102,8 +103,8 @@ def build_permutation(
 
 
 def unapply(order: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-    """Return (N, C) tokens in the slot order `order` to their raster
-    positions: raster patch order[k] takes the token of slot k."""
+    """Return (N, C) rows in the slot order `order` (a table's rows) to
+    their raster positions: raster patch order[k] takes the row of slot k."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2 or tokens.shape[0] != len(order):
         raise ShapeError(f"tokens shape {tokens.shape} is not (N, C), N = {len(order)}")

@@ -29,7 +29,8 @@ so datasets are order-independent and reproducible sample by sample.
 
 On disk a dataset is one terrain file (elevation, reference wind and the
 study mask), one file per sample and a `key = value` manifest that states
-the `data.*` values and the normalization stats once (`write_dataset`).
+the `data.*` values, the normalization stats and the `train.val_fraction`
+of the training split they were fit on once (`write_dataset`).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import INPUT_CHANNELS, TARGET_CHANNELS, TEMPORAL_CHANNELS, DataConfig, PhysicsConfig
-from .config import decode, encode, format_kv, read_kv, read_lines, value
+from .config import TrainConfig, decode, encode, format_kv, read_kv, read_lines
 from .errors import ConfigError, DataError, FormatError, ShapeError, StabilityError
 from .fields import (
     ChannelStats,
@@ -434,14 +435,16 @@ class DatasetBundle:
     mask: LandMask
     stats: NormStats
     horizons: tuple[int, ...]
+    val_fraction: float     # the `train.val_fraction` whose training split fit `stats`
 
 
 TERRAIN_CHANNELS = ("elev", "u", "v", "mask")
 DATASET_FORMAT = "topoflow dataset v3"
 REGENERATE = "regenerate it with `topoflow gen`, which rebuilds a dataset from its seed"
 # every key of a manifest: the `data.*` values a dataset fixes, and the
-# normalization stats of each input channel, fit on the training split
-MANIFEST_KEYS = ("format", "seed", "data.count", "data.base_speed", "data.horizons") + tuple(
+# normalization stats of each input channel with the split they were fit on
+MANIFEST_KEYS = ("format", "seed", "data.count", "data.base_speed", "data.horizons",
+                 "train.val_fraction") + tuple(
     key for name in INPUT_CHANNELS for key in encode(ChannelStats("none"), f"stats.{name}")
 )
 
@@ -459,23 +462,29 @@ def write_dataset(
     mask: LandMask,
     stats: NormStats,
     seed: int,
+    *,
+    val_fraction: float,
 ) -> None:
     """Persist a dataset directory on the mask's grid: `terrain.gfd` with
     channels `TERRAIN_CHANNELS`, one `samples/{index:06d}.gfd` per sample
     holding `sample_channels`, and `manifest.txt`, the `key = value` lines
-    of `MANIFEST_KEYS`. Every sample must share the first one's lead times,
-    and the `data.*` values and stats must make a manifest `read_dataset`
-    takes; both are checked before any file is touched. Any old manifest is
-    removed first, and the new one is written last and atomically, so a
-    killed writer leaves no `manifest.txt` (not even over an older
-    dataset) and `read_dataset` refuses the directory. Files in `samples/`
+    of `MANIFEST_KEYS`; `val_fraction` is the `train.val_fraction` whose
+    training split `stats` were fit on. Every sample must share the first
+    one's lead times, and the `data.*` values, the split and the stats must
+    make a manifest `read_dataset` takes; all are checked before any file
+    is touched. Any old manifest is removed first, and the new one is
+    written last and atomically, so a killed writer leaves no
+    `manifest.txt` (not even over an older dataset) and `read_dataset`
+    refuses the directory. Files in `samples/`
     other than the new samples', such as an older and larger dataset's,
     are removed before it is written."""
     horizons = samples[0].lead_times if samples else ()
     if any(s.lead_times != horizons for s in samples):
         raise DataError(f"samples differ in lead times; sample 0 has {horizons}")
     data = DataConfig(count=len(samples), base_speed=tw.base_speed, horizons=horizons)
-    kv = {k: v for k, v in encode(data, "data").items() if k in MANIFEST_KEYS}
+    split = TrainConfig(val_fraction=val_fraction)
+    kv = {k: v for k, v in {**encode(data, "data"), **encode(split, "train")}.items()
+          if k in MANIFEST_KEYS}
     kv.update(format=DATASET_FORMAT, seed=str(int(seed)))
     for name in INPUT_CHANNELS:
         kv.update(encode(stats.for_channel(name), f"stats.{name}"))
@@ -502,11 +511,12 @@ def write_dataset(
 def read_dataset(in_dir) -> DatasetBundle:
     """Load a dataset directory written by :func:`write_dataset`; each
     sample's input and targets are views of its one file's payload. A
-    manifest with an older header (refused with a note to regenerate it),
-    a line that is not UTF-8 or `key = value`, a key outside
-    `MANIFEST_KEYS` or one of them missing, another `format`, `data.*`
-    values that `DataConfig` refuses or stats that `ChannelStats` refuses
-    raises FormatError naming the manifest and the line or key. A missing
+    manifest with an older header or without one of `MANIFEST_KEYS` (both
+    refused with a note to regenerate it), a line that is not UTF-8 or
+    `key = value`, a key outside `MANIFEST_KEYS`, another `format`,
+    `data.*` values that `DataConfig` refuses, a `train.val_fraction` that
+    `TrainConfig` refuses or stats that `ChannelStats` refuses raises
+    FormatError naming the manifest and the line or key. A missing
     file, a `terrain.gfd` without channels `TERRAIN_CHANNELS` or whose mask
     is not 0 and 1 or selects no cell, and a sample file whose channels
     are not `sample_channels(horizons)` or whose grid is not
@@ -521,14 +531,13 @@ def read_dataset(in_dir) -> DatasetBundle:
     # decode fills a key left out with its default, so each is checked here
     for key in MANIFEST_KEYS:
         if key not in kv:
-            raise FormatError(f"{manifest}: missing key {key!r}")
+            raise FormatError(f"{manifest}: missing key {key!r}; {REGENERATE}")
     if kv["format"] != DATASET_FORMAT:
         raise FormatError(f"{manifest}: format = {kv['format']}, not {DATASET_FORMAT}; "
                           f"{REGENERATE}")
     try:
-        data = DataConfig(count=value(kv, "data.count", int),
-                          base_speed=value(kv, "data.base_speed", float),
-                          horizons=value(kv, "data.horizons", tuple[int, ...]))
+        data = decode(DataConfig, kv, "data")
+        split = decode(TrainConfig, kv, "train")
     except ConfigError as err:
         raise FormatError(f"{manifest}: {err}") from None
     entries = {}
@@ -562,4 +571,5 @@ def read_dataset(in_dir) -> DatasetBundle:
         )
         samples.append(Sample(inp, targets, data.horizons))
     tw = TerrainWind(*terrain.data[:3], base_speed=data.base_speed)
-    return DatasetBundle(spec, tuple(samples), tw, mask, NormStats(entries), data.horizons)
+    return DatasetBundle(spec, tuple(samples), tw, mask, NormStats(entries), data.horizons,
+                         split.val_fraction)

@@ -11,9 +11,8 @@ matrix between the patches in raster order, as a single tape node whose
 only parent is alpha. The `dump bias` matrix is that table, rows the
 query patches. The model's is its transpose, keys x queries as the
 attention node takes it, which `bias_tensor` of the negated elevations
-gives bit for bit; the node gathers each sample's entries from it in the
-sample's slot order (entry (a, b) is table[order[a], order[b]]), so no
-per-sample copy of the penalty is built or kept.
+gives bit for bit; the tokens stay in raster order, so every sample
+shares that one table as it is.
 
 Elevations enter in meters (pre-normalization) because the reference
 height h0 = 1000 m is dimensional; the [0, 1]-scaled elevation channel the

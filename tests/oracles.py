@@ -3,8 +3,9 @@
 No command reaches these, so they live with the tests: the bias-free
 attention equivariance measure (criterion 1), the covariance decay fit
 (criterion 6), the tape ops that the primitive-chain attention reference is
-built from (row softmax, reshape, transpose), and the forward reorder that
-`reorder.unapply` undoes.
+built from (row softmax, reshape, transpose), the forward reorder that
+`reorder.unapply` undoes, and the forecaster run in slot order, the form
+the raster-order `model.forward` must match.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from topoflow import attention, autodiff as ad, reorder
+from topoflow import attention, autodiff as ad, model, reorder, topo_bias
 from topoflow.config import PhysicsConfig
 from topoflow.errors import ConfigError, FitError, ShapeError
 from topoflow.fields import Sample
@@ -67,6 +68,45 @@ def equivariance_check(
     straight, _ = attention._attend_parts(tokens[None], params)
     shuffled, _ = attention._attend_parts(apply(order, tokens)[None], params)
     return float(np.abs(reorder.unapply(order, shuffled.data[0]) - straight.data[0]).max())
+
+
+# -- the forecaster in slot order ----------------------------------------------------
+
+
+def slot_order_forward(params, config, inputs, elev_patch_m, order) -> ad.Tensor:
+    """The forecaster on one sample run in slot order: the (N, out_dim)
+    raster-order output of the (C, H, W) normalized input `inputs`.
+
+    The tokens and the per-patch positional vectors are gathered into the
+    slot order `order`, every layer attends with the shared relative slot
+    table plus the terrain penalty of the slot-ordered elevations (the
+    raster penalty gathered in slot order, bit for bit), and the head
+    output is put back in raster order. Dropout is not applied. Attention
+    goes through the node with one plain (N, N) bias, the one form of it
+    that involves no slot order.
+    """
+    spec = config.spec
+    order = np.asarray(order)
+    tokens = model.patchify(np.asarray(inputs)[None], spec)[:, order]
+    x = ad.linear(ad.as_tensor(tokens.astype(params["patch_embed.w"].dtype)),
+                  params["patch_embed.w"], params["patch_embed.b"])
+    x = x + ad.take(params["pos.grid"] @ params["pos.proj"], order)
+    bias = ad.take(params["pos.rel"], model._relative_slot_index(spec))
+    if config.elev_bias:
+        flipped = -np.asarray(elev_patch_m, dtype=np.float64)[order]
+        bias = bias + topo_bias.bias_tensor(flipped, params["alpha"])
+    for i in range(config.layers):
+        normed = ad.layer_norm(x, params[f"layer{i}.ln1.g"], params[f"layer{i}.ln1.b"])
+        attended, _ = attention._attend_parts(
+            normed, model._layer_attention_params(params, i, config.heads), bias=bias)
+        x = x + attended
+        normed = ad.layer_norm(x, params[f"layer{i}.ln2.g"], params[f"layer{i}.ln2.b"])
+        hidden = ad.gelu(ad.linear(normed, params[f"layer{i}.mlp.w1"], params[f"layer{i}.mlp.b1"]))
+        x = x + hidden @ params[f"layer{i}.mlp.w2"] + params[f"layer{i}.mlp.b2"]
+    x = ad.layer_norm(x, params["head.ln.g"], params["head.ln.b"])
+    hidden = ad.gelu(ad.linear(x, params["head.w1"], params["head.b1"]))
+    out = ad.linear(hidden, params["head.w2"], params["head.b2"])
+    return ad.take(reshape(out, spec.n_patches, config.out_dim), np.argsort(order))
 
 
 # -- criterion 6: covariance anisotropy -------------------------------------------------

@@ -280,9 +280,9 @@ def attend_and_grads(params, x, coeff, fn=NODE, **kwargs):
 
 
 # the per-sample bias the references take, by shape, and how the node gets
-# it: the shared slot table, a raster table gathered in each sample's own
-# slot order, that table under identity orders (the batch shares it as it
-# is), and the one-sample batch that the no-tape forward passes
+# it: the shared slot table, that table mapped through each sample's own
+# slot order, the raster penalty (the batch shares it as it is), and the
+# one-sample batch that the no-tape forward passes
 FUSED_CASES = [
     ((2, 5, 8), (5, 5)),
     ((2, 5, 8), (2, 1, 5, 5)),
@@ -296,10 +296,10 @@ def node_bias(bias_shape, table, rng, batch):
     (N, N) keys x queries `table` as a bias of `bias_shape`, and that bias
     materialized queries x keys, as the references take it.
 
-    (N, N) passes the table as `bias`, the slot table; (1, 1, N, N) passes
-    it as `penalty` with `batch` identity orders, so it lands as it is;
-    (B, 1, N, N) passes it as `penalty` with B distinct slot orders, and
-    sample i gets table.T[o_i][:, o_i]. None passes nothing.
+    (N, N) passes the table as `bias`, the slot table without orders;
+    (1, 1, N, N) passes it as `penalty`, which lands as it is; (B, 1, N, N)
+    passes it as `bias` with B distinct slot orders, and sample i, whose
+    inverse order is s_i, gets table.T[s_i][:, s_i]. None passes nothing.
     """
     if bias_shape is None:
         return {}, None
@@ -307,32 +307,32 @@ def node_bias(bias_shape, table, rng, batch):
         return {"bias": table}, table.data.T.copy()
     n = table.shape[0]
     if bias_shape[0] == 1:
-        identity = np.tile(np.arange(n), (batch, 1))
-        return {"penalty": table, "orders": identity}, table.data.T[None, None].copy()
+        return {"penalty": table}, table.data.T[None, None].copy()
     orders = np.stack([rng.permutation(n) for _ in range(bias_shape[0])])
     assert len({tuple(o) for o in orders}) == len(orders)
-    gathered = np.stack([table.data.T[o][:, o] for o in orders])[:, None]
-    return {"penalty": table, "orders": orders}, gathered
+    mapped = np.stack([table.data.T[s][:, s] for s in np.argsort(orders, axis=1)])[:, None]
+    return {"bias": table, "orders": orders}, mapped
 
 
 def scattered(bias_grad, orders=None):
     """The keys x queries (N, N) table gradient that a materialized queries
-    x keys bias gradient makes: each sample's block moved back to raster
-    order, added in sample order, and transposed."""
+    x keys bias gradient makes: each sample's block moved back to slot
+    order through its order (left as it is without orders), added in
+    sample order, and transposed."""
     if bias_grad.ndim == 2:
         return bias_grad.T
     n = bias_grad.shape[-1]
     out = np.zeros((n, n), dtype=bias_grad.dtype)
     for i, g in enumerate(bias_grad[:, 0]):
-        inv = np.arange(n) if orders is None else np.argsort(orders[i])
-        out += g[inv][:, inv]
+        order = np.arange(n) if orders is None else orders[i]
+        out += g[order][:, order]
     return out.T
 
 
 @pytest.mark.parametrize("token_shape,bias_shape", FUSED_CASES)
 def test_fused_attention_gradients_match_finite_differences(token_shape, bias_shape):
-    # float64 central differences; with (2, 1, N, N) the table is the
-    # raster penalty that two distinct slot orders gather
+    # float64 central differences; with (2, 1, N, N) the table is the slot
+    # table that two distinct slot orders map
     rng = np.random.default_rng(14)
     params = make_params(8, 2, rng)
     tokens = ad.parameter(rng.normal(size=token_shape))
@@ -563,8 +563,8 @@ def test_second_value_is_a_tensor_of_the_logits_dtype(taped, want, token_shape, 
 def test_non_finite_bias_entries_raise_numeric_error(taped, bad):
     from topoflow.errors import NumericError
 
-    # the bad entry sits in the slot table, or in the raster penalty that
-    # each sample gathers to another slot pair
+    # the bad entry sits in the slot table, as it is or mapped to another
+    # pair of patches by each sample's order, or in the raster penalty
     rng = np.random.default_rng(21)
     params = make_params(8, 2, rng, dtype=np.float32)
     tokens = ad.parameter(rng.normal(size=(2, 5, 8)).astype(np.float32))
@@ -572,12 +572,12 @@ def test_non_finite_bias_entries_raise_numeric_error(taped, bad):
     values[2, 3] = bad
     table = ad.parameter(values)
     orders = np.stack([rng.permutation(5) for _ in range(2)])
-    for kwargs in ({"bias": table}, {"penalty": table, "orders": orders}):
+    for kwargs in ({"bias": table}, {"bias": table, "orders": orders}, {"penalty": table}):
         with contextlib.nullcontext() if taped else ad.no_grad(), pytest.raises(NumericError):
             attention._attend_parts(tokens, params, **kwargs)
 
 
-# -- the terrain penalty as one raster table plus slot orders ------------------------
+# -- the terrain penalty as one raster table, the slot table mapped by orders ---------
 
 def penalty_case(rng, b=3, n=24):
     """Float32 tokens, projections, slot-order bias, elevations and orders."""
@@ -590,10 +590,17 @@ def penalty_case(rng, b=3, n=24):
     return params, x, coeff, rel, elev, orders
 
 
-# (penalty, wind orders): both mechanisms on, wind reordering off (the
-# penalty comes with identity orders), the terrain penalty off (orders
-# without a penalty change nothing), both off
+# (penalty, wind orders): both mechanisms on, wind reordering off (the slot
+# table comes with identity orders), the terrain penalty off, both off
 PENALTY_CASES = [(True, True), (True, False), (False, True), (False, False)]
+
+
+def materialized(rel, flat, slots, with_penalty):
+    """Each sample's queries x keys bias, (B, 1, N, N): the slot table `rel`
+    mapped to raster positions through the sample's inverse order, plus the
+    raster penalty `flat` when `with_penalty`."""
+    mapped = np.stack([rel[s][:, s] for s in np.argsort(slots, axis=1)])[:, None]
+    return mapped + flat if with_penalty else mapped
 
 
 @pytest.mark.parametrize("with_penalty,with_orders", PENALTY_CASES)
@@ -603,10 +610,10 @@ def test_penalty_and_orders_match_the_materialized_bias(with_penalty, with_order
     b, n = orders.shape
     slots = orders if with_orders else np.tile(np.arange(n), (b, 1))
 
-    # reference: the (B, 1, N, N) sum rel + gathered penalty, as a leaf
+    # reference: the (B, 1, N, N) sum of the mapped slot table and the
+    # raster penalty, as a leaf
     flat = topo_bias.bias_tensor(elev, ad.Tensor(np.array(1.3, dtype=np.float32))).data
-    gathered = np.stack([flat[o][:, o] for o in slots])[:, None]
-    ref_bias = ad.parameter(rel + gathered if with_penalty else rel.copy())
+    ref_bias = ad.parameter(materialized(rel, flat, slots, with_penalty))
     want = attend_and_grads(params, x, coeff, fn=reference_attend, bias=ref_bias)
 
     # the node takes both tables keys x queries; the penalty of negated
@@ -624,13 +631,12 @@ def test_penalty_and_orders_match_the_materialized_bias(with_penalty, with_order
     assert plain.data.tobytes() == got[0].tobytes()
 
     g = ref_bias.grad
-    np.testing.assert_allclose(rel_t.grad, (g.sum(axis=(0, 1)) if g.ndim == 4 else g).T,
-                               rtol=1e-5, atol=1e-7)
+    assert rel_t.grad.tobytes() == scattered(g, slots).tobytes()
     if with_penalty:
-        # the removed (B, 1, N, N) penalty node's backward rule
+        # the rule of a (B, 1, N, N) penalty node: the clamp mask and the
+        # climbs are the raster table's, the same for every sample
         up = topo_bias.uphill_matrix(elev).astype(np.float32)
-        up = np.stack([up[o][:, o] for o in slots])[:, None]
-        inside = (gathered > topo_bias.BIAS_LO) & (gathered < 0.0)
+        inside = (flat > topo_bias.BIAS_LO) & (flat < 0.0)
         assert alpha.grad == pytest.approx(-((g * inside) * up).sum(), rel=1e-5)
     else:
         assert alpha.grad is None
@@ -638,21 +644,24 @@ def test_penalty_and_orders_match_the_materialized_bias(with_penalty, with_order
 
 @pytest.mark.parametrize("with_orders", [True, False])
 def test_penalty_gradient_is_the_scattered_head_sum(with_orders):
-    # the raster table's gradient adds each sample's head sum, moved back to
-    # raster order, in sample order: bit for bit what a scatter of the
+    # each table's gradient adds each sample's head sum in sample order:
+    # the raster penalty's as it is, whatever the orders, and the slot
+    # table's moved back to slot order, bit for bit what a scatter of the
     # per-sample bias gradients gives
     rng = np.random.default_rng(23)
     params, x, coeff, rel, elev, orders = penalty_case(rng)
     b, n = orders.shape
     flat = topo_bias.bias_tensor(elev, ad.Tensor(np.array(1.3, dtype=np.float32))).data
     slots = orders if with_orders else np.tile(np.arange(n), (b, 1))
-    ref_bias = ad.parameter(np.stack([flat[o][:, o] for o in slots])[:, None])
+    ref_bias = ad.parameter(materialized(rel, flat, slots, True))
     attend_and_grads(params, x, coeff, fn=reference_attend, bias=ref_bias)
-    penalty = ad.parameter(flat.T.copy())
-    attend_and_grads(params, x, coeff, penalty=penalty, orders=slots)
-    want = scattered(ref_bias.grad, slots)
-    assert penalty.grad.dtype == np.float32
-    assert penalty.grad.tobytes() == want.tobytes()
+    rel_t, penalty = ad.parameter(rel.T.copy()), ad.parameter(flat.T.copy())
+    attend_and_grads(params, x, coeff, bias=rel_t, penalty=penalty, orders=slots)
+    assert penalty.grad.dtype == rel_t.grad.dtype == np.float32
+    assert penalty.grad.tobytes() == scattered(ref_bias.grad).tobytes()
+    assert rel_t.grad.tobytes() == scattered(ref_bias.grad, slots).tobytes()
+    # under identity orders the two tables get the same gradient
+    assert with_orders != (penalty.grad.tobytes() == rel_t.grad.tobytes())
 
 
 def test_penalty_and_orders_are_checked():
@@ -660,12 +669,14 @@ def test_penalty_and_orders_are_checked():
     params, x, _coeff, rel, _elev, orders = penalty_case(rng, b=2, n=6)
     with pytest.raises(ShapeError):
         attention._attend_parts(x, params, penalty=np.zeros((2, 1, 6, 6)))
-    # a penalty comes with its orders: there is no raster mode
+    # the penalty is one raster table and needs no orders; orders come
+    # with the slot table, one permutation per sample
+    attention._attend_parts(x, params, penalty=rel)
     with pytest.raises(ShapeError, match="orders"):
-        attention._attend_parts(x, params, penalty=rel)
-    with pytest.raises(ShapeError):
-        attention._attend_parts(x, params, penalty=rel, orders=orders[:1])
+        attention._attend_parts(x, params, bias=rel, orders=orders[:1])
+    with pytest.raises(ShapeError, match="orders"):
+        attention._attend_parts(x, params, bias=rel, orders=orders[:, :-1])
     repeated = orders.copy()
     repeated[1, 0] = repeated[1, 1]
     with pytest.raises(DataError):
-        attention._attend_parts(x, params, penalty=rel, orders=repeated)
+        attention._attend_parts(x, params, bias=rel, orders=repeated)

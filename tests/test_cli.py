@@ -73,7 +73,8 @@ def test_gen_writes_dataset_layout(dataset):
     lines = (dataset / "manifest.txt").read_text(encoding="utf-8").splitlines()
     assert [ln.split(" = ")[0] for ln in lines] == sorted(synthdata.MANIFEST_KEYS)
     for line in ("format = topoflow dataset v3", "seed = 0", "data.count = 12",
-                 "data.base_speed = 2.0", "data.horizons = 12,24", "stats.x.kind = none"):
+                 "data.base_speed = 2.0", "data.horizons = 12,24", "stats.x.kind = none",
+                 "train.val_fraction = 0.25"):
         assert line in lines
 
 
@@ -303,7 +304,8 @@ def test_dump_perm_uniform_east_wind(tmp_path, config_path):
     samples = synthdata.make_dataset(spec, tw, cfg, fixed, seed=0)
     stats = NormStats.fit([s.input for s in samples], synthdata.norm_kinds())
     data = tmp_path / "east"
-    synthdata.write_dataset(data, samples, tw, synthdata.study_mask(spec), stats, seed=0)
+    synthdata.write_dataset(data, samples, tw, synthdata.study_mask(spec), stats, seed=0,
+                            val_fraction=0.25)
     out = tmp_path / "dump"
     assert run("dump", "perm", "--config", str(config_path), "--data", str(data),
                "--out", str(out)) == 0
@@ -739,8 +741,8 @@ def test_manifest_without_a_key_exits_three(key, pristine, tmp_path, capsys):
     assert run("train", "--config", str(pristine / "desk.cfg"), "--data", str(dataset),
                "--out", str(out)) == 3
     err = capsys.readouterr().err
-    assert f"manifest.txt: missing key {key!r}" in err and "Traceback" not in err, err
-    assert not out.exists()
+    assert f"manifest.txt: missing key {key!r}; regenerate it" in err, err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "ablate", "dump"])
@@ -762,6 +764,69 @@ def test_config_grid_other_than_the_dataset_exits_two(command, pristine, tmp_pat
     err = capsys.readouterr().err
     assert "grid.patch = 4" in err and "grid.patch = 2" in err and "Traceback" not in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+def test_config_split_other_than_the_dataset_exits_two(command, pristine, tmp_path, capsys):
+    # `gen` fit the stats on the training split of train.val_fraction =
+    # 0.25, and the manifest says so; a run on another split would
+    # validate on samples the stats were fit on, so it is refused before
+    # anything is written
+    common = ["--data", str(pristine / "data")]
+    argv = {"train": ["train", "--steps", "2"], "eval": ["eval"],
+            "ablate": ["ablate", "--seeds", "0", "--steps", "2"]}[command]
+    if command == "eval":
+        run_dir = tmp_path / "run"
+        assert run("train", "--config", str(pristine / "desk.cfg"), *common,
+                   "--out", str(run_dir), "--steps", "2") == 0
+        argv += ["--checkpoint", str(run_dir / "best.gfd")]
+    cfg = write_config(tmp_path / "half.cfg", **{"train.val_fraction": "0.5"})
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*argv, "--config", str(cfg), *common, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "train.val_fraction = 0.5" in err and "train.val_fraction = 0.25" in err, err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("grid", [{"grid.width": "24"}, {"grid.patch": "4"}],
+                         ids=["wider", "patch4"])
+@pytest.mark.parametrize("command", ["eval", "dump attn"])
+def test_checkpoint_from_another_grid_exits_two(command, grid, pristine, tmp_path, capsys):
+    # a checkpoint trained on the 8x16, patch-2 dataset, run on a dataset
+    # of another width or patch size with a config that matches it, is
+    # refused before anything is written, naming the checkpoint and the
+    # first key that differs
+    run_dir = tmp_path / "run"
+    assert run("train", "--config", str(pristine / "desk.cfg"), "--data",
+               str(pristine / "data"), "--out", str(run_dir), "--steps", "2") == 0
+    cfg = write_config(tmp_path / "other.cfg", **grid)
+    other = tmp_path / "other"
+    assert run("gen", "--config", str(cfg), "--out", str(other)) == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*command.split(), "--config", str(cfg), "--data", str(other),
+               "--checkpoint", str(run_dir / "best.gfd"), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    key = "model.spec.width = 16" if "grid.width" in grid else "model.spec.patch = 2"
+    assert f"best.gfd: {key}, but the dataset at" in err and "Traceback" not in err, err
+    assert not out.exists()
+
+
+def test_dump_attn_without_an_attention_layer_exits_two(pristine, tmp_path, capsys):
+    # `model.layers = 0` is a depth the config accepts, and its checkpoint
+    # has no attention map to dump
+    cfg = write_config(tmp_path / "flat.cfg", **{"model.layers": "0"})
+    common = ["--config", str(cfg), "--data", str(pristine / "data")]
+    run_dir = tmp_path / "run"
+    assert run("train", *common, "--out", str(run_dir), "--steps", "2") == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("dump", "attn", *common, "--checkpoint", str(run_dir / "best.gfd"),
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "model.layers = 0" in err and "no attention layer" in err, err
+    assert err.count("\n") == 1 and "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("key, text", [

@@ -20,7 +20,7 @@ def bundle():
     samples = synthdata.make_dataset(SPEC, tw, cfg, DataConfig(count=8, horizons=(12, 24)), seed=2)
     stats = NormStats.fit([s.input for s in samples], synthdata.norm_kinds())
     mask = synthdata.study_mask(SPEC)
-    return synthdata.DatasetBundle(SPEC, tuple(samples), tw, mask, stats, (12, 24))
+    return synthdata.DatasetBundle(SPEC, tuple(samples), tw, mask, stats, (12, 24), 0.1)
 
 
 def full_mask(h=2, w=2):
@@ -203,7 +203,7 @@ def test_predict_grids_makes_one_forward_call_per_batch(bundle, monkeypatch):
     config = ModelConfig(spec=SPEC, d=16, layers=1, heads=2, mlp_hidden=32,
                          head_hidden=32, dropout=0.0, n_horizons=2)
     five = synthdata.DatasetBundle(SPEC, bundle.samples[:5], bundle.terrain, bundle.mask,
-                                   bundle.stats, bundle.horizons)
+                                   bundle.stats, bundle.horizons, bundle.val_fraction)
     preds, _ = evalkit.predict_grids(init_params(config, seed=0), config, five, batch=2)
     assert preds.shape[0] == 5
     assert calls == [2, 2, 1]

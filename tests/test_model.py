@@ -14,6 +14,8 @@ from topoflow.fields import GridSpec, NormStats
 from topoflow.model import ModelConfig, forward, init_params, patchify, unpatchify
 from topoflow.train import TrainConfig, prepare_arrays
 
+import oracles
+
 
 def tiny_config(**over):
     base = dict(
@@ -226,8 +228,8 @@ def test_reorder_is_equivalence_at_init():
 
 
 def test_terrain_penalty_follows_the_shuffle_at_init():
-    # with the terrain penalty on, the shuffle stays an equivalence at init
-    # only if each sample's penalty is gathered in its own slot order
+    # with the terrain penalty on, the shuffle stays an equivalence at init:
+    # every sample's penalty names the same pair of patches in each variant
     config_on = tiny_config(wind_reorder=True)
     config_off = tiny_config(wind_reorder=False)
     store = init_params(config_on, seed=0, dtype=np.float64)
@@ -263,23 +265,44 @@ def test_wind_forward_returns_raster_tokens_and_maps():
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
 
 
-def test_raster_tokens_node_is_unapply_and_its_adjoint():
-    # the last node of the forward: each sample's `reorder.unapply`, with a
-    # backward that is the exact adjoint, <g, f(t)> = <vjp(g), t>; the
-    # orders are not their own inverses, so a vjp through the inverse fails
-    spec = GridSpec(8, 16, 2, 4, 2)
-    rng = np.random.default_rng(14)
-    orders = np.stack([reorder.build_permutation(spec, *rng.normal(size=(2, 8, 16)))[0]
-                       for _ in range(2)])
-    assert not (np.take_along_axis(orders, orders, axis=1) == np.arange(spec.n_patches)).all()
-    slots = ad.parameter(rng.normal(size=(2, spec.n_patches, 3)))
-    raster = model._raster_tokens(slots, orders)
-    for b, order in enumerate(orders):
-        np.testing.assert_array_equal(raster.data[b], reorder.unapply(order, slots.data[b]))
-    g = rng.normal(size=raster.shape)
-    (raster * ad.Tensor(g)).sum().backward()
-    np.testing.assert_allclose((slots.grad * slots.data).sum(), (g * raster.data).sum(),
-                               rtol=1e-12)
+# float64 and float32 bounds on max |raster - slot order|, as a share of
+# the largest |entry| of each compared array
+SLOT_ORDER_TOL = {np.float64: 1e-10, np.float32: 1e-5}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("elev_bias", [False, True], ids=["wind", "wind_elev"])
+def test_raster_forward_matches_the_slot_order_reference(elev_bias, dtype):
+    # the forward against the model run in slot order sample by sample
+    # (`oracles.slot_order_forward`): outputs and every parameter gradient,
+    # with turned winds, a non-zero relative table and no dropout
+    config = tiny_config(spec=GridSpec(8, 16, 2, 4, 2), layers=2, elev_bias=elev_bias)
+    store = init_params(config, seed=3, dtype=dtype)
+    rng = np.random.default_rng(17)
+    store["pos.rel"].data[:] = rng.normal(size=store["pos.rel"].shape)
+    x = random_inputs(config, rng, batch=4).astype(dtype)
+    orders = wind_orders(config, x)
+    assert len({tuple(o) for o in orders}) == len(orders)
+    elev = rng.uniform(0, 3000, config.spec.n_patches)
+    coeff = rng.normal(size=(len(x), config.spec.n_patches, config.out_dim)).astype(dtype)
+
+    res = forward(store, config, x, elev, orders=orders)
+    (res.tokens * ad.Tensor(coeff)).sum().backward()
+    got = [res.tokens.data] + [store[k].grad for k in store.names()]
+    ad.zero_grads(store.tensors())
+    outs = []
+    for i, order in enumerate(orders):
+        out = oracles.slot_order_forward(store, config, x[i], elev, order)
+        (out * ad.Tensor(coeff[i])).sum().backward()
+        outs.append(out.data)
+    want = [np.stack(outs)] + [store[k].grad for k in store.names()]
+    tol = SLOT_ORDER_TOL[dtype]
+    for name, a, b in zip(["tokens"] + store.names(), got, want):
+        if b is None:
+            assert a is None or not a.any(), name
+            continue
+        assert a.dtype == b.dtype == dtype, name
+        assert np.abs(a - b).max() <= tol * np.abs(b).max(), name
 
 
 def test_attention_tables_are_keys_by_queries():
@@ -330,7 +353,7 @@ def test_toggles_off_is_the_shared_baseline_path():
     samples = synthdata.make_dataset(spec, tw, physics, data, seed=7)
     stats = NormStats.fit([s.input for s in samples], synthdata.norm_kinds())
     bundle = synthdata.DatasetBundle(spec, tuple(samples), tw, synthdata.study_mask(spec),
-                                     stats, data.horizons)
+                                     stats, data.horizons, 0.1)
     orders = prepare_arrays(bundle, config).orders
     np.testing.assert_array_equal(orders, np.tile(np.arange(spec.n_patches), (2, 1)))
     orders = wind_orders(replace(config, wind_reorder=True), x)
@@ -451,16 +474,16 @@ def load_tape_stats():
 
 
 # One taped training forward of the two-layer tiny model with dropout on
-# records 34 nodes whose reachable buffers (parameters and the bool dropout
-# masks included) come to 43108 bytes. Each `x @ w + b` is one node,
-# dropout keeps a bool mask, the terrain penalty is one raster (N, N)
-# node that the attention nodes gather from, and the last node gathers
-# the head output back to raster order, keeping only its (B, N, out_dim)
-# result and the (B, N) slot orders the attention nodes already hold; a
-# refactor that brings back a kept intermediate, such as a pre-bias
-# product, a float mask or a per-sample bias, fails here.
-TAPE_NODES = 34
-TAPE_BYTES = 43108
+# records 32 nodes whose reachable buffers (parameters and the bool dropout
+# masks included) come to 41828 bytes. Each `x @ w + b` is one node,
+# dropout keeps a bool mask, the positional vectors are added as they
+# are, and the terrain penalty is one raster (N, N) node that the
+# attention nodes add as it is; the tokens stay in raster order, so no
+# node gathers them. A refactor that brings back a kept intermediate,
+# such as a pre-bias product, a float mask or a per-sample bias, fails
+# here.
+TAPE_NODES = 32
+TAPE_BYTES = 41828
 
 
 def test_taped_forward_node_count_and_bytes_pinned():

@@ -369,7 +369,7 @@ def small_dataset(count, seed=9, horizons=(12, 24)):
 
 def test_dataset_write_read_round_trip(tmp_path):
     samples, tw, mask, stats = small_dataset(3)
-    synthdata.write_dataset(tmp_path / "ds", samples, tw, mask, stats, seed=9)
+    synthdata.write_dataset(tmp_path / "ds", samples, tw, mask, stats, seed=9, val_fraction=0.1)
     bundle = synthdata.read_dataset(tmp_path / "ds")
     assert bundle.horizons == (12, 24)
     assert len(bundle.samples) == 3
@@ -406,7 +406,8 @@ def test_killed_dataset_write_leaves_no_manifest(victim, older, tmp_path, monkey
     the rename, leaves no manifest, not even an older dataset's naming a mix
     of old and new files, so the directory does not load."""
     if older:
-        synthdata.write_dataset(tmp_path / "ds", *small_dataset(3, seed=1), seed=1)
+        synthdata.write_dataset(tmp_path / "ds", *small_dataset(3, seed=1), seed=1,
+                                val_fraction=0.1)
     real_replace = os.replace
     renamed = []
 
@@ -419,7 +420,8 @@ def test_killed_dataset_write_leaves_no_manifest(victim, older, tmp_path, monkey
     with monkeypatch.context() as m:
         m.setattr(os, "replace", killed_replace)
         with pytest.raises(KeyboardInterrupt):
-            synthdata.write_dataset(tmp_path / "ds", *small_dataset(2, seed=2), seed=2)
+            synthdata.write_dataset(tmp_path / "ds", *small_dataset(2, seed=2), seed=2,
+                                    val_fraction=0.1)
     assert renamed == list(DATASET_WRITES[: DATASET_WRITES.index(victim) + 1])
     assert not (tmp_path / "ds" / "manifest.txt").exists()
     with pytest.raises(DataError, match="no manifest"):
@@ -429,10 +431,12 @@ def test_killed_dataset_write_leaves_no_manifest(victim, older, tmp_path, monkey
 def test_smaller_dataset_over_a_larger_one_leaves_no_stale_samples(tmp_path):
     horizons = (12, 24, 36, 48)   # still one file per sample
     samples = tmp_path / "ds" / "samples"
-    synthdata.write_dataset(tmp_path / "ds", *small_dataset(6, 1, horizons), seed=1)
+    synthdata.write_dataset(tmp_path / "ds", *small_dataset(6, 1, horizons), seed=1,
+                            val_fraction=0.1)
     assert len(list(samples.iterdir())) == 6
     (samples / "000000.h012.gfd").write_bytes(b"")   # a file of an older layout
-    synthdata.write_dataset(tmp_path / "ds", *small_dataset(3, 2, horizons), seed=2)
+    synthdata.write_dataset(tmp_path / "ds", *small_dataset(3, 2, horizons), seed=2,
+                            val_fraction=0.1)
     left = sorted(p.name for p in samples.iterdir())
     assert left == ["000000.gfd", "000001.gfd", "000002.gfd"]
     assert "data.count = 3\n" in (tmp_path / "ds" / "manifest.txt").read_text()
@@ -441,7 +445,7 @@ def test_smaller_dataset_over_a_larger_one_leaves_no_stale_samples(tmp_path):
 
 def test_manifest_header_carries_base_speed(tmp_path):
     samples, tw, mask, stats = small_dataset(2)
-    synthdata.write_dataset(tmp_path / "ds", samples, tw, mask, stats, seed=9)
+    synthdata.write_dataset(tmp_path / "ds", samples, tw, mask, stats, seed=9, val_fraction=0.1)
     assert synthdata.read_dataset(tmp_path / "ds").terrain.base_speed == tw.base_speed
     manifest = tmp_path / "ds" / "manifest.txt"
     text = manifest.read_text()
@@ -453,22 +457,23 @@ def test_manifest_header_carries_base_speed(tmp_path):
 
 
 def test_manifest_cut_at_a_row_boundary_raises(tmp_path):
-    synthdata.write_dataset(tmp_path / "ds", *small_dataset(4), seed=9)
+    synthdata.write_dataset(tmp_path / "ds", *small_dataset(4), seed=9, val_fraction=0.1)
     manifest = tmp_path / "ds" / "manifest.txt"
     lines = manifest.read_text().splitlines(True)
     assert len(lines) == len(synthdata.MANIFEST_KEYS)
     manifest.write_text("".join(lines[:-1]))  # cut before its last line
-    with pytest.raises(FormatError, match="missing key 'stats.y.kind'"):
+    with pytest.raises(FormatError, match="missing key 'train.val_fraction'; regenerate"):
         synthdata.read_dataset(tmp_path / "ds")
 
 
 def test_write_dataset_refuses_stats_without_a_channel_before_writing(tmp_path):
     samples, tw, mask, stats = small_dataset(2)
-    synthdata.write_dataset(tmp_path / "ds", samples, tw, mask, stats, seed=9)
+    synthdata.write_dataset(tmp_path / "ds", samples, tw, mask, stats, seed=9, val_fraction=0.1)
     before = {p: p.read_bytes() for p in (tmp_path / "ds").rglob("*") if p.is_file()}
     partial = NormStats({k: v for k, v in stats.entries.items() if k != "elev"})
     with pytest.raises(ConfigError, match="'elev'"):
-        synthdata.write_dataset(tmp_path / "ds", samples, tw, mask, partial, seed=9)
+        synthdata.write_dataset(tmp_path / "ds", samples, tw, mask, partial, seed=9,
+                                val_fraction=0.1)
     after = {p: p.read_bytes() for p in (tmp_path / "ds").rglob("*") if p.is_file()}
     assert after == before
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from topoflow import attention, autodiff as ad, topo_bias
+from topoflow import attention, autodiff as ad, reorder, topo_bias
 from topoflow.errors import DataError
 from topoflow.fields import GridSpec
 
@@ -172,7 +172,7 @@ def test_tape_alpha_gradient_matches_analytic():
     assert alpha.grad == pytest.approx(want, rel=1e-12)
 
 
-# -- the penalty in slot order, as the attention node gathers it -------------------
+# -- the penalty as the attention node takes it: one raster table ------------------
 
 def attention_case(rng, n, batch, dtype=np.float64):
     """(tokens, params, coeff) for a small attention layer of width 8, 2 heads."""
@@ -184,16 +184,9 @@ def attention_case(rng, n, batch, dtype=np.float64):
     return tokens, params, coeff
 
 
-def gathered(penalty, order, bias=None):
-    """The bias the attention node builds for one sample, through its helper."""
-    n = penalty.shape[0]
-    out, scratch = np.empty((n, n), penalty.dtype), np.empty((n, n), penalty.dtype)
-    return attention._sample_bias(bias, penalty, order, out, scratch)
-
-
 def test_batched_alpha_gradient_matches_central_differences():
-    # alpha reaches the loss through the raster penalty and the attention
-    # node's per-sample gathers, three distinct slot orders
+    # alpha reaches the loss through the raster penalty, which the batch
+    # shares next to a slot table mapped through three distinct slot orders
     rng = np.random.default_rng(6)
     h = rng.uniform(0, 8000, size=9)
     orders = np.stack([rng.permutation(9) for _ in range(3)])
@@ -223,7 +216,10 @@ def test_batched_alpha_gradient_matches_central_differences():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_batched_output_is_the_reindexed_penalty(dtype):
-    # sample i's bias is rel + penalty[o][:, o], entry for entry
+    # sample i's bias is the slot table reindexed to raster positions,
+    # rel[s][:, s] with s its inverse order, plus the raster penalty as it
+    # is: the batched node gives each sample's output under that bias, bit
+    # for bit
     rng = np.random.default_rng(7)
     h = rng.uniform(0, 8000, size=10)
     orders = np.stack([rng.permutation(10) for _ in range(4)])
@@ -231,11 +227,12 @@ def test_batched_output_is_the_reindexed_penalty(dtype):
     flat = topo_bias.bias_tensor(h, alpha).data
     rel = rng.normal(size=(10, 10)).astype(dtype)
     assert flat.dtype == dtype
-    for order in orders:
-        got = gathered(flat, order, rel)
-        assert got.dtype == dtype
-        assert got.tobytes() == (rel + flat[order][:, order]).tobytes()
-        assert gathered(flat, order).tobytes() == flat[order][:, order].tobytes()
+    tokens, params, _coeff = attention_case(rng, 10, 4, dtype)
+    out, _ = attention._attend_parts(tokens, params, bias=rel, penalty=flat, orders=orders)
+    assert out.dtype == dtype
+    for i, s in enumerate(np.argsort(orders, axis=1)):
+        want, _ = attention._attend_parts(tokens[i : i + 1], params, bias=rel[s][:, s] + flat)
+        assert out.data[i].tobytes() == want.data[0].tobytes()
 
 
 def test_one_node_on_alpha_and_none_under_no_grad():
@@ -262,8 +259,10 @@ def test_bias_tensor_matches_reference_formula():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gather_from_raster_uphill_is_bitwise_the_per_sample_build(dtype):
-    # the reference builds each sample's penalty from its reordered
-    # elevations; the attention node gathers it from the one raster table
+    # a penalty built from slot-ordered elevations is the raster table
+    # gathered in that order, bit for bit, so attending the slot-ordered
+    # tokens under it and undoing the order is attending the raster tokens
+    # under the raster table, to rounding, for the output and alpha
     rng = np.random.default_rng(9)
     h = rng.uniform(0, 8000, size=12)
     orders = np.stack([rng.permutation(12) for _ in range(3)])
@@ -271,21 +270,20 @@ def test_gather_from_raster_uphill_is_bitwise_the_per_sample_build(dtype):
     raster = topo_bias.bias_tensor(h, alpha).data
     for order in orders:
         want = topo_bias.bias_tensor(h[order], alpha).data
-        got = gathered(raster, order)
+        got = raster[order][:, order]
         assert got.dtype == want.dtype == dtype
         assert got.tobytes() == want.tobytes()
-    # and through the node: alpha's gradient from the raster table's three
-    # gathers is the sum of the three per-sample builds', to rounding
     tokens, params, coeff = attention_case(rng, 12, 3, dtype)
+    tol = 1e-5 if dtype == np.float32 else 1e-12
     alpha = ad.parameter(np.array(1.3, dtype=dtype))
-    out, _ = attention._attend_parts(
-        tokens, params, penalty=topo_bias.bias_tensor(h, alpha), orders=orders)
+    out, _ = attention._attend_parts(tokens, params, penalty=topo_bias.bias_tensor(h, alpha))
     (out * ad.Tensor(coeff)).sum().backward()
     per_sample = ad.parameter(np.array(1.3, dtype=dtype))
     for i, order in enumerate(orders):
-        out, _ = attention._attend_parts(
-            tokens[i : i + 1], params, bias=topo_bias.bias_tensor(h[order], per_sample))
-        (out * ad.Tensor(coeff[i : i + 1])).sum().backward()
+        slots, _ = attention._attend_parts(
+            tokens[i : i + 1, order], params, bias=topo_bias.bias_tensor(h[order], per_sample))
+        np.testing.assert_allclose(reorder.unapply(order, slots.data[0]), out.data[i],
+                                   rtol=0, atol=tol)
+        (slots * ad.Tensor(coeff[i : i + 1, order])).sum().backward()
     assert alpha.grad.dtype == per_sample.grad.dtype == dtype
-    tol = 1e-5 if dtype == np.float32 else 1e-12
     assert float(alpha.grad) == pytest.approx(float(per_sample.grad), rel=tol)
