@@ -2,24 +2,25 @@
 
 The core operation follows the standard scaled dot-product form with the
 softmax temperature sqrt(d) taken over the full model width, on tokens in
-raster patch order. Two optional additive (N, N) terms land on the logits
-of every head: the model's relative table, indexed by slot, and the
-terrain penalty between the patches, which every sample shares as it is.
-The slot orders come with the table as one (B, N) int array whose row i
-is sample i's slot -> patch order, identity rows for a variant without
-wind reordering; `model.forward` checks them once, and the node again
-because it is also called directly. The node maps the table into each
-sample's raster positions (`reorder.unapply` on its rows, the same
-inverse on its columns), so the (B, 1, N, N) per-sample bias is never
-built, kept or differentiated, and gathers the table's gradient back to
-slot order.
+raster patch order. Two additive (N, N) terms land on the logits of
+every head: the model's relative table, indexed by slot, and the terrain
+penalty between the patches, which every sample shares as it is and
+which a variant without the elevation bias leaves out. The table comes
+on every call with its slot orders, one (B, N) int array whose row i is
+sample i's slot -> patch order, identity rows for a variant without wind
+reordering; `model.forward` and the node check them with
+`reorder.check_orders`. The node maps the table into each sample's
+raster positions (`reorder.unapply` on its rows, the same inverse on its
+columns), so the (B, 1, N, N) per-sample bias is never built, kept or
+differentiated, and gathers the table's gradient back to slot order.
 
-Without a bias the operation is permutation equivariant: reordering
-tokens, attending, and undoing the reorder is exactly attention on the
-original order. So the wind-guided order moves no token: it only chooses
-which relative offset each pair of patches sees, a bias indexed by the
-pair (Shaw et al. 2018, arXiv:1803.02155). Release criterion 1 measures
-the deviation with `equivariance_check` in tests/oracles.py.
+Under a zero table and no penalty the operation is permutation
+equivariant: reordering tokens, attending, and undoing the reorder is
+exactly attention on the original order. So the wind-guided order moves
+no token: it only chooses which relative offset each pair of patches
+sees, a bias indexed by the pair (Shaw et al. 2018, arXiv:1803.02155).
+Release criterion 1 measures the deviation with `equivariance_check` in
+tests/oracles.py.
 
 The whole chain from the Q/K/V projections to the output projection is a
 single tape node with an analytic backward. Forward and backward visit
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad, reorder
-from .errors import DataError, NumericError, ShapeError
+from .errors import NumericError, ShapeError
 
 
 @dataclass
@@ -79,10 +80,8 @@ class AttentionParams:
         return self.wq.shape[0]
 
 
-def _attend_parts(
-    tokens, params: AttentionParams, bias=None, weights: bool = False, penalty=None,
-    orders=None,
-):
+def _attend_parts(tokens, params: AttentionParams, bias, orders, penalty=None,
+                  weights: bool = False):
     """Biased multi-head attention over (B, N, d) tokens as one tape node;
     returns (out, weights).
 
@@ -99,19 +98,20 @@ def _attend_parts(
     operations on the same operands, scales the context gradient dO by
     1/sum on its rows, and takes the softmax term D = rowsum(dO * O) from
     the context O, so no N x N pass divides or reduces.
-    `bias` (the relative logits, indexed by slot) and `penalty` (the
-    terrain penalty between the patches in raster order) are (N, N) tables
-    shared by the batch and the heads, laid out keys x queries: row k,
-    column q lands on query q's logit for key k. `orders`, a (B, N) array
-    whose row i is sample i's slot -> patch permutation, maps `bias` into
-    sample i's raster positions: with s = argsort(order), its block entry
-    (a, c) gets bias[s[a], s[c]]. Without orders `bias` lands as it is; the
-    penalty always does. A sample's bias is built in one reused (N, N)
-    buffer before its heads. A table's gradient adds up each sample's heads
-    in head order, then the samples in sample order, the relative table's
-    gathered back to slot order through the order.
-    Other shapes raise ShapeError; a row of `orders` that is not a
-    permutation raises DataError.
+    `bias` (the relative logits, indexed by slot) and the optional
+    `penalty` (the terrain penalty between the patches in raster order)
+    are (N, N) tables shared by the batch and the heads, laid out keys x
+    queries: row k, column q lands on query q's logit for key k. `orders`,
+    a (B, N) array whose row i is sample i's slot -> patch permutation,
+    maps `bias` into sample i's raster positions: with s = argsort(order),
+    its block entry (a, c) gets bias[s[a], s[c]]; identity rows land it as
+    it is, and a zero table adds nothing. The penalty always lands as it
+    is. A sample's bias is built in one reused (N, N) buffer before its
+    heads. A table's gradient adds up each sample's heads in head order,
+    then the samples in sample order, the relative table's gathered back
+    to slot order through the order.
+    Other shapes raise ShapeError; orders that `reorder.check_orders`
+    refuses raise its ShapeError or DataError.
     With `weights` the second value is the post-softmax weights, queries
     x keys, a constant Tensor of shape (B, heads, N, N); without it, an
     empty (B, heads, 0, 0) Tensor of the logits' dtype.
@@ -121,18 +121,14 @@ def _attend_parts(
         raise ShapeError(f"tokens shape {x.shape} is not (B, N, {params.d})")
     b, n, d = x.shape
     h = params.n_heads
-    bias_t = None if bias is None else ad.as_tensor(bias)
+    bias_t = ad.as_tensor(bias)
     pen_t = None if penalty is None else ad.as_tensor(penalty)
-    for name, t in (("bias", bias_t), ("penalty", pen_t)):
-        if t is not None and t.shape != (n, n):
+    tables = (bias_t,) if pen_t is None else (bias_t, pen_t)
+    for name, t in zip(("bias", "penalty"), tables):
+        if t.shape != (n, n):
             raise ShapeError(f"{name} shape {t.shape} is not (N, N) with N = {n}")
-    if orders is not None:
-        orders = np.asarray(orders)
-        if orders.shape != (b, n):
-            raise ShapeError(f"slot orders shape {orders.shape} is not (B, N) = {(b, n)}")
-        inverse = np.argsort(orders, axis=1)
-        if not (np.take_along_axis(orders, inverse, axis=1) == np.arange(n)).all():
-            raise DataError("each row of orders must be a permutation of 0..N-1")
+    orders = reorder.check_orders(orders, b, n)
+    inverse = np.argsort(orders, axis=1)
 
     def heads(a: np.ndarray) -> np.ndarray:
         """(B, N, d) -> (B, heads, N, d/heads) view."""
@@ -144,9 +140,10 @@ def _attend_parts(
     k = x.data @ params.wk.data
     v = x.data @ params.wv.data
     qh, kh, vh = heads(q), heads(k), heads(v)
-    dtype = np.result_type(q, k, *(t.data for t in (bias_t, pen_t) if t is not None))
+    dtype = np.result_type(q, k, *(t.data for t in tables))
     # both tables are mapped and added in the logits' dtype
-    rel, pen = (None if t is None else t.data.astype(dtype, copy=False) for t in (bias_t, pen_t))
+    rel = bias_t.data.astype(dtype, copy=False)
+    pen = None if pen_t is None else pen_t.data.astype(dtype, copy=False)
     kept = n if weights else 0
     probs = np.empty((b, h, kept, kept), dtype=dtype)
     col_max = np.empty((b, h, 1, n), dtype=dtype)
@@ -156,22 +153,15 @@ def _attend_parts(
     ctx_h = heads(ctx)
 
     def sample_bias(i, out):
-        """Sample i's (N, N) bias in raster order, built in `out` unless it
-        is one table as it is; None without tables."""
-        if rel is None:
-            return pen
-        mapped = rel
-        if orders is not None:
-            mapped = np.take(reorder.unapply(orders[i], rel), inverse[i], axis=1, out=out,
-                             mode="clip")
-        return mapped if pen is None else np.add(mapped, pen, out=out)
+        """Sample i's (N, N) bias in raster order, built in `out`."""
+        np.take(reorder.unapply(orders[i], rel), inverse[i], axis=1, out=out, mode="clip")
+        return out if pen is None else np.add(out, pen, out=out)
 
     for i in range(b):
         bias_i = sample_bias(i, bias_buf)
         for j in range(h):
             np.matmul(kh[i, j], qh[i, j].T, out=block)
-            if bias_i is not None:
-                block += bias_i
+            block += bias_i
             if not np.isfinite(block).all():
                 raise NumericError("non-finite attention logits")
             ad.softmax(block, stats=(col_max[i, j], col_sum[i, j]))
@@ -181,8 +171,7 @@ def _attend_parts(
                 np.divide(block, col_sum[i, j], out=probs[i, j].T)
     out = ctx @ params.wo.data
 
-    parents = (x, params.wq, params.wk, params.wv, params.wo)
-    parents += tuple(t for t in (bias_t, pen_t) if t is not None)
+    parents = (x, params.wq, params.wk, params.wv, params.wo) + tables
 
     def vjp(g):
         gctx_h = heads(g @ params.wo.data.T)
@@ -192,7 +181,7 @@ def _attend_parts(
         e, bias_buf = np.empty((n, n), dtype=dtype), np.empty((n, n), dtype=dtype)
         glog = np.empty((n, n), dtype=np.result_type(gctx_h, col_sum, vh))
         gbias = gpen = head_sum = None
-        if bias_t is not None and bias_t.requires_grad:
+        if bias_t.requires_grad:
             gbias = np.zeros((n, n), dtype=bias_t.dtype)
         if pen_t is not None and pen_t.requires_grad:
             gpen = np.zeros((n, n), dtype=pen_t.dtype)
@@ -206,8 +195,7 @@ def _attend_parts(
             for j in range(h):
                 # the forward's exp(s - max) of this block, from its column maxima
                 np.matmul(kh[i, j], qh[i, j].T, out=e)
-                if bias_i is not None:
-                    e += bias_i
+                e += bias_i
                 e -= col_max[i, j]
                 np.exp(e, out=e)
                 # dO / sum on the context's rows, and D / sum = rowsum(dO / sum * O)
@@ -225,11 +213,10 @@ def _attend_parts(
                 np.matmul(gl, qh[i, j], out=gk_h[i, j])
             if gpen is not None:
                 gpen += head_sum
-            if gbias is not None and orders is not None:
+            if gbias is not None:
                 # back to slot order: entry (k, q) gets (order[k], order[q])
                 np.take(head_sum, orders[i], axis=0, out=glog, mode="clip")
                 np.take(glog, orders[i], axis=1, out=head_sum, mode="clip")
-            if gbias is not None:
                 gbias += head_sum
         gq *= scale
 
@@ -239,15 +226,13 @@ def _attend_parts(
         gx = None
         if x.requires_grad:
             gx = gq @ params.wq.data.T + gk @ params.wk.data.T + gv @ params.wv.data.T
-        grads = (
+        return (
             gx,
             weight_grad(params.wq, x.data, gq),
             weight_grad(params.wk, x.data, gk),
             weight_grad(params.wv, x.data, gv),
             weight_grad(params.wo, ctx, g),
-        )
-        grads += tuple(gt for t, gt in ((bias_t, gbias), (pen_t, gpen)) if t is not None)
-        return grads
+        ) + (gbias, gpen)[:len(tables)]
 
     return ad.Tensor._op(out, parents, vjp), ad.Tensor(probs)
 

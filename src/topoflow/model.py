@@ -13,15 +13,16 @@ out), so they are properties of ModelConfig rather than settings.
 
 Wind-guided reordering reaches only the attention node, which maps the
 relative table through each sample's slot order (one row of a (B, N) int
-array, slot -> raster patch). Attention without a bias is permutation
-equivariant (criterion 1), so this computes what running the tokens in
-slot order and back would, without moving them. The table starts at
-zero, so freshly initialized networks compute the exact same function
-with the shuffle on or off; what the reordering changes is what the table
-MEANS (attend-k-slots-back is "k ranks upwind" instead of "k raster
-positions back"), which is the entire mechanism. The two physics
-toggles choose data, not code, so the baseline configuration is literally
-the same network minus the two mechanisms. `wind_reorder` chooses the
+array, slot -> raster patch); the node takes the table and the orders on
+every call, and the penalty when there is one. Attention under a zero
+table is permutation equivariant (criterion 1), so this computes what
+running the tokens in slot order and back would, without moving them.
+The table starts at zero, so freshly initialized networks compute the
+exact same function with the shuffle on or off; what the reordering
+changes is what the table MEANS (attend-k-slots-back is "k ranks upwind"
+instead of "k raster positions back"), which is the entire mechanism.
+The two physics toggles choose data, not code, so the baseline
+configuration is literally the same network minus the two mechanisms. `wind_reorder` chooses the
 slot orders, read in `train.prepare_arrays` (wind orders or identity)
 and in `forward`'s identity default and missing-orders guard;
 `elev_bias` chooses whether the terrain penalty table exists, read in
@@ -42,15 +43,13 @@ from . import autodiff as ad
 from . import reorder, topo_bias
 from .attention import AttentionParams, _attend_parts
 from .config import GridSpec, ModelConfig, decode, encode, format_kv, read_kv
-from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError
+from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .fields import Field, read_grid, write_atomic, write_grid
 
 # variance of a unit normal truncated to +-2 sigma is 0.773729...; scale
 # draws up so the post-truncation variance hits the 1/fan_in target
 _TRUNC_VAR = 1.0 - 4.0 * 0.05399096651318806 / 0.9544997361036416
 _TRUNC_CORRECTION = 1.0 / math.sqrt(_TRUNC_VAR)
-
-PARAM_GROUPS = ("patch_embed", "pos_embed", "backbone", "head", "alpha")
 
 
 @dataclass
@@ -253,7 +252,8 @@ def forward(
     `reorder.build_permutation` from the physical winds (as
     `train.prepare_arrays` does), since the z-scored wind channels of
     `inputs` point elsewhere. Orders of another shape raise ShapeError, a
-    row that is not a permutation of 0..N-1 raises DataError.
+    row that is not an integer permutation of 0..N-1 raises DataError
+    (`reorder.check_orders`).
 
     The slot orders reach only the attention node: the returned tokens,
     and with `collect_attention` every layer's head-averaged (B, N, N) map,
@@ -280,11 +280,7 @@ def forward(
         orders = np.tile(np.arange(n), (b, 1))
     elif orders is None:
         raise ConfigError("wind_reorder enabled but no slot orders supplied")
-    orders = np.asarray(orders)
-    if orders.shape != (b, n):
-        raise ShapeError(f"slot orders shape {orders.shape} is not (B, N) = {(b, n)}")
-    if orders.dtype.kind not in "iu" or (np.sort(orders, axis=1) != np.arange(n)).any():
-        raise DataError("each row of the slot orders must be a permutation of 0..N-1")
+    orders = reorder.check_orders(orders, b, n)
 
     # shared by every sample: the relative slot-offset logits, which the node
     # maps through each slot order, the positional vectors and the penalty
@@ -353,8 +349,8 @@ def _forward_samples(
     for i in range(config.layers):
         normed = ad.layer_norm(x, params[f"layer{i}.ln1.g"], params[f"layer{i}.ln1.b"])
         attended, weights = _attend_parts(
-            normed, _layer_attention_params(params, i, config.heads), bias=rel,
-            weights=collect_attention, penalty=penalty, orders=orders,
+            normed, _layer_attention_params(params, i, config.heads), rel, orders,
+            penalty=penalty, weights=collect_attention,
         )
         if collect_attention:
             attn_maps.append(weights.data.mean(axis=-3))

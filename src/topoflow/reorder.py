@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DataError, ShapeError
 from .fields import GridSpec
 
 
@@ -100,6 +100,18 @@ def build_permutation(
         ranked = np.argsort(pi, kind="stable")  # ties keep raster order
         order[slots] = slots[ranked]
     return order, angles
+
+
+def check_orders(orders, b: int, n: int) -> np.ndarray:
+    """`orders` as an array, checked to be (B, N) slot -> patch orders:
+    ShapeError for another shape, DataError for a row that is not an
+    integer permutation of 0..N-1."""
+    orders = np.asarray(orders)
+    if orders.shape != (b, n):
+        raise ShapeError(f"slot orders shape {orders.shape} is not (B, N) = {(b, n)}")
+    if orders.dtype.kind not in "iu" or (np.sort(orders, axis=1) != np.arange(n)).any():
+        raise DataError("each row of the slot orders must be a permutation of 0..N-1")
+    return orders
 
 
 def unapply(order: np.ndarray, tokens: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the package against.
 
-No command reaches these, so they live with the tests: the bias-free
-attention equivariance measure (criterion 1), the covariance decay fit
+No command reaches these, so they live with the tests: the attention
+node with its slot table landing as it is, the attention equivariance
+measure under a zero table (criterion 1), the covariance decay fit
 (criterion 6), the tape ops that the primitive-chain attention reference is
 built from (row softmax, reshape, transpose), the forward reorder that
 `reorder.unapply` undoes, and the forecaster run in slot order, the form
@@ -46,6 +47,21 @@ def transpose(x: ad.Tensor, *axes) -> ad.Tensor:
     return ad.Tensor._op(x.data.transpose(axes), (x,), lambda g: (g.transpose(inverse),))
 
 
+# -- the attention node under identity slot orders ---------------------------------
+
+
+def identity_attend(tokens, params, bias=None, **kwargs):
+    """`attention._attend_parts` on (B, N, d) `tokens` with the (N, N)
+    table `bias` under identity slot orders, which land it as it is; no
+    `bias` is a zero table of the tokens' dtype, which moves no bit of
+    the output, the weights or a gradient. Other keywords go to the node."""
+    x = ad.as_tensor(tokens)
+    b, n = x.shape[:2]
+    if bias is None:
+        bias = np.zeros((n, n), dtype=x.dtype)
+    return attention._attend_parts(x, params, bias, np.tile(np.arange(n), (b, 1)), **kwargs)
+
+
 # -- reordering and criterion 1 ------------------------------------------------------
 
 
@@ -62,11 +78,11 @@ def apply(order: np.ndarray, tokens: np.ndarray) -> np.ndarray:
 def equivariance_check(
     tokens: np.ndarray, params: attention.AttentionParams, order: np.ndarray
 ) -> float:
-    """Max |unapply(Attn(apply(X))) - Attn(X)| without a bias, for (N, d)
-    tokens, each order attended as a batch of one."""
+    """Max |unapply(Attn(apply(X))) - Attn(X)| under a zero table and no
+    penalty, for (N, d) tokens, each order attended as a batch of one."""
     tokens = np.asarray(tokens)
-    straight, _ = attention._attend_parts(tokens[None], params)
-    shuffled, _ = attention._attend_parts(apply(order, tokens)[None], params)
+    straight, _ = identity_attend(tokens[None], params)
+    shuffled, _ = identity_attend(apply(order, tokens)[None], params)
     return float(np.abs(reorder.unapply(order, shuffled.data[0]) - straight.data[0]).max())
 
 
@@ -82,8 +98,8 @@ def slot_order_forward(params, config, inputs, elev_patch_m, order) -> ad.Tensor
     table plus the terrain penalty of the slot-ordered elevations (the
     raster penalty gathered in slot order, bit for bit), and the head
     output is put back in raster order. Dropout is not applied. Attention
-    goes through the node with one plain (N, N) bias, the one form of it
-    that involves no slot order.
+    goes through the node with that slot-ordered sum as its table under
+    identity slot orders, which land it as it is.
     """
     spec = config.spec
     order = np.asarray(order)
@@ -97,8 +113,8 @@ def slot_order_forward(params, config, inputs, elev_patch_m, order) -> ad.Tensor
         bias = bias + topo_bias.bias_tensor(flipped, params["alpha"])
     for i in range(config.layers):
         normed = ad.layer_norm(x, params[f"layer{i}.ln1.g"], params[f"layer{i}.ln1.b"])
-        attended, _ = attention._attend_parts(
-            normed, model._layer_attention_params(params, i, config.heads), bias=bias)
+        attended, _ = identity_attend(
+            normed, model._layer_attention_params(params, i, config.heads), bias)
         x = x + attended
         normed = ad.layer_norm(x, params[f"layer{i}.ln2.g"], params[f"layer{i}.ln2.b"])
         hidden = ad.gelu(ad.linear(normed, params[f"layer{i}.mlp.w1"], params[f"layer{i}.mlp.b1"]))

@@ -23,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from topoflow import attention, autodiff as ad, evalkit, model, reorder, synthdata, topo_bias, train
+from topoflow import attention, autodiff as ad, evalkit, reorder, synthdata, topo_bias, train
 from topoflow.cli import main as cli_main
 from topoflow.config import DataConfig
 from topoflow.fields import GridSpec, LandMask, NormStats, read_grid
@@ -179,7 +179,7 @@ def test_criterion_4_full_model_gradient_check():
             err = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-6)
             group = store.group_of(name)
             worst_by_group[group] = max(worst_by_group.get(group, 0.0), err)
-    assert set(worst_by_group) == set(model.PARAM_GROUPS)
+    assert set(worst_by_group) == set(train.GROUP_RATE_FIELDS)
     assert max(worst_by_group.values()) < 1e-4, worst_by_group
     elapsed = time.monotonic() - start
     assert elapsed < 120.0

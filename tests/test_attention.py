@@ -14,21 +14,22 @@ import oracles
 
 
 def attend(tokens, params, bias=None, pos=None):
-    """Attention output, with `pos` added to the tokens ahead of the
+    """Attention output under the table `bias` (a zero table when None) and
+    identity slot orders, with `pos` added to the tokens ahead of the
     projections; (N, d) tokens go through the node as a batch of one."""
     x = ad.as_tensor(tokens)
     if pos is not None:
         x = x + ad.as_tensor(pos)
     if x.data.ndim != 2:
-        return attention._attend_parts(x, params, bias=bias)[0]
-    out, _ = attention._attend_parts(oracles.reshape(x, 1, *x.shape), params, bias=bias)
+        return oracles.identity_attend(x, params, bias)[0]
+    out, _ = oracles.identity_attend(oracles.reshape(x, 1, *x.shape), params, bias)
     return oracles.reshape(out, *x.shape)
 
 
 def attention_weights(tokens, params, bias=None):
     """Post-softmax weights of (N, d) tokens averaged over heads, as plain arrays."""
     x = np.asarray(tokens)[None]
-    _, weights = attention._attend_parts(x, params, bias=bias, weights=True)
+    _, weights = oracles.identity_attend(x, params, bias, weights=True)
     return weights.data[0].mean(axis=0)
 
 
@@ -94,7 +95,7 @@ def test_shape_errors():
     # the node takes (B, N, d) tokens only
     for shape in ((5, 8), (1, 2, 5, 8)):
         with pytest.raises(ShapeError):
-            attention._attend_parts(rng.normal(size=shape), params)
+            oracles.identity_attend(rng.normal(size=shape), params)
     with pytest.raises(ShapeError):
         attention.AttentionParams(params.wq, params.wk, params.wv, params.wo, 3)
 
@@ -113,7 +114,7 @@ def test_per_head_rows_are_stochastic():
     rng = np.random.default_rng(13)
     params = make_params(16, 4, rng)
     tokens = rng.normal(size=(3, 10, 16))
-    _, weights = attention._attend_parts(tokens, params, weights=True)
+    _, weights = oracles.identity_attend(tokens, params, weights=True)
     assert weights.shape == (3, 4, 10, 10)
     np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -280,9 +281,10 @@ def attend_and_grads(params, x, coeff, fn=NODE, **kwargs):
 
 
 # the per-sample bias the references take, by shape, and how the node gets
-# it: the shared slot table, that table mapped through each sample's own
-# slot order, the raster penalty (the batch shares it as it is), and the
-# one-sample batch that the no-tape forward passes
+# it: the shared slot table under identity orders, that table mapped
+# through each sample's own slot order, the raster penalty (the batch
+# shares it as it is) next to a zero table, and the one-sample batch that
+# the no-tape forward passes
 FUSED_CASES = [
     ((2, 5, 8), (5, 5)),
     ((2, 5, 8), (2, 1, 5, 5)),
@@ -296,18 +298,20 @@ def node_bias(bias_shape, table, rng, batch):
     (N, N) keys x queries `table` as a bias of `bias_shape`, and that bias
     materialized queries x keys, as the references take it.
 
-    (N, N) passes the table as `bias`, the slot table without orders;
-    (1, 1, N, N) passes it as `penalty`, which lands as it is; (B, 1, N, N)
-    passes it as `bias` with B distinct slot orders, and sample i, whose
-    inverse order is s_i, gets table.T[s_i][:, s_i]. None passes nothing.
+    (N, N) passes the table as `bias`, the slot table under identity
+    orders; (1, 1, N, N) passes it as `penalty`, which lands as it is, next
+    to a zero slot table; (B, 1, N, N) passes it as `bias` with B distinct
+    slot orders, and sample i, whose inverse order is s_i, gets
+    table.T[s_i][:, s_i]. None passes a zero slot table and no penalty.
     """
-    if bias_shape is None:
-        return {}, None
-    if len(bias_shape) == 2:
-        return {"bias": table}, table.data.T.copy()
     n = table.shape[0]
+    identity = {"bias": np.zeros_like(table.data), "orders": np.tile(np.arange(n), (batch, 1))}
+    if bias_shape is None:
+        return identity, None
+    if len(bias_shape) == 2:
+        return {**identity, "bias": table}, table.data.T.copy()
     if bias_shape[0] == 1:
-        return {"penalty": table}, table.data.T[None, None].copy()
+        return {**identity, "penalty": table}, table.data.T[None, None].copy()
     orders = np.stack([rng.permutation(n) for _ in range(bias_shape[0])])
     assert len({tuple(o) for o in orders}) == len(orders)
     mapped = np.stack([table.data.T[s][:, s] for s in np.argsort(orders, axis=1)])[:, None]
@@ -548,7 +552,7 @@ def test_second_value_is_a_tensor_of_the_logits_dtype(taped, want, token_shape, 
     bias = None if bias_dtype is None else ad.parameter(
         rng.normal(size=(6, 6)).astype(bias_dtype))
     with contextlib.nullcontext() if taped else ad.no_grad():
-        out, weights = attention._attend_parts(tokens, params, bias=bias, weights=want)
+        out, weights = oracles.identity_attend(tokens, params, bias, weights=want)
     assert out.requires_grad == taped
     assert isinstance(weights, ad.Tensor) and not weights.requires_grad
     assert weights.data.dtype == (bias_dtype or np.float32)
@@ -563,8 +567,9 @@ def test_second_value_is_a_tensor_of_the_logits_dtype(taped, want, token_shape, 
 def test_non_finite_bias_entries_raise_numeric_error(taped, bad):
     from topoflow.errors import NumericError
 
-    # the bad entry sits in the slot table, as it is or mapped to another
-    # pair of patches by each sample's order, or in the raster penalty
+    # the bad entry sits in the slot table, under identity orders or mapped
+    # to another pair of patches by each sample's order, or in the raster
+    # penalty next to a zero slot table
     rng = np.random.default_rng(21)
     params = make_params(8, 2, rng, dtype=np.float32)
     tokens = ad.parameter(rng.normal(size=(2, 5, 8)).astype(np.float32))
@@ -572,9 +577,12 @@ def test_non_finite_bias_entries_raise_numeric_error(taped, bad):
     values[2, 3] = bad
     table = ad.parameter(values)
     orders = np.stack([rng.permutation(5) for _ in range(2)])
-    for kwargs in ({"bias": table}, {"bias": table, "orders": orders}, {"penalty": table}):
+    identity = np.tile(np.arange(5), (2, 1))
+    zero = np.zeros((5, 5), dtype=np.float32)
+    for args, penalty in (((table, identity), None), ((table, orders), None),
+                          ((zero, identity), table)):
         with contextlib.nullcontext() if taped else ad.no_grad(), pytest.raises(NumericError):
-            attention._attend_parts(tokens, params, **kwargs)
+            attention._attend_parts(tokens, params, *args, penalty=penalty)
 
 
 # -- the terrain penalty as one raster table, the slot table mapped by orders ---------
@@ -667,16 +675,18 @@ def test_penalty_gradient_is_the_scattered_head_sum(with_orders):
 def test_penalty_and_orders_are_checked():
     rng = np.random.default_rng(24)
     params, x, _coeff, rel, _elev, orders = penalty_case(rng, b=2, n=6)
+    # the penalty is one raster table; the orders come with the slot
+    # table, one integer permutation per sample. A float copy of good
+    # orders sorts to 0..N-1 but cannot index the table's gradient, so it
+    # is refused before the forward too
     with pytest.raises(ShapeError):
-        attention._attend_parts(x, params, penalty=np.zeros((2, 1, 6, 6)))
-    # the penalty is one raster table and needs no orders; orders come
-    # with the slot table, one permutation per sample
-    attention._attend_parts(x, params, penalty=rel)
-    with pytest.raises(ShapeError, match="orders"):
-        attention._attend_parts(x, params, bias=rel, orders=orders[:1])
-    with pytest.raises(ShapeError, match="orders"):
-        attention._attend_parts(x, params, bias=rel, orders=orders[:, :-1])
+        attention._attend_parts(x, params, bias=rel, orders=orders,
+                                penalty=np.zeros((2, 1, 6, 6)))
+    for bad in (orders[:1], orders[:, :-1], orders[0]):
+        with pytest.raises(ShapeError, match="slot orders"):
+            attention._attend_parts(x, params, bias=rel, orders=bad)
     repeated = orders.copy()
     repeated[1, 0] = repeated[1, 1]
-    with pytest.raises(DataError):
-        attention._attend_parts(x, params, bias=rel, orders=repeated)
+    for bad in (repeated, orders + 1, orders.astype(float)):
+        with pytest.raises(DataError, match="permutation"):
+            attention._attend_parts(x, params, bias=ad.parameter(rel), orders=bad)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from topoflow import autodiff as ad, model, reorder, synthdata, topo_bias
+from topoflow import autodiff as ad, model, reorder, synthdata, topo_bias, train
 from topoflow.config import DataConfig, decode, encode
 from topoflow.errors import ConfigError, DataError, FormatError, ShapeError
 from topoflow.fields import GridSpec, NormStats
@@ -93,7 +93,7 @@ def test_weight_variance_matches_fan_in():
     assert abs(w.var() * 128 - 1.0) < 0.1
     assert np.abs(w).max() <= 2.0 * model._TRUNC_CORRECTION / np.sqrt(128) + 1e-12
     # group map covers the documented learning-rate groups
-    assert set(store.groups.values()) == set(model.PARAM_GROUPS)
+    assert set(store.groups.values()) == set(train.GROUP_RATE_FIELDS)
 
 
 def test_init_params_pinned_crc32():

@@ -41,6 +41,19 @@ def test_unused_import_finder_sees_each_form():
     assert _unused_imports(tree) == [(4, "os"), (6, "fw"), (7, "reorder"), (9, "main")]
 
 
+def _read_names(trees):
+    """Every name that a `Name` or an attribute reads in the `{module: tree}`
+    modules."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return read
+
+
 def _unread_definitions(trees):
     """(module, name) of each module-level function or class, and each
     non-dunder method (`Class.method`), whose name no `Name` or attribute
@@ -56,13 +69,7 @@ def _unread_definitions(trees):
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and not (item.name.startswith("__") and item.name.endswith("__"))
                 ]
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+    read = _read_names(trees)
     return sorted((m, name) for m, name in defined if name.rpartition(".")[2] not in read)
 
 
@@ -89,4 +96,39 @@ def test_unread_definition_finder_sees_each_form():
     assert _unread_definitions(trees) == [
         ("a.py", "Gone"), ("a.py", "Kept.save"), ("a.py", "lonely"), ("a.py", "stray"),
         ("b.py", "main"),
+    ]
+
+
+def _unread_constants(trees):
+    """(module, name) of each module-level ALL-CAPS name that a `{module:
+    tree}` module assigns and no `Name` or attribute in any of them reads."""
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            defined += [(module, name.id) for target in targets for name in ast.walk(target)
+                        if isinstance(name, ast.Name) and name.id.isupper()]
+    read = _read_names(trees)
+    return sorted((m, name) for m, name in defined if name not in read)
+
+
+def test_every_module_constant_is_read():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert _unread_constants(trees) == []
+
+
+def test_unread_constant_finder_sees_each_form():
+    trees = {
+        "a.py": ast.parse(
+            "USED = 1\nLONELY = 2\n_HIDDEN: int = 3\nA, (B, C) = 4, (5, 6)\nlower = 7\n"
+            "SELF = 8\nSELF = SELF + 1\n"
+            "def f():\n    INNER = 9\n    return INNER\n"
+            "class K:\n    FIELD = 10\n"
+        ),
+        "b.py": ast.parse("import a\nx = a.USED + B\n"),
+    }
+    assert _unread_constants(trees) == [
+        ("a.py", "A"), ("a.py", "C"), ("a.py", "LONELY"), ("a.py", "_HIDDEN"),
     ]
