@@ -4,10 +4,20 @@ The model code builds a computation graph out of `Tensor` nodes; calling
 `backward()` on a scalar loss walks the tape in reverse topological order
 and accumulates vector-Jacobian products into `.grad` of every node that
 requires gradients. Only the operations the forecaster actually needs are
-implemented; each nonlinear primitive carries its analytic backward rule
-and is validated against central finite differences in the test suite.
-`softmax` is no tape op: it is the fused attention node's in-place column
-step on plain arrays, and that node carries its backward.
+implemented, and each is validated against central finite differences in
+the test suite.
+
+Tape nodes here: the `Tensor` operators (+, -, *, @, sum), `linear` (one
+`x @ w + b` node, no pre-bias product kept), `take`, `layer_norm_node`
+(keeps the row means and 1/std; its backward rebuilds the normalized
+input from its own input) and `dropout_node` (keeps the mask as bools).
+Besides these, plain-array forward and backward steps that keep nothing
+themselves: `gelu` / `gelu_backward`, `layer_norm` /
+`layer_norm_backward`, `dropout` / `dropout_apply`, `softmax` (attention's
+in-place column step) and the matmul gradients `grad_left` / `grad_right`.
+The Tensor nodes and the fused nodes elsewhere (attention in
+`attention`, a layer's MLP and the head in `model`) share them, so each
+formula lives once and a fused node has the bits of the chain it fuses.
 
 Arrays keep whatever dtype they were created with (float32 for training,
 float64 for gradient checks); no implicit casting happens on the tape.
@@ -49,7 +59,7 @@ def grad_enabled() -> bool:
     return _grad_enabled
 
 
-def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
+def unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     """Reduce a broadcast gradient back to the shape of its source."""
     if g.shape == shape:
         return g
@@ -60,6 +70,16 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
+
+
+def grad_left(g: Array, b: Array, shape: tuple[int, ...]) -> Array:
+    """Gradient of `a @ b` for its left operand, of shape `shape`."""
+    return unbroadcast(g @ np.swapaxes(b, -1, -2), shape)
+
+
+def grad_right(a: Array, g: Array, shape: tuple[int, ...]) -> Array:
+    """Gradient of `a @ b` for its right operand, of shape `shape`."""
+    return unbroadcast(np.swapaxes(a, -1, -2) @ g, shape)
 
 
 class Tensor:
@@ -149,12 +169,10 @@ class Tensor:
             a.data + b.data,
             (a, b),
             lambda g: (
-                _unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+                unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                unbroadcast(g, b.data.shape) if b.requires_grad else None,
             ),
         )
-
-    __radd__ = __add__
 
     def __neg__(self):
         return Tensor._op(-self.data, (self,), lambda g: (-g,))
@@ -168,12 +186,10 @@ class Tensor:
             a.data * b.data,
             (a, b),
             lambda g: (
-                _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
+                unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
             ),
         )
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other):
         a, b = self, self._coerce(other)
@@ -183,10 +199,8 @@ class Tensor:
             a.data @ b.data,
             (a, b),
             lambda g: (
-                _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-                if a.requires_grad else None,
-                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-                if b.requires_grad else None,
+                grad_left(g, b.data, a.data.shape) if a.requires_grad else None,
+                grad_right(a.data, g, b.data.shape) if b.requires_grad else None,
             ),
         )
 
@@ -216,9 +230,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g):
         return (
-            _unbroadcast(g @ np.swapaxes(wd, -1, -2), xd.shape) if x.requires_grad else None,
-            _unbroadcast(np.swapaxes(xd, -1, -2) @ g, wd.shape) if w.requires_grad else None,
-            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+            grad_left(g, wd, xd.shape) if x.requires_grad else None,
+            grad_right(xd, g, wd.shape) if w.requires_grad else None,
+            unbroadcast(g, b.data.shape) if b.requires_grad else None,
         )
 
     return Tensor._op(xd @ wd + b.data, (x, w, b), vjp)
@@ -242,62 +256,94 @@ def take(x: Tensor, idx: np.ndarray) -> Tensor:
 
 _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
-# elements per GELU chunk: a chunk and its scratch buffers (128 kB each in
-# float32) stay in a core's L2 cache through the whole formula
-_GELU_CHUNK = 32768
+# elements per chunk of the GELU and dropout-mask passes: a chunk and its
+# scratch buffers (128 kB each in float32) stay in a core's L2 cache
+# through the whole formula
+_CHUNK = 32768
 
 
 def _chunks(*arrays: Array):
-    """Yield matching flat slices of equal-size arrays, _GELU_CHUNK at a
-    time; a C-contiguous array's slices are views that can be written."""
+    """Yield matching flat slices of equal-size arrays, _CHUNK at a time; a
+    C-contiguous array's slices are views that can be written."""
     flat = [a.reshape(-1) for a in arrays]
-    for start in range(0, flat[0].size, _GELU_CHUNK):
-        yield [a[start:start + _GELU_CHUNK] for a in flat]
+    for start in range(0, flat[0].size, _CHUNK):
+        yield [a[start:start + _CHUNK] for a in flat]
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Smooth (tanh-form) GELU activation.
+def _gelu_tanh(xc: Array, sq: Array, out: Array) -> Array:
+    """tanh(K * (x + C * x^2 * x)) of one chunk, from its square `sq`, into
+    `out` (which may be sq)."""
+    np.multiply(sq, _GELU_C, out=out)
+    out *= xc
+    out += xc
+    out *= _GELU_K
+    return np.tanh(out, out=out)
 
-    Forward and backward run over flat chunks of _GELU_CHUNK elements with
-    scratch buffers reused from chunk to chunk, so no temporary is as
-    large as the input. Only the tanh is kept for backward; the vjp
-    recomputes x*x from the input. Both keep the operation order of the
-    textbook formula, so results do not change with the chunking.
+
+def _mask_chunk(kc: Array, keep: float, out: Array) -> Array:
+    """One chunk of dropout's scaled float mask, `kc.astype(dtype) / keep`."""
+    np.copyto(out, kc)
+    out /= keep
+    return out
+
+
+def gelu(x: Array) -> Array:
+    """Smooth (tanh-form) GELU of an array, 0.5 * x * (1 + t) with
+    t = tanh(K * (x + C * x^3)).
+
+    Runs over flat chunks of _CHUNK elements with scratch buffers reused
+    from chunk to chunk, so no temporary is as large as the input, and in
+    the operation order of the textbook formula, so the result does not
+    change with the chunking. Nothing is kept: `gelu_backward`
+    recomputes the tanh from x.
     """
-    xd = x.data
-    t = np.empty(xd.shape, dtype=xd.dtype)
-    out = np.empty(xd.shape, dtype=xd.dtype)
-    scratch = np.empty(min(xd.size, _GELU_CHUNK), dtype=xd.dtype)
-    for xc, tc, oc in _chunks(xd, t, out):
-        np.multiply(xc, xc, out=tc)
-        tc *= _GELU_C
-        tc *= xc
-        tc += xc
-        tc *= _GELU_K
-        np.tanh(tc, out=tc)     # tanh(K * (x + C * x^2 * x))
+    out = np.empty(x.shape, dtype=x.dtype)
+    t, s = np.empty((2, min(x.size, _CHUNK)), dtype=x.dtype)
+    for xc, oc in _chunks(x, out):
+        tc, sc = t[:xc.size], s[:xc.size]
+        _gelu_tanh(xc, np.multiply(xc, xc, out=tc), tc)
         np.multiply(xc, 0.5, out=oc)
-        oc *= np.add(tc, 1.0, out=scratch[:tc.size])   # 0.5 * x * (1 + t)
+        oc *= np.add(tc, 1.0, out=sc)   # 0.5 * x * (1 + t)
+    return out
 
-    def vjp(g):
-        gx = np.empty(xd.shape, dtype=np.result_type(g, t))
-        scratch = np.empty((3, min(xd.size, _GELU_CHUNK)), dtype=t.dtype)
-        for xc, tc, gc, gxc in _chunks(xd, t, g, gx):
-            du, d, s = scratch[:, :tc.size]
-            np.multiply(xc, xc, out=du)
-            du *= 3.0 * _GELU_C
-            du += 1.0
-            du *= _GELU_K       # K * (1 + 3C * x^2)
-            np.multiply(tc, tc, out=d)
-            np.subtract(1.0, d, out=d)
-            d *= np.multiply(xc, 0.5, out=s)
-            d *= du             # 0.5 * x * (1 - t^2) * du
-            np.add(tc, 1.0, out=s)
-            s *= 0.5
-            s += d
-            np.multiply(gc, s, out=gxc)
-        return (gx,)
 
-    return Tensor._op(out, (x,), vjp)
+def gelu_backward(x: Array, g: Array, out: Array | None = None,
+                  kept: Array | None = None, rate: float = 0.0) -> tuple[Array, Array]:
+    """(gelu(x), g * gelu'(x)) in one chunked pass that recomputes the tanh.
+
+    The first is `gelu(x)` bit for bit, by the same operations; the second
+    keeps the textbook derivative's operation order. With a dropout mask
+    `kept` drawn at `rate`, the GELU feeds that dropout: the first result
+    is the dropped output and g the gradient of it, each scaled by the
+    mask in the same pass as `dropout_apply` would scale it. The gradient
+    is written into `out` when given, which may be g if g is C-contiguous.
+    """
+    act = np.empty(x.shape, dtype=x.dtype)
+    gx = np.empty(x.shape, dtype=np.result_type(g, x)) if out is None else out
+    scratch = np.empty((6, min(x.size, _CHUNK)), dtype=x.dtype)
+    mask = () if kept is None else (kept,)
+    for xc, gc, ac, gxc, *kc in _chunks(x, g, act, gx, *mask):
+        t, half, s, du, d, m = scratch[:, :xc.size]
+        np.multiply(xc, xc, out=du)
+        _gelu_tanh(xc, du, t)
+        np.multiply(xc, 0.5, out=half)
+        np.add(t, 1.0, out=s)
+        np.multiply(half, s, out=ac)    # 0.5 * x * (1 + t)
+        if kc:
+            # the dropped output, and the gradient through the dropout first
+            ac *= _mask_chunk(kc[0], 1.0 - rate, m)
+            gc = np.multiply(gc, m, out=gxc)
+        du *= 3.0 * _GELU_C
+        du += 1.0
+        du *= _GELU_K                   # K * (1 + 3C * x^2)
+        np.multiply(t, t, out=d)
+        np.subtract(1.0, d, out=d)
+        d *= half
+        d *= du                         # 0.5 * x * (1 - t^2) * du
+        s *= 0.5
+        s += d
+        np.multiply(gc, s, out=gxc)
+    return act, gx
 
 
 def softmax(block: Array, stats: tuple[Array, Array]) -> Array:
@@ -320,48 +366,82 @@ def softmax(block: Array, stats: tuple[Array, Array]) -> Array:
     return block
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (eps 1e-5), then scale-shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
+def layer_norm(x: Array, gamma: Array, beta: Array) -> tuple[Array, Array, Array]:
+    """Normalize the last axis to zero mean / unit variance (eps 1e-5), then
+    scale-shift: (gamma * xhat + beta, mu, inv) with xhat = (x - mu) * inv.
+
+    The row means mu and reciprocal deviations inv, both (..., 1), are all
+    a backward needs besides x: (x - mu) * inv rebuilds xhat bit for bit.
+    """
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = xc * inv
+    return gamma * (xc * inv) + beta, mu, inv
+
+
+def layer_norm_backward(g: Array, xhat: Array, inv: Array, gamma: Array
+                        ) -> tuple[Array, Array, Array]:
+    """(dx, dgamma, dbeta) of `layer_norm` for the output gradient g."""
+    dxhat = g * gamma
+    dx = inv * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    lead = tuple(range(g.ndim - 1))
+    return (
+        dx,
+        unbroadcast((g * xhat).sum(axis=lead), gamma.shape),
+        unbroadcast(g.sum(axis=lead), gamma.shape),
+    )
+
+
+def layer_norm_node(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """`layer_norm` as a tape node: it keeps the row statistics and rebuilds
+    xhat from its input."""
+    out, mu, inv = layer_norm(x.data, gamma.data, beta.data)
 
     def vjp(g):
-        dxhat = g * gamma.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        lead = tuple(range(g.ndim - 1))
-        return (
-            dx,
-            _unbroadcast((g * xhat).sum(axis=lead), gamma.data.shape),
-            _unbroadcast(g.sum(axis=lead), beta.data.shape),
-        )
+        return layer_norm_backward(g, (x.data - mu) * inv, inv, gamma.data)
 
-    return Tensor._op(gamma.data * xhat + beta.data, (x, gamma, beta), vjp)
+    return Tensor._op(out, (x, gamma, beta), vjp)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout with a mask drawn from the supplied generator.
-
-    The tape keeps the mask as bools; forward and backward each rebuild
-    the scaled mask `kept / keep` in the input's dtype, which gives the
-    bits of multiplying by a stored float mask.
+def dropout(x: Array, rate: float, rng: np.random.Generator, out: Array | None = None
+            ) -> tuple[Array, Array]:
+    """Inverted dropout of an array at a rate in (0, 1): (x * kept / keep,
+    kept), with the bool mask kept = rng.random(x.shape) < keep drawn from
+    the supplied generator and keep = 1 - rate. The product is written
+    into `out` when given, which may be x if x is C-contiguous.
     """
+    kept = rng.random(x.shape) < 1.0 - rate
+    return dropout_apply(x, kept, rate, out), kept
+
+
+def dropout_apply(x: Array, kept: Array, rate: float, out: Array | None = None) -> Array:
+    """x * (kept / keep) in x's dtype: dropout's forward under a drawn mask,
+    and its backward.
+
+    The scaled float mask `kept.astype(x.dtype) / keep` is rebuilt one
+    chunk at a time, so it is never whole, and multiplying by it gives the
+    bits of multiplying by a stored float mask. `out` may be x if x is
+    C-contiguous.
+    """
+    out = np.empty(x.shape, dtype=x.dtype) if out is None else out
+    scale = np.empty(min(x.size, _CHUNK), dtype=x.dtype)
+    for xc, kc, oc in _chunks(x, kept, out):
+        np.multiply(xc, _mask_chunk(kc, 1.0 - rate, scale[:xc.size]), out=oc)
+    return out
+
+
+def dropout_node(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """`dropout` as a tape node that keeps the mask as bools; x itself at
+    rate 0."""
     if rate <= 0.0:
         return x
-    keep = 1.0 - rate
-    kept = rng.random(x.data.shape) < keep
-    dtype = x.data.dtype
-
-    def vjp(g):
-        return (g * (kept.astype(dtype) / keep),)
-
-    return Tensor._op(x.data * (kept.astype(dtype) / keep), (x,), vjp)
+    out, kept = dropout(x.data, rate, rng)
+    return Tensor._op(out, (x,), lambda g: (dropout_apply(g, kept, rate),))
 
 
 def zero_grads(tensors) -> None:

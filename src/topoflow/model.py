@@ -11,6 +11,14 @@ The input and output channels are fixed by the data format
 (`config.INPUT_CHANNELS` in, one `config.TARGET_CHANNELS` set per horizon
 out), so they are properties of ModelConfig rather than settings.
 
+On the tape a layer is five nodes: its first layer norm, the attention
+node, the attention output's dropout, the residual add, and one MLP node
+for LN -> W1 -> GELU -> dropout -> W2 plus the residual (`_mlp`); the
+head is one more MLP node, without dropout or residual. An MLP node
+keeps its input, the layer norm's row statistics, the pre-activation
+and the bool dropout mask, and recomputes the rest in its backward, the
+selective recomputation of Korthikanti et al. 2022 (arXiv:2205.05198).
+
 Wind-guided reordering reaches only the attention node, which maps the
 relative table through each sample's slot order (one row of a (B, N) int
 array, slot -> raster patch); the node takes the table and the orders on
@@ -338,16 +346,17 @@ def _forward_samples(
     `_attention_tables`. Every variant runs these same operations; the
     toggles chose the orders and the penalty."""
     tokens = patchify(arr, config.spec).astype(params["patch_embed.w"].dtype)
+    rate = config.dropout if train else 0.0
 
     def drop(t):
-        return ad.dropout(t, config.dropout, rng) if train else t
+        return ad.dropout_node(t, rate, rng)
 
     x = ad.linear(ad.as_tensor(tokens), params["patch_embed.w"], params["patch_embed.b"])
     x = drop(x + pos)
 
     attn_maps: list[np.ndarray] = []
     for i in range(config.layers):
-        normed = ad.layer_norm(x, params[f"layer{i}.ln1.g"], params[f"layer{i}.ln1.b"])
+        normed = ad.layer_norm_node(x, params[f"layer{i}.ln1.g"], params[f"layer{i}.ln1.b"])
         attended, weights = _attend_parts(
             normed, _layer_attention_params(params, i, config.heads), rel, orders,
             penalty=penalty, weights=collect_attention,
@@ -355,19 +364,72 @@ def _forward_samples(
         if collect_attention:
             attn_maps.append(weights.data.mean(axis=-3))
         x = x + drop(attended)
-        normed = ad.layer_norm(x, params[f"layer{i}.ln2.g"], params[f"layer{i}.ln2.b"])
-        hidden = ad.linear(normed, params[f"layer{i}.mlp.w1"], params[f"layer{i}.mlp.b1"])
-        hidden = drop(ad.gelu(hidden))
-        x = x + hidden @ params[f"layer{i}.mlp.w2"] + params[f"layer{i}.mlp.b2"]
+        x = _mlp(x, _mlp_weights(params, f"layer{i}.ln2", f"layer{i}.mlp"),
+                 residual=True, rate=rate, rng=rng)
         if not np.isfinite(x.data).all():
             raise NumericError(f"non-finite activations after layer {i}")
 
-    x = ad.layer_norm(x, params["head.ln.g"], params["head.ln.b"])
-    hidden = ad.gelu(ad.linear(x, params["head.w1"], params["head.b1"]))
-    out = ad.linear(hidden, params["head.w2"], params["head.b2"])
+    out = _mlp(x, _mlp_weights(params, "head.ln", "head"), residual=False)
     if not np.isfinite(out.data).all():
         raise NumericError("non-finite activations in the prediction head")
     return out, attn_maps
+
+
+def _mlp_weights(params: ParamStore, norm: str, mlp: str) -> tuple[ad.Tensor, ...]:
+    """(gamma, beta, w1, b1, w2, b2) of an MLP node: the layer norm's
+    `<norm>.g`, `<norm>.b` and the `<mlp>.w1` ... `<mlp>.b2` weights."""
+    names = (f"{norm}.g", f"{norm}.b", f"{mlp}.w1", f"{mlp}.b1", f"{mlp}.w2", f"{mlp}.b2")
+    return tuple(params[name] for name in names)
+
+
+def _mlp(x: ad.Tensor, weights: tuple[ad.Tensor, ...], residual: bool, rate: float = 0.0,
+         rng: np.random.Generator | None = None) -> ad.Tensor:
+    """LN -> W1 -> GELU -> dropout -> W2 on (..., d) tokens as one tape node.
+
+    `weights` is (gamma, beta, w1, b1, w2, b2). With `residual` the node
+    returns x + drop(gelu(LN(x) @ w1 + b1)) @ w2 + b2, a transformer
+    layer's MLP; without it drop(...) @ w2 + b2, the prediction head. At a
+    positive `rate` the activation is dropped with a mask drawn from `rng`.
+    The node keeps its input, the layer norm's row means and 1/std, the
+    pre-activation LN(x) @ w1 + b1 and the bool dropout mask. Its backward
+    rebuilds the normalized input from the statistics, and the masked
+    GELU output in one chunked pass with the gradient through the GELU.
+    Every step runs the operations of the chain of tape nodes it fuses
+    (layer norm, linear, GELU, dropout, `@ w2`, the residual add, `+ b2`)
+    in their order, so the output and every gradient carry that chain's
+    bits; the input's gradient, g + the layer norm's, is a two-term sum,
+    and those commute.
+    """
+    gamma, beta, w1, b1, w2, b2 = weights
+    xd = x.data
+    normed, mu, inv = ad.layer_norm(xd, gamma.data, beta.data)
+    pre = normed @ w1.data + b1.data
+    hidden = ad.gelu(pre)
+    kept = None
+    if rate > 0.0:
+        kept = ad.dropout(hidden, rate, rng, out=hidden)[1]
+    if residual:
+        out = xd + hidden @ w2.data
+        out += b2.data
+    else:
+        out = hidden @ w2.data + b2.data
+
+    def vjp(g):
+        gact = ad.grad_left(g, w2.data, pre.shape)
+        act, gpre = ad.gelu_backward(pre, gact, out=gact, kept=kept, rate=rate)
+        xhat = (xd - mu) * inv
+        normed = gamma.data * xhat + beta.data
+        gx, ggamma, gbeta = ad.layer_norm_backward(
+            ad.grad_left(gpre, w1.data, normed.shape), xhat, inv, gamma.data)
+        if residual:
+            gx += g
+        return (
+            gx, ggamma, gbeta,
+            ad.grad_right(normed, gpre, w1.shape), ad.unbroadcast(gpre, b1.shape),
+            ad.grad_right(act, g, w2.shape), ad.unbroadcast(g, b2.shape),
+        )
+
+    return ad.Tensor._op(out, (x, *weights), vjp)
 
 
 # ---------------------------------------------------------------------------

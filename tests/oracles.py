@@ -4,9 +4,10 @@ No command reaches these, so they live with the tests: the attention
 node with its slot table landing as it is, the attention equivariance
 measure under a zero table (criterion 1), the covariance decay fit
 (criterion 6), the tape ops that the primitive-chain attention reference is
-built from (row softmax, reshape, transpose), the forward reorder that
-`reorder.unapply` undoes, and the forecaster run in slot order, the form
-the raster-order `model.forward` must match.
+built from (row softmax, reshape, transpose), the MLP node as the chain of
+tape nodes it fuses, the forward reorder that `reorder.unapply` undoes,
+and the forecaster run in slot order, the form the raster-order
+`model.forward` must match.
 """
 
 from __future__ import annotations
@@ -45,6 +46,26 @@ def reshape(x: ad.Tensor, *shape) -> ad.Tensor:
 def transpose(x: ad.Tensor, *axes) -> ad.Tensor:
     inverse = tuple(np.argsort(axes))
     return ad.Tensor._op(x.data.transpose(axes), (x,), lambda g: (g.transpose(inverse),))
+
+
+# -- the MLP node unfused ---------------------------------------------------------------
+
+
+def gelu(x: ad.Tensor) -> ad.Tensor:
+    """GELU as a tape node of its own, from autodiff's array helpers."""
+    return ad.Tensor._op(ad.gelu(x.data), (x,), lambda g: (ad.gelu_backward(x.data, g)[1],))
+
+
+def mlp_chain(x, weights, residual, rate=0.0, rng=None) -> ad.Tensor:
+    """`model._mlp` as the chain of one tape node per step that it fuses:
+    layer norm, linear, GELU, dropout, then `@ w2 + b2` and, with
+    `residual`, the residual add first, in the order the node adds."""
+    gamma, beta, w1, b1, w2, b2 = weights
+    hidden = gelu(ad.linear(ad.layer_norm_node(x, gamma, beta), w1, b1))
+    hidden = ad.dropout_node(hidden, rate, rng)
+    if residual:
+        return x + hidden @ w2 + b2
+    return ad.linear(hidden, w2, b2)
 
 
 # -- the attention node under identity slot orders ---------------------------------
@@ -112,16 +133,13 @@ def slot_order_forward(params, config, inputs, elev_patch_m, order) -> ad.Tensor
         flipped = -np.asarray(elev_patch_m, dtype=np.float64)[order]
         bias = bias + topo_bias.bias_tensor(flipped, params["alpha"])
     for i in range(config.layers):
-        normed = ad.layer_norm(x, params[f"layer{i}.ln1.g"], params[f"layer{i}.ln1.b"])
+        normed = ad.layer_norm_node(x, params[f"layer{i}.ln1.g"], params[f"layer{i}.ln1.b"])
         attended, _ = identity_attend(
             normed, model._layer_attention_params(params, i, config.heads), bias)
         x = x + attended
-        normed = ad.layer_norm(x, params[f"layer{i}.ln2.g"], params[f"layer{i}.ln2.b"])
-        hidden = ad.gelu(ad.linear(normed, params[f"layer{i}.mlp.w1"], params[f"layer{i}.mlp.b1"]))
-        x = x + hidden @ params[f"layer{i}.mlp.w2"] + params[f"layer{i}.mlp.b2"]
-    x = ad.layer_norm(x, params["head.ln.g"], params["head.ln.b"])
-    hidden = ad.gelu(ad.linear(x, params["head.w1"], params["head.b1"]))
-    out = ad.linear(hidden, params["head.w2"], params["head.b2"])
+        x = mlp_chain(x, model._mlp_weights(params, f"layer{i}.ln2", f"layer{i}.mlp"),
+                      residual=True)
+    out = mlp_chain(x, model._mlp_weights(params, "head.ln", "head"), residual=False)
     return ad.take(reshape(out, spec.n_patches, config.out_dim), np.argsort(order))
 
 

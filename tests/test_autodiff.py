@@ -1,5 +1,7 @@
 """Finite-difference validation of every tape primitive."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -108,27 +110,36 @@ def test_reshape_transpose_sum_mean():
 
 def test_gelu_matches_finite_differences():
     rng = np.random.default_rng(5)
-    check_unary(ad.gelu, rng.normal(size=(7,)), tol=1e-6)
+    x = rng.normal(size=(7,))
+    coeff = np.cos(np.arange(7.0))
+    act, grad = ad.gelu_backward(x, coeff)
+    assert act.tobytes() == ad.gelu(x).tobytes()
+    want = numeric_grad(lambda a: float((ad.gelu(a) * coeff).sum()), x.copy())
+    np.testing.assert_allclose(grad, want, rtol=1e-6, atol=1e-6)
 
 
 def test_gelu_bitwise_equal_to_textbook_formula():
+    # (3, 25000) spans three chunks, the last one partial
     k, c = ad._GELU_K, ad._GELU_C
-    for dtype in (np.float32, np.float64):
+    for shape, dtype in itertools.product([(4, 16, 32), (3, 25000)], [np.float32, np.float64]):
         rng = np.random.default_rng(7)
-        xd = rng.normal(0.0, 3.0, (4, 16, 32))
-        xd[0, 0, :6] = (0.0, -0.0, 1e-20, -1e-20, 40.0, -40.0)
-        x = ad.parameter(xd.astype(dtype))
-        g = rng.normal(size=(4, 16, 32)).astype(dtype)
-        xd = x.data
+        xd = rng.normal(0.0, 3.0, shape)
+        xd.reshape(-1)[:6] = (0.0, -0.0, 1e-20, -1e-20, 40.0, -40.0)
+        xd = xd.astype(dtype)
+        g = rng.normal(size=shape).astype(dtype)
         sq = xd * xd
         t = np.tanh(k * (xd + c * sq * xd))
         du = k * (1.0 + 3.0 * c * sq)
+        want_out = (0.5 * xd * (1.0 + t)).tobytes()
         want_grad = g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du)
-        y = ad.gelu(x)
-        assert y.data.dtype == dtype
-        assert y.data.tobytes() == (0.5 * xd * (1.0 + t)).tobytes()
-        (grad,) = y._vjp(g)
-        assert grad.dtype == dtype and grad.tobytes() == want_grad.tobytes()
+        y = ad.gelu(xd)
+        assert y.dtype == dtype and y.tobytes() == want_out
+        act, grad = ad.gelu_backward(xd, g)
+        assert act.dtype == grad.dtype == dtype
+        assert act.tobytes() == want_out and grad.tobytes() == want_grad.tobytes()
+        # written over its own gradient input, the gradient keeps its bits
+        act, grad = ad.gelu_backward(xd, g, out=g)
+        assert grad is g and g.tobytes() == want_grad.tobytes()
 
 
 def test_softmax_matches_finite_differences():
@@ -154,21 +165,54 @@ def test_softmax_rows_sum_to_one():
 
 def test_layer_norm_matches_finite_differences():
     rng = np.random.default_rng(8)
-    x = ad.parameter(rng.normal(size=(4, 6)))
-    gamma = ad.parameter(rng.normal(size=(6,)))
-    beta = ad.parameter(rng.normal(size=(6,)))
+    x, gamma, beta = rng.normal(size=(4, 6)), rng.normal(size=(6,)), rng.normal(size=(6,))
     coeff = rng.normal(size=(4, 6))
-    (ad.layer_norm(x, gamma, beta) * ad.Tensor(coeff)).sum().backward()
+    _, mu, inv = ad.layer_norm(x, gamma, beta)
+    assert mu.shape == inv.shape == (4, 1)
+    grads = ad.layer_norm_backward(coeff, (x - mu) * inv, inv, gamma)
 
     def loss_at(xv, gv, bv):
-        return float((ad.layer_norm(ad.Tensor(xv), ad.Tensor(gv), ad.Tensor(bv)).data * coeff).sum())
+        return float((ad.layer_norm(xv, gv, bv)[0] * coeff).sum())
 
-    gx = numeric_grad(lambda a: loss_at(a, gamma.data, beta.data), x.data.copy())
-    gg = numeric_grad(lambda a: loss_at(x.data, a, beta.data), gamma.data.copy())
-    gb = numeric_grad(lambda a: loss_at(x.data, gamma.data, a), beta.data.copy())
-    np.testing.assert_allclose(x.grad, gx, rtol=1e-5, atol=1e-8)
-    np.testing.assert_allclose(gamma.grad, gg, rtol=1e-5, atol=1e-8)
-    np.testing.assert_allclose(beta.grad, gb, rtol=1e-5, atol=1e-8)
+    want = (
+        numeric_grad(lambda a: loss_at(a, gamma, beta), x.copy()),
+        numeric_grad(lambda a: loss_at(x, a, beta), gamma.copy()),
+        numeric_grad(lambda a: loss_at(x, gamma, a), beta.copy()),
+    )
+    for grad, w in zip(grads, want):
+        np.testing.assert_allclose(grad, w, rtol=1e-5, atol=1e-8)
+    # the tape node returns the helper's output and gradients
+    tensors = [ad.parameter(a.copy()) for a in (x, gamma, beta)]
+    y = ad.layer_norm_node(*tensors)
+    assert y.data.tobytes() == ad.layer_norm(x, gamma, beta)[0].tobytes()
+    (y * ad.Tensor(coeff)).sum().backward()
+    for t, grad in zip(tensors, grads):
+        assert t.grad.tobytes() == grad.tobytes()
+
+
+@pytest.mark.parametrize("residual, rate", [(True, 0.3), (True, 0.0), (False, 0.0)])
+def test_mlp_node_matches_finite_differences(residual, rate):
+    # a transformer layer's MLP with dropout on and off, and the head; the
+    # dropout mask comes from a generator re-seeded for every evaluation
+    rng = np.random.default_rng(15)
+    d, hidden, out = 4, 6, 4 if residual else 3
+    arrays = [rng.normal(size=shape) for shape in (
+        (2, 3, d), (d,), (d,), (d, hidden), (hidden,), (hidden, out), (out,))]
+    coeff = rng.normal(size=(2, 3, out))
+
+    def run(tensors):
+        return model._mlp(tensors[0], tuple(tensors[1:]), residual, rate,
+                          np.random.default_rng(16))
+
+    tensors = [ad.parameter(a.copy()) for a in arrays]
+    (run(tensors) * ad.Tensor(coeff)).sum().backward()
+    for i, t in enumerate(tensors):
+        def loss_at(a, i=i):
+            values = arrays[:i] + [a] + arrays[i + 1:]
+            return float((run([ad.Tensor(v) for v in values]).data * coeff).sum())
+
+        want = numeric_grad(loss_at, arrays[i].copy())
+        np.testing.assert_allclose(t.grad, want, rtol=1e-5, atol=1e-8, err_msg=str(i))
 
 
 def test_take_gathers_and_scatter_adds():
@@ -222,35 +266,39 @@ def test_backward_requires_scalar():
 
 
 def test_dropout_scaling_and_determinism():
-    x = ad.parameter(np.ones((1000,)))
-    y1 = ad.dropout(x, 0.25, np.random.default_rng(42))
-    y2 = ad.dropout(x, 0.25, np.random.default_rng(42))
-    np.testing.assert_array_equal(y1.data, y2.data)
-    kept = y1.data[y1.data > 0]
-    np.testing.assert_allclose(kept, 1.0 / 0.75)
-    assert abs(y1.data.mean() - 1.0) < 0.1
-    assert ad.dropout(x, 0.0, np.random.default_rng(0)) is x
+    x = np.ones((1000,))
+    y1, kept1 = ad.dropout(x, 0.25, np.random.default_rng(42))
+    y2, kept2 = ad.dropout(x, 0.25, np.random.default_rng(42))
+    np.testing.assert_array_equal(y1, y2)
+    np.testing.assert_array_equal(kept1, kept2)
+    np.testing.assert_array_equal(kept1, y1 > 0)
+    np.testing.assert_allclose(y1[kept1], 1.0 / 0.75)
+    assert abs(y1.mean() - 1.0) < 0.1
+    t = ad.parameter(x)
+    assert ad.dropout_node(t, 0.0, np.random.default_rng(0)) is t
 
 
 def test_dropout_bitwise_equals_multiplying_by_a_float_mask():
+    # (3, 25000) spans three mask chunks, the last one partial
     rng = np.random.default_rng(14)
-    x0 = rng.normal(size=(3, 50)).astype(np.float32)
-    g = rng.normal(size=(3, 50)).astype(np.float32)
-    x = ad.parameter(x0.copy())
-    y = ad.dropout(x, 0.3, np.random.default_rng(5))
-    (y * ad.Tensor(g)).sum().backward()
-    mask = (np.random.default_rng(5).random(x0.shape) < 0.7).astype(np.float32) / 0.7
-    ref_x = ad.parameter(x0.copy())
-    ref = ref_x * ad.Tensor(mask)
-    (ref * ad.Tensor(g)).sum().backward()
-    assert y.data.dtype == x.grad.dtype == np.float32
-    assert y.data.tobytes() == ref.data.tobytes()
-    assert x.grad.tobytes() == ref_x.grad.tobytes()
+    for shape in ((3, 50), (3, 25000)):
+        x = rng.normal(size=shape).astype(np.float32)
+        g = rng.normal(size=shape).astype(np.float32)
+        mask = (np.random.default_rng(5).random(shape) < 0.7).astype(np.float32) / 0.7
+        y, kept = ad.dropout(x, 0.3, np.random.default_rng(5))
+        grad = ad.dropout_apply(g, kept, 0.3)
+        assert kept.dtype == np.bool_ and y.dtype == grad.dtype == np.float32
+        want = (x * mask).tobytes()
+        assert y.tobytes() == want
+        assert grad.tobytes() == (g * mask).tobytes()
+        # in place, over its input, the product keeps its bits
+        y, _ = ad.dropout(x, 0.3, np.random.default_rng(5), out=x)
+        assert y is x and x.tobytes() == want
 
 
 def test_dropout_tape_keeps_a_bool_mask_only():
     x = ad.parameter(np.ones((4, 8), dtype=np.float32))
-    y = ad.dropout(x, 0.25, np.random.default_rng(0))
+    y = ad.dropout_node(x, 0.25, np.random.default_rng(0))
     held = [c.cell_contents for c in y._vjp.__closure__
             if isinstance(c.cell_contents, np.ndarray)]
     assert [a.dtype for a in held] == [np.bool_]
@@ -259,17 +307,21 @@ def test_dropout_tape_keeps_a_bool_mask_only():
 
 
 def test_dtype_is_preserved():
-    x = ad.parameter(np.ones((3,), dtype=np.float32))
-    y = ad.gelu(x * 2.0 + 1.0)
+    x = ad.parameter(np.linspace(-1.0, 1.0, 6, dtype=np.float32).reshape(2, 3))
+    ones = ad.Tensor(np.ones(3, dtype=np.float32))
+    y = ad.dropout_node(ad.layer_norm_node(x * 2.0 + 1.0, ones, ones), 0.5,
+                        np.random.default_rng(0))
     assert y.data.dtype == np.float32
     y.sum().backward()
     assert x.grad.dtype == np.float32
+    assert ad.gelu(x.data).dtype == np.float32
+    assert [a.dtype for a in ad.gelu_backward(x.data, x.data)] == [np.float32] * 2
 
 
 def test_no_grad_records_nothing_and_restores_mode():
     x = ad.parameter(np.ones((2, 2)))
     with ad.no_grad():
-        y = ad.gelu(x * 2.0 + x)
+        y = ad.dropout_node(x * 2.0 + x, 0.5, np.random.default_rng(0))
     assert not y.requires_grad and y._parents == () and y._vjp is None
     assert (x * 2.0).requires_grad
     with pytest.raises(RuntimeError):

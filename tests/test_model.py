@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from topoflow import autodiff as ad, model, reorder, synthdata, topo_bias, train
+from topoflow.cli import ABLATION_VARIANTS
 from topoflow.config import DataConfig, decode, encode
 from topoflow.errors import ConfigError, DataError, FormatError, ShapeError
 from topoflow.fields import GridSpec, NormStats
@@ -474,16 +475,19 @@ def load_tape_stats():
 
 
 # One taped training forward of the two-layer tiny model with dropout on
-# records 32 nodes whose reachable buffers (parameters and the bool dropout
-# masks included) come to 41828 bytes. Each `x @ w + b` is one node,
-# dropout keeps a bool mask, the positional vectors are added as they
-# are, and the terrain penalty is one raster (N, N) node that the
+# records 17 nodes whose reachable buffers (parameters and the bool dropout
+# masks included) come to 27812 bytes. Each layer is five nodes: the first
+# layer norm, attention, its dropout, the residual add and the MLP node;
+# the head is one MLP node. An MLP node keeps its input, the row
+# statistics, the pre-activation and a bool mask, a layer norm its row
+# statistics, dropout a bool mask; the positional vectors are added as
+# they are, and the terrain penalty is one raster (N, N) node that the
 # attention nodes add as it is; the tokens stay in raster order, so no
 # node gathers them. A refactor that brings back a kept intermediate,
-# such as a pre-bias product, a float mask or a per-sample bias, fails
-# here.
-TAPE_NODES = 32
-TAPE_BYTES = 41828
+# such as a normalized input, a GELU output, a float mask or a per-sample
+# bias, fails here.
+TAPE_NODES = 17
+TAPE_BYTES = 27812
 
 
 def test_taped_forward_node_count_and_bytes_pinned():
@@ -496,6 +500,62 @@ def test_taped_forward_node_count_and_bytes_pinned():
     nodes, nbytes = load_tape_stats()(res.tokens)
     assert nodes == TAPE_NODES
     assert nbytes <= TAPE_BYTES
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+@pytest.mark.parametrize("variant", sorted(ABLATION_VARIANTS))
+def test_every_tape_walks_to_the_end(variant, dropout, train):
+    # `tape_stats` reads every closure cell of every node: none may be
+    # empty, whichever variant, dropout rate and mode built the tape.
+    # Per layer: layer norm, attention, residual add, MLP node, plus the
+    # attention output's dropout; then the embedding linear, positional
+    # product, its add and the table gather, the embedding dropout, the
+    # penalty node with the elevation bias, and the head
+    wind, elev_bias = ABLATION_VARIANTS[variant]
+    config = tiny_config(layers=2, dropout=dropout, wind_reorder=wind, elev_bias=elev_bias)
+    store = init_params(config, seed=0)
+    rng = np.random.default_rng(4)
+    x = random_inputs(config, rng).astype(np.float32)
+    elev = rng.uniform(0, 2500, config.spec.n_patches)
+    res = forward(store, config, x, elev, orders=wind_orders(config, x), train=train, rng=rng)
+    dropped = int(train and dropout > 0.0)
+    nodes, _ = load_tape_stats()(res.tokens)
+    assert nodes == config.layers * (4 + dropped) + 4 + dropped + elev_bias + 1
+
+
+@pytest.mark.parametrize("variant", sorted(ABLATION_VARIANTS))
+def test_mlp_nodes_carry_the_bits_of_the_unfused_chain(variant, monkeypatch):
+    # the MLP and head nodes against the chain of tape nodes they fuse, in
+    # float32 with dropout on: the tokens, every parameter gradient and the
+    # generator state after the forward are the chain's, bit for bit
+    wind, elev_bias = ABLATION_VARIANTS[variant]
+    config = tiny_config(layers=2, dropout=0.2, wind_reorder=wind, elev_bias=elev_bias)
+    rng = np.random.default_rng(13)
+    x = random_inputs(config, rng, batch=3).astype(np.float32)
+    elev = rng.uniform(0, 3000, config.spec.n_patches)
+    orders = wind_orders(config, x)
+    coeff = rng.normal(size=(3, config.spec.n_patches, config.out_dim)).astype(np.float32)
+
+    def run():
+        store = init_params(config, seed=0)
+        drop_rng = np.random.default_rng(12)
+        res = forward(store, config, x, elev, orders=orders, train=True, rng=drop_rng)
+        state = drop_rng.bit_generator.state
+        (res.tokens * ad.Tensor(coeff)).sum().backward()
+        return res.tokens.data, {k: store[k].grad for k in store.names()}, state
+
+    fused = run()
+    monkeypatch.setattr(model, "_mlp", oracles.mlp_chain)
+    chain = run()
+    assert fused[0].dtype == np.float32
+    assert fused[0].tobytes() == chain[0].tobytes()
+    assert fused[2] == chain[2]
+    assert sorted(fused[1]) == sorted(chain[1])
+    for name, grad in fused[1].items():
+        other = chain[1][name]
+        assert (grad is None) == (other is None), name
+        assert grad is None or grad.tobytes() == other.tobytes(), name
 
 
 def test_taped_forward_keeps_no_batch_by_n_by_n_array():
