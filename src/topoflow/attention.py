@@ -2,17 +2,25 @@
 
 The core operation follows the standard scaled dot-product form with the
 softmax temperature sqrt(d) taken over the full model width, on tokens in
-raster patch order. Two additive (N, N) terms land on the logits of
-every head: the model's relative table, indexed by slot, and the terrain
-penalty between the patches, which every sample shares as it is and
-which a variant without the elevation bias leaves out. The table comes
-on every call with its slot orders, one (B, N) int array whose row i is
-sample i's slot -> patch order, identity rows for a variant without wind
-reordering; `model.forward` and the node check them with
-`reorder.check_orders`. The node maps the table into each sample's
-raster positions (`reorder.unapply` on its rows, the same inverse on its
-columns), so the (B, 1, N, N) per-sample bias is never built, kept or
-differentiated, and gathers the table's gradient back to slot order.
+raster patch order. Two additive terms land on the logits of every head:
+the model's relative table, indexed by within-sector rank offset, and the
+terrain penalty between the patches, an (N, N) table which every sample
+shares as it is and which a variant without the elevation bias leaves
+out. The relative table is 2M numbers for sectors of M patches, a
+windowed relative position bias (Shaw et al. 2018, arXiv:1803.02155; Liu
+et al. 2021, arXiv:2103.14030): inside a sector one M x M Toeplitz block
+indexed by wind rank, and one bucket for every pair in different sectors.
+`bias_tables` builds, once per forward, what every call shares: the
+(N, N) base (the penalty plus the cross-sector bucket), the penalty's
+K sector blocks and their flat index. A call gets the slot orders, one
+(B, N) int array whose row i is sample i's slot -> patch order inside
+each sector, identity rows for a variant without wind reordering;
+`model.forward` and the node check them with `reorder.check_orders`.
+Each sample's ranks are its slot ranks moved to raster positions
+(`reorder.unapply`), and its bias is the base with the K*M^2
+within-sector entries written from the table and the penalty's blocks,
+so no N x N slot table, per-sample map or (B, 1, N, N) bias is built,
+kept or differentiated.
 
 Under a zero table and no penalty the operation is permutation
 equivariant: reordering tokens, attending, and undoing the reorder is
@@ -29,15 +37,14 @@ of FlashAttention (Dao et al. 2022, arXiv:2205.14135) rather than its
 kernel: a block is 1 MB at the desk size (N = 512, float32), so it stays
 in a core's L2 cache while it is biased, exponentiated and multiplied.
 Each block is laid out keys x queries, k q^T with one column per query,
-and so are the two tables: the softmax's max, shift and sum run down
+and so are the base and the penalty: the softmax's max, shift and sum run down
 columns with (1, N) broadcasts, which numpy does faster than the (N, 1)
 broadcasts and last-axis reductions of the row layout. The softmax
 divide moves off the block onto the (N, d/heads) context, and the
 backward takes its D = rowsum(dO * O) term from the context, as
 FlashAttention does (Dao et al. 2022; Dao 2023, arXiv:2307.08691), so
 no N x N pass divides a block.
-The backward keeps no N x N array besides the bias and penalty it was
-given. The forward records each query's max and sum of exponentials,
+The backward keeps no N x N array besides the shared base and penalty. The forward records each query's max and sum of exponentials,
 and the backward recomputes a block's exponentials from the max: one
 more k q^T product and three elementwise passes per block buy back the
 (B, heads, N, N) weights the tape would otherwise hold (recompute
@@ -53,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad, reorder
-from .errors import NumericError, ShapeError
+from .errors import DataError, NumericError, ShapeError
 
 
 @dataclass
@@ -80,7 +87,70 @@ class AttentionParams:
         return self.wq.shape[0]
 
 
-def _attend_parts(tokens, params: AttentionParams, bias, orders, penalty=None,
+@dataclass(frozen=True)
+class BiasTables:
+    """The logit bias terms every call of one forward shares, and what
+    every call derives from them; `bias_tables` builds it.
+
+    `rel` is the (2M,) relative table: bucket rank(q) - rank(k) + M - 1
+    for a key k and a query q in one sector, bucket 2M - 1 for every pair
+    in different sectors. `layout` is the (K, M) sector layout
+    (`reorder._sector_layout`): row s holds the patches of sector s, and
+    slot layout[s, j] has rank j in it.
+    `penalty` is the (N, N) raster terrain penalty, keys x queries, or
+    None. The rest is derived, in the tables' dtype:
+    `slot_ranks` (N, 1), slot k's rank in its sector; `blocks` (K*M*M,),
+    the flat (N, N) index of the within-sector entries, sector by sector,
+    keys x queries; `base` (N, N), the penalty plus rel[2M - 1] (the
+    bucket alone without a penalty); `pen_blocks` (K, M, M), the penalty
+    at `blocks`, or None.
+    """
+
+    rel: ad.Tensor
+    layout: np.ndarray
+    penalty: ad.Tensor | None
+    slot_ranks: np.ndarray
+    blocks: np.ndarray
+    base: np.ndarray
+    pen_blocks: np.ndarray | None
+
+
+def bias_tables(rel, layout, penalty=None) -> BiasTables:
+    """The shared bias terms of one forward from the (2M,) relative table,
+    the (K, M) sector layout and the optional (N, N) penalty, N = K * M.
+
+    A layout that is not a (K, M) integer array raises ShapeError, one
+    whose entries are not a permutation of 0..N-1 DataError; a table of
+    another length or a penalty of another shape raises ShapeError.
+    """
+    rel_t = ad.as_tensor(rel)
+    pen_t = None if penalty is None else ad.as_tensor(penalty)
+    layout = np.asarray(layout)
+    if layout.ndim != 2 or layout.dtype.kind not in "iu":
+        raise ShapeError(f"sector layout {layout.shape} {layout.dtype} is not (K, M) integers")
+    k, m = layout.shape
+    n = k * m
+    if (np.sort(layout, axis=None) != np.arange(n)).any():
+        raise DataError(f"the sector layout must hold each patch 0..{n - 1} once")
+    if rel_t.shape != (2 * m,):
+        raise ShapeError(f"relative table shape {rel_t.shape} is not (2M,) = {(2 * m,)}")
+    if pen_t is not None and pen_t.shape != (n, n):
+        raise ShapeError(f"penalty shape {pen_t.shape} is not (N, N) with N = {n}")
+    dtype = rel_t.dtype if pen_t is None else np.result_type(rel_t.data, pen_t.data)
+    cross = rel_t.data[-1:].astype(dtype)
+    slot_ranks = np.empty((n, 1), dtype=np.int32)
+    slot_ranks[layout, 0] = np.arange(m)
+    blocks = (layout[:, :, None] * n + layout[:, None, :]).reshape(-1)
+    if pen_t is None:
+        base, pen_blocks = np.full((n, n), cross[0], dtype=dtype), None
+    else:
+        pen = pen_t.data.astype(dtype, copy=False)
+        base = np.add(pen, cross)
+        pen_blocks = pen.reshape(-1)[blocks].reshape(k, m, m)
+    return BiasTables(rel_t, layout, pen_t, slot_ranks, blocks, base, pen_blocks)
+
+
+def _attend_parts(tokens, params: AttentionParams, tables: BiasTables, orders,
                   weights: bool = False):
     """Biased multi-head attention over (B, N, d) tokens as one tape node;
     returns (out, weights).
@@ -98,20 +168,20 @@ def _attend_parts(tokens, params: AttentionParams, bias, orders, penalty=None,
     operations on the same operands, scales the context gradient dO by
     1/sum on its rows, and takes the softmax term D = rowsum(dO * O) from
     the context O, so no N x N pass divides or reduces.
-    `bias` (the relative logits, indexed by slot) and the optional
-    `penalty` (the terrain penalty between the patches in raster order)
-    are (N, N) tables shared by the batch and the heads, laid out keys x
-    queries: row k, column q lands on query q's logit for key k. `orders`,
-    a (B, N) array whose row i is sample i's slot -> patch permutation,
-    maps `bias` into sample i's raster positions: with s = argsort(order),
-    its block entry (a, c) gets bias[s[a], s[c]]; identity rows land it as
-    it is, and a zero table adds nothing. The penalty always lands as it
-    is. A sample's bias is built in one reused (N, N) buffer before its
-    heads. A table's gradient adds up each sample's heads in head order,
-    then the samples in sample order, the relative table's gathered back
-    to slot order through the order.
-    Other shapes raise ShapeError; orders that `reorder.check_orders`
-    refuses raise its ShapeError or DataError.
+    `tables` (`bias_tables`) holds the relative table, the sector layout,
+    the optional penalty and what every call shares of them. `orders`, a
+    (B, N) array whose row i is sample i's slot -> patch order inside each
+    sector, ranks the patches: patch orders[i, k] takes slot k's rank.
+    Sample i's bias is `tables.base` with each within-sector entry (key a,
+    query c) set to rel[rank(c) - rank(a) + M - 1] plus the penalty's
+    entry, written before its heads into one copy of the base that the
+    call's samples share, since they differ only there; identity rows rank
+    the patches in raster order. The penalty's gradient adds up each
+    sample's heads in head order, then the samples in sample order. The
+    relative table's adds each sample's head sum in float64: its
+    within-sector entries by rank offset, the rest into bucket 2M - 1.
+    Tokens whose N is not the tables' raise ShapeError; orders that
+    `reorder.check_orders` refuses raise its ShapeError or DataError.
     With `weights` the second value is the post-softmax weights, queries
     x keys, a constant Tensor of shape (B, heads, N, N); without it, an
     empty (B, heads, 0, 0) Tensor of the logits' dtype.
@@ -121,14 +191,12 @@ def _attend_parts(tokens, params: AttentionParams, bias, orders, penalty=None,
         raise ShapeError(f"tokens shape {x.shape} is not (B, N, {params.d})")
     b, n, d = x.shape
     h = params.n_heads
-    bias_t = ad.as_tensor(bias)
-    pen_t = None if penalty is None else ad.as_tensor(penalty)
-    tables = (bias_t,) if pen_t is None else (bias_t, pen_t)
-    for name, t in zip(("bias", "penalty"), tables):
-        if t.shape != (n, n):
-            raise ShapeError(f"{name} shape {t.shape} is not (N, N) with N = {n}")
-    orders = reorder.check_orders(orders, b, n)
-    inverse = np.argsort(orders, axis=1)
+    rel_t, pen_t, layout = tables.rel, tables.penalty, tables.layout
+    if layout.size != n:
+        raise ShapeError(f"tokens shape {x.shape} is not (B, N, d) with the tables' N = "
+                         f"{layout.size}")
+    orders = reorder.check_orders(orders, b, layout)
+    m = layout.shape[1]
 
     def heads(a: np.ndarray) -> np.ndarray:
         """(B, N, d) -> (B, heads, N, d/heads) view."""
@@ -140,25 +208,39 @@ def _attend_parts(tokens, params: AttentionParams, bias, orders, penalty=None,
     k = x.data @ params.wk.data
     v = x.data @ params.wv.data
     qh, kh, vh = heads(q), heads(k), heads(v)
-    dtype = np.result_type(q, k, *(t.data for t in tables))
-    # both tables are mapped and added in the logits' dtype
-    rel = bias_t.data.astype(dtype, copy=False)
-    pen = None if pen_t is None else pen_t.data.astype(dtype, copy=False)
+    dtype = np.result_type(q, k, tables.base)
+    rel = rel_t.data.astype(tables.base.dtype, copy=False)
     kept = n if weights else 0
     probs = np.empty((b, h, kept, kept), dtype=dtype)
     col_max = np.empty((b, h, 1, n), dtype=dtype)
     col_sum = np.empty((b, h, 1, n), dtype=dtype)
-    block, bias_buf = np.empty((n, n), dtype=dtype), np.empty((n, n), dtype=dtype)
+    block = np.empty((n, n), dtype=dtype)
     ctx = np.empty((b, n, d), dtype=dtype)
     ctx_h = heads(ctx)
 
-    def sample_bias(i, out):
-        """Sample i's (N, N) bias in raster order, built in `out`."""
-        np.take(reorder.unapply(orders[i], rel), inverse[i], axis=1, out=out, mode="clip")
-        return out if pen is None else np.add(out, pen, out=out)
+    def bias_buffers():
+        """(bias, offsets, values): an (N, N) copy of the base, whose
+        cross-sector entries every sample shares, and (K, M, M) scratch
+        for `sample_bias`."""
+        shape = layout.shape + (m,)
+        return (tables.base.astype(dtype), np.empty(shape, dtype=np.int32),
+                np.empty(shape, dtype=tables.base.dtype))
 
+    def sample_bias(i, out, offsets, values):
+        """Sample i's (N, N) bias in raster order: its within-sector
+        entries written into `out`, a `bias_buffers` base; its buckets
+        there, sector by sector, land in `offsets`."""
+        ranks = reorder.unapply(orders[i], tables.slot_ranks)[:, 0][layout]
+        np.subtract(ranks[:, None, :], ranks[:, :, None] - (m - 1), out=offsets)
+        np.take(rel, offsets, out=values)
+        if tables.pen_blocks is not None:
+            values += tables.pen_blocks
+        out.reshape(-1)[tables.blocks] = values.reshape(-1)
+        return out
+
+    bias_buf, offsets, values = bias_buffers()
     for i in range(b):
-        bias_i = sample_bias(i, bias_buf)
+        bias_i = sample_bias(i, bias_buf, offsets, values)
         for j in range(h):
             np.matmul(kh[i, j], qh[i, j].T, out=block)
             block += bias_i
@@ -171,27 +253,30 @@ def _attend_parts(tokens, params: AttentionParams, bias, orders, penalty=None,
                 np.divide(block, col_sum[i, j], out=probs[i, j].T)
     out = ctx @ params.wo.data
 
-    parents = (x, params.wq, params.wk, params.wv, params.wo) + tables
+    tables_t = (rel_t,) if pen_t is None else (rel_t, pen_t)
+    parents = (x, params.wq, params.wk, params.wv, params.wo) + tables_t
 
     def vjp(g):
         gctx_h = heads(g @ params.wo.data.T)
         gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
         gq_h, gk_h, gv_h = heads(gq), heads(gk), heads(gv)
         # the backward's own buffers: the forward's are not kept on the tape
-        e, bias_buf = np.empty((n, n), dtype=dtype), np.empty((n, n), dtype=dtype)
+        e = np.empty((n, n), dtype=dtype)
+        bias_buf, offsets, values = bias_buffers()
         glog = np.empty((n, n), dtype=np.result_type(gctx_h, col_sum, vh))
-        gbias = gpen = head_sum = None
-        if bias_t.requires_grad:
-            gbias = np.zeros((n, n), dtype=bias_t.dtype)
+        grel = gpen = head_sum = None
+        if rel_t.requires_grad:
+            grel = np.zeros(2 * m)
+            ones = np.ones((1, n), dtype=glog.dtype)
         if pen_t is not None and pen_t.requires_grad:
             gpen = np.zeros((n, n), dtype=pen_t.dtype)
-        if gbias is not None or gpen is not None:
+        if grel is not None or gpen is not None:
             # a sample's heads add up in one buffer, in head order, as a sum
             # over the head axis would; the first head's gradient is
             # written straight into it
             head_sum = np.empty((n, n), dtype=glog.dtype)
         for i in range(b):
-            bias_i = sample_bias(i, bias_buf)
+            bias_i = sample_bias(i, bias_buf, offsets, values)
             for j in range(h):
                 # the forward's exp(s - max) of this block, from its column maxima
                 np.matmul(kh[i, j], qh[i, j].T, out=e)
@@ -213,11 +298,14 @@ def _attend_parts(tokens, params: AttentionParams, bias, orders, penalty=None,
                 np.matmul(gl, qh[i, j], out=gk_h[i, j])
             if gpen is not None:
                 gpen += head_sum
-            if gbias is not None:
-                # back to slot order: entry (k, q) gets (order[k], order[q])
-                np.take(head_sum, orders[i], axis=0, out=glog, mode="clip")
-                np.take(glog, orders[i], axis=1, out=head_sum, mode="clip")
-                gbias += head_sum
+            if grel is not None:
+                # the within-sector entries by rank offset, then the rest
+                # (their column sums) into the cross-sector bucket
+                flat = head_sum.reshape(-1)
+                grel[:-1] += np.bincount(offsets.reshape(-1), weights=flat[tables.blocks],
+                                         minlength=2 * m - 1)
+                flat[tables.blocks] = 0.0
+                grel[-1] += (ones @ head_sum).sum(dtype=np.float64)
         gq *= scale
 
         def weight_grad(w, left, right):
@@ -232,7 +320,8 @@ def _attend_parts(tokens, params: AttentionParams, bias, orders, penalty=None,
             weight_grad(params.wk, x.data, gk),
             weight_grad(params.wv, x.data, gv),
             weight_grad(params.wo, ctx, g),
-        ) + (gbias, gpen)[:len(tables)]
+            None if grel is None else grel.astype(rel_t.dtype),
+            gpen,
+        )[:len(parents)]
 
     return ad.Tensor._op(out, parents, vjp), ad.Tensor(probs)
-

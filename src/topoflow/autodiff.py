@@ -256,9 +256,9 @@ def take(x: Tensor, idx: np.ndarray) -> Tensor:
 
 _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
-# elements per chunk of the GELU and dropout-mask passes: a chunk and its
-# scratch buffers (128 kB each in float32) stay in a core's L2 cache
-# through the whole formula
+# elements per chunk of the GELU, dropout-draw and dropout-mask passes: a
+# chunk and its scratch buffers (128 kB each in float32) stay in a core's
+# L2 cache through the whole formula
 _CHUNK = 32768
 
 
@@ -412,10 +412,18 @@ def dropout(x: Array, rate: float, rng: np.random.Generator, out: Array | None =
             ) -> tuple[Array, Array]:
     """Inverted dropout of an array at a rate in (0, 1): (x * kept / keep,
     kept), with the bool mask kept = rng.random(x.shape) < keep drawn from
-    the supplied generator and keep = 1 - rate. The product is written
-    into `out` when given, which may be x if x is C-contiguous.
+    the supplied generator and keep = 1 - rate. The uniform draws come
+    _CHUNK at a time into one reused float64 buffer, which consumes the
+    generator's stream in the same order, so the mask and the generator's
+    state afterwards are those of the one whole draw. The product is
+    written into `out` when given, which may be x if x is C-contiguous.
     """
-    kept = rng.random(x.shape) < 1.0 - rate
+    kept = np.empty(x.shape, dtype=bool)
+    draws = np.empty(min(x.size, _CHUNK))
+    for (kc,) in _chunks(kept):
+        dc = draws[:kc.size]
+        rng.random(out=dc)
+        np.less(dc, 1.0 - rate, out=kc)
     return dropout_apply(x, kept, rate, out), kept
 
 

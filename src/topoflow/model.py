@@ -3,7 +3,7 @@
 Pipeline per forward pass: patchify the (normalized) input stack, embed
 the patch tokens and add their per-patch positional vectors, run L
 pre-norm transformer layers whose attention logits carry a shared
-relative slot-offset table plus the terrain penalty, and decode with a
+relative rank-offset table plus the terrain penalty, and decode with a
 two-layer head that emits every horizon at once. The tokens stay in
 raster patch order throughout, so `ForwardResult.to_grid` is a plain
 unpatchify and the loss compares raster targets under the raster mask.
@@ -19,12 +19,16 @@ keeps its input, the layer norm's row statistics, the pre-activation
 and the bool dropout mask, and recomputes the rest in its backward, the
 selective recomputation of Korthikanti et al. 2022 (arXiv:2205.05198).
 
-Wind-guided reordering reaches only the attention node, which maps the
-relative table through each sample's slot order (one row of a (B, N) int
-array, slot -> raster patch); the node takes the table and the orders on
-every call, and the penalty when there is one. Attention under a zero
-table is permutation equivariant (criterion 1), so this computes what
-running the tokens in slot order and back would, without moving them.
+Wind-guided reordering reaches only the attention node, which ranks each
+sample's patches through its slot order (one row of a (B, N) int array,
+slot -> raster patch, inside each sector) and indexes the relative table,
+2M numbers for sectors of M patches, by the rank offset of each pair in
+one sector; every pair in different sectors shares the last bucket.
+`_attention_tables` builds the table's and the penalty's shared parts
+once per forward (`attention.bias_tables`), and every layer and every
+sample of the no-tape path use them. Attention under a zero table is
+permutation equivariant (criterion 1), so this computes what running the
+tokens in slot order and back would, without moving them.
 The table starts at zero, so freshly initialized networks compute the
 exact same function with the shuffle on or off; what the reordering
 changes is what the table MEANS (attend-k-slots-back is "k ranks upwind"
@@ -34,13 +38,13 @@ configuration is literally the same network minus the two mechanisms. `wind_reor
 slot orders, read in `train.prepare_arrays` (wind orders or identity)
 and in `forward`'s identity default and missing-orders guard;
 `elev_bias` chooses whether the terrain penalty table exists, read in
-`_attention_tables`. An identity map of the table is a copy, so the
-baseline is the wind variant under identity slot orders bit for bit.
+`_attention_tables`. Identity orders rank the patches in raster order,
+so the baseline is the wind variant under identity slot orders bit for
+bit.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import zlib
 from dataclasses import dataclass, field as dc_field
@@ -49,7 +53,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import reorder, topo_bias
-from .attention import AttentionParams, _attend_parts
+from .attention import AttentionParams, BiasTables, _attend_parts, bias_tables
 from .config import GridSpec, ModelConfig, decode, encode, format_kv, read_kv
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .fields import Field, read_grid, write_atomic, write_grid
@@ -98,28 +102,6 @@ def _slot_coordinates(spec: GridSpec) -> np.ndarray:
     return np.stack([x, y], axis=1)
 
 
-@functools.lru_cache(maxsize=8)
-def _relative_slot_index(spec: GridSpec) -> np.ndarray:
-    """(N, N) lookup into the relative slot-offset table, keys x queries.
-
-    Entry (k, q), for key slot k and query slot q, is the within-sector
-    slot-rank difference rank(q) - rank(k) shifted to 0..2M-2; pairs in
-    different sectors share the final bucket 2M-1. Under wind reordering,
-    slot rank is position along the wind, so the table can express
-    "attend upwind neighbors" as one shared pattern.
-    """
-    layout = reorder._sector_layout(spec)
-    n, m = spec.n_patches, spec.patches_per_sector
-    ranks = np.empty(n, dtype=np.int64)
-    sector_of = np.empty(n, dtype=np.int64)
-    for s in range(spec.n_sectors):
-        ranks[layout[s]] = np.arange(m)
-        sector_of[layout[s]] = s
-    idx = ranks[None, :] - ranks[:, None] + (m - 1)
-    idx[sector_of[:, None] != sector_of[None, :]] = 2 * m - 1
-    return idx
-
-
 def _param_layout(config: ModelConfig) -> list[tuple[str, str, tuple, np.ndarray | None]]:
     """(name, group, shape, start) of every parameter, in creation order.
 
@@ -140,8 +122,9 @@ def _param_layout(config: ModelConfig) -> list[tuple[str, str, tuple, np.ndarray
     add("patch_embed.b", "patch_embed", np.zeros(config.d))
     add("pos.grid", "pos_embed", _slot_coordinates(config.spec))
     weight("pos.proj", "pos_embed", 2, config.d)
-    # relative slot-offset logit table; zero start means no contribution
-    # until training shapes it
+    # relative logit table, one bucket per within-sector rank offset and one
+    # for every cross-sector pair; zero start means no contribution until
+    # training shapes it
     add("pos.rel", "pos_embed", np.zeros(2 * config.spec.patches_per_sector))
     for i in range(config.layers):
         pre = f"layer{i}"
@@ -260,8 +243,8 @@ def forward(
     `reorder.build_permutation` from the physical winds (as
     `train.prepare_arrays` does), since the z-scored wind channels of
     `inputs` point elsewhere. Orders of another shape raise ShapeError, a
-    row that is not an integer permutation of 0..N-1 raises DataError
-    (`reorder.check_orders`).
+    row that is not an integer permutation of 0..N-1, or that moves a
+    patch out of its sector, raises DataError (`reorder.check_orders`).
 
     The slot orders reach only the attention node: the returned tokens,
     and with `collect_attention` every layer's head-averaged (B, N, N) map,
@@ -288,16 +271,15 @@ def forward(
         orders = np.tile(np.arange(n), (b, 1))
     elif orders is None:
         raise ConfigError("wind_reorder enabled but no slot orders supplied")
-    orders = reorder.check_orders(orders, b, n)
-
-    # shared by every sample: the relative slot-offset logits, which the node
-    # maps through each slot order, the positional vectors and the penalty
-    rel, penalty = _attention_tables(params, config, elev_patch_m)
+    # shared by every sample: the relative table and the penalty, with what
+    # every attention call derives from them, and the positional vectors
+    tables = _attention_tables(params, config, elev_patch_m)
+    orders = reorder.check_orders(orders, b, tables.layout)
     pos = params["pos.grid"] @ params["pos.proj"]
 
     def run(rows: slice):
         return _forward_samples(
-            params, config, arr[rows], orders[rows], penalty, rel, pos,
+            params, config, arr[rows], orders[rows], tables, pos,
             train, rng, collect_attention,
         )
 
@@ -312,20 +294,21 @@ def forward(
 
 def _attention_tables(
     params: ParamStore, config: ModelConfig, elev_patch_m: np.ndarray | None
-) -> tuple[ad.Tensor, ad.Tensor | None]:
-    """The relative slot-offset logits and the raster terrain penalty (None
-    without the elevation bias), both (N, N) and laid out keys x queries as
-    the attention node takes them, built once per forward.
+) -> BiasTables:
+    """The attention node's shared bias terms for one forward: `pos.rel`,
+    the spec's (K, M) sector layout and the raster terrain penalty (None
+    without the elevation bias), laid out keys x queries as the node takes
+    it.
 
     The penalty is `topo_bias.bias_tensor` of the negated elevations, which
     is the queries x keys penalty transposed bit for bit:
     fl(-h_k - (-h_q)) = fl(h_q - h_k).
     """
-    rel = ad.take(params["pos.rel"], _relative_slot_index(config.spec))
-    if not config.elev_bias:
-        return rel, None
-    flipped = np.negative(np.asarray(elev_patch_m, dtype=np.float64))
-    return rel, topo_bias.bias_tensor(flipped, params["alpha"])
+    penalty = None
+    if config.elev_bias:
+        flipped = np.negative(np.asarray(elev_patch_m, dtype=np.float64))
+        penalty = topo_bias.bias_tensor(flipped, params["alpha"])
+    return bias_tables(params["pos.rel"], reorder._sector_layout(config.spec), penalty)
 
 
 def _forward_samples(
@@ -333,8 +316,7 @@ def _forward_samples(
     config: ModelConfig,
     arr: np.ndarray,
     orders: np.ndarray,
-    penalty: ad.Tensor | None,
-    rel: ad.Tensor,
+    tables: BiasTables,
     pos: ad.Tensor,
     train: bool,
     rng: np.random.Generator | None,
@@ -342,9 +324,9 @@ def _forward_samples(
 ) -> tuple[ad.Tensor, list[np.ndarray]]:
     """Raster-order output tokens and per-layer attention maps of `forward`
     for the samples `arr`, whose slot -> patch orders are the rows of
-    `orders`; `rel` and `penalty` are the keys x queries tables of
-    `_attention_tables`. Every variant runs these same operations; the
-    toggles chose the orders and the penalty."""
+    `orders`; `tables` are `_attention_tables`' shared bias terms. Every
+    variant runs these same operations; the toggles chose the orders and
+    the penalty."""
     tokens = patchify(arr, config.spec).astype(params["patch_embed.w"].dtype)
     rate = config.dropout if train else 0.0
 
@@ -358,8 +340,8 @@ def _forward_samples(
     for i in range(config.layers):
         normed = ad.layer_norm_node(x, params[f"layer{i}.ln1.g"], params[f"layer{i}.ln1.b"])
         attended, weights = _attend_parts(
-            normed, _layer_attention_params(params, i, config.heads), rel, orders,
-            penalty=penalty, weights=collect_attention,
+            normed, _layer_attention_params(params, i, config.heads), tables, orders,
+            weights=collect_attention,
         )
         if collect_attention:
             attn_maps.append(weights.data.mean(axis=-3))

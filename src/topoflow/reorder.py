@@ -14,8 +14,8 @@ identity when every sector keeps raster order. Sectors whose cells carry
 exactly zero wind skip the projection sort and keep raster order outright;
 a literal sort under the sentinel angle 0 would order such sectors
 column-major, which is not the raster baseline the degenerate case is
-defined to preserve. No token moves: the attention node maps the model's
-slot-indexed relative table to raster positions with `unapply`.
+defined to preserve. No token moves: the attention node gives each patch
+its slot's rank along the wind with `unapply`.
 """
 
 from __future__ import annotations
@@ -102,21 +102,28 @@ def build_permutation(
     return order, angles
 
 
-def check_orders(orders, b: int, n: int) -> np.ndarray:
-    """`orders` as an array, checked to be (B, N) slot -> patch orders:
-    ShapeError for another shape, DataError for a row that is not an
-    integer permutation of 0..N-1."""
+def check_orders(orders, b: int, layout: np.ndarray) -> np.ndarray:
+    """`orders` as an array, checked to be (B, N) slot -> patch orders
+    inside the sectors of the (K, M) `layout`, N = K * M: ShapeError for
+    another shape, DataError for a row that is not an integer permutation
+    of 0..N-1 or that moves a patch into another sector's slot."""
     orders = np.asarray(orders)
+    n = layout.size
     if orders.shape != (b, n):
         raise ShapeError(f"slot orders shape {orders.shape} is not (B, N) = {(b, n)}")
     if orders.dtype.kind not in "iu" or (np.sort(orders, axis=1) != np.arange(n)).any():
         raise DataError("each row of the slot orders must be a permutation of 0..N-1")
+    sector_of = np.empty(n, dtype=np.int64)
+    sector_of[layout] = np.arange(len(layout))[:, None]
+    if (sector_of[orders] != sector_of).any():
+        raise DataError("each slot order must keep every patch in its own sector")
     return orders
 
 
 def unapply(order: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-    """Return (N, C) rows in the slot order `order` (a table's rows) to
-    their raster positions: raster patch order[k] takes the row of slot k."""
+    """Return (N, C) rows in the slot order `order` (such as the slot
+    ranks) to their raster positions: raster patch order[k] takes the row
+    of slot k."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2 or tokens.shape[0] != len(order):
         raise ShapeError(f"tokens shape {tokens.shape} is not (N, C), N = {len(order)}")

@@ -1,13 +1,16 @@
 """Reference implementations the tests compare the package against.
 
 No command reaches these, so they live with the tests: the attention
-node with its slot table landing as it is, the attention equivariance
-measure under a zero table (criterion 1), the covariance decay fit
-(criterion 6), the tape ops that the primitive-chain attention reference is
-built from (row softmax, reshape, transpose), the MLP node as the chain of
-tape nodes it fuses, the forward reorder that `reorder.unapply` undoes,
-and the forecaster run in slot order, the form the raster-order
-`model.forward` must match.
+node with one raster table landing as it is, the per-sample attention
+reference and the earlier slot-table path (an (N, N) table gathered from
+the relative table, mapped through each sample's order, materialized per
+sample) that the node must match, random slot orders inside the sectors,
+the attention equivariance measure under a zero table (criterion 1), the
+covariance decay fit (criterion 6), the tape ops that the primitive-chain
+attention reference is built from (row softmax, reshape, transpose), the
+MLP node as the chain of tape nodes it fuses, the forward reorder that
+`reorder.unapply` undoes, and the forecaster run in slot order, the form
+the raster-order `model.forward` must match.
 """
 
 from __future__ import annotations
@@ -68,19 +71,200 @@ def mlp_chain(x, weights, residual, rate=0.0, rng=None) -> ad.Tensor:
     return ad.linear(hidden, w2, b2)
 
 
-# -- the attention node under identity slot orders ---------------------------------
+# -- the attention node with one raster table ----------------------------------------
 
 
-def identity_attend(tokens, params, bias=None, **kwargs):
-    """`attention._attend_parts` on (B, N, d) `tokens` with the (N, N)
-    table `bias` under identity slot orders, which land it as it is; no
-    `bias` is a zero table of the tokens' dtype, which moves no bit of
-    the output, the weights or a gradient. Other keywords go to the node."""
+def identity_attend(tokens, params, penalty=None, **kwargs):
+    """`attention._attend_parts` on (B, N, d) `tokens` with the (N, N) keys
+    x queries table `penalty` landing as it is: the tables are one sector
+    of N patches with a zero relative table of the penalty's dtype (the
+    tokens' without a penalty), which moves no bit of the output, the
+    weights or a gradient, under identity slot orders. Other keywords go
+    to the node."""
     x = ad.as_tensor(tokens)
     b, n = x.shape[:2]
-    if bias is None:
-        bias = np.zeros((n, n), dtype=x.dtype)
-    return attention._attend_parts(x, params, bias, np.tile(np.arange(n), (b, 1)), **kwargs)
+    dtype = x.dtype if penalty is None else ad.as_tensor(penalty).dtype
+    tables = attention.bias_tables(np.zeros(2 * n, dtype=dtype), np.arange(n)[None], penalty)
+    return attention._attend_parts(x, params, tables, np.tile(np.arange(n), (b, 1)), **kwargs)
+
+
+# -- the per-sample reference and the slot-table path ------------------------------------
+
+
+def reference_attend(tokens, params, bias=None):
+    """Attention as one tape node that works on a sample's (heads, N, N) block.
+
+    This is the earlier form of `attention._attend_parts`, kept as the
+    reference its per-(sample, head) blocking must match bit for bit, with
+    the node's formulas: blocks laid out keys x queries, exp(s - max) down
+    each query's column, the softmax divide on the context, and the
+    backward's D term from the context. It keeps every block's exp for the
+    backward rather than recompute it. It takes (B, N, d) tokens and a
+    queries x keys bias that broadcasts to (B, 1, N, N), so it also takes
+    each sample's bias materialized, and gives that bias's gradient in the
+    same layout.
+    """
+    x = ad.as_tensor(tokens)
+    xs = x.data
+    b, n, d = xs.shape
+    h = params.n_heads
+    bias_t = None if bias is None else ad.as_tensor(bias)
+    bias4 = None if bias_t is None else bias_t.data.reshape(
+        (1,) * (4 - bias_t.data.ndim) + bias_t.shape)
+
+    def heads(a):
+        return a.reshape(b, n, h, d // h).transpose(0, 2, 1, 3)
+
+    def sample(a, i):
+        return a[i if a.shape[0] > 1 else 0]
+
+    scale = 1.0 / math.sqrt(d)
+    q = (xs @ params.wq.data) * scale
+    k = xs @ params.wk.data
+    v = xs @ params.wv.data
+    qh, kh, vh = heads(q), heads(k), heads(v)
+    dtype = np.result_type(q, k) if bias4 is None else np.result_type(q, k, bias4)
+    exps = np.empty((b, h, n, n), dtype=dtype)
+    weights = np.empty((b, h, n, n), dtype=dtype)
+    col_max = np.empty((b, h, 1, n), dtype=dtype)
+    col_sum = np.empty((b, h, 1, n), dtype=dtype)
+    ctx = np.empty((b, n, d), dtype=dtype)
+    ctx_h = heads(ctx)
+    for i in range(b):
+        block = np.matmul(kh[i], qh[i].swapaxes(-1, -2), out=exps[i])
+        if bias4 is not None:
+            block += sample(bias4, i).swapaxes(-1, -2)
+        ad.softmax(block, stats=(col_max[i], col_sum[i]))
+        np.matmul(block.swapaxes(-1, -2), vh[i], out=ctx_h[i])
+        ctx_h[i] /= col_sum[i].swapaxes(-1, -2)
+        np.divide(block, col_sum[i], out=weights[i].swapaxes(-1, -2))
+    out = ctx @ params.wo.data
+    parents = (x, params.wq, params.wk, params.wv, params.wo)
+    if bias_t is not None:
+        parents += (bias_t,)
+
+    def vjp(g):
+        gctx_h = heads(g @ params.wo.data.T)
+        gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+        gq_h, gk_h, gv_h = heads(gq), heads(gk), heads(gv)
+        gbias = None
+        if bias_t is not None and bias_t.requires_grad:
+            gbias = np.zeros(bias4.shape, dtype=bias4.dtype)
+            spread = tuple(
+                j for j in range(3) if bias4.shape[1 + j] == 1 and weights.shape[1 + j] != 1
+            )
+        for i in range(b):
+            e = exps[i]
+            go = gctx_h[i] / col_sum[i].swapaxes(-1, -2)
+            gv_h[i] = e @ go
+            glog = vh[i] @ go.swapaxes(-1, -2)
+            glog -= np.einsum("hij,hij->hi", go, ctx_h[i])[:, None, :]
+            glog *= e
+            if gbias is not None:
+                gbias_i = sample(gbias, i)
+                summed = glog.sum(axis=spread, keepdims=True) if spread else glog
+                gbias_i += summed.swapaxes(-1, -2)
+            gq_h[i] = glog.swapaxes(-1, -2) @ kh[i]
+            gk_h[i] = glog @ qh[i]
+        gq *= scale
+        gx = gq @ params.wq.data.T + gk @ params.wk.data.T + gv @ params.wv.data.T
+        grads = (
+            gx,
+            xs.reshape(-1, d).T @ gq.reshape(-1, d),
+            xs.reshape(-1, d).T @ gk.reshape(-1, d),
+            xs.reshape(-1, d).T @ gv.reshape(-1, d),
+            ctx.reshape(-1, d).T @ g.reshape(-1, d),
+        )
+        if bias_t is not None:
+            grads += (None if gbias is None else gbias.reshape(bias_t.shape),)
+        return grads
+
+    return ad.Tensor._op(out, parents, vjp), ad.Tensor(weights)
+
+
+def relative_slot_index(layout: np.ndarray) -> np.ndarray:
+    """(N, N) lookup into the relative table, keys x queries, for the
+    (K, M) sector layout.
+
+    Entry (k, q), for key slot k and query slot q, is the within-sector
+    slot-rank difference rank(q) - rank(k) shifted to 0..2M-2; pairs in
+    different sectors share the final bucket 2M-1.
+    """
+    layout = np.asarray(layout)
+    k_sectors, m = layout.shape
+    n = layout.size
+    ranks = np.empty(n, dtype=np.int64)
+    sector_of = np.empty(n, dtype=np.int64)
+    for s in range(k_sectors):
+        ranks[layout[s]] = np.arange(m)
+        sector_of[layout[s]] = s
+    idx = ranks[None, :] - ranks[:, None] + (m - 1)
+    idx[sector_of[:, None] != sector_of[None, :]] = 2 * m - 1
+    return idx
+
+
+def slot_table_bias(rel, layout, orders, penalty=None) -> ad.Tensor:
+    """Each sample's queries x keys bias, (B, 1, N, N), as one tape node on
+    `rel` (and `penalty`): the relative table gathered into the (N, N)
+    slot table through `relative_slot_index`, mapped to sample i's raster
+    positions (rows by `reorder.unapply`, columns through the inverse
+    order), plus the (N, N) keys x queries `penalty`, added in the tables'
+    dtype, and transposed.
+
+    The backward is the slot-table path's: the penalty's gradient adds
+    each sample's keys x queries gradient in sample order; the slot table's
+    adds each one moved back to slot order, in the table's dtype, and one
+    float64 bincount through the index gives the relative table's.
+    """
+    rel_t = ad.as_tensor(rel)
+    pen_t = None if penalty is None else ad.as_tensor(penalty)
+    index = relative_slot_index(layout)
+    dtype = rel_t.dtype if pen_t is None else np.result_type(rel_t.data, pen_t.data)
+    table = rel_t.data.astype(dtype)[index]
+    orders = np.asarray(orders)
+    mapped = []
+    for order in orders:
+        block = np.take(reorder.unapply(order, table), np.argsort(order), axis=1)
+        if pen_t is not None:
+            block = block + pen_t.data.astype(dtype)
+        mapped.append(block.T)
+    parents = (rel_t,) if pen_t is None else (rel_t, pen_t)
+
+    def vjp(g):
+        gtable = np.zeros(table.shape, dtype=dtype)
+        gpen = None if pen_t is None else np.zeros(table.shape, dtype=pen_t.dtype)
+        for order, gi in zip(orders, g[:, 0]):
+            if gpen is not None:
+                gpen += gi.T
+            gtable += gi.T[order][:, order]
+        sums = np.bincount(index.reshape(-1), weights=gtable.reshape(-1),
+                           minlength=rel_t.data.size)
+        return (sums.astype(rel_t.dtype), gpen)[:len(parents)]
+
+    return ad.Tensor._op(np.stack(mapped)[:, None], parents, vjp)
+
+
+def sector_orders(rng, layout, b):
+    """(B, N) distinct slot orders, none the identity, that each permute
+    the patches inside every sector of the (K, M) `layout`, as
+    `reorder.build_permutation` does."""
+    n = layout.size
+    while True:
+        orders = np.tile(np.arange(n), (b, 1))
+        for order in orders:
+            for row in layout:
+                order[row] = rng.permutation(row)
+        distinct = len({tuple(o) for o in orders}) == b
+        if distinct and not (orders == np.arange(n)).all(axis=1).any():
+            return orders
+
+
+def slot_table_attend(tokens, params, rel, layout, orders, penalty=None):
+    """The attention node as it was before it took the relative table's
+    sector blocks: `reference_attend` under `slot_table_bias`. Its output,
+    weights and every gradient but the relative table's are the node's bit
+    for bit; the relative table's sums run in another order."""
+    return reference_attend(tokens, params, slot_table_bias(rel, layout, orders, penalty))
 
 
 # -- reordering and criterion 1 ------------------------------------------------------
@@ -119,8 +303,8 @@ def slot_order_forward(params, config, inputs, elev_patch_m, order) -> ad.Tensor
     table plus the terrain penalty of the slot-ordered elevations (the
     raster penalty gathered in slot order, bit for bit), and the head
     output is put back in raster order. Dropout is not applied. Attention
-    goes through the node with that slot-ordered sum as its table under
-    identity slot orders, which land it as it is.
+    goes through the node with that slot-ordered sum as its one raster
+    table (`identity_attend`), which lands it as it is.
     """
     spec = config.spec
     order = np.asarray(order)
@@ -128,7 +312,7 @@ def slot_order_forward(params, config, inputs, elev_patch_m, order) -> ad.Tensor
     x = ad.linear(ad.as_tensor(tokens.astype(params["patch_embed.w"].dtype)),
                   params["patch_embed.w"], params["patch_embed.b"])
     x = x + ad.take(params["pos.grid"] @ params["pos.proj"], order)
-    bias = ad.take(params["pos.rel"], model._relative_slot_index(spec))
+    bias = ad.take(params["pos.rel"], relative_slot_index(reorder._sector_layout(spec)))
     if config.elev_bias:
         flipped = -np.asarray(elev_patch_m, dtype=np.float64)[order]
         bias = bias + topo_bias.bias_tensor(flipped, params["alpha"])

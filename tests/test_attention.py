@@ -14,9 +14,10 @@ import oracles
 
 
 def attend(tokens, params, bias=None, pos=None):
-    """Attention output under the table `bias` (a zero table when None) and
-    identity slot orders, with `pos` added to the tokens ahead of the
-    projections; (N, d) tokens go through the node as a batch of one."""
+    """Attention output under the (N, N) keys x queries table `bias`
+    landing as it is (none when None), with `pos` added to the tokens
+    ahead of the projections; (N, d) tokens go through the node as a batch
+    of one."""
     x = ad.as_tensor(tokens)
     if pos is not None:
         x = x + ad.as_tensor(pos)
@@ -280,97 +281,103 @@ def attend_and_grads(params, x, coeff, fn=NODE, **kwargs):
     return [out.data, weights.data] + grads
 
 
+# two sectors of three patches each, not in raster blocks
+LAYOUT = np.array([[0, 1, 3], [2, 4, 5]])
+
+
 # the per-sample bias the references take, by shape, and how the node gets
-# it: the shared slot table under identity orders, that table mapped
-# through each sample's own slot order, the raster penalty (the batch
-# shares it as it is) next to a zero table, and the one-sample batch that
-# the no-tape forward passes
+# it: a relative table under identity orders, that table under each
+# sample's own sector order, a raster penalty next to a zero table, and
+# the one-sample batch that the no-tape forward passes
 FUSED_CASES = [
-    ((2, 5, 8), (5, 5)),
-    ((2, 5, 8), (2, 1, 5, 5)),
-    ((2, 5, 8), (1, 1, 5, 5)),
-    ((1, 5, 8), (5, 5)),
+    ((2, 6, 8), (6, 6)),
+    ((2, 6, 8), (2, 1, 6, 6)),
+    ((2, 6, 8), (1, 1, 6, 6)),
+    ((1, 6, 8), (6, 6)),
 ]
 
 
-def node_bias(bias_shape, table, rng, batch):
-    """The node's keyword arguments that give each sample's logits the
-    (N, N) keys x queries `table` as a bias of `bias_shape`, and that bias
-    materialized queries x keys, as the references take it.
+def node_bias(bias_shape, rng, batch, dtype=np.float64):
+    """(leaves, orders, reference leaves, reference bias) for a case.
 
-    (N, N) passes the table as `bias`, the slot table under identity
-    orders; (1, 1, N, N) passes it as `penalty`, which lands as it is, next
-    to a zero slot table; (B, 1, N, N) passes it as `bias` with B distinct
-    slot orders, and sample i, whose inverse order is s_i, gets
-    table.T[s_i][:, s_i]. None passes a zero slot table and no penalty.
+    The node gets `bias_tables(*leaves)` on LAYOUT and `orders`; the
+    references get the same bias as a (B, 1, N, N) queries x keys tensor
+    that `oracles.slot_table_bias` builds from copies of the leaves, so
+    that their gradients come out on the copies. (N, N) is a random
+    relative table under identity orders; (B, 1, N, N) the same under B
+    distinct sector orders; (1, 1, N, N) a random penalty next to a zero
+    table, under identity orders. None is a zero table and no penalty,
+    with no reference bias, and no leaf takes a gradient.
     """
-    n = table.shape[0]
-    identity = {"bias": np.zeros_like(table.data), "orders": np.tile(np.arange(n), (batch, 1))}
+    n, m = LAYOUT.size, LAYOUT.shape[1]
+    orders = np.tile(np.arange(n), (batch, 1))
     if bias_shape is None:
-        return identity, None
-    if len(bias_shape) == 2:
-        return {**identity, "bias": table}, table.data.T.copy()
-    if bias_shape[0] == 1:
-        return {**identity, "penalty": table}, table.data.T[None, None].copy()
-    orders = np.stack([rng.permutation(n) for _ in range(bias_shape[0])])
-    assert len({tuple(o) for o in orders}) == len(orders)
-    mapped = np.stack([table.data.T[s][:, s] for s in np.argsort(orders, axis=1)])[:, None]
-    return {"bias": table, "orders": orders}, mapped
+        return (ad.Tensor(np.zeros(2 * m, dtype=dtype)),), orders, (), None
+    rel = np.zeros(2 * m, dtype=dtype)
+    if bias_shape[0] != 1:
+        rel = rng.normal(size=2 * m).astype(dtype)
+    leaves = (ad.parameter(rel),)
+    if len(bias_shape) == 4 and bias_shape[0] == 1:
+        leaves += (ad.parameter(rng.normal(size=(n, n)).astype(dtype)),)
+    if len(bias_shape) == 4 and bias_shape[0] > 1:
+        orders = oracles.sector_orders(rng, LAYOUT, batch)
+    copies = tuple(ad.parameter(t.data.copy()) for t in leaves)
+    return leaves, orders, copies, oracles.slot_table_bias(copies[0], LAYOUT, orders, *copies[1:])
 
 
-def scattered(bias_grad, orders=None):
-    """The keys x queries (N, N) table gradient that a materialized queries
-    x keys bias gradient makes: each sample's block moved back to slot
-    order through its order (left as it is without orders), added in
-    sample order, and transposed."""
-    if bias_grad.ndim == 2:
-        return bias_grad.T
-    n = bias_grad.shape[-1]
-    out = np.zeros((n, n), dtype=bias_grad.dtype)
-    for i, g in enumerate(bias_grad[:, 0]):
-        order = np.arange(n) if orders is None else orders[i]
-        out += g[order][:, order]
-    return out.T
+def node_call(leaves, orders, fn=NODE):
+    """`fn` with the node's keywords: the tables built from `leaves` on
+    LAYOUT and the slot orders."""
+    return functools.partial(
+        fn, tables=attention.bias_tables(leaves[0], LAYOUT, *leaves[1:]), orders=orders)
+
+
+# max |relative table gradient - the slot-table path's|, as a share of the
+# largest |entry|: the two add the same terms in another order
+REL_GRAD_TOL = {np.float64: 1e-12, np.float32: 1e-6}
+
+
+def assert_rel_grad_close(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    tol = REL_GRAD_TOL[got.dtype.type]
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
 
 @pytest.mark.parametrize("token_shape,bias_shape", FUSED_CASES)
 def test_fused_attention_gradients_match_finite_differences(token_shape, bias_shape):
-    # float64 central differences; with (2, 1, N, N) the table is the slot
-    # table that two distinct slot orders map
+    # float64 central differences; with (2, 1, N, N) the relative table is
+    # ranked through two distinct sector orders
     rng = np.random.default_rng(14)
     params = make_params(8, 2, rng)
     tokens = ad.parameter(rng.normal(size=token_shape))
-    table = ad.parameter(rng.normal(size=(5, 5)))
-    kwargs, _ = node_bias(bias_shape, table, rng, token_shape[0])
+    leaves, orders, _, _ = node_bias(bias_shape, rng, token_shape[0])
     coeff = rng.normal(size=token_shape)
 
     def forward():
-        return attention._attend_parts(tokens, params, **kwargs)[0]
+        return node_call(leaves, orders)(tokens, params)[0]
 
     def forward_scalar():
         return float((forward().data * coeff).sum())
 
     (forward() * ad.Tensor(coeff)).sum().backward()
-    for t in (tokens, params.wq, params.wk, params.wv, params.wo, table):
+    for t in (tokens, params.wq, params.wk, params.wv, params.wo) + leaves:
         assert t.grad.shape == t.shape
         fd = numeric_grad(forward_scalar, t.data)
         assert rel_err(t.grad, fd) < 1e-4
 
 
-@pytest.mark.parametrize("token_shape,bias_shape", FUSED_CASES + [((2, 5, 8), None)])
+@pytest.mark.parametrize("token_shape,bias_shape", FUSED_CASES + [((2, 6, 8), None)])
 def test_fused_attention_matches_primitive_chain(token_shape, bias_shape):
     rng = np.random.default_rng(15)
     params = make_params(8, 2, rng)
     x = rng.normal(size=token_shape)
-    table = ad.parameter(rng.normal(size=(5, 5)))
-    kwargs, bias = node_bias(bias_shape, table, rng, token_shape[0])
+    leaves, orders, copies, bias = node_bias(bias_shape, rng, token_shape[0])
     coeff = rng.normal(size=token_shape)
-    chain_bias = None if bias is None else ad.parameter(bias)
-    fused = attend_and_grads(params, x, coeff, **kwargs)
-    chain = attend_and_grads(params, x, coeff, fn=chain_attention, bias=chain_bias)
-    if bias is not None:
-        fused.append(table.grad)
-        chain.append(scattered(chain_bias.grad, kwargs.get("orders")))
+    fused = attend_and_grads(params, x, coeff, fn=node_call(leaves, orders))
+    chain = attend_and_grads(params, x, coeff, fn=chain_attention, bias=bias)
+    for leaf, copy in zip(leaves, copies):
+        fused.append(leaf.grad)
+        chain.append(copy.grad)
     for f, c in zip(fused, chain):
         assert f.shape == c.shape
         np.testing.assert_allclose(f, c, rtol=0, atol=1e-12)
@@ -380,8 +387,8 @@ def test_fused_attention_rejects_unbroadcastable_bias():
     rng = np.random.default_rng(16)
     params = make_params(8, 2, rng)
     tokens = rng.normal(size=(2, 5, 8))
-    # a batch of 2, 2 heads, 5 tokens: only the (5, 5) table is accepted;
-    # per-sample and per-head biases are among the refused
+    # a batch of 2, 2 heads, 5 tokens: only a (5, 5) raster table is
+    # accepted; per-sample and per-head biases are among the refused
     shapes = ((1, 1, 5, 5), (2, 1, 5, 5), (3, 1, 5, 5), (1, 2, 5, 5), (5, 1), (1, 5),
               (2, 5, 5))
     for shape in shapes:
@@ -404,136 +411,48 @@ def test_no_grad_attention_records_no_node():
 
 # -- the blocked attention node against the per-sample reference ---------------------
 
-def reference_attend(tokens, params, bias=None):
-    """Attention as one tape node that works on a sample's (heads, N, N) block.
-
-    This is the earlier form of `attention._attend_parts`, kept as the
-    reference its per-(sample, head) blocking must match bit for bit, with
-    the node's formulas: blocks laid out keys x queries, exp(s - max) down
-    each query's column, the softmax divide on the context, and the
-    backward's D term from the context. It keeps every block's exp for the
-    backward rather than recompute it. It takes (B, N, d) tokens and a
-    queries x keys bias that broadcasts to (B, 1, N, N), so it also takes
-    each sample's bias materialized, and gives that bias's gradient in the
-    same layout.
-    """
-    x = ad.as_tensor(tokens)
-    xs = x.data
-    b, n, d = xs.shape
-    h = params.n_heads
-    bias_t = None if bias is None else ad.as_tensor(bias)
-    bias4 = None if bias_t is None else bias_t.data.reshape(
-        (1,) * (4 - bias_t.data.ndim) + bias_t.shape)
-
-    def heads(a):
-        return a.reshape(b, n, h, d // h).transpose(0, 2, 1, 3)
-
-    def sample(a, i):
-        return a[i if a.shape[0] > 1 else 0]
-
-    scale = 1.0 / math.sqrt(d)
-    q = (xs @ params.wq.data) * scale
-    k = xs @ params.wk.data
-    v = xs @ params.wv.data
-    qh, kh, vh = heads(q), heads(k), heads(v)
-    dtype = np.result_type(q, k) if bias4 is None else np.result_type(q, k, bias4)
-    exps = np.empty((b, h, n, n), dtype=dtype)
-    weights = np.empty((b, h, n, n), dtype=dtype)
-    col_max = np.empty((b, h, 1, n), dtype=dtype)
-    col_sum = np.empty((b, h, 1, n), dtype=dtype)
-    ctx = np.empty((b, n, d), dtype=dtype)
-    ctx_h = heads(ctx)
-    for i in range(b):
-        block = np.matmul(kh[i], qh[i].swapaxes(-1, -2), out=exps[i])
-        if bias4 is not None:
-            block += sample(bias4, i).swapaxes(-1, -2)
-        ad.softmax(block, stats=(col_max[i], col_sum[i]))
-        np.matmul(block.swapaxes(-1, -2), vh[i], out=ctx_h[i])
-        ctx_h[i] /= col_sum[i].swapaxes(-1, -2)
-        np.divide(block, col_sum[i], out=weights[i].swapaxes(-1, -2))
-    out = ctx @ params.wo.data
-    parents = (x, params.wq, params.wk, params.wv, params.wo)
-    if bias_t is not None:
-        parents += (bias_t,)
-
-    def vjp(g):
-        gctx_h = heads(g @ params.wo.data.T)
-        gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
-        gq_h, gk_h, gv_h = heads(gq), heads(gk), heads(gv)
-        gbias = None
-        if bias_t is not None and bias_t.requires_grad:
-            gbias = np.zeros(bias4.shape, dtype=bias4.dtype)
-            spread = tuple(
-                j for j in range(3) if bias4.shape[1 + j] == 1 and weights.shape[1 + j] != 1
-            )
-        for i in range(b):
-            e = exps[i]
-            go = gctx_h[i] / col_sum[i].swapaxes(-1, -2)
-            gv_h[i] = e @ go
-            glog = vh[i] @ go.swapaxes(-1, -2)
-            glog -= np.einsum("hij,hij->hi", go, ctx_h[i])[:, None, :]
-            glog *= e
-            if gbias is not None:
-                gbias_i = sample(gbias, i)
-                summed = glog.sum(axis=spread, keepdims=True) if spread else glog
-                gbias_i += summed.swapaxes(-1, -2)
-            gq_h[i] = glog.swapaxes(-1, -2) @ kh[i]
-            gk_h[i] = glog @ qh[i]
-        gq *= scale
-        gx = gq @ params.wq.data.T + gk @ params.wk.data.T + gv @ params.wv.data.T
-        grads = (
-            gx,
-            xs.reshape(-1, d).T @ gq.reshape(-1, d),
-            xs.reshape(-1, d).T @ gk.reshape(-1, d),
-            xs.reshape(-1, d).T @ gv.reshape(-1, d),
-            ctx.reshape(-1, d).T @ g.reshape(-1, d),
-        )
-        if bias_t is not None:
-            grads += (None if gbias is None else gbias.reshape(bias_t.shape),)
-        return grads
-
-    return ad.Tensor._op(out, parents, vjp), ad.Tensor(weights)
-
-
-@pytest.mark.parametrize("bias_shape", [None, (24, 24), (1, 1, 24, 24), (3, 1, 24, 24)])
+@pytest.mark.parametrize("bias_shape", [None, (6, 6), (1, 1, 6, 6), (3, 1, 6, 6)])
 def test_blocked_attention_is_bitwise_the_per_sample_reference(bias_shape):
-    # the node gets each bias as `node_bias` says; the reference gets it
-    # materialized, and its bias gradient is scattered back to the table
+    # the node gets each bias as `node_bias` says; the reference
+    # (`oracles.reference_attend`) gets it materialized per sample the
+    # slot-table way, which scatters its gradient back to the leaves. All
+    # but the relative table's gradient match bit for bit
     rng = np.random.default_rng(18)
     params = make_params(16, 4, rng, dtype=np.float32)
-    x = rng.normal(size=(3, 24, 16)).astype(np.float32)
-    table = ad.parameter(rng.normal(size=(24, 24)).astype(np.float32))
-    kwargs, bias = node_bias(bias_shape, table, rng, len(x))
+    x = rng.normal(size=(3, 6, 16)).astype(np.float32)
+    leaves, orders, copies, bias = node_bias(bias_shape, rng, len(x), np.float32)
     coeff = rng.normal(size=x.shape).astype(np.float32)
-    ref_bias = None if bias is None else ad.parameter(bias)
-    got = attend_and_grads(params, x, coeff, **kwargs)
-    want = attend_and_grads(params, x, coeff, fn=reference_attend, bias=ref_bias)
-    if bias is not None:
-        got.append(table.grad)
-        want.append(scattered(ref_bias.grad, kwargs.get("orders")))
+    got = attend_and_grads(params, x, coeff, fn=node_call(leaves, orders))
+    want = attend_and_grads(params, x, coeff, fn=oracles.reference_attend, bias=bias)
+    got += [t.grad for t in leaves[1:]]
+    want += [t.grad for t in copies[1:]]
     for blocked, reference in zip(got, want):
         assert blocked.dtype == reference.dtype == np.float32
         assert blocked.shape == reference.shape
         assert blocked.tobytes() == reference.tobytes()
+    if bias_shape is not None:
+        assert_rel_grad_close(leaves[0].grad, copies[0].grad)
 
 
 # -- what the attention node keeps and returns ---------------------------------------
 
 def test_taped_attention_keeps_no_n_by_n_array():
     # the tape holds the projections, the context and per-row softmax
-    # statistics; the backward recomputes the (B, heads, N, N) weights
+    # statistics; the backward recomputes the (B, heads, N, N) weights,
+    # and each sample's bias from the tables every call of a forward shares
     rng = np.random.default_rng(19)
     b, h, n, d = 2, 2, 256, 8
     params = make_params(d, h, rng, dtype=np.float32)
     tokens = ad.parameter(rng.normal(size=(b, n, d)).astype(np.float32))
-    bias = ad.parameter(rng.normal(size=(n, n)).astype(np.float32))
+    layout = np.arange(n).reshape(4, 64)
+    rel = ad.parameter(rng.normal(size=128).astype(np.float32))
     penalty = ad.parameter(rng.normal(size=(n, n)).astype(np.float32))
-    orders = np.stack([rng.permutation(n) for _ in range(b)])
+    tables = attention.bias_tables(rel, layout, penalty)
+    orders = oracles.sector_orders(rng, layout, b)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out, weights = attention._attend_parts(
-            tokens, params, bias=bias, penalty=penalty, orders=orders)
+        out, weights = attention._attend_parts(tokens, params, tables, orders)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -567,126 +486,205 @@ def test_second_value_is_a_tensor_of_the_logits_dtype(taped, want, token_shape, 
 def test_non_finite_bias_entries_raise_numeric_error(taped, bad):
     from topoflow.errors import NumericError
 
-    # the bad entry sits in the slot table, under identity orders or mapped
-    # to another pair of patches by each sample's order, or in the raster
-    # penalty next to a zero slot table
+    # the bad entry sits in a within-sector bucket of the relative table,
+    # under identity orders or ranked by each sample's order, in its
+    # cross-sector bucket, or in the raster penalty next to a zero table;
+    # the logit block's finiteness check catches each
     rng = np.random.default_rng(21)
     params = make_params(8, 2, rng, dtype=np.float32)
-    tokens = ad.parameter(rng.normal(size=(2, 5, 8)).astype(np.float32))
-    values = rng.normal(size=(5, 5)).astype(np.float32)
-    values[2, 3] = bad
-    table = ad.parameter(values)
-    orders = np.stack([rng.permutation(5) for _ in range(2)])
-    identity = np.tile(np.arange(5), (2, 1))
-    zero = np.zeros((5, 5), dtype=np.float32)
-    for args, penalty in (((table, identity), None), ((table, orders), None),
-                          ((zero, identity), table)):
+    tokens = ad.parameter(rng.normal(size=(2, 6, 8)).astype(np.float32))
+    inside, cross = rng.normal(size=(2, 6)).astype(np.float32)
+    inside[1] = bad
+    cross[-1] = bad
+    penalty = rng.normal(size=(6, 6)).astype(np.float32)
+    penalty[2, 3] = bad
+    zero = np.zeros(6, dtype=np.float32)
+    identity = np.tile(np.arange(6), (2, 1))
+    orders = oracles.sector_orders(rng, LAYOUT, 2)
+    cases = (((inside,), identity), ((inside,), orders), ((cross,), orders),
+             ((zero, penalty), identity))
+    for leaves, slots in cases:
         with contextlib.nullcontext() if taped else ad.no_grad(), pytest.raises(NumericError):
-            attention._attend_parts(tokens, params, *args, penalty=penalty)
+            node_call(tuple(ad.parameter(a) for a in leaves), slots)(tokens, params)
 
 
-# -- the terrain penalty as one raster table, the slot table mapped by orders ---------
+# -- the terrain penalty and the relative table against the slot-table path ----------
 
-def penalty_case(rng, b=3, n=24):
-    """Float32 tokens, projections, slot-order bias, elevations and orders."""
-    params = make_params(16, 4, rng, dtype=np.float32)
-    x = rng.normal(size=(b, n, 16)).astype(np.float32)
-    coeff = rng.normal(size=x.shape).astype(np.float32)
-    rel = rng.normal(size=(n, n)).astype(np.float32)
+# 24 patches in four sectors of six (2 x 3 patches)
+PENALTY_SPEC = GridSpec(8, 12, 2, 3, 2)
+
+
+def penalty_case(rng, dtype=np.float32, b=3):
+    """Tokens, projections, relative table, elevations and sector orders
+    on PENALTY_SPEC."""
+    layout = reorder._sector_layout(PENALTY_SPEC)
+    n, m = layout.size, layout.shape[1]
+    params = make_params(16, 4, rng, dtype=dtype)
+    x = rng.normal(size=(b, n, 16)).astype(dtype)
+    coeff = rng.normal(size=x.shape).astype(dtype)
+    rel = rng.normal(size=2 * m).astype(dtype)
     elev = rng.uniform(0, 8000, size=n)
-    orders = np.stack([rng.permutation(n) for _ in range(b)])
-    return params, x, coeff, rel, elev, orders
+    return params, x, coeff, rel, elev, layout, oracles.sector_orders(rng, layout, b)
 
 
-# (penalty, wind orders): both mechanisms on, wind reordering off (the slot
-# table comes with identity orders), the terrain penalty off, both off
+# (penalty, wind orders): both mechanisms on, wind reordering off (the
+# relative table comes with identity orders), the terrain penalty off,
+# both off
 PENALTY_CASES = [(True, True), (True, False), (False, True), (False, False)]
-
-
-def materialized(rel, flat, slots, with_penalty):
-    """Each sample's queries x keys bias, (B, 1, N, N): the slot table `rel`
-    mapped to raster positions through the sample's inverse order, plus the
-    raster penalty `flat` when `with_penalty`."""
-    mapped = np.stack([rel[s][:, s] for s in np.argsort(slots, axis=1)])[:, None]
-    return mapped + flat if with_penalty else mapped
 
 
 @pytest.mark.parametrize("with_penalty,with_orders", PENALTY_CASES)
 def test_penalty_and_orders_match_the_materialized_bias(with_penalty, with_orders):
-    rng = np.random.default_rng(22)
-    params, x, coeff, rel, elev, orders = penalty_case(rng)
-    b, n = orders.shape
-    slots = orders if with_orders else np.tile(np.arange(n), (b, 1))
-
-    # reference: the (B, 1, N, N) sum of the mapped slot table and the
-    # raster penalty, as a leaf
-    flat = topo_bias.bias_tensor(elev, ad.Tensor(np.array(1.3, dtype=np.float32))).data
-    ref_bias = ad.parameter(materialized(rel, flat, slots, with_penalty))
-    want = attend_and_grads(params, x, coeff, fn=reference_attend, bias=ref_bias)
-
-    # the node takes both tables keys x queries; the penalty of negated
-    # elevations is the raster penalty transposed, bit for bit
-    rel_t = ad.parameter(rel.T.copy())
-    alpha = ad.parameter(np.array(1.3, dtype=np.float32))
-    penalty = topo_bias.bias_tensor(-elev, alpha) if with_penalty else None
-    got = attend_and_grads(params, x, coeff, bias=rel_t, penalty=penalty, orders=slots)
-    for new, old in zip(got, want):
-        assert new.dtype == old.dtype == np.float32
-        assert new.tobytes() == old.tobytes()
-    with ad.no_grad():
-        plain, _ = attention._attend_parts(x, params, bias=rel_t, penalty=penalty,
-                                           orders=slots)
-    assert plain.data.tobytes() == got[0].tobytes()
-
-    g = ref_bias.grad
-    assert rel_t.grad.tobytes() == scattered(g, slots).tobytes()
-    if with_penalty:
-        # the rule of a (B, 1, N, N) penalty node: the clamp mask and the
-        # climbs are the raster table's, the same for every sample
-        up = topo_bias.uphill_matrix(elev).astype(np.float32)
-        inside = (flat > topo_bias.BIAS_LO) & (flat < 0.0)
-        assert alpha.grad == pytest.approx(-((g * inside) * up).sum(), rel=1e-5)
-    else:
-        assert alpha.grad is None
+    # the node against the slot-table path (`oracles.slot_table_attend`:
+    # the (N, N) slot table mapped per sample and materialized), in float32
+    # and float64: output, weights, the token, projection and alpha
+    # gradients bit for bit, and the relative table's to rounding
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(22)
+        params, x, coeff, rel, elev, layout, orders = penalty_case(rng, dtype)
+        b, n = orders.shape
+        slots = orders if with_orders else np.tile(np.arange(n), (b, 1))
+        runs = []
+        for oracle in (False, True):
+            rel_t = ad.parameter(rel.copy())
+            alpha = ad.parameter(np.array(1.3, dtype=dtype))
+            # the penalty of negated elevations is the queries x keys raster
+            # penalty transposed, bit for bit: keys x queries, as both take it
+            penalty = topo_bias.bias_tensor(-elev, alpha) if with_penalty else None
+            if oracle:
+                fn = functools.partial(oracles.slot_table_attend, rel=rel_t, layout=layout,
+                                       orders=slots, penalty=penalty)
+            else:
+                fn = functools.partial(NODE, tables=attention.bias_tables(rel_t, layout, penalty),
+                                       orders=slots)
+            runs.append((attend_and_grads(params, x, coeff, fn=fn), rel_t, alpha))
+        (got, rel_got, alpha_got), (want, rel_want, alpha_want) = runs
+        for new, old in zip(got, want):
+            assert new.dtype == old.dtype == dtype
+            assert new.tobytes() == old.tobytes()
+        assert_rel_grad_close(rel_got.grad, rel_want.grad)
+        if with_penalty:
+            assert alpha_got.grad.tobytes() == alpha_want.grad.tobytes()
+        else:
+            assert alpha_got.grad is None and alpha_want.grad is None
+        penalty = topo_bias.bias_tensor(-elev, alpha_got) if with_penalty else None
+        with ad.no_grad():
+            plain, _ = attention._attend_parts(
+                x, params, attention.bias_tables(rel, layout, penalty), slots)
+        assert plain.data.tobytes() == got[0].tobytes()
 
 
 @pytest.mark.parametrize("with_orders", [True, False])
 def test_penalty_gradient_is_the_scattered_head_sum(with_orders):
-    # each table's gradient adds each sample's head sum in sample order:
-    # the raster penalty's as it is, whatever the orders, and the slot
-    # table's moved back to slot order, bit for bit what a scatter of the
-    # per-sample bias gradients gives
+    # the penalty's gradient adds each sample's head sum in sample order,
+    # whatever the orders, bit for bit the sum of the per-sample bias
+    # gradients; the relative table's adds, bucket by bucket, the entries
+    # of those gradients that each sample's ranks put in that bucket, the
+    # cross-sector pairs in the last
     rng = np.random.default_rng(23)
-    params, x, coeff, rel, elev, orders = penalty_case(rng)
+    params, x, coeff, rel, elev, layout, orders = penalty_case(rng)
     b, n = orders.shape
-    flat = topo_bias.bias_tensor(elev, ad.Tensor(np.array(1.3, dtype=np.float32))).data
     slots = orders if with_orders else np.tile(np.arange(n), (b, 1))
-    ref_bias = ad.parameter(materialized(rel, flat, slots, True))
-    attend_and_grads(params, x, coeff, fn=reference_attend, bias=ref_bias)
-    rel_t, penalty = ad.parameter(rel.T.copy()), ad.parameter(flat.T.copy())
-    attend_and_grads(params, x, coeff, bias=rel_t, penalty=penalty, orders=slots)
+    flat = topo_bias.bias_tensor(-elev, ad.Tensor(np.array(1.3, dtype=np.float32))).data
+    materialized = oracles.slot_table_bias(rel, layout, slots, flat).data
+    ref_bias = ad.parameter(materialized)
+    attend_and_grads(params, x, coeff, fn=oracles.reference_attend, bias=ref_bias)
+    rel_t, penalty = ad.parameter(rel.copy()), ad.parameter(flat.copy())
+    attend_and_grads(params, x, coeff, fn=NODE, tables=attention.bias_tables(rel_t, layout, penalty),
+                     orders=slots)
     assert penalty.grad.dtype == rel_t.grad.dtype == np.float32
-    assert penalty.grad.tobytes() == scattered(ref_bias.grad).tobytes()
-    assert rel_t.grad.tobytes() == scattered(ref_bias.grad, slots).tobytes()
-    # under identity orders the two tables get the same gradient
-    assert with_orders != (penalty.grad.tobytes() == rel_t.grad.tobytes())
+    g = ref_bias.grad[:, 0]
+    assert penalty.grad.tobytes() == sum(gi.T for gi in g).tobytes()
+    index = oracles.relative_slot_index(layout)
+    want = np.zeros(rel.size)
+    for gi, s in zip(g, np.argsort(slots, axis=1)):
+        # sample i's bucket of (key a, query c) is the slot pair's (s[a], s[c])
+        want += np.bincount(index[s][:, s].reshape(-1), weights=gi.T.reshape(-1),
+                            minlength=rel.size)
+    assert_rel_grad_close(rel_t.grad, want.astype(np.float32))
+    assert want[-1] != 0.0
 
 
 def test_penalty_and_orders_are_checked():
     rng = np.random.default_rng(24)
-    params, x, _coeff, rel, _elev, orders = penalty_case(rng, b=2, n=6)
-    # the penalty is one raster table; the orders come with the slot
-    # table, one integer permutation per sample. A float copy of good
-    # orders sorts to 0..N-1 but cannot index the table's gradient, so it
-    # is refused before the forward too
-    with pytest.raises(ShapeError):
-        attention._attend_parts(x, params, bias=rel, orders=orders,
-                                penalty=np.zeros((2, 1, 6, 6)))
+    params, x, _coeff, rel, _elev, layout, orders = penalty_case(rng, b=2)
+    n = layout.size
+    tables = attention.bias_tables(rel, layout)
+    # the penalty is one raster table and the relative table has 2M
+    # buckets for sectors of M patches; the layout holds every patch once
+    with pytest.raises(ShapeError, match="penalty"):
+        attention.bias_tables(rel, layout, np.zeros((2, 1, n, n)))
+    for bad in (rel[:-1], np.append(rel, 0.0), rel.reshape(2, -1)):
+        with pytest.raises(ShapeError, match="relative table"):
+            attention.bias_tables(bad, layout)
+    with pytest.raises(ShapeError, match="relative table"):
+        attention.bias_tables(rel, layout.reshape(-1, 3))
+    for bad in (layout.ravel(), layout.astype(float)):
+        with pytest.raises(ShapeError, match="layout"):
+            attention.bias_tables(rel, bad)
+    doubled = layout.copy()
+    doubled[0, 0] = doubled[0, 1]
+    with pytest.raises(DataError, match="layout"):
+        attention.bias_tables(rel, doubled)
+    # the tokens' N must be the tables'
+    with pytest.raises(ShapeError, match="tables"):
+        attention._attend_parts(x[:, :-1], params, tables, orders[:, :-1])
+    # the orders: one integer permutation per sample, inside the sectors. A
+    # float copy of good orders sorts to 0..N-1 but cannot rank the
+    # patches, so it is refused before the forward too
     for bad in (orders[:1], orders[:, :-1], orders[0]):
         with pytest.raises(ShapeError, match="slot orders"):
-            attention._attend_parts(x, params, bias=rel, orders=bad)
+            attention._attend_parts(x, params, tables, bad)
     repeated = orders.copy()
     repeated[1, 0] = repeated[1, 1]
     for bad in (repeated, orders + 1, orders.astype(float)):
         with pytest.raises(DataError, match="permutation"):
-            attention._attend_parts(x, params, bias=ad.parameter(rel), orders=bad)
+            attention._attend_parts(x, params, attention.bias_tables(ad.parameter(rel), layout),
+                                    bad)
+    crossing = orders.copy()
+    swap = [layout[0, 0], layout[1, 0]]
+    crossing[0, swap] = crossing[0, swap[::-1]]
+    with pytest.raises(DataError, match="sector"):
+        attention._attend_parts(x, params, tables, crossing)
+
+
+def test_node_gradients_match_finite_differences_through_the_sector_blocks():
+    # float64 central differences through the node on a tiny grid of four
+    # sectors under distinct wind orders: every bucket of the relative
+    # table, the cross-sector one nonzero, then the penalty as a leaf,
+    # then alpha through the elevation penalty
+    spec = GridSpec(4, 8, 2, 2, 1)
+    layout = reorder._sector_layout(spec)
+    n, m = spec.n_patches, spec.patches_per_sector
+    assert spec.n_sectors >= 2
+    rng = np.random.default_rng(25)
+    params = make_params(8, 2, rng)
+    tokens = rng.normal(size=(2, n, 8))
+    coeff = rng.normal(size=tokens.shape)
+    winds = rng.normal(size=(2, 2, spec.height, spec.width))
+    orders = np.stack([reorder.build_permutation(spec, u, v)[0] for u, v in winds])
+    assert not (orders == np.arange(n)).all(axis=1).any()
+    rel = ad.parameter(rng.normal(size=2 * m))
+    assert rel.data[-1] != 0.0
+    elev = rng.uniform(0, 3000, size=n)
+    alpha = ad.parameter(np.array(2.0))
+    penalty = ad.parameter(topo_bias.bias_tensor(-elev, 2.0).data)
+    # climbs under 3 km keep alpha's penalty off its clamp, and some are uphill
+    assert (penalty.data > topo_bias.BIAS_LO).all() and (penalty.data < 0.0).any()
+
+    # (the leaf to difference, the penalty leaf or None for alpha's penalty)
+    for leaf, pen in ((rel, penalty), (penalty, penalty), (alpha, None)):
+        def forward():
+            p = topo_bias.bias_tensor(-elev, alpha) if pen is None else pen
+            out, _ = attention._attend_parts(tokens, params,
+                                             attention.bias_tables(rel, layout, p), orders)
+            return out
+
+        def forward_scalar():
+            return float((forward().data * coeff).sum())
+
+        ad.zero_grads([rel, penalty, alpha])
+        (forward() * ad.Tensor(coeff)).sum().backward()
+        fd = numeric_grad(forward_scalar, leaf.data)
+        assert leaf.grad.shape == leaf.shape
+        assert rel_err(leaf.grad, fd) < 1e-6

@@ -296,6 +296,21 @@ def test_dropout_bitwise_equals_multiplying_by_a_float_mask():
         assert y is x and x.tobytes() == want
 
 
+def test_chunked_dropout_draws_are_the_whole_draw():
+    # the mask is drawn a chunk at a time; the mask and the generator's
+    # state after it are those of one rng.random(shape) < keep, for shapes
+    # under, at and across the chunk size, and the empty one
+    chunk = ad._CHUNK
+    for shape in ((0, 4), (5,), (chunk,), (2, chunk // 2 + 3), (3, chunk + 1)):
+        x = np.ones(shape, dtype=np.float32)
+        got_rng, want_rng = np.random.default_rng(31), np.random.default_rng(31)
+        _, kept = ad.dropout(x, 0.4, got_rng)
+        want = want_rng.random(shape) < 1.0 - 0.4
+        assert kept.shape == want.shape and kept.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.random() == want_rng.random()
+
+
 def test_dropout_tape_keeps_a_bool_mask_only():
     x = ad.parameter(np.ones((4, 8), dtype=np.float32))
     y = ad.dropout_node(x, 0.25, np.random.default_rng(0))

@@ -379,7 +379,7 @@ def test_dump_bias_is_the_queries_by_keys_penalty(tmp_path, config_path, dataset
     assert dumped[low, high] < 0.0 and dumped[high, low] == 0.0
     mconfig = model.ModelConfig(bundle.spec, d=16, heads=2, n_horizons=2)
     store = model.init_params(mconfig, seed=0, dtype=np.float64)
-    _rel, penalty = model._attention_tables(store, mconfig, elev)
+    penalty = model._attention_tables(store, mconfig, elev).penalty
     assert dumped.tobytes() == np.ascontiguousarray(penalty.data.T, np.float32).tobytes()
 
 

@@ -169,8 +169,8 @@ def test_missing_orders_raise_with_wind_reorder():
 
 
 def test_forward_refuses_bad_slot_orders():
-    # each row must be a permutation of 0..N-1 and there is one row per
-    # sample; without wind reordering the orders are not read
+    # each row must be a permutation of 0..N-1 inside the sectors and there
+    # is one row per sample; without wind reordering the orders are not read
     config = tiny_config(elev_bias=False)
     store = init_params(config, seed=0)
     x = random_inputs(config, np.random.default_rng(4))
@@ -183,6 +183,13 @@ def test_forward_refuses_bad_slot_orders():
     for bad in (good[:1], good[:, :-1], good[0]):
         with pytest.raises(ShapeError, match="slot orders"):
             forward(store, config, x, orders=bad)
+    # a permutation that moves a patch into another sector's slot
+    layout = reorder._sector_layout(config.spec)
+    crossing = good.copy()
+    swap = [layout[0, 0], layout[1, 0]]
+    crossing[0, swap] = crossing[0, swap[::-1]]
+    with pytest.raises(DataError, match="sector"):
+        forward(store, config, x, orders=crossing)
     off = replace(config, wind_reorder=False)
     assert forward(store, off, x, orders=repeated).tokens.data.tobytes() == \
         forward(store, off, x).tokens.data.tobytes()
@@ -307,23 +314,28 @@ def test_raster_forward_matches_the_slot_order_reference(elev_bias, dtype):
 
 
 def test_attention_tables_are_keys_by_queries():
-    # the forward hands the attention node both (N, N) tables laid out keys
-    # x queries: the transposes, bit for bit, of the queries x keys penalty
-    # that `dump bias` writes and of the earlier relative slot index
+    # the forward hands the attention node `pos.rel` itself, the spec's
+    # sector layout and the penalty laid out keys x queries: the transpose,
+    # bit for bit, of the queries x keys penalty that `dump bias` writes.
+    # The shared base and blocks are the earlier slot index's cross-sector
+    # and within-sector entries
     config = tiny_config(spec=GridSpec(8, 16, 2, 4, 2))
     spec = config.spec
     store = init_params(config, seed=0)
     store["pos.rel"].data[:] = np.arange(store["pos.rel"].data.size)
     rng = np.random.default_rng(16)
     elev = rng.uniform(0, 8000, spec.n_patches)
-    rel, penalty = model._attention_tables(store, config, elev)
+    tables = model._attention_tables(store, config, elev)
+    penalty = tables.penalty
     want = topo_bias.bias_tensor(elev, store["alpha"]).data
     assert penalty.dtype == want.dtype == np.float32
     assert penalty.data.tobytes() == np.ascontiguousarray(want.T).tobytes()
     assert penalty._parents == (store["alpha"],)
+    assert tables.rel is store["pos.rel"]
+    layout = reorder._sector_layout(spec)
+    np.testing.assert_array_equal(tables.layout, layout)
     # the queries x keys index: query rank minus key rank, shifted, and one
     # shared bucket for pairs in different sectors
-    layout = reorder._sector_layout(spec)
     m = spec.patches_per_sector
     ranks = np.empty(spec.n_patches, dtype=np.int64)
     sector_of = np.empty(spec.n_patches, dtype=np.int64)
@@ -332,12 +344,20 @@ def test_attention_tables_are_keys_by_queries():
         sector_of[layout[s]] = s
     by_query = ranks[:, None] - ranks[None, :] + (m - 1)
     by_query[sector_of[:, None] != sector_of[None, :]] = 2 * m - 1
-    index = model._relative_slot_index(spec)
+    index = oracles.relative_slot_index(layout)
     np.testing.assert_array_equal(index, by_query.T)
     assert not np.array_equal(index, by_query)
-    np.testing.assert_array_equal(rel.data, store["pos.rel"].data[by_query.T])
-    no_bias = tiny_config(spec=spec, elev_bias=False)
-    assert model._attention_tables(store, no_bias, None)[1] is None
+    np.testing.assert_array_equal(tables.slot_ranks[:, 0], ranks)
+    inside = np.zeros(index.size, dtype=bool)
+    inside[tables.blocks] = True
+    assert tables.blocks.size == spec.n_sectors * m * m
+    np.testing.assert_array_equal(inside, index.reshape(-1) != 2 * m - 1)
+    cross = store["pos.rel"].data[-1]
+    assert tables.base.tobytes() == (penalty.data + cross).tobytes()
+    assert tables.pen_blocks.tobytes() == penalty.data.reshape(-1)[tables.blocks].tobytes()
+    no_bias = model._attention_tables(store, tiny_config(spec=spec, elev_bias=False), None)
+    assert no_bias.penalty is None and no_bias.pen_blocks is None
+    assert (no_bias.base == cross).all() and no_bias.base.dtype == np.float32
 
 
 def test_toggles_off_is_the_shared_baseline_path():
@@ -475,19 +495,22 @@ def load_tape_stats():
 
 
 # One taped training forward of the two-layer tiny model with dropout on
-# records 17 nodes whose reachable buffers (parameters and the bool dropout
-# masks included) come to 27812 bytes. Each layer is five nodes: the first
+# records 16 nodes whose reachable buffers (parameters and the bool dropout
+# masks included) come to 26916 bytes. Each layer is five nodes: the first
 # layer norm, attention, its dropout, the residual add and the MLP node;
 # the head is one MLP node. An MLP node keeps its input, the row
 # statistics, the pre-activation and a bool mask, a layer norm its row
 # statistics, dropout a bool mask; the positional vectors are added as
-# they are, and the terrain penalty is one raster (N, N) node that the
-# attention nodes add as it is; the tokens stay in raster order, so no
-# node gathers them. A refactor that brings back a kept intermediate,
-# such as a normalized input, a GELU output, a float mask or a per-sample
-# bias, fails here.
-TAPE_NODES = 17
-TAPE_BYTES = 27812
+# they are, the terrain penalty is one raster (N, N) node, and the
+# attention nodes take `pos.rel` itself, with no (N, N) table gathered
+# from it; the tokens stay in raster order, so no node gathers them. A
+# refactor that brings back a kept intermediate, such as a normalized
+# input, a GELU output, a float mask or a per-sample bias, fails here.
+# The walk reads one level of closure cells, so the attention tables'
+# shared base and blocks (held through `attention.BiasTables`) are not in
+# the byte count.
+TAPE_NODES = 16
+TAPE_BYTES = 26916
 
 
 def test_taped_forward_node_count_and_bytes_pinned():
@@ -510,8 +533,8 @@ def test_every_tape_walks_to_the_end(variant, dropout, train):
     # empty, whichever variant, dropout rate and mode built the tape.
     # Per layer: layer norm, attention, residual add, MLP node, plus the
     # attention output's dropout; then the embedding linear, positional
-    # product, its add and the table gather, the embedding dropout, the
-    # penalty node with the elevation bias, and the head
+    # product and its add, the embedding dropout, the penalty node with
+    # the elevation bias, and the head
     wind, elev_bias = ABLATION_VARIANTS[variant]
     config = tiny_config(layers=2, dropout=dropout, wind_reorder=wind, elev_bias=elev_bias)
     store = init_params(config, seed=0)
@@ -521,7 +544,7 @@ def test_every_tape_walks_to_the_end(variant, dropout, train):
     res = forward(store, config, x, elev, orders=wind_orders(config, x), train=train, rng=rng)
     dropped = int(train and dropout > 0.0)
     nodes, _ = load_tape_stats()(res.tokens)
-    assert nodes == config.layers * (4 + dropped) + 4 + dropped + elev_bias + 1
+    assert nodes == config.layers * (4 + dropped) + 3 + dropped + elev_bias + 1
 
 
 @pytest.mark.parametrize("variant", sorted(ABLATION_VARIANTS))

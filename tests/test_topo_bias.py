@@ -188,18 +188,19 @@ def attention_case(rng, n, batch, dtype=np.float64):
 
 def test_batched_alpha_gradient_matches_central_differences():
     # alpha reaches the loss through the raster penalty, which the batch
-    # shares next to a slot table mapped through three distinct slot orders
+    # shares next to a relative table ranked through three distinct slot
+    # orders
     rng = np.random.default_rng(6)
     h = rng.uniform(0, 8000, size=9)
-    orders = np.stack([rng.permutation(9) for _ in range(3)])
-    assert len({tuple(o) for o in orders}) == 3
+    layout = np.arange(9).reshape(3, 3)
+    orders = oracles.sector_orders(rng, layout, 3)
     tokens, params, coeff = attention_case(rng, 9, 3)
-    rel = rng.normal(size=(9, 9))
+    rel = rng.normal(size=6)
     alpha, eps = 2.0, 1e-6
 
     def attend(a):
-        out, _ = attention._attend_parts(
-            tokens, params, bias=rel, penalty=topo_bias.bias_tensor(h, a), orders=orders)
+        tables = attention.bias_tables(rel, layout, topo_bias.bias_tensor(h, a))
+        out, _ = attention._attend_parts(tokens, params, tables, orders)
         return out
 
     def loss(a):
@@ -218,22 +219,25 @@ def test_batched_alpha_gradient_matches_central_differences():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_batched_output_is_the_reindexed_penalty(dtype):
-    # sample i's bias is the slot table reindexed to raster positions,
-    # rel[s][:, s] with s its inverse order, plus the raster penalty as it
-    # is: the batched node gives each sample's output under that bias, bit
-    # for bit
+    # sample i's bias is the earlier (N, N) slot table reindexed to raster
+    # positions, table[s][:, s] with s its inverse order, plus the raster
+    # penalty as it is: the batched node gives each sample's output under
+    # that bias, bit for bit
     rng = np.random.default_rng(7)
     h = rng.uniform(0, 8000, size=10)
-    orders = np.stack([rng.permutation(10) for _ in range(4)])
+    layout = np.array([[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]])
+    orders = oracles.sector_orders(rng, layout, 4)
     alpha = ad.parameter(np.array(1.3, dtype=dtype))
     flat = topo_bias.bias_tensor(h, alpha).data
-    rel = rng.normal(size=(10, 10)).astype(dtype)
+    rel = rng.normal(size=10).astype(dtype)
+    table = rel[oracles.relative_slot_index(layout)]
     assert flat.dtype == dtype
     tokens, params, _coeff = attention_case(rng, 10, 4, dtype)
-    out, _ = attention._attend_parts(tokens, params, bias=rel, penalty=flat, orders=orders)
+    out, _ = attention._attend_parts(
+        tokens, params, attention.bias_tables(rel, layout, flat), orders)
     assert out.dtype == dtype
     for i, s in enumerate(np.argsort(orders, axis=1)):
-        want, _ = oracles.identity_attend(tokens[i : i + 1], params, rel[s][:, s] + flat)
+        want, _ = oracles.identity_attend(tokens[i : i + 1], params, table[s][:, s] + flat)
         assert out.data[i].tobytes() == want.data[0].tobytes()
 
 

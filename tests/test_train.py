@@ -289,14 +289,20 @@ def test_fit_drops_each_step_tape_before_the_next_forward(tmp_path, bundle, monk
 # round differently, so every trained bit moves. It moved once more when
 # the tokens stayed in raster order and the slot orders only mapped the
 # relative table: each query's column sums its keys in raster order, so
-# the wind variants move at float32 rounding.
-LAST_GFD_CRC32 = "82f9b278"
+# the wind variants move at float32 rounding. It moved again when the
+# attention node began to build each sample's bias from `pos.rel`'s
+# sector blocks: the forward kept every bit, but `pos.rel`'s gradient is
+# summed per sample in float64 by rank offset instead of over an (N, N)
+# float32 slot-table gradient, which moves its float32 rounding, and the
+# training steps carry that into every parameter.
+LAST_GFD_CRC32 = "3bec816b"
 # The baseline's value moved when the positional vectors stopped being
 # gathered through the slot orders: they are added to the batch as they
 # are, so the `pos.grid` and `pos.proj` gradients are float32 sums over
 # the batch instead of the gather's float64 scatter-add. Its attention
-# kept every bit.
-VARIANT_CRC32 = {"baseline": "b73f641a", "wind": "6165b34b", "wind_elev": LAST_GFD_CRC32}
+# kept every bit. The baseline's and the wind variant's values moved with
+# LAST_GFD_CRC32's last move, for the same `pos.rel` gradient rounding.
+VARIANT_CRC32 = {"baseline": "a790d736", "wind": "ed731f4f", "wind_elev": LAST_GFD_CRC32}
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANT_CRC32))
