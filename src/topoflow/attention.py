@@ -30,10 +30,15 @@ sees, a bias indexed by the pair (Shaw et al. 2018, arXiv:1803.02155).
 Release criterion 1 measures the deviation with `equivariance_check` in
 tests/oracles.py.
 
-The whole chain from the Q/K/V projections to the output projection is a
-single tape node with an analytic backward. Forward and backward visit
-one (sample, head) pair's (N, N) logit block at a time, the blocking idea
-of FlashAttention (Dao et al. 2022, arXiv:2205.14135) rather than its
+A pre-norm layer's whole attention block, x + drop(attention(LN(x))), is
+a single tape node (`_attend_parts`) with an analytic backward: the
+layer norm, the Q/K/V projections, the output projection, the dropout
+and the residual add. It keeps its input, the layer norm's row
+statistics, the projections, the context, the softmax's column
+statistics and a bool mask, and rebuilds the normalized input in the
+backward. Forward (`_attention`) and backward (`_attention_backward`)
+visit one (sample, head) pair's (N, N) logit block at a time, the
+blocking idea of FlashAttention (Dao et al. 2022, arXiv:2205.14135) rather than its
 kernel: a block is 1 MB at the desk size (N = 512, float32), so it stays
 in a core's L2 cache while it is biased, exponentiated and multiplied.
 Each block is laid out keys x queries, k q^T with one column per query,
@@ -150,97 +155,91 @@ def bias_tables(rel, layout, penalty=None) -> BiasTables:
     return BiasTables(rel_t, layout, pen_t, slot_ranks, blocks, base, pen_blocks)
 
 
-def _attend_parts(tokens, params: AttentionParams, tables: BiasTables, orders,
-                  weights: bool = False):
-    """Biased multi-head attention over (B, N, d) tokens as one tape node;
-    returns (out, weights).
+def _table_parents(tables: BiasTables) -> tuple[ad.Tensor, ...]:
+    """The tables' tape parents: `rel`, then `penalty` when there is one."""
+    return (tables.rel,) if tables.penalty is None else (tables.rel, tables.penalty)
 
-    The forward projects Q, K and V, then works on one head's (N, N) logit
-    block of one sample at a time, in one reused buffer laid out keys x
-    queries: k q^T, bias add, finiteness check and the in-place column
-    step of `autodiff.softmax`, exp(s - max) with each query column's max
-    and sum of exponentials written into two (B, heads, 1, N) arrays. The
-    block is never divided: e^T v gives the context, and its (N, d/heads)
-    rows are divided by the sums.
-    The analytic backward keeps no N x N array of its own: it holds the
-    projections, the context, the tables and those column statistics. It
-    recomputes each block's exp(k q^T + bias - max), the forward's own
-    operations on the same operands, scales the context gradient dO by
-    1/sum on its rows, and takes the softmax term D = rowsum(dO * O) from
-    the context O, so no N x N pass divides or reduces.
-    `tables` (`bias_tables`) holds the relative table, the sector layout,
-    the optional penalty and what every call shares of them. `orders`, a
-    (B, N) array whose row i is sample i's slot -> patch order inside each
-    sector, ranks the patches: patch orders[i, k] takes slot k's rank.
-    Sample i's bias is `tables.base` with each within-sector entry (key a,
-    query c) set to rel[rank(c) - rank(a) + M - 1] plus the penalty's
-    entry, written before its heads into one copy of the base that the
-    call's samples share, since they differ only there; identity rows rank
-    the patches in raster order. The penalty's gradient adds up each
-    sample's heads in head order, then the samples in sample order. The
-    relative table's adds each sample's head sum in float64: its
-    within-sector entries by rank offset, the rest into bucket 2M - 1.
-    Tokens whose N is not the tables' raise ShapeError; orders that
-    `reorder.check_orders` refuses raise its ShapeError or DataError.
-    With `weights` the second value is the post-softmax weights, queries
-    x keys, a constant Tensor of shape (B, heads, N, N); without it, an
-    empty (B, heads, 0, 0) Tensor of the logits' dtype.
+
+def _check(shape, params: AttentionParams, tables: BiasTables, orders) -> np.ndarray:
+    """`orders` checked for (B, N, d) tokens of `shape` under `tables`.
+
+    Tokens that are not (B, N, d) for the projections' d, or whose N is
+    not the tables', raise ShapeError; orders that `reorder.check_orders`
+    refuses raise its ShapeError or DataError.
     """
-    x = ad.as_tensor(tokens)
-    if x.data.ndim != 3 or x.shape[-1] != params.d:
-        raise ShapeError(f"tokens shape {x.shape} is not (B, N, {params.d})")
-    b, n, d = x.shape
-    h = params.n_heads
-    rel_t, pen_t, layout = tables.rel, tables.penalty, tables.layout
-    if layout.size != n:
-        raise ShapeError(f"tokens shape {x.shape} is not (B, N, d) with the tables' N = "
-                         f"{layout.size}")
-    orders = reorder.check_orders(orders, b, layout)
+    if len(shape) != 3 or shape[-1] != params.d:
+        raise ShapeError(f"tokens shape {shape} is not (B, N, {params.d})")
+    if tables.layout.size != shape[1]:
+        raise ShapeError(f"tokens shape {shape} is not (B, N, d) with the tables' N = "
+                         f"{tables.layout.size}")
+    return reorder.check_orders(orders, shape[0], tables.layout)
+
+
+def _heads(a: np.ndarray, h: int) -> np.ndarray:
+    """(B, N, d) -> (B, heads, N, d/heads) view."""
+    b, n, d = a.shape
+    return a.reshape(b, n, h, d // h).transpose(0, 2, 1, 3)
+
+
+def _bias_buffers(tables: BiasTables, dtype):
+    """(bias, offsets, values): an (N, N) copy of the base in `dtype`, whose
+    cross-sector entries every sample shares, and (K, M, M) scratch for
+    `_sample_bias`."""
+    shape = tables.layout.shape + (tables.layout.shape[1],)
+    return (tables.base.astype(dtype), np.empty(shape, dtype=np.int32),
+            np.empty(shape, dtype=tables.base.dtype))
+
+
+def _sample_bias(tables: BiasTables, order, out, offsets, values):
+    """The (N, N) bias, in raster order, of the sample whose slot -> patch
+    order is `order`: its within-sector entries written into `out`, a
+    `_bias_buffers` base; its buckets there, sector by sector, land in
+    `offsets`."""
+    layout = tables.layout
     m = layout.shape[1]
+    ranks = reorder.unapply(order, tables.slot_ranks)[:, 0][layout]
+    np.subtract(ranks[:, None, :], ranks[:, :, None] - (m - 1), out=offsets)
+    np.take(tables.rel.data.astype(tables.base.dtype, copy=False), offsets, out=values)
+    if tables.pen_blocks is not None:
+        values += tables.pen_blocks
+    out.reshape(-1)[tables.blocks] = values.reshape(-1)
+    return out
 
-    def heads(a: np.ndarray) -> np.ndarray:
-        """(B, N, d) -> (B, heads, N, d/heads) view."""
-        return a.reshape(b, n, h, d // h).transpose(0, 2, 1, 3)
 
+def _attention(xn: np.ndarray, params: AttentionParams, tables: BiasTables, orders,
+               weights: bool):
+    """Biased multi-head attention of (B, N, d) tokens `xn`, checked orders,
+    as arrays: (out, probs, q, k, v, ctx, col_max, col_sum). The last six
+    are what `_attention_backward` takes besides `xn`.
+
+    Projects Q, K and V, then works on one head's (N, N) logit block of one
+    sample at a time, in one reused buffer laid out keys x queries: k q^T,
+    bias add, finiteness check and the in-place column step of
+    `autodiff.softmax`, exp(s - max) with each query column's max and sum
+    of exponentials written into two (B, heads, 1, N) arrays. The block is
+    never divided: e^T v gives the context, and its (N, d/heads) rows are
+    divided by the sums. `probs` is the post-softmax weights, queries x
+    keys, (B, heads, N, N) with `weights`, else an empty (B, heads, 0, 0)
+    array of the logits' dtype.
+    """
+    b, n, d = xn.shape
+    h = params.n_heads
     # the 1/sqrt(d) temperature is folded into q (cheaper than scaling logits)
-    scale = 1.0 / math.sqrt(d)
-    q = (x.data @ params.wq.data) * scale
-    k = x.data @ params.wk.data
-    v = x.data @ params.wv.data
-    qh, kh, vh = heads(q), heads(k), heads(v)
+    q = (xn @ params.wq.data) * (1.0 / math.sqrt(d))
+    k = xn @ params.wk.data
+    v = xn @ params.wv.data
+    qh, kh, vh = _heads(q, h), _heads(k, h), _heads(v, h)
     dtype = np.result_type(q, k, tables.base)
-    rel = rel_t.data.astype(tables.base.dtype, copy=False)
     kept = n if weights else 0
     probs = np.empty((b, h, kept, kept), dtype=dtype)
     col_max = np.empty((b, h, 1, n), dtype=dtype)
     col_sum = np.empty((b, h, 1, n), dtype=dtype)
     block = np.empty((n, n), dtype=dtype)
     ctx = np.empty((b, n, d), dtype=dtype)
-    ctx_h = heads(ctx)
-
-    def bias_buffers():
-        """(bias, offsets, values): an (N, N) copy of the base, whose
-        cross-sector entries every sample shares, and (K, M, M) scratch
-        for `sample_bias`."""
-        shape = layout.shape + (m,)
-        return (tables.base.astype(dtype), np.empty(shape, dtype=np.int32),
-                np.empty(shape, dtype=tables.base.dtype))
-
-    def sample_bias(i, out, offsets, values):
-        """Sample i's (N, N) bias in raster order: its within-sector
-        entries written into `out`, a `bias_buffers` base; its buckets
-        there, sector by sector, land in `offsets`."""
-        ranks = reorder.unapply(orders[i], tables.slot_ranks)[:, 0][layout]
-        np.subtract(ranks[:, None, :], ranks[:, :, None] - (m - 1), out=offsets)
-        np.take(rel, offsets, out=values)
-        if tables.pen_blocks is not None:
-            values += tables.pen_blocks
-        out.reshape(-1)[tables.blocks] = values.reshape(-1)
-        return out
-
-    bias_buf, offsets, values = bias_buffers()
+    ctx_h = _heads(ctx, h)
+    bias_buf, offsets, values = _bias_buffers(tables, dtype)
     for i in range(b):
-        bias_i = sample_bias(i, bias_buf, offsets, values)
+        bias_i = _sample_bias(tables, orders[i], bias_buf, offsets, values)
         for j in range(h):
             np.matmul(kh[i, j], qh[i, j].T, out=block)
             block += bias_i
@@ -251,77 +250,153 @@ def _attend_parts(tokens, params: AttentionParams, tables: BiasTables, orders,
             ctx_h[i, j] /= col_sum[i, j].T
             if weights:
                 np.divide(block, col_sum[i, j], out=probs[i, j].T)
-    out = ctx @ params.wo.data
+    return ctx @ params.wo.data, probs, q, k, v, ctx, col_max, col_sum
 
-    tables_t = (rel_t,) if pen_t is None else (rel_t, pen_t)
-    parents = (x, params.wq, params.wk, params.wv, params.wo) + tables_t
+
+def _attention_backward(g, xn, q, k, v, ctx, col_max, col_sum, params: AttentionParams,
+                        tables: BiasTables, orders, need_x: bool):
+    """Gradients of `_attention` for its output gradient g: (g_xn, g_wq,
+    g_wk, g_wv, g_wo, g_rel, g_penalty), in the order of the parents
+    `_table_parents` ends; None where a parent needs none, g_xn unless
+    `need_x` and g_penalty without a penalty.
+
+    Keeps no N x N array of its own besides the bias buffers: it
+    recomputes each block's exp(k q^T + bias - max), the forward's own
+    operations on the same operands, scales the context gradient dO by
+    1/sum on its rows, and takes the softmax term D = rowsum(dO * O) from
+    the context O, so no N x N pass divides or reduces. The penalty's
+    gradient adds up each sample's heads in head order, then the samples
+    in sample order. The relative table's adds each sample's head sum in
+    float64: its within-sector entries by rank offset, the rest into
+    bucket 2M - 1.
+    """
+    b, n, d = xn.shape
+    h = params.n_heads
+    m = tables.layout.shape[1]
+    rel_t, pen_t = tables.rel, tables.penalty
+    qh, kh, vh, ctx_h = _heads(q, h), _heads(k, h), _heads(v, h), _heads(ctx, h)
+    gctx_h = _heads(g @ params.wo.data.T, h)
+    gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+    gq_h, gk_h, gv_h = _heads(gq, h), _heads(gk, h), _heads(gv, h)
+    # the backward's own buffers: the forward's are not kept on the tape
+    e = np.empty((n, n), dtype=col_max.dtype)
+    bias_buf, offsets, values = _bias_buffers(tables, col_max.dtype)
+    glog = np.empty((n, n), dtype=np.result_type(gctx_h, col_sum, vh))
+    grel = gpen = head_sum = None
+    if rel_t.requires_grad:
+        grel = np.zeros(2 * m)
+        ones = np.ones((1, n), dtype=glog.dtype)
+    if pen_t is not None and pen_t.requires_grad:
+        gpen = np.zeros((n, n), dtype=pen_t.dtype)
+    if grel is not None or gpen is not None:
+        # a sample's heads add up in one buffer, in head order, as a sum
+        # over the head axis would; the first head's gradient is written
+        # straight into it
+        head_sum = np.empty((n, n), dtype=glog.dtype)
+    for i in range(b):
+        bias_i = _sample_bias(tables, orders[i], bias_buf, offsets, values)
+        for j in range(h):
+            # the forward's exp(s - max) of this block, from its column maxima
+            np.matmul(kh[i, j], qh[i, j].T, out=e)
+            e += bias_i
+            e -= col_max[i, j]
+            np.exp(e, out=e)
+            # dO / sum on the context's rows, and D / sum = rowsum(dO / sum * O)
+            go = gctx_h[i, j] / col_sum[i, j].T
+            d_term = np.einsum("ij,ij->i", go, ctx_h[i, j])
+            np.matmul(e, go, out=gv_h[i, j])
+            gl = head_sum if head_sum is not None and j == 0 else glog
+            np.matmul(vh[i, j], go.T, out=gl)
+            # softmax backward, in place: e * (dP / sum - D / sum)
+            gl -= d_term
+            gl *= e
+            if head_sum is not None and j > 0:
+                head_sum += gl
+            np.matmul(gl.T, kh[i, j], out=gq_h[i, j])
+            np.matmul(gl, qh[i, j], out=gk_h[i, j])
+        if gpen is not None:
+            gpen += head_sum
+        if grel is not None:
+            # the within-sector entries by rank offset, then the rest
+            # (their column sums) into the cross-sector bucket
+            flat = head_sum.reshape(-1)
+            grel[:-1] += np.bincount(offsets.reshape(-1), weights=flat[tables.blocks],
+                                     minlength=2 * m - 1)
+            flat[tables.blocks] = 0.0
+            grel[-1] += (ones @ head_sum).sum(dtype=np.float64)
+    gq *= 1.0 / math.sqrt(d)
+
+    def weight_grad(w, left, right):
+        return left.reshape(-1, d).T @ right.reshape(-1, d) if w.requires_grad else None
+
+    gx = None
+    if need_x:
+        gx = gq @ params.wq.data.T + gk @ params.wk.data.T + gv @ params.wv.data.T
+    return (
+        gx,
+        weight_grad(params.wq, xn, gq),
+        weight_grad(params.wk, xn, gk),
+        weight_grad(params.wv, xn, gv),
+        weight_grad(params.wo, ctx, g),
+        None if grel is None else grel.astype(rel_t.dtype),
+        gpen,
+    )
+
+
+def _attend_parts(x, params: AttentionParams, tables: BiasTables, orders, norm,
+                  rate: float = 0.0, rng: np.random.Generator | None = None,
+                  weights: bool = False):
+    """A pre-norm layer's attention block on (B, N, d) tokens x as one tape
+    node: x + drop(attention(LN(x))); returns (out, weights).
+
+    `norm` is the layer norm's (gain, bias). At a positive `rate` the
+    attention output is dropped with a mask drawn from `rng`. The forward
+    is `autodiff.layer_norm`, then `_attention` on the normalized tokens,
+    the dropout and the residual add. The node keeps x, the layer norm's
+    row means and 1/std, the projections Q, K and V, the context, the
+    softmax's column statistics and the bool dropout mask; its backward
+    rebuilds the normalized input from x and the statistics, as the MLP
+    node does, and runs `_attention_backward` and the layer norm's
+    backward. Every step runs the operations of the chain of nodes it
+    fuses (layer norm, attention, dropout, residual add) in their order,
+    so the output and every gradient carry that chain's bits; x's
+    gradient, g + the layer norm's, is a two-term sum, and those commute.
+
+    `tables` (`bias_tables`) holds the relative table, the sector layout,
+    the optional penalty and what every call shares of them. `orders`, a
+    (B, N) array whose row i is sample i's slot -> patch order inside each
+    sector, ranks the patches: patch orders[i, k] takes slot k's rank.
+    Sample i's bias is `tables.base` with each within-sector entry (key a,
+    query c) set to rel[rank(c) - rank(a) + M - 1] plus the penalty's
+    entry, written before its heads into one copy of the base that the
+    call's samples share, since they differ only there; identity rows rank
+    the patches in raster order. Tokens whose shape does not fit raise
+    ShapeError, orders that `reorder.check_orders` refuses its ShapeError
+    or DataError (`_check`). With `weights` the second value is the
+    post-softmax weights, queries x keys, a constant Tensor of shape
+    (B, heads, N, N); without it, an empty (B, heads, 0, 0) Tensor of the
+    logits' dtype.
+    """
+    x = ad.as_tensor(x)
+    orders = _check(x.shape, params, tables, orders)
+    gamma, beta = norm
+    xd = x.data
+    normed, mu, inv = ad.layer_norm(xd, gamma.data, beta.data)
+    out, probs, q, k, v, ctx, col_max, col_sum = _attention(
+        normed, params, tables, orders, weights)
+    kept = None
+    if rate > 0.0:
+        kept = ad.dropout(out, rate, rng, out=out)[1]
+    out += xd
 
     def vjp(g):
-        gctx_h = heads(g @ params.wo.data.T)
-        gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
-        gq_h, gk_h, gv_h = heads(gq), heads(gk), heads(gv)
-        # the backward's own buffers: the forward's are not kept on the tape
-        e = np.empty((n, n), dtype=dtype)
-        bias_buf, offsets, values = bias_buffers()
-        glog = np.empty((n, n), dtype=np.result_type(gctx_h, col_sum, vh))
-        grel = gpen = head_sum = None
-        if rel_t.requires_grad:
-            grel = np.zeros(2 * m)
-            ones = np.ones((1, n), dtype=glog.dtype)
-        if pen_t is not None and pen_t.requires_grad:
-            gpen = np.zeros((n, n), dtype=pen_t.dtype)
-        if grel is not None or gpen is not None:
-            # a sample's heads add up in one buffer, in head order, as a sum
-            # over the head axis would; the first head's gradient is
-            # written straight into it
-            head_sum = np.empty((n, n), dtype=glog.dtype)
-        for i in range(b):
-            bias_i = sample_bias(i, bias_buf, offsets, values)
-            for j in range(h):
-                # the forward's exp(s - max) of this block, from its column maxima
-                np.matmul(kh[i, j], qh[i, j].T, out=e)
-                e += bias_i
-                e -= col_max[i, j]
-                np.exp(e, out=e)
-                # dO / sum on the context's rows, and D / sum = rowsum(dO / sum * O)
-                go = gctx_h[i, j] / col_sum[i, j].T
-                d_term = np.einsum("ij,ij->i", go, ctx_h[i, j])
-                np.matmul(e, go, out=gv_h[i, j])
-                gl = head_sum if head_sum is not None and j == 0 else glog
-                np.matmul(vh[i, j], go.T, out=gl)
-                # softmax backward, in place: e * (dP / sum - D / sum)
-                gl -= d_term
-                gl *= e
-                if head_sum is not None and j > 0:
-                    head_sum += gl
-                np.matmul(gl.T, kh[i, j], out=gq_h[i, j])
-                np.matmul(gl, qh[i, j], out=gk_h[i, j])
-            if gpen is not None:
-                gpen += head_sum
-            if grel is not None:
-                # the within-sector entries by rank offset, then the rest
-                # (their column sums) into the cross-sector bucket
-                flat = head_sum.reshape(-1)
-                grel[:-1] += np.bincount(offsets.reshape(-1), weights=flat[tables.blocks],
-                                         minlength=2 * m - 1)
-                flat[tables.blocks] = 0.0
-                grel[-1] += (ones @ head_sum).sum(dtype=np.float64)
-        gq *= scale
+        gatt = g if kept is None else ad.dropout_apply(g, kept, rate)
+        xhat = (xd - mu) * inv
+        grads = _attention_backward(gatt, gamma.data * xhat + beta.data, q, k, v, ctx,
+                                    col_max, col_sum, params, tables, orders, need_x=True)
+        gx, ggamma, gbeta = ad.layer_norm_backward(grads[0], xhat, inv, gamma.data)
+        gx += g
+        return (gx, ggamma, gbeta) + grads[1:]
 
-        def weight_grad(w, left, right):
-            return left.reshape(-1, d).T @ right.reshape(-1, d) if w.requires_grad else None
-
-        gx = None
-        if x.requires_grad:
-            gx = gq @ params.wq.data.T + gk @ params.wk.data.T + gv @ params.wv.data.T
-        return (
-            gx,
-            weight_grad(params.wq, x.data, gq),
-            weight_grad(params.wk, x.data, gk),
-            weight_grad(params.wv, x.data, gv),
-            weight_grad(params.wo, ctx, g),
-            None if grel is None else grel.astype(rel_t.dtype),
-            gpen,
-        )[:len(parents)]
-
-    return ad.Tensor._op(out, parents, vjp), ad.Tensor(probs)
+    parents = (x, gamma, beta, params.wq, params.wk, params.wv, params.wo)
+    return ad.Tensor._op(out, parents + _table_parents(tables), vjp), ad.Tensor(probs)

@@ -7,17 +7,18 @@ requires gradients. Only the operations the forecaster actually needs are
 implemented, and each is validated against central finite differences in
 the test suite.
 
-Tape nodes here: the `Tensor` operators (+, -, *, @, sum), `linear` (one
-`x @ w + b` node, no pre-bias product kept), `take`, `layer_norm_node`
-(keeps the row means and 1/std; its backward rebuilds the normalized
-input from its own input) and `dropout_node` (keeps the mask as bools).
-Besides these, plain-array forward and backward steps that keep nothing
-themselves: `gelu` / `gelu_backward`, `layer_norm` /
-`layer_norm_backward`, `dropout` / `dropout_apply`, `softmax` (attention's
-in-place column step) and the matmul gradients `grad_left` / `grad_right`.
-The Tensor nodes and the fused nodes elsewhere (attention in
-`attention`, a layer's MLP and the head in `model`) share them, so each
-formula lives once and a fused node has the bits of the chain it fuses.
+Tape nodes here: the `Tensor` operators (+, -, *, @, sum). The model
+records `@` once, for the positional vectors; its other nodes are built
+on `Tensor._op`, one per block: the embedding and a layer's MLP and the
+head in `model`, a layer's attention block in `attention`, the terrain
+penalty in `topo_bias` and the loss in `train`. Besides the Tensor,
+plain-array forward and backward steps that keep nothing themselves:
+`gelu` / `gelu_backward`, `layer_norm` / `layer_norm_backward`,
+`dropout` / `dropout_apply`, `softmax` (attention's in-place column
+step) and the matmul gradients `grad_left` / `grad_right`. The fused
+nodes share them, so each formula lives once and a fused node has the
+bits of the chain of one node per step that it replaces
+(tests/oracles.py builds that chain).
 
 Arrays keep whatever dtype they were created with (float32 for training,
 float64 for gradient checks); no implicit casting happens on the tape.
@@ -221,39 +222,6 @@ def parameter(data) -> Tensor:
     return Tensor(np.asarray(data), requires_grad=True)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """`x @ w + b` as one tape node, so the tape keeps no pre-bias product.
-
-    Output and gradients are bitwise those of the `@` then `+` chain.
-    """
-    xd, wd = x.data, w.data
-
-    def vjp(g):
-        return (
-            grad_left(g, wd, xd.shape) if x.requires_grad else None,
-            grad_right(xd, g, wd.shape) if w.requires_grad else None,
-            unbroadcast(g, b.data.shape) if b.requires_grad else None,
-        )
-
-    return Tensor._op(xd @ wd + b.data, (x, w, b), vjp)
-
-
-def take(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Fancy-index the leading axis with non-negative indices; backward
-    scatter-adds into the source."""
-    idx = np.asarray(idx)
-
-    def vjp(g):
-        # one bincount over flat source positions; row r of a (rows, width)
-        # source owns positions r*width .. r*width + width-1
-        width = math.prod(x.data.shape[1:])
-        flat = idx if width == 1 else idx[..., None] * width + np.arange(width)
-        sums = np.bincount(flat.reshape(-1), weights=g.reshape(-1), minlength=x.data.size)
-        return (sums.astype(x.data.dtype).reshape(x.data.shape),)
-
-    return Tensor._op(x.data[idx], (x,), vjp)
-
-
 _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
 # elements per chunk of the GELU, dropout-draw and dropout-mask passes: a
@@ -308,7 +276,8 @@ def gelu(x: Array) -> Array:
 
 
 def gelu_backward(x: Array, g: Array, out: Array | None = None,
-                  kept: Array | None = None, rate: float = 0.0) -> tuple[Array, Array]:
+                  kept: Array | None = None, rate: float = 0.0,
+                  act: Array | None = None) -> tuple[Array, Array]:
     """(gelu(x), g * gelu'(x)) in one chunked pass that recomputes the tanh.
 
     The first is `gelu(x)` bit for bit, by the same operations; the second
@@ -316,9 +285,11 @@ def gelu_backward(x: Array, g: Array, out: Array | None = None,
     `kept` drawn at `rate`, the GELU feeds that dropout: the first result
     is the dropped output and g the gradient of it, each scaled by the
     mask in the same pass as `dropout_apply` would scale it. The gradient
-    is written into `out` when given, which may be g if g is C-contiguous.
+    is written into `out` when given, which may be g if g is C-contiguous,
+    and the first result into `act` when given, which may be x if x is
+    C-contiguous: each chunk of x is read before its output is written.
     """
-    act = np.empty(x.shape, dtype=x.dtype)
+    act = np.empty(x.shape, dtype=x.dtype) if act is None else act
     gx = np.empty(x.shape, dtype=np.result_type(g, x)) if out is None else out
     scratch = np.empty((6, min(x.size, _CHUNK)), dtype=x.dtype)
     mask = () if kept is None else (kept,)
@@ -397,17 +368,6 @@ def layer_norm_backward(g: Array, xhat: Array, inv: Array, gamma: Array
     )
 
 
-def layer_norm_node(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """`layer_norm` as a tape node: it keeps the row statistics and rebuilds
-    xhat from its input."""
-    out, mu, inv = layer_norm(x.data, gamma.data, beta.data)
-
-    def vjp(g):
-        return layer_norm_backward(g, (x.data - mu) * inv, inv, gamma.data)
-
-    return Tensor._op(out, (x, gamma, beta), vjp)
-
-
 def dropout(x: Array, rate: float, rng: np.random.Generator, out: Array | None = None
             ) -> tuple[Array, Array]:
     """Inverted dropout of an array at a rate in (0, 1): (x * kept / keep,
@@ -441,15 +401,6 @@ def dropout_apply(x: Array, kept: Array, rate: float, out: Array | None = None) 
     for xc, kc, oc in _chunks(x, kept, out):
         np.multiply(xc, _mask_chunk(kc, 1.0 - rate, scale[:xc.size]), out=oc)
     return out
-
-
-def dropout_node(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """`dropout` as a tape node that keeps the mask as bools; x itself at
-    rate 0."""
-    if rate <= 0.0:
-        return x
-    out, kept = dropout(x.data, rate, rng)
-    return Tensor._op(out, (x,), lambda g: (dropout_apply(g, kept, rate),))
 
 
 def zero_grads(tensors) -> None:

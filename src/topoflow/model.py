@@ -11,13 +11,17 @@ The input and output channels are fixed by the data format
 (`config.INPUT_CHANNELS` in, one `config.TARGET_CHANNELS` set per horizon
 out), so they are properties of ModelConfig rather than settings.
 
-On the tape a layer is five nodes: its first layer norm, the attention
-node, the attention output's dropout, the residual add, and one MLP node
+The tape holds one node per block. The embedding is one node for
+drop(tokens @ W + b + pos) (`_embed`), after the positional vectors'
+`pos.grid @ pos.proj` product. A layer is two: the attention block
+x + drop(attention(LN(x))) (`attention._attend_parts`), and one MLP node
 for LN -> W1 -> GELU -> dropout -> W2 plus the residual (`_mlp`); the
-head is one more MLP node, without dropout or residual. An MLP node
-keeps its input, the layer norm's row statistics, the pre-activation
-and the bool dropout mask, and recomputes the rest in its backward, the
-selective recomputation of Korthikanti et al. 2022 (arXiv:2205.05198).
+head is one more MLP node, without dropout or residual. Each node keeps
+its input, its layer norm's row statistics and its bool dropout mask
+(the attention block also its projections, context and softmax column
+statistics), and recomputes the rest in its backward, the normalized
+input and the MLP's pre-activation included: the selective
+recomputation of Korthikanti et al. 2022 (arXiv:2205.05198).
 
 Wind-guided reordering reaches only the attention node, which ranks each
 sample's patches through its slot order (one row of a (B, N) int array,
@@ -329,23 +333,17 @@ def _forward_samples(
     the penalty."""
     tokens = patchify(arr, config.spec).astype(params["patch_embed.w"].dtype)
     rate = config.dropout if train else 0.0
-
-    def drop(t):
-        return ad.dropout_node(t, rate, rng)
-
-    x = ad.linear(ad.as_tensor(tokens), params["patch_embed.w"], params["patch_embed.b"])
-    x = drop(x + pos)
+    x = _embed(tokens, params["patch_embed.w"], params["patch_embed.b"], pos, rate, rng)
 
     attn_maps: list[np.ndarray] = []
     for i in range(config.layers):
-        normed = ad.layer_norm_node(x, params[f"layer{i}.ln1.g"], params[f"layer{i}.ln1.b"])
-        attended, weights = _attend_parts(
-            normed, _layer_attention_params(params, i, config.heads), tables, orders,
+        x, weights = _attend_parts(
+            x, _layer_attention_params(params, i, config.heads), tables, orders,
+            (params[f"layer{i}.ln1.g"], params[f"layer{i}.ln1.b"]), rate, rng,
             weights=collect_attention,
         )
         if collect_attention:
             attn_maps.append(weights.data.mean(axis=-3))
-        x = x + drop(attended)
         x = _mlp(x, _mlp_weights(params, f"layer{i}.ln2", f"layer{i}.mlp"),
                  residual=True, rate=rate, rng=rng)
         if not np.isfinite(x.data).all():
@@ -355,6 +353,32 @@ def _forward_samples(
     if not np.isfinite(out.data).all():
         raise NumericError("non-finite activations in the prediction head")
     return out, attn_maps
+
+
+def _embed(tokens: np.ndarray, w: ad.Tensor, b: ad.Tensor, pos: ad.Tensor, rate: float,
+           rng: np.random.Generator | None) -> ad.Tensor:
+    """drop(tokens @ w + b + pos) on (B, N, token_dim) patch tokens as one
+    tape node: the patch projection, the (N, d) positional vectors `pos`
+    and, at a positive `rate`, dropout with a mask drawn from `rng`.
+
+    The node keeps the tokens and the bool dropout mask. It runs the
+    operations of the chain it fuses (the `x @ w + b` node, the `+ pos`
+    add, the dropout node) in their order, so the output and every
+    gradient carry that chain's bits.
+    """
+    out = tokens @ w.data + b.data
+    out += pos.data
+    kept = None
+    if rate > 0.0:
+        kept = ad.dropout(out, rate, rng, out=out)[1]
+
+    def vjp(g):
+        if kept is not None:
+            g = ad.dropout_apply(g, kept, rate)
+        return (ad.grad_right(tokens, g, w.shape), ad.unbroadcast(g, b.shape),
+                ad.unbroadcast(g, pos.shape))
+
+    return ad.Tensor._op(out, (w, b, pos), vjp)
 
 
 def _mlp_weights(params: ParamStore, norm: str, mlp: str) -> tuple[ad.Tensor, ...]:
@@ -372,21 +396,21 @@ def _mlp(x: ad.Tensor, weights: tuple[ad.Tensor, ...], residual: bool, rate: flo
     returns x + drop(gelu(LN(x) @ w1 + b1)) @ w2 + b2, a transformer
     layer's MLP; without it drop(...) @ w2 + b2, the prediction head. At a
     positive `rate` the activation is dropped with a mask drawn from `rng`.
-    The node keeps its input, the layer norm's row means and 1/std, the
-    pre-activation LN(x) @ w1 + b1 and the bool dropout mask. Its backward
-    rebuilds the normalized input from the statistics, and the masked
-    GELU output in one chunked pass with the gradient through the GELU.
-    Every step runs the operations of the chain of tape nodes it fuses
-    (layer norm, linear, GELU, dropout, `@ w2`, the residual add, `+ b2`)
-    in their order, so the output and every gradient carry that chain's
-    bits; the input's gradient, g + the layer norm's, is a two-term sum,
-    and those commute.
+    The node keeps its input, the layer norm's row means and 1/std and
+    the bool dropout mask. Its backward rebuilds the normalized input from
+    the statistics and recomputes the pre-activation LN(x) @ w1 + b1, one
+    more (..., d) x (d, hidden) product, then the masked GELU output in
+    one chunked pass with the gradient through the GELU, written over the
+    recomputed pre-activation. Every step runs the operations of the chain
+    of tape nodes it fuses (layer norm, linear, GELU, dropout, `@ w2`, the
+    residual add, `+ b2`) in their order, so the output and every gradient
+    carry that chain's bits; the input's gradient, g + the layer norm's,
+    is a two-term sum, and those commute.
     """
     gamma, beta, w1, b1, w2, b2 = weights
     xd = x.data
     normed, mu, inv = ad.layer_norm(xd, gamma.data, beta.data)
-    pre = normed @ w1.data + b1.data
-    hidden = ad.gelu(pre)
+    hidden = ad.gelu(normed @ w1.data + b1.data)
     kept = None
     if rate > 0.0:
         kept = ad.dropout(hidden, rate, rng, out=hidden)[1]
@@ -397,19 +421,19 @@ def _mlp(x: ad.Tensor, weights: tuple[ad.Tensor, ...], residual: bool, rate: flo
         out = hidden @ w2.data + b2.data
 
     def vjp(g):
-        gact = ad.grad_left(g, w2.data, pre.shape)
-        act, gpre = ad.gelu_backward(pre, gact, out=gact, kept=kept, rate=rate)
         xhat = (xd - mu) * inv
         normed = gamma.data * xhat + beta.data
-        gx, ggamma, gbeta = ad.layer_norm_backward(
-            ad.grad_left(gpre, w1.data, normed.shape), xhat, inv, gamma.data)
+        pre = normed @ w1.data + b1.data
+        gact = ad.grad_left(g, w2.data, pre.shape)
+        # the GELU output lands over pre, its gradient over gact
+        act, gpre = ad.gelu_backward(pre, gact, out=gact, kept=kept, rate=rate, act=pre)
+        gw2 = ad.grad_right(act, g, w2.shape)
+        gnormed = ad.grad_left(gpre, w1.data, normed.shape)
+        gw1, gb1 = ad.grad_right(normed, gpre, w1.shape), ad.unbroadcast(gpre, b1.shape)
+        gx, ggamma, gbeta = ad.layer_norm_backward(gnormed, xhat, inv, gamma.data)
         if residual:
             gx += g
-        return (
-            gx, ggamma, gbeta,
-            ad.grad_right(normed, gpre, w1.shape), ad.unbroadcast(gpre, b1.shape),
-            ad.grad_right(act, g, w2.shape), ad.unbroadcast(g, b2.shape),
-        )
+        return gx, ggamma, gbeta, gw1, gb1, gw2, ad.unbroadcast(g, b2.shape)
 
     return ad.Tensor._op(out, (x, *weights), vjp)
 

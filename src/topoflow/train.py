@@ -87,10 +87,25 @@ def _masked_mse_tokens(pred: ad.Tensor, target: np.ndarray, mask_tok: np.ndarray
                        cell_count: float) -> ad.Tensor:
     """The training loss on (B, N, out_dim) tokens: squared errors summed
     over the entries `mask_tok` selects (every channel and horizon), divided
-    by the selected-cell count of one grid times the batch size."""
-    denom = cell_count * pred.shape[0]
-    diff = pred - ad.Tensor(target)
-    return (diff * diff * ad.Tensor(mask_tok)).sum() * (1.0 / denom)
+    by the selected-cell count of one grid times the batch size.
+
+    One tape node with an analytic backward, 2 * (g / denom) * mask * diff,
+    that recomputes the error diff = pred - target and keeps nothing but
+    its inputs. Forward and backward run the operations of the chain of
+    Tensor ops it replaces, ((diff * diff * mask).sum() * (1 / denom)), in
+    their order, so the loss and the gradient carry that chain's bits.
+    """
+    diff = pred.data - target
+    total = (diff * diff * mask_tok).sum()
+    scale = np.asarray(1.0 / (cell_count * pred.shape[0]), dtype=total.dtype)
+
+    def vjp(g):
+        diff = pred.data - target
+        gsq = np.broadcast_to(g * scale, np.broadcast_shapes(diff.shape, np.shape(mask_tok)))
+        gdiff = ad.unbroadcast(ad.unbroadcast(gsq * mask_tok, diff.shape) * diff, diff.shape)
+        return (ad.unbroadcast(gdiff + gdiff, pred.shape),)
+
+    return ad.Tensor._op(np.asarray(total * scale), (pred,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ sample) that the node must match, random slot orders inside the sectors,
 the attention equivariance measure under a zero table (criterion 1), the
 covariance decay fit (criterion 6), the tape ops that the primitive-chain
 attention reference is built from (row softmax, reshape, transpose), the
-MLP node as the chain of tape nodes it fuses, the forward reorder that
+unfused tape nodes (`linear`, `take`, `layer_norm_node`, `dropout_node`,
+`gelu` and the attention core alone, `attend_node`) and the chains of
+them that the fused nodes must match bit for bit (the MLP, the attention
+block, the embedding and the loss), the forward reorder that
 `reorder.unapply` undoes, and the forecaster run in slot order, the form
 the raster-order `model.forward` must match.
 """
@@ -51,7 +54,63 @@ def transpose(x: ad.Tensor, *axes) -> ad.Tensor:
     return ad.Tensor._op(x.data.transpose(axes), (x,), lambda g: (g.transpose(inverse),))
 
 
-# -- the MLP node unfused ---------------------------------------------------------------
+# -- the unfused tape nodes ---------------------------------------------------------------
+#
+# One node per step, as the model's tape held them before each block became
+# one node; the fused nodes must carry their bits.
+
+
+def linear(x: ad.Tensor, w: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """`x @ w + b` as one tape node, so the tape keeps no pre-bias product.
+
+    Output and gradients are bitwise those of the `@` then `+` chain.
+    """
+    xd, wd = x.data, w.data
+
+    def vjp(g):
+        return (
+            ad.grad_left(g, wd, xd.shape) if x.requires_grad else None,
+            ad.grad_right(xd, g, wd.shape) if w.requires_grad else None,
+            ad.unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
+
+    return ad.Tensor._op(xd @ wd + b.data, (x, w, b), vjp)
+
+
+def take(x: ad.Tensor, idx: np.ndarray) -> ad.Tensor:
+    """Fancy-index the leading axis with non-negative indices; backward
+    scatter-adds into the source."""
+    idx = np.asarray(idx)
+
+    def vjp(g):
+        # one bincount over flat source positions; row r of a (rows, width)
+        # source owns positions r*width .. r*width + width-1
+        width = math.prod(x.data.shape[1:])
+        flat = idx if width == 1 else idx[..., None] * width + np.arange(width)
+        sums = np.bincount(flat.reshape(-1), weights=g.reshape(-1), minlength=x.data.size)
+        return (sums.astype(x.data.dtype).reshape(x.data.shape),)
+
+    return ad.Tensor._op(x.data[idx], (x,), vjp)
+
+
+def layer_norm_node(x: ad.Tensor, gamma: ad.Tensor, beta: ad.Tensor) -> ad.Tensor:
+    """`autodiff.layer_norm` as a tape node: it keeps the row statistics and
+    rebuilds xhat from its input."""
+    out, mu, inv = ad.layer_norm(x.data, gamma.data, beta.data)
+
+    def vjp(g):
+        return ad.layer_norm_backward(g, (x.data - mu) * inv, inv, gamma.data)
+
+    return ad.Tensor._op(out, (x, gamma, beta), vjp)
+
+
+def dropout_node(x: ad.Tensor, rate: float, rng: np.random.Generator) -> ad.Tensor:
+    """`autodiff.dropout` as a tape node that keeps the mask as bools; x
+    itself at rate 0."""
+    if rate <= 0.0:
+        return x
+    out, kept = ad.dropout(x.data, rate, rng)
+    return ad.Tensor._op(out, (x,), lambda g: (ad.dropout_apply(g, kept, rate),))
 
 
 def gelu(x: ad.Tensor) -> ad.Tensor:
@@ -59,33 +118,72 @@ def gelu(x: ad.Tensor) -> ad.Tensor:
     return ad.Tensor._op(ad.gelu(x.data), (x,), lambda g: (ad.gelu_backward(x.data, g)[1],))
 
 
+def attend_node(tokens, params, tables, orders, weights=False):
+    """The attention core as a tape node of its own: `attention._attention`
+    and `attention._attention_backward` on (B, N, d) tokens, without the
+    block's layer norm, dropout and residual add; returns (out, weights)
+    as `attention._attend_parts` does."""
+    x = ad.as_tensor(tokens)
+    orders = attention._check(x.shape, params, tables, orders)
+    out, probs, *saved = attention._attention(x.data, params, tables, orders, weights)
+    parents = (x, params.wq, params.wk, params.wv, params.wo)
+
+    def vjp(g):
+        return attention._attention_backward(g, x.data, *saved, params, tables, orders,
+                                             need_x=x.requires_grad)
+
+    return (ad.Tensor._op(out, parents + attention._table_parents(tables), vjp),
+            ad.Tensor(probs))
+
+
+# -- the fused nodes as chains of those ----------------------------------------------------
+
+
 def mlp_chain(x, weights, residual, rate=0.0, rng=None) -> ad.Tensor:
     """`model._mlp` as the chain of one tape node per step that it fuses:
     layer norm, linear, GELU, dropout, then `@ w2 + b2` and, with
     `residual`, the residual add first, in the order the node adds."""
     gamma, beta, w1, b1, w2, b2 = weights
-    hidden = gelu(ad.linear(ad.layer_norm_node(x, gamma, beta), w1, b1))
-    hidden = ad.dropout_node(hidden, rate, rng)
+    hidden = gelu(linear(layer_norm_node(x, gamma, beta), w1, b1))
+    hidden = dropout_node(hidden, rate, rng)
     if residual:
         return x + hidden @ w2 + b2
-    return ad.linear(hidden, w2, b2)
+    return linear(hidden, w2, b2)
+
+
+def attend_chain(x, params, tables, orders, norm, rate=0.0, rng=None, weights=False):
+    """`attention._attend_parts` as the chain it fuses: layer norm, the
+    attention node, dropout and the residual add."""
+    attended, probs = attend_node(layer_norm_node(x, *norm), params, tables, orders, weights)
+    return x + dropout_node(attended, rate, rng), probs
+
+
+def embed_chain(tokens, w, b, pos, rate, rng) -> ad.Tensor:
+    """`model._embed` as the chain it fuses: linear, the positional add and
+    dropout."""
+    return dropout_node(linear(ad.as_tensor(tokens), w, b) + pos, rate, rng)
+
+
+def mse_chain(pred, target, mask_tok, cell_count) -> ad.Tensor:
+    """`train._masked_mse_tokens` as the chain of Tensor ops it fuses."""
+    diff = pred - ad.Tensor(target)
+    return (diff * diff * ad.Tensor(mask_tok)).sum() * (1.0 / (cell_count * pred.shape[0]))
 
 
 # -- the attention node with one raster table ----------------------------------------
 
 
 def identity_attend(tokens, params, penalty=None, **kwargs):
-    """`attention._attend_parts` on (B, N, d) `tokens` with the (N, N) keys
-    x queries table `penalty` landing as it is: the tables are one sector
-    of N patches with a zero relative table of the penalty's dtype (the
-    tokens' without a penalty), which moves no bit of the output, the
-    weights or a gradient, under identity slot orders. Other keywords go
-    to the node."""
+    """`attend_node` on (B, N, d) `tokens` with the (N, N) keys x queries
+    table `penalty` landing as it is: the tables are one sector of N
+    patches with a zero relative table of the penalty's dtype (the tokens'
+    without a penalty), which moves no bit of the output, the weights or a
+    gradient, under identity slot orders. Other keywords go to the node."""
     x = ad.as_tensor(tokens)
     b, n = x.shape[:2]
     dtype = x.dtype if penalty is None else ad.as_tensor(penalty).dtype
     tables = attention.bias_tables(np.zeros(2 * n, dtype=dtype), np.arange(n)[None], penalty)
-    return attention._attend_parts(x, params, tables, np.tile(np.arange(n), (b, 1)), **kwargs)
+    return attend_node(x, params, tables, np.tile(np.arange(n), (b, 1)), **kwargs)
 
 
 # -- the per-sample reference and the slot-table path ------------------------------------
@@ -309,22 +407,22 @@ def slot_order_forward(params, config, inputs, elev_patch_m, order) -> ad.Tensor
     spec = config.spec
     order = np.asarray(order)
     tokens = model.patchify(np.asarray(inputs)[None], spec)[:, order]
-    x = ad.linear(ad.as_tensor(tokens.astype(params["patch_embed.w"].dtype)),
-                  params["patch_embed.w"], params["patch_embed.b"])
-    x = x + ad.take(params["pos.grid"] @ params["pos.proj"], order)
-    bias = ad.take(params["pos.rel"], relative_slot_index(reorder._sector_layout(spec)))
+    x = linear(ad.as_tensor(tokens.astype(params["patch_embed.w"].dtype)),
+               params["patch_embed.w"], params["patch_embed.b"])
+    x = x + take(params["pos.grid"] @ params["pos.proj"], order)
+    bias = take(params["pos.rel"], relative_slot_index(reorder._sector_layout(spec)))
     if config.elev_bias:
         flipped = -np.asarray(elev_patch_m, dtype=np.float64)[order]
         bias = bias + topo_bias.bias_tensor(flipped, params["alpha"])
     for i in range(config.layers):
-        normed = ad.layer_norm_node(x, params[f"layer{i}.ln1.g"], params[f"layer{i}.ln1.b"])
+        normed = layer_norm_node(x, params[f"layer{i}.ln1.g"], params[f"layer{i}.ln1.b"])
         attended, _ = identity_attend(
             normed, model._layer_attention_params(params, i, config.heads), bias)
         x = x + attended
         x = mlp_chain(x, model._mlp_weights(params, f"layer{i}.ln2", f"layer{i}.mlp"),
                       residual=True)
     out = mlp_chain(x, model._mlp_weights(params, "head.ln", "head"), residual=False)
-    return ad.take(reshape(out, spec.n_patches, config.out_dim), np.argsort(order))
+    return take(reshape(out, spec.n_patches, config.out_dim), np.argsort(order))
 
 
 # -- criterion 6: covariance anisotropy -------------------------------------------------

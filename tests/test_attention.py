@@ -34,6 +34,12 @@ def attention_weights(tokens, params, bias=None):
     return weights.data[0].mean(axis=0)
 
 
+def layer_norm_params(d, rng, dtype=np.float64):
+    """A layer norm's (gain, bias) as parameters, away from (1, 0)."""
+    return (ad.parameter((1.0 + 0.3 * rng.normal(size=d)).astype(dtype)),
+            ad.parameter((0.2 * rng.normal(size=d)).astype(dtype)))
+
+
 def make_params(d, heads, rng, dtype=np.float64, scale=None):
     scale = scale if scale is not None else 1.0 / math.sqrt(d)
     def w():
@@ -267,7 +273,7 @@ def chain_attention(tokens, params, bias=None):
 
 
 # the node, returning its attention weights as the references do
-NODE = functools.partial(attention._attend_parts, weights=True)
+NODE = functools.partial(oracles.attend_node, weights=True)
 
 
 def attend_and_grads(params, x, coeff, fn=NODE, **kwargs):
@@ -449,10 +455,12 @@ def test_taped_attention_keeps_no_n_by_n_array():
     penalty = ad.parameter(rng.normal(size=(n, n)).astype(np.float32))
     tables = attention.bias_tables(rel, layout, penalty)
     orders = oracles.sector_orders(rng, layout, b)
+    norm = layer_norm_params(d, rng, np.float32)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out, weights = attention._attend_parts(tokens, params, tables, orders)
+        out, weights = attention._attend_parts(tokens, params, tables, orders, norm, 0.1,
+                                               np.random.default_rng(0))
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -569,7 +577,7 @@ def test_penalty_and_orders_match_the_materialized_bias(with_penalty, with_order
             assert alpha_got.grad is None and alpha_want.grad is None
         penalty = topo_bias.bias_tensor(-elev, alpha_got) if with_penalty else None
         with ad.no_grad():
-            plain, _ = attention._attend_parts(
+            plain, _ = oracles.attend_node(
                 x, params, attention.bias_tables(rel, layout, penalty), slots)
         assert plain.data.tobytes() == got[0].tobytes()
 
@@ -626,26 +634,29 @@ def test_penalty_and_orders_are_checked():
     doubled[0, 0] = doubled[0, 1]
     with pytest.raises(DataError, match="layout"):
         attention.bias_tables(rel, doubled)
-    # the tokens' N must be the tables'
+    norm = layer_norm_params(16, rng, np.float32)
+    # the tokens' N must be the tables', and their width the projections'
     with pytest.raises(ShapeError, match="tables"):
-        attention._attend_parts(x[:, :-1], params, tables, orders[:, :-1])
+        attention._attend_parts(x[:, :-1], params, tables, orders[:, :-1], norm)
+    with pytest.raises(ShapeError, match="tokens shape"):
+        attention._attend_parts(x[..., :-1], params, tables, orders, norm)
     # the orders: one integer permutation per sample, inside the sectors. A
     # float copy of good orders sorts to 0..N-1 but cannot rank the
     # patches, so it is refused before the forward too
     for bad in (orders[:1], orders[:, :-1], orders[0]):
         with pytest.raises(ShapeError, match="slot orders"):
-            attention._attend_parts(x, params, tables, bad)
+            attention._attend_parts(x, params, tables, bad, norm)
     repeated = orders.copy()
     repeated[1, 0] = repeated[1, 1]
     for bad in (repeated, orders + 1, orders.astype(float)):
         with pytest.raises(DataError, match="permutation"):
-            attention._attend_parts(x, params, attention.bias_tables(ad.parameter(rel), layout),
-                                    bad)
+            attention._attend_parts(
+                x, params, attention.bias_tables(ad.parameter(rel), layout), bad, norm)
     crossing = orders.copy()
     swap = [layout[0, 0], layout[1, 0]]
     crossing[0, swap] = crossing[0, swap[::-1]]
     with pytest.raises(DataError, match="sector"):
-        attention._attend_parts(x, params, tables, crossing)
+        attention._attend_parts(x, params, tables, crossing, norm)
 
 
 def test_node_gradients_match_finite_differences_through_the_sector_blocks():
@@ -676,8 +687,8 @@ def test_node_gradients_match_finite_differences_through_the_sector_blocks():
     for leaf, pen in ((rel, penalty), (penalty, penalty), (alpha, None)):
         def forward():
             p = topo_bias.bias_tensor(-elev, alpha) if pen is None else pen
-            out, _ = attention._attend_parts(tokens, params,
-                                             attention.bias_tables(rel, layout, p), orders)
+            out, _ = oracles.attend_node(tokens, params,
+                                         attention.bias_tables(rel, layout, p), orders)
             return out
 
         def forward_scalar():
@@ -688,3 +699,67 @@ def test_node_gradients_match_finite_differences_through_the_sector_blocks():
         fd = numeric_grad(forward_scalar, leaf.data)
         assert leaf.grad.shape == leaf.shape
         assert rel_err(leaf.grad, fd) < 1e-6
+
+
+# -- the attention block: layer norm, attention, dropout and residual as one node ---------
+
+def block_case(rng, dtype, b=3):
+    """(params, norm, leaves, tables, orders, tokens, coeff) for the block on
+    PENALTY_SPEC under sector orders, with a random relative table and an
+    elevation penalty through alpha as its table leaves."""
+    params, x, coeff, rel, elev, layout, orders = penalty_case(rng, dtype, b)
+    norm = layer_norm_params(16, rng, dtype)
+    rel_t, alpha = ad.parameter(rel), ad.parameter(np.array(1.7, dtype=dtype))
+    leaves = (rel_t, alpha)
+
+    def tables():
+        return attention.bias_tables(rel_t, layout, topo_bias.bias_tensor(-elev, alpha))
+
+    return params, norm, leaves, tables, orders, x, coeff
+
+
+@pytest.mark.parametrize("rate", [0.3, 0.0])
+def test_attention_block_carries_the_bits_of_the_unfused_chain(rate):
+    # the block against its chain (`oracles.attend_chain`: the layer norm
+    # node, the attention node, the dropout node and the residual add) in
+    # float32: the output, the weights, every gradient and the generator
+    # state after the forward are the chain's, bit for bit
+    rng = np.random.default_rng(26)
+    params, norm, leaves, tables, orders, x, coeff = block_case(rng, np.float32)
+    weights = (params.wq, params.wk, params.wv, params.wo) + norm + leaves
+    runs = []
+    for fn in (attention._attend_parts, oracles.attend_chain):
+        tokens = ad.parameter(x.copy())
+        ad.zero_grads(weights)
+        drop_rng = np.random.default_rng(27)
+        out, probs = fn(tokens, params, tables(), orders, norm, rate, drop_rng, weights=True)
+        state = drop_rng.bit_generator.state
+        (out * ad.Tensor(coeff)).sum().backward()
+        grads = [tokens.grad] + [t.grad for t in weights]
+        runs.append(([out.data, probs.data] + grads, state))
+    (fused, fused_state), (chain, chain_state) = runs
+    assert fused_state == chain_state
+    for got, want in zip(fused, chain):
+        assert got.dtype == want.dtype == np.float32
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_attention_block_gradients_match_finite_differences():
+    # float64 central differences through the block with dropout on, its
+    # mask drawn from a generator re-seeded for every evaluation: the
+    # tokens, the layer norm, the projections, the relative table and alpha
+    rng = np.random.default_rng(28)
+    params, norm, leaves, tables, orders, x, coeff = block_case(rng, np.float64, b=2)
+    tokens = ad.parameter(x)
+
+    def forward():
+        return attention._attend_parts(tokens, params, tables(), orders, norm, 0.25,
+                                       np.random.default_rng(29))[0]
+
+    def forward_scalar():
+        return float((forward().data * coeff).sum())
+
+    (forward() * ad.Tensor(coeff)).sum().backward()
+    for t in (tokens, params.wq, params.wk, params.wv, params.wo) + norm + leaves:
+        assert t.grad.shape == t.shape
+        assert rel_err(t.grad, numeric_grad(forward_scalar, t.data)) < 1e-6

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from topoflow import autodiff as ad
-from topoflow import model, reorder
+from topoflow import model, reorder, train
 from topoflow.fields import GridSpec
 
 import oracles
@@ -72,7 +72,7 @@ def test_linear_bitwise_equals_matmul_then_add(x_shape):
     b0 = rng.normal(size=(3,)).astype(np.float32)
     g = rng.normal(size=x_shape[:-1] + (3,)).astype(np.float32)
     runs = []
-    for op in (ad.linear, lambda x, w, b: x @ w + b):
+    for op in (oracles.linear, lambda x, w, b: x @ w + b):
         x, w, b = (ad.parameter(a.copy()) for a in (x0, w0, b0))
         y = op(x, w, b)
         (y * ad.Tensor(g)).sum().backward()
@@ -88,7 +88,7 @@ def test_linear_matches_finite_differences_and_records_nothing_under_no_grad():
     w = ad.parameter(rng.normal(size=(4, 5)))
     b = ad.parameter(rng.normal(size=(5,)))
     c = np.cos(np.arange(30.0)).reshape(2, 3, 5)
-    (ad.linear(x, w, b) * ad.Tensor(c)).sum().backward()
+    (oracles.linear(x, w, b) * ad.Tensor(c)).sum().backward()
     for t, f in (
         (x, lambda a: ((a @ w.data + b.data) * c).sum()),
         (w, lambda a: ((x.data @ a + b.data) * c).sum()),
@@ -96,7 +96,7 @@ def test_linear_matches_finite_differences_and_records_nothing_under_no_grad():
     ):
         np.testing.assert_allclose(t.grad, numeric_grad(f, t.data.copy()), rtol=1e-7, atol=1e-7)
     with ad.no_grad():
-        y = ad.linear(x, w, b)
+        y = oracles.linear(x, w, b)
     assert not y.requires_grad and y._parents == () and y._vjp is None
 
 
@@ -183,7 +183,7 @@ def test_layer_norm_matches_finite_differences():
         np.testing.assert_allclose(grad, w, rtol=1e-5, atol=1e-8)
     # the tape node returns the helper's output and gradients
     tensors = [ad.parameter(a.copy()) for a in (x, gamma, beta)]
-    y = ad.layer_norm_node(*tensors)
+    y = oracles.layer_norm_node(*tensors)
     assert y.data.tobytes() == ad.layer_norm(x, gamma, beta)[0].tobytes()
     (y * ad.Tensor(coeff)).sum().backward()
     for t, grad in zip(tensors, grads):
@@ -215,10 +215,51 @@ def test_mlp_node_matches_finite_differences(residual, rate):
         np.testing.assert_allclose(t.grad, want, rtol=1e-5, atol=1e-8, err_msg=str(i))
 
 
+@pytest.mark.parametrize("rate", [0.3, 0.0])
+def test_embedding_node_matches_finite_differences(rate):
+    # the patch projection, its bias and the positional vectors, with
+    # dropout on and off; the mask comes from a generator re-seeded for
+    # every evaluation
+    rng = np.random.default_rng(17)
+    tokens = rng.normal(size=(2, 3, 5))
+    arrays = [rng.normal(size=shape) for shape in ((5, 4), (4,), (3, 4))]
+    coeff = rng.normal(size=(2, 3, 4))
+
+    def run(tensors):
+        return model._embed(tokens, *tensors, rate, np.random.default_rng(18))
+
+    tensors = [ad.parameter(a.copy()) for a in arrays]
+    (run(tensors) * ad.Tensor(coeff)).sum().backward()
+    for i, t in enumerate(tensors):
+        def loss_at(a, i=i):
+            values = arrays[:i] + [a] + arrays[i + 1:]
+            return float((run([ad.Tensor(v) for v in values]).data * coeff).sum())
+
+        want = numeric_grad(loss_at, arrays[i].copy())
+        np.testing.assert_allclose(t.grad, want, rtol=1e-7, atol=1e-9, err_msg=str(i))
+
+
+def test_loss_node_matches_finite_differences():
+    rng = np.random.default_rng(19)
+    pred = ad.parameter(rng.normal(size=(2, 3, 4)))
+    target = rng.normal(size=(2, 3, 4))
+    mask = (rng.random((3, 4)) < 0.6).astype(np.float64)
+
+    def loss_at(a):
+        return float(train._masked_mse_tokens(ad.Tensor(a), target, mask, 5.0).data)
+
+    loss = train._masked_mse_tokens(pred, target, mask, 5.0)
+    assert loss.data.shape == () and loss._parents == (pred,)
+    assert float(loss.data) == pytest.approx(((pred.data - target) ** 2 * mask).sum() / 10.0)
+    loss.backward()
+    np.testing.assert_allclose(pred.grad, numeric_grad(loss_at, pred.data.copy()),
+                               rtol=1e-7, atol=1e-9)
+
+
 def test_take_gathers_and_scatter_adds():
     x = ad.parameter(np.arange(5.0))
     idx = np.array([[0, 1], [1, 4]])
-    y = ad.take(x, idx)
+    y = oracles.take(x, idx)
     np.testing.assert_array_equal(y.data, [[0.0, 1.0], [1.0, 4.0]])
     (y * ad.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))).sum().backward()
     np.testing.assert_array_equal(x.grad, [1.0, 5.0, 0.0, 0.0, 4.0])
@@ -229,7 +270,7 @@ def test_take_rows_scatter_adds_like_add_at():
     x = ad.parameter(rng.normal(size=(6, 3)).astype(np.float32))
     idx = rng.integers(0, 6, size=(4, 5))
     g = rng.normal(size=(4, 5, 3)).astype(np.float32)
-    (ad.take(x, idx) * ad.Tensor(g)).sum().backward()
+    (oracles.take(x, idx) * ad.Tensor(g)).sum().backward()
     want = np.zeros((6, 3))
     np.add.at(want, idx, g.astype(np.float64))
     assert x.grad.dtype == np.float32
@@ -275,7 +316,7 @@ def test_dropout_scaling_and_determinism():
     np.testing.assert_allclose(y1[kept1], 1.0 / 0.75)
     assert abs(y1.mean() - 1.0) < 0.1
     t = ad.parameter(x)
-    assert ad.dropout_node(t, 0.0, np.random.default_rng(0)) is t
+    assert oracles.dropout_node(t, 0.0, np.random.default_rng(0)) is t
 
 
 def test_dropout_bitwise_equals_multiplying_by_a_float_mask():
@@ -313,7 +354,7 @@ def test_chunked_dropout_draws_are_the_whole_draw():
 
 def test_dropout_tape_keeps_a_bool_mask_only():
     x = ad.parameter(np.ones((4, 8), dtype=np.float32))
-    y = ad.dropout_node(x, 0.25, np.random.default_rng(0))
+    y = oracles.dropout_node(x, 0.25, np.random.default_rng(0))
     held = [c.cell_contents for c in y._vjp.__closure__
             if isinstance(c.cell_contents, np.ndarray)]
     assert [a.dtype for a in held] == [np.bool_]
@@ -324,8 +365,8 @@ def test_dropout_tape_keeps_a_bool_mask_only():
 def test_dtype_is_preserved():
     x = ad.parameter(np.linspace(-1.0, 1.0, 6, dtype=np.float32).reshape(2, 3))
     ones = ad.Tensor(np.ones(3, dtype=np.float32))
-    y = ad.dropout_node(ad.layer_norm_node(x * 2.0 + 1.0, ones, ones), 0.5,
-                        np.random.default_rng(0))
+    y = oracles.dropout_node(oracles.layer_norm_node(x * 2.0 + 1.0, ones, ones), 0.5,
+                             np.random.default_rng(0))
     assert y.data.dtype == np.float32
     y.sum().backward()
     assert x.grad.dtype == np.float32
@@ -336,7 +377,7 @@ def test_dtype_is_preserved():
 def test_no_grad_records_nothing_and_restores_mode():
     x = ad.parameter(np.ones((2, 2)))
     with ad.no_grad():
-        y = ad.dropout_node(x * 2.0 + x, 0.5, np.random.default_rng(0))
+        y = oracles.dropout_node(x * 2.0 + x, 0.5, np.random.default_rng(0))
     assert not y.requires_grad and y._parents == () and y._vjp is None
     assert (x * 2.0).requires_grad
     with pytest.raises(RuntimeError):

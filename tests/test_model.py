@@ -495,22 +495,23 @@ def load_tape_stats():
 
 
 # One taped training forward of the two-layer tiny model with dropout on
-# records 16 nodes whose reachable buffers (parameters and the bool dropout
-# masks included) come to 26916 bytes. Each layer is five nodes: the first
-# layer norm, attention, its dropout, the residual add and the MLP node;
-# the head is one MLP node. An MLP node keeps its input, the row
-# statistics, the pre-activation and a bool mask, a layer norm its row
-# statistics, dropout a bool mask; the positional vectors are added as
-# they are, the terrain penalty is one raster (N, N) node, and the
-# attention nodes take `pos.rel` itself, with no (N, N) table gathered
-# from it; the tokens stay in raster order, so no node gathers them. A
-# refactor that brings back a kept intermediate, such as a normalized
-# input, a GELU output, a float mask or a per-sample bias, fails here.
-# The walk reads one level of closure cells, so the attention tables'
-# shared base and blocks (held through `attention.BiasTables`) are not in
-# the byte count.
-TAPE_NODES = 16
-TAPE_BYTES = 26916
+# records 8 nodes, one per block, whose reachable buffers (parameters and
+# the bool dropout masks included) come to 19876 bytes: the embedding, the
+# positional `pos.grid @ pos.proj` product, the terrain penalty (one raster
+# (N, N) node), two nodes per layer (the attention block and the MLP) and
+# the head. The embedding keeps the patch tokens and a bool mask; an
+# attention block its input, the layer norm's row statistics, Q, K, V,
+# the context, the softmax's column statistics and a bool mask; an MLP
+# node its input, the row statistics and a bool mask. The attention
+# blocks take `pos.rel` itself, with no (N, N) table gathered from it, and
+# the tokens stay in raster order, so no node gathers them. A refactor
+# that brings back a kept intermediate, such as a normalized input, a
+# pre-activation, a GELU output, a float mask or a per-sample bias, fails
+# here. The walk reads one level of closure cells, so the attention
+# tables' shared base and blocks (held through `attention.BiasTables`)
+# are not in the byte count.
+TAPE_NODES = 8
+TAPE_BYTES = 19876
 
 
 def test_taped_forward_node_count_and_bytes_pinned():
@@ -531,10 +532,9 @@ def test_taped_forward_node_count_and_bytes_pinned():
 def test_every_tape_walks_to_the_end(variant, dropout, train):
     # `tape_stats` reads every closure cell of every node: none may be
     # empty, whichever variant, dropout rate and mode built the tape.
-    # Per layer: layer norm, attention, residual add, MLP node, plus the
-    # attention output's dropout; then the embedding linear, positional
-    # product and its add, the embedding dropout, the penalty node with
-    # the elevation bias, and the head
+    # Per layer: the attention block and the MLP node; then the embedding,
+    # the positional product, the penalty node with the elevation bias,
+    # and the head, whatever the dropout rate
     wind, elev_bias = ABLATION_VARIANTS[variant]
     config = tiny_config(layers=2, dropout=dropout, wind_reorder=wind, elev_bias=elev_bias)
     store = init_params(config, seed=0)
@@ -542,37 +542,42 @@ def test_every_tape_walks_to_the_end(variant, dropout, train):
     x = random_inputs(config, rng).astype(np.float32)
     elev = rng.uniform(0, 2500, config.spec.n_patches)
     res = forward(store, config, x, elev, orders=wind_orders(config, x), train=train, rng=rng)
-    dropped = int(train and dropout > 0.0)
     nodes, _ = load_tape_stats()(res.tokens)
-    assert nodes == config.layers * (4 + dropped) + 3 + dropped + elev_bias + 1
+    assert nodes == config.layers * 2 + 3 + elev_bias
 
 
-@pytest.mark.parametrize("variant", sorted(ABLATION_VARIANTS))
-def test_mlp_nodes_carry_the_bits_of_the_unfused_chain(variant, monkeypatch):
-    # the MLP and head nodes against the chain of tape nodes they fuse, in
-    # float32 with dropout on: the tokens, every parameter gradient and the
-    # generator state after the forward are the chain's, bit for bit
+def assert_chain_bits(variant, monkeypatch, swaps):
+    """A float32 training step of the two-layer tiny model with dropout on,
+    with its fused nodes and again with each (module, name, oracle chain)
+    of `swaps` in place of the fused node: the tokens, the loss, every
+    parameter gradient and the generator state after the forward are the
+    chain's, bit for bit."""
     wind, elev_bias = ABLATION_VARIANTS[variant]
     config = tiny_config(layers=2, dropout=0.2, wind_reorder=wind, elev_bias=elev_bias)
     rng = np.random.default_rng(13)
     x = random_inputs(config, rng, batch=3).astype(np.float32)
     elev = rng.uniform(0, 3000, config.spec.n_patches)
     orders = wind_orders(config, x)
-    coeff = rng.normal(size=(3, config.spec.n_patches, config.out_dim)).astype(np.float32)
+    target = rng.normal(size=(3, config.spec.n_patches, config.out_dim)).astype(np.float32)
+    mask = (rng.random((config.spec.n_patches, config.out_dim)) < 0.7).astype(np.float32)
 
     def run():
         store = init_params(config, seed=0)
         drop_rng = np.random.default_rng(12)
         res = forward(store, config, x, elev, orders=orders, train=True, rng=drop_rng)
         state = drop_rng.bit_generator.state
-        (res.tokens * ad.Tensor(coeff)).sum().backward()
-        return res.tokens.data, {k: store[k].grad for k in store.names()}, state
+        loss = train._masked_mse_tokens(res.tokens, target, mask, 11.0)
+        loss.backward()
+        grads = {k: store[k].grad for k in store.names()}
+        return [res.tokens.data, np.asarray(loss.data)], grads, state
 
     fused = run()
-    monkeypatch.setattr(model, "_mlp", oracles.mlp_chain)
+    for module, name, chain in swaps:
+        monkeypatch.setattr(module, name, chain)
     chain = run()
-    assert fused[0].dtype == np.float32
-    assert fused[0].tobytes() == chain[0].tobytes()
+    for got, want in zip(fused[0], chain[0]):
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
     assert fused[2] == chain[2]
     assert sorted(fused[1]) == sorted(chain[1])
     for name, grad in fused[1].items():
@@ -581,10 +586,77 @@ def test_mlp_nodes_carry_the_bits_of_the_unfused_chain(variant, monkeypatch):
         assert grad is None or grad.tobytes() == other.tobytes(), name
 
 
+@pytest.mark.parametrize("variant", sorted(ABLATION_VARIANTS))
+def test_mlp_nodes_carry_the_bits_of_the_unfused_chain(variant, monkeypatch):
+    # the MLP and head nodes against the chain of tape nodes they fuse
+    assert_chain_bits(variant, monkeypatch, [(model, "_mlp", oracles.mlp_chain)])
+
+
+FUSED_CHAINS = {
+    "attention": (model, "_attend_parts", oracles.attend_chain),
+    "embedding": (model, "_embed", oracles.embed_chain),
+    "loss": (train, "_masked_mse_tokens", oracles.mse_chain),
+    "mlp": (model, "_mlp", oracles.mlp_chain),
+}
+
+
+@pytest.mark.parametrize("node", ["attention", "embedding", "loss", "all"])
+@pytest.mark.parametrize("variant", sorted(ABLATION_VARIANTS))
+def test_block_nodes_carry_the_bits_of_the_unfused_chain(variant, node, monkeypatch):
+    # each other fused node against its chain (tests/oracles.py), and the
+    # whole network as one node per step
+    swaps = list(FUSED_CHAINS.values()) if node == "all" else [FUSED_CHAINS[node]]
+    assert_chain_bits(variant, monkeypatch, swaps)
+
+
+def test_taped_forward_keeps_no_hidden_width_or_normalized_input():
+    # every node recomputes its normalized input, and an MLP node its
+    # pre-activation and GELU output: no float array a node keeps, and no
+    # node's output, is of an MLP's hidden width (a layer's or the head's;
+    # only the bool dropout mask is), and none is a layer norm of a node's
+    # input under any of the model's norms (gains and biases moved off
+    # their starting values), nor that input standardized
+    config = tiny_config(layers=2, dropout=0.1, mlp_hidden=24, head_hidden=20)
+    hidden = {config.mlp_hidden, config.head_hidden}
+    assert not hidden & {config.d, config.out_dim, config.token_dim}
+    store = init_params(config, seed=0)
+    rng = np.random.default_rng(6)
+    norms = []
+    for name in store.names():
+        if name.endswith(("ln1.g", "ln2.g", "ln.g")):
+            gain, bias = store[name], store[name[:-1] + "b"]
+            gain.data = gain.data + rng.normal(0.0, 0.3, gain.shape).astype(np.float32)
+            bias.data = bias.data + rng.normal(0.0, 0.3, bias.shape).astype(np.float32)
+            norms.append((gain.data, bias.data))
+    norms.append((np.float32(1.0), np.float32(0.0)))
+    x = random_inputs(config, rng).astype(np.float32)
+    elev = rng.uniform(0, 2500, config.spec.n_patches)
+    res = forward(store, config, x, elev, orders=wind_orders(config, x), train=True, rng=rng)
+    nodes, seen, stack = [], set(), [res.tokens]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._vjp is None:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node._parents)
+    assert len(nodes) == TAPE_NODES
+    normalized = [ad.layer_norm(p.data, gain, bias)[0] for node in nodes
+                  for p in node._parents if p.data.shape[-1:] == (config.d,)
+                  for gain, bias in norms]
+    for node in nodes:
+        kept = [node.data] + [cell.cell_contents for cell in node._vjp.__closure__
+                              if isinstance(cell.cell_contents, np.ndarray)]
+        for arr in kept:
+            assert arr.dtype == np.bool_ or not hidden & set(arr.shape[-1:]), arr.shape
+            assert not any(arr.shape == n.shape and np.array_equal(arr, n)
+                           for n in normalized), arr.shape
+
+
 def test_taped_forward_keeps_no_batch_by_n_by_n_array():
-    # with both mechanisms on, the bias reaches attention as the (N, N)
-    # slot table and the (N, N) raster penalty; no array on the tape, walked
-    # as `tape_stats` walks it, is as large as one (B, 1, N, N) bias
+    # with both mechanisms on, the bias reaches attention as `pos.rel`'s
+    # (2M,) table and the (N, N) raster penalty; no array on the tape,
+    # walked as `tape_stats` walks it, is as large as one (B, 1, N, N) bias
     config = tiny_config(spec=GridSpec(16, 32, 2, 4, 2), layers=2, dropout=0.1)
     assert config.wind_reorder and config.elev_bias
     store = init_params(config, seed=0)

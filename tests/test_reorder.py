@@ -81,6 +81,21 @@ def test_direction_weighted_vs_plain():
     assert reorder.patch_wind_direction(u2, v) == pytest.approx(math.pi)
 
 
+def test_sector_angle_is_magnitude_weighted_in_the_permutation():
+    # through `build_permutation`: sector 0 holds one strong westward cell
+    # among fifteen weak eastward ones, whose plain mean points east; the
+    # weighted angle is pi, so its slots run east -> west. Sector 1 blows
+    # east throughout and keeps raster order under angle 0
+    spec = GridSpec(2, 16, 2, 4, 1)
+    assert spec.n_sectors == 2 and spec.patches_per_sector == 4
+    u, v = np.ones((2, 16)), np.zeros((2, 16))
+    u[0, 3] = -10.0
+    assert u[:, :8].mean() > 0.0
+    order, angles = reorder.build_permutation(spec, u, v)
+    assert angles.tolist() == [math.pi, 0.0]
+    assert order.tolist() == [3, 2, 1, 0, 4, 5, 6, 7]
+
+
 # -- projection ---------------------------------------------------------------
 
 def test_projection_axis_aligned():

@@ -1,6 +1,9 @@
 """Checks on the package's source text."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "topoflow"
@@ -132,3 +135,27 @@ def test_unread_constant_finder_sees_each_form():
     assert _unread_constants(trees) == [
         ("a.py", "A"), ("a.py", "C"), ("a.py", "LONELY"), ("a.py", "_HIDDEN"),
     ]
+
+
+# Imports every module of the package in a fresh interpreter and prints the
+# top-level names of the modules that loaded, leaving out those that were
+# loaded before (`site` loads some at start-up, such as `_distutils_hack`).
+IMPORT_PROBE = """
+import importlib, pkgutil, sys
+before = set(sys.modules)
+import topoflow
+for info in pkgutil.iter_modules(topoflow.__path__):
+    if info.name != "__main__":
+        importlib.import_module("topoflow." + info.name)
+print(" ".join(sorted({name.split(".")[0] for name in set(sys.modules) - before})))
+"""
+
+
+def test_importing_the_package_loads_only_the_standard_library_and_numpy():
+    # a run's set-up time starts with these imports, so a new third-party
+    # import shows up there first
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
+    loaded = set(proc.stdout.split())
+    assert loaded - set(sys.stdlib_module_names) == {"numpy", "topoflow"}

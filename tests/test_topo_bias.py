@@ -200,7 +200,7 @@ def test_batched_alpha_gradient_matches_central_differences():
 
     def attend(a):
         tables = attention.bias_tables(rel, layout, topo_bias.bias_tensor(h, a))
-        out, _ = attention._attend_parts(tokens, params, tables, orders)
+        out, _ = oracles.attend_node(tokens, params, tables, orders)
         return out
 
     def loss(a):
@@ -233,7 +233,7 @@ def test_batched_output_is_the_reindexed_penalty(dtype):
     table = rel[oracles.relative_slot_index(layout)]
     assert flat.dtype == dtype
     tokens, params, _coeff = attention_case(rng, 10, 4, dtype)
-    out, _ = attention._attend_parts(
+    out, _ = oracles.attend_node(
         tokens, params, attention.bias_tables(rel, layout, flat), orders)
     assert out.dtype == dtype
     for i, s in enumerate(np.argsort(orders, axis=1)):
