@@ -12,15 +12,15 @@ et al. 2021, arXiv:2103.14030): inside a sector one M x M Toeplitz block
 indexed by wind rank, and one bucket for every pair in different sectors.
 `bias_tables` builds, once per forward, what every call shares: the
 (N, N) base (the penalty plus the cross-sector bucket), the penalty's
-K sector blocks and their flat index. A call gets the slot orders, one
-(B, N) int array whose row i is sample i's slot -> patch order inside
-each sector, identity rows for a variant without wind reordering;
-`model.forward` and the node check them with `reorder.check_orders`.
-Each sample's ranks are its slot ranks moved to raster positions
-(`reorder.unapply`), and its bias is the base with the K*M^2
-within-sector entries written from the table and the penalty's blocks,
-so no N x N slot table, per-sample map or (B, 1, N, N) bias is built,
-kept or differentiated.
+K sector blocks and their flat index. A call gets the sector ranks, one
+(B, N) int array whose entry (i, p) is patch p's rank along the wind
+inside its sector for sample i; `model.forward` checks the slot orders
+and derives these ranks from them once per call
+(`reorder.sector_ranks`), raster ranks for a variant without wind
+reordering. Each sample's bias is the base with the K*M^2 within-sector
+entries written from the table and the penalty's blocks, so no N x N
+slot table, per-sample map or (B, 1, N, N) bias is built, kept or
+differentiated.
 
 Under a zero table and no penalty the operation is permutation
 equivariant: reordering tokens, attending, and undoing the reorder is
@@ -38,20 +38,23 @@ statistics, the projections, the context, the softmax's column
 statistics and a bool mask, and rebuilds the normalized input in the
 backward. Forward (`_attention`) and backward (`_attention_backward`)
 visit one (sample, head) pair's (N, N) logit block at a time, the
-blocking idea of FlashAttention (Dao et al. 2022, arXiv:2205.14135) rather than its
-kernel: a block is 1 MB at the desk size (N = 512, float32), so it stays
-in a core's L2 cache while it is biased, exponentiated and multiplied.
-Each block is laid out keys x queries, k q^T with one column per query,
-and so are the base and the penalty: the softmax's max, shift and sum run down
-columns with (1, N) broadcasts, which numpy does faster than the (N, 1)
-broadcasts and last-axis reductions of the row layout. The softmax
-divide moves off the block onto the (N, d/heads) context, and the
-backward takes its D = rowsum(dO * O) term from the context, as
-FlashAttention does (Dao et al. 2022; Dao 2023, arXiv:2307.08691), so
-no N x N pass divides a block.
-The backward keeps no N x N array besides the shared base and penalty. The forward records each query's max and sum of exponentials,
-and the backward recomputes a block's exponentials from the max: one
-more k q^T product and three elementwise passes per block buy back the
+blocking idea of FlashAttention (Dao et al. 2022, arXiv:2205.14135)
+rather than its kernel: a block is 1 MB at the desk size (N = 512,
+float32), so it stays in a core's L2 cache while it is biased,
+exponentiated and multiplied. Each block is laid out keys x queries,
+k q^T with one column per query, and so are the base and the penalty:
+the softmax's max, shift and sum run down columns with (1, N)
+broadcasts, which numpy does faster than the (N, 1) broadcasts and
+last-axis reductions of the row layout. The softmax divide moves off
+the block onto the (N, d/heads) context, and the backward takes its
+D = rowsum(dO * O) term from the context, as FlashAttention does (Dao
+et al. 2022; Dao 2023, arXiv:2307.08691), so no N x N pass divides a
+block.
+
+The backward keeps no N x N array besides the shared base and penalty.
+The forward records each query's max and sum of exponentials, and the
+backward recomputes a block's exponentials from the max: one more k q^T
+product and three elementwise passes per block buy back the
 (B, heads, N, N) weights the tape would otherwise hold (recompute
 instead of store, as in gradient checkpointing, Chen et al. 2016,
 arXiv:1604.06174).
@@ -64,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad, reorder
+from . import autodiff as ad
 from .errors import DataError, NumericError, ShapeError
 
 
@@ -103,8 +106,7 @@ class BiasTables:
     (`reorder._sector_layout`): row s holds the patches of sector s, and
     slot layout[s, j] has rank j in it.
     `penalty` is the (N, N) raster terrain penalty, keys x queries, or
-    None. The rest is derived, in the tables' dtype:
-    `slot_ranks` (N, 1), slot k's rank in its sector; `blocks` (K*M*M,),
+    None. The rest is derived, in the tables' dtype: `blocks` (K*M*M,),
     the flat (N, N) index of the within-sector entries, sector by sector,
     keys x queries; `base` (N, N), the penalty plus rel[2M - 1] (the
     bucket alone without a penalty); `pen_blocks` (K, M, M), the penalty
@@ -114,7 +116,6 @@ class BiasTables:
     rel: ad.Tensor
     layout: np.ndarray
     penalty: ad.Tensor | None
-    slot_ranks: np.ndarray
     blocks: np.ndarray
     base: np.ndarray
     pen_blocks: np.ndarray | None
@@ -143,8 +144,6 @@ def bias_tables(rel, layout, penalty=None) -> BiasTables:
         raise ShapeError(f"penalty shape {pen_t.shape} is not (N, N) with N = {n}")
     dtype = rel_t.dtype if pen_t is None else np.result_type(rel_t.data, pen_t.data)
     cross = rel_t.data[-1:].astype(dtype)
-    slot_ranks = np.empty((n, 1), dtype=np.int32)
-    slot_ranks[layout, 0] = np.arange(m)
     blocks = (layout[:, :, None] * n + layout[:, None, :]).reshape(-1)
     if pen_t is None:
         base, pen_blocks = np.full((n, n), cross[0], dtype=dtype), None
@@ -152,7 +151,7 @@ def bias_tables(rel, layout, penalty=None) -> BiasTables:
         pen = pen_t.data.astype(dtype, copy=False)
         base = np.add(pen, cross)
         pen_blocks = pen.reshape(-1)[blocks].reshape(k, m, m)
-    return BiasTables(rel_t, layout, pen_t, slot_ranks, blocks, base, pen_blocks)
+    return BiasTables(rel_t, layout, pen_t, blocks, base, pen_blocks)
 
 
 def _table_parents(tables: BiasTables) -> tuple[ad.Tensor, ...]:
@@ -160,19 +159,14 @@ def _table_parents(tables: BiasTables) -> tuple[ad.Tensor, ...]:
     return (tables.rel,) if tables.penalty is None else (tables.rel, tables.penalty)
 
 
-def _check(shape, params: AttentionParams, tables: BiasTables, orders) -> np.ndarray:
-    """`orders` checked for (B, N, d) tokens of `shape` under `tables`.
-
-    Tokens that are not (B, N, d) for the projections' d, or whose N is
-    not the tables', raise ShapeError; orders that `reorder.check_orders`
-    refuses raise its ShapeError or DataError.
-    """
+def _check(shape, params: AttentionParams, tables: BiasTables) -> None:
+    """ShapeError for tokens of `shape` that are not (B, N, d) for the
+    projections' d, or whose N is not the tables'."""
     if len(shape) != 3 or shape[-1] != params.d:
         raise ShapeError(f"tokens shape {shape} is not (B, N, {params.d})")
     if tables.layout.size != shape[1]:
         raise ShapeError(f"tokens shape {shape} is not (B, N, d) with the tables' N = "
                          f"{tables.layout.size}")
-    return reorder.check_orders(orders, shape[0], tables.layout)
 
 
 def _heads(a: np.ndarray, h: int) -> np.ndarray:
@@ -190,14 +184,14 @@ def _bias_buffers(tables: BiasTables, dtype):
             np.empty(shape, dtype=tables.base.dtype))
 
 
-def _sample_bias(tables: BiasTables, order, out, offsets, values):
-    """The (N, N) bias, in raster order, of the sample whose slot -> patch
-    order is `order`: its within-sector entries written into `out`, a
-    `_bias_buffers` base; its buckets there, sector by sector, land in
-    `offsets`."""
+def _sample_bias(tables: BiasTables, ranks, out, offsets, values):
+    """The (N, N) bias, in raster order, of the sample whose patches have
+    the (N,) sector ranks `ranks`: its within-sector entries written into
+    `out`, a `_bias_buffers` base; its buckets there, sector by sector,
+    land in `offsets`."""
     layout = tables.layout
     m = layout.shape[1]
-    ranks = reorder.unapply(order, tables.slot_ranks)[:, 0][layout]
+    ranks = ranks[layout]
     np.subtract(ranks[:, None, :], ranks[:, :, None] - (m - 1), out=offsets)
     np.take(tables.rel.data.astype(tables.base.dtype, copy=False), offsets, out=values)
     if tables.pen_blocks is not None:
@@ -206,11 +200,12 @@ def _sample_bias(tables: BiasTables, order, out, offsets, values):
     return out
 
 
-def _attention(xn: np.ndarray, params: AttentionParams, tables: BiasTables, orders,
+def _attention(xn: np.ndarray, params: AttentionParams, tables: BiasTables, ranks,
                weights: bool):
-    """Biased multi-head attention of (B, N, d) tokens `xn`, checked orders,
-    as arrays: (out, probs, q, k, v, ctx, col_max, col_sum). The last six
-    are what `_attention_backward` takes besides `xn`.
+    """Biased multi-head attention of (B, N, d) tokens `xn` whose patches
+    have the (B, N) sector ranks `ranks`, as arrays: (out, probs, q, k, v,
+    ctx, col_max, col_sum). The last six are what `_attention_backward`
+    takes besides `xn`.
 
     Projects Q, K and V, then works on one head's (N, N) logit block of one
     sample at a time, in one reused buffer laid out keys x queries: k q^T,
@@ -239,7 +234,7 @@ def _attention(xn: np.ndarray, params: AttentionParams, tables: BiasTables, orde
     ctx_h = _heads(ctx, h)
     bias_buf, offsets, values = _bias_buffers(tables, dtype)
     for i in range(b):
-        bias_i = _sample_bias(tables, orders[i], bias_buf, offsets, values)
+        bias_i = _sample_bias(tables, ranks[i], bias_buf, offsets, values)
         for j in range(h):
             np.matmul(kh[i, j], qh[i, j].T, out=block)
             block += bias_i
@@ -254,11 +249,10 @@ def _attention(xn: np.ndarray, params: AttentionParams, tables: BiasTables, orde
 
 
 def _attention_backward(g, xn, q, k, v, ctx, col_max, col_sum, params: AttentionParams,
-                        tables: BiasTables, orders, need_x: bool):
+                        tables: BiasTables, ranks):
     """Gradients of `_attention` for its output gradient g: (g_xn, g_wq,
     g_wk, g_wv, g_wo, g_rel, g_penalty), in the order of the parents
-    `_table_parents` ends; None where a parent needs none, g_xn unless
-    `need_x` and g_penalty without a penalty.
+    `_table_parents` ends; g_penalty is None without a penalty.
 
     Keeps no N x N array of its own besides the bias buffers: it
     recomputes each block's exp(k q^T + bias - max), the forward's own
@@ -273,7 +267,6 @@ def _attention_backward(g, xn, q, k, v, ctx, col_max, col_sum, params: Attention
     b, n, d = xn.shape
     h = params.n_heads
     m = tables.layout.shape[1]
-    rel_t, pen_t = tables.rel, tables.penalty
     qh, kh, vh, ctx_h = _heads(q, h), _heads(k, h), _heads(v, h), _heads(ctx, h)
     gctx_h = _heads(g @ params.wo.data.T, h)
     gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
@@ -282,19 +275,14 @@ def _attention_backward(g, xn, q, k, v, ctx, col_max, col_sum, params: Attention
     e = np.empty((n, n), dtype=col_max.dtype)
     bias_buf, offsets, values = _bias_buffers(tables, col_max.dtype)
     glog = np.empty((n, n), dtype=np.result_type(gctx_h, col_sum, vh))
-    grel = gpen = head_sum = None
-    if rel_t.requires_grad:
-        grel = np.zeros(2 * m)
-        ones = np.ones((1, n), dtype=glog.dtype)
-    if pen_t is not None and pen_t.requires_grad:
-        gpen = np.zeros((n, n), dtype=pen_t.dtype)
-    if grel is not None or gpen is not None:
-        # a sample's heads add up in one buffer, in head order, as a sum
-        # over the head axis would; the first head's gradient is written
-        # straight into it
-        head_sum = np.empty((n, n), dtype=glog.dtype)
+    # a sample's heads add up in one buffer, in head order, as a sum over the
+    # head axis would; the first head's gradient is written straight into it
+    head_sum = np.empty_like(glog)
+    ones = np.ones((1, n), dtype=glog.dtype)
+    grel = np.zeros(2 * m)
+    gpen = None if tables.penalty is None else np.zeros((n, n), dtype=tables.penalty.dtype)
     for i in range(b):
-        bias_i = _sample_bias(tables, orders[i], bias_buf, offsets, values)
+        bias_i = _sample_bias(tables, ranks[i], bias_buf, offsets, values)
         for j in range(h):
             # the forward's exp(s - max) of this block, from its column maxima
             np.matmul(kh[i, j], qh[i, j].T, out=e)
@@ -305,45 +293,38 @@ def _attention_backward(g, xn, q, k, v, ctx, col_max, col_sum, params: Attention
             go = gctx_h[i, j] / col_sum[i, j].T
             d_term = np.einsum("ij,ij->i", go, ctx_h[i, j])
             np.matmul(e, go, out=gv_h[i, j])
-            gl = head_sum if head_sum is not None and j == 0 else glog
+            gl = glog if j else head_sum
             np.matmul(vh[i, j], go.T, out=gl)
             # softmax backward, in place: e * (dP / sum - D / sum)
             gl -= d_term
             gl *= e
-            if head_sum is not None and j > 0:
+            if j:
                 head_sum += gl
             np.matmul(gl.T, kh[i, j], out=gq_h[i, j])
             np.matmul(gl, qh[i, j], out=gk_h[i, j])
         if gpen is not None:
             gpen += head_sum
-        if grel is not None:
-            # the within-sector entries by rank offset, then the rest
-            # (their column sums) into the cross-sector bucket
-            flat = head_sum.reshape(-1)
-            grel[:-1] += np.bincount(offsets.reshape(-1), weights=flat[tables.blocks],
-                                     minlength=2 * m - 1)
-            flat[tables.blocks] = 0.0
-            grel[-1] += (ones @ head_sum).sum(dtype=np.float64)
+        # the within-sector entries by rank offset, then the rest (their
+        # column sums) into the cross-sector bucket
+        flat = head_sum.reshape(-1)
+        grel[:-1] += np.bincount(offsets.reshape(-1), weights=flat[tables.blocks],
+                                 minlength=2 * m - 1)
+        flat[tables.blocks] = 0.0
+        grel[-1] += (ones @ head_sum).sum(dtype=np.float64)
     gq *= 1.0 / math.sqrt(d)
-
-    def weight_grad(w, left, right):
-        return left.reshape(-1, d).T @ right.reshape(-1, d) if w.requires_grad else None
-
-    gx = None
-    if need_x:
-        gx = gq @ params.wq.data.T + gk @ params.wk.data.T + gv @ params.wv.data.T
+    xt = xn.reshape(-1, d).T
     return (
-        gx,
-        weight_grad(params.wq, xn, gq),
-        weight_grad(params.wk, xn, gk),
-        weight_grad(params.wv, xn, gv),
-        weight_grad(params.wo, ctx, g),
-        None if grel is None else grel.astype(rel_t.dtype),
+        gq @ params.wq.data.T + gk @ params.wk.data.T + gv @ params.wv.data.T,
+        xt @ gq.reshape(-1, d),
+        xt @ gk.reshape(-1, d),
+        xt @ gv.reshape(-1, d),
+        ctx.reshape(-1, d).T @ g.reshape(-1, d),
+        grel.astype(tables.rel.dtype),
         gpen,
     )
 
 
-def _attend_parts(x, params: AttentionParams, tables: BiasTables, orders, norm,
+def _attend_parts(x, params: AttentionParams, tables: BiasTables, ranks, norm,
                   rate: float = 0.0, rng: np.random.Generator | None = None,
                   weights: bool = False):
     """A pre-norm layer's attention block on (B, N, d) tokens x as one tape
@@ -363,27 +344,26 @@ def _attend_parts(x, params: AttentionParams, tables: BiasTables, orders, norm,
     gradient, g + the layer norm's, is a two-term sum, and those commute.
 
     `tables` (`bias_tables`) holds the relative table, the sector layout,
-    the optional penalty and what every call shares of them. `orders`, a
-    (B, N) array whose row i is sample i's slot -> patch order inside each
-    sector, ranks the patches: patch orders[i, k] takes slot k's rank.
-    Sample i's bias is `tables.base` with each within-sector entry (key a,
-    query c) set to rel[rank(c) - rank(a) + M - 1] plus the penalty's
-    entry, written before its heads into one copy of the base that the
-    call's samples share, since they differ only there; identity rows rank
-    the patches in raster order. Tokens whose shape does not fit raise
-    ShapeError, orders that `reorder.check_orders` refuses its ShapeError
-    or DataError (`_check`). With `weights` the second value is the
+    the optional penalty and what every call shares of them. `ranks`, a
+    (B, N) int array, holds each patch's rank along the wind inside its
+    sector, sample by sample, as `reorder.sector_ranks` derives them from
+    checked slot orders; the node trusts them. Sample i's bias is
+    `tables.base` with each within-sector entry (key a, query c) set to
+    rel[rank(c) - rank(a) + M - 1] plus the penalty's entry, written
+    before its heads into one copy of the base that the call's samples
+    share, since they differ only there. Tokens whose shape does not fit
+    raise ShapeError (`_check`). With `weights` the second value is the
     post-softmax weights, queries x keys, a constant Tensor of shape
     (B, heads, N, N); without it, an empty (B, heads, 0, 0) Tensor of the
     logits' dtype.
     """
     x = ad.as_tensor(x)
-    orders = _check(x.shape, params, tables, orders)
+    _check(x.shape, params, tables)
     gamma, beta = norm
     xd = x.data
     normed, mu, inv = ad.layer_norm(xd, gamma.data, beta.data)
     out, probs, q, k, v, ctx, col_max, col_sum = _attention(
-        normed, params, tables, orders, weights)
+        normed, params, tables, ranks, weights)
     kept = None
     if rate > 0.0:
         kept = ad.dropout(out, rate, rng, out=out)[1]
@@ -393,7 +373,7 @@ def _attend_parts(x, params: AttentionParams, tables: BiasTables, orders, norm,
         gatt = g if kept is None else ad.dropout_apply(g, kept, rate)
         xhat = (xd - mu) * inv
         grads = _attention_backward(gatt, gamma.data * xhat + beta.data, q, k, v, ctx,
-                                    col_max, col_sum, params, tables, orders, need_x=True)
+                                    col_max, col_sum, params, tables, ranks)
         gx, ggamma, gbeta = ad.layer_norm_backward(grads[0], xhat, inv, gamma.data)
         gx += g
         return (gx, ggamma, gbeta) + grads[1:]

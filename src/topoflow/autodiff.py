@@ -121,9 +121,11 @@ class Tensor:
     def backward(self, grad: Array | None = None) -> None:
         """Accumulate gradients of this (scalar) node into the whole tape.
 
-        The graph stays alive after backward, so it can be walked again: a
-        training loop must drop its last reference to the output (and so
-        to every saved activation) before the next forward builds a new one.
+        Every node's backward gives each parent a gradient; the walk drops
+        those of constants. The graph stays alive after backward, so it can
+        be walked again: a training loop must drop its last reference to the
+        output (and so to every saved activation) before the next forward
+        builds a new one.
         """
         if grad is None:
             if self.data.size != 1:
@@ -169,10 +171,7 @@ class Tensor:
         return Tensor._op(
             a.data + b.data,
             (a, b),
-            lambda g: (
-                unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                unbroadcast(g, b.data.shape) if b.requires_grad else None,
-            ),
+            lambda g: (unbroadcast(g, a.data.shape), unbroadcast(g, b.data.shape)),
         )
 
     def __neg__(self):
@@ -186,10 +185,8 @@ class Tensor:
         return Tensor._op(
             a.data * b.data,
             (a, b),
-            lambda g: (
-                unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-                unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
-            ),
+            lambda g: (unbroadcast(g * b.data, a.data.shape),
+                       unbroadcast(g * a.data, b.data.shape)),
         )
 
     def __matmul__(self, other):
@@ -199,10 +196,7 @@ class Tensor:
         return Tensor._op(
             a.data @ b.data,
             (a, b),
-            lambda g: (
-                grad_left(g, b.data, a.data.shape) if a.requires_grad else None,
-                grad_right(a.data, g, b.data.shape) if b.requires_grad else None,
-            ),
+            lambda g: (grad_left(g, b.data, a.data.shape), grad_right(a.data, g, b.data.shape)),
         )
 
     def sum(self) -> "Tensor":

@@ -34,6 +34,7 @@ from .config import (
     format_kv,
     read_kv,
     value,
+    write_atomic,
 )
 from .errors import ConfigError, TopoflowError, UsageError
 
@@ -79,7 +80,7 @@ def resolve_config(args) -> dict[str, str]:
 
 def echo_config(cfg: dict[str, str], out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.txt").write_text(format_kv(cfg), encoding="utf-8")
+    write_atomic(out_dir / "resolved_config.txt", format_kv(cfg).encode("utf-8"))
 
 
 def build_grid(cfg):
@@ -204,8 +205,8 @@ def cmd_eval(cfg: dict[str, str]) -> int:
     store, mconfig, _moments, _extras = load_checkpoint(cfg, bundle)
     rep = evalkit.report(store, mconfig, bundle)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.txt").write_text(rep.render_text(), encoding="utf-8")
-    (out / "report.csv").write_text(rep.to_csv(), encoding="utf-8")
+    write_atomic(out / "report.txt", rep.render_text().encode("utf-8"))
+    write_atomic(out / "report.csv", rep.to_csv().encode("utf-8"))
     echo_config(cfg, out)
     # the report covers every sample, the ones `train` fits on included
     n = len(bundle.samples)
@@ -301,8 +302,8 @@ def _tile_runs(cfg, mconfig, tconfig) -> list[tuple]:
 
 def _write_table(out: Path, stem: str, text: list[str], csv: list[str]) -> None:
     table = "\n".join(text) + "\n"
-    (out / f"{stem}.txt").write_text(table, encoding="utf-8")
-    (out / f"{stem}.csv").write_text("\n".join(csv) + "\n", encoding="utf-8")
+    write_atomic(out / f"{stem}.txt", table.encode("utf-8"))
+    write_atomic(out / f"{stem}.csv", ("\n".join(csv) + "\n").encode("utf-8"))
     print(table, end="")
 
 
@@ -378,7 +379,7 @@ def cmd_dump(cfg: dict[str, str], what: str) -> int:
         lines += [f"{i} {order[i]} {inverse[i]}" for i in range(spec.n_patches)]
         lines.append("# sector angles (radians)")
         lines += [f"sector {s} {float(angles[s])!r}" for s in range(spec.n_sectors)]
-        (out / "perm.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_atomic(out / "perm.txt", ("\n".join(lines) + "\n").encode("utf-8"))
         print(f"wrote {out / 'perm.txt'}")
     elif what == "bias":
         alpha = topo_bias.ALPHA_INIT
@@ -393,10 +394,9 @@ def cmd_dump(cfg: dict[str, str], what: str) -> int:
             GridSpec(n, n, 1, 1, 1), ("bias_elev",), bias[None].astype(np.float32), ("",)
         )
         write_grid(container, out / "bias.gfd")
-        (out / "bias.txt").write_text(
-            f"alpha {float(alpha)!r}\nmin {float(bias.min())!r}\nmax {float(bias.max())!r}\n",
-            encoding="utf-8",
-        )
+        write_atomic(out / "bias.txt", (
+            f"alpha {float(alpha)!r}\nmin {float(bias.min())!r}\nmax {float(bias.max())!r}\n"
+        ).encode("utf-8"))
         print(f"wrote {out / 'bias.gfd'} (alpha={alpha})")
     elif what == "attn":
         preview = dataclasses.replace(bundle, samples=bundle.samples[:4])
@@ -410,7 +410,7 @@ def cmd_dump(cfg: dict[str, str], what: str) -> int:
         )
         write_grid(container, out / "attn.gfd")
         diag = evalkit.attn_diagnostics(np.asarray(attn))
-        (out / "attn.txt").write_text(evalkit.render_attn_text(diag), encoding="utf-8")
+        write_atomic(out / "attn.txt", evalkit.render_attn_text(diag).encode("utf-8"))
         print(f"wrote {out / 'attn.gfd'} (mu={diag.mu:.4f})")
     else:
         raise UsageError(f"unknown dump target {what!r}")

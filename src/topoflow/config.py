@@ -8,7 +8,8 @@ prefix; a nested dataclass field such as `ModelConfig.spec` adds one more
 level (`model.spec.height`). Values are parsed by the field's annotation:
 bool (`true`/`false`), int, float, str, or a comma-separated
 `tuple[T, ...]`. A value that does not parse, and an absent key for a
-field without a default, raise ConfigError naming the key.
+field without a default, raise ConfigError naming the key. The package's
+file reads and its whole-file writes (`write_atomic`) live here too.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
+import os
 import typing
 from dataclasses import dataclass
 
@@ -306,6 +308,15 @@ def decode(cls, kv: dict[str, str], section: str, **given):
     return cls(**args)
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write `<path>.tmp`, then rename it over `path`: a killed writer
+    leaves the old file whole. Not fsynced, so not proof against power loss."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
 def read_bytes(path, error) -> bytes:
     """The whole file; one that cannot be read raises `error` naming it."""
     try:
@@ -326,7 +337,8 @@ def read_lines(path, error):
 
 def read_kv(path, error, known=None) -> dict[str, str]:
     """The `key = value` lines of a file, less blank and `#` lines; any other
-    line, or a key outside a given `known`, raises `error` at `file:line`."""
+    line, a key outside a given `known`, or a key stated twice raises
+    `error` at `file:line`."""
     out: dict[str, str] = {}
     for ln, line in read_lines(path, error):
         key, eq, text = (part.strip() for part in line.partition("="))
@@ -336,6 +348,8 @@ def read_kv(path, error, known=None) -> dict[str, str]:
             raise error(f"{path}:{ln}: expected 'key = value'")
         if known is not None and key not in known:
             raise error(f"{path}:{ln}: unknown key {key!r}")
+        if key in out:
+            raise error(f"{path}:{ln}: repeated key {key!r}")
         out[key] = text
     return out
 

@@ -34,14 +34,13 @@ rejected at load time.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import GridSpec, read_bytes
+from .config import GridSpec, read_bytes, write_atomic
 from .errors import ConfigError, DataError, FormatError, MaskError, ShapeError, StatsError
 
 GFD_MAGIC = b"GFD1"
@@ -266,15 +265,6 @@ def write_grid(field: Field, path) -> None:
         parts.append(struct.pack("<H", len(nb)) + nb + struct.pack("<H", len(ub)) + ub)
     parts.append(field.data.astype("<f4").tobytes())
     write_atomic(path, b"".join(parts))
-
-
-def write_atomic(path, data: bytes) -> None:
-    """Write `<path>.tmp`, then rename it over `path`: a killed writer
-    leaves the old file whole. Not fsynced, so not proof against power loss."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
 
 
 def read_grid(path) -> Field:

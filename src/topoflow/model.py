@@ -23,28 +23,31 @@ statistics), and recomputes the rest in its backward, the normalized
 input and the MLP's pre-activation included: the selective
 recomputation of Korthikanti et al. 2022 (arXiv:2205.05198).
 
-Wind-guided reordering reaches only the attention node, which ranks each
-sample's patches through its slot order (one row of a (B, N) int array,
-slot -> raster patch, inside each sector) and indexes the relative table,
-2M numbers for sectors of M patches, by the rank offset of each pair in
-one sector; every pair in different sectors shares the last bucket.
+Wind-guided reordering reaches only the attention node, as each patch's
+rank along the wind inside its sector: `forward` checks the slot orders
+(one (B, N) int row per sample, slot -> raster patch, inside each
+sector) and ranks the patches once per call (`reorder.check_orders`,
+`reorder.sector_ranks`). The node indexes the relative table, 2M
+numbers for sectors of M patches, by the rank offset of each pair in one
+sector; every pair in different sectors shares the last bucket.
 `_attention_tables` builds the table's and the penalty's shared parts
 once per forward (`attention.bias_tables`), and every layer and every
-sample of the no-tape path use them. Attention under a zero table is
-permutation equivariant (criterion 1), so this computes what running the
-tokens in slot order and back would, without moving them.
+sample of the no-tape path use them and the ranks. Attention under a
+zero table is permutation equivariant (criterion 1), so this computes
+what running the tokens in slot order and back would, without moving
+them.
 The table starts at zero, so freshly initialized networks compute the
 exact same function with the shuffle on or off; what the reordering
 changes is what the table MEANS (attend-k-slots-back is "k ranks upwind"
 instead of "k raster positions back"), which is the entire mechanism.
 The two physics toggles choose data, not code, so the baseline
-configuration is literally the same network minus the two mechanisms. `wind_reorder` chooses the
-slot orders, read in `train.prepare_arrays` (wind orders or identity)
-and in `forward`'s identity default and missing-orders guard;
-`elev_bias` chooses whether the terrain penalty table exists, read in
-`_attention_tables`. Identity orders rank the patches in raster order,
-so the baseline is the wind variant under identity slot orders bit for
-bit.
+configuration is literally the same network minus the two mechanisms.
+`wind_reorder` chooses the slot orders, read in `train.prepare_arrays`
+(wind orders or identity) and in `forward`'s identity default and
+missing-orders guard; `elev_bias` chooses whether the terrain penalty
+table exists, read in `_attention_tables`. Identity orders rank the
+patches in raster order, so the baseline is the wind variant under
+identity slot orders bit for bit.
 """
 
 from __future__ import annotations
@@ -58,9 +61,9 @@ import numpy as np
 from . import autodiff as ad
 from . import reorder, topo_bias
 from .attention import AttentionParams, BiasTables, _attend_parts, bias_tables
-from .config import GridSpec, ModelConfig, decode, encode, format_kv, read_kv
+from .config import GridSpec, ModelConfig, decode, encode, format_kv, read_kv, write_atomic
 from .errors import ConfigError, FormatError, NumericError, ShapeError
-from .fields import Field, read_grid, write_atomic, write_grid
+from .fields import Field, read_grid, write_grid
 
 # variance of a unit normal truncated to +-2 sigma is 0.773729...; scale
 # draws up so the post-truncation variance hits the 1/fan_in target
@@ -250,9 +253,11 @@ def forward(
     row that is not an integer permutation of 0..N-1, or that moves a
     patch out of its sector, raises DataError (`reorder.check_orders`).
 
-    The slot orders reach only the attention node: the returned tokens,
-    and with `collect_attention` every layer's head-averaged (B, N, N) map,
-    are in raster patch order, so token i is patch i for every variant.
+    The orders become each patch's rank along the wind once per call
+    (`reorder.sector_ranks`), and the ranks reach only the attention node:
+    the returned tokens, and with `collect_attention` every layer's
+    head-averaged (B, N, N) map, are in raster patch order, so token i is
+    patch i for every variant.
 
     A forward that records no tape (`train` off under `autodiff.no_grad`)
     runs the network one sample at a time, so its memory does not grow
@@ -276,14 +281,15 @@ def forward(
     elif orders is None:
         raise ConfigError("wind_reorder enabled but no slot orders supplied")
     # shared by every sample: the relative table and the penalty, with what
-    # every attention call derives from them, and the positional vectors
+    # every attention call derives from them, the ranks and the positional
+    # vectors
     tables = _attention_tables(params, config, elev_patch_m)
-    orders = reorder.check_orders(orders, b, tables.layout)
+    ranks = reorder.sector_ranks(reorder.check_orders(orders, b, tables.layout), tables.layout)
     pos = params["pos.grid"] @ params["pos.proj"]
 
     def run(rows: slice):
         return _forward_samples(
-            params, config, arr[rows], orders[rows], tables, pos,
+            params, config, arr[rows], ranks[rows], tables, pos,
             train, rng, collect_attention,
         )
 
@@ -319,7 +325,7 @@ def _forward_samples(
     params: ParamStore,
     config: ModelConfig,
     arr: np.ndarray,
-    orders: np.ndarray,
+    ranks: np.ndarray,
     tables: BiasTables,
     pos: ad.Tensor,
     train: bool,
@@ -327,9 +333,9 @@ def _forward_samples(
     collect_attention: bool,
 ) -> tuple[ad.Tensor, list[np.ndarray]]:
     """Raster-order output tokens and per-layer attention maps of `forward`
-    for the samples `arr`, whose slot -> patch orders are the rows of
-    `orders`; `tables` are `_attention_tables`' shared bias terms. Every
-    variant runs these same operations; the toggles chose the orders and
+    for the samples `arr`, whose patches' sector ranks are the rows of
+    `ranks`; `tables` are `_attention_tables`' shared bias terms. Every
+    variant runs these same operations; the toggles chose the ranks and
     the penalty."""
     tokens = patchify(arr, config.spec).astype(params["patch_embed.w"].dtype)
     rate = config.dropout if train else 0.0
@@ -338,7 +344,7 @@ def _forward_samples(
     attn_maps: list[np.ndarray] = []
     for i in range(config.layers):
         x, weights = _attend_parts(
-            x, _layer_attention_params(params, i, config.heads), tables, orders,
+            x, _layer_attention_params(params, i, config.heads), tables, ranks,
             (params[f"layer{i}.ln1.g"], params[f"layer{i}.ln1.b"]), rate, rng,
             weights=collect_attention,
         )

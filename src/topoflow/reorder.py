@@ -14,8 +14,10 @@ identity when every sector keeps raster order. Sectors whose cells carry
 exactly zero wind skip the projection sort and keep raster order outright;
 a literal sort under the sentinel angle 0 would order such sectors
 column-major, which is not the raster baseline the degenerate case is
-defined to preserve. No token moves: the attention node gives each patch
-its slot's rank along the wind with `unapply`.
+defined to preserve. No token moves: `model.forward` checks a batch's
+slot orders once (`check_orders`) and turns them into each patch's rank
+along the wind inside its sector (`sector_ranks`), which is all the
+attention node reads of them.
 """
 
 from __future__ import annotations
@@ -118,6 +120,18 @@ def check_orders(orders, b: int, layout: np.ndarray) -> np.ndarray:
     if (sector_of[orders] != sector_of).any():
         raise DataError("each slot order must keep every patch in its own sector")
     return orders
+
+
+def sector_ranks(orders: np.ndarray, layout: np.ndarray) -> np.ndarray:
+    """(B, N) int32 ranks along the wind from (B, N) slot orders that
+    `check_orders` has passed for the (K, M) `layout`: entry (i, p) is
+    raster patch p's rank inside its sector under sample i's order. Slot
+    layout[s, j] has rank j, and patch orders[i, k] takes slot k's rank
+    (`unapply`), so identity rows rank the patches in raster order."""
+    slot_ranks = np.empty((layout.size, 1), dtype=np.int32)
+    slot_ranks[layout, 0] = np.arange(layout.shape[1])
+    ranks = [unapply(order, slot_ranks)[:, 0] for order in orders]
+    return np.array(ranks, dtype=np.int32).reshape(orders.shape)
 
 
 def unapply(order: np.ndarray, tokens: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import INPUT_CHANNELS, TARGET_CHANNELS, TEMPORAL_CHANNELS, DataConfig, PhysicsConfig
-from .config import TrainConfig, decode, encode, format_kv, read_kv, read_lines
+from .config import TrainConfig, decode, encode, format_kv, read_kv, read_lines, write_atomic
 from .errors import ConfigError, DataError, FormatError, ShapeError, StabilityError
 from .fields import (
     ChannelStats,
@@ -53,7 +53,6 @@ from .fields import (
     Sample,
     read_grid,
     temporal_encoding,
-    write_atomic,
     write_grid,
 )
 

@@ -18,8 +18,9 @@ whole run's randomness is one serializable rng state.
 
 `prepare_arrays` builds every sample's slot order once, from the physical
 winds (identity rows without wind reordering), as one (S, N) int array. A
-batch hands its rows to `model.forward` as `orders`; the forward gathers
-through them and returns raster tokens, so nothing here indexes by them.
+batch hands its rows to `model.forward` as `orders`; the forward turns
+them into each patch's rank along the wind for the attention node and
+returns raster tokens, so nothing here indexes by them.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ import numpy as np
 from . import autodiff as ad
 from . import model as model_mod
 from . import reorder
-from .config import TrainConfig, encode, read_lines
+from .config import TrainConfig, encode, read_lines, write_atomic
 from .errors import ConfigError, FormatError, NumericError, ShapeError
-from .fields import normalize, write_atomic
+from .fields import normalize
 from .model import ModelConfig, ParamStore, forward, init_params, patchify
 from .synthdata import DatasetBundle
 from .topo_bias import patch_elevations

@@ -118,19 +118,19 @@ def gelu(x: ad.Tensor) -> ad.Tensor:
     return ad.Tensor._op(ad.gelu(x.data), (x,), lambda g: (ad.gelu_backward(x.data, g)[1],))
 
 
-def attend_node(tokens, params, tables, orders, weights=False):
+def attend_node(tokens, params, tables, ranks, weights=False):
     """The attention core as a tape node of its own: `attention._attention`
-    and `attention._attention_backward` on (B, N, d) tokens, without the
-    block's layer norm, dropout and residual add; returns (out, weights)
-    as `attention._attend_parts` does."""
+    and `attention._attention_backward` on (B, N, d) tokens whose patches
+    have the (B, N) sector ranks `ranks`, without the block's layer norm,
+    dropout and residual add; returns (out, weights) as
+    `attention._attend_parts` does."""
     x = ad.as_tensor(tokens)
-    orders = attention._check(x.shape, params, tables, orders)
-    out, probs, *saved = attention._attention(x.data, params, tables, orders, weights)
+    attention._check(x.shape, params, tables)
+    out, probs, *saved = attention._attention(x.data, params, tables, ranks, weights)
     parents = (x, params.wq, params.wk, params.wv, params.wo)
 
     def vjp(g):
-        return attention._attention_backward(g, x.data, *saved, params, tables, orders,
-                                             need_x=x.requires_grad)
+        return attention._attention_backward(g, x.data, *saved, params, tables, ranks)
 
     return (ad.Tensor._op(out, parents + attention._table_parents(tables), vjp),
             ad.Tensor(probs))
@@ -151,10 +151,10 @@ def mlp_chain(x, weights, residual, rate=0.0, rng=None) -> ad.Tensor:
     return linear(hidden, w2, b2)
 
 
-def attend_chain(x, params, tables, orders, norm, rate=0.0, rng=None, weights=False):
+def attend_chain(x, params, tables, ranks, norm, rate=0.0, rng=None, weights=False):
     """`attention._attend_parts` as the chain it fuses: layer norm, the
     attention node, dropout and the residual add."""
-    attended, probs = attend_node(layer_norm_node(x, *norm), params, tables, orders, weights)
+    attended, probs = attend_node(layer_norm_node(x, *norm), params, tables, ranks, weights)
     return x + dropout_node(attended, rate, rng), probs
 
 
@@ -178,7 +178,8 @@ def identity_attend(tokens, params, penalty=None, **kwargs):
     table `penalty` landing as it is: the tables are one sector of N
     patches with a zero relative table of the penalty's dtype (the tokens'
     without a penalty), which moves no bit of the output, the weights or a
-    gradient, under identity slot orders. Other keywords go to the node."""
+    gradient, under raster ranks (those of identity slot orders). Other
+    keywords go to the node."""
     x = ad.as_tensor(tokens)
     b, n = x.shape[:2]
     dtype = x.dtype if penalty is None else ad.as_tensor(penalty).dtype

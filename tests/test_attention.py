@@ -333,9 +333,9 @@ def node_bias(bias_shape, rng, batch, dtype=np.float64):
 
 def node_call(leaves, orders, fn=NODE):
     """`fn` with the node's keywords: the tables built from `leaves` on
-    LAYOUT and the slot orders."""
-    return functools.partial(
-        fn, tables=attention.bias_tables(leaves[0], LAYOUT, *leaves[1:]), orders=orders)
+    LAYOUT and the sector ranks of the slot orders."""
+    return functools.partial(fn, tables=attention.bias_tables(leaves[0], LAYOUT, *leaves[1:]),
+                             ranks=reorder.sector_ranks(orders, LAYOUT))
 
 
 # max |relative table gradient - the slot-table path's|, as a share of the
@@ -454,12 +454,12 @@ def test_taped_attention_keeps_no_n_by_n_array():
     rel = ad.parameter(rng.normal(size=128).astype(np.float32))
     penalty = ad.parameter(rng.normal(size=(n, n)).astype(np.float32))
     tables = attention.bias_tables(rel, layout, penalty)
-    orders = oracles.sector_orders(rng, layout, b)
+    ranks = reorder.sector_ranks(oracles.sector_orders(rng, layout, b), layout)
     norm = layer_norm_params(d, rng, np.float32)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out, weights = attention._attend_parts(tokens, params, tables, orders, norm, 0.1,
+        out, weights = attention._attend_parts(tokens, params, tables, ranks, norm, 0.1,
                                                np.random.default_rng(0))
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -552,6 +552,7 @@ def test_penalty_and_orders_match_the_materialized_bias(with_penalty, with_order
         params, x, coeff, rel, elev, layout, orders = penalty_case(rng, dtype)
         b, n = orders.shape
         slots = orders if with_orders else np.tile(np.arange(n), (b, 1))
+        ranks = reorder.sector_ranks(slots, layout)
         runs = []
         for oracle in (False, True):
             rel_t = ad.parameter(rel.copy())
@@ -564,7 +565,7 @@ def test_penalty_and_orders_match_the_materialized_bias(with_penalty, with_order
                                        orders=slots, penalty=penalty)
             else:
                 fn = functools.partial(NODE, tables=attention.bias_tables(rel_t, layout, penalty),
-                                       orders=slots)
+                                       ranks=ranks)
             runs.append((attend_and_grads(params, x, coeff, fn=fn), rel_t, alpha))
         (got, rel_got, alpha_got), (want, rel_want, alpha_want) = runs
         for new, old in zip(got, want):
@@ -578,7 +579,7 @@ def test_penalty_and_orders_match_the_materialized_bias(with_penalty, with_order
         penalty = topo_bias.bias_tensor(-elev, alpha_got) if with_penalty else None
         with ad.no_grad():
             plain, _ = oracles.attend_node(
-                x, params, attention.bias_tables(rel, layout, penalty), slots)
+                x, params, attention.bias_tables(rel, layout, penalty), ranks)
         assert plain.data.tobytes() == got[0].tobytes()
 
 
@@ -599,7 +600,7 @@ def test_penalty_gradient_is_the_scattered_head_sum(with_orders):
     attend_and_grads(params, x, coeff, fn=oracles.reference_attend, bias=ref_bias)
     rel_t, penalty = ad.parameter(rel.copy()), ad.parameter(flat.copy())
     attend_and_grads(params, x, coeff, fn=NODE, tables=attention.bias_tables(rel_t, layout, penalty),
-                     orders=slots)
+                     ranks=reorder.sector_ranks(slots, layout))
     assert penalty.grad.dtype == rel_t.grad.dtype == np.float32
     g = ref_bias.grad[:, 0]
     assert penalty.grad.tobytes() == sum(gi.T for gi in g).tobytes()
@@ -635,28 +636,28 @@ def test_penalty_and_orders_are_checked():
     with pytest.raises(DataError, match="layout"):
         attention.bias_tables(rel, doubled)
     norm = layer_norm_params(16, rng, np.float32)
+    ranks = reorder.sector_ranks(orders, layout)
     # the tokens' N must be the tables', and their width the projections'
     with pytest.raises(ShapeError, match="tables"):
-        attention._attend_parts(x[:, :-1], params, tables, orders[:, :-1], norm)
+        attention._attend_parts(x[:, :-1], params, tables, ranks[:, :-1], norm)
     with pytest.raises(ShapeError, match="tokens shape"):
-        attention._attend_parts(x[..., :-1], params, tables, orders, norm)
-    # the orders: one integer permutation per sample, inside the sectors. A
-    # float copy of good orders sorts to 0..N-1 but cannot rank the
-    # patches, so it is refused before the forward too
+        attention._attend_parts(x[..., :-1], params, tables, ranks, norm)
+    # the orders, which `model.forward` checks before it ranks the patches:
+    # one integer permutation per sample, inside the sectors. A float copy
+    # of good orders sorts to 0..N-1 but cannot rank the patches
     for bad in (orders[:1], orders[:, :-1], orders[0]):
         with pytest.raises(ShapeError, match="slot orders"):
-            attention._attend_parts(x, params, tables, bad, norm)
+            reorder.check_orders(bad, 2, layout)
     repeated = orders.copy()
     repeated[1, 0] = repeated[1, 1]
     for bad in (repeated, orders + 1, orders.astype(float)):
         with pytest.raises(DataError, match="permutation"):
-            attention._attend_parts(
-                x, params, attention.bias_tables(ad.parameter(rel), layout), bad, norm)
+            reorder.check_orders(bad, 2, layout)
     crossing = orders.copy()
     swap = [layout[0, 0], layout[1, 0]]
     crossing[0, swap] = crossing[0, swap[::-1]]
     with pytest.raises(DataError, match="sector"):
-        attention._attend_parts(x, params, tables, crossing, norm)
+        reorder.check_orders(crossing, 2, layout)
 
 
 def test_node_gradients_match_finite_differences_through_the_sector_blocks():
@@ -675,6 +676,7 @@ def test_node_gradients_match_finite_differences_through_the_sector_blocks():
     winds = rng.normal(size=(2, 2, spec.height, spec.width))
     orders = np.stack([reorder.build_permutation(spec, u, v)[0] for u, v in winds])
     assert not (orders == np.arange(n)).all(axis=1).any()
+    ranks = reorder.sector_ranks(orders, layout)
     rel = ad.parameter(rng.normal(size=2 * m))
     assert rel.data[-1] != 0.0
     elev = rng.uniform(0, 3000, size=n)
@@ -688,7 +690,7 @@ def test_node_gradients_match_finite_differences_through_the_sector_blocks():
         def forward():
             p = topo_bias.bias_tensor(-elev, alpha) if pen is None else pen
             out, _ = oracles.attend_node(tokens, params,
-                                         attention.bias_tables(rel, layout, p), orders)
+                                         attention.bias_tables(rel, layout, p), ranks)
             return out
 
         def forward_scalar():
@@ -704,9 +706,10 @@ def test_node_gradients_match_finite_differences_through_the_sector_blocks():
 # -- the attention block: layer norm, attention, dropout and residual as one node ---------
 
 def block_case(rng, dtype, b=3):
-    """(params, norm, leaves, tables, orders, tokens, coeff) for the block on
-    PENALTY_SPEC under sector orders, with a random relative table and an
-    elevation penalty through alpha as its table leaves."""
+    """(params, norm, leaves, tables, ranks, tokens, coeff) for the block on
+    PENALTY_SPEC under the sector ranks of sector orders, with a random
+    relative table and an elevation penalty through alpha as its table
+    leaves."""
     params, x, coeff, rel, elev, layout, orders = penalty_case(rng, dtype, b)
     norm = layer_norm_params(16, rng, dtype)
     rel_t, alpha = ad.parameter(rel), ad.parameter(np.array(1.7, dtype=dtype))
@@ -715,7 +718,7 @@ def block_case(rng, dtype, b=3):
     def tables():
         return attention.bias_tables(rel_t, layout, topo_bias.bias_tensor(-elev, alpha))
 
-    return params, norm, leaves, tables, orders, x, coeff
+    return params, norm, leaves, tables, reorder.sector_ranks(orders, layout), x, coeff
 
 
 @pytest.mark.parametrize("rate", [0.3, 0.0])
@@ -725,14 +728,14 @@ def test_attention_block_carries_the_bits_of_the_unfused_chain(rate):
     # float32: the output, the weights, every gradient and the generator
     # state after the forward are the chain's, bit for bit
     rng = np.random.default_rng(26)
-    params, norm, leaves, tables, orders, x, coeff = block_case(rng, np.float32)
+    params, norm, leaves, tables, ranks, x, coeff = block_case(rng, np.float32)
     weights = (params.wq, params.wk, params.wv, params.wo) + norm + leaves
     runs = []
     for fn in (attention._attend_parts, oracles.attend_chain):
         tokens = ad.parameter(x.copy())
         ad.zero_grads(weights)
         drop_rng = np.random.default_rng(27)
-        out, probs = fn(tokens, params, tables(), orders, norm, rate, drop_rng, weights=True)
+        out, probs = fn(tokens, params, tables(), ranks, norm, rate, drop_rng, weights=True)
         state = drop_rng.bit_generator.state
         (out * ad.Tensor(coeff)).sum().backward()
         grads = [tokens.grad] + [t.grad for t in weights]
@@ -749,11 +752,11 @@ def test_attention_block_gradients_match_finite_differences():
     # mask drawn from a generator re-seeded for every evaluation: the
     # tokens, the layer norm, the projections, the relative table and alpha
     rng = np.random.default_rng(28)
-    params, norm, leaves, tables, orders, x, coeff = block_case(rng, np.float64, b=2)
+    params, norm, leaves, tables, ranks, x, coeff = block_case(rng, np.float64, b=2)
     tokens = ad.parameter(x)
 
     def forward():
-        return attention._attend_parts(tokens, params, tables(), orders, norm, 0.25,
+        return attention._attend_parts(tokens, params, tables(), ranks, norm, 0.25,
                                        np.random.default_rng(29))[0]
 
     def forward_scalar():

@@ -479,6 +479,7 @@ BROKEN_INPUTS = (
     "manifest v2 header",
     "manifest not UTF-8",
     "manifest key unknown",
+    "manifest key repeated",
     "manifest format not v3",
     "stats value not a number",
     "stats value not finite",
@@ -497,6 +498,7 @@ BROKEN_INPUTS = (
     "manifest header without base_speed",
     "manifest header base_speed not finite",
     "config file is a directory",
+    "config file key repeated",
     "eval baseline sidecar without model.wind_reorder",
     "eval sidecar value not an integer",
     "stats kind unknown",
@@ -556,6 +558,11 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
         ln = keys.index(b"data.count") + 2
         argv = ["train", *common, *out]
         named = f"manifest.txt:{ln}: unknown key 'data.archetype'"
+    elif case == "manifest key repeated":
+        rewrite(manifest, b"data.count = 12\n", b"data.count = 12\ndata.count = 13\n")
+        ln = keys.index(b"data.count") + 2
+        argv = ["train", *common, *out]
+        named = f"manifest.txt:{ln}: repeated key 'data.count'"
     elif case == "manifest format not v3":
         rewrite(manifest, b"format = topoflow dataset v3", b"format = topoflow dataset v4")
         argv = ["train", *common, *out]
@@ -675,6 +682,12 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
     elif case == "config file is a directory":
         (tmp_path / "cfgdir").mkdir()
         argv, named, code = ["gen", "--config", str(tmp_path / "cfgdir"), *out], "cfgdir", 2
+    elif case == "config file key repeated":
+        twice = write_config(tmp_path / "twice.cfg")
+        ln = len(twice.read_bytes().splitlines()) + 1
+        twice.write_bytes(twice.read_bytes() + b"model.d = 32\n")
+        argv = ["gen", "--config", str(twice), *out]
+        named, code = f"twice.cfg:{ln}: repeated key 'model.d'", 2
     else:
         latin = write_config(tmp_path / "latin.cfg")
         ln = len(latin.read_bytes().splitlines()) + 1

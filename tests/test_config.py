@@ -76,22 +76,33 @@ def test_codec_errors_are_config_errors():
             value({key: text}, key, tp)
 
 
-def _read_calls(tree):
-    """Calls in a module's syntax tree that read a file: `open` in a mode
-    without w, a or x (or a mode that is not a literal), `.read_text()`
-    and `.read_bytes()`."""
+def _file_calls(tree):
+    """(name, mode, call) for each call in a syntax tree of `open` or of a
+    `.read_text()`, `.read_bytes()`, `.write_text()` or `.write_bytes()`
+    method: `open`'s mode as text ("r" when not given), None when it is
+    not a literal."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name in ("read_text", "read_bytes") and isinstance(func, ast.Attribute):
-            yield node
+        if name in ("read_text", "read_bytes", "write_text", "write_bytes"):
+            if isinstance(func, ast.Attribute):
+                yield name, None, node
         elif name == "open":
             mode = node.args[1] if len(node.args) > 1 else next(
                 (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
-            if not (isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax")):
-                yield node
+            yield name, str(mode.value) if isinstance(mode, ast.Constant) else None, node
+
+
+def _read_calls(tree):
+    """Calls in a module's syntax tree that read a file: `open` in a mode
+    without w, a or x (or a mode that is not a literal), `.read_text()`
+    and `.read_bytes()`."""
+    for name, mode, node in _file_calls(tree):
+        if name in ("read_text", "read_bytes") or (
+                name == "open" and not (mode and set(mode) & set("wax"))):
+            yield node
 
 
 def test_files_are_read_only_in_config():
@@ -103,6 +114,40 @@ def test_files_are_read_only_in_config():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [f"{path.name}:{node.lineno}" for node in _read_calls(tree)]
     assert found and all(site.startswith("config.py:") for site in found), found
+
+
+def _write_calls(tree):
+    """(enclosing module-level function or None, call) for each call in a
+    module's syntax tree that writes a whole file: `open` in a mode with w
+    or x (or a mode that is not a literal), `.write_text()` and
+    `.write_bytes()`."""
+    for top in tree.body:
+        for name, mode, node in _file_calls(top):
+            if name in ("write_text", "write_bytes") or (
+                    name == "open" and (mode is None or set(mode) & set("wx"))):
+                yield getattr(top, "name", None), node
+
+
+def test_files_are_written_whole_only_by_write_atomic():
+    """Every whole file the package writes goes through
+    `config.write_atomic`, so a killed writer leaves the old file whole;
+    appends (the loss log) are the callers'."""
+    src = Path(__file__).resolve().parents[1] / "src" / "topoflow"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [(path.name, fn) for fn, _node in _write_calls(tree)]
+    assert found == [("config.py", "write_atomic")]
+
+
+def test_write_calls_finder_sees_each_form():
+    tree = ast.parse(
+        "open(p, 'w')\nopen(p, 'wb')\nopen(p, mode='x')\nopen(p, m)\np.write_text(t)\n"
+        "def f():\n    p.write_bytes(b)\n"
+        "open(p)\nopen(p, 'rb')\nopen(p, 'ab')\nfh.write(t)\n"
+    )
+    assert [(fn, node.lineno) for fn, node in _write_calls(tree)] == [
+        (None, 1), (None, 2), (None, 3), (None, 4), (None, 5), ("f", 7)]
 
 
 def test_read_calls_finder_sees_each_form():

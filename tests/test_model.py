@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 import tracemalloc
 import zlib
@@ -195,6 +196,32 @@ def test_forward_refuses_bad_slot_orders():
         forward(store, off, x).tokens.data.tobytes()
 
 
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("taped", [True, False])
+def test_forward_checks_and_ranks_the_orders_once(layers, taped, monkeypatch):
+    # one order check and one rank derivation per sample, whatever the
+    # depth: no layer, no sample of the no-tape path and no backward
+    # checks or ranks the orders again
+    config = tiny_config(layers=layers)
+    store = init_params(config, seed=0)
+    rng = np.random.default_rng(4)
+    x = random_inputs(config, rng, batch=3)
+    elev = rng.uniform(0, 2500, config.spec.n_patches)
+    orders = wind_orders(config, x)
+    calls = {"check_orders": 0, "unapply": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(reorder, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(reorder, name, counted)
+    with contextlib.nullcontext() if taped else ad.no_grad():
+        res = forward(store, config, x, elev, orders=orders)
+    assert res.tokens.requires_grad == taped
+    if taped:
+        res.tokens.sum().backward()
+    assert calls == {"check_orders": 1, "unapply": 3}
+
+
 def test_dropout_requires_rng_and_is_seeded():
     config = tiny_config(dropout=0.2, wind_reorder=False, elev_bias=False)
     store = init_params(config, seed=0)
@@ -347,7 +374,9 @@ def test_attention_tables_are_keys_by_queries():
     index = oracles.relative_slot_index(layout)
     np.testing.assert_array_equal(index, by_query.T)
     assert not np.array_equal(index, by_query)
-    np.testing.assert_array_equal(tables.slot_ranks[:, 0], ranks)
+    # identity orders give each patch its raster rank in its sector
+    identity = np.arange(spec.n_patches)[None]
+    np.testing.assert_array_equal(reorder.sector_ranks(identity, tables.layout)[0], ranks)
     inside = np.zeros(index.size, dtype=bool)
     inside[tables.blocks] = True
     assert tables.blocks.size == spec.n_sectors * m * m

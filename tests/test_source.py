@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mutants
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "topoflow"
 
 
@@ -159,3 +161,12 @@ def test_importing_the_package_loads_only_the_standard_library_and_numpy():
                           env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
     loaded = set(proc.stdout.split())
     assert loaded - set(sys.stdlib_module_names) == {"numpy", "topoflow"}
+
+
+def test_every_mutant_line_occurs_once_in_src():
+    # tests/mutants.py applies each mutant by its whole line; a change that
+    # rewrites a mutated line must restate the mutant, and the runner
+    # (`python tests/mutants.py`) shows the suite still kills it
+    assert len({(m.file, m.line, m.mutant) for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    assert {m.name: mutants.occurrences(m) for m in mutants.MUTANTS} == {
+        m.name: 1 for m in mutants.MUTANTS}

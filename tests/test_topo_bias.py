@@ -194,13 +194,14 @@ def test_batched_alpha_gradient_matches_central_differences():
     h = rng.uniform(0, 8000, size=9)
     layout = np.arange(9).reshape(3, 3)
     orders = oracles.sector_orders(rng, layout, 3)
+    ranks = reorder.sector_ranks(orders, layout)
     tokens, params, coeff = attention_case(rng, 9, 3)
     rel = rng.normal(size=6)
     alpha, eps = 2.0, 1e-6
 
     def attend(a):
         tables = attention.bias_tables(rel, layout, topo_bias.bias_tensor(h, a))
-        out, _ = oracles.attend_node(tokens, params, tables, orders)
+        out, _ = oracles.attend_node(tokens, params, tables, ranks)
         return out
 
     def loss(a):
@@ -234,7 +235,8 @@ def test_batched_output_is_the_reindexed_penalty(dtype):
     assert flat.dtype == dtype
     tokens, params, _coeff = attention_case(rng, 10, 4, dtype)
     out, _ = oracles.attend_node(
-        tokens, params, attention.bias_tables(rel, layout, flat), orders)
+        tokens, params, attention.bias_tables(rel, layout, flat),
+        reorder.sector_ranks(orders, layout))
     assert out.dtype == dtype
     for i, s in enumerate(np.argsort(orders, axis=1)):
         want, _ = oracles.identity_attend(tokens[i : i + 1], params, table[s][:, s] + flat)
