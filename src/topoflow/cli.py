@@ -173,7 +173,7 @@ def cmd_gen(cfg: dict[str, str]) -> int:
     train_inputs = [samples[i].input for i in train_idx] or [samples[0].input]
     stats = NormStats.fit(train_inputs, synthdata.norm_kinds())
     mask = synthdata.study_mask(spec)
-    synthdata.write_dataset(out, samples, tw, mask, stats, seed,
+    synthdata.write_dataset(out, samples, tw, mask, stats, seed, data=data, physics=physics,
                             val_fraction=tconfig.val_fraction)
     echo_config(cfg, out)
     print(f"wrote {len(samples)} samples to {out}")

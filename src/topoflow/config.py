@@ -24,7 +24,11 @@ from dataclasses import dataclass
 from .errors import ConfigError, StabilityError
 
 TEMPORAL_CHANNELS = ("hour_sin", "hour_cos", "doy_sin", "doy_cos")
-INPUT_CHANNELS = ("u", "v", "c", "x", "y", "elev") + TEMPORAL_CHANNELS
+# a sample file holds what varies; the planes every sample shares join the
+# model's input stack only in `train.prepare_arrays`
+SAMPLE_CHANNELS = ("u", "v", "c") + TEMPORAL_CHANNELS
+STATIC_CHANNELS = ("x", "y", "elev")
+INPUT_CHANNELS = ("u", "v", "c") + STATIC_CHANNELS + TEMPORAL_CHANNELS
 TARGET_CHANNELS = ("c",)
 
 

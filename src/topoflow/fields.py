@@ -6,11 +6,12 @@ and sector geometry used by the transformer, so it travels inside every
 file written by this package.
 
 Channel order convention (fixed, part of the format contract): meteorology
-first (u, v), then pollutant/tracer channels, then coordinates (x, y), then
-static fields (elevation), then the four temporal encodings. The synthetic
-datasets carry 10 input channels; the four temporal encodings are appended
-beyond the tabulated variable count, a deliberate convention noted here
-rather than resolved.
+first (u, v), then pollutant/tracer channels, then the four temporal
+encodings; those are a sample's 7 input channels (`config.SAMPLE_CHANNELS`).
+The model's 10 input channels (`config.INPUT_CHANNELS`) put the planes every
+sample shares, coordinates (x, y) and elevation, between the tracer and the
+temporal encodings; `train.prepare_arrays` builds them once from the grid
+and the dataset's terrain, so no sample file stores them.
 
 .gfd container layout (all integers little-endian):
     bytes 0..3    magic b"GFD1"
@@ -23,7 +24,7 @@ rather than resolved.
 
 A dataset's study mask is the `mask` channel of its terrain container,
 next to elevation and the reference wind, with values exactly 0.0 or 1.0.
-A dataset sample is one container too: the input channels, then each
+A dataset sample is one container too: the sample channels, then each
 horizon's target channels tagged with its lead time (`c@12h`, see
 `synthdata.sample_channels`), which the reader slices back into views of
 the one payload. Round trips are bitwise exact for every
@@ -220,21 +221,14 @@ def temporal_encoding(hour: int, doy: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Sample:
-    """One forecasting example: input field plus one target per lead time."""
+    """One forecasting example: input field plus one target per lead time of
+    its dataset (`DatasetBundle.horizons` states the lead times once)."""
 
     input: Field
     targets: tuple[Field, ...]
-    lead_times: tuple[int, ...]   # hours, strictly increasing
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
-        object.__setattr__(self, "lead_times", tuple(int(t) for t in self.lead_times))
-        if len(self.targets) != len(self.lead_times):
-            raise ShapeError(
-                f"{len(self.targets)} targets for {len(self.lead_times)} lead times"
-            )
-        if any(b <= a for a, b in zip(self.lead_times, self.lead_times[1:])):
-            raise DataError(f"lead times must be strictly increasing: {self.lead_times}")
         for t in self.targets:
             if t.spec != self.input.spec:
                 raise ShapeError("sample input and targets must share one grid spec")

@@ -27,10 +27,17 @@ hours map to integer step counts regardless of the CFL-constrained dt.
 Per-sample randomness is drawn from numpy SeedSequence([root, 1, index]),
 so datasets are order-independent and reproducible sample by sample.
 
+A sample holds what varies from sample to sample: its winds, its initial
+field and its temporal encodings (`SAMPLE_CHANNELS`), then its targets. The
+planes every sample shares, x, y and the elevation, are stated once per
+dataset: the grid fixes the coordinates and the terrain the elevation, and
+`train.prepare_arrays` adds them to the model's input stack.
+
 On disk a dataset is one terrain file (elevation, reference wind and the
 study mask), one file per sample and a `key = value` manifest that states
-the `data.*` values, the normalization stats and the `train.val_fraction`
-of the training split they were fit on once (`write_dataset`).
+once every `data.*` and `physics.*` value the samples were made with, the
+normalization stats of the sample channels and the `train.val_fraction` of
+the training split they were fit on (`write_dataset`).
 """
 
 from __future__ import annotations
@@ -41,7 +48,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import INPUT_CHANNELS, TARGET_CHANNELS, TEMPORAL_CHANNELS, DataConfig, PhysicsConfig
+from .config import INPUT_CHANNELS, SAMPLE_CHANNELS, TARGET_CHANNELS, TEMPORAL_CHANNELS
+from .config import DataConfig, PhysicsConfig
 from .config import TrainConfig, decode, encode, format_kv, read_kv, read_lines, write_atomic
 from .errors import ConfigError, DataError, FormatError, ShapeError, StabilityError
 from .fields import (
@@ -60,7 +68,7 @@ SAMPLE_STREAM = 1          # SeedSequence lane for per-sample draws
 TERRAIN_STREAM = 0         # SeedSequence lane for terrain/wind synthesis
 SOURCE_MARGIN = 2          # cells between a random point source and the grid's edge
 
-INPUT_UNITS = ("m/s", "m/s", "ug/m3", "", "", "m") + ("",) * 4
+SAMPLE_UNITS = ("m/s", "m/s", "ug/m3") + ("",) * len(TEMPORAL_CHANNELS)
 TERRAIN_COUPLING = 1.6     # streamfunction weight of the contour-following term
 NOISE_COUPLING = 0.35      # streamfunction weight of the smooth random term
 
@@ -319,12 +327,6 @@ def _step_array(
 # dataset assembly
 # ---------------------------------------------------------------------------
 
-def _coordinate_channels(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    x = (np.arange(spec.width)[None, :] + 0.5) / spec.width * np.ones((spec.height, 1))
-    y = (np.arange(spec.height)[:, None] + 0.5) / spec.height * np.ones((1, spec.width))
-    return x, y
-
-
 def _initial_blobs(spec: GridSpec, rng: np.random.Generator, textured: bool) -> np.ndarray:
     rows = np.arange(spec.height)[:, None]
     cols = np.arange(spec.width)[None, :]
@@ -370,7 +372,9 @@ def make_sample(
     physics: PhysicsConfig,
     data: DataConfig,
 ) -> Sample:
-    """Generate one sample from its own seed stream (order-independent)."""
+    """Generate one sample from its own seed stream (order-independent):
+    its input holds `SAMPLE_CHANNELS`, and it has one target per
+    `data.horizons` entry."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), SAMPLE_STREAM, index]))
     if data.wind_mode == "rotate":
         bearing = float(rng.uniform(0.0, 2.0 * math.pi))
@@ -393,17 +397,13 @@ def make_sample(
         done = target
         snapshots.append(c)
 
-    xg, yg = _coordinate_channels(spec)
-    tenc = temporal_encoding(hour, doy)
     ones = np.ones((spec.height, spec.width))
-    stack = np.stack(
-        [u, v, c0, xg, yg, tw.elevation] + [t * ones for t in tenc]
-    ).astype(np.float32)
-    inp = Field(spec, INPUT_CHANNELS, stack, INPUT_UNITS)
+    stack = np.stack([u, v, c0] + [t * ones for t in temporal_encoding(hour, doy)])
+    inp = Field(spec, SAMPLE_CHANNELS, stack.astype(np.float32), SAMPLE_UNITS)
     targets = tuple(
         Field(spec, TARGET_CHANNELS, s[None].astype(np.float32), ("ug/m3",)) for s in snapshots
     )
-    return Sample(inp, targets, data.horizons)
+    return Sample(inp, targets)
 
 
 def make_dataset(
@@ -414,9 +414,9 @@ def make_dataset(
 
 
 def norm_kinds() -> dict[str, str]:
-    """Default per-channel normalization map for synthetic samples."""
-    kinds = {"u": "zscore", "v": "zscore", "c": "zscore", "elev": "minmax"}
-    kinds.update({name: "none" for name in ("x", "y") + TEMPORAL_CHANNELS})
+    """Default per-channel normalization map of the model's input channels."""
+    kinds = dict.fromkeys(INPUT_CHANNELS, "none")
+    kinds.update(u="zscore", v="zscore", c="zscore", elev="minmax")
     return kinds
 
 
@@ -438,20 +438,21 @@ class DatasetBundle:
 
 
 TERRAIN_CHANNELS = ("elev", "u", "v", "mask")
-DATASET_FORMAT = "topoflow dataset v3"
+DATASET_FORMAT = "topoflow dataset v4"
 REGENERATE = "regenerate it with `topoflow gen`, which rebuilds a dataset from its seed"
-# every key of a manifest: the `data.*` values a dataset fixes, and the
-# normalization stats of each input channel with the split they were fit on
-MANIFEST_KEYS = ("format", "seed", "data.count", "data.base_speed", "data.horizons",
-                 "train.val_fraction") + tuple(
-    key for name in INPUT_CHANNELS for key in encode(ChannelStats("none"), f"stats.{name}")
+# every key of a manifest: the seed and every `data.*` and `physics.*` value
+# the samples were made with, and the normalization stats of each sample
+# channel with the split they were fit on
+MANIFEST_KEYS = ("format", "seed", *encode(DataConfig(), "data"),
+                 *encode(PhysicsConfig(), "physics"), "train.val_fraction") + tuple(
+    key for name in SAMPLE_CHANNELS for key in encode(ChannelStats("none"), f"stats.{name}")
 )
 
 
 def sample_channels(horizons) -> tuple[str, ...]:
-    """The channels of a sample file: `INPUT_CHANNELS`, then each
+    """The channels of a sample file: `SAMPLE_CHANNELS`, then each
     horizon's `TARGET_CHANNELS` tagged with its lead time (`c@12h`)."""
-    return INPUT_CHANNELS + tuple(f"{n}@{h}h" for h in horizons for n in TARGET_CHANNELS)
+    return SAMPLE_CHANNELS + tuple(f"{n}@{h}h" for h in horizons for n in TARGET_CHANNELS)
 
 
 def write_dataset(
@@ -462,30 +463,35 @@ def write_dataset(
     stats: NormStats,
     seed: int,
     *,
+    data: DataConfig,
+    physics: PhysicsConfig,
     val_fraction: float,
 ) -> None:
     """Persist a dataset directory on the mask's grid: `terrain.gfd` with
     channels `TERRAIN_CHANNELS`, one `samples/{index:06d}.gfd` per sample
     holding `sample_channels`, and `manifest.txt`, the `key = value` lines
-    of `MANIFEST_KEYS`; `val_fraction` is the `train.val_fraction` whose
-    training split `stats` were fit on. Every sample must share the first
-    one's lead times, and the `data.*` values, the split and the stats must
-    make a manifest `read_dataset` takes; all are checked before any file
-    is touched. Any old manifest is removed first, and the new one is
-    written last and atomically, so a killed writer leaves no
-    `manifest.txt` (not even over an older dataset) and `read_dataset`
-    refuses the directory. Files in `samples/`
-    other than the new samples', such as an older and larger dataset's,
-    are removed before it is written."""
-    horizons = samples[0].lead_times if samples else ()
-    if any(s.lead_times != horizons for s in samples):
-        raise DataError(f"samples differ in lead times; sample 0 has {horizons}")
-    data = DataConfig(count=len(samples), base_speed=tw.base_speed, horizons=horizons)
+    of `MANIFEST_KEYS`. `data` and `physics` are the configs the samples
+    and `tw` were made with; `val_fraction` is the `train.val_fraction`
+    whose training split `stats` (one entry per `SAMPLE_CHANNELS` name)
+    were fit on. There must be `data.count` samples, each with one target
+    per `data.horizons` entry, and `tw.base_speed` must be
+    `data.base_speed` (DataError otherwise); these, the split and the
+    stats are checked before any file is touched. Any old manifest is
+    removed first, and the new one is written last and atomically, so a
+    killed writer leaves no `manifest.txt` (not even over an older
+    dataset) and `read_dataset` refuses the directory. Files in
+    `samples/` other than the new samples', such as an older and larger
+    dataset's, are removed before it is written."""
+    if (len(samples), tw.base_speed) != (data.count, data.base_speed):
+        raise DataError(f"{len(samples)} samples on base speed {tw.base_speed}, but "
+                        f"data.count = {data.count} and data.base_speed = {data.base_speed}")
+    if any(len(s.targets) != len(data.horizons) for s in samples):
+        raise DataError(f"a sample's targets are not one per data.horizons = {data.horizons}")
     split = TrainConfig(val_fraction=val_fraction)
-    kv = {k: v for k, v in {**encode(data, "data"), **encode(split, "train")}.items()
-          if k in MANIFEST_KEYS}
+    kv = {**encode(data, "data"), **encode(physics, "physics"), **encode(split, "train")}
+    kv = {k: v for k, v in kv.items() if k in MANIFEST_KEYS}
     kv.update(format=DATASET_FORMAT, seed=str(int(seed)))
-    for name in INPUT_CHANNELS:
+    for name in SAMPLE_CHANNELS:
         kv.update(encode(stats.for_channel(name), f"stats.{name}"))
     out = Path(out_dir)
     (out / "samples").mkdir(parents=True, exist_ok=True)
@@ -494,7 +500,7 @@ def write_dataset(
     terrain = np.stack([tw.elevation, tw.u, tw.v, mask.mask]).astype(np.float32)
     write_grid(Field(spec, TERRAIN_CHANNELS, terrain, ("m", "m/s", "m/s", "")),
                out / "terrain.gfd")
-    channels = sample_channels(horizons)
+    channels = sample_channels(data.horizons)
     for i, s in enumerate(samples):
         parts = (s.input, *s.targets)
         stack = np.concatenate([f.data for f in parts])
@@ -510,12 +516,14 @@ def write_dataset(
 def read_dataset(in_dir) -> DatasetBundle:
     """Load a dataset directory written by :func:`write_dataset`; each
     sample's input and targets are views of its one file's payload. A
-    manifest with an older header or without one of `MANIFEST_KEYS` (both
-    refused with a note to regenerate it), a line that is not UTF-8 or
-    `key = value`, a key outside `MANIFEST_KEYS`, another `format`,
-    `data.*` values that `DataConfig` refuses, a `train.val_fraction` that
-    `TrainConfig` refuses or stats that `ChannelStats` refuses raises
-    FormatError naming the manifest and the line or key. A missing
+    manifest with an older header, another `format` (checked before its
+    keys, so an older manifest's keys do not hide it) or without one of
+    `MANIFEST_KEYS` (all refused with a note to regenerate it), a line that
+    is not UTF-8 or `key = value`, a key outside `MANIFEST_KEYS`, `data.*`
+    or `physics.*` values that `DataConfig` or `PhysicsConfig` refuses
+    (StabilityError included), a `train.val_fraction` that `TrainConfig`
+    refuses or stats that `ChannelStats` refuses raises FormatError naming
+    the manifest and the line or key. A missing
     file, a `terrain.gfd` without channels `TERRAIN_CHANNELS` or whose mask
     is not 0 and 1 or selects no cell, and a sample file whose channels
     are not `sample_channels(horizons)` or whose grid is not
@@ -526,21 +534,22 @@ def read_dataset(in_dir) -> DatasetBundle:
         raise DataError(f"{root}: no manifest.txt (incomplete or missing dataset)")
     if next(read_lines(manifest, FormatError), (1, ""))[1].startswith("# topoflow dataset "):
         raise FormatError(f"{manifest}:1: an older topoflow dataset header; {REGENERATE}")
+    stated = read_kv(manifest, FormatError).get("format", DATASET_FORMAT)
+    if stated != DATASET_FORMAT:
+        raise FormatError(f"{manifest}: format = {stated}, not {DATASET_FORMAT}; {REGENERATE}")
     kv = read_kv(manifest, FormatError, known=MANIFEST_KEYS)
     # decode fills a key left out with its default, so each is checked here
     for key in MANIFEST_KEYS:
         if key not in kv:
             raise FormatError(f"{manifest}: missing key {key!r}; {REGENERATE}")
-    if kv["format"] != DATASET_FORMAT:
-        raise FormatError(f"{manifest}: format = {kv['format']}, not {DATASET_FORMAT}; "
-                          f"{REGENERATE}")
     try:
         data = decode(DataConfig, kv, "data")
+        decode(PhysicsConfig, kv, "physics")
         split = decode(TrainConfig, kv, "train")
-    except ConfigError as err:
+    except (ConfigError, StabilityError) as err:
         raise FormatError(f"{manifest}: {err}") from None
     entries = {}
-    for name in INPUT_CHANNELS:
+    for name in SAMPLE_CHANNELS:
         try:
             entries[name] = decode(ChannelStats, kv, f"stats.{name}")
         except ConfigError as err:   # StatsError included
@@ -554,7 +563,7 @@ def read_dataset(in_dir) -> DatasetBundle:
     except DataError as err:   # MaskError included
         raise DataError(f"{root}/terrain.gfd: channel 'mask': {err}") from None
     channels = sample_channels(data.horizons)
-    n_in, n_out = len(INPUT_CHANNELS), len(TARGET_CHANNELS)
+    n_in, n_out = len(SAMPLE_CHANNELS), len(TARGET_CHANNELS)
     samples = []
     for index in range(data.count):
         path = root / f"samples/{index:06d}.gfd"
@@ -563,12 +572,12 @@ def read_dataset(in_dir) -> DatasetBundle:
             raise DataError(f"{path}: holds {grid.channels}, expected channels {channels}")
         if grid.spec != spec:
             raise DataError(f"{path}: on {grid.spec}, terrain.gfd on {spec}")
-        inp = Field(spec, INPUT_CHANNELS, grid.data[:n_in], grid.units[:n_in])
+        inp = Field(spec, SAMPLE_CHANNELS, grid.data[:n_in], grid.units[:n_in])
         targets = tuple(
             Field(spec, TARGET_CHANNELS, grid.data[k : k + n_out], grid.units[k : k + n_out])
             for k in range(n_in, len(channels), n_out)
         )
-        samples.append(Sample(inp, targets, data.horizons))
+        samples.append(Sample(inp, targets))
     tw = TerrainWind(*terrain.data[:3], base_speed=data.base_speed)
     return DatasetBundle(spec, tuple(samples), tw, mask, NormStats(entries), data.horizons,
                          split.val_fraction)

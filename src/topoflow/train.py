@@ -16,11 +16,18 @@ Batches are drawn independently each step (sampling without replacement
 within the batch) from a single generator that also feeds dropout, so the
 whole run's randomness is one serializable rng state.
 
-`prepare_arrays` builds every sample's slot order once, from the physical
-winds (identity rows without wind reordering), as one (S, N) int array. A
-batch hands its rows to `model.forward` as `orders`; the forward turns
-them into each patch's rank along the wind for the attention node and
-returns raster tokens, so nothing here indexes by them.
+`prepare_arrays` is the one place the model's input stack
+(`config.INPUT_CHANNELS`) is assembled: each sample's own channels
+(`config.SAMPLE_CHANNELS`) normalized by the dataset's stats, and between
+them the planes every sample shares (`config.STATIC_CHANNELS`): x and y at
+the cell centres and the terrain's elevation, built once per call from the
+grid and `bundle.terrain` and normalized by stats fit on those planes alone,
+so the same for every split. It also builds every sample's slot order
+once, from the physical winds (identity rows without wind reordering), as
+one (S, N) int array. A batch hands its rows to `model.forward` as
+`orders`; the forward turns them into each patch's rank along the wind for
+the attention node and returns raster tokens, so nothing here indexes by
+them.
 """
 
 from __future__ import annotations
@@ -36,11 +43,12 @@ import numpy as np
 from . import autodiff as ad
 from . import model as model_mod
 from . import reorder
-from .config import TrainConfig, encode, read_lines, write_atomic
+from .config import INPUT_CHANNELS, SAMPLE_CHANNELS, STATIC_CHANNELS, TrainConfig, encode
+from .config import read_lines, write_atomic
 from .errors import ConfigError, FormatError, NumericError, ShapeError
-from .fields import normalize
+from .fields import Field, NormStats, normalize
 from .model import ModelConfig, ParamStore, forward, init_params, patchify
-from .synthdata import DatasetBundle
+from .synthdata import DatasetBundle, norm_kinds
 from .topo_bias import patch_elevations
 
 BATCH_STREAM = 4   # SeedSequence lane for batch order + dropout
@@ -245,13 +253,21 @@ def prepare_arrays(bundle: DatasetBundle, config: ModelConfig) -> TrainingArrays
         for i, s in enumerate(samples):
             orders[i] = reorder.build_permutation(spec, s.input.channel("u"),
                                                   s.input.channel("v"))[0]
+    # x and y at the cell centres and the elevation, the same for every sample
+    rows, cols = np.indices((spec.height, spec.width))
+    planes = [(cols + 0.5) / spec.width, (rows + 0.5) / spec.height, bundle.terrain.elevation]
+    shared = Field(spec, STATIC_CHANNELS, np.stack(planes), ("", "", "m"))
     # the stacks are allocated once and filled a sample at a time, so no
     # temporary is larger than one sample's fields
-    inputs = np.empty((len(samples),) + samples[0].input.data.shape, dtype=np.float32)
+    inputs = np.empty((len(samples), len(INPUT_CHANNELS), spec.height, spec.width),
+                      dtype=np.float32)
+    inputs[:, [INPUT_CHANNELS.index(n) for n in STATIC_CHANNELS]] = normalize(
+        shared, NormStats.fit([shared], norm_kinds())).data
+    own = [INPUT_CHANNELS.index(n) for n in SAMPLE_CHANNELS]
     target_tokens = np.empty((len(samples), spec.n_patches, n_out * spec.patch**2),
                              dtype=np.float32)
     for i, s in enumerate(samples):
-        inputs[i] = normalize(s.input, stats).data
+        inputs[i, own] = normalize(s.input, stats).data
         grid = np.concatenate([normalize(t, stats).data for t in s.targets])
         if grid.shape[0] != n_out:
             raise ShapeError(

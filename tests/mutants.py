@@ -33,13 +33,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "topoflow"
 
-# the tests that pin bytes or counts (checkpoint and dataset CRCs, the
-# tape's node count and size): left out of the runner's suite runs
+# the tests that pin bytes or counts (checkpoint, dataset and prepared-input
+# CRCs, the tape's node count and size): left out of the runner's suite runs
 PIN_TESTS = (
     "tests/test_model.py::test_init_params_pinned_crc32",
     "tests/test_model.py::test_taped_forward_node_count_and_bytes_pinned",
     "tests/test_synthdata.py::test_tiny_dataset_pinned_crc32",
     "tests/test_train.py::test_fit_checkpoint_bytes_pinned",
+    "tests/test_train.py::test_prepared_inputs_pinned_crc32",
 )
 
 

@@ -72,10 +72,28 @@ def test_gen_writes_dataset_layout(dataset):
     assert len([p for p in dataset.rglob("*") if p.is_file()]) == 12 + 3
     lines = (dataset / "manifest.txt").read_text(encoding="utf-8").splitlines()
     assert [ln.split(" = ")[0] for ln in lines] == sorted(synthdata.MANIFEST_KEYS)
-    for line in ("format = topoflow dataset v3", "seed = 0", "data.count = 12",
-                 "data.base_speed = 2.0", "data.horizons = 12,24", "stats.x.kind = none",
-                 "train.val_fraction = 0.25"):
+    for line in ("format = topoflow dataset v4", "seed = 0", "data.count = 12",
+                 "data.base_speed = 2.0", "data.horizons = 12,24",
+                 "data.archetype = basin_ridge", "physics.substeps = 2",
+                 "stats.hour_sin.kind = none", "train.val_fraction = 0.25"):
         assert line in lines
+    # a sample holds what varies; x, y and elev are the grid's and the terrain's
+    sample = read_grid(dataset / "samples" / "000005.gfd")
+    assert sample.channels == synthdata.SAMPLE_CHANNELS + ("c@12h", "c@24h")
+
+
+def test_manifest_states_how_the_dataset_was_made(tmp_path):
+    # two datasets of one seed on different terrain archetypes: their
+    # manifests name the archetype, not only stats that differ by its effect
+    texts = {}
+    for archetype in ("flat", "ridge"):
+        cfg = write_config(tmp_path / f"{archetype}.cfg", **{"data.archetype": archetype})
+        assert run("gen", "--config", str(cfg), "--out", str(tmp_path / archetype)) == 0
+        lines = (tmp_path / archetype / "manifest.txt").read_text(encoding="utf-8").splitlines()
+        texts[archetype] = [ln for ln in lines if not ln.startswith("stats.")]
+    assert texts["flat"] != texts["ridge"]
+    assert "data.archetype = flat" in texts["flat"]
+    assert "data.archetype = ridge" in texts["ridge"]
 
 
 def test_gen_is_reproducible(tmp_path, config_path):
@@ -300,12 +318,12 @@ def test_dump_perm_uniform_east_wind(tmp_path, config_path):
         np.zeros(shape), np.ones(shape), np.zeros(shape), base_speed=1.0
     )
     cfg = synthdata.PhysicsConfig(substeps=1)
-    fixed = DataConfig(count=2, horizons=(12,), wind_mode="fixed")
+    fixed = DataConfig(count=2, horizons=(12,), wind_mode="fixed", base_speed=1.0)
     samples = synthdata.make_dataset(spec, tw, cfg, fixed, seed=0)
     stats = NormStats.fit([s.input for s in samples], synthdata.norm_kinds())
     data = tmp_path / "east"
     synthdata.write_dataset(data, samples, tw, synthdata.study_mask(spec), stats, seed=0,
-                            val_fraction=0.25)
+                            data=fixed, physics=cfg, val_fraction=0.25)
     out = tmp_path / "dump"
     assert run("dump", "perm", "--config", str(config_path), "--data", str(data),
                "--out", str(out)) == 0
@@ -480,7 +498,9 @@ BROKEN_INPUTS = (
     "manifest not UTF-8",
     "manifest key unknown",
     "manifest key repeated",
-    "manifest format not v3",
+    "manifest format not v4",
+    "manifest v3",
+    "manifest physics unstable",
     "stats value not a number",
     "stats value not finite",
     "stats not UTF-8",
@@ -554,20 +574,42 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
         rewrite(manifest, line, line + b"\xff")
         argv, named = ["train", *common, *out], "manifest.txt:3"
     elif case == "manifest key unknown":
-        rewrite(manifest, b"data.count = 12\n", b"data.count = 12\ndata.archetype = ridge\n")
+        # a v3 manifest's stats of a plane that samples no longer hold
+        rewrite(manifest, b"data.count = 12\n", b"data.count = 12\nstats.x.kind = none\n")
         ln = keys.index(b"data.count") + 2
         argv = ["train", *common, *out]
-        named = f"manifest.txt:{ln}: unknown key 'data.archetype'"
+        named = f"manifest.txt:{ln}: unknown key 'stats.x.kind'"
     elif case == "manifest key repeated":
         rewrite(manifest, b"data.count = 12\n", b"data.count = 12\ndata.count = 13\n")
         ln = keys.index(b"data.count") + 2
         argv = ["train", *common, *out]
         named = f"manifest.txt:{ln}: repeated key 'data.count'"
-    elif case == "manifest format not v3":
-        rewrite(manifest, b"format = topoflow dataset v3", b"format = topoflow dataset v4")
+    elif case == "manifest format not v4":
+        rewrite(manifest, b"format = topoflow dataset v4", b"format = topoflow dataset v5")
         argv = ["train", *common, *out]
-        named = ("manifest.txt: format = topoflow dataset v4, not topoflow dataset v3; "
+        named = ("manifest.txt: format = topoflow dataset v5, not topoflow dataset v4; "
                  "regenerate it with `topoflow gen`")
+    elif case == "manifest v3":
+        # the v3 layout: the same seed, split and stats keys plus those of
+        # x, y and elev, and of the data keys only count, base speed and
+        # horizons; its format is checked before its keys are
+        v3 = [ln for ln in manifest.read_bytes().splitlines(True)
+              if not ln.startswith((b"physics.", b"data.archetype", b"data.wind_mode",
+                                    b"data.source_mode", b"data.init_mode"))]
+        v3 += [f"stats.{name}.{k} = {v}\n".encode()
+               for name, stats in (("x", ("none", 0.0, 1.0)), ("y", ("none", 0.0, 1.0)),
+                                   ("elev", ("minmax", 6.0, 1834.0)))
+               for k, v in zip(("kind", "a", "b"), stats)]
+        manifest.write_bytes(b"".join(sorted(v3)).replace(b"dataset v4", b"dataset v3"))
+        argv = ["train", *common, *out]
+        named = ("manifest.txt: format = topoflow dataset v3, not topoflow dataset v4; "
+                 "regenerate it with `topoflow gen`")
+    elif case == "manifest physics unstable":
+        # PhysicsConfig refuses the CFL bound with a StabilityError, whose
+        # own exit code is 4; in a manifest it is a format fault
+        rewrite(manifest, b"physics.max_wind = 6.0\n", b"physics.max_wind = 600.0\n")
+        argv = ["train", *common, *out]
+        named = "manifest.txt: advective CFL 45.000 > 0.5 for physics.max_wind"
     elif case == "stats value not a number":
         line = next(ln for ln in manifest.read_bytes().splitlines()
                     if ln.startswith(b"stats.u.a = "))

@@ -188,14 +188,15 @@ def test_mask_validation():
 
 
 def test_sample_validation():
+    # a sample's lead times are its dataset's (`DatasetBundle.horizons`);
+    # what it checks itself is that its targets share its input's grid
     f = make_field([1, 2, 3, 4])
     t = make_field([1, 1, 1, 1])
-    s = Sample(f, (t, t), (12, 24))
-    assert s.lead_times == (12, 24)
-    with pytest.raises(DataError):
-        Sample(f, (t, t), (24, 12))
+    s = Sample(f, [t, t])
+    assert s.targets == (t, t)
+    wide = make_field(np.ones(8), spec=GridSpec(2, 4, 1, 1, 1))
     with pytest.raises(ShapeError):
-        Sample(f, (t,), (12, 24))
+        Sample(f, (t, wide))
 
 
 # -- .gfd container ----------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from topoflow import synthdata
-from topoflow.config import DataConfig
+from topoflow.config import DataConfig, decode, read_kv
 from topoflow.errors import ConfigError, DataError, FitError, FormatError, StabilityError
 from topoflow.fields import GridSpec, NormStats, read_grid
 from topoflow.synthdata import PhysicsConfig, TerrainWind
@@ -295,11 +295,14 @@ def test_tiny_dataset_pinned_crc32():
 
     The values hold for one numpy build: exp and the FFT feed the
     initial fields and winds, so a numpy whose kernels round differently
-    moves them without any change here.
+    moves them without any change here. They moved once, when a sample
+    stopped holding x, y and elevation: they are the CRCs of the earlier
+    samples' bytes less those three planes, so every plane a sample still
+    holds kept its bits.
     """
     tw = synthdata.gen_terrain(SPEC, 5, DataConfig(), PhysicsConfig())
     data = DataConfig(count=3, horizons=(12, 24), init_mode="blobs")
-    for boundary, pinned in (("periodic", "1228dc9c"), ("clamped", "0c0d7abb")):
+    for boundary, pinned in (("periodic", "1b957239"), ("clamped", "a43a674b")):
         cfg = PhysicsConfig(boundary=boundary)
         crc = 0
         for s in synthdata.make_dataset(SPEC, tw, cfg, data, seed=9):
@@ -343,13 +346,10 @@ def test_sample_channels_and_winds_vary_when_rotating():
     cfg = PhysicsConfig(substeps=1)
     data = DataConfig(count=2, horizons=(12,), wind_mode="rotate")
     samples = synthdata.make_dataset(SPEC, tw, cfg, data, seed=1)
-    assert samples[0].input.channels == synthdata.INPUT_CHANNELS
+    assert samples[0].input.channels == synthdata.SAMPLE_CHANNELS
     u0 = samples[0].input.channel("u")
     u1 = samples[1].input.channel("u")
     assert not np.array_equal(u0, u1)
-    np.testing.assert_array_equal(
-        samples[0].input.channel("elev"), tw.elevation.astype(np.float32)
-    )
 
 
 def test_norm_kinds_cover_all_channels():
@@ -358,18 +358,26 @@ def test_norm_kinds_cover_all_channels():
 
 
 def small_dataset(count, seed=9, horizons=(12, 24)):
-    """(samples, terrain, mask, stats): the arguments of `write_dataset`."""
+    """(samples, terrain, mask, stats), the positional arguments of
+    `write_dataset` but the directory and seed, and its `data` and
+    `physics` keywords: the configs that made them."""
     tw = synthdata.gen_terrain(SPEC, 2, DataConfig(archetype="basin"), PhysicsConfig())
     cfg = PhysicsConfig(substeps=1)
     data = DataConfig(count=count, horizons=horizons)
     samples = synthdata.make_dataset(SPEC, tw, cfg, data, seed=seed)
     stats = NormStats.fit([s.input for s in samples], synthdata.norm_kinds())
-    return samples, tw, synthdata.study_mask(SPEC), stats
+    return (samples, tw, synthdata.study_mask(SPEC), stats), {"data": data, "physics": cfg}
+
+
+def write_small(out, count, seed=9, horizons=(12, 24)):
+    """`small_dataset` written to `out`; its positional arguments."""
+    args, made = small_dataset(count, seed, horizons)
+    synthdata.write_dataset(out, *args, seed=seed, val_fraction=0.1, **made)
+    return args
 
 
 def test_dataset_write_read_round_trip(tmp_path):
-    samples, tw, mask, stats = small_dataset(3)
-    synthdata.write_dataset(tmp_path / "ds", samples, tw, mask, stats, seed=9, val_fraction=0.1)
+    samples, tw, mask, stats = write_small(tmp_path / "ds", 3)
     bundle = synthdata.read_dataset(tmp_path / "ds")
     assert bundle.horizons == (12, 24)
     assert len(bundle.samples) == 3
@@ -382,7 +390,7 @@ def test_dataset_write_read_round_trip(tmp_path):
             assert t1.data.base is back.input.data.base is not None
     # the stats ride in the manifest, bit for bit
     assert bundle.stats.entries == stats.entries
-    assert set(stats.entries) == set(synthdata.INPUT_CHANNELS)
+    assert set(stats.entries) == set(synthdata.SAMPLE_CHANNELS)
     # terrain and mask ride in one float32 container
     assert read_grid(tmp_path / "ds" / "terrain.gfd").channels == synthdata.TERRAIN_CHANNELS
     assert np.array_equal(bundle.mask.mask, mask.mask) and bundle.mask.mask.dtype == np.uint8
@@ -406,8 +414,7 @@ def test_killed_dataset_write_leaves_no_manifest(victim, older, tmp_path, monkey
     the rename, leaves no manifest, not even an older dataset's naming a mix
     of old and new files, so the directory does not load."""
     if older:
-        synthdata.write_dataset(tmp_path / "ds", *small_dataset(3, seed=1), seed=1,
-                                val_fraction=0.1)
+        write_small(tmp_path / "ds", 3, seed=1)
     real_replace = os.replace
     renamed = []
 
@@ -420,8 +427,7 @@ def test_killed_dataset_write_leaves_no_manifest(victim, older, tmp_path, monkey
     with monkeypatch.context() as m:
         m.setattr(os, "replace", killed_replace)
         with pytest.raises(KeyboardInterrupt):
-            synthdata.write_dataset(tmp_path / "ds", *small_dataset(2, seed=2), seed=2,
-                                    val_fraction=0.1)
+            write_small(tmp_path / "ds", 2, seed=2)
     assert renamed == list(DATASET_WRITES[: DATASET_WRITES.index(victim) + 1])
     assert not (tmp_path / "ds" / "manifest.txt").exists()
     with pytest.raises(DataError, match="no manifest"):
@@ -431,12 +437,10 @@ def test_killed_dataset_write_leaves_no_manifest(victim, older, tmp_path, monkey
 def test_smaller_dataset_over_a_larger_one_leaves_no_stale_samples(tmp_path):
     horizons = (12, 24, 36, 48)   # still one file per sample
     samples = tmp_path / "ds" / "samples"
-    synthdata.write_dataset(tmp_path / "ds", *small_dataset(6, 1, horizons), seed=1,
-                            val_fraction=0.1)
+    write_small(tmp_path / "ds", 6, 1, horizons)
     assert len(list(samples.iterdir())) == 6
     (samples / "000000.h012.gfd").write_bytes(b"")   # a file of an older layout
-    synthdata.write_dataset(tmp_path / "ds", *small_dataset(3, 2, horizons), seed=2,
-                            val_fraction=0.1)
+    write_small(tmp_path / "ds", 3, 2, horizons)
     left = sorted(p.name for p in samples.iterdir())
     assert left == ["000000.gfd", "000001.gfd", "000002.gfd"]
     assert "data.count = 3\n" in (tmp_path / "ds" / "manifest.txt").read_text()
@@ -444,8 +448,7 @@ def test_smaller_dataset_over_a_larger_one_leaves_no_stale_samples(tmp_path):
 
 
 def test_manifest_header_carries_base_speed(tmp_path):
-    samples, tw, mask, stats = small_dataset(2)
-    synthdata.write_dataset(tmp_path / "ds", samples, tw, mask, stats, seed=9, val_fraction=0.1)
+    _samples, tw, _mask, _stats = write_small(tmp_path / "ds", 2)
     assert synthdata.read_dataset(tmp_path / "ds").terrain.base_speed == tw.base_speed
     manifest = tmp_path / "ds" / "manifest.txt"
     text = manifest.read_text()
@@ -457,7 +460,7 @@ def test_manifest_header_carries_base_speed(tmp_path):
 
 
 def test_manifest_cut_at_a_row_boundary_raises(tmp_path):
-    synthdata.write_dataset(tmp_path / "ds", *small_dataset(4), seed=9, val_fraction=0.1)
+    write_small(tmp_path / "ds", 4)
     manifest = tmp_path / "ds" / "manifest.txt"
     lines = manifest.read_text().splitlines(True)
     assert len(lines) == len(synthdata.MANIFEST_KEYS)
@@ -467,15 +470,42 @@ def test_manifest_cut_at_a_row_boundary_raises(tmp_path):
 
 
 def test_write_dataset_refuses_stats_without_a_channel_before_writing(tmp_path):
-    samples, tw, mask, stats = small_dataset(2)
-    synthdata.write_dataset(tmp_path / "ds", samples, tw, mask, stats, seed=9, val_fraction=0.1)
+    (samples, tw, mask, stats), made = small_dataset(2)
+    synthdata.write_dataset(tmp_path / "ds", samples, tw, mask, stats, seed=9,
+                            val_fraction=0.1, **made)
     before = {p: p.read_bytes() for p in (tmp_path / "ds").rglob("*") if p.is_file()}
-    partial = NormStats({k: v for k, v in stats.entries.items() if k != "elev"})
-    with pytest.raises(ConfigError, match="'elev'"):
+    partial = NormStats({k: v for k, v in stats.entries.items() if k != "c"})
+    with pytest.raises(ConfigError, match="'c'"):
         synthdata.write_dataset(tmp_path / "ds", samples, tw, mask, partial, seed=9,
-                                val_fraction=0.1)
+                                val_fraction=0.1, **made)
     after = {p: p.read_bytes() for p in (tmp_path / "ds").rglob("*") if p.is_file()}
     assert after == before
+
+
+@pytest.mark.parametrize("field, value", [("count", 3), ("base_speed", 2.5),
+                                          ("horizons", (12, 24, 48))])
+def test_write_dataset_refuses_configs_its_samples_do_not_match(field, value, tmp_path):
+    # the manifest states the configs once, so samples they did not make
+    # (another count, base wind speed or number of targets) are refused
+    # before any file is touched
+    (samples, tw, mask, stats), made = small_dataset(2)
+    data = dataclasses.replace(made["data"], **{field: value})
+    with pytest.raises(DataError, match="data.count" if field != "horizons" else "horizons"):
+        synthdata.write_dataset(tmp_path / "ds", samples, tw, mask, stats, seed=9,
+                                val_fraction=0.1, data=data, physics=made["physics"])
+    assert not (tmp_path / "ds").exists()
+
+
+def test_manifest_states_every_data_and_physics_key(tmp_path):
+    # a dataset says how it was made: the manifest decodes to the very
+    # configs `write_dataset` was given, and holds no stats of x, y or elev
+    args, made = small_dataset(2)
+    synthdata.write_dataset(tmp_path / "ds", *args, seed=9, val_fraction=0.1, **made)
+    kv = read_kv(tmp_path / "ds" / "manifest.txt", FormatError)
+    assert decode(DataConfig, kv, "data") == made["data"]
+    assert decode(PhysicsConfig, kv, "physics") == made["physics"]
+    assert kv["format"] == "topoflow dataset v4"
+    assert not [k for k in kv if k.startswith(("stats.x.", "stats.y.", "stats.elev."))]
 
 
 # -- covariance anisotropy -------------------------------------------------------

@@ -13,20 +13,24 @@ from topoflow import model, synthdata, train
 from topoflow.cli import ABLATION_VARIANTS
 from topoflow.config import DataConfig
 from topoflow.errors import ConfigError, NumericError
-from topoflow.fields import GridSpec, LandMask, NormStats
+from topoflow.fields import GridSpec, LandMask, NormStats, read_grid
 from topoflow.model import ModelConfig, init_params, patchify
+from topoflow.topo_bias import patch_elevations
 from topoflow.train import TrainConfig, TrainState, lr_at
 
 
 SPEC = GridSpec(8, 16, 2, 4, 2)
 
 
+# the configs the tiny bundle's samples are made with
+DATA = DataConfig(count=24, horizons=(12, 24), init_mode="blobs")
+PHYSICS = synthdata.PhysicsConfig(substeps=2)
+
+
 @pytest.fixture(scope="module")
 def bundle(tmp_path_factory):
     tw = synthdata.gen_terrain(SPEC, 3, DataConfig(), synthdata.PhysicsConfig())
-    cfg = synthdata.PhysicsConfig(substeps=2)
-    data = DataConfig(count=24, horizons=(12, 24), init_mode="blobs")
-    samples = synthdata.make_dataset(SPEC, tw, cfg, data, seed=7)
+    samples = synthdata.make_dataset(SPEC, tw, PHYSICS, DATA, seed=7)
     stats = NormStats.fit([s.input for s in samples], synthdata.norm_kinds())
     mask = synthdata.study_mask(SPEC)
     return synthdata.DatasetBundle(SPEC, tuple(samples), tw, mask, stats, (12, 24), 0.25)
@@ -280,6 +284,11 @@ def test_fit_drops_each_step_tape_before_the_next_forward(tmp_path, bundle, monk
 # component-ablation variant the same way. The terrain relief is scaled x8 so
 # that climbs beyond 5 km put part of the penalty on its clamp floor (the
 # generated terrain climbs at most ~1.1 km, which alpha ~2 never clamps).
+# The steep bundle's elevation input follows its terrain too, since
+# `prepare_arrays` builds that plane from `bundle.terrain` (before, it read
+# each sample's unscaled copy); the values hold because the min-max stats
+# refit on the x8 plane are 8 times the others, a power of two, so the
+# normalized plane keeps every bit.
 # The value moved when the attention node began to take the penalty as one
 # raster table: the alpha and `pos.rel` gradients are now summed per layer
 # over (N, N) tables, not once over a (B, 1, N, N) bias, which moves their
@@ -314,6 +323,47 @@ def test_fit_checkpoint_bytes_pinned(tmp_path, bundle, variant):
     assert mcfg.dropout > 0.0
     train.fit(steep, mcfg, quick_train(), out_dir=tmp_path)
     assert f"{zlib.crc32((tmp_path / 'last.gfd').read_bytes()):08x}" == VARIANT_CRC32[variant]
+
+
+def test_prepared_inputs_pinned_crc32(bundle):
+    # CRC-32 of `prepare_arrays`' input stack, patch elevations and slot
+    # orders on the tiny bundle: the bits the model reads, whichever files
+    # they come from (the value is that of the layout in which every sample
+    # held x, y and elevation too)
+    arrays = train.prepare_arrays(bundle, tiny_model())
+    crc = 0
+    for part in (arrays.inputs, arrays.elev_patch, arrays.orders):
+        crc = zlib.crc32(part.tobytes(), crc)
+    assert f"{crc:08x}" == "8da8b398"
+
+
+def test_shared_planes_come_from_the_grid_and_the_terrain(tmp_path, bundle):
+    # x, y and elevation join the input stack in `prepare_arrays` alone: x
+    # and y at the cell centres, the elevation and `elev_patch` from
+    # `bundle.terrain`; no sample holds them, in memory or on disk
+    at = {name: synthdata.INPUT_CHANNELS.index(name) for name in ("x", "y", "elev")}
+    arrays = train.prepare_arrays(bundle, tiny_model())
+    centres = lambda n: ((np.arange(n) + 0.5) / n).astype(np.float32)
+    assert (arrays.inputs[:, at["x"]] == centres(SPEC.width)[None, None, :]).all()
+    assert (arrays.inputs[:, at["y"]] == centres(SPEC.height)[None, :, None]).all()
+    mirrored = bundle.terrain.elevation[:, ::-1]
+    terrain = dataclasses.replace(bundle.terrain, elevation=mirrored)
+    moved = train.prepare_arrays(dataclasses.replace(bundle, terrain=terrain), tiny_model())
+    plane = mirrored.astype(np.float32)
+    lo, hi = float(plane.min()), float(plane.max())
+    assert (moved.inputs[:, at["elev"]] == (plane - lo) / (hi - lo)).all()
+    assert not (moved.inputs[:, at["elev"]] == arrays.inputs[:, at["elev"]]).all()
+    np.testing.assert_array_equal(moved.elev_patch, patch_elevations(mirrored, SPEC))
+    assert not np.array_equal(moved.elev_patch, arrays.elev_patch)
+    # every other plane, the targets and the orders are the samples' own
+    rest = [i for i in range(len(synthdata.INPUT_CHANNELS)) if i not in at.values()]
+    assert moved.inputs[:, rest].tobytes() == arrays.inputs[:, rest].tobytes()
+    assert moved.target_tokens.tobytes() == arrays.target_tokens.tobytes()
+    assert np.array_equal(moved.orders, arrays.orders)
+    synthdata.write_dataset(tmp_path, list(bundle.samples), bundle.terrain, bundle.mask,
+                            bundle.stats, 7, data=DATA, physics=PHYSICS, val_fraction=0.25)
+    for path in sorted((tmp_path / "samples").iterdir()):
+        assert not {"x", "y", "elev"} & set(read_grid(path).channels), path
 
 
 RUN_FILES = ("last.gfd", "last.gfd.txt", "best.gfd", "loss_log.txt")
