@@ -2,11 +2,13 @@
 
 Configuration is a flat UTF-8 text file of `key = value` lines with dotted
 section prefixes (`model.d = 64`). Resolution order: built-in desk-scale
-defaults, then the config file, then command-line flags; the fully
-resolved configuration is echoed verbatim into every output directory so
-a run can always be reproduced from its artifacts. The defaults are those
-of the five config dataclasses (`grid.*`, `physics.*`, `data.*`, `model.*`,
-`train.*`); only `seed`, `ablate.*` and `paths.*` are written here.
+defaults, then the config file, then command-line flags; a command that
+reads a dataset then takes the dataset's `data.*` and `physics.*` values.
+The fully resolved configuration is echoed verbatim into every output
+directory so a run can always be reproduced from its artifacts. The
+defaults are those of the five config dataclasses (`grid.*`, `physics.*`,
+`data.*`, `model.*`, `train.*`); only `seed`, `ablate.*` and `paths.*` are
+written here.
 
 Exit codes: 0 success, 1 usage, 2 configuration, 3 data/format, 4 numeric.
 The TOPOFLOW_THREADS environment variable caps worker/BLAS thread counts
@@ -23,7 +25,6 @@ import sys
 from pathlib import Path
 
 from .config import (
-    DESK_GRID,
     DataConfig,
     GridSpec,
     ModelConfig,
@@ -40,16 +41,16 @@ from .errors import ConfigError, TopoflowError, UsageError
 
 
 def _desk_defaults() -> dict[str, str]:
-    """Every config key at the desk scale: the config dataclasses' defaults
-    over the desk grid, less the fields a caller fills in (`model.spec` and
-    `model.n_horizons` come from the dataset, `train.seed` is `seed`), plus
-    `seed`, `ablate.*` and `paths.*`, the keys that name no dataclass field."""
-    model = encode(ModelConfig(DESK_GRID), "model")
+    """Every config key at the desk scale: the config dataclasses' defaults,
+    less the fields a caller fills in (`model.spec` and `model.n_horizons`
+    come from the dataset, `train.seed` is `seed`), plus `seed`, `ablate.*`
+    and `paths.*`, the keys that name no dataclass field."""
+    model = encode(ModelConfig(GridSpec()), "model")
     del model["model.n_horizons"]
     train = encode(TrainConfig(), "train")
     return {
         "seed": train.pop("train.seed"),
-        **encode(DESK_GRID, "grid"),
+        **encode(GridSpec(), "grid"),
         **encode(PhysicsConfig(), "physics"),
         **encode(DataConfig(), "data"),
         **{k: v for k, v in model.items() if not k.startswith("model.spec.")},
@@ -114,14 +115,18 @@ def _need_dir(cfg, key, what) -> Path:
 
 
 def read_dataset(cfg):
-    """The dataset at `paths.data`. A `grid.*` key or `train.val_fraction`
-    other than the dataset's raises ConfigError naming the first: the run
-    takes its grid from the dataset and would echo another, and a split
-    other than the one its stats were fit on would validate on samples
-    they have seen."""
+    """The dataset at `paths.data`. Its `data.*` and `physics.*` values
+    replace `cfg`'s, which only `gen` reads, so the config a run echoes
+    states the data it ran on; they are taken, not compared, so that a
+    dataset made with `gen --count` trains on the default config. A
+    `grid.*` key or `train.val_fraction` other than the dataset's raises
+    ConfigError naming the first: the run takes its grid from the dataset
+    and would echo another, and a split other than the one its stats were
+    fit on would validate on samples they have seen."""
     from . import synthdata
 
     bundle = synthdata.read_dataset(_need_dir(cfg, "paths.data", "dataset directory"))
+    cfg.update(encode(bundle.data, "data") | encode(bundle.physics, "physics"))
     recorded = [(key, int(text)) for key, text in encode(bundle.spec, "grid").items()]
     for key, want in recorded + [("train.val_fraction", bundle.val_fraction)]:
         if value(cfg, key, type(want)) != want:

@@ -2,14 +2,15 @@
 
 GridSpec, PhysicsConfig, DataConfig, ModelConfig and TrainConfig live here
 with their checks and without numpy, so the CLI derives its defaults from
-them before it caps threads. One codec serves the CLI's config and the
-checkpoint sidecar. Keys are the dataclass field names under a section
+them before it caps threads. One codec serves the CLI's config, the
+checkpoint sidecar and the dataset manifest. Keys are the dataclass field names under a section
 prefix; a nested dataclass field such as `ModelConfig.spec` adds one more
 level (`model.spec.height`). Values are parsed by the field's annotation:
 bool (`true`/`false`), int, float, str, or a comma-separated
-`tuple[T, ...]`. A value that does not parse, and an absent key for a
-field without a default, raise ConfigError naming the key. The package's
-file reads and its whole-file writes (`write_atomic`) live here too.
+`tuple[T, ...]`. A value that does not parse, and an absent key, raise
+ConfigError naming the key: a dataclass default is never filled in, so
+every decoded value was stated. The package's file reads and its
+whole-file writes (`write_atomic`) live here too.
 """
 
 from __future__ import annotations
@@ -34,13 +35,14 @@ TARGET_CHANNELS = ("c",)
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid geometry: cell counts plus patch and sector tiling."""
+    """Grid geometry: cell counts plus patch and sector tiling; the defaults
+    are the desk grid (N = 512 tokens)."""
 
-    height: int       # H, grid rows (cells)
-    width: int        # W, grid cols (cells)
-    patch: int        # p, cells per patch edge
-    sector_cols: int  # c, patches per sector edge along x
-    sector_rows: int  # r, patches per sector edge along y
+    height: int = 32       # H, grid rows (cells)
+    width: int = 64        # W, grid cols (cells)
+    patch: int = 2         # p, cells per patch edge
+    sector_cols: int = 8   # c, patches per sector edge along x
+    sector_rows: int = 8   # r, patches per sector edge along y
 
     def __post_init__(self):
         for name in ("height", "width", "patch", "sector_cols", "sector_rows"):
@@ -87,11 +89,6 @@ class GridSpec:
     def patches_per_sector(self) -> int:
         """M = c * r."""
         return self.sector_cols * self.sector_rows
-
-
-# the desk grid (N = 512 tokens); a constant, not GridSpec field defaults,
-# so a checkpoint sidecar missing a `model.spec.*` key still fails to decode
-DESK_GRID = GridSpec(32, 64, 2, 8, 8)
 
 
 def _check_fields(cfg, section: str, positive=(), nonnegative=()) -> None:
@@ -293,9 +290,8 @@ def encode(obj, section: str) -> dict[str, str]:
 
 def decode(cls, kv: dict[str, str], section: str, **given):
     """Build `cls` from `section.*` keys; `given` fields bypass the lookup.
-
-    A key absent from `kv` leaves its field at the dataclass default.
-    """
+    A key absent from `kv` raises ConfigError naming it, whatever the
+    field's default; keys `kv` has beyond those are not read."""
     hints = typing.get_type_hints(cls)
     args = dict(given)
     for f in dataclasses.fields(cls):
@@ -307,8 +303,8 @@ def decode(cls, kv: dict[str, str], section: str, **given):
             args[f.name] = decode(tp, kv, key)
         elif key in kv:
             args[f.name] = _parse(kv[key], tp, key)
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise ConfigError(f"missing config key {key!r}")
+        else:
+            raise ConfigError(f"missing key {key!r}")
     return cls(**args)
 
 

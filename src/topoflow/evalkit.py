@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DataError, FitError, ShapeError
-from .fields import Field, mask_array
+from .fields import mask_array
 from .model import ModelConfig, ParamStore, forward
 from .synthdata import DatasetBundle
 from .train import prepare_arrays
@@ -29,8 +29,7 @@ ATTN_BINS = 50  # fixed histogram binning over [0, 1]
 
 
 def _grid(x) -> np.ndarray:
-    arr = x.data if isinstance(x, Field) else x
-    return np.asarray(arr, dtype=np.float64)
+    return np.asarray(x, dtype=np.float64)
 
 
 def rmse(pred, target, mask) -> float:

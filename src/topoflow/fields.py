@@ -222,7 +222,7 @@ def temporal_encoding(hour: int, doy: int) -> np.ndarray:
 @dataclass(frozen=True)
 class Sample:
     """One forecasting example: input field plus one target per lead time of
-    its dataset (`DatasetBundle.horizons` states the lead times once)."""
+    its dataset (the dataset's `data.horizons` states the lead times once)."""
 
     input: Field
     targets: tuple[Field, ...]

@@ -500,11 +500,6 @@ def load_checkpoint(path):
         config = decode(ModelConfig, kv, "model")
     except ConfigError as exc:
         raise FormatError(f"{sidecar}: {exc}") from None
-    # decode fills a key left out with its default, which for a toggle is
-    # the other variant
-    for key in encode(config, "model"):
-        if key not in kv:
-            raise FormatError(f"{sidecar}: missing key {key!r}")
     layout = _param_layout(config)
     shapes = {name: shape for name, _, shape, _ in layout}
     groups = {name: group for name, group, _, _ in layout}

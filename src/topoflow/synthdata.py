@@ -37,7 +37,10 @@ On disk a dataset is one terrain file (elevation, reference wind and the
 study mask), one file per sample and a `key = value` manifest that states
 once every `data.*` and `physics.*` value the samples were made with, the
 normalization stats of the sample channels and the `train.val_fraction` of
-the training split they were fit on (`write_dataset`).
+the training split they were fit on (`write_dataset`). `read_dataset` decodes
+that `DataConfig` and `PhysicsConfig` once into the `DatasetBundle`, which
+then alone states the dataset's lead times and base speed: no other object
+keeps a copy of a value the manifest states.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import INPUT_CHANNELS, SAMPLE_CHANNELS, TARGET_CHANNELS, TEMPORAL_CHANNELS
-from .config import DataConfig, PhysicsConfig
-from .config import TrainConfig, decode, encode, format_kv, read_kv, read_lines, write_atomic
+from .config import DataConfig, PhysicsConfig, TrainConfig, decode, encode, format_kv, value
+from .config import read_kv, read_lines, write_atomic
 from .errors import ConfigError, DataError, FormatError, ShapeError, StabilityError
 from .fields import (
     ChannelStats,
@@ -75,12 +78,12 @@ NOISE_COUPLING = 0.35      # streamfunction weight of the smooth random term
 
 @dataclass(frozen=True)
 class TerrainWind:
-    """Static elevation plus the reference wind field it was generated with."""
+    """Static elevation plus the reference wind field it was generated with;
+    the wind's base speed is its dataset's `data.base_speed`."""
 
     elevation: np.ndarray   # (H, W) meters
     u: np.ndarray           # (H, W) m/s
     v: np.ndarray           # (H, W) m/s
-    base_speed: float       # m/s, uniform component magnitude
 
     def __post_init__(self):
         for name in ("elevation", "u", "v"):
@@ -174,7 +177,7 @@ def gen_terrain(
     elev = _elevation(spec, data.archetype, rng)
     bearing = float(rng.uniform(0.0, 2.0 * math.pi))
     u, v = synth_wind(elev, physics.dx, bearing, data.base_speed, rng, physics.max_wind)
-    return TerrainWind(elev, u, v, data.base_speed)
+    return TerrainWind(elev, u, v)
 
 
 def study_mask(spec: GridSpec) -> LandMask:
@@ -378,7 +381,7 @@ def make_sample(
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), SAMPLE_STREAM, index]))
     if data.wind_mode == "rotate":
         bearing = float(rng.uniform(0.0, 2.0 * math.pi))
-        speed = tw.base_speed * float(rng.uniform(0.7, 1.3))
+        speed = data.base_speed * float(rng.uniform(0.7, 1.3))
         u, v = synth_wind(tw.elevation, physics.dx, bearing, speed, rng, physics.max_wind)
     else:
         u, v = tw.u, tw.v
@@ -426,15 +429,23 @@ def norm_kinds() -> dict[str, str]:
 
 @dataclass(frozen=True)
 class DatasetBundle:
-    """Everything a training or evaluation run needs, loaded in memory."""
+    """Everything a training or evaluation run needs, loaded in memory:
+    `data` and `physics` are the configs the samples were made with, so
+    they alone state the dataset's lead times and base speed."""
 
     spec: GridSpec
     samples: tuple[Sample, ...]
     terrain: TerrainWind
     mask: LandMask
     stats: NormStats
-    horizons: tuple[int, ...]
+    data: DataConfig
+    physics: PhysicsConfig
     val_fraction: float     # the `train.val_fraction` whose training split fit `stats`
+
+    @property
+    def horizons(self) -> tuple[int, ...]:
+        """The lead times in hours, one per target of each sample."""
+        return self.data.horizons
 
 
 TERRAIN_CHANNELS = ("elev", "u", "v", "mask")
@@ -474,17 +485,15 @@ def write_dataset(
     and `tw` were made with; `val_fraction` is the `train.val_fraction`
     whose training split `stats` (one entry per `SAMPLE_CHANNELS` name)
     were fit on. There must be `data.count` samples, each with one target
-    per `data.horizons` entry, and `tw.base_speed` must be
-    `data.base_speed` (DataError otherwise); these, the split and the
-    stats are checked before any file is touched. Any old manifest is
+    per `data.horizons` entry (DataError otherwise); these, the split and
+    the stats are checked before any file is touched. Any old manifest is
     removed first, and the new one is written last and atomically, so a
     killed writer leaves no `manifest.txt` (not even over an older
     dataset) and `read_dataset` refuses the directory. Files in
     `samples/` other than the new samples', such as an older and larger
     dataset's, are removed before it is written."""
-    if (len(samples), tw.base_speed) != (data.count, data.base_speed):
-        raise DataError(f"{len(samples)} samples on base speed {tw.base_speed}, but "
-                        f"data.count = {data.count} and data.base_speed = {data.base_speed}")
+    if len(samples) != data.count:
+        raise DataError(f"{len(samples)} samples, but data.count = {data.count}")
     if any(len(s.targets) != len(data.horizons) for s in samples):
         raise DataError(f"a sample's targets are not one per data.horizons = {data.horizons}")
     split = TrainConfig(val_fraction=val_fraction)
@@ -538,14 +547,15 @@ def read_dataset(in_dir) -> DatasetBundle:
     if stated != DATASET_FORMAT:
         raise FormatError(f"{manifest}: format = {stated}, not {DATASET_FORMAT}; {REGENERATE}")
     kv = read_kv(manifest, FormatError, known=MANIFEST_KEYS)
-    # decode fills a key left out with its default, so each is checked here
+    # decode would refuse an absent `data.*`, `physics.*` or `stats.*` key
+    # too, but without the note to regenerate, and it reads no `format` or `seed`
     for key in MANIFEST_KEYS:
         if key not in kv:
             raise FormatError(f"{manifest}: missing key {key!r}; {REGENERATE}")
     try:
         data = decode(DataConfig, kv, "data")
-        decode(PhysicsConfig, kv, "physics")
-        split = decode(TrainConfig, kv, "train")
+        physics = decode(PhysicsConfig, kv, "physics")
+        split = TrainConfig(val_fraction=value(kv, "train.val_fraction", float))
     except (ConfigError, StabilityError) as err:
         raise FormatError(f"{manifest}: {err}") from None
     entries = {}
@@ -578,6 +588,5 @@ def read_dataset(in_dir) -> DatasetBundle:
             for k in range(n_in, len(channels), n_out)
         )
         samples.append(Sample(inp, targets))
-    tw = TerrainWind(*terrain.data[:3], base_speed=data.base_speed)
-    return DatasetBundle(spec, tuple(samples), tw, mask, NormStats(entries), data.horizons,
-                         split.val_fraction)
+    return DatasetBundle(spec, tuple(samples), TerrainWind(*terrain.data[:3]), mask,
+                         NormStats(entries), data, physics, split.val_fraction)

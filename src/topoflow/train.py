@@ -152,7 +152,8 @@ class TrainState:
     @classmethod
     def from_extras(cls, moments, extras: dict[str, str]) -> "TrainState":
         """The state `extras()` wrote; a missing or unparsable `state.*`
-        key raises FormatError naming it."""
+        key, `state.stopped` other than `true` or `false` included, raises
+        FormatError naming it."""
 
         def read(key, parse):
             try:
@@ -173,7 +174,7 @@ class TrainState:
             best_val=read("best_val", float.fromhex),
             bad_count=read("bad_count", int),
             rng=read("rng", generator),
-            stopped=extras.get("stopped") == "true",
+            stopped=read("stopped", {"true": True, "false": False}.__getitem__),
         )
 
 

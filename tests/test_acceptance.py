@@ -245,7 +245,7 @@ def test_criterion_6_physics_suite():
     assert peclet >= 10.0
     for seed in range(10):
         tw = synthdata.TerrainWind(
-            np.zeros((32, 64)), np.full((32, 64), 2.0), np.zeros((32, 64)), base_speed=2.0
+            np.zeros((32, 64)), np.full((32, 64), 2.0), np.zeros((32, 64))
         )
         pcfg = synthdata.PhysicsConfig(kappa=40.0, dt=150.0, dx=2000.0, sink=6.7e-5,
                                        max_wind=6.0, substeps=96)

@@ -14,7 +14,8 @@ import pytest
 
 from topoflow import synthdata
 from topoflow.cli import DEFAULTS, build_parser, main
-from topoflow.config import DataConfig
+from topoflow.config import DataConfig, read_kv
+from topoflow.errors import ConfigError
 from topoflow.fields import GridSpec, NormStats, read_grid, write_grid
 
 
@@ -314,9 +315,7 @@ def test_dump_perm_uniform_east_wind(tmp_path, config_path):
     # build a dataset whose terrain wind is exactly eastward
     spec = GridSpec(8, 16, 2, 4, 2)
     shape = (8, 16)
-    tw = synthdata.TerrainWind(
-        np.zeros(shape), np.ones(shape), np.zeros(shape), base_speed=1.0
-    )
+    tw = synthdata.TerrainWind(np.zeros(shape), np.ones(shape), np.zeros(shape))
     cfg = synthdata.PhysicsConfig(substeps=1)
     fixed = DataConfig(count=2, horizons=(12,), wind_mode="fixed", base_speed=1.0)
     samples = synthdata.make_dataset(spec, tw, cfg, fixed, seed=0)
@@ -509,6 +508,8 @@ BROKEN_INPUTS = (
     "eval checkpoint sidecar missing",
     "dump checkpoint sidecar missing",
     "resume state.rng missing",
+    "resume state.stopped missing",
+    "resume state.stopped yes",
     "config file missing",
     "config file not UTF-8",
     "eval checkpoint sidecar not UTF-8",
@@ -637,13 +638,17 @@ def test_broken_inputs_exit_with_their_codes(case, tmp_path, config_path, datase
         (tmp_path / "run" / "best.gfd.txt").unlink()
         cmd = ["eval"] if case.startswith("eval") else ["dump", "attn"]
         argv, named = [*cmd, *common, "--checkpoint", str(ckpt), *out], "best.gfd.txt"
-    elif case == "resume state.rng missing":
+    elif case.startswith("resume state."):
+        # a resume of the full budget fits no step, so it fails only if it
+        # refuses the state key
+        named, fault = case.split()[1:]
         sidecar = trained() / "last.gfd.txt"
         kept = [ln for ln in sidecar.read_text().splitlines(True)
-                if not ln.startswith("state.rng")]
+                if not ln.startswith(f"{named} = ")]
+        assert len(kept) < len(sidecar.read_text().splitlines())
+        kept += [] if fault == "missing" else [f"{named} = {fault}\n"]
         sidecar.write_text("".join(kept))
         argv = ["train", *common, "--out", str(tmp_path / "run"), "--steps", "2", "--resume"]
-        named = "state.rng"
     elif case == "config file missing":
         missing = str(tmp_path / "missing.cfg")
         argv, named, code = ["gen", "--config", missing, *out], "missing.cfg", 2
@@ -782,8 +787,8 @@ def pristine(tmp_path_factory):
 
 @pytest.mark.parametrize("key", synthdata.MANIFEST_KEYS)
 def test_manifest_without_a_key_exits_three(key, pristine, tmp_path, capsys):
-    # `decode` would fill a stats key left out with its default, so every
-    # key `gen` writes is required, and its absence names it
+    # every key `gen` writes is required, and its absence names it with
+    # the note to regenerate the dataset
     dataset = tmp_path / "data"
     shutil.copytree(pristine / "data", dataset)
     manifest = dataset / "manifest.txt"
@@ -819,6 +824,32 @@ def test_config_grid_other_than_the_dataset_exits_two(command, pristine, tmp_pat
     err = capsys.readouterr().err
     assert "grid.patch = 4" in err and "grid.patch = 2" in err and "Traceback" not in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ablate", "dump"])
+def test_run_echoes_the_datasets_data_and_physics_keys(command, pristine, tmp_path):
+    # only `gen` reads `data.*` and `physics.*`: a run on a dataset echoes
+    # the values its manifest states (12 basin_ridge samples at 2
+    # substeps), not the config's
+    common = ["--data", str(pristine / "data")]
+    argv = {"train": ["train", "--steps", "2"], "eval": ["eval"],
+            "ablate": ["ablate", "--seeds", "0", "--variants", "wind", "--steps", "2"],
+            "dump": ["dump", "perm"]}[command]
+    if command == "eval":
+        run_dir = tmp_path / "run"
+        assert run("train", "--config", str(pristine / "desk.cfg"), *common,
+                   "--out", str(run_dir), "--steps", "2") == 0
+        argv += ["--checkpoint", str(run_dir / "best.gfd")]
+    cfg = write_config(tmp_path / "other.cfg", **{
+        "data.count": "500", "data.archetype": "flat", "physics.substeps": "7"})
+    out = tmp_path / "out"
+    assert run(*argv, "--config", str(cfg), *common, "--out", str(out)) == 0
+    echoed = read_kv(out / "resolved_config.txt", ConfigError)
+    stated = read_kv(pristine / "data" / "manifest.txt", ConfigError)
+    assert (echoed["data.count"], echoed["data.archetype"], echoed["physics.substeps"]) == (
+        "12", "basin_ridge", "2")
+    assert {k: v for k, v in echoed.items() if k.startswith(("data.", "physics."))} == {
+        k: v for k, v in stated.items() if k.startswith(("data.", "physics."))}
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
@@ -966,19 +997,17 @@ def test_dump_perm_lists_sample_zero_order(tmp_path, config_path, dataset):
 
 
 def test_loaded_dataset_regenerates_its_samples(dataset, config_path):
-    # the manifest carries the terrain's base wind speed, so make_sample on a
-    # loaded bundle draws the stored winds; only the float32 round trip of
-    # the stored terrain is left between the two
+    # the manifest states the configs the samples were made with, so
+    # make_sample on a loaded bundle's own configs draws the stored winds;
+    # only the float32 round trip of the stored terrain is left between the two
     from topoflow import cli
 
     cfg = cli.resolve_config(argparse.Namespace(config=str(config_path)))
     bundle = synthdata.read_dataset(dataset)
-    assert bundle.terrain.base_speed == float(cfg["data.base_speed"])
-    data = cli.build_data(cfg)
-    assert data.horizons == bundle.horizons
+    assert (bundle.data, bundle.physics) == (cli.build_data(cfg), cli.build_physics(cfg))
     for i, stored in enumerate(bundle.samples):
         again = synthdata.make_sample(
-            i, 0, bundle.spec, bundle.terrain, cli.build_physics(cfg), data
+            i, 0, bundle.spec, bundle.terrain, bundle.physics, bundle.data
         )
         for name in ("u", "v"):
             np.testing.assert_allclose(

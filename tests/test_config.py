@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from topoflow import cli
-from topoflow.config import DataConfig, decode, value
+from topoflow.config import DataConfig, decode, encode, value
 from topoflow.errors import ConfigError
 from topoflow.fields import GridSpec
 from topoflow.model import ModelConfig
@@ -74,6 +74,14 @@ def test_codec_errors_are_config_errors():
     for key, (text, tp) in bad.items():
         with pytest.raises(ConfigError, match=key):
             value({key: text}, key, tp)
+
+
+def test_decode_refuses_an_absent_key_whose_field_has_a_default():
+    # a default is never filled in, so whatever a file decodes to, it stated
+    kv = encode(PhysicsConfig(), "physics")
+    del kv["physics.substeps"]
+    with pytest.raises(ConfigError, match="missing key 'physics.substeps'"):
+        decode(PhysicsConfig, kv, "physics")
 
 
 def _file_calls(tree):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,10 +18,11 @@ SPEC = GridSpec(8, 16, 2, 4, 2)
 def bundle():
     tw = synthdata.gen_terrain(SPEC, 1, DataConfig(), synthdata.PhysicsConfig())
     cfg = synthdata.PhysicsConfig(substeps=2)
-    samples = synthdata.make_dataset(SPEC, tw, cfg, DataConfig(count=8, horizons=(12, 24)), seed=2)
+    data = DataConfig(count=8, horizons=(12, 24))
+    samples = synthdata.make_dataset(SPEC, tw, cfg, data, seed=2)
     stats = NormStats.fit([s.input for s in samples], synthdata.norm_kinds())
     mask = synthdata.study_mask(SPEC)
-    return synthdata.DatasetBundle(SPEC, tuple(samples), tw, mask, stats, (12, 24), 0.1)
+    return synthdata.DatasetBundle(SPEC, tuple(samples), tw, mask, stats, data, cfg, 0.1)
 
 
 def full_mask(h=2, w=2):
@@ -202,8 +204,7 @@ def test_predict_grids_makes_one_forward_call_per_batch(bundle, monkeypatch):
     monkeypatch.setattr(evalkit, "forward", counting)
     config = ModelConfig(spec=SPEC, d=16, layers=1, heads=2, mlp_hidden=32,
                          head_hidden=32, dropout=0.0, n_horizons=2)
-    five = synthdata.DatasetBundle(SPEC, bundle.samples[:5], bundle.terrain, bundle.mask,
-                                   bundle.stats, bundle.horizons, bundle.val_fraction)
+    five = dataclasses.replace(bundle, samples=bundle.samples[:5])
     preds, _ = evalkit.predict_grids(init_params(config, seed=0), config, five, batch=2)
     assert preds.shape[0] == 5
     assert calls == [2, 2, 1]

@@ -403,7 +403,7 @@ def test_toggles_off_is_the_shared_baseline_path():
     samples = synthdata.make_dataset(spec, tw, physics, data, seed=7)
     stats = NormStats.fit([s.input for s in samples], synthdata.norm_kinds())
     bundle = synthdata.DatasetBundle(spec, tuple(samples), tw, synthdata.study_mask(spec),
-                                     stats, data.horizons, 0.1)
+                                     stats, data, physics, 0.1)
     orders = prepare_arrays(bundle, config).orders
     np.testing.assert_array_equal(orders, np.tile(np.arange(spec.n_patches), (2, 1)))
     orders = wind_orders(replace(config, wind_reorder=True), x)

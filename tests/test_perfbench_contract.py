@@ -37,6 +37,18 @@ def test_every_traced_function_exists_and_every_expected_span_is_traced(monkeypa
         assert set(workload.expected_spans) <= traced, workload.name
 
 
+def test_every_size_override_is_a_config_key(monkeypatch):
+    # the harness lays a size's overrides over `cli.DEFAULTS` with
+    # `dict.update`, and `decode` reads only the keys it knows, so a key
+    # renamed in the package would silently drop out of the size
+    from topoflow import cli
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for name, size in workloads.SIZES.items():
+        assert set(size.overrides) <= set(cli.DEFAULTS), name
+
+
 @pytest.mark.slow
 def test_perfbench_selftest_passes():
     proc = subprocess.run(

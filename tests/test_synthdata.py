@@ -21,9 +21,7 @@ SPEC = GridSpec(32, 64, 2, 8, 8)
 
 def uniform_terrain(spec, u=2.0, v=0.0):
     shape = (spec.height, spec.width)
-    return TerrainWind(
-        np.zeros(shape), np.full(shape, u), np.full(shape, v), base_speed=math.hypot(u, v)
-    )
+    return TerrainWind(np.zeros(shape), np.full(shape, u), np.full(shape, v))
 
 
 def quiet_config(**over):
@@ -121,7 +119,6 @@ def test_mass_conserved_over_100_periodic_steps():
         np.zeros((32, 64)),
         rng.normal(0.0, 0.6, (32, 64)),
         rng.normal(0.0, 0.6, (32, 64)),
-        base_speed=1.0,
     )
     cfg = quiet_config(kappa=100.0)
     c = gaussian_blob(SPEC, 16, 20).astype(np.float64)
@@ -448,11 +445,12 @@ def test_smaller_dataset_over_a_larger_one_leaves_no_stale_samples(tmp_path):
 
 
 def test_manifest_header_carries_base_speed(tmp_path):
-    _samples, tw, _mask, _stats = write_small(tmp_path / "ds", 2)
-    assert synthdata.read_dataset(tmp_path / "ds").terrain.base_speed == tw.base_speed
+    write_small(tmp_path / "ds", 2)
+    speed = DataConfig().base_speed   # the speed `small_dataset` makes its samples at
+    assert synthdata.read_dataset(tmp_path / "ds").data.base_speed == speed
     manifest = tmp_path / "ds" / "manifest.txt"
     text = manifest.read_text()
-    line = f"data.base_speed = {tw.base_speed!r}\n"
+    line = f"data.base_speed = {speed!r}\n"
     assert line in text
     manifest.write_text(text.replace(line, line.replace("data.", "")))
     with pytest.raises(FormatError, match="unknown key 'base_speed'"):
@@ -482,12 +480,11 @@ def test_write_dataset_refuses_stats_without_a_channel_before_writing(tmp_path):
     assert after == before
 
 
-@pytest.mark.parametrize("field, value", [("count", 3), ("base_speed", 2.5),
-                                          ("horizons", (12, 24, 48))])
+@pytest.mark.parametrize("field, value", [("count", 3), ("horizons", (12, 24, 48))])
 def test_write_dataset_refuses_configs_its_samples_do_not_match(field, value, tmp_path):
     # the manifest states the configs once, so samples they did not make
-    # (another count, base wind speed or number of targets) are refused
-    # before any file is touched
+    # (another count or number of targets) are refused before any file is
+    # touched
     (samples, tw, mask, stats), made = small_dataset(2)
     data = dataclasses.replace(made["data"], **{field: value})
     with pytest.raises(DataError, match="data.count" if field != "horizons" else "horizons"):
@@ -498,12 +495,15 @@ def test_write_dataset_refuses_configs_its_samples_do_not_match(field, value, tm
 
 def test_manifest_states_every_data_and_physics_key(tmp_path):
     # a dataset says how it was made: the manifest decodes to the very
-    # configs `write_dataset` was given, and holds no stats of x, y or elev
+    # configs `write_dataset` was given, `read_dataset` returns them, and
+    # the manifest holds no stats of x, y or elev
     args, made = small_dataset(2)
     synthdata.write_dataset(tmp_path / "ds", *args, seed=9, val_fraction=0.1, **made)
     kv = read_kv(tmp_path / "ds" / "manifest.txt", FormatError)
     assert decode(DataConfig, kv, "data") == made["data"]
     assert decode(PhysicsConfig, kv, "physics") == made["physics"]
+    bundle = synthdata.read_dataset(tmp_path / "ds")
+    assert (bundle.data, bundle.physics) == (made["data"], made["physics"])
     assert kv["format"] == "topoflow dataset v4"
     assert not [k for k in kv if k.startswith(("stats.x.", "stats.y.", "stats.elev."))]
 

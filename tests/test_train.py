@@ -33,7 +33,7 @@ def bundle(tmp_path_factory):
     samples = synthdata.make_dataset(SPEC, tw, PHYSICS, DATA, seed=7)
     stats = NormStats.fit([s.input for s in samples], synthdata.norm_kinds())
     mask = synthdata.study_mask(SPEC)
-    return synthdata.DatasetBundle(SPEC, tuple(samples), tw, mask, stats, (12, 24), 0.25)
+    return synthdata.DatasetBundle(SPEC, tuple(samples), tw, mask, stats, DATA, PHYSICS, 0.25)
 
 
 def tiny_model(**over):
