@@ -14,13 +14,12 @@ indexed by wind rank, and one bucket for every pair in different sectors.
 (N, N) base (the penalty plus the cross-sector bucket), the penalty's
 K sector blocks and their flat index. A call gets the sector ranks, one
 (B, N) int array whose entry (i, p) is patch p's rank along the wind
-inside its sector for sample i; `model.forward` checks the slot orders
-and derives these ranks from them once per call
-(`reorder.sector_ranks`), raster ranks for a variant without wind
-reordering. Each sample's bias is the base with the K*M^2 within-sector
-entries written from the table and the penalty's blocks, so no N x N
-slot table, per-sample map or (B, 1, N, N) bias is built, kept or
-differentiated.
+inside its sector for sample i; `train.prepare_arrays` derives them from
+the slot orders (`reorder.sector_ranks`), raster ranks for a variant
+without wind reordering, and `model.forward` checks them once per call.
+Each sample's bias is the base with the K*M^2 within-sector entries
+written from the table and the penalty's blocks, so no N x N slot table,
+per-sample map or (B, 1, N, N) bias is built, kept or differentiated.
 
 Under a zero table and no penalty the operation is permutation
 equivariant: reordering tokens, attending, and undoing the reorder is
@@ -346,13 +345,13 @@ def _attend_parts(x, params: AttentionParams, tables: BiasTables, ranks, norm,
     `tables` (`bias_tables`) holds the relative table, the sector layout,
     the optional penalty and what every call shares of them. `ranks`, a
     (B, N) int array, holds each patch's rank along the wind inside its
-    sector, sample by sample, as `reorder.sector_ranks` derives them from
-    checked slot orders; the node trusts them. Sample i's bias is
-    `tables.base` with each within-sector entry (key a, query c) set to
-    rel[rank(c) - rank(a) + M - 1] plus the penalty's entry, written
-    before its heads into one copy of the base that the call's samples
-    share, since they differ only there. Tokens whose shape does not fit
-    raise ShapeError (`_check`). With `weights` the second value is the
+    sector, sample by sample, as `model.forward` has checked them; the
+    node trusts them. Sample i's bias is `tables.base` with each
+    within-sector entry (key a, query c) set to rel[rank(c) - rank(a) +
+    M - 1] plus the penalty's entry, written before its heads into one
+    copy of the base that the call's samples share, since they differ
+    only there. Tokens whose shape does not fit raise ShapeError
+    (`_check`). With `weights` the second value is the
     post-softmax weights, queries x keys, a constant Tensor of shape
     (B, heads, N, N); without it, an empty (B, heads, 0, 0) Tensor of the
     logits' dtype.

@@ -339,8 +339,14 @@ def read_kv(path, error, known=None) -> dict[str, str]:
     """The `key = value` lines of a file, less blank and `#` lines; any other
     line, a key outside a given `known`, or a key stated twice raises
     `error` at `file:line`."""
+    return parse_kv(path, read_lines(path, error), error, known)
+
+
+def parse_kv(path, lines, error, known=None) -> dict[str, str]:
+    """`read_kv` on the (number, line) pairs `lines` that `read_lines` read
+    from `path`, which its errors name."""
     out: dict[str, str] = {}
-    for ln, line in read_lines(path, error):
+    for ln, line in lines:
         key, eq, text = (part.strip() for part in line.partition("="))
         if key.startswith("#") or not (key or eq):
             continue

@@ -184,11 +184,12 @@ def predict_grids(
     Returns (preds, attention) with preds shaped (S, n_horizons*v_out, H, W)
     and attention a list of head-averaged matrices from the final layer,
     one per sample, in raster token order as `model.forward` returns
-    them. Each batch's inputs are prepared on their own, so the
-    predictions are the only array that spans the dataset. The forwards
-    build no autodiff tape, so `model.forward` runs each batch sample by
-    sample and memory does not grow with `batch`; each batch is still one
-    `forward` call.
+    them. Each batch's inputs, sector ranks and patch elevations are
+    prepared on their own (`train.prepare_arrays`, which reads the
+    model's toggles), so the predictions are the only array that spans
+    the dataset. The forwards build no autodiff tape, so `model.forward`
+    runs each batch sample by sample and memory does not grow with
+    `batch`; each batch is still one `forward` call.
     """
     preds = None
     attn: list[np.ndarray] = []
@@ -200,8 +201,8 @@ def predict_grids(
                 store,
                 config,
                 arrays.inputs,
+                arrays.ranks,
                 elev_patch_m=arrays.elev_patch,
-                orders=arrays.orders,
                 collect_attention=collect_attention,
             )
         grid = res.to_grid()

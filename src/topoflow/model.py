@@ -24,12 +24,11 @@ input and the MLP's pre-activation included: the selective
 recomputation of Korthikanti et al. 2022 (arXiv:2205.05198).
 
 Wind-guided reordering reaches only the attention node, as each patch's
-rank along the wind inside its sector: `forward` checks the slot orders
-(one (B, N) int row per sample, slot -> raster patch, inside each
-sector) and ranks the patches once per call (`reorder.check_orders`,
-`reorder.sector_ranks`). The node indexes the relative table, 2M
-numbers for sectors of M patches, by the rank offset of each pair in one
-sector; every pair in different sectors shares the last bucket.
+rank along the wind inside its sector: `forward` takes one (B, N) int
+row of ranks per sample, checks them once per call and hands them to
+every layer. The node indexes the relative table, 2M numbers for
+sectors of M patches, by the rank offset of each pair in one sector;
+every pair in different sectors shares the last bucket.
 `_attention_tables` builds the table's and the penalty's shared parts
 once per forward (`attention.bias_tables`), and every layer and every
 sample of the no-tape path use them and the ranks. Attention under a
@@ -42,12 +41,11 @@ changes is what the table MEANS (attend-k-slots-back is "k ranks upwind"
 instead of "k raster positions back"), which is the entire mechanism.
 The two physics toggles choose data, not code, so the baseline
 configuration is literally the same network minus the two mechanisms.
-`wind_reorder` chooses the slot orders, read in `train.prepare_arrays`
-(wind orders or identity) and in `forward`'s identity default and
-missing-orders guard; `elev_bias` chooses whether the terrain penalty
-table exists, read in `_attention_tables`. Identity orders rank the
-patches in raster order, so the baseline is the wind variant under
-identity slot orders bit for bit.
+`train.prepare_arrays` alone reads them: `wind_reorder` chooses the slot
+orders the ranks come from (wind orders or identity), `elev_bias` whether
+there are patch elevations, and with them a terrain penalty. This module
+reads neither. Identity orders rank the patches in raster order, so the
+baseline is the wind variant under raster ranks bit for bit.
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ from . import autodiff as ad
 from . import reorder, topo_bias
 from .attention import AttentionParams, BiasTables, _attend_parts, bias_tables
 from .config import GridSpec, ModelConfig, decode, encode, format_kv, read_kv, write_atomic
-from .errors import ConfigError, FormatError, NumericError, ShapeError
+from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError
 from .fields import Field, read_grid, write_grid
 
 # variance of a unit normal truncated to +-2 sigma is 0.773729...; scale
@@ -235,29 +233,26 @@ def forward(
     params: ParamStore,
     config: ModelConfig,
     inputs: np.ndarray,
+    ranks: np.ndarray,
     elev_patch_m: np.ndarray | None = None,
-    orders: np.ndarray | None = None,
     train: bool = False,
     rng: np.random.Generator | None = None,
     collect_attention: bool = False,
 ) -> ForwardResult:
     """Run the forecaster on a (B, C, H, W) normalized input stack.
 
-    `elev_patch_m` is the per-patch mean elevation in meters, required when
-    the elevation bias is enabled. `orders` is a (B, N) int array whose row
-    i is sample i's slot -> patch order, required when wind reordering is
-    enabled and ignored without it: build each row with
-    `reorder.build_permutation` from the physical winds (as
-    `train.prepare_arrays` does), since the z-scored wind channels of
-    `inputs` point elsewhere. Orders of another shape raise ShapeError, a
-    row that is not an integer permutation of 0..N-1, or that moves a
-    patch out of its sector, raises DataError (`reorder.check_orders`).
+    `ranks` is a (B, N) int array whose entry (i, p) is raster patch p's
+    rank along the wind inside its sector for sample i, as
+    `train.prepare_arrays` builds it. Ranks of another shape raise
+    ShapeError; a row that is not, sector by sector, an integer
+    permutation of 0..M-1 raises DataError. `elev_patch_m` is the
+    per-patch mean elevation in meters, from which the terrain penalty is
+    built; without it the forward has no penalty. `forward` reads neither
+    toggle of `config`: they chose the ranks and the elevations.
 
-    The orders become each patch's rank along the wind once per call
-    (`reorder.sector_ranks`), and the ranks reach only the attention node:
-    the returned tokens, and with `collect_attention` every layer's
-    head-averaged (B, N, N) map, are in raster patch order, so token i is
-    patch i for every variant.
+    The ranks reach only the attention node: the returned tokens, and with
+    `collect_attention` every layer's head-averaged (B, N, N) map, are in
+    raster patch order, so token i is patch i for every variant.
 
     A forward that records no tape (`train` off under `autodiff.no_grad`)
     runs the network one sample at a time, so its memory does not grow
@@ -273,18 +268,17 @@ def forward(
         )
     if train and config.dropout > 0.0 and rng is None:
         raise ConfigError("training forward with dropout needs an rng")
-    if config.elev_bias and elev_patch_m is None:
-        raise ConfigError("elev_bias enabled but no patch elevations supplied")
-    b, n = arr.shape[0], spec.n_patches
-    if not config.wind_reorder:
-        orders = np.tile(np.arange(n), (b, 1))
-    elif orders is None:
-        raise ConfigError("wind_reorder enabled but no slot orders supplied")
     # shared by every sample: the relative table and the penalty, with what
-    # every attention call derives from them, the ranks and the positional
-    # vectors
+    # every attention call derives from them, and the positional vectors
     tables = _attention_tables(params, config, elev_patch_m)
-    ranks = reorder.sector_ranks(reorder.check_orders(orders, b, tables.layout), tables.layout)
+    ranks = np.asarray(ranks)
+    if ranks.shape != (arr.shape[0], spec.n_patches):
+        raise ShapeError(
+            f"sector ranks shape {ranks.shape} is not (B, N) = {(arr.shape[0], spec.n_patches)}"
+        )
+    if ranks.dtype.kind not in "iu" or (
+            np.sort(ranks[:, tables.layout]) != np.arange(spec.patches_per_sector)).any():
+        raise DataError("each row of the sector ranks must rank every sector's patches 0..M-1")
     pos = params["pos.grid"] @ params["pos.proj"]
 
     def run(rows: slice):
@@ -306,16 +300,16 @@ def _attention_tables(
     params: ParamStore, config: ModelConfig, elev_patch_m: np.ndarray | None
 ) -> BiasTables:
     """The attention node's shared bias terms for one forward: `pos.rel`,
-    the spec's (K, M) sector layout and the raster terrain penalty (None
-    without the elevation bias), laid out keys x queries as the node takes
-    it.
+    the spec's (K, M) sector layout and the raster terrain penalty of the
+    patch elevations `elev_patch_m` (None without them), laid out keys x
+    queries as the node takes it.
 
     The penalty is `topo_bias.bias_tensor` of the negated elevations, which
     is the queries x keys penalty transposed bit for bit:
     fl(-h_k - (-h_q)) = fl(h_q - h_k).
     """
     penalty = None
-    if config.elev_bias:
+    if elev_patch_m is not None:
         flipped = np.negative(np.asarray(elev_patch_m, dtype=np.float64))
         penalty = topo_bias.bias_tensor(flipped, params["alpha"])
     return bias_tables(params["pos.rel"], reorder._sector_layout(config.spec), penalty)

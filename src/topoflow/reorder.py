@@ -14,10 +14,10 @@ identity when every sector keeps raster order. Sectors whose cells carry
 exactly zero wind skip the projection sort and keep raster order outright;
 a literal sort under the sentinel angle 0 would order such sectors
 column-major, which is not the raster baseline the degenerate case is
-defined to preserve. No token moves: `model.forward` checks a batch's
-slot orders once (`check_orders`) and turns them into each patch's rank
-along the wind inside its sector (`sector_ranks`), which is all the
-attention node reads of them.
+defined to preserve. No token moves: `train.prepare_arrays` turns each
+sample's slot order into each patch's rank along the wind inside its
+sector once (`sector_ranks`), which is all `model.forward` and its
+attention node read of it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import ShapeError
 from .fields import GridSpec
 
 
@@ -104,34 +104,19 @@ def build_permutation(
     return order, angles
 
 
-def check_orders(orders, b: int, layout: np.ndarray) -> np.ndarray:
-    """`orders` as an array, checked to be (B, N) slot -> patch orders
-    inside the sectors of the (K, M) `layout`, N = K * M: ShapeError for
-    another shape, DataError for a row that is not an integer permutation
-    of 0..N-1 or that moves a patch into another sector's slot."""
-    orders = np.asarray(orders)
-    n = layout.size
-    if orders.shape != (b, n):
-        raise ShapeError(f"slot orders shape {orders.shape} is not (B, N) = {(b, n)}")
-    if orders.dtype.kind not in "iu" or (np.sort(orders, axis=1) != np.arange(n)).any():
-        raise DataError("each row of the slot orders must be a permutation of 0..N-1")
-    sector_of = np.empty(n, dtype=np.int64)
-    sector_of[layout] = np.arange(len(layout))[:, None]
-    if (sector_of[orders] != sector_of).any():
-        raise DataError("each slot order must keep every patch in its own sector")
-    return orders
-
-
 def sector_ranks(orders: np.ndarray, layout: np.ndarray) -> np.ndarray:
-    """(B, N) int32 ranks along the wind from (B, N) slot orders that
-    `check_orders` has passed for the (K, M) `layout`: entry (i, p) is
-    raster patch p's rank inside its sector under sample i's order. Slot
-    layout[s, j] has rank j, and patch orders[i, k] takes slot k's rank
-    (`unapply`), so identity rows rank the patches in raster order."""
+    """(B, N) int32 ranks along the wind from (B, N) slot orders that keep
+    each patch inside its sector of the (K, M) `layout`, such as
+    `build_permutation`'s: entry (i, p) is raster patch p's rank inside its
+    sector under sample i's order. Slot layout[s, j] has rank j, and patch
+    orders[i, k] takes slot k's rank (`unapply`), so identity rows rank the
+    patches in raster order."""
     slot_ranks = np.empty((layout.size, 1), dtype=np.int32)
     slot_ranks[layout, 0] = np.arange(layout.shape[1])
-    ranks = [unapply(order, slot_ranks)[:, 0] for order in orders]
-    return np.array(ranks, dtype=np.int32).reshape(orders.shape)
+    ranks = np.empty(orders.shape, dtype=np.int32)
+    for row, order in zip(ranks, orders):
+        row[:] = unapply(order, slot_ranks)[:, 0]
+    return ranks
 
 
 def unapply(order: np.ndarray, tokens: np.ndarray) -> np.ndarray:

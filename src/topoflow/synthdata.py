@@ -53,7 +53,7 @@ import numpy as np
 
 from .config import INPUT_CHANNELS, SAMPLE_CHANNELS, TARGET_CHANNELS, TEMPORAL_CHANNELS
 from .config import DataConfig, PhysicsConfig, TrainConfig, decode, encode, format_kv, value
-from .config import read_kv, read_lines, write_atomic
+from .config import parse_kv, read_lines, write_atomic
 from .errors import ConfigError, DataError, FormatError, ShapeError, StabilityError
 from .fields import (
     ChannelStats,
@@ -541,12 +541,13 @@ def read_dataset(in_dir) -> DatasetBundle:
     manifest = root / "manifest.txt"
     if not manifest.exists():
         raise DataError(f"{root}: no manifest.txt (incomplete or missing dataset)")
-    if next(read_lines(manifest, FormatError), (1, ""))[1].startswith("# topoflow dataset "):
+    lines = list(read_lines(manifest, FormatError))
+    if lines and lines[0][1].startswith("# topoflow dataset "):
         raise FormatError(f"{manifest}:1: an older topoflow dataset header; {REGENERATE}")
-    stated = read_kv(manifest, FormatError).get("format", DATASET_FORMAT)
+    stated = parse_kv(manifest, lines, FormatError).get("format", DATASET_FORMAT)
     if stated != DATASET_FORMAT:
         raise FormatError(f"{manifest}: format = {stated}, not {DATASET_FORMAT}; {REGENERATE}")
-    kv = read_kv(manifest, FormatError, known=MANIFEST_KEYS)
+    kv = parse_kv(manifest, lines, FormatError, known=MANIFEST_KEYS)
     # decode would refuse an absent `data.*`, `physics.*` or `stats.*` key
     # too, but without the note to regenerate, and it reads no `format` or `seed`
     for key in MANIFEST_KEYS:

@@ -22,12 +22,14 @@ whole run's randomness is one serializable rng state.
 them the planes every sample shares (`config.STATIC_CHANNELS`): x and y at
 the cell centres and the terrain's elevation, built once per call from the
 grid and `bundle.terrain` and normalized by stats fit on those planes alone,
-so the same for every split. It also builds every sample's slot order
-once, from the physical winds (identity rows without wind reordering), as
-one (S, N) int array. A batch hands its rows to `model.forward` as
-`orders`; the forward turns them into each patch's rank along the wind for
-the attention node and returns raster tokens, so nothing here indexes by
-them.
+so the same for every split. It is also the one place that reads the
+model's two toggles, turning them into data: every sample's slot order,
+from the physical winds (identity rows without wind reordering), becomes
+each patch's rank along the wind inside its sector once
+(`reorder.sector_ranks`), one (S, N) int array, and the patch elevations
+are there only with the elevation bias. A batch hands its rows of ranks
+to `model.forward`, which returns raster tokens, so nothing here indexes
+by them.
 """
 
 from __future__ import annotations
@@ -239,8 +241,8 @@ class TrainingArrays:
     target_tokens: np.ndarray    # (S, N, out_dim) float32, normalized, raster order
     mask_tokens: np.ndarray      # (N, out_dim) float32, raster order, one for all samples
     cell_count: float
-    elev_patch: np.ndarray       # (N,) meters
-    orders: np.ndarray           # (S, N) int64, row i is sample i's slot -> patch order
+    elev_patch: np.ndarray | None  # (N,) meters, None without the elevation bias
+    ranks: np.ndarray            # (S, N) int32, row i is sample i's sector ranks
 
 
 def prepare_arrays(bundle: DatasetBundle, config: ModelConfig) -> TrainingArrays:
@@ -248,7 +250,7 @@ def prepare_arrays(bundle: DatasetBundle, config: ModelConfig) -> TrainingArrays
     spec = config.spec
     samples = bundle.samples
     n_out = config.n_horizons * config.v_out
-    orders = np.tile(np.arange(spec.n_patches), (len(samples), 1))
+    orders = np.tile(np.arange(spec.n_patches, dtype=np.int32), (len(samples), 1))
     if config.wind_reorder:
         # the orders come from the physical winds, not the z-scored inputs
         for i, s in enumerate(samples):
@@ -278,9 +280,10 @@ def prepare_arrays(bundle: DatasetBundle, config: ModelConfig) -> TrainingArrays
     mask_tokens = np.tile(
         patchify(bundle.mask.mask[None].astype(np.float32), spec), (1, n_out)
     )
-    elev_patch = patch_elevations(bundle.terrain.elevation, spec)
+    elev_patch = patch_elevations(bundle.terrain.elevation, spec) if config.elev_bias else None
+    ranks = reorder.sector_ranks(orders, reorder._sector_layout(spec))
     return TrainingArrays(inputs, target_tokens, mask_tokens, float(bundle.mask.count),
-                          elev_patch, orders=orders)
+                          elev_patch, ranks)
 
 
 def split_indices(n: int, val_fraction: float) -> tuple[np.ndarray, np.ndarray]:
@@ -302,8 +305,8 @@ def _batch_loss(
         store,
         config,
         arrays.inputs[idx],
+        arrays.ranks[idx],
         elev_patch_m=arrays.elev_patch,
-        orders=arrays.orders[idx],
         train=train,
         rng=rng,
     )
@@ -430,7 +433,7 @@ def fit(
         save_last()
         return val
 
-    if not resume and state.step == 0:
+    if not resume:
         validate(0, math.nan)  # baseline before any update
 
     final_val = state.best_val

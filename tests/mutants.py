@@ -97,9 +97,10 @@ MUTANTS = (
         "tests/test_reorder.py::test_apply_identity_and_round_trip",
     ),
     Mutant(
-        "sector check in check_orders removed", "reorder.py",
-        "    if (sector_of[orders] != sector_of).any():",
-        "    if False:",
+        "rank check in forward tests the range alone", "model.py",
+        "            np.sort(ranks[:, tables.layout])"
+        " != np.arange(spec.patches_per_sector)).any():",
+        "            ranks >= spec.patches_per_sector).any():",
         "tests/test_model.py::test_forward_refuses_bad_slot_orders",
     ),
     Mutant(

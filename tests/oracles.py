@@ -399,8 +399,9 @@ def slot_order_forward(params, config, inputs, elev_patch_m, order) -> ad.Tensor
 
     The tokens and the per-patch positional vectors are gathered into the
     slot order `order`, every layer attends with the shared relative slot
-    table plus the terrain penalty of the slot-ordered elevations (the
-    raster penalty gathered in slot order, bit for bit), and the head
+    table plus, given patch elevations, the terrain penalty of the
+    slot-ordered elevations (the raster penalty gathered in slot order,
+    bit for bit), and the head
     output is put back in raster order. Dropout is not applied. Attention
     goes through the node with that slot-ordered sum as its one raster
     table (`identity_attend`), which lands it as it is.
@@ -412,7 +413,7 @@ def slot_order_forward(params, config, inputs, elev_patch_m, order) -> ad.Tensor
                params["patch_embed.w"], params["patch_embed.b"])
     x = x + take(params["pos.grid"] @ params["pos.proj"], order)
     bias = take(params["pos.rel"], relative_slot_index(reorder._sector_layout(spec)))
-    if config.elev_bias:
+    if elev_patch_m is not None:
         flipped = -np.asarray(elev_patch_m, dtype=np.float64)[order]
         bias = bias + topo_bias.bias_tensor(flipped, params["alpha"])
     for i in range(config.layers):

@@ -146,6 +146,7 @@ def test_criterion_4_full_model_gradient_check():
     x = rng.normal(size=(1, config.v_in, 4, 8))
     elev = rng.uniform(0, 2500, spec.n_patches)
     orders = np.stack([reorder.build_permutation(spec, u, v)[0] for u, v in zip(x[:, 0], x[:, 1])])
+    ranks = reorder.sector_ranks(orders, reorder._sector_layout(spec))
     target = rng.normal(size=(1, spec.n_patches, config.out_dim))
     maskgrid = np.zeros((1, 4, 8))
     maskgrid[:, 1:3, 1:7] = 1.0
@@ -153,11 +154,11 @@ def test_criterion_4_full_model_gradient_check():
     count = maskgrid.sum()
 
     def loss_scalar():
-        res = forward(store, config, x, elev, orders=orders)
+        res = forward(store, config, x, ranks, elev)
         diff = res.tokens.data - target
         return float((diff * diff * mask_tok).sum() / count)
 
-    res = forward(store, config, x, elev, orders=orders)
+    res = forward(store, config, x, ranks, elev)
     diff = res.tokens - ad.Tensor(target)
     ((diff * diff * ad.Tensor(mask_tok)).sum() * (1.0 / count)).backward()
 

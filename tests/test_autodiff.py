@@ -401,9 +401,10 @@ def test_no_grad_model_forward_is_bitwise_equal():
     x = rng.normal(size=(3, config.v_in, 4, 8)).astype(np.float32)
     elev = rng.uniform(0, 2500, spec.n_patches)
     orders = np.stack([reorder.build_permutation(spec, u, v)[0] for u, v in zip(x[:, 0], x[:, 1])])
-    taped = model.forward(store, config, x, elev, orders=orders)
+    ranks = reorder.sector_ranks(orders, reorder._sector_layout(spec))
+    taped = model.forward(store, config, x, ranks, elev)
     with ad.no_grad():
-        plain = model.forward(store, config, x, elev, orders=orders)
+        plain = model.forward(store, config, x, ranks, elev)
     assert taped.tokens.requires_grad and taped.tokens._parents
     assert not plain.tokens.requires_grad and plain.tokens._parents == ()
     np.testing.assert_array_equal(plain.to_grid(), taped.to_grid())

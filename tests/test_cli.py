@@ -980,8 +980,8 @@ def test_train_refuses_bad_config_before_writing(key, text, tmp_path, dataset, c
 
 def test_dump_perm_lists_sample_zero_order(tmp_path, config_path, dataset):
     # under the default rotating wind each sample has its own wind, and the
-    # listing is the order the model gives sample 0
-    from topoflow import train
+    # listing is the order whose sector ranks the model gives sample 0
+    from topoflow import reorder, train
     from topoflow.model import ModelConfig
 
     assert DEFAULTS["data.wind_mode"] == "rotate"
@@ -991,9 +991,11 @@ def test_dump_perm_lists_sample_zero_order(tmp_path, config_path, dataset):
     lines = (out / "perm.txt").read_text().splitlines()
     bundle = synthdata.read_dataset(dataset)
     config = ModelConfig(bundle.spec, n_horizons=len(bundle.horizons))
-    want = train.prepare_arrays(bundle, config).orders[0]
+    want = train.prepare_arrays(bundle, config).ranks[0]
     forward = [int(ln.split()[1]) for ln in lines[1 : 1 + bundle.spec.n_patches]]
-    assert forward == want.tolist()
+    layout = reorder._sector_layout(bundle.spec)
+    assert sorted(forward) == list(range(bundle.spec.n_patches))
+    np.testing.assert_array_equal(reorder.sector_ranks(np.array([forward]), layout)[0], want)
 
 
 def test_loaded_dataset_regenerates_its_samples(dataset, config_path):

@@ -45,6 +45,36 @@ def wind_orders(config, x):
                      for u, v in zip(x[:, 0], x[:, 1])])
 
 
+def wind_ranks(config, x):
+    """(B, N) sector ranks of `wind_orders`, the ranks `forward` takes."""
+    return reorder.sector_ranks(wind_orders(config, x), reorder._sector_layout(config.spec))
+
+
+def raster_ranks(config, b):
+    """(B, N) sector ranks of identity slot orders: each patch's raster rank."""
+    identity = np.tile(np.arange(config.spec.n_patches), (b, 1))
+    return reorder.sector_ranks(identity, reorder._sector_layout(config.spec))
+
+
+def variant_data(config, x, elev):
+    """The (ranks, patch elevations) that `train.prepare_arrays` hands
+    `forward` for `config`'s variant: wind or raster ranks, and the
+    elevations or None."""
+    ranks = wind_ranks(config, x) if config.wind_reorder else raster_ranks(config, len(x))
+    return ranks, elev if config.elev_bias else None
+
+
+def small_bundle(spec, count=2):
+    """A `count`-sample dataset on `spec` with horizons (12, 24)."""
+    physics = synthdata.PhysicsConfig(substeps=2)
+    data = DataConfig(count=count, horizons=(12, 24))
+    tw = synthdata.gen_terrain(spec, 3, data, physics)
+    samples = synthdata.make_dataset(spec, tw, physics, data, seed=7)
+    stats = NormStats.fit([s.input for s in samples], synthdata.norm_kinds())
+    return synthdata.DatasetBundle(spec, tuple(samples), tw, synthdata.study_mask(spec),
+                                   stats, data, physics, 0.1)
+
+
 # -- patchify -------------------------------------------------------------------
 
 def test_patchify_hand_layout():
@@ -124,8 +154,8 @@ def test_forward_output_shape_contract():
     rng = np.random.default_rng(1)
     elev = rng.uniform(0, 2000, config.spec.n_patches)
     x = random_inputs(config, rng)
-    res = forward(params=store, config=config, inputs=x, elev_patch_m=elev,
-                  orders=wind_orders(config, x))
+    res = forward(params=store, config=config, inputs=x, ranks=wind_ranks(config, x),
+                  elev_patch_m=elev)
     assert res.tokens.shape == (2, config.spec.n_patches, config.out_dim)
     grid = res.to_grid()
     assert grid.shape == (2, config.n_horizons * config.v_out, 4, 8)
@@ -137,8 +167,8 @@ def test_forward_deterministic():
     rng = np.random.default_rng(2)
     x = random_inputs(config, rng)
     elev = rng.uniform(0, 2000, config.spec.n_patches)
-    a = forward(store, config, x, elev, orders=wind_orders(config, x)).to_grid()
-    b = forward(store, config, x, elev, orders=wind_orders(config, x)).to_grid()
+    a = forward(store, config, x, wind_ranks(config, x), elev).to_grid()
+    b = forward(store, config, x, wind_ranks(config, x), elev).to_grid()
     assert a.tobytes() == b.tobytes()
 
 
@@ -148,78 +178,62 @@ def test_zero_head_gives_zero_output_without_layers():
     store["head.w2"].data[:] = 0.0
     store["head.b2"].data[:] = 0.0
     rng = np.random.default_rng(3)
-    res = forward(store, config, random_inputs(config, rng))
+    res = forward(store, config, random_inputs(config, rng), raster_ranks(config, 2))
     np.testing.assert_array_equal(res.tokens.data, 0.0)
 
 
-def test_missing_elevation_raises():
+def test_forward_refuses_bad_slot_orders():
+    # `forward` takes sector ranks, one row per sample, each ranking every
+    # sector's patches 0..M-1: a repeat, a rank out of range, float ranks,
+    # the slot orders themselves and rows of another shape are refused
     config = tiny_config()
     store = init_params(config, seed=0)
-    rng = np.random.default_rng(4)
-    x = random_inputs(config, rng)
-    with pytest.raises(ConfigError, match="elev"):
-        forward(store, config, x, orders=wind_orders(config, x))
-
-
-def test_missing_orders_raise_with_wind_reorder():
-    config = tiny_config(elev_bias=False)
-    store = init_params(config, seed=0)
     x = random_inputs(config, np.random.default_rng(4))
-    with pytest.raises(ConfigError, match="slot orders"):
-        forward(store, config, x)
-
-
-def test_forward_refuses_bad_slot_orders():
-    # each row must be a permutation of 0..N-1 inside the sectors and there
-    # is one row per sample; without wind reordering the orders are not read
-    config = tiny_config(elev_bias=False)
-    store = init_params(config, seed=0)
-    x = random_inputs(config, np.random.default_rng(4))
-    good = wind_orders(config, x)
+    good = wind_ranks(config, x)
+    forward(store, config, x, good)
+    layout, m = reorder._sector_layout(config.spec), config.spec.patches_per_sector
     repeated = good.copy()
-    repeated[1, 0] = repeated[1, 1]
-    for bad in (repeated, good + 1, good.astype(np.float64)):
-        with pytest.raises(DataError, match="permutation"):
-            forward(store, config, x, orders=bad)
-    for bad in (good[:1], good[:, :-1], good[0]):
-        with pytest.raises(ShapeError, match="slot orders"):
-            forward(store, config, x, orders=bad)
-    # a permutation that moves a patch into another sector's slot
-    layout = reorder._sector_layout(config.spec)
+    repeated[1, layout[0, 0]] = repeated[1, layout[0, 1]]
+    beyond = good.copy()
+    beyond[0, layout[1, 0]] += m
+    # ranks swapped between two sectors: every rank is in range, and the
+    # row as a whole still holds each rank K times
     crossing = good.copy()
-    swap = [layout[0, 0], layout[1, 0]]
+    swap = [layout[0, 0], layout[1, good[0, layout[1]].argmax()]]
+    assert crossing[0, swap[0]] != crossing[0, swap[1]]
     crossing[0, swap] = crossing[0, swap[::-1]]
-    with pytest.raises(DataError, match="sector"):
-        forward(store, config, x, orders=crossing)
-    off = replace(config, wind_reorder=False)
-    assert forward(store, off, x, orders=repeated).tokens.data.tobytes() == \
-        forward(store, off, x).tokens.data.tobytes()
+    for bad in (repeated, beyond, good - 1, crossing, good.astype(np.float64),
+                wind_orders(config, x)):
+        with pytest.raises(DataError, match="sector ranks"):
+            forward(store, config, x, bad)
+    for bad in (good[:1], good[:, :-1], good[0]):
+        with pytest.raises(ShapeError, match="sector ranks"):
+            forward(store, config, x, bad)
 
 
 @pytest.mark.parametrize("layers", [1, 2])
 @pytest.mark.parametrize("taped", [True, False])
 def test_forward_checks_and_ranks_the_orders_once(layers, taped, monkeypatch):
-    # one order check and one rank derivation per sample, whatever the
-    # depth: no layer, no sample of the no-tape path and no backward
-    # checks or ranks the orders again
-    config = tiny_config(layers=layers)
+    # `prepare_arrays` ranks each sample's slot order once; no forward,
+    # layer, sample of the no-tape path or backward ranks them again
+    config = tiny_config(spec=GridSpec(8, 16, 2, 4, 2), layers=layers)
+    bundle = small_bundle(config.spec, count=3)
+    calls = []
+
+    def counted(*args, _fn=reorder.unapply):
+        calls.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(reorder, "unapply", counted)
+    arrays = prepare_arrays(bundle, config)
+    assert len(calls) == 3
     store = init_params(config, seed=0)
-    rng = np.random.default_rng(4)
-    x = random_inputs(config, rng, batch=3)
-    elev = rng.uniform(0, 2500, config.spec.n_patches)
-    orders = wind_orders(config, x)
-    calls = {"check_orders": 0, "unapply": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(reorder, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(reorder, name, counted)
     with contextlib.nullcontext() if taped else ad.no_grad():
-        res = forward(store, config, x, elev, orders=orders)
+        res = forward(store, config, arrays.inputs, arrays.ranks, arrays.elev_patch)
     assert res.tokens.requires_grad == taped
     if taped:
         res.tokens.sum().backward()
-    assert calls == {"check_orders": 1, "unapply": 3}
+    assert len(calls) == 3
 
 
 def test_dropout_requires_rng_and_is_seeded():
@@ -227,11 +241,12 @@ def test_dropout_requires_rng_and_is_seeded():
     store = init_params(config, seed=0)
     rng = np.random.default_rng(5)
     x = random_inputs(config, rng)
+    ranks = raster_ranks(config, len(x))
     with pytest.raises(ConfigError):
-        forward(store, config, x, train=True)
-    a = forward(store, config, x, train=True, rng=np.random.default_rng(9)).tokens.data
-    b = forward(store, config, x, train=True, rng=np.random.default_rng(9)).tokens.data
-    c = forward(store, config, x, train=True, rng=np.random.default_rng(10)).tokens.data
+        forward(store, config, x, ranks, train=True)
+    a = forward(store, config, x, ranks, train=True, rng=np.random.default_rng(9)).tokens.data
+    b = forward(store, config, x, ranks, train=True, rng=np.random.default_rng(9)).tokens.data
+    c = forward(store, config, x, ranks, train=True, rng=np.random.default_rng(10)).tokens.data
     assert a.tobytes() == b.tobytes()
     assert a.tobytes() != c.tobytes()
 
@@ -252,14 +267,14 @@ def test_reorder_is_equivalence_at_init():
     store = init_params(config_on, seed=0, dtype=np.float64)
     rng = np.random.default_rng(6)
     x = uniform_wind_inputs(config_on, rng)
-    orders = wind_orders(config_on, x)
-    base = forward(store, config_off, x).to_grid()
-    shuffled = forward(store, config_on, x, orders=orders).to_grid()
+    ranks, raster = wind_ranks(config_on, x), raster_ranks(config_off, len(x))
+    base = forward(store, config_off, x, raster).to_grid()
+    shuffled = forward(store, config_on, x, ranks).to_grid()
     assert np.abs(shuffled - base).max() < 1e-10
     # a trained (nonzero) relative table re-breaks the tie
     store["pos.rel"].data[:] = rng.normal(size=store["pos.rel"].shape)
-    diverged = forward(store, config_on, x, orders=orders).to_grid()
-    assert np.abs(diverged - forward(store, config_off, x).to_grid()).max() > 1e-6
+    diverged = forward(store, config_on, x, ranks).to_grid()
+    assert np.abs(diverged - forward(store, config_off, x, raster).to_grid()).max() > 1e-6
 
 
 def test_terrain_penalty_follows_the_shuffle_at_init():
@@ -275,8 +290,8 @@ def test_terrain_penalty_follows_the_shuffle_at_init():
     assert len({tuple(o) for o in orders}) == 2
     assert not any(np.array_equal(o, np.arange(config_on.spec.n_patches)) for o in orders)
     elev = rng.uniform(0, 3000, config_on.spec.n_patches)
-    base = forward(store, config_off, x, elev).to_grid()
-    shuffled = forward(store, config_on, x, elev, orders=orders).to_grid()
+    base = forward(store, config_off, x, raster_ranks(config_off, len(x)), elev).to_grid()
+    shuffled = forward(store, config_on, x, wind_ranks(config_on, x), elev).to_grid()
     assert np.abs(shuffled - base).max() < 1e-10
 
 
@@ -292,8 +307,9 @@ def test_wind_forward_returns_raster_tokens_and_maps():
     x = random_inputs(config_on, rng, batch=3)
     orders = wind_orders(config_on, x)
     assert not any(np.array_equal(o, np.arange(config_on.spec.n_patches)) for o in orders)
-    on = forward(store, config_on, x, orders=orders, collect_attention=True)
-    off = forward(store, config_off, x, collect_attention=True)
+    on = forward(store, config_on, x, wind_ranks(config_on, x), collect_attention=True)
+    off = forward(store, config_off, x, raster_ranks(config_off, len(x)),
+                  collect_attention=True)
     np.testing.assert_allclose(on.tokens.data, off.tokens.data, rtol=0, atol=1e-10)
     assert len(on.attention) == len(off.attention) == config_on.layers
     for a, b in zip(on.attention, off.attention):
@@ -318,10 +334,10 @@ def test_raster_forward_matches_the_slot_order_reference(elev_bias, dtype):
     x = random_inputs(config, rng, batch=4).astype(dtype)
     orders = wind_orders(config, x)
     assert len({tuple(o) for o in orders}) == len(orders)
-    elev = rng.uniform(0, 3000, config.spec.n_patches)
+    ranks, elev = variant_data(config, x, rng.uniform(0, 3000, config.spec.n_patches))
     coeff = rng.normal(size=(len(x), config.spec.n_patches, config.out_dim)).astype(dtype)
 
-    res = forward(store, config, x, elev, orders=orders)
+    res = forward(store, config, x, ranks, elev)
     (res.tokens * ad.Tensor(coeff)).sum().backward()
     got = [res.tokens.data] + [store[k].grad for k in store.names()]
     ad.zero_grads(store.tensors())
@@ -384,52 +400,54 @@ def test_attention_tables_are_keys_by_queries():
     cross = store["pos.rel"].data[-1]
     assert tables.base.tobytes() == (penalty.data + cross).tobytes()
     assert tables.pen_blocks.tobytes() == penalty.data.reshape(-1)[tables.blocks].tobytes()
-    no_bias = model._attention_tables(store, tiny_config(spec=spec, elev_bias=False), None)
+    no_bias = model._attention_tables(store, config, None)
     assert no_bias.penalty is None and no_bias.pen_blocks is None
     assert (no_bias.base == cross).all() and no_bias.base.dtype == np.float32
 
 
 def test_toggles_off_is_the_shared_baseline_path():
+    # the training arrays hand the baseline raster ranks and no patch
+    # elevations, and both mechanisms wind ranks and the elevations; the
+    # rest of the arrays is the same for every variant
     config = tiny_config(spec=GridSpec(8, 16, 2, 4, 2), wind_reorder=False, elev_bias=False)
-    store = init_params(config, seed=0)
-    rng = np.random.default_rng(7)
-    x = random_inputs(config, rng)
-    # the training arrays hand the baseline identity slot orders, and
-    # `forward` takes identity orders for it whatever it is given
     spec = config.spec
-    physics = synthdata.PhysicsConfig(substeps=2)
-    data = DataConfig(count=2, horizons=(12, 24))
-    tw = synthdata.gen_terrain(spec, 3, data, physics)
-    samples = synthdata.make_dataset(spec, tw, physics, data, seed=7)
-    stats = NormStats.fit([s.input for s in samples], synthdata.norm_kinds())
-    bundle = synthdata.DatasetBundle(spec, tuple(samples), tw, synthdata.study_mask(spec),
-                                     stats, data, physics, 0.1)
-    orders = prepare_arrays(bundle, config).orders
-    np.testing.assert_array_equal(orders, np.tile(np.arange(spec.n_patches), (2, 1)))
-    orders = wind_orders(replace(config, wind_reorder=True), x)
-    assert not any(np.array_equal(o, np.arange(spec.n_patches)) for o in orders)
-    res = forward(store, config, x, orders=orders)
-    assert res.tokens.data.tobytes() == forward(store, config, x).tokens.data.tobytes()
+    bundle = small_bundle(spec)
+    arrays = prepare_arrays(bundle, config)
+    assert arrays.ranks.dtype == np.int32 and arrays.elev_patch is None
+    np.testing.assert_array_equal(arrays.ranks, raster_ranks(config, 2))
+    both = prepare_arrays(bundle, replace(config, wind_reorder=True, elev_bias=True))
+    winds = np.stack([np.stack([s.input.channel("u"), s.input.channel("v")])
+                      for s in bundle.samples])
+    np.testing.assert_array_equal(both.ranks, wind_ranks(config, winds))
+    assert not (both.ranks == arrays.ranks).all(axis=1).any()
+    np.testing.assert_array_equal(both.elev_patch,
+                                  topo_bias.patch_elevations(bundle.terrain.elevation, spec))
+    for name in ("inputs", "target_tokens", "mask_tokens"):
+        assert getattr(both, name).tobytes() == getattr(arrays, name).tobytes(), name
     # alpha exists but is unused on this path
-    assert "alpha" in store.params
+    store = init_params(config, seed=0)
+    forward(store, config, arrays.inputs, arrays.ranks, arrays.elev_patch).tokens.sum().backward()
+    assert store["alpha"].grad is None and store["pos.rel"].grad is not None
 
 
 def test_toggles_choose_data_not_branches():
-    # every variant runs one path: the wind variant under identity slot
-    # orders is the baseline, and the terrain penalty at alpha 0 adds
-    # nothing, for outputs and every gradient, bit for bit, dropout on
+    # every variant runs one path: the terrain penalty at alpha 0 adds
+    # nothing, under raster or wind ranks, and `forward` reads neither
+    # toggle, so flipping either in the config it is given moves nothing
+    # for the same ranks and elevations (the wind variant under raster
+    # ranks is the baseline): outputs and every gradient, bit for bit,
+    # dropout on
     base = tiny_config(dropout=0.2, wind_reorder=False, elev_bias=False)
     rng = np.random.default_rng(11)
     x = random_inputs(base, rng, batch=3).astype(np.float32)
     elev = rng.uniform(0, 3000, base.spec.n_patches)
     coeff = rng.normal(size=(3, base.spec.n_patches, base.out_dim)).astype(np.float32)
 
-    def run(config, orders=None, alpha=None):
+    def run(config, ranks, elev_m=None, alpha=None):
         store = init_params(config, seed=0)
         if alpha is not None:
             store["alpha"].data[...] = alpha
-        res = forward(store, config, x, elev, orders=orders, train=True,
-                      rng=np.random.default_rng(12))
+        res = forward(store, config, x, ranks, elev_m, train=True, rng=np.random.default_rng(12))
         (res.tokens * ad.Tensor(coeff)).sum().backward()
         return res.tokens.data, {k: store[k].grad for k in store.names()}
 
@@ -441,16 +459,16 @@ def test_toggles_choose_data_not_branches():
                 assert (grad is None) == (other is None), name
                 assert grad is None or grad.tobytes() == other.tobytes(), name
 
-    identity = np.tile(np.arange(base.spec.n_patches), (len(x), 1))
-    baseline = run(base)
-    assert_same_bits(run(replace(base, wind_reorder=True), identity), baseline)
-    for wind in (False, True):
-        config = replace(base, wind_reorder=wind)
-        orders = wind_orders(config, x) if wind else None
-        off = run(config, orders)
-        on = run(replace(config, elev_bias=True), orders, alpha=0.0)
+    for ranks in (raster_ranks(base, len(x)), wind_ranks(base, x)):
+        off = run(base, ranks)
+        on = run(base, ranks, elev, alpha=0.0)
         assert off[1]["alpha"] is None and on[1]["alpha"] is not None
         assert_same_bits(on, off, skip=("alpha",))
+        for elev_m in (None, elev):
+            want = run(base, ranks, elev_m)
+            for wind, elev_bias in ((True, False), (False, True), (True, True)):
+                flipped = replace(base, wind_reorder=wind, elev_bias=elev_bias)
+                assert_same_bits(run(flipped, ranks, elev_m), want)
 
 
 def test_collect_attention_rows_stochastic():
@@ -459,7 +477,7 @@ def test_collect_attention_rows_stochastic():
     rng = np.random.default_rng(8)
     x = random_inputs(config, rng)
     elev = rng.uniform(0, 3000, config.spec.n_patches)
-    res = forward(store, config, x, elev, orders=wind_orders(config, x), collect_attention=True)
+    res = forward(store, config, x, wind_ranks(config, x), elev, collect_attention=True)
     assert len(res.attention) == config.layers
     w = res.attention[0]
     assert w.shape == (2, config.spec.n_patches, config.spec.n_patches)
@@ -479,10 +497,10 @@ def test_no_grad_attention_maps_equal_the_taped_batch(over):
     rng = np.random.default_rng(9)
     x = random_inputs(config, rng, batch=3).astype(np.float32)
     elev = rng.uniform(0, 3000, config.spec.n_patches)
-    orders = wind_orders(config, x)
-    taped = forward(store, config, x, elev, orders=orders, collect_attention=True)
+    ranks, elev = variant_data(config, x, elev)
+    taped = forward(store, config, x, ranks, elev, collect_attention=True)
     with ad.no_grad():
-        plain = forward(store, config, x, elev, orders=orders, collect_attention=True)
+        plain = forward(store, config, x, ranks, elev, collect_attention=True)
     assert taped.tokens.requires_grad and not plain.tokens.requires_grad
     assert plain.tokens.data.tobytes() == taped.tokens.data.tobytes()
     assert len(plain.attention) == len(taped.attention) == config.layers
@@ -498,13 +516,13 @@ def test_no_grad_forward_memory_does_not_grow_with_batch():
     rng = np.random.default_rng(10)
     x = random_inputs(config, rng, batch=8).astype(np.float32)
     elev = rng.uniform(0, 3000, spec.n_patches)
-    orders = wind_orders(config, x)
+    ranks = wind_ranks(config, x)
 
     def peak_bytes(batch):
         tracemalloc.start()
         try:
             with ad.no_grad():
-                forward(store, config, x[:batch], elev, orders=orders[:batch])
+                forward(store, config, x[:batch], ranks[:batch], elev)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -549,7 +567,7 @@ def test_taped_forward_node_count_and_bytes_pinned():
     rng = np.random.default_rng(4)
     x = random_inputs(config, rng).astype(np.float32)
     elev = rng.uniform(0, 2500, config.spec.n_patches)
-    res = forward(store, config, x, elev, orders=wind_orders(config, x), train=True, rng=rng)
+    res = forward(store, config, x, wind_ranks(config, x), elev, train=True, rng=rng)
     nodes, nbytes = load_tape_stats()(res.tokens)
     assert nodes == TAPE_NODES
     assert nbytes <= TAPE_BYTES
@@ -570,7 +588,7 @@ def test_every_tape_walks_to_the_end(variant, dropout, train):
     rng = np.random.default_rng(4)
     x = random_inputs(config, rng).astype(np.float32)
     elev = rng.uniform(0, 2500, config.spec.n_patches)
-    res = forward(store, config, x, elev, orders=wind_orders(config, x), train=train, rng=rng)
+    res = forward(store, config, x, *variant_data(config, x, elev), train=train, rng=rng)
     nodes, _ = load_tape_stats()(res.tokens)
     assert nodes == config.layers * 2 + 3 + elev_bias
 
@@ -586,14 +604,14 @@ def assert_chain_bits(variant, monkeypatch, swaps):
     rng = np.random.default_rng(13)
     x = random_inputs(config, rng, batch=3).astype(np.float32)
     elev = rng.uniform(0, 3000, config.spec.n_patches)
-    orders = wind_orders(config, x)
+    ranks, elev = variant_data(config, x, elev)
     target = rng.normal(size=(3, config.spec.n_patches, config.out_dim)).astype(np.float32)
     mask = (rng.random((config.spec.n_patches, config.out_dim)) < 0.7).astype(np.float32)
 
     def run():
         store = init_params(config, seed=0)
         drop_rng = np.random.default_rng(12)
-        res = forward(store, config, x, elev, orders=orders, train=True, rng=drop_rng)
+        res = forward(store, config, x, ranks, elev, train=True, rng=drop_rng)
         state = drop_rng.bit_generator.state
         loss = train._masked_mse_tokens(res.tokens, target, mask, 11.0)
         loss.backward()
@@ -660,7 +678,7 @@ def test_taped_forward_keeps_no_hidden_width_or_normalized_input():
     norms.append((np.float32(1.0), np.float32(0.0)))
     x = random_inputs(config, rng).astype(np.float32)
     elev = rng.uniform(0, 2500, config.spec.n_patches)
-    res = forward(store, config, x, elev, orders=wind_orders(config, x), train=True, rng=rng)
+    res = forward(store, config, x, wind_ranks(config, x), elev, train=True, rng=rng)
     nodes, seen, stack = [], set(), [res.tokens]
     while stack:
         node = stack.pop()
@@ -692,7 +710,7 @@ def test_taped_forward_keeps_no_batch_by_n_by_n_array():
     rng = np.random.default_rng(5)
     x = random_inputs(config, rng).astype(np.float32)
     elev = rng.uniform(0, 2500, config.spec.n_patches)
-    res = forward(store, config, x, elev, orders=wind_orders(config, x), train=True, rng=rng)
+    res = forward(store, config, x, wind_ranks(config, x), elev, train=True, rng=rng)
     b, n = x.shape[0], config.spec.n_patches
     largest, seen, stack = 0, set(), [res.tokens]
     while stack:
@@ -734,14 +752,14 @@ def test_full_model_gradients_match_finite_differences():
         patchify(maskgrid, config.spec), (1, config.n_horizons * config.v_out)
     )[None]
     count = maskgrid.sum()
-    orders = wind_orders(config, x)
+    ranks = wind_ranks(config, x)
 
     def loss_value():
-        res = forward(store, config, x, elev, orders=orders)
+        res = forward(store, config, x, ranks, elev)
         diff = res.tokens.data - target
         return float((diff * diff * mask_tok).sum() / count)
 
-    res = forward(store, config, x, elev, orders=orders)
+    res = forward(store, config, x, ranks, elev)
     token_loss(res, target, mask_tok, count).backward()
 
     eps = 1e-5

@@ -253,7 +253,7 @@ def test_sort_work_scales_with_sector_size():
     assert 0.2 * expected < ratio < 5.0 * expected
 
 
-# -- where a slot order may be gathered through ----------------------------------
+# -- where a slot order may be read ---------------------------------------------
 
 ORDER_NAMES = ("order", "orders")
 
@@ -267,39 +267,44 @@ def _is_order(node):
             or (isinstance(node, ast.Attribute) and node.attr in ORDER_NAMES))
 
 
-def _order_gathers(tree):
-    """Gathers through a slot order in a module's syntax tree: an order
-    passed positionally to a call (`np.take(t, order)`) or used as an index
-    (`t[orders]`, `t[:, order]`). Passing one by keyword, as
-    `forward(..., orders=...)` does, and selecting its rows are not gathers."""
+def _order_reads(tree):
+    """Reads of a slot order in a module's syntax tree, other than handing
+    it, or rows of it, to a `reorder` function by position
+    (`reorder.sector_ranks(orders, layout)`) and filling its rows
+    (`orders[i] = ...`)."""
+    handed = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            used = node.args
-        elif isinstance(node, ast.Subscript):
-            used = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
-        else:
-            continue
-        if any(_is_order(arg) for arg in used):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "reorder"):
+            handed.update(id(sub) for arg in node.args for sub in ast.walk(arg))
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            handed.add(id(node.value))
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                and _is_order(node) and id(node) not in handed):
             yield node
 
 
 def test_train_and_evalkit_pass_slot_orders_without_gathering():
-    """The slot order stays behind `model.forward`: `train` and `evalkit`
-    hold the orders and hand rows of them to it by keyword, but gather
-    nothing through them, so they see raster tokens only."""
+    """The slot orders stay inside `train.prepare_arrays`: `train` builds
+    them and hands them only to `reorder`, whose `sector_ranks` turns them
+    into the ranks `model.forward` takes, and `evalkit` holds none, so
+    neither gathers anything through them."""
     src = Path(__file__).resolve().parents[1] / "src" / "topoflow"
-    for name in ("train.py", "evalkit.py"):
-        tree = ast.parse((src / name).read_text(encoding="utf-8"))
-        assert any(_is_order(node) for node in ast.walk(tree)), name
-        assert [node.lineno for node in _order_gathers(tree)] == [], name
+    trees = {name: ast.parse((src / name).read_text(encoding="utf-8"))
+             for name in ("train.py", "evalkit.py")}
+    assert any(_is_order(node) for node in ast.walk(trees["train.py"]))
+    assert [node.lineno for node in _order_reads(trees["train.py"])] == []
+    assert not any(_is_order(node) for node in ast.walk(trees["evalkit.py"]))
 
 
 def test_slot_order_finder_sees_each_form():
     tree = ast.parse(
         "np.take(t, order)\nt[orders]\nx[:, order]\n"
-        "np.take_along_axis(t, arrays.orders[idx][..., None], axis=1)\n"
-        "zip(orders, out)\nf(*orders)\n"
-        "forward(store, config, x, orders=arrays.orders[idx])\nrows = orders[idx]\n"
-        "order.shape\nt[border]\nnp.take(t, perm)\n"
+        "forward(store, config, x, orders=arrays.orders[idx])\nzip(orders, out)\n"
+        "rows = orders[idx]\nn = order.shape\n"
+        "orders = np.tile(r, (2, 1))\norders[i] = reorder.build_permutation(spec, u, v)[0]\n"
+        "ranks = reorder.sector_ranks(orders, layout)\nreorder.unapply(order[rows], t)\n"
+        "t[border]\nnp.take(t, perm)\n"
     )
-    assert sorted(node.lineno for node in _order_gathers(tree)) == [1, 2, 3, 4, 5, 6]
+    assert sorted({node.lineno for node in _order_reads(tree)}) == [1, 2, 3, 4, 5, 6, 7]

@@ -163,6 +163,17 @@ def test_importing_the_package_loads_only_the_standard_library_and_numpy():
     assert loaded - set(sys.stdlib_module_names) == {"numpy", "topoflow"}
 
 
+def test_model_and_attention_read_neither_toggle():
+    # `train.prepare_arrays` turns `wind_reorder` and `elev_bias` into the
+    # sector ranks and the patch elevations; the network reads neither
+    toggles = ("wind_reorder", "elev_bias")
+    for name in ("model.py", "attention.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        reads = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load) and node.attr in toggles]
+        assert reads == [], name
+
+
 def test_every_mutant_line_occurs_once_in_src():
     # tests/mutants.py applies each mutant by its whole line; a change that
     # rewrites a mutated line must restate the mutant, and the runner

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from topoflow import synthdata
+from topoflow import config, synthdata
 from topoflow.config import DataConfig, decode, read_kv
 from topoflow.errors import ConfigError, DataError, FitError, FormatError, StabilityError
 from topoflow.fields import GridSpec, NormStats, read_grid
@@ -398,6 +398,20 @@ def test_read_dataset_requires_manifest(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(DataError):
         synthdata.read_dataset(tmp_path / "empty")
+
+
+def test_read_dataset_reads_the_manifest_once(tmp_path, monkeypatch):
+    # the older-header, `format` and key checks all run on one read of it
+    write_small(tmp_path / "ds", 2)
+    read = []
+
+    def counted(path, error, _fn=config.read_bytes):
+        read.append(Path(path).name)
+        return _fn(path, error)
+
+    monkeypatch.setattr(config, "read_bytes", counted)
+    synthdata.read_dataset(tmp_path / "ds")
+    assert read.count("manifest.txt") == 1
 
 
 # every write `write_dataset` makes, in order, for two samples

@@ -326,15 +326,16 @@ def test_fit_checkpoint_bytes_pinned(tmp_path, bundle, variant):
 
 
 def test_prepared_inputs_pinned_crc32(bundle):
-    # CRC-32 of `prepare_arrays`' input stack, patch elevations and slot
-    # orders on the tiny bundle: the bits the model reads, whichever files
+    # CRC-32 of `prepare_arrays`' input stack, patch elevations and sector
+    # ranks on the tiny bundle: the bits the model reads, whichever files
     # they come from (the value is that of the layout in which every sample
-    # held x, y and elevation too)
+    # held x, y and elevation too, and of the slot orders' ranks when the
+    # arrays held the orders)
     arrays = train.prepare_arrays(bundle, tiny_model())
     crc = 0
-    for part in (arrays.inputs, arrays.elev_patch, arrays.orders):
+    for part in (arrays.inputs, arrays.elev_patch, arrays.ranks):
         crc = zlib.crc32(part.tobytes(), crc)
-    assert f"{crc:08x}" == "8da8b398"
+    assert f"{crc:08x}" == "3c860371"
 
 
 def test_shared_planes_come_from_the_grid_and_the_terrain(tmp_path, bundle):
@@ -355,11 +356,11 @@ def test_shared_planes_come_from_the_grid_and_the_terrain(tmp_path, bundle):
     assert not (moved.inputs[:, at["elev"]] == arrays.inputs[:, at["elev"]]).all()
     np.testing.assert_array_equal(moved.elev_patch, patch_elevations(mirrored, SPEC))
     assert not np.array_equal(moved.elev_patch, arrays.elev_patch)
-    # every other plane, the targets and the orders are the samples' own
+    # every other plane, the targets and the ranks are the samples' own
     rest = [i for i in range(len(synthdata.INPUT_CHANNELS)) if i not in at.values()]
     assert moved.inputs[:, rest].tobytes() == arrays.inputs[:, rest].tobytes()
     assert moved.target_tokens.tobytes() == arrays.target_tokens.tobytes()
-    assert np.array_equal(moved.orders, arrays.orders)
+    assert np.array_equal(moved.ranks, arrays.ranks)
     synthdata.write_dataset(tmp_path, list(bundle.samples), bundle.terrain, bundle.mask,
                             bundle.stats, 7, data=DATA, physics=PHYSICS, val_fraction=0.25)
     for path in sorted((tmp_path / "samples").iterdir()):
